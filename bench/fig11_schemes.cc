@@ -63,13 +63,26 @@ main(int argc, char **argv)
         core::SchemeKind::NoOverheads};
     constexpr size_t kNumKinds = 5;
 
-    // Phase 1: profile every game in parallel. Phase 2: every
-    // (game, scheme) evaluation session is an independent task —
-    // its own game clone and its own freshly built model (the table
-    // mutates via online fill during evaluation) — so per-session
-    // stats are bitwise identical for any --threads value.
+    // Phase 1: profile every game in parallel. Phase 2: build and
+    // freeze one model per game; both SNIP schemes share it read-only,
+    // each with its own online-fill overlay, and Baseline / Max CPU /
+    // Max IP need none. Phase 3: every (game, scheme) evaluation
+    // session is an independent task on its own game clone, so
+    // per-session stats are bitwise identical for any --threads value.
     core::ParallelRunner runner = opts.runner();
     std::vector<bench::ProfiledGame> pgs = bench::profileAllGames(opts);
+    const auto &names = games::allGameNames();
+
+    // Per-game build metrics (under --obs-json only); each task is
+    // the sole writer of its registry until the join.
+    std::vector<obs::Registry> build_regs(names.size());
+    std::vector<core::SnipModel> models(names.size());
+    runner.forEach(names.size(), [&](size_t g) {
+        obs::Registry *reg =
+            !opts.obs_json.empty() ? &build_regs[g] : nullptr;
+        models[g] = bench::buildModel(pgs[g], opts, reg);
+        models[g].freeze();
+    });
 
     struct SchemeRun {
         core::SessionResult res;
@@ -78,10 +91,10 @@ main(int argc, char **argv)
          *  run's task is the sole writer until the join. */
         obs::Registry reg;
     };
-    const auto &names = games::allGameNames();
     std::vector<SchemeRun> evals(names.size() * kNumKinds);
     runner.forEach(evals.size(), [&](size_t i) {
         const bench::ProfiledGame &pg = pgs[i / kNumKinds];
+        const core::SnipModel &model = models[i / kNumKinds];
         core::SchemeKind kind = kinds[i % kNumKinds];
         obs::Registry *reg = !opts.obs_json.empty() &&
                                      kind == core::SchemeKind::Snip
@@ -89,15 +102,16 @@ main(int argc, char **argv)
                                  : nullptr;
         core::SimulationConfig ecfg = bench::evalConfig(opts);
         ecfg.obs = reg;
-        core::SnipModel model = bench::buildModel(pg, opts, reg);
         auto game = games::makeGame(pg.game->name());
         std::unique_ptr<core::Scheme> scheme;
-        if (reg) {
+        if (kind == core::SchemeKind::Snip ||
+            kind == core::SchemeKind::NoOverheads) {
             core::SnipRuntimeConfig rcfg;
             rcfg.obs = reg;
-            scheme = std::make_unique<core::SnipScheme>(model, rcfg);
+            scheme = std::make_unique<core::SnipScheme>(
+                model, rcfg, kind == core::SchemeKind::Snip);
         } else {
-            scheme = core::makeScheme(kind, &model);
+            scheme = core::makeScheme(kind);
         }
         evals[i].res = core::runSession(*game, *scheme, ecfg);
         // Deployed bytes = frozen arena + online-fill overlay (the
@@ -215,6 +229,8 @@ main(int argc, char **argv)
 
     if (!opts.obs_json.empty()) {
         obs::Registry merged;
+        for (const obs::Registry &reg : build_regs)
+            merged.merge(reg);
         for (const SchemeRun &run : evals)
             merged.merge(run.reg);
         // Gauges are last-writer-wins under merge, so the per-game

@@ -1,11 +1,18 @@
 #include "ml/dataset.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/logging.h"
 
 namespace snip {
 namespace ml {
+
+DatasetView::DatasetView()
+{
+    static std::atomic<uint64_t> next_id{1};
+    id_ = next_id.fetch_add(1, std::memory_order_relaxed);
+}
 
 events::FieldId
 DatasetView::featureField(size_t col) const

@@ -114,8 +114,18 @@ class DatasetView
     /** Drop any droppable residency immediately (no-op in memory). */
     virtual void releaseResidency() const {}
 
+    /**
+     * Process-unique id of this view, drawn from a monotonic counter
+     * at construction and never reused (unlike an address, which a
+     * later view can inherit). Per-row state derived from a view,
+     * such as TablePredictor's row keys, is bound to this id.
+     */
+    uint64_t id() const { return id_; }
+
   protected:
-    DatasetView() = default;
+    DatasetView();
+    DatasetView(const DatasetView &) = delete;
+    DatasetView &operator=(const DatasetView &) = delete;
 
     const uint64_t *values_ = nullptr;  // column-major, cols x rows
     const uint64_t *labels_ = nullptr;
@@ -125,6 +135,9 @@ class DatasetView
     uint64_t totalWeight_ = 0;
     size_t streamBlockRows_ = SIZE_MAX;
     std::vector<events::FieldId> featureFields_;  // sorted
+
+  private:
+    uint64_t id_;
 };
 
 /** In-memory feature matrix over one event type's records. */

@@ -237,6 +237,182 @@ TEST(TablePredictorTest, PredictRowsMatchesPerRowPredict)
         EXPECT_EQ(batched[r], tp.predict(ds, r, col_a, shifted[r]));
 }
 
+TEST(DatasetTest, ViewIdsAreDistinct)
+{
+    Synthetic syn(10);
+    Dataset a(syn.ptrs(), syn.schema);
+    Dataset b(syn.ptrs(), syn.schema);
+    EXPECT_NE(a.id(), 0u);
+    EXPECT_NE(a.id(), b.id());
+}
+
+// A trial drop derives its keys by subtracting one column's term;
+// the model it trains must be the one a from-scratch retrain on the
+// trial set builds, on the trained view and on any other view.
+TEST(TablePredictorTest, DroppedColumnKeysMatchRetrain)
+{
+    Synthetic syn(300);
+    Dataset ds(syn.ptrs(), syn.schema);
+    Dataset other(syn.ptrs(), syn.schema);
+    std::vector<size_t> all = {0, 1, 2, 3};
+    std::vector<size_t> train_rows;
+    for (size_t r = 0; r < 200; ++r)
+        train_rows.push_back(r);
+
+    for (size_t drop : all) {
+        std::vector<size_t> trial;
+        for (size_t c : all)
+            if (c != drop)
+                trial.push_back(c);
+        std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, all);
+        TablePredictor::dropColumn(ds, drop, keys);
+        EXPECT_EQ(keys, TablePredictor::rowKeys(ds, trial));
+
+        TablePredictor derived, fresh;
+        derived.trainOnKeys(ds, trial, keys, train_rows);
+        fresh.trainOnRows(other, trial, train_rows);
+        EXPECT_EQ(derived.fingerprint(), fresh.fingerprint())
+            << "drop " << drop;
+        EXPECT_EQ(derived.tableRows(), fresh.tableRows());
+        for (size_t r = 0; r < ds.numRows(); ++r) {
+            ASSERT_EQ(derived.predict(ds, r), fresh.predict(other, r))
+                << "drop " << drop << " row " << r;
+            ASSERT_EQ(derived.predictRow(ds, r),
+                      fresh.predictRow(other, r));
+            uint64_t la = 0, lb = 0;
+            ASSERT_EQ(derived.lookupLabel(ds, r, la),
+                      fresh.lookupLabel(other, r, lb));
+            EXPECT_EQ(la, lb);
+        }
+    }
+}
+
+// The stored-key override path (one term swapped per row) must match
+// the per-row recomputed key of a different view, for a selected and
+// an unselected override column.
+TEST(TablePredictorTest, OverrideKeyPathMatchesPerRowPredict)
+{
+    Synthetic syn(300);
+    Dataset ds(syn.ptrs(), syn.schema);
+    Dataset other(syn.ptrs(), syn.schema);
+    std::vector<size_t> cols = {ds.columnOf(syn.fa),
+                                ds.columnOf(syn.fb)};
+    TablePredictor tp;
+    tp.train(ds, cols);
+
+    std::vector<uint64_t> plain(ds.numRows());
+    tp.predictRows(ds, 0, ds.numRows(), plain.data());
+    for (size_t col : {ds.columnOf(syn.fa), ds.columnOf(syn.fn)}) {
+        std::vector<uint64_t> shifted(ds.numRows());
+        for (size_t r = 0; r < ds.numRows(); ++r)
+            shifted[r] = ds.value((r + 7) % ds.numRows(), col);
+        std::vector<uint64_t> bound(ds.numRows()), unbound(ds.numRows());
+        tp.predictRows(ds, 0, ds.numRows(), bound.data(), col,
+                       shifted.data());
+        tp.predictRows(other, 0, ds.numRows(), unbound.data(), col,
+                       shifted.data());
+        EXPECT_EQ(bound, unbound) << "col " << col;
+        for (size_t r = 0; r < ds.numRows(); ++r) {
+            EXPECT_EQ(bound[r], tp.predict(ds, r, col, shifted[r]));
+            EXPECT_EQ(bound[r], tp.predict(other, r, col, shifted[r]));
+        }
+        if (col == ds.columnOf(syn.fn))
+            EXPECT_EQ(bound, plain) << "unselected override";
+        else
+            EXPECT_NE(bound, plain) << "selected override";
+    }
+}
+
+// Stored keys belong to the trained view alone: a view with other
+// contents (here a different draw of the same a, b -> label world)
+// must be keyed from its own cells.
+TEST(TablePredictorTest, OtherViewRecomputesKeys)
+{
+    Synthetic train_syn(300, 1), eval_syn(120, 2);
+    Dataset train_ds(train_syn.ptrs(), train_syn.schema);
+    Dataset eval_ds(eval_syn.ptrs(), eval_syn.schema);
+    std::vector<size_t> cols = {train_ds.columnOf(train_syn.fa),
+                                train_ds.columnOf(train_syn.fb)};
+    TablePredictor tp;
+    tp.train(train_ds, cols);
+    EXPECT_DOUBLE_EQ(weightedErrorRate(tp, eval_ds), 0.0);
+    for (size_t r = 0; r < eval_ds.numRows(); ++r) {
+        uint64_t label = 0;
+        ASSERT_TRUE(tp.lookupLabel(eval_ds, r, label)) << r;
+        EXPECT_EQ(label, eval_ds.label(r));
+    }
+}
+
+TEST(TablePredictorDeathTest, OverrideWithoutValuesPanics)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Synthetic syn(20);
+    Dataset ds(syn.ptrs(), syn.schema);
+    TablePredictor tp;
+    tp.train(ds, {0, 1});
+    uint64_t out[4];
+    EXPECT_DEATH(tp.predictRows(ds, 0, 4, out, 0, nullptr),
+                 "override_col without override_values");
+}
+
+// Equal-weight labels under one key, rows passed out of order: the
+// majority is the smaller label, the representative its first row in
+// `rows` order, and the fallback follows the same rules.
+TEST(TablePredictorTest, TieBreaksSmallestLabelFirstRow)
+{
+    events::FieldSchema schema;
+    events::FieldId fk =
+        schema.addInput("k", events::InputCategory::Event, 4);
+    events::FieldId fo =
+        schema.addOutput("o", events::OutputCategory::History, 8);
+    // Rows 0..3 share key k=1 with labels x, y, y, x; row 4 (k=2) is
+    // never trained on.
+    const uint64_t outs[] = {10, 20, 20, 10, 10};
+    const uint64_t ks[] = {1, 1, 1, 1, 2};
+    std::vector<games::HandlerExecution> recs(5);
+    std::vector<const games::HandlerExecution *> ptrs;
+    for (size_t i = 0; i < recs.size(); ++i) {
+        recs[i].type = events::EventType::Touch;
+        recs[i].inputs = {{fk, ks[i]}};
+        recs[i].outputs = {{fo, outs[i]}};
+        recs[i].cpu_instructions = 500;
+        ptrs.push_back(&recs[i]);
+    }
+    Dataset ds(ptrs, schema);
+    uint64_t small = std::min(ds.label(0), ds.label(1));
+    std::vector<size_t> rows = {3, 2, 1, 0};
+    // First row of the smaller label in `rows` order.
+    size_t first = ds.label(3) == small ? 3 : 2;
+
+    TablePredictor tp;
+    tp.trainOnRows(ds, {0}, rows);
+    EXPECT_EQ(tp.tableRows(), 1u);
+    EXPECT_EQ(tp.predict(ds, 0), small);
+    EXPECT_EQ(tp.predictRow(ds, 0), first);
+    EXPECT_DOUBLE_EQ(tp.ambiguousWeightFraction(), 1.0);
+    EXPECT_EQ(tp.predict(ds, 4), small);       // fallback label
+    EXPECT_EQ(tp.predictRow(ds, 4), first);    // fallback row
+}
+
+// Training on no rows must not inherit the previous training's
+// fallback or ambiguity.
+TEST(TablePredictorTest, EmptyTrainingResetsFallback)
+{
+    Synthetic syn(200);
+    Dataset ds(syn.ptrs(), syn.schema);
+    std::vector<size_t> cols = {ds.columnOf(syn.fb)};
+    TablePredictor tp;
+    tp.train(ds, cols);
+    ASSERT_GT(tp.ambiguousWeightFraction(), 0.0);
+    ASSERT_NE(tp.predict(ds, 0), kNoLabel);
+
+    tp.trainOnRows(ds, cols, {});
+    EXPECT_EQ(tp.tableRows(), 0u);
+    EXPECT_EQ(tp.predict(ds, 0), kNoLabel);
+    EXPECT_EQ(tp.predictRow(ds, 0), SIZE_MAX);
+    EXPECT_DOUBLE_EQ(tp.ambiguousWeightFraction(), 0.0);
+}
+
 // ------------------------------------------------------ DecisionTree
 
 TEST(DecisionTreeTest, LearnsSeparableFunction)
@@ -689,6 +865,34 @@ TEST(ChunkedDatasetTest, MatchesInMemoryDataset)
     SelectionConfig sc;
     expectSameSelection(selectNecessaryInputs(mem, sc),
                         selectNecessaryInputs(ch, sc));
+}
+
+// Row keys are a function of cell values only, so a table trained
+// on the mapped view is the in-memory one.
+TEST(ChunkedDatasetTest, TablePredictorMatchesInMemory)
+{
+    Synthetic syn(400);
+    for (size_t i = 0; i < syn.records.size(); i += 3)
+        syn.records[i].inputs.erase(syn.records[i].inputs.begin() +
+                                    2);
+    Dataset mem(syn.ptrs(), syn.schema);
+    auto log = trainingLog(syn);
+    ChunkedConfig cc;
+    cc.block_rows = 64;
+    auto cds = ChunkedDataset::attach(log, events::EventType::Touch,
+                                      syn.schema, cc);
+    ASSERT_TRUE(cds.ok()) << cds.status().message();
+    const ChunkedDataset &ch = *cds.value();
+
+    std::vector<size_t> cols = {0, 1, 2};
+    EXPECT_EQ(TablePredictor::rowKeys(mem, cols),
+              TablePredictor::rowKeys(ch, cols));
+    TablePredictor tm, tc;
+    tm.train(mem, cols);
+    tc.train(ch, cols);
+    EXPECT_EQ(tm.fingerprint(), tc.fingerprint());
+    for (size_t r = 0; r < mem.numRows(); ++r)
+        ASSERT_EQ(tm.predict(mem, r), tc.predict(ch, r)) << r;
 }
 
 // materializeRecord must reconstruct exactly the records the table

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # CI driver: build + test the default config, run the micro_train
 # Shrink-phase smoke (twice — the selection/model digests must match
-# across runs, and the binary itself exits non-zero on any broken
-# determinism/zero-alloc contract), validate the snip::obs telemetry
-# export (fig11 --obs-json must parse and carry the hit-rate /
-# erroneous-field-rate / per-Shrink-phase-timing signals), run the
+# across runs and their pinned values, and the binary itself exits
+# non-zero on any broken determinism/zero-alloc contract), validate
+# the snip::obs telemetry export (fig11 --obs-json must parse and
+# carry the hit-rate / erroneous-field-rate / per-Shrink-phase-timing
+# signals), run the
 # out-of-core micro_train stage (2M synthetic rows trained through
 # the mmap'd SNCT view under a hard RSS cap, with the forest
 # fingerprint required identical across two block geometries), build +
@@ -60,6 +61,21 @@ if [ -z "$DIGESTS_A" ] || [ "$DIGESTS_A" != "$DIGESTS_B" ]; then
     echo "micro_train: selection/model digests differ across runs" >&2
     exit 1
 fi
+# Pinned values, not just run-to-run agreement: a different selection
+# digest or packed-model CRC is a behaviour change of Shrink or the
+# codec, and must come with a deliberate update here.
+python3 - <<'EOF'
+import json, sys
+
+with open('build/micro_train_a.json') as f:
+    d = json.load(f)
+for section, want in (('selection', 'e73ddc04'),
+                      ('model_codec', '7f698c15')):
+    got = d.get(section, {}).get('digest')
+    if got != want:
+        sys.exit(f'micro_train: {section} digest {got!r}, pinned '
+                 f'{want!r}')
+EOF
 
 echo "==> out-of-core micro_train (bounded RSS + block-size invariance)"
 # 2M synthetic rows trained through the mmap'd SNCT view under a hard
