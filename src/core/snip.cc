@@ -5,27 +5,12 @@
 
 #include "ml/dataset.h"
 #include "obs/span.h"
-#include "util/crc32.h"
 #include "util/logging.h"
 
 namespace snip {
 namespace core {
 
 namespace {
-
-/** Streaming CRC of @p n u64s through the view's residency hooks. */
-uint32_t
-crcOfU64(const ml::DatasetView &ds, const uint64_t *p, size_t n)
-{
-    size_t blk = std::max<size_t>(1, ds.streamBlockRows());
-    uint32_t crc = 0;
-    for (size_t base = 0; base < n; base += blk) {
-        size_t m = std::min(blk, n - base);
-        crc = util::crc32(p + base, m * sizeof(uint64_t), crc);
-        ds.noteStreamed(m * sizeof(uint64_t));
-    }
-    return crc;
-}
 
 /**
  * Content digest of everything a type's selection outcome is a
@@ -51,14 +36,14 @@ datasetKey(const ml::DatasetView &ds, events::EventType t,
     h = util::mixCombine(h, cfg.seed);
     for (events::FieldId fid : forced)
         h = util::mixCombine(h, static_cast<uint64_t>(fid));
-    h = util::mixCombine(h, crcOfU64(ds, ds.labelData(), n));
-    h = util::mixCombine(h, crcOfU64(ds, ds.weightData(), n));
+    h = util::mixCombine(h, ml::crcOfU64(ds, ds.labelData(), n));
+    h = util::mixCombine(h, ml::crcOfU64(ds, ds.weightData(), n));
     h = util::mixCombine(h, static_cast<uint64_t>(ds.numFeatures()));
     for (size_t c = 0; c < ds.numFeatures(); ++c) {
         uint64_t ch = util::mixCombine(
             static_cast<uint64_t>(c),
             static_cast<uint64_t>(ds.featureField(c)));
-        ch = util::mixCombine(ch, crcOfU64(ds, ds.columnData(c), n));
+        ch = util::mixCombine(ch, ml::crcOfU64(ds, ds.columnData(c), n));
         h = util::mixCombine(h, ch);
     }
     return h ? h : 1;
@@ -179,7 +164,11 @@ buildSnipModel(const trace::Profile &profile, const games::Game &game,
     std::vector<events::FieldId> forced = resolveForced(game, cfg);
 
     for (events::EventType t : profile.typesPresent()) {
-        auto records = profile.ofType(t);
+        std::vector<const games::HandlerExecution *> records;
+        {
+            obs::Span s(cfg.obs, "dataset");
+            records = profile.ofType(t);
+        }
         if (records.size() < cfg.min_records_per_type) {
             util::warn("snip: %s has only %zu records of %s; leaving "
                        "type undeployed", profile.game.c_str(),
@@ -188,7 +177,10 @@ buildSnipModel(const trace::Profile &profile, const games::Game &game,
                 cfg.obs->counter("shrink.types_skipped").add(1);
             continue;
         }
-        ml::Dataset ds(std::move(records), game.schema());
+        ml::Dataset ds = [&] {
+            obs::Span s(cfg.obs, "dataset");
+            return ml::Dataset(records, game.schema());
+        }();
         TypeModel tm = selectForType(ds, t, cfg, forced);
         model.table->setSelected(t, tm.selection.selected);
         model.types.push_back(std::move(tm));
@@ -197,8 +189,11 @@ buildSnipModel(const trace::Profile &profile, const games::Game &game,
     }
 
     // Pre-fill the table from the profile (the OTA payload).
-    for (const auto &rec : profile.records)
-        model.table->insert(rec);
+    {
+        obs::Span s(cfg.obs, "prefill");
+        for (const auto &rec : profile.records)
+            model.table->insert(rec);
+    }
     if (cfg.obs)
         model.table->recordStats(*cfg.obs);
     return model;
@@ -229,8 +224,11 @@ buildSnipModel(std::shared_ptr<const trace::ColumnarLog> tlog,
     std::vector<std::shared_ptr<const ml::ChunkedDataset>> views;
     views.reserve(ttypes.size());
     for (events::EventType t : ttypes) {
-        auto dsr = ml::ChunkedDataset::attach(tlog, t, game.schema(),
+        auto dsr = [&] {
+            obs::Span s(cfg.obs, "dataset");
+            return ml::ChunkedDataset::attach(tlog, t, game.schema(),
                                               chunked);
+        }();
         if (!dsr.ok())
             return dsr.status();
         const auto &ds = *dsr.value();
@@ -253,15 +251,18 @@ buildSnipModel(std::shared_ptr<const trace::ColumnarLog> tlog,
     // Pre-fill grouped by type: MemoTable buckets per type and keeps
     // within-type insertion order, so this builds the same table as
     // the profile-order walk in the in-memory path.
-    games::HandlerExecution rec;
-    for (const auto &view : views) {
-        size_t blk = view->streamBlockRows();
-        size_t row_bytes = (view->numFeatures() + 2) * 8;
-        for (size_t row = 0; row < view->numRows(); ++row) {
-            view->materializeRecord(row, &rec);
-            model.table->insert(rec);
-            if ((row + 1) % blk == 0)
-                view->noteStreamed(blk * row_bytes);
+    {
+        obs::Span s(cfg.obs, "prefill");
+        games::HandlerExecution rec;
+        for (const auto &view : views) {
+            size_t blk = view->streamBlockRows();
+            size_t row_bytes = (view->numFeatures() + 2) * 8;
+            for (size_t row = 0; row < view->numRows(); ++row) {
+                view->materializeRecord(row, &rec);
+                model.table->insert(rec);
+                if ((row + 1) % blk == 0)
+                    view->noteStreamed(blk * row_bytes);
+            }
         }
     }
     if (cfg.obs)

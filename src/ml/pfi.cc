@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "obs/span.h"
-#include "util/crc32.h"
 #include "util/parallel.h"
 
 namespace snip {
@@ -72,23 +71,6 @@ permutedError(const Predictor &predictor, const DatasetView &ds,
     }
     return static_cast<double>(wrong) /
            static_cast<double>(ds.totalWeight());
-}
-
-/**
- * CRC of @p n uint64s, streamed in block-sized slices so a mapped
- * store can bound residency while we hash a multi-GB column.
- */
-uint32_t
-crcOfU64(const DatasetView &ds, const uint64_t *p, size_t n)
-{
-    size_t blk = std::max<size_t>(1, ds.streamBlockRows());
-    uint32_t crc = 0;
-    for (size_t base = 0; base < n; base += blk) {
-        size_t m = std::min(blk, n - base);
-        crc = util::crc32(p + base, m * sizeof(uint64_t), crc);
-        ds.noteStreamed(m * sizeof(uint64_t));
-    }
-    return crc;
 }
 
 }  // namespace

@@ -1,50 +1,12 @@
 #include "ml/table_predictor.h"
 
 #include <algorithm>
-#include <tuple>
+#include <unordered_map>
 
 #include "util/logging.h"
 
 namespace snip {
 namespace ml {
-
-size_t
-TablePredictor::probe(uint64_t key) const
-{
-    if (fslots_.empty())
-        return SIZE_MAX;
-    size_t mask = fslots_.size() - 1;
-    size_t idx = static_cast<size_t>(key) & mask;
-    for (size_t step = 0; step < fslots_.size(); ++step) {
-        uint32_t v = fslots_[idx];
-        if (v == 0)
-            return SIZE_MAX;
-        if (fkeys_[v - 1] == key)
-            return static_cast<size_t>(v - 1);
-        idx = (idx + 1) & mask;
-    }
-    return SIZE_MAX;
-}
-
-TablePredictor::Hit
-TablePredictor::find(uint64_t key) const
-{
-    Hit h;
-    size_t e = probe(key);
-    if (e != SIZE_MAX) {
-        h.hit = true;
-        h.label = flabels_[e];
-        h.repr = freprs_[e];
-        return h;
-    }
-    auto it = delta_.find(key);
-    if (it != delta_.end()) {
-        h.hit = true;
-        h.label = it->second.majority_label;
-        h.repr = it->second.representative_row;
-    }
-    return h;
-}
 
 namespace {
 
@@ -66,6 +28,94 @@ sweepColumn(const DatasetView &ds, size_t col, std::vector<uint64_t> &keys,
             op(keys[r], v[r]);
         ds.noteStreamed((end - base) * sizeof(uint64_t));
     }
+}
+
+/** Rows per tally bucket the bucket count is sized for. */
+constexpr size_t kRowsPerBucket = 8;
+/** Ranges up to this length are insertion-sorted. */
+constexpr size_t kInsertionSortMax = 16;
+
+/**
+ * Stable sort of [first, last): insertion sort for short ranges
+ * (no temporary buffer), std::stable_sort for long unsorted ones.
+ */
+template <typename It, typename Less>
+void
+stableSortRange(It first, It last, Less less)
+{
+    if (static_cast<size_t>(last - first) <= kInsertionSortMax) {
+        for (It i = first; i != last; ++i) {
+            auto v = *i;
+            It j = i;
+            for (; j != first && less(v, *(j - 1)); --j)
+                *j = *(j - 1);
+            *j = v;
+        }
+    } else if (!std::is_sorted(first, last, less)) {
+        std::stable_sort(first, last, less);
+    }
+}
+
+/** One training row: its key, its label and its position in `rows`. */
+struct TallyItem {
+    uint64_t key, label;
+    size_t pos;
+};
+
+/**
+ * The rows of @p rows ordered by (key, label, position). Rows are
+ * scattered in `rows` order into buckets on their keys' top bits
+ * (keys are uniform hashes; ~kRowsPerBucket rows a bucket), each
+ * bucket is stable-sorted by key, and each multi-row key group by
+ * label. Buckets ascend with the top bits, so keys ascend overall.
+ */
+std::vector<TallyItem>
+sortedTally(const DatasetView &ds, const std::vector<uint64_t> &keys,
+            const std::vector<size_t> &rows)
+{
+    size_t n = rows.size();
+    int bits = 0;
+    while (bits < 63 && (size_t{1} << bits) * kRowsPerBucket < n)
+        ++bits;
+    // (k >> 1) >> (63 - bits): the top `bits` bits, 0 when bits == 0.
+    auto bucket = [bits](uint64_t k) {
+        return static_cast<size_t>((k >> 1) >> (63 - bits));
+    };
+    size_t nbuckets = size_t{1} << bits;
+
+    // Counting scatter: after it, end[b] is the end of bucket b.
+    std::vector<size_t> end(nbuckets + 1, 0);
+    for (size_t r : rows)
+        ++end[bucket(keys[r]) + 1];
+    for (size_t b = 0; b < nbuckets; ++b)
+        end[b + 1] += end[b];
+    std::vector<TallyItem> items(n);
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t k = keys[rows[i]];
+        items[end[bucket(k)]++] = {k, ds.label(rows[i]), i};
+    }
+
+    auto by_key = [](const TallyItem &x, const TallyItem &y) {
+        return x.key < y.key;
+    };
+    auto by_label = [](const TallyItem &x, const TallyItem &y) {
+        return x.label < y.label;
+    };
+    TallyItem *first = items.data();
+    for (size_t b = 0; b < nbuckets; ++b) {
+        TallyItem *last = items.data() + end[b];
+        stableSortRange(first, last, by_key);
+        for (TallyItem *g = first; g != last;) {
+            TallyItem *h = g + 1;
+            while (h != last && h->key == g->key)
+                ++h;
+            if (h - g > 1)
+                stableSortRange(g, h, by_label);
+            g = h;
+        }
+        first = last;
+    }
+    return items;
 }
 
 }  // namespace
@@ -154,7 +204,6 @@ TablePredictor::trainOnKeys(const DatasetView &ds,
     cols_ = feature_cols;
     keys_ = std::move(keys);
     keysView_ = ds.id();
-    delta_.clear();
     fkeys_.clear();
     flabels_.clear();
     freprs_.clear();
@@ -163,85 +212,79 @@ TablePredictor::trainOnKeys(const DatasetView &ds,
     fallbackRow_ = SIZE_MAX;
     ambiguousWeightFraction_ = 0.0;
 
-    // One sort groups rows by key, then by label, then by position in
-    // `rows`: the first row of a label run is its earliest row.
-    struct Item {
-        uint64_t key, label;
-        size_t pos;
+    // Rows grouped by key, then by label, then by position in `rows`:
+    // the first row of a label run is its earliest row. Entries come
+    // out in ascending-key order. Within a key, labels ascend, so a
+    // strictly-greater test keeps the smallest label of the greatest
+    // weight.
+    std::vector<TallyItem> items = sortedTally(ds, keys_, rows);
+    // Weight and earliest position per label, for the fallback.
+    struct LabelTotal {
+        uint64_t weight = 0;
+        size_t pos = SIZE_MAX;
     };
-    std::vector<Item> items(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i)
-        items[i] = {keys_[rows[i]], ds.label(rows[i]), i};
-    std::sort(items.begin(), items.end(), [](const Item &x, const Item &y) {
-        return std::tie(x.key, x.label, x.pos) <
-               std::tie(y.key, y.label, y.pos);
-    });
-
-    // Entries come out in ascending-key order. Within a key, labels
-    // ascend, so a strictly-greater test keeps the smallest label of
-    // the greatest weight.
-    struct LabelRun {
-        uint64_t label, weight;
-        size_t pos;
-    };
-    std::vector<LabelRun> runs;
+    std::unordered_map<uint64_t, LabelTotal> by_label;
     uint64_t trained_weight = 0, ambiguous_weight = 0;
     for (size_t i = 0; i < items.size();) {
         uint64_t key = items[i].key;
         uint64_t key_weight = 0, best_w = 0;
-        size_t first_run = runs.size();
-        Entry e;
+        uint64_t majority = kNoLabel;
+        size_t repr = SIZE_MAX;
+        uint32_t distinct = 0;
         while (i < items.size() && items[i].key == key) {
-            LabelRun run{items[i].label, 0, items[i].pos};
+            uint64_t label = items[i].label, w = 0;
+            size_t pos = items[i].pos;
             for (; i < items.size() && items[i].key == key &&
-                   items[i].label == run.label;
+                   items[i].label == label;
                  ++i)
-                run.weight += ds.weight(rows[items[i].pos]);
-            if (run.weight > best_w) {
-                best_w = run.weight;
-                e.majority_label = run.label;
-                e.representative_row = rows[run.pos];
+                w += ds.weight(rows[items[i].pos]);
+            if (w > best_w) {
+                best_w = w;
+                majority = label;
+                repr = rows[pos];
             }
-            key_weight += run.weight;
-            runs.push_back(run);
+            key_weight += w;
+            ++distinct;
+            LabelTotal &t = by_label[label];
+            t.weight += w;
+            t.pos = std::min(t.pos, pos);
         }
-        e.distinct_labels = static_cast<uint32_t>(runs.size() - first_run);
-        if (e.distinct_labels > 1)
+        if (distinct > 1)
             ambiguous_weight += key_weight;
         trained_weight += key_weight;
         fkeys_.push_back(key);
-        flabels_.push_back(e.majority_label);
-        freprs_.push_back(e.representative_row);
-        fdistinct_.push_back(e.distinct_labels);
+        flabels_.push_back(majority);
+        freprs_.push_back(repr);
+        fdistinct_.push_back(distinct);
     }
+    ntrained_ = fkeys_.size();
     ambiguousWeightFraction_ =
         trained_weight ? static_cast<double>(ambiguous_weight) /
                              static_cast<double>(trained_weight)
                        : 0.0;
 
-    // Fallback: the same rule over all rows, from the label runs
-    // regrouped by label.
-    std::sort(runs.begin(), runs.end(),
-              [](const LabelRun &x, const LabelRun &y) {
-                  return std::tie(x.label, x.pos) < std::tie(y.label, y.pos);
-              });
+    // Fallback: the same rule over all rows. The totals are in hash
+    // order, so the smallest label breaks a weight tie explicitly.
     uint64_t best_w = 0;
-    for (size_t i = 0; i < runs.size();) {
-        uint64_t label = runs[i].label, w = 0;
-        size_t pos = runs[i].pos;
-        for (; i < runs.size() && runs[i].label == label; ++i)
-            w += runs[i].weight;
-        if (w > best_w) {
-            best_w = w;
+    for (const auto &[label, t] : by_label) {
+        if (t.weight > best_w ||
+            (t.weight == best_w && best_w > 0 && label < fallbackLabel_)) {
+            best_w = t.weight;
             fallbackLabel_ = label;
-            fallbackRow_ = rows[pos];
+            fallbackRow_ = rows[t.pos];
         }
     }
 
-    // Freeze: a power-of-two open-addressing slot index (load factor
-    // <= 0.5) over the flat entry columns, the deployed FrozenTable
-    // shape. Lookups from here on are one probe + column reads, no
-    // node allocation or pointer chasing.
+    rebuildIndex();
+}
+
+void
+TablePredictor::rebuildIndex()
+{
+    // A power-of-two open-addressing slot index (load factor <= 0.5)
+    // over the flat entry columns, the deployed FrozenTable shape.
+    // Lookups are one probe + column reads, no node allocation or
+    // pointer chasing. Keys are unique, so any fill order works.
     size_t n = fkeys_.size();
     size_t cap = 4;
     while (cap < 2 * n)
@@ -261,9 +304,8 @@ TablePredictor::predict(const DatasetView &ds, size_t row,
                         size_t override_col,
                         uint64_t override_value) const
 {
-    Hit h = find(keyAt(ds, row, selectedOrNone(override_col),
-                       override_value));
-    return h.hit ? h.label : fallbackLabel_;
+    return labelOf(keyAt(ds, row, selectedOrNone(override_col),
+                         override_value));
 }
 
 void
@@ -275,14 +317,28 @@ TablePredictor::predictRows(const DatasetView &ds, size_t row_begin,
     if (override_col != SIZE_MAX && override_values == nullptr)
         util::panic("TablePredictor::predictRows: override_col without "
                     "override_values");
+    override_col = selectedOrNone(override_col);
+    uint64_t *out = out_labels;  // row r lands at out[r - row_begin]
+    if (ds.id() != keysView_) {
+        for (size_t r = row_begin; r < row_end; ++r) {
+            uint64_t ov =
+                override_col != SIZE_MAX ? override_values[r] : 0;
+            *out++ = labelOf(keyOf(ds, r, override_col, ov));
+        }
+        return;
+    }
     // The PFI inner loop: on the trained view, the stored key with
     // the permuted column's term swapped, O(1) per row.
-    override_col = selectedOrNone(override_col);
-    for (size_t r = row_begin; r < row_end; ++r) {
-        uint64_t ov = override_col != SIZE_MAX ? override_values[r] : 0;
-        Hit h = find(keyAt(ds, r, override_col, ov));
-        out_labels[r - row_begin] = h.hit ? h.label : fallbackLabel_;
+    const uint64_t *keys = keys_.data();
+    if (override_col == SIZE_MAX) {
+        for (size_t r = row_begin; r < row_end; ++r)
+            *out++ = labelOf(keys[r]);
+        return;
     }
+    const uint64_t *cur = ds.columnData(override_col);
+    for (size_t r = row_begin; r < row_end; ++r)
+        *out++ = labelOf(keys[r] + term(override_col, override_values[r]) -
+                         term(override_col, cur[r]));
 }
 
 size_t
@@ -290,77 +346,76 @@ TablePredictor::predictRow(const DatasetView &ds, size_t row,
                            size_t override_col,
                            uint64_t override_value) const
 {
-    Hit h = find(keyAt(ds, row, selectedOrNone(override_col),
-                       override_value));
-    return h.hit ? h.repr : fallbackRow_;
+    size_t e = find(keyAt(ds, row, selectedOrNone(override_col),
+                          override_value));
+    return e != SIZE_MAX ? freprs_[e] : fallbackRow_;
 }
 
 bool
 TablePredictor::lookupLabel(const DatasetView &ds, size_t row,
                             uint64_t &label) const
 {
-    Hit h = find(keyAt(ds, row, SIZE_MAX, 0));
-    if (!h.hit)
+    size_t e = find(keyAt(ds, row, SIZE_MAX, 0));
+    if (e == SIZE_MAX)
         return false;
-    label = h.label;
+    label = flabels_[e];
     return true;
 }
 
 void
 TablePredictor::insertRow(const DatasetView &ds, size_t row)
 {
-    // Online inserts never touch the frozen arrays; first-wins
-    // semantics across both layers (frozen keys shadow the delta).
+    // Append-only and first-wins: a key already present, trained or
+    // inserted, keeps its entry.
     uint64_t key = keyAt(ds, row, SIZE_MAX, 0);
-    if (probe(key) != SIZE_MAX || delta_.count(key))
+    size_t slot = slotOf(key);
+    if (fslots_[slot] != 0)
         return;
-    Entry e;
-    e.majority_label = ds.label(row);
-    e.representative_row = row;
-    e.distinct_labels = 1;
-    delta_[key] = e;
+    fkeys_.push_back(key);
+    flabels_.push_back(ds.label(row));
+    freprs_.push_back(row);
+    fdistinct_.push_back(1);
+    if (2 * fkeys_.size() > fslots_.size())
+        rebuildIndex();
+    else
+        fslots_[slot] = static_cast<uint32_t>(fkeys_.size());
 }
 
 uint64_t
 TablePredictor::fingerprint() const
 {
-    uint64_t h = util::mixCombine(0x7ab1ef9ULL, fkeys_.size());
+    uint64_t h = util::mixCombine(0x7ab1ef9ULL, ntrained_);
     for (size_t c : cols_)
         h = util::mixCombine(h, c);
-    for (size_t i = 0; i < fkeys_.size(); ++i) {
+    auto mix_entry = [&](size_t i) {
         h = util::mixCombine(h, fkeys_[i]);
         h = util::mixCombine(h, flabels_[i]);
         h = util::mixCombine(h, static_cast<uint64_t>(freprs_[i]));
-    }
+    };
+    for (size_t i = 0; i < ntrained_; ++i)
+        mix_entry(i);
     h = util::mixCombine(h, fallbackLabel_);
     h = util::mixCombine(h, static_cast<uint64_t>(fallbackRow_));
-    std::vector<uint64_t> dkeys;
-    dkeys.reserve(delta_.size());
-    for (const auto &kv : delta_)
-        dkeys.push_back(kv.first);
-    std::sort(dkeys.begin(), dkeys.end());
-    for (uint64_t k : dkeys) {
-        const Entry &e = delta_.at(k);
-        h = util::mixCombine(h, k);
-        h = util::mixCombine(h, e.majority_label);
-        h = util::mixCombine(
-            h, static_cast<uint64_t>(e.representative_row));
-    }
+    std::vector<size_t> inserted;
+    inserted.reserve(fkeys_.size() - ntrained_);
+    for (size_t i = ntrained_; i < fkeys_.size(); ++i)
+        inserted.push_back(i);
+    std::sort(inserted.begin(), inserted.end(),
+              [this](size_t a, size_t b) { return fkeys_[a] < fkeys_[b]; });
+    for (size_t i : inserted)
+        mix_entry(i);
     return h ? h : 1;
 }
 
 double
 TablePredictor::meanLabelsPerKey() const
 {
-    size_t n = fkeys_.size() + delta_.size();
-    if (n == 0)
+    if (fdistinct_.empty())
         return 0.0;
     double sum = 0.0;
     for (uint32_t d : fdistinct_)
         sum += d;
-    for (const auto &kv : delta_)
-        sum += kv.second.distinct_labels;
-    return sum / static_cast<double>(n);
+    return sum / static_cast<double>(fdistinct_.size());
 }
 
 }  // namespace ml

@@ -10,8 +10,6 @@
 #ifndef SNIP_ML_TABLE_PREDICTOR_H
 #define SNIP_ML_TABLE_PREDICTOR_H
 
-#include <unordered_map>
-
 #include "ml/predictor.h"
 #include "util/rng.h"
 
@@ -62,8 +60,10 @@ class TablePredictor : public Predictor
     /**
      * trainOnRows() with the keys supplied: @p keys must be
      * rowKeys(ds, feature_cols), possibly derived via dropColumn().
-     * The model keeps them for later calls on @p ds. Tallies with one
-     * O(rows log rows) sort of (key, label, position) triples.
+     * The model keeps them for later calls on @p ds. Tallies by
+     * scattering the rows into ~8-row buckets on their keys' top bits
+     * and sorting each bucket: O(rows) for distinct keys, one
+     * O(rows log rows) stable sort when all keys are equal.
      */
     void trainOnKeys(const DatasetView &ds,
                      const std::vector<size_t> &feature_cols,
@@ -100,8 +100,8 @@ class TablePredictor : public Predictor
      */
     void insertRow(const DatasetView &ds, size_t row);
 
-    /** Number of distinct keys in the trained table. */
-    size_t tableRows() const { return fkeys_.size() + delta_.size(); }
+    /** Number of distinct keys, trained and inserted. */
+    size_t tableRows() const { return fkeys_.size(); }
 
     /**
      * Number of distinct labels observed under a key averaged over
@@ -117,19 +117,14 @@ class TablePredictor : public Predictor
     }
 
     /**
-     * Content hash over the full table state (see Predictor):
-     * covers the frozen columns, the fallback, AND the online delta
-     * (sorted by key), since insertRow() changes predictions too.
+     * Content hash over the full table state (see Predictor): covers
+     * the trained entries in order, the fallback, AND the inserted
+     * entries (sorted by key), since insertRow() changes predictions
+     * too.
      */
     uint64_t fingerprint() const override;
 
   private:
-    struct Entry {
-        uint64_t majority_label = kNoLabel;
-        size_t representative_row = SIZE_MAX;
-        uint32_t distinct_labels = 0;
-    };
-
     /** One column's term of a row key. */
     static uint64_t term(size_t col, uint64_t value)
     {
@@ -156,15 +151,35 @@ class TablePredictor : public Predictor
     uint64_t keyAt(const DatasetView &ds, size_t row, size_t override_col,
                    uint64_t override_value) const;
 
-    /** Frozen-table probe: entry index for @p key, or SIZE_MAX. */
-    size_t probe(uint64_t key) const;
-    struct Hit {
-        bool hit = false;
-        uint64_t label = kNoLabel;
-        size_t repr = SIZE_MAX;
-    };
-    /** Probe frozen then delta; the PFI inner loop lives here. */
-    Hit find(uint64_t key) const;
+    /**
+     * Slot of @p key in fslots_: the slot holding its entry, or the
+     * empty slot that ends its probe run (load <= 0.5 guarantees one).
+     */
+    size_t slotOf(uint64_t key) const
+    {
+        size_t mask = fslots_.size() - 1;
+        size_t i = static_cast<size_t>(key) & mask;
+        while (fslots_[i] != 0 && fkeys_[fslots_[i] - 1] != key)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    /** Entry index of @p key, or SIZE_MAX. */
+    size_t find(uint64_t key) const
+    {
+        uint32_t v = fslots_[slotOf(key)];
+        return v ? static_cast<size_t>(v - 1) : SIZE_MAX;
+    }
+
+    /** Majority label of @p key's entry, else the fallback label. */
+    uint64_t labelOf(uint64_t key) const
+    {
+        uint32_t v = fslots_[slotOf(key)];
+        return v ? flabels_[v - 1] : fallbackLabel_;
+    }
+
+    /** Re-index every entry in fslots_ at load <= 0.5. */
+    void rebuildIndex();
 
     std::vector<size_t> cols_;
     /** Key of every row of the view trained on, and that view's id. */
@@ -172,19 +187,20 @@ class TablePredictor : public Predictor
     uint64_t keysView_ = 0;
 
     /**
-     * The trained table is frozen after trainOnKeys into the same
-     * shape the runtime deploys (core::FrozenTable): a power-of-two
-     * open-addressing slot array over flat entry columns, probed
-     * with one index hit + linear scan and zero allocation. Online
-     * insertRow() keys land in the small delta_ map instead — the
-     * frozen arrays stay immutable between re-trains.
+     * The table has the shape the runtime deploys (core::FrozenTable):
+     * flat entry columns under a power-of-two open-addressing slot
+     * array (load <= 0.5), probed with one index hit + linear scan
+     * and zero allocation. The first ntrained_ entries are the
+     * trained ones, keys ascending; insertRow() appends after them
+     * and indexes into the same slots, so every key exists once.
      */
-    std::vector<uint64_t> fkeys_;        // entry keys, ascending
+    std::vector<uint64_t> fkeys_;        // entry keys
     std::vector<uint64_t> flabels_;      // majority label per entry
     std::vector<size_t> freprs_;         // representative row
     std::vector<uint32_t> fdistinct_;    // distinct labels per key
-    std::vector<uint32_t> fslots_;       // entry index + 1; 0 = empty
-    std::unordered_map<uint64_t, Entry> delta_;
+    std::vector<uint32_t> fslots_ =      // entry index + 1; 0 = empty
+        std::vector<uint32_t>(4, 0);
+    size_t ntrained_ = 0;
     uint64_t fallbackLabel_ = kNoLabel;
     size_t fallbackRow_ = SIZE_MAX;
     double ambiguousWeightFraction_ = 0.0;

@@ -60,12 +60,13 @@ Rng::uniformInt(uint64_t lo, uint64_t hi)
     uint64_t span = hi - lo;
     if (span == ~0ULL)
         return next();
-    // Rejection sampling to avoid modulo bias.
+    // Rejection sampling to avoid modulo bias: reject r below
+    // (2^64 - bound) % bound. That threshold is below bound, so it
+    // is computed only for the rare draw with r < bound.
     uint64_t bound = span + 1;
-    uint64_t threshold = (~bound + 1) % bound;  // (2^64 - bound) % bound
     for (;;) {
         uint64_t r = next();
-        if (r >= threshold)
+        if (r >= bound || r >= (~bound + 1) % bound)
             return lo + (r % bound);
     }
 }

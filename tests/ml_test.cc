@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 
@@ -411,6 +412,301 @@ TEST(TablePredictorTest, EmptyTrainingResetsFallback)
     EXPECT_EQ(tp.predict(ds, 0), kNoLabel);
     EXPECT_EQ(tp.predictRow(ds, 0), SIZE_MAX);
     EXPECT_DOUBLE_EQ(tp.ambiguousWeightFraction(), 0.0);
+}
+
+/**
+ * Random table: @p ncols input columns of @p card values each,
+ * labels drawn from @p nlabels output values, weights 1..3 (so
+ * equal-weight ties are common).
+ */
+struct RandomTable {
+    events::FieldSchema schema;
+    std::vector<games::HandlerExecution> records;
+
+    RandomTable(util::Rng &rng, size_t n, size_t ncols, uint64_t card,
+                uint64_t nlabels)
+    {
+        std::vector<events::FieldId> in;
+        for (size_t c = 0; c < ncols; ++c)
+            in.push_back(schema.addInput("c" + std::to_string(c),
+                                         events::InputCategory::Event,
+                                         4));
+        events::FieldId out =
+            schema.addOutput("o", events::OutputCategory::History, 8);
+        records.resize(n);
+        for (auto &r : records) {
+            r.type = events::EventType::Touch;
+            for (events::FieldId fid : in)
+                r.inputs.push_back({fid, rng.uniformInt(0, card - 1)});
+            r.outputs = {{out, rng.uniformInt(0, nlabels - 1)}};
+            r.cpu_instructions = rng.uniformInt(1, 3);
+        }
+    }
+
+    std::vector<const games::HandlerExecution *> ptrs() const
+    {
+        std::vector<const games::HandlerExecution *> p;
+        for (const auto &r : records)
+            p.push_back(&r);
+        return p;
+    }
+};
+
+/** One table entry: key, majority label, representative row. */
+struct RefEntry {
+    uint64_t key, label;
+    size_t repr;
+};
+
+/**
+ * Brute-force tally with per-key std::maps: per key, the smallest
+ * label of strictly the greatest weight, represented by that label's
+ * first row in `rows` order; the fallback by the same rule over all
+ * rows.
+ */
+struct RefTally {
+    std::vector<RefEntry> entries;  // ascending key
+    uint64_t fallback_label = kNoLabel;
+    size_t fallback_row = SIZE_MAX;
+    double ambiguous = 0.0;
+    double mean_labels = 0.0;
+
+    RefTally(const DatasetView &ds, const std::vector<size_t> &cols,
+             const std::vector<size_t> &rows)
+    {
+        struct Acc {
+            uint64_t weight = 0;
+            size_t pos = SIZE_MAX;
+        };
+        std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
+        std::map<uint64_t, std::map<uint64_t, Acc>> per_key;
+        std::map<uint64_t, Acc> overall;
+        for (size_t i = 0; i < rows.size(); ++i) {
+            size_t r = rows[i];
+            for (Acc *a : {&per_key[keys[r]][ds.label(r)],
+                           &overall[ds.label(r)]}) {
+                a->weight += ds.weight(r);
+                a->pos = std::min(a->pos, i);
+            }
+        }
+        auto majority = [&](const std::map<uint64_t, Acc> &labels,
+                            uint64_t &label, size_t &row) {
+            uint64_t best = 0;
+            for (const auto &[l, a] : labels) {
+                if (a.weight > best) {
+                    best = a.weight;
+                    label = l;
+                    row = rows[a.pos];
+                }
+            }
+        };
+        uint64_t total = 0, ambiguous_w = 0;
+        size_t distinct = 0;
+        for (const auto &[key, labels] : per_key) {
+            RefEntry e{key, kNoLabel, SIZE_MAX};
+            majority(labels, e.label, e.repr);
+            uint64_t w = 0;
+            for (const auto &la : labels)
+                w += la.second.weight;
+            total += w;
+            if (labels.size() > 1)
+                ambiguous_w += w;
+            distinct += labels.size();
+            entries.push_back(e);
+        }
+        majority(overall, fallback_label, fallback_row);
+        ambiguous = total ? static_cast<double>(ambiguous_w) /
+                                static_cast<double>(total)
+                          : 0.0;
+        mean_labels = entries.empty()
+                          ? 0.0
+                          : static_cast<double>(distinct) /
+                                static_cast<double>(entries.size());
+    }
+
+    const RefEntry *find(uint64_t key) const
+    {
+        for (const RefEntry &e : entries)
+            if (e.key == key)
+                return &e;
+        return nullptr;
+    }
+};
+
+/**
+ * TablePredictor::fingerprint() recomputed from its definition: the
+ * trained entries in ascending-key order, the fallback, then the
+ * inserted entries sorted by key.
+ */
+uint64_t
+refFingerprint(const std::vector<size_t> &cols,
+               const std::vector<RefEntry> &trained, uint64_t fb_label,
+               size_t fb_row, std::vector<RefEntry> inserted)
+{
+    std::sort(inserted.begin(), inserted.end(),
+              [](const RefEntry &a, const RefEntry &b) {
+                  return a.key < b.key;
+              });
+    uint64_t h = util::mixCombine(0x7ab1ef9ULL, trained.size());
+    for (size_t c : cols)
+        h = util::mixCombine(h, c);
+    auto mix = [&h](const RefEntry &e) {
+        h = util::mixCombine(h, e.key);
+        h = util::mixCombine(h, e.label);
+        h = util::mixCombine(h, static_cast<uint64_t>(e.repr));
+    };
+    for (const RefEntry &e : trained)
+        mix(e);
+    h = util::mixCombine(h, fb_label);
+    h = util::mixCombine(h, static_cast<uint64_t>(fb_row));
+    for (const RefEntry &e : inserted)
+        mix(e);
+    return h ? h : 1;
+}
+
+// The bucketed tally must reproduce the brute-force per-key tally:
+// entries, majority labels, representatives, ambiguity, mean labels
+// per key and the fallback. Rows are passed shuffled, and rows whose
+// first column is 0 are left out so their keys hit the fallback.
+TEST(TablePredictorTest, TallyMatchesBruteForceReference)
+{
+    util::Rng rng(2024);
+    for (int trial = 0; trial < 60; ++trial) {
+        size_t n = rng.uniformInt(1, 600);
+        size_t ncols = rng.uniformInt(1, 3);
+        uint64_t card = rng.uniformInt(1, 6);
+        uint64_t nlabels = rng.uniformInt(1, 8);
+        RandomTable tab(rng, n, ncols, card, nlabels);
+        Dataset ds(tab.ptrs(), tab.schema);
+        std::vector<size_t> cols(ds.numFeatures());
+        for (size_t c = 0; c < cols.size(); ++c)
+            cols[c] = c;
+        std::vector<size_t> rows;
+        for (size_t r = 0; r < n; ++r)
+            if (card == 1 || ds.value(r, 0) != 0)
+                rows.push_back(r);
+        for (size_t i = rows.size(); i > 1; --i)
+            std::swap(rows[i - 1], rows[rng.uniformInt(0, i - 1)]);
+
+        TablePredictor tp;
+        tp.trainOnRows(ds, cols, rows);
+        RefTally ref(ds, cols, rows);
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << " n " << n << " cols "
+                     << ncols << " card " << card << " labels "
+                     << nlabels);
+        EXPECT_EQ(tp.tableRows(), ref.entries.size());
+        EXPECT_DOUBLE_EQ(tp.meanLabelsPerKey(), ref.mean_labels);
+        EXPECT_DOUBLE_EQ(tp.ambiguousWeightFraction(), ref.ambiguous);
+        EXPECT_EQ(tp.fingerprint(),
+                  refFingerprint(cols, ref.entries, ref.fallback_label,
+                                 ref.fallback_row, {}));
+        std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
+        for (size_t r = 0; r < n; ++r) {
+            const RefEntry *e = ref.find(keys[r]);
+            uint64_t label = 0;
+            ASSERT_EQ(tp.lookupLabel(ds, r, label), e != nullptr) << r;
+            EXPECT_EQ(tp.predict(ds, r),
+                      e ? e->label : ref.fallback_label) << r;
+            EXPECT_EQ(tp.predictRow(ds, r),
+                      e ? e->repr : ref.fallback_row) << r;
+        }
+    }
+}
+
+// Inserts share the trained entries' index and grow it past load
+// 0.5: earlier keys stay found, the first insert of a key wins,
+// trained keys shadow inserts, and the fingerprint orders the
+// inserted entries by key after the trained ones.
+TEST(TablePredictorTest, InsertsPastHalfLoadKeepEveryKey)
+{
+    // Key k = row % 150 with a distinct label per row: rows 0..9 are
+    // trained, rows 10..149 insert new keys (the 32-slot index of the
+    // 10 trained keys rehashes several times), rows 150.. repeat keys.
+    events::FieldSchema schema;
+    events::FieldId fk =
+        schema.addInput("k", events::InputCategory::Event, 4);
+    events::FieldId fo =
+        schema.addOutput("o", events::OutputCategory::History, 8);
+    std::vector<games::HandlerExecution> recs(400);
+    std::vector<const games::HandlerExecution *> ptrs;
+    for (size_t i = 0; i < recs.size(); ++i) {
+        recs[i].type = events::EventType::Touch;
+        recs[i].inputs = {{fk, i % 150}};
+        recs[i].outputs = {{fo, i}};
+        recs[i].cpu_instructions = 100;
+        ptrs.push_back(&recs[i]);
+    }
+    Dataset ds(ptrs, schema);
+    std::vector<size_t> cols = {0};
+    std::vector<size_t> train_rows;
+    for (size_t r = 0; r < 10; ++r)
+        train_rows.push_back(r);
+    TablePredictor tp;
+    tp.trainOnRows(ds, cols, train_rows);
+    RefTally ref(ds, cols, train_rows);
+    ASSERT_EQ(tp.tableRows(), 10u);
+
+    for (size_t r = 10; r < ds.numRows(); ++r) {
+        tp.insertRow(ds, r);
+        for (size_t q = 0; q <= r; ++q) {
+            uint64_t label = 0;
+            ASSERT_TRUE(tp.lookupLabel(ds, q, label))
+                << "after insert " << r << ", row " << q;
+            ASSERT_EQ(label, ds.label(q % 150));
+            ASSERT_EQ(tp.predictRow(ds, q), q % 150);
+        }
+    }
+    EXPECT_EQ(tp.tableRows(), 150u);
+    EXPECT_DOUBLE_EQ(tp.meanLabelsPerKey(), 1.0);
+
+    std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
+    std::vector<RefEntry> inserted;
+    for (size_t r = 10; r < 150; ++r)
+        inserted.push_back({keys[r], ds.label(r), r});
+    EXPECT_EQ(tp.fingerprint(),
+              refFingerprint(cols, ref.entries, ref.fallback_label,
+                             ref.fallback_row, inserted));
+}
+
+// predictRows' trained-view loop (stored keys, one term swapped) and
+// its keyOf loop for any other view must both match per-row
+// predict(), with trained and inserted entries in the table.
+TEST(TablePredictorTest, PredictRowsBothPathsMatchPredict)
+{
+    Synthetic syn(400, 5);
+    Dataset ds(syn.ptrs(), syn.schema);
+    Dataset twin(syn.ptrs(), syn.schema);
+    ASSERT_NE(ds.id(), twin.id());
+    std::vector<size_t> cols = {ds.columnOf(syn.fa), ds.columnOf(syn.fn)};
+    std::vector<size_t> train_rows;
+    for (size_t r = 0; r < 120; ++r)
+        train_rows.push_back(r);
+    TablePredictor tp;
+    tp.trainOnRows(ds, cols, train_rows);
+    for (size_t r = 120; r < 400; r += 3)
+        tp.insertRow(ds, r);
+
+    size_t n = ds.numRows();
+    for (size_t col : {SIZE_MAX, ds.columnOf(syn.fn), ds.columnOf(syn.fb)}) {
+        std::vector<uint64_t> shifted(n, 0);
+        if (col != SIZE_MAX)
+            for (size_t r = 0; r < n; ++r)
+                shifted[r] = ds.value((r + 11) % n, col);
+        const uint64_t *ov = col != SIZE_MAX ? shifted.data() : nullptr;
+        for (const DatasetView *view : {static_cast<DatasetView *>(&ds),
+                                        static_cast<DatasetView *>(&twin)}) {
+            std::vector<uint64_t> out(n), window(37);
+            tp.predictRows(*view, 0, n, out.data(), col, ov);
+            tp.predictRows(*view, 200, 237, window.data(), col, ov);
+            for (size_t r = 0; r < n; ++r)
+                ASSERT_EQ(out[r], tp.predict(*view, r, col, shifted[r]))
+                    << "col " << col << " view " << view->id() << " row "
+                    << r;
+            for (size_t r = 200; r < 237; ++r)
+                EXPECT_EQ(window[r - 200], out[r]);
+        }
+    }
 }
 
 // ------------------------------------------------------ DecisionTree

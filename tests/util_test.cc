@@ -95,6 +95,30 @@ TEST(Rng, UniformIntCoversAllValues)
     EXPECT_EQ(seen.size(), 8u);
 }
 
+// uniformInt computes its rejection threshold only for draws below
+// the bound; the stream must equal the formula that computes it for
+// every draw. 2^63 + 1 rejects about half its draws.
+TEST(Rng, UniformIntMatchesTwoDivisionFormula)
+{
+    const uint64_t bounds[] = {1,           2, 3, 1000, (1ULL << 32) + 1,
+                               (1ULL << 63) + 1};
+    for (uint64_t bound : bounds) {
+        Rng rng(77), raw(77);
+        uint64_t threshold = (~bound + 1) % bound;
+        uint64_t rejected = 0;
+        for (int i = 0; i < 200000; ++i) {
+            uint64_t r = raw.next();
+            for (; r < threshold; r = raw.next())
+                ++rejected;
+            ASSERT_EQ(rng.uniformInt(5, 5 + bound - 1), 5 + r % bound)
+                << "bound " << bound << " draw " << i;
+        }
+        if (bound == (1ULL << 63) + 1)
+            EXPECT_GT(rejected, 50000u);
+        EXPECT_EQ(rng.next(), raw.next()) << "bound " << bound;
+    }
+}
+
 TEST(Rng, UniformRealInUnitInterval)
 {
     Rng rng(5);

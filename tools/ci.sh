@@ -37,7 +37,8 @@
 # patch corruption fuzz under asan (every real mutation of a patch
 # must be rejected and the device receive path must still converge
 # on the published head via full-fetch fallback), and the TSan
-# sharded-merge equivalence smoke.
+# sharded-merge equivalence smoke. The loop benchmark's own
+# self-test runs last.
 #
 # Usage: tools/ci.sh [jobs]   (jobs defaults to nproc)
 set -euo pipefail
@@ -116,6 +117,8 @@ for section, key in [
     ('timers', 'span.shrink.select'),
     ('timers', 'span.shrink.select.train'),
     ('timers', 'span.shrink.select.pfi'),
+    ('timers', 'span.shrink.dataset'),
+    ('timers', 'span.shrink.prefill'),
 ]:
     if key not in d.get(section, {}):
         missing.append(f'{section}/{key}')
@@ -305,5 +308,10 @@ SNIP_FUZZ_ITERS=512 \
 echo "==> batch-equivalence fuzz (decideBatch/lookupBatch vs scalar, asan)"
 ./build-asan/tests/core_test \
     --gtest_filter='Schemes.DecideBatchMatchesScalarFuzz:MemoTableTest.FrozenLookupBatchMatchesScalar'
+
+echo "==> loop benchmark self-test (loopbench/run.py --self-test)"
+# A tiny instance of every loopbench workload: result format, output
+# checks, and simulated metrics that are a pure function of the seed.
+python3 loopbench/run.py --self-test
 
 echo "==> all green"
