@@ -33,8 +33,6 @@ parseOptions(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--trace-cache") == 0 &&
                    i + 1 < argc) {
             opts.trace_cache = argv[++i];
-        } else if (std::strcmp(argv[i], "--pipeline") == 0) {
-            opts.pipeline = true;
         } else if (std::strcmp(argv[i], "--epochs") == 0 &&
                    i + 1 < argc) {
             opts.epochs = static_cast<unsigned>(
@@ -45,7 +43,7 @@ parseOptions(int argc, char **argv)
             util::fatal("unknown argument '%s' (expected --quick, "
                         "--csv <path>, --seed <n>, --threads <n>, "
                         "--obs-json <path>, --trace-cache <dir>, "
-                        "--pipeline, --epochs <n>)",
+                        "--epochs <n>)",
                         argv[i]);
         }
     }
@@ -163,7 +161,6 @@ evalConfig(const BenchOptions &opts)
     core::SimulationConfig cfg;
     cfg.duration_s = opts.evalSeconds();
     cfg.seed = util::mixCombine(opts.seed, 0xe7a1ULL);
-    cfg.pipeline.enabled = opts.pipeline;
     return cfg;
 }
 

@@ -57,13 +57,6 @@ struct BenchOptions {
      */
     std::string trace_cache;
     /**
-     * Run evaluation sessions through the staged pipeline runtime
-     * (core::Pipeline) instead of the sequential loop. Results are
-     * bitwise identical; with --obs-json the registry additionally
-     * carries the `pipeline.*` stage metrics.
-     */
-    bool pipeline = false;
-    /**
      * Epoch-count override for the continuous-learning benches
      * (0 = the bench's default). Used by CI to run a short fixed
      * number of epochs when checking per-epoch invariants (e.g.

@@ -1,7 +1,5 @@
 #include "core/frozen_table.h"
 
-#include <atomic>
-
 #include <algorithm>
 #include <cstring>
 
@@ -22,10 +20,6 @@ constexpr size_t kHeaderBytes = 32;
 constexpr size_t kTypeRecBytes = 72;
 /** Index slot: u64 subkey + u32 begin + u32 count. */
 constexpr size_t kSlotBytes = 16;
-
-/** Subkey memo geometry: 2^12 slots x 64 B = 256 KiB/scratch. */
-constexpr unsigned kSubkeyMemoBits = 12;
-constexpr size_t kSubkeyMemoSlots = size_t{1} << kSubkeyMemoBits;
 
 uint32_t
 readU32(const uint8_t *p)
@@ -542,27 +536,10 @@ FrozenTable::probe(const TypeView &tv, uint64_t subkey,
     return false;  // crafted full index: bounded, clean miss
 }
 
-FrozenProbe
-FrozenTable::probeEvent(const events::EventObject &ev) const
-{
-    const TypeView &tv = types_[static_cast<int>(ev.type)];
-    FrozenProbe p;
-    if (tv.nselected == 0)
-        return p;
-    uint64_t subkey = eventSubkey(tv, ev.fields);
-    uint32_t begin = 0, count = 0;
-    if (probe(tv, subkey, &begin, &count)) {
-        p.begin = begin;
-        p.count = count;
-    }
-    return p;
-}
-
 FrozenLookup
-FrozenTable::finishLookup(const events::EventObject &ev,
-                          const games::Game &game,
-                          LookupScratch &scratch,
-                          FrozenProbe pr) const
+FrozenTable::lookup(const events::EventObject &ev,
+                    const games::Game &game,
+                    LookupScratch &scratch) const
 {
     const TypeView &tv = types_[static_cast<int>(ev.type)];
     FrozenLookup res;
@@ -572,7 +549,8 @@ FrozenTable::finishLookup(const events::EventObject &ev,
     // Same accounting as MemoTable::lookup: gathering the selected
     // inputs costs their size even when no candidates exist.
     res.bytes_scanned = tv.selected_bytes;
-    if (pr.count == 0)
+    uint32_t begin = 0, count = 0;
+    if (!probe(tv, eventSubkey(tv, ev.fields), &begin, &count))
         return res;
 
     size_t n = tv.nselected;
@@ -593,7 +571,7 @@ FrozenTable::finishLookup(const events::EventObject &ev,
     }
 
     // One adjacent run of entries; keys are flat parallel arrays.
-    for (uint32_t e = pr.begin; e < pr.begin + pr.count; ++e) {
+    for (uint32_t e = begin; e < begin + count; ++e) {
         ++res.candidates;
         res.bytes_scanned +=
             tv.entry_bytes[e] + MemoTable::kEntryHeaderBytes;
@@ -617,424 +595,6 @@ FrozenTable::finishLookup(const events::EventObject &ev,
         }
     }
     return res;
-}
-
-FrozenLookup
-FrozenTable::lookup(const events::EventObject &ev,
-                    const games::Game &game,
-                    LookupScratch &scratch) const
-{
-    return finishLookup(ev, game, scratch, probeEvent(ev));
-}
-
-namespace {
-
-/**
- * Stable counting sort of a block by event type: scratch.order holds
- * the event indices grouped by type, original order preserved within
- * a group; scratch.type_begin[t] .. [t + 1] is type t's range.
- */
-void
-groupByType(std::span<const events::EventObject> evs,
-            BatchLookupScratch &scratch)
-{
-    std::array<uint32_t, events::kNumEventTypes> counts{};
-    for (const auto &ev : evs)
-        ++counts[static_cast<int>(ev.type)];
-    uint32_t run = 0;
-    std::array<uint32_t, events::kNumEventTypes> cursor{};
-    scratch.type_begin.resize(events::kNumEventTypes + 1);
-    for (int t = 0; t < events::kNumEventTypes; ++t) {
-        scratch.type_begin[t] = run;
-        cursor[t] = run;
-        run += counts[t];
-    }
-    scratch.type_begin[events::kNumEventTypes] = run;
-    scratch.order.resize(evs.size());
-    for (uint32_t i = 0; i < evs.size(); ++i)
-        scratch.order[cursor[static_cast<int>(evs[i].type)]++] = i;
-}
-
-}  // namespace
-
-uint64_t
-FrozenTable::nextTableId()
-{
-    static std::atomic<uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool
-FrozenTable::probeGroup(std::span<const events::EventObject> evs,
-                        int t, uint32_t gb, uint32_t ge,
-                        std::span<FrozenProbe> out,
-                        BatchLookupScratch &scratch) const
-{
-    // Canonical-layout fast path: events of one type almost always
-    // carry the handler's field set sorted by id, so every selected
-    // event field sits at a fixed position in ev.fields. The map of
-    // those positions is cached in the scratch per type (layouts are
-    // a property of the handler spec, so it rarely changes) and
-    // rebuilt from the group's first event when the table id or the
-    // first event's layout stops matching. Per event, the map is
-    // trusted only when the field vector's id sequence is identical
-    // to the one the map was built from — findField is a pure
-    // function of the id sequence, so identical sequences resolve
-    // every field to the mapped position, duplicates and all.
-    // Anything else takes the generic findField walk — the subkey
-    // is identical either way.
-    const TypeView &tv = types_[t];
-    if (scratch.group_maps.size() < events::kNumEventTypes)
-        scratch.group_maps.resize(events::kNumEventTypes);
-    BatchLookupScratch::GroupMap &gm = scratch.group_maps[t];
-    const std::vector<events::FieldValue> &first =
-        evs[scratch.order[gb]].fields;
-
-    // Same id sequence the map was built from? Then findField
-    // resolves every field id to the same position it did for the
-    // map's source event, so the mapped positions are exactly the
-    // ones the generic walk would use.
-    auto verify = [&gm](const events::FieldValue *flds, size_t sz) {
-        if (sz != gm.nf)
-            return false;
-        const events::FieldId *exp = gm.expected_ids.data();
-        bool ok = true;
-        for (uint32_t q = 0; q < gm.nf; ++q)
-            ok &= flds[q].id == exp[q];
-        return ok;
-    };
-
-    if (gm.table_id != id_ || !gm.layout_ok ||
-        !verify(first.data(), first.size())) {
-        gm.table_id = id_;
-        gm.event_pos.clear();
-        gm.event_fid.clear();
-        gm.pos_by_slot.assign(tv.nselected, ~0u);
-        gm.layout_ok = true;
-        for (uint32_t i = 0; i < tv.nselected && gm.layout_ok;
-             ++i) {
-            if (!tv.is_event[i])
-                continue;
-            uint32_t p = 0;
-            while (p < first.size() &&
-                   first[p].id != tv.selected[i])
-                ++p;
-            if (p == first.size()) {
-                gm.layout_ok = false;
-            } else {
-                gm.event_pos.push_back(p);
-                gm.event_fid.push_back(tv.selected[i]);
-                gm.pos_by_slot[i] = p;
-            }
-        }
-        gm.nf = static_cast<uint32_t>(first.size());
-        gm.expected_ids.resize(first.size());
-        for (size_t q = 0; q < first.size(); ++q)
-            gm.expected_ids[q] = first[q].id;
-        // One memo tag per (table, field-map, width) so memo
-        // entries written against another type — or another table,
-        // whose cached probe ranges would be meaningless here —
-        // can never alias.
-        gm.tag = util::mixCombine(0x5b8f00ULL, id_);
-        gm.tag = util::mixCombine(gm.tag, gm.event_pos.size());
-        for (uint32_t fid : gm.event_fid)
-            gm.tag = util::mixCombine(gm.tag, fid);
-    }
-
-    const bool layout_ok = gm.layout_ok;
-    const uint32_t m = static_cast<uint32_t>(gm.event_pos.size());
-    const uint32_t *event_pos = gm.event_pos.data();
-    const uint32_t *event_fid = gm.event_fid.data();
-    const uint64_t map_tag = gm.tag;
-
-    // Canonical subkey for one field-vector known to hold its
-    // selected fields at the mapped positions.
-    auto canonSubkey = [&](const events::FieldValue *flds) {
-        uint64_t h = 0xe4e27000ULL;
-        for (uint32_t j = 0; j < m; ++j)
-            h = util::mixCombine(
-                h, util::mixCombine(
-                       event_fid[j],
-                       util::mixCombine(
-                           1, flds[event_pos[j]].value)));
-        return h;
-    };
-
-    // The subkey memo engages for canonical tuples of up to four
-    // fields.
-    const bool memoable = layout_ok && m <= 4;
-    if (memoable && scratch.subkey_memo.empty())
-        scratch.subkey_memo.resize(kSubkeyMemoSlots);
-
-
-    // One fused pass: a memo hit yields the resolved probe
-    // (probe(table, subkey) is a pure function of the
-    // immutable arena, and the tag includes the table id, so a
-    // cached range can never come from another table) — hit events
-    // never touch the index at all. Only memo misses and
-    // non-canonical events walk the index, and those are the
-    // minority, so a prefetched second pass would mostly be
-    // overhead.
-    for (uint32_t cur = gb; cur < ge; ++cur) {
-        uint32_t idx = scratch.order[cur];
-        const std::vector<events::FieldValue> &flds =
-            evs[idx].fields;
-        bool fast = layout_ok && verify(flds.data(), flds.size());
-        scratch.canon[idx] = fast;
-        if (fast && memoable) {
-            // Memoized path: fold the tuple into a slot index,
-            // trust the cached result only on an exact tag + tuple
-            // match.
-            uint64_t vals[4] = {0, 0, 0, 0};
-            uint64_t fold = map_tag;
-            for (uint32_t j = 0; j < m; ++j) {
-                vals[j] = flds[event_pos[j]].value;
-                fold ^= vals[j] * 0x9e3779b97f4a7c15ULL +
-                        (static_cast<uint64_t>(j) << 56);
-            }
-            fold *= 0xbf58476d1ce4e5b9ULL;
-            BatchLookupScratch::SubkeyMemo &slot =
-                scratch.subkey_memo[fold >> (64 - kSubkeyMemoBits)];
-            if (slot.m == m && slot.tag == map_tag &&
-                slot.vals[0] == vals[0] &&
-                slot.vals[1] == vals[1] &&
-                slot.vals[2] == vals[2] &&
-                slot.vals[3] == vals[3]) {
-                out[idx] = FrozenProbe{slot.begin, slot.count};
-                continue;
-            }
-            uint64_t h = canonSubkey(flds.data());
-            FrozenProbe p;
-            uint32_t begin = 0, count = 0;
-            if (probe(tv, h, &begin, &count)) {
-                p.begin = begin;
-                p.count = count;
-            }
-            slot.tag = map_tag;
-            slot.vals[0] = vals[0];
-            slot.vals[1] = vals[1];
-            slot.vals[2] = vals[2];
-            slot.vals[3] = vals[3];
-            slot.subkey = h;
-            slot.begin = p.begin;
-            slot.count = p.count;
-            slot.m = m;
-            out[idx] = p;
-            continue;
-        }
-        uint64_t h = fast ? canonSubkey(flds.data())
-                          : eventSubkey(tv, flds);
-        FrozenProbe p;
-        uint32_t begin = 0, count = 0;
-        if (probe(tv, h, &begin, &count)) {
-            p.begin = begin;
-            p.count = count;
-        }
-        out[idx] = p;
-    }
-    return layout_ok;
-}
-
-void
-FrozenTable::probeBatch(std::span<const events::EventObject> evs,
-                        std::span<FrozenProbe> out,
-                        BatchLookupScratch &scratch) const
-{
-    groupByType(evs, scratch);
-    scratch.canon.resize(evs.size());
-
-    for (int t = 0; t < events::kNumEventTypes; ++t) {
-        uint32_t gb = scratch.type_begin[t];
-        uint32_t ge = scratch.type_begin[t + 1];
-        if (gb == ge)
-            continue;
-        const TypeView &tv = types_[t];
-        if (tv.nselected == 0) {
-            for (uint32_t k = gb; k < ge; ++k)
-                out[scratch.order[k]] = FrozenProbe{};
-            continue;
-        }
-        probeGroup(evs, t, gb, ge, out, scratch);
-    }
-}
-
-void
-FrozenTable::lookupBatch(std::span<const events::EventObject> evs,
-                         const games::Game &game,
-                         std::span<FrozenLookup> out,
-                         BatchLookupScratch &scratch) const
-{
-    groupByType(evs, scratch);
-    scratch.canon.resize(evs.size());
-    scratch.probes.resize(evs.size());
-
-    for (int t = 0; t < events::kNumEventTypes; ++t) {
-        uint32_t gb = scratch.type_begin[t];
-        uint32_t ge = scratch.type_begin[t + 1];
-        if (gb == ge)
-            continue;
-        const TypeView &tv = types_[t];
-        if (tv.nselected == 0) {
-            for (uint32_t k = gb; k < ge; ++k)
-                out[scratch.order[k]] = FrozenLookup{};
-            continue;
-        }
-        // One grouped pass per type: probe the group, then
-        // finish it against the type's (possibly just rebuilt)
-        // cached layout map.
-        probeGroup(evs, t, gb, ge,
-                   {scratch.probes.data(), scratch.probes.size()},
-                   scratch);
-        const uint32_t *pos_by_slot =
-            scratch.group_maps[t].pos_by_slot.data();
-
-        // Static-game-state contract: the non-event (history/extern)
-        // input columns are the same for every event of the block,
-        // so gather them once per type group.
-        size_t n = tv.nselected;
-        scratch.base_values.resize(n);
-        scratch.base_present.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-            if (tv.is_event[i]) {
-                scratch.base_present[i] = 0;
-                scratch.base_values[i] = 0;
-            } else {
-                uint64_t v = 0;
-                scratch.base_present[i] =
-                    game.gatherInputValue(tv.selected[i], v);
-                scratch.base_values[i] = v;
-            }
-        }
-
-        // Nearly every event's subkey finds a bucket (event-field
-        // combos repeat; it's the history/extern keys that reject),
-        // so the finish pass touches candidate key columns for
-        // almost every event; prefetch them a few events ahead.
-        scratch.gather.values.resize(n);
-        scratch.gather.present.resize(n);
-        for (uint32_t k = gb; k < ge; ++k) {
-            uint32_t idx = scratch.order[k];
-            if (k + 4 < ge) {
-                FrozenProbe nx = scratch.probes[scratch.order[k + 4]];
-                if (nx.count) {
-                    uint32_t nkb = tv.key_off[nx.begin];
-                    __builtin_prefetch(tv.key_slots + nkb);
-                    __builtin_prefetch(tv.key_values + nkb);
-                }
-            }
-            const events::EventObject &ev = evs[idx];
-            FrozenLookup &res = out[idx];
-            res = FrozenLookup{};
-            res.bytes_scanned = tv.selected_bytes;
-            FrozenProbe pr = scratch.probes[idx];
-            if (pr.count == 0)
-                continue;
-
-            // Canonical events with a narrow bucket — the dominant
-            // shape by far — compare per candidate with an early
-            // break on the first mismatched key, reading event-side
-            // keys straight from their mapped field positions.
-            // Rejects usually cost one compare, exactly like the
-            // scalar path. Wide buckets and deviant events take the
-            // column-wise pass below instead: one flat sweep over
-            // the bucket's adjacent key_slots/key_values columns
-            // computes a match flag per stored key (no per-entry
-            // control flow — the loop vectorizes), then each
-            // candidate reduces its flag range.
-            if (scratch.canon[idx] && pr.count <= 2) {
-                const events::FieldValue *flds = ev.fields.data();
-                for (uint32_t e = pr.begin; e < pr.begin + pr.count;
-                     ++e) {
-                    ++res.candidates;
-                    res.bytes_scanned += tv.entry_bytes[e] +
-                                         MemoTable::kEntryHeaderBytes;
-                    bool match = true;
-                    for (uint32_t k2 = tv.key_off[e];
-                         k2 < tv.key_off[e + 1]; ++k2) {
-                        uint32_t slot = tv.key_slots[k2];
-                        uint32_t p = pos_by_slot[slot];
-                        bool ok =
-                            p != ~0u
-                                ? flds[p].value == tv.key_values[k2]
-                                : (scratch.base_present[slot] &&
-                                   scratch.base_values[slot] ==
-                                       tv.key_values[k2]);
-                        if (!ok) {
-                            match = false;
-                            break;
-                        }
-                    }
-                    if (match) {
-                        res.hit = true;
-                        res.entry_ordinal = tv.entry_base + e;
-                        res.nout = tv.out_off[e + 1] - tv.out_off[e];
-                        res.out_ids = tv.out_ids + tv.out_off[e];
-                        res.out_values =
-                            tv.out_values + tv.out_off[e];
-                        break;
-                    }
-                }
-                continue;
-            }
-
-            uint32_t kb = tv.key_off[pr.begin];
-            uint32_t ke = tv.key_off[pr.begin + pr.count];
-            scratch.keymatch.resize(ke - kb);
-            if (scratch.canon[idx]) {
-                const events::FieldValue *flds = ev.fields.data();
-                for (uint32_t k2 = kb; k2 < ke; ++k2) {
-                    uint32_t slot = tv.key_slots[k2];
-                    uint32_t p = pos_by_slot[slot];
-                    scratch.keymatch[k2 - kb] =
-                        p != ~0u
-                            ? flds[p].value == tv.key_values[k2]
-                            : (scratch.base_present[slot] &&
-                               scratch.base_values[slot] ==
-                                   tv.key_values[k2]);
-                }
-            } else {
-                std::copy(scratch.base_values.begin(),
-                          scratch.base_values.end(),
-                          scratch.gather.values.begin());
-                std::copy(scratch.base_present.begin(),
-                          scratch.base_present.end(),
-                          scratch.gather.present.begin());
-                for (size_t i = 0; i < n; ++i) {
-                    if (!tv.is_event[i])
-                        continue;
-                    const events::FieldValue *fv = events::findField(
-                        ev.fields, tv.selected[i]);
-                    scratch.gather.present[i] = fv != nullptr;
-                    scratch.gather.values[i] = fv ? fv->value : 0;
-                }
-                for (uint32_t k2 = kb; k2 < ke; ++k2) {
-                    uint32_t slot = tv.key_slots[k2];
-                    scratch.keymatch[k2 - kb] =
-                        scratch.gather.present[slot] &&
-                        scratch.gather.values[slot] ==
-                            tv.key_values[k2];
-                }
-            }
-            for (uint32_t e = pr.begin; e < pr.begin + pr.count;
-                 ++e) {
-                ++res.candidates;
-                res.bytes_scanned +=
-                    tv.entry_bytes[e] + MemoTable::kEntryHeaderBytes;
-                uint8_t match = 1;
-                for (uint32_t k2 = tv.key_off[e];
-                     k2 < tv.key_off[e + 1]; ++k2)
-                    match &= scratch.keymatch[k2 - kb];
-                if (match) {
-                    res.hit = true;
-                    res.entry_ordinal = tv.entry_base + e;
-                    res.nout = tv.out_off[e + 1] - tv.out_off[e];
-                    res.out_ids = tv.out_ids + tv.out_off[e];
-                    res.out_values = tv.out_values + tv.out_off[e];
-                    break;
-                }
-            }
-        }
-    }
 }
 
 bool
@@ -1137,15 +697,6 @@ FrozenTable::selectedVector(events::EventType type) const
     const TypeView &tv = types_[static_cast<int>(type)];
     return std::vector<events::FieldId>(
         tv.selected, tv.selected + tv.nselected);
-}
-
-size_t
-FrozenTable::maxSelected() const
-{
-    size_t n = 0;
-    for (const auto &tv : types_)
-        n = std::max<size_t>(n, tv.nselected);
-    return n;
 }
 
 uint32_t

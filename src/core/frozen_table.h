@@ -25,7 +25,6 @@
 #include <array>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/memo_table.h"
@@ -57,101 +56,6 @@ struct FrozenLookup {
     uint32_t nout = 0;
     const events::FieldId *out_ids = nullptr;
     const uint64_t *out_values = nullptr;
-};
-
-/**
- * A resolved index probe for one event: the candidate-entry range
- * its event subkey selects. count == 0 means no bucket (or the
- * event's type is undeployed). Probes depend only on the event's
- * fields and the immutable arena, so they stay valid for the
- * table's lifetime and can be precomputed ahead of the decide loop
- * (probeBatch / SnipScheme::prepareBatch).
- */
-struct FrozenProbe {
-    uint32_t begin = 0;
-    uint32_t count = 0;
-};
-
-/**
- * Caller-owned reusable buffers for the batched lookup path: the
- * type-grouping order, per-event subkeys/probes, the gathered input
- * columns and the per-bucket key-match flags. Reusing one scratch
- * across blocks makes lookupBatch allocation-free once the buffers
- * have grown to the block size / widest selection / largest bucket.
- */
-struct BatchLookupScratch {
-    /** Event indices grouped by type (original order within). */
-    std::vector<uint32_t> order;
-    /** Group boundaries into order: [type] .. [type + 1]. */
-    std::vector<uint32_t> type_begin;
-    /** Resolved probe per event (original index). */
-    std::vector<FrozenProbe> probes;
-    /**
-     * Cached canonical-layout map for one event type: where each
-     * selected event field sits in the type's canonical field
-     * vector. Layouts are a property of the handler spec, so the
-     * map survives across blocks; it is keyed by the owning
-     * table's unique id (monotonic, never reused — a recycled heap
-     * address cannot alias) and rebuilt whenever the id or the
-     * group's first event stops matching. Events are still
-     * verified against the map individually, so a stale map can
-     * only cost speed, never correctness.
-     */
-    struct GroupMap {
-        uint64_t table_id = 0;  // 0 = never built
-        bool layout_ok = false;
-        /** Canonical field-vector size. */
-        uint32_t nf = 0;
-        /** Subkey-memo tag for this (table, field-map, width). */
-        uint64_t tag = 0;
-        /** The canonical id sequence (the map's source event's
-         *  ids, in order): an event whose id sequence equals this
-         *  one resolves every findField exactly as the source
-         *  event did. */
-        std::vector<events::FieldId> expected_ids;
-        /** Selected event fields' positions in the canonical
-         *  layout (compact, ascending selected order) and their
-         *  field ids. */
-        std::vector<uint32_t> event_pos;
-        std::vector<uint32_t> event_fid;
-        /** Canonical position by selected slot; ~0u on non-event
-         *  slots. */
-        std::vector<uint32_t> pos_by_slot;
-    };
-    /** Per-type cached layout maps (indexed by event type). */
-    std::vector<GroupMap> group_maps;
-    /** Per event: fields match the canonical layout (original
-     *  index; only meaningful within the current group). */
-    std::vector<uint8_t> canon;
-    /** Per-event gathered values (event fields overlaid). */
-    LookupScratch gather;
-    /** Non-event (game-state) columns, gathered once per group. */
-    std::vector<uint64_t> base_values;
-    std::vector<uint8_t> base_present;
-    /** Per-key match flags over one bucket's flat key range. */
-    std::vector<uint8_t> keymatch;
-
-    /**
-     * Direct-mapped subkey/probe memo: event streams repeat the
-     * same selected-field value tuples constantly (the premise the
-     * memo table itself rests on), and the subkey mix chain plus
-     * the index walk are the batch path's hottest computations.
-     * Keyed by the full value tuple plus a tag of the type's
-     * selected event fields and the owning table's unique id,
-     * compared exactly on every probe, so a cached entry is always
-     * what the mix chain and index walk would produce — a memo hit
-     * skips both.
-     */
-    struct alignas(64) SubkeyMemo {
-        uint64_t tag = 0;  // field map + table id fingerprint
-        uint64_t vals[4] = {0, 0, 0, 0};
-        uint64_t subkey = 0;
-        /** Cached probe result for (table, subkey). */
-        uint32_t begin = 0;
-        uint32_t count = 0;
-        uint32_t m = ~0u;  // tuple width; ~0u = empty slot
-    };
-    std::vector<SubkeyMemo> subkey_memo;
 };
 
 /**
@@ -201,57 +105,6 @@ class FrozenTable
                         LookupScratch &scratch) const;
 
     /**
-     * Resolve the index probe for one event: subkey hash plus the
-     * open-addressing walk, no gathering or comparing. lookup() is
-     * exactly finishLookup(ev, ..., probeEvent(ev)).
-     */
-    FrozenProbe probeEvent(const events::EventObject &ev) const;
-
-    /**
-     * Complete a lookup from a precomputed probe: charge the gather
-     * cost, gather the selected inputs, and scan the probe's
-     * candidate range. Identical accounting to lookup() — the probe
-     * merely skips recomputing the subkey and index walk.
-     */
-    FrozenLookup finishLookup(const events::EventObject &ev,
-                              const games::Game &game,
-                              LookupScratch &scratch,
-                              FrozenProbe probe) const;
-
-    /**
-     * Resolve index probes for a block of events: the block is
-     * grouped by event type (stable counting sort) so each type's
-     * index is walked while cache-resident, and the probed slot of
-     * the next event in the group is software-prefetched one
-     * iteration ahead. Writes out[i] = probeEvent(evs[i]).
-     */
-    void probeBatch(std::span<const events::EventObject> evs,
-                    std::span<FrozenProbe> out,
-                    BatchLookupScratch &scratch) const;
-
-    /**
-     * Look up a block of events in one batched pass. Requires
-     * evs.size() == out.size(). Produces out[i] identical (bitwise,
-     * including candidate/byte accounting and arena out-pointers) to
-     * lookup(evs[i], game, ...) — under the static-game-state
-     * contract: the game's state must not change for the duration of
-     * the block, because the non-event (history/extern) input
-     * columns are gathered once per type group rather than once per
-     * event. Event-side fields still come from each event.
-     *
-     * The pass runs type-grouped (index cache-resident, probes
-     * prefetched one ahead) and compares the CSR key columns
-     * column-wise: per bucket, a flat pass over the adjacent
-     * key_slots/key_values columns computes a match flag per stored
-     * key, then each candidate reduces its flag range — the
-     * width-wise loop form the compiler can vectorize.
-     */
-    void lookupBatch(std::span<const events::EventObject> evs,
-                     const games::Game &game,
-                     std::span<FrozenLookup> out,
-                     BatchLookupScratch &scratch) const;
-
-    /**
      * Whether an observed execution is already memoized: projects
      * the record onto the type's selected fields and compares
      * against the bucket's entries exactly as MemoTable::insert's
@@ -284,8 +137,6 @@ class FrozenTable
     /** Selected fields of a type (empty when undeployed). */
     std::vector<events::FieldId>
     selectedVector(events::EventType type) const;
-    /** Widest selected set across types (scratch pre-sizing). */
-    size_t maxSelected() const;
     /** Open-addressing capacity of a type's index (0 = undeployed). */
     uint32_t indexCapacity(events::EventType type) const;
     /** Used slots (buckets) of a type's index. */
@@ -339,18 +190,6 @@ class FrozenTable
     /** Probe the index for @p subkey; false = no bucket. */
     bool probe(const TypeView &tv, uint64_t subkey, uint32_t *begin,
                uint32_t *count) const;
-    /**
-     * Subkey + probe pass for one type group (order[gb..ge) in
-     * scratch, all of type @p t). Fills scratch.canon for the
-     * group's events and writes their probes
-     * into @p out (original indices). Reuses (or rebuilds) the
-     * type's cached layout map, scratch.group_maps[t]; returns
-     * whether that map is usable.
-     */
-    bool probeGroup(std::span<const events::EventObject> evs,
-                    int t, uint32_t gb, uint32_t ge,
-                    std::span<FrozenProbe> out,
-                    BatchLookupScratch &scratch) const;
     /** Decode directory + validate everything; data_/size_ set. */
     util::Status decode(const events::FieldSchema &schema);
 
@@ -366,11 +205,6 @@ class FrozenTable
     std::array<TypeView, events::kNumEventTypes> types_{};
     size_t total_entries_ = 0;
     uint64_t total_bytes_ = 0;
-    /** Unique per-instance id (monotonic, never reused) keying the
-     *  cached layout maps in BatchLookupScratch. */
-    uint64_t id_ = nextTableId();
-
-    static uint64_t nextTableId();
 };
 
 }  // namespace core

@@ -18,19 +18,6 @@ schemeName(SchemeKind k)
     return "?";
 }
 
-void
-Scheme::decideBatch(const games::Game &game,
-                    std::span<const events::EventObject> evs,
-                    std::span<const games::HandlerExecution> truths,
-                    std::span<Decision> out)
-{
-    for (size_t i = 0; i < evs.size(); ++i) {
-        out[i] = decide(game, evs[i], truths[i]);
-        if (!out[i].shortcircuit)
-            observe(truths[i]);
-    }
-}
-
 Decision
 BaselineScheme::decide(const games::Game &, const events::EventObject &,
                        const games::HandlerExecution &)
@@ -63,9 +50,8 @@ MaxIpScheme::decide(const games::Game &, const events::EventObject &ev,
     d.charge_lookup = false;
     // IP results (rendered tiles, decoded blocks) are reusable only
     // when the triggering event object repeats exactly. The insert
-    // belongs to observe(): decide() must stay read-only so a
-    // pipelined caller separating the two phases cannot
-    // double-insert.
+    // belongs to observe(), per the decide/observe protocol: decide()
+    // only reads what earlier observed events taught it.
     pendingHash_ = events::hashFields(ev.fields);
     hasPending_ = true;
     if (seen_.count(pendingHash_))
@@ -146,26 +132,10 @@ Decision
 SnipScheme::decide(const games::Game &game, const events::EventObject &ev,
                    const games::HandlerExecution &)
 {
-    return decideImpl(game, ev, nullptr);
-}
-
-Decision
-SnipScheme::decideImpl(const games::Game &game,
-                       const events::EventObject &ev,
-                       const FrozenLookup *pre)
-{
     Decision d;
     d.charge_lookup = chargeOverheads_;
     auditPending_ = false;
     d.lookup_ran = true;
-
-    // A probe prepareBatch() resolved for this event? Consume it in
-    // order regardless of frozenActive_ (the cursor tracks the
-    // delivery stream), use it only on the frozen path.
-    const FrozenProbe *probe = nullptr;
-    if (preparedCursor_ < preparedSeqs_.size() &&
-        preparedSeqs_[preparedCursor_] == ev.seq)
-        probe = &prepared_[preparedCursor_++];
 
     // Frozen-first lookup with the overlay consulted only on a miss.
     // The scan is equivalent to the old single-table scan: frozen
@@ -175,13 +145,7 @@ SnipScheme::decideImpl(const games::Game &game,
     // selected bytes, charged by both lookups) is counted once.
     bool hit = false;
     if (frozenActive_) {
-        FrozenLookup fres;
-        if (pre)
-            fres = *pre;
-        else if (probe)
-            fres = frozen_->finishLookup(ev, game, scratch_, *probe);
-        else
-            fres = frozen_->lookup(ev, game, scratch_);
+        FrozenLookup fres = frozen_->lookup(ev, game, scratch_);
         d.lookup_bytes = fres.bytes_scanned;
         d.lookup_candidates = fres.candidates;
         if (fres.hit) {
@@ -233,71 +197,6 @@ SnipScheme::decideImpl(const games::Game &game,
         d.shortcircuit = true;
     }
     return d;
-}
-
-bool
-SnipScheme::resolveProbes(std::span<const events::EventObject> evs,
-                          PreparedProbes &out,
-                          BatchLookupScratch &scratch) const
-{
-    // Reads only the immutable frozen arena (deliberately not
-    // frozenActive_: that flag belongs to the decide thread, and a
-    // post-clear decide() ignores adopted probes anyway), so this
-    // is safe to run concurrently with decide()/observe().
-    out.probes.resize(evs.size());
-    out.seqs.resize(evs.size());
-    frozen_->probeBatch(evs, {out.probes.data(), out.probes.size()},
-                        scratch);
-    for (size_t i = 0; i < evs.size(); ++i)
-        out.seqs[i] = evs[i].seq;
-    return true;
-}
-
-void
-SnipScheme::adoptProbes(PreparedProbes &&p)
-{
-    prepared_.swap(p.probes);
-    preparedSeqs_.swap(p.seqs);
-    preparedCursor_ = 0;
-}
-
-void
-SnipScheme::prepareBatch(std::span<const events::EventObject> evs)
-{
-    // Exactly resolve + adopt, sharing the buffers back and forth
-    // through preparedTmp_ so the sequential path stays
-    // allocation-free across blocks.
-    resolveProbes(evs, preparedTmp_, batchScratch_);
-    adoptProbes(std::move(preparedTmp_));
-}
-
-void
-SnipScheme::decideBatch(const games::Game &game,
-                        std::span<const events::EventObject> evs,
-                        std::span<const games::HandlerExecution> truths,
-                        std::span<Decision> out)
-{
-    // The frozen half of every decide in one batched pass: the arena
-    // is immutable and decideBatch never applies outputs, so the
-    // static-game-state contract of lookupBatch holds for the whole
-    // block. Everything order-dependent — overlay lookups/inserts,
-    // audit-window counting, a possible mid-block watchdog clear —
-    // then replays the exact scalar protocol in original event
-    // order; after a mid-block clear the precomputed lookups are
-    // simply ignored (decideImpl takes the overlay-only path).
-    batchLookups_.resize(evs.size());
-    if (frozenActive_)
-        frozen_->lookupBatch(evs, game,
-                             {batchLookups_.data(),
-                              batchLookups_.size()},
-                             batchScratch_);
-    for (size_t i = 0; i < evs.size(); ++i) {
-        const FrozenLookup *pre =
-            frozenActive_ ? &batchLookups_[i] : nullptr;
-        out[i] = decideImpl(game, evs[i], pre);
-        if (!out[i].shortcircuit)
-            observe(truths[i]);
-    }
 }
 
 void

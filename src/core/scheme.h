@@ -14,7 +14,6 @@
 #define SNIP_CORE_SCHEME_H
 
 #include <memory>
-#include <span>
 #include <unordered_set>
 
 #include "core/snip.h"
@@ -63,28 +62,6 @@ struct Decision {
     bool audited = false;
 };
 
-/**
- * Probes resolved ahead of the decide loop by resolveProbes(),
- * adopted into the scheme by adoptProbes(). The pipelined session
- * runtime's decide stage fills one of these per event block on its
- * own thread; the execute stage hands it to the scheme just before
- * draining the block, which reproduces exactly what a sequential
- * prepareBatch() call would have done.
- */
-struct PreparedProbes {
-    /** Resolved probe per event, in delivery order. */
-    std::vector<FrozenProbe> probes;
-    /** Sequence number of the event each probe belongs to. */
-    std::vector<uint64_t> seqs;
-
-    void
-    clear()
-    {
-        probes.clear();
-        seqs.clear();
-    }
-};
-
 /** Decision policy interface. */
 class Scheme
 {
@@ -109,78 +86,6 @@ class Scheme
     {
         (void)truth;
     }
-
-    /**
-     * Preferred event-block size for batched deciding (0 = scalar
-     * only). runSession collects up to this many same-frame events,
-     * calls prepareBatch() once, then runs the normal per-event
-     * decide/observe protocol over the block.
-     */
-    virtual uint32_t batchBlock() const { return 0; }
-
-    /**
-     * Hint: the next events, in delivery order, before they are
-     * decided one by one. Schemes may precompute whatever depends
-     * only on the event objects and immutable state (SNIP resolves
-     * its frozen index probes type-grouped and prefetched); the
-     * per-event decide() must return bitwise-identical Decisions
-     * with or without the hint.
-     */
-    virtual void prepareBatch(std::span<const events::EventObject> evs)
-    {
-        (void)evs;
-    }
-
-    /**
-     * Stage-2 pipeline hook: resolve whatever prepareBatch() would
-     * precompute for @p evs into caller-owned storage, without
-     * touching any scheme state. Must be const and safe to call
-     * concurrently with decide()/observe() running on another
-     * thread (it may only read immutable state — for SNIP, the
-     * shared frozen arena). Returns false when the scheme has
-     * nothing to precompute (out is left untouched); then the
-     * caller skips adoptProbes() and decide() takes its normal
-     * unprepared path, exactly as a sequential session would.
-     */
-    virtual bool
-    resolveProbes(std::span<const events::EventObject> evs,
-                  PreparedProbes &out,
-                  BatchLookupScratch &scratch) const
-    {
-        (void)evs;
-        (void)out;
-        (void)scratch;
-        return false;
-    }
-
-    /**
-     * Adopt probes resolved by resolveProbes() as if
-     * prepareBatch(evs) had just run on this thread. Called by the
-     * pipeline's execute stage immediately before the block's
-     * events are decided; prepareBatch(evs) must be equivalent to
-     * resolveProbes(evs, p, scratch) + adoptProbes(move(p)).
-     */
-    virtual void adoptProbes(PreparedProbes &&p) { (void)p; }
-
-    /**
-     * Decide a block of events in one call. Exactly equivalent to
-     *
-     *   for i: out[i] = decide(game, evs[i], truths[i]);
-     *          if (!out[i].shortcircuit) observe(truths[i]);
-     *
-     * i.e. observes are performed internally, in original event
-     * order (the protocol runSession follows). Requires the game's
-     * state to be static across the block — decideBatch never
-     * applies outputs, so within one call that holds by
-     * construction; callers interleaving applyOutputs must use the
-     * scalar path. Decisions are bitwise-identical to the scalar
-     * loop above.
-     */
-    virtual void decideBatch(const games::Game &game,
-                             std::span<const events::EventObject> evs,
-                             std::span<const games::HandlerExecution>
-                                 truths,
-                             std::span<Decision> out);
 
     /** Idle seconds after which an IP may be power-gated. */
     virtual double ipSleepTimeout() const { return 0.5; }
@@ -229,9 +134,10 @@ class MaxIpScheme : public Scheme
 
   private:
     std::unordered_set<uint64_t> seen_;
-    /** Hash of the last decided event, inserted by observe() — a
-     *  decide() that mutated seen_ would double-insert under a
-     *  pipelined caller that separates the two. */
+    /** Hash of the last decided event, inserted by observe(). As
+     *  in every scheme's decide/observe protocol, decide() only
+     *  reads what observe() learned, so a decision never counts
+     *  its own event as a repeat. */
     uint64_t pendingHash_ = 0;
     bool hasPending_ = false;
 };
@@ -314,23 +220,6 @@ class SnipScheme : public Scheme
                     const games::HandlerExecution &truth) override;
     void observe(const games::HandlerExecution &truth) override;
 
-    /** SNIP decides blocks natively: prepareBatch() resolves the
-     *  frozen index probes type-grouped (probeBatch), which decide()
-     *  then consumes per event; decideBatch() runs the whole frozen
-     *  half as one lookupBatch pass. Both are bitwise-identical to
-     *  the scalar path. */
-    uint32_t batchBlock() const override { return 32; }
-    void prepareBatch(
-        std::span<const events::EventObject> evs) override;
-    bool resolveProbes(std::span<const events::EventObject> evs,
-                       PreparedProbes &out,
-                       BatchLookupScratch &scratch) const override;
-    void adoptProbes(PreparedProbes &&p) override;
-    void decideBatch(const games::Game &game,
-                     std::span<const events::EventObject> evs,
-                     std::span<const games::HandlerExecution> truths,
-                     std::span<Decision> out) override;
-
     /** The frozen table lookups are served from (inspection). */
     const FrozenTable &frozen() const { return *frozen_; }
     /** False after a watchdog clear (overlay-only fallback). */
@@ -390,24 +279,6 @@ class SnipScheme : public Scheme
     /** Shared ctor tail: overlay selections, hit counters, obs. */
     void initRuntime();
 
-    /** Shared decide body: @p pre, when set, is the event's frozen
-     *  lookup precomputed by decideBatch (ignored after a watchdog
-     *  clear). */
-    Decision decideImpl(const games::Game &game,
-                        const events::EventObject &ev,
-                        const FrozenLookup *pre);
-
-    /** Batched-path state: probes resolved by prepareBatch() /
-     *  adoptProbes(), keyed by event seq and consumed in order by
-     *  decide(); the batch scratch and lookup buffer back
-     *  decideBatch(); preparedTmp_ recycles the sequential
-     *  prepareBatch() path's buffers across blocks. */
-    BatchLookupScratch batchScratch_;
-    PreparedProbes preparedTmp_;
-    std::vector<FrozenProbe> prepared_;
-    std::vector<uint64_t> preparedSeqs_;
-    size_t preparedCursor_ = 0;
-    std::vector<FrozenLookup> batchLookups_;
 };
 
 /** Construct a scheme by kind (Snip/NoOverheads need a model). */

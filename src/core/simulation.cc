@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <vector>
 
 #include "core/output_diff.h"
-#include "core/pipeline.h"
-#include "core/session_parts.h"
+#include "events/binder.h"
+#include "events/sensor_manager.h"
+#include "trace/recorder.h"
 #include "util/bytes.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -37,191 +40,164 @@ SessionStats::errorFieldRate() const
                : 0.0;
 }
 
-namespace detail {
+namespace {
 
-uint32_t
-effectiveBlock(const SimulationConfig &cfg, const Scheme &scheme)
+/**
+ * Pre-resolved obs handles: name lookup happens once per session,
+ * so each record point on the event path costs one null-check
+ * branch when observability is off and a pointer bump when on.
+ */
+struct ObsHandles {
+    obs::Counter *events = nullptr;
+    obs::Counter *frames = nullptr;
+    obs::Counter *useless = nullptr;
+    obs::Counter *lookups = nullptr;
+    obs::Counter *hits = nullptr;
+    obs::Counter *misses = nullptr;
+    obs::Counter *bytes = nullptr;
+    obs::Counter *candidates = nullptr;
+    obs::Counter *shortcircuit = nullptr;
+    obs::Counter *full = nullptr;
+    obs::Counter *audited = nullptr;
+    obs::Counter *err_sc = nullptr;
+    obs::Counter *err_temp = nullptr;
+    obs::Counter *err_hist = nullptr;
+    obs::Counter *err_ext = nullptr;
+    util::Log2Histogram *bytes_hist = nullptr;
+};
+
+ObsHandles
+resolveObs(obs::Registry *reg)
 {
-    return cfg.batch_block
-               ? cfg.batch_block
-               : std::max<uint32_t>(1, scheme.batchBlock());
+    ObsHandles oc;
+    if (!reg)
+        return oc;
+    obs::Registry &r = *reg;
+    oc.events = &r.counter("session.events");
+    oc.frames = &r.counter("session.frames");
+    oc.useless = &r.counter("session.useless_events");
+    oc.lookups = &r.counter("lookup.lookups");
+    oc.hits = &r.counter("lookup.hits");
+    oc.misses = &r.counter("lookup.misses");
+    oc.bytes = &r.counter("lookup.bytes");
+    oc.candidates = &r.counter("lookup.candidates");
+    oc.shortcircuit = &r.counter("decide.shortcircuit");
+    oc.full = &r.counter("decide.full");
+    oc.audited = &r.counter("decide.audited");
+    oc.err_sc = &r.counter("decide.err.shortcircuits");
+    oc.err_temp = &r.counter("decide.err.temp_only");
+    oc.err_hist = &r.counter("decide.err.history");
+    oc.err_ext = &r.counter("decide.err.extern");
+    oc.bytes_hist = &r.histogram("lookup.bytes_hist");
+    return oc;
 }
 
-EventGen::EventGen(games::Game &game, const SimulationConfig &cfg,
-                   uint32_t block)
-    : game_(game), cfg_(cfg), block_(block),
-      rng_(util::mixCombine(cfg.seed, util::fnv1a(game.name()))),
-      frame_dt_(1.0 / game.params().frame_rate)
-{
-    const auto &mix = game_.params().mix;
-    next_at_.resize(mix.size());
-    for (size_t i = 0; i < mix.size(); ++i)
-        next_at_[i] = rng_.uniformReal() / mix[i].rate_hz;
-}
-
-bool
-EventGen::next(GenItem &item)
-{
-    if (done_)
-        return false;
-    if (!in_frame_) {
-        if (now_ >= cfg_.duration_s) {
-            done_ = true;
-            return false;
-        }
-        frame_end_ = std::min(now_ + frame_dt_, cfg_.duration_s);
-        in_frame_ = true;
+/** The device a session charges and the accounting it keeps. */
+struct SessionState {
+    explicit SessionState(const soc::EnergyModel &model)
+        : soc(model), sensorMgr(soc), binder(soc)
+    {
     }
+    // sensorMgr and binder hold references to soc.
+    SessionState(const SessionState &) = delete;
+    SessionState &operator=(const SessionState &) = delete;
 
-    // Collect the next block of events arriving within this frame,
-    // in time order across mix entries. Rng consumption order is
-    // the sequential loop's: makeEvent, then the arrival draw, per
-    // event.
-    const auto &mix = game_.params().mix;
-    item.events.clear();
-    item.has_probes = false;
-    while (item.events.size() < block_) {
-        size_t best = SIZE_MAX;
-        for (size_t i = 0; i < mix.size(); ++i) {
-            if (next_at_[i] < frame_end_ &&
-                (best == SIZE_MAX || next_at_[i] < next_at_[best]))
-                best = i;
-        }
-        if (best == SIZE_MAX)
-            break;
-        item.events.push_back(
-            game_.makeEvent(mix[best].type, next_at_[best], rng_));
-        next_at_[best] +=
-            rng_.uniformReal(0.7, 1.3) / mix[best].rate_hz;
-    }
-    if (!item.events.empty()) {
-        item.kind = GenItem::Kind::Block;
-        return true;
-    }
+    soc::Soc soc;
+    events::SensorManager sensorMgr;
+    events::BinderChannel binder;
+    SessionStats stats;
+    /** Per-IP last-use clock for the sleep policy. */
+    std::array<double, soc::kNumIpKinds> ipLastUse{};
+    ObsHandles oc;
+};
 
-    item.kind = GenItem::Kind::FrameEnd;
-    item.frame_end = frame_end_;
-    item.dt = frame_end_ - now_;
-    now_ = frame_end_;
-    in_frame_ = false;
-    return true;
-}
-
-SessionBody::SessionBody(games::Game &game, Scheme &scheme,
-                         const SimulationConfig &cfg)
-    : game_(game), scheme_(scheme), cfg_(cfg), soc_(cfg.model),
-      sensorMgr_(soc_), binder_(soc_), recorder_(game.name())
-{
-    soc_.setInUse(true);
-    if (cfg_.record_events) {
-        binder_.setTap([this](const events::EventObject &ev) {
-            recorder_.onEvent(ev);
-        });
-    }
-    ipLastUse_.fill(0.0);
-
-    // Pre-resolved obs handles: name lookup happens once here, so
-    // each record point on the event path costs one null-check
-    // branch when observability is off and a pointer bump when on.
-    if (cfg_.obs) {
-        obs::Registry &r = *cfg_.obs;
-        oc_.events = &r.counter("session.events");
-        oc_.frames = &r.counter("session.frames");
-        oc_.useless = &r.counter("session.useless_events");
-        oc_.lookups = &r.counter("lookup.lookups");
-        oc_.hits = &r.counter("lookup.hits");
-        oc_.misses = &r.counter("lookup.misses");
-        oc_.bytes = &r.counter("lookup.bytes");
-        oc_.candidates = &r.counter("lookup.candidates");
-        oc_.shortcircuit = &r.counter("decide.shortcircuit");
-        oc_.full = &r.counter("decide.full");
-        oc_.audited = &r.counter("decide.audited");
-        oc_.err_sc = &r.counter("decide.err.shortcircuits");
-        oc_.err_temp = &r.counter("decide.err.temp_only");
-        oc_.err_hist = &r.counter("decide.err.history");
-        oc_.err_ext = &r.counter("decide.err.extern");
-        oc_.bytes_hist = &r.histogram("lookup.bytes_hist");
-    }
-}
-
+/**
+ * Deliver one event through the full path: framework dispatch, the
+ * scheme's decision, then either the short-circuit (apply the
+ * memoized outputs) or the handler's execution, charged to the SoC.
+ */
 void
-SessionBody::processEvent(const events::EventObject &ev)
+processEvent(games::Game &game, Scheme &scheme,
+             const SimulationConfig &cfg, SessionState &s,
+             const events::EventObject &ev)
 {
+    SessionStats &st = s.stats;
+    const ObsHandles &oc = s.oc;
     double at = ev.timestamp;
-    sensorMgr_.deliver(ev);
-    binder_.transfer(ev);
+    s.sensorMgr.deliver(ev);
+    s.binder.transfer(ev);
 
-    games::HandlerExecution truth = game_.process(ev);
-    Decision d = scheme_.decide(game_, ev, truth);
+    games::HandlerExecution truth = game.process(ev);
+    Decision d = scheme.decide(game, ev, truth);
 
-    ++stats_.events;
-    stats_.instr_total += truth.cpu_instructions;
-    stats_.ip_work_total += truth.ipWorkUnits();
-    stats_.output_fields_total +=
+    ++st.events;
+    st.instr_total += truth.cpu_instructions;
+    st.ip_work_total += truth.ipWorkUnits();
+    st.output_fields_total +=
         static_cast<uint64_t>(truth.outputs.size());
     if (truth.useless)
-        ++stats_.useless_events;
+        ++st.useless_events;
 
-    if (oc_.events) {
-        oc_.events->add(1);
+    if (oc.events) {
+        oc.events->add(1);
         if (truth.useless)
-            oc_.useless->add(1);
+            oc.useless->add(1);
         if (d.lookup_ran) {
-            oc_.lookups->add(1);
-            (d.lookup_hit ? oc_.hits : oc_.misses)->add(1);
-            oc_.bytes->add(d.lookup_bytes);
-            oc_.candidates->add(d.lookup_candidates);
-            oc_.bytes_hist->add(static_cast<double>(d.lookup_bytes));
+            oc.lookups->add(1);
+            (d.lookup_hit ? oc.hits : oc.misses)->add(1);
+            oc.bytes->add(d.lookup_bytes);
+            oc.candidates->add(d.lookup_candidates);
+            oc.bytes_hist->add(static_cast<double>(d.lookup_bytes));
         }
         if (d.audited)
-            oc_.audited->add(1);
+            oc.audited->add(1);
         else if (d.shortcircuit)
-            oc_.shortcircuit->add(1);
+            oc.shortcircuit->add(1);
         else
-            oc_.full->add(1);
+            oc.full->add(1);
     }
 
     if (d.lookup_bytes > 0 && d.charge_lookup) {
         uint64_t instr =
-            cfg_.lookup_instr_base +
+            cfg.lookup_instr_base +
             static_cast<uint64_t>(
-                cfg_.lookup_instr_per_byte *
+                cfg.lookup_instr_per_byte *
                 static_cast<double>(d.lookup_bytes));
-        double before = soc_.cpu().dynamicEnergy() +
-                        soc_.memory().dynamicEnergy();
-        soc_.executeCpu(instr, soc::CpuCluster::Big);
-        soc_.accessMemory(d.lookup_bytes);
-        stats_.lookup_energy_j += soc_.cpu().dynamicEnergy() +
-                                  soc_.memory().dynamicEnergy() -
-                                  before;
+        double before = s.soc.cpu().dynamicEnergy() +
+                        s.soc.memory().dynamicEnergy();
+        s.soc.executeCpu(instr, soc::CpuCluster::Big);
+        s.soc.accessMemory(d.lookup_bytes);
+        st.lookup_energy_j += s.soc.cpu().dynamicEnergy() +
+                              s.soc.memory().dynamicEnergy() -
+                              before;
     }
-    stats_.lookup_bytes += d.lookup_bytes;
-    stats_.lookup_candidates += d.lookup_candidates;
+    st.lookup_bytes += d.lookup_bytes;
+    st.lookup_candidates += d.lookup_candidates;
 
     if (d.shortcircuit) {
-        ++stats_.shortcircuits;
-        stats_.instr_skipped += truth.cpu_instructions;
-        stats_.ip_work_skipped += truth.ipWorkUnits();
-        game_.applyOutputs(d.outputs);
+        ++st.shortcircuits;
+        st.instr_skipped += truth.cpu_instructions;
+        st.ip_work_skipped += truth.ipWorkUnits();
+        game.applyOutputs(d.outputs);
         OutputDiff diff =
-            diffOutputs(d.outputs, truth.outputs, game_.schema());
-        stats_.output_fields_wrong += diff.fields_wrong;
+            diffOutputs(d.outputs, truth.outputs, game.schema());
+        st.output_fields_wrong += diff.fields_wrong;
         if (diff.anyWrong()) {
-            ++stats_.erroneous_shortcircuits;
+            ++st.erroneous_shortcircuits;
             if (diff.wrong_extern)
-                ++stats_.err_extern;
+                ++st.err_extern;
             else if (diff.wrong_history)
-                ++stats_.err_history;
+                ++st.err_history;
             else
-                ++stats_.err_temp_only;
-            if (oc_.err_sc) {
-                oc_.err_sc->add(1);
+                ++st.err_temp_only;
+            if (oc.err_sc) {
+                oc.err_sc->add(1);
                 if (diff.wrong_extern)
-                    oc_.err_ext->add(1);
+                    oc.err_ext->add(1);
                 else if (diff.wrong_history)
-                    oc_.err_hist->add(1);
+                    oc.err_hist->add(1);
                 else
-                    oc_.err_temp->add(1);
+                    oc.err_temp->add(1);
             }
         }
         return;
@@ -231,135 +207,140 @@ SessionBody::processEvent(const events::EventObject &ev)
     uint64_t skipped = static_cast<uint64_t>(
         static_cast<double>(truth.cpu_instructions) *
         d.cpu_skip_fraction);
-    stats_.instr_skipped += skipped;
-    soc_.executeCpu(truth.cpu_instructions - skipped,
-                    soc::CpuCluster::Big);
-    soc_.accessMemory(truth.memory_bytes);
+    st.instr_skipped += skipped;
+    s.soc.executeCpu(truth.cpu_instructions - skipped,
+                     soc::CpuCluster::Big);
+    s.soc.accessMemory(truth.memory_bytes);
     if (d.skip_ips) {
-        stats_.ip_work_skipped += truth.ipWorkUnits();
+        st.ip_work_skipped += truth.ipWorkUnits();
     } else {
         for (const auto &c : truth.ip_calls) {
-            soc_.invokeIp(c.kind, c.work_units);
-            ipLastUse_[static_cast<int>(c.kind)] = at;
+            s.soc.invokeIp(c.kind, c.work_units);
+            s.ipLastUse[static_cast<int>(c.kind)] = at;
         }
     }
     if (truth.useless)
-        stats_.useless_instr_executed +=
-            truth.cpu_instructions - skipped;
-    game_.applyOutputs(truth.outputs);
-    scheme_.observe(truth);
+        st.useless_instr_executed += truth.cpu_instructions - skipped;
+    game.applyOutputs(truth.outputs);
+    scheme.observe(truth);
 }
 
-void
-SessionBody::frameEnd(double frame_end, double dt)
-{
-    // Per-frame background load (composition, UI animation, audio
-    // stream, game-loop tick on the little cluster).
-    const games::GameParams &gp = game_.params();
-    soc_.invokeIp(soc::IpKind::Display, gp.frame_display_units);
-    ipLastUse_[static_cast<int>(soc::IpKind::Display)] = frame_end;
-    if (gp.frame_gpu_units > 0) {
-        soc_.invokeIp(soc::IpKind::Gpu, gp.frame_gpu_units);
-        ipLastUse_[static_cast<int>(soc::IpKind::Gpu)] = frame_end;
-    }
-    if (gp.audio_units_per_s > 0) {
-        soc_.invokeIp(soc::IpKind::Audio,
-                      gp.audio_units_per_s * (1.0 / gp.frame_rate));
-        ipLastUse_[static_cast<int>(soc::IpKind::Audio)] = frame_end;
-    }
-    soc_.executeCpu(static_cast<uint64_t>(gp.frame_cpu_minstr * 1e6),
-                    soc::CpuCluster::Little);
-
-    // IP sleep policy: gate blocks idle longer than the scheme's
-    // timeout. The display never gates while the screen is on.
-    double timeout = scheme_.ipSleepTimeout();
-    for (int k = 0; k < soc::kNumIpKinds; ++k) {
-        auto kind = static_cast<soc::IpKind>(k);
-        if (kind == soc::IpKind::Display)
-            continue;
-        if (frame_end - ipLastUse_[k] > timeout)
-            soc_.ip(kind).setSleeping(true);
-    }
-
-    soc_.advance(dt);
-    if (oc_.frames)
-        oc_.frames->add(1);
-}
-
-SessionResult
-SessionBody::finalize()
-{
-    SessionResult result{soc_.report(), stats_, recorder_.trace()};
-
-    if (cfg_.obs) {
-        // End-of-session totals and derived rates. When registries
-        // of several sessions are merged, counters stay additive;
-        // the rate gauges are last-writer and should be recomputed
-        // from the merged counters (see DESIGN.md).
-        obs::Registry &r = *cfg_.obs;
-        r.counter("session.instr_total").add(stats_.instr_total);
-        r.counter("session.instr_skipped").add(stats_.instr_skipped);
-        r.counter("session.output_fields")
-            .add(stats_.output_fields_total);
-        r.counter("session.output_fields_wrong")
-            .add(stats_.output_fields_wrong);
-        r.gauge("session.duration_s").set(cfg_.duration_s);
-        r.gauge("session.energy_j").set(result.report.total());
-        r.gauge("session.lookup_energy_j")
-            .set(stats_.lookup_energy_j);
-        uint64_t looked = oc_.hits->value() + oc_.misses->value();
-        r.gauge("session.hit_rate")
-            .set(looked ? static_cast<double>(oc_.hits->value()) /
-                              static_cast<double>(looked)
-                        : 0.0);
-        r.gauge("session.error_field_rate")
-            .set(stats_.errorFieldRate());
-        r.gauge("session.coverage_instr")
-            .set(stats_.coverageInstr());
-    }
-    return result;
-}
-
-}  // namespace detail
+}  // namespace
 
 SessionResult
 runSession(games::Game &game, Scheme &scheme,
            const SimulationConfig &cfg)
 {
-    if (cfg.duration_s <= 0)
-        util::fatal("runSession: non-positive duration %f",
+    if (!(std::isfinite(cfg.duration_s) && cfg.duration_s > 0))
+        util::fatal("runSession: duration %f is not finite and "
+                    "positive",
                     cfg.duration_s);
 
-    if (cfg.pipeline.enabled) {
-        Pipeline pipeline(game, scheme, cfg);
-        return pipeline.run();
-    }
-
     game.reset();
-    uint32_t block = detail::effectiveBlock(cfg, scheme);
-    detail::EventGen gen(game, cfg, block);
-    detail::SessionBody body(game, scheme, cfg);
-
-    // Sequential drive of the same two halves the pipeline runs on
-    // separate workers: per block, the scheme's prepareBatch hint
-    // (SNIP resolves its frozen index probes type-grouped), then
-    // the unchanged per-event stage. Event generation is
-    // state-independent and consumes the rng in exactly this order
-    // either way, so sessions are bitwise-identical at every block
-    // size and in both runtimes.
-    detail::GenItem item;
-    while (gen.next(item)) {
-        if (item.kind == detail::GenItem::Kind::Block) {
-            if (item.events.size() > 1)
-                scheme.prepareBatch(
-                    {item.events.data(), item.events.size()});
-            for (const auto &ev : item.events)
-                body.processEvent(ev);
-        } else {
-            body.frameEnd(item.frame_end, item.dt);
-        }
+    SessionState s(cfg.model);
+    s.soc.setInUse(true);
+    trace::EventRecorder recorder(game.name());
+    if (cfg.record_events) {
+        s.binder.setTap([&recorder](const events::EventObject &ev) {
+            recorder.onEvent(ev);
+        });
     }
-    return body.finalize();
+    s.oc = resolveObs(cfg.obs);
+
+    // Jittered periodic arrivals per mix entry.
+    const games::GameParams &gp = game.params();
+    const auto &mix = gp.mix;
+    util::Rng rng(util::mixCombine(cfg.seed, util::fnv1a(game.name())));
+    std::vector<double> next_at(mix.size());
+    for (size_t i = 0; i < mix.size(); ++i)
+        next_at[i] = rng.uniformReal() / mix[i].rate_hz;
+
+    const double frame_dt = 1.0 / gp.frame_rate;
+    const double timeout = scheme.ipSleepTimeout();
+    double now = 0.0;
+    while (now < cfg.duration_s) {
+        double frame_end = std::min(now + frame_dt, cfg.duration_s);
+
+        // This frame's events, in time order across mix entries.
+        // Per event: makeEvent, then the arrival-jitter draw, then
+        // delivery.
+        for (;;) {
+            size_t best = SIZE_MAX;
+            for (size_t i = 0; i < mix.size(); ++i) {
+                if (next_at[i] < frame_end &&
+                    (best == SIZE_MAX || next_at[i] < next_at[best]))
+                    best = i;
+            }
+            if (best == SIZE_MAX)
+                break;
+            events::EventObject ev =
+                game.makeEvent(mix[best].type, next_at[best], rng);
+            next_at[best] +=
+                rng.uniformReal(0.7, 1.3) / mix[best].rate_hz;
+            processEvent(game, scheme, cfg, s, ev);
+        }
+
+        // Per-frame background load (composition, UI animation,
+        // audio stream, game-loop tick on the little cluster).
+        s.soc.invokeIp(soc::IpKind::Display, gp.frame_display_units);
+        s.ipLastUse[static_cast<int>(soc::IpKind::Display)] = frame_end;
+        if (gp.frame_gpu_units > 0) {
+            s.soc.invokeIp(soc::IpKind::Gpu, gp.frame_gpu_units);
+            s.ipLastUse[static_cast<int>(soc::IpKind::Gpu)] = frame_end;
+        }
+        if (gp.audio_units_per_s > 0) {
+            s.soc.invokeIp(soc::IpKind::Audio,
+                           gp.audio_units_per_s * frame_dt);
+            s.ipLastUse[static_cast<int>(soc::IpKind::Audio)] =
+                frame_end;
+        }
+        s.soc.executeCpu(
+            static_cast<uint64_t>(gp.frame_cpu_minstr * 1e6),
+            soc::CpuCluster::Little);
+
+        // IP sleep policy: gate blocks idle longer than the scheme's
+        // timeout. The display never gates while the screen is on.
+        for (int k = 0; k < soc::kNumIpKinds; ++k) {
+            auto kind = static_cast<soc::IpKind>(k);
+            if (kind == soc::IpKind::Display)
+                continue;
+            if (frame_end - s.ipLastUse[k] > timeout)
+                s.soc.ip(kind).setSleeping(true);
+        }
+
+        s.soc.advance(frame_end - now);
+        now = frame_end;
+        if (s.oc.frames)
+            s.oc.frames->add(1);
+    }
+
+    const SessionStats &st = s.stats;
+    SessionResult result{s.soc.report(), st, recorder.trace()};
+    if (cfg.obs) {
+        // End-of-session totals and derived rates. When registries
+        // of several sessions are merged, counters stay additive;
+        // the rate gauges are last-writer and should be recomputed
+        // from the merged counters (see DESIGN.md).
+        obs::Registry &r = *cfg.obs;
+        r.counter("session.instr_total").add(st.instr_total);
+        r.counter("session.instr_skipped").add(st.instr_skipped);
+        r.counter("session.output_fields")
+            .add(st.output_fields_total);
+        r.counter("session.output_fields_wrong")
+            .add(st.output_fields_wrong);
+        r.gauge("session.duration_s").set(cfg.duration_s);
+        r.gauge("session.energy_j").set(result.report.total());
+        r.gauge("session.lookup_energy_j").set(st.lookup_energy_j);
+        uint64_t hits = s.oc.hits->value();
+        uint64_t looked = hits + s.oc.misses->value();
+        r.gauge("session.hit_rate")
+            .set(looked ? static_cast<double>(hits) /
+                              static_cast<double>(looked)
+                        : 0.0);
+        r.gauge("session.error_field_rate").set(st.errorFieldRate());
+        r.gauge("session.coverage_instr").set(st.coverageInstr());
+    }
+    return result;
 }
 
 util::Power

@@ -12,8 +12,7 @@
  * callable is alive — the intended use is as a by-value parameter
  * invoked during the call it was passed to (exactly how
  * util::parallelFor and TaskPool use it). Never store one beyond the
- * callee's return unless the caller guarantees the callable outlives
- * it (TaskPool::lease documents this for its worker bodies).
+ * callee's return.
  */
 
 #ifndef SNIP_UTIL_FUNCTION_REF_H

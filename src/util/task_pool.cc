@@ -7,7 +7,6 @@
 #include <mutex>
 #include <thread>
 
-#include "util/logging.h"
 
 namespace snip {
 namespace util {
@@ -20,8 +19,6 @@ constexpr unsigned kMaxWorkers = 512;
 constexpr size_t kDequeCap = 256;
 /** Shared overflow ring capacity. */
 constexpr size_t kOverflowCap = 4096;
-/** Lease lane capacity (pipelines lease 1–2 workers at a time). */
-constexpr size_t kLeaseCap = 256;
 /** Spin iterations before a job waiter parks on the job condvar. */
 constexpr int kWaitSpins = 512;
 
@@ -167,11 +164,6 @@ struct Worker {
     unsigned index = 0;
 };
 
-struct LeaseTask {
-    TaskPool::WorkerLease *lease = nullptr;
-    unsigned index = 0;
-};
-
 /** This thread's pool worker, if it is one. */
 thread_local Worker *t_worker = nullptr;
 
@@ -184,7 +176,7 @@ struct TaskPool::Impl {
     std::atomic<unsigned> nworkers{0};
 
     // ------------------------------------------------ shared queues
-    std::mutex mu;  ///< Guards rings, parking, growth, commits.
+    std::mutex mu;  ///< Guards the ring, parking and growth.
     std::condition_variable cv;
     /** Bumped (under mu) whenever new work arrives; parking workers
      *  wait for it to move so no submission is ever slept through. */
@@ -196,22 +188,12 @@ struct TaskPool::Impl {
     size_t overflow_tail = 0;  ///< Next push slot.
     std::atomic<size_t> overflow_count{0};
 
-    LeaseTask leases[kLeaseCap];
-    size_t lease_head = 0;
-    size_t lease_tail = 0;
-    std::atomic<size_t> lease_count{0};
-
-    /** Workers pinned (or about to be) by unfinished lease bodies
-     *  plus lease callers waiting on a pool worker: the spawn
-     *  guarantee keeps nworkers >= min(committed, kMaxWorkers). */
-    size_t committed = 0;
-
     /**
-     * Completion channel for job submitters and lease waiters.
-     * Deliberately pool-global (and therefore immortal): a finisher
-     * signals completion of a stack-resident Job/WorkerLease here
-     * AFTER its final fetch_sub on that object, so it never touches
-     * memory the woken waiter is about to unwind. Shared by all
+     * Completion channel for job submitters. Deliberately
+     * pool-global (and therefore immortal): a finisher signals
+     * completion of a stack-resident Job here AFTER its final
+     * fetch_sub on that object, so it never touches memory the
+     * woken waiter is about to unwind. Shared by all
      * concurrent waiters — parking is rare (post-spin), so the
      * broadcast herd is noise.
      */
@@ -228,7 +210,6 @@ struct TaskPool::Impl {
     void workerLoop(Worker *self);
     bool runOne(Worker *self);
     void runTicket(Job *job);
-    void runLeaseBody(LeaseTask task);
     void participate(Job &job);
     void signalDone();
     void spawnLocked();
@@ -285,54 +266,12 @@ TaskPool::Impl::runTicket(Job *job)
         signalDone();
 }
 
-void
-TaskPool::Impl::runLeaseBody(LeaseTask task)
-{
-    stat_tasks.fetch_add(1, std::memory_order_relaxed);
-    try {
-        task.lease->body_(task.index);
-    } catch (...) {
-        // Lease bodies own their error channel (core::Pipeline
-        // captures worker exceptions itself); one escaping here
-        // would strand the pool worker's loop state.
-        panic("TaskPool: lease body %u threw", task.index);
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        --committed;
-    }
-    // Same lifetime discipline as Job: this fetch_sub is the last
-    // access to the (stack-resident) lease; completion is signaled
-    // through the pool's immortal channel.
-    if (task.lease->remaining_.fetch_sub(
-            1, std::memory_order_seq_cst) == 1)
-        signalDone();
-}
-
 bool
 TaskPool::Impl::runOne(Worker *self)
 {
     if (Job *job = self->deque.pop()) {
         runTicket(job);
         return true;
-    }
-    if (lease_count.load(std::memory_order_acquire) > 0) {
-        LeaseTask task;
-        bool got = false;
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            if (lease_count.load(std::memory_order_relaxed) > 0) {
-                task = leases[lease_head % kLeaseCap];
-                ++lease_head;
-                lease_count.fetch_sub(1,
-                                      std::memory_order_release);
-                got = true;
-            }
-        }
-        if (got) {
-            runLeaseBody(task);
-            return true;
-        }
     }
     if (overflow_count.load(std::memory_order_acquire) > 0) {
         Job *job = nullptr;
@@ -564,70 +503,6 @@ TaskPool::parallelFor(size_t n, FunctionRef<void(size_t)> fn,
     impl_->waitJob(job);
     if (job.eptr)
         std::rethrow_exception(job.eptr);
-}
-
-TaskPool::WorkerLease::WorkerLease(TaskPool &pool, unsigned count,
-                                   FunctionRef<void(unsigned)> body)
-    : pool_(pool), body_(body), count_(count), remaining_(count)
-{
-    if (count == 0) {
-        waited_ = true;
-        return;
-    }
-    Impl &impl = *pool.impl_;
-    unsigned queued = 0;
-    {
-        std::lock_guard<std::mutex> lock(impl.mu);
-        size_t extra =
-            (t_worker &&
-             impl.workers[t_worker->index] == t_worker)
-                ? 1   // the committed caller occupies a worker too
-                : 0;
-        impl.committed += count + extra;
-        impl.ensureWorkersLocked(impl.committed);
-        while (queued < count &&
-               impl.lease_tail - impl.lease_head < kLeaseCap) {
-            impl.leases[impl.lease_tail % kLeaseCap] =
-                LeaseTask{this, queued};
-            ++impl.lease_tail;
-            impl.lease_count.fetch_add(1,
-                                       std::memory_order_release);
-            ++queued;
-        }
-        impl.wakeLocked();
-    }
-    // Lease lane full (pathological fan-out): fall back to direct
-    // dedicated threads so the start guarantee still holds.
-    for (unsigned i = queued; i < count; ++i) {
-        impl.stat_spawned.fetch_add(1, std::memory_order_relaxed);
-        std::thread([&impl, this, i] {
-            impl.runLeaseBody(LeaseTask{this, i});
-        }).detach();
-    }
-}
-
-void
-TaskPool::WorkerLease::wait()
-{
-    if (waited_)
-        return;
-    Impl &impl = *pool_.impl_;
-    {
-        // Pool-global completion channel (see Impl::done_mu): the
-        // finishing worker's last access to this lease is its
-        // remaining_ decrement, so this object is destructible the
-        // moment the predicate holds.
-        std::unique_lock<std::mutex> lock(impl.done_mu);
-        impl.done_cv.wait(lock, [&] {
-            return remaining_.load(std::memory_order_seq_cst) == 0;
-        });
-    }
-    {
-        std::lock_guard<std::mutex> lock(impl.mu);
-        if (t_worker && impl.workers[t_worker->index] == t_worker)
-            --impl.committed;  // release the caller's own slot
-    }
-    waited_ = true;
 }
 
 unsigned

@@ -2,13 +2,13 @@
  * @file
  * Persistent work-stealing task pool: one lazily-started,
  * process-lifetime set of worker threads shared by every parallel
- * phase in the library — Shrink training/PFI, fleet aggregation,
- * session fan-out, and the pipelined session runtime. Before this
- * existed, util::parallelFor spawned and joined fresh std::threads
- * on every call, and the callers invoke it *in loops* (PFI once per
- * refresh, fleet aggregation three times per round, the continuous
- * learner every epoch), so thread creation was a recurring per-epoch
- * tax. The pool pays it once.
+ * phase in the library — Shrink training/PFI, fleet aggregation and
+ * session fan-out. Before this existed, util::parallelFor spawned
+ * and joined fresh std::threads on every call, and the callers
+ * invoke it *in loops* (PFI once per refresh, fleet aggregation
+ * three times per round, the continuous learner every epoch), so
+ * thread creation was a recurring per-epoch tax. The pool pays it
+ * once.
  *
  * Structure (the SNIG/SparseDNN persistent-executor idiom):
  *
@@ -17,13 +17,7 @@
  *    and Efficient Work-Stealing for Weak Memory Models");
  *  - a shared mutex-protected overflow ring for submissions from
  *    threads that are not pool workers (every external parallelFor
- *    caller), and for deque spill;
- *  - a lease lane for callers that need *dedicated* workers running
- *    a long cooperative loop (core::Pipeline's stage workers):
- *    leased bodies are guaranteed to start — the pool spawns
- *    additional workers when every resident one is already
- *    committed — so a pipeline can never deadlock against a busy
- *    pool.
+ *    caller), and for deque spill.
  *
  * Scheduling units are "participation tickets", not per-index tasks:
  * a parallel loop publishes one stack-resident Job carrying an
@@ -53,7 +47,6 @@
 #ifndef SNIP_UTIL_TASK_POOL_H
 #define SNIP_UTIL_TASK_POOL_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -68,7 +61,7 @@ class TaskPool
     /** Monotonic lifetime totals (relaxed snapshots). */
     struct Stats {
         uint64_t threads_spawned = 0;  ///< Workers ever created.
-        uint64_t tasks = 0;     ///< Tickets + lease bodies executed.
+        uint64_t tasks = 0;     ///< Tickets executed.
         uint64_t steals = 0;    ///< Successful cross-deque steals.
         uint64_t overflow = 0;  ///< Tickets routed via the shared ring.
         uint64_t park_ns = 0;   ///< Cumulative worker idle-park time.
@@ -95,43 +88,6 @@ class TaskPool
      */
     void parallelFor(size_t n, FunctionRef<void(size_t)> fn,
                      unsigned threads);
-
-    /**
-     * Dedicated-worker lease for long cooperative loops. Guaranteed
-     * to start all @p count bodies even when every resident worker
-     * is busy (the pool spawns what the guarantee needs, counted in
-     * threads_spawned; leased workers return to the pool when the
-     * body finishes). body(i) runs for every i in [0, count), each
-     * on its own worker. The FunctionRef must stay valid until
-     * wait() returns.
-     */
-    class WorkerLease
-    {
-      public:
-        ~WorkerLease() { wait(); }
-
-        WorkerLease(const WorkerLease &) = delete;
-        WorkerLease &operator=(const WorkerLease &) = delete;
-
-        /** Block until every leased body returned. Idempotent. */
-        void wait();
-
-      private:
-        friend class TaskPool;
-        WorkerLease(TaskPool &pool, unsigned count,
-                    FunctionRef<void(unsigned)> body);
-
-        TaskPool &pool_;
-        FunctionRef<void(unsigned)> body_;
-        unsigned count_;
-        std::atomic<unsigned> remaining_;
-        bool waited_ = false;
-    };
-
-    WorkerLease lease(unsigned count, FunctionRef<void(unsigned)> body)
-    {
-        return WorkerLease(*this, count, body);
-    }
 
     /** Resident worker count (monotonic; 0 until first parallel use). */
     unsigned size() const;

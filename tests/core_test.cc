@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "core/continuous_learning.h"
 #include "core/frozen_table.h"
@@ -556,100 +558,6 @@ TEST_F(MemoTableTest, FrozenArenaCorruptionFuzz)
     }
 }
 
-// lookupBatch() must agree with per-event lookup() on every field of
-// every FrozenLookup, for any window size (including ragged tails and
-// single-event blocks), over a stream mixing profiled and fresh
-// events.
-TEST_F(MemoTableTest, FrozenLookupBatchMatchesScalar)
-{
-    util::Rng rng(0xba7c4);
-    std::vector<events::EventObject> seen;
-    for (int i = 0; i < 256; ++i) {
-        table_->insert(nextExecution(rng));
-        seen.push_back(last_event_);
-    }
-    auto frozen = table_->freeze();
-
-    std::vector<events::EventObject> stream;
-    for (int i = 0; i < 4096; ++i)
-        stream.push_back(
-            rng.next() % 2 == 0
-                ? seen[rng.next() % seen.size()]
-                : game_->makeEvent(events::EventType::Touch, 0.0,
-                                   rng));
-
-    LookupScratch ss;
-    BatchLookupScratch bs;
-    uint64_t hits = 0;
-    for (size_t block : {size_t(1), size_t(7), size_t(32),
-                         size_t(211)}) {
-        std::vector<FrozenLookup> out(block);
-        for (size_t base = 0; base < stream.size(); base += block) {
-            size_t len = std::min(block, stream.size() - base);
-            frozen->lookupBatch({stream.data() + base, len}, *game_,
-                                {out.data(), len}, bs);
-            for (size_t k = 0; k < len; ++k) {
-                FrozenLookup s = frozen->lookup(stream[base + k],
-                                                *game_, ss);
-                const FrozenLookup &b = out[k];
-                ASSERT_EQ(s.hit, b.hit) << base + k;
-                ASSERT_EQ(s.candidates, b.candidates) << base + k;
-                ASSERT_EQ(s.bytes_scanned, b.bytes_scanned)
-                    << base + k;
-                if (s.hit) {
-                    ++hits;
-                    ASSERT_EQ(s.entry_ordinal, b.entry_ordinal);
-                    ASSERT_EQ(s.nout, b.nout);
-                    for (uint32_t o = 0; o < s.nout; ++o) {
-                        ASSERT_EQ(s.out_ids[o], b.out_ids[o]);
-                        ASSERT_EQ(s.out_values[o], b.out_values[o]);
-                    }
-                }
-            }
-        }
-    }
-    EXPECT_GT(hits, 0u);
-}
-
-// probeBatch() resolves the same index ranges the scalar probe does,
-// and a probe finished later via finishLookup() equals a direct
-// lookup (the prepareBatch()/decide() split in SnipScheme).
-TEST_F(MemoTableTest, ProbeBatchMatchesScalarProbe)
-{
-    util::Rng rng(0x9e0be);
-    std::vector<events::EventObject> seen;
-    for (int i = 0; i < 128; ++i) {
-        table_->insert(nextExecution(rng));
-        seen.push_back(last_event_);
-    }
-    auto frozen = table_->freeze();
-
-    std::vector<events::EventObject> stream;
-    for (int i = 0; i < 512; ++i)
-        stream.push_back(
-            rng.next() % 2 == 0
-                ? seen[rng.next() % seen.size()]
-                : game_->makeEvent(events::EventType::Touch, 0.0,
-                                   rng));
-
-    BatchLookupScratch bs;
-    std::vector<FrozenProbe> probes(stream.size());
-    frozen->probeBatch({stream.data(), stream.size()},
-                       {probes.data(), probes.size()}, bs);
-    LookupScratch a, b;
-    for (size_t i = 0; i < stream.size(); ++i) {
-        FrozenProbe p = frozen->probeEvent(stream[i]);
-        ASSERT_EQ(p.begin, probes[i].begin) << i;
-        ASSERT_EQ(p.count, probes[i].count) << i;
-        FrozenLookup via =
-            frozen->finishLookup(stream[i], *game_, a, probes[i]);
-        FrozenLookup direct = frozen->lookup(stream[i], *game_, b);
-        ASSERT_EQ(via.hit, direct.hit) << i;
-        ASSERT_EQ(via.candidates, direct.candidates) << i;
-        ASSERT_EQ(via.bytes_scanned, direct.bytes_scanned) << i;
-    }
-}
-
 // ------------------------------------------------------ lookup tables
 
 class AnalysisTest : public ::testing::Test
@@ -812,10 +720,9 @@ TEST(Schemes, MaxIpSkipsIpsOnExactEventRepeat)
 
 TEST(Schemes, MaxIpDecideAloneDoesNotLearn)
 {
-    // decide() must be read-only: a pipelined caller that separates
-    // decide from observe must not see the event as "seen" until
-    // observe() runs, and re-deciding without observing must never
-    // change the answer.
+    // The decide/observe protocol: decide() only reads what observe()
+    // learned, so an event is not "seen" until observe() runs, and
+    // re-deciding without observing never changes the answer.
     auto game = games::makeGame("colorphun");
     MaxIpScheme s;
     util::Rng rng(3);
@@ -932,95 +839,6 @@ TEST(Schemes, OverlayFallbackLookupBytesNoUnderflow)
     }
 }
 
-// The 10k-event batch-vs-scalar fuzz: mixed event types, the audit
-// watchdog live, online fill on. decideBatch() must produce
-// bitwise-identical Decision sequences and leave both schemes with
-// identical hit counts, audit counters and overlay contents.
-TEST(Schemes, DecideBatchMatchesScalarFuzz)
-{
-    auto game = games::makeGame("ab_evolution");
-    BaselineScheme baseline;
-    SimulationConfig cfg;
-    cfg.duration_s = 60.0;
-    cfg.record_events = true;
-    cfg.seed = 99;
-    SessionResult res = runSession(*game, baseline, cfg);
-    auto replica = games::makeGame("ab_evolution");
-    trace::Profile profile =
-        trace::Replayer::replay(res.trace, *replica);
-    SnipConfig scfg;
-    scfg.min_records_per_type = 8;
-    SnipModel model = buildSnipModel(profile, *game, scfg);
-    ASSERT_NE(model.table, nullptr);
-
-    // Tile the recorded stream to 10k events (duplicates are what
-    // make the hit/audit paths fire); the game keeps its
-    // end-of-session state, matching the most recent records.
-    const auto &evs = res.trace.events;
-    const auto &recs = profile.records;
-    ASSERT_EQ(evs.size(), recs.size());
-    ASSERT_GT(evs.size(), 0u);
-    const size_t kTotal = 10000;
-    std::vector<events::EventObject> stream(kTotal);
-    std::vector<games::HandlerExecution> truths(kTotal);
-    for (size_t i = 0; i < kTotal; ++i) {
-        stream[i] = evs[i % evs.size()];
-        truths[i] = recs[i % recs.size()];
-    }
-
-    SnipRuntimeConfig rcfg;
-    rcfg.online_fill = true;
-    rcfg.audit_every = 4;
-    SnipScheme scalar(model, rcfg);
-    SnipScheme batched(model, rcfg);
-
-    util::Rng brng(0xb10c);
-    std::vector<Decision> bdec;
-    uint64_t hits = 0;
-    size_t base = 0;
-    while (base < kTotal) {
-        size_t len = std::min<size_t>(1 + brng.next() % 64,
-                                      kTotal - base);
-        bdec.resize(len);
-        batched.prepareBatch({stream.data() + base, len});
-        batched.decideBatch(*game, {stream.data() + base, len},
-                            {truths.data() + base, len},
-                            {bdec.data(), len});
-        for (size_t k = 0; k < len; ++k) {
-            Decision sd =
-                scalar.decide(*game, stream[base + k],
-                              truths[base + k]);
-            if (!sd.shortcircuit)
-                scalar.observe(truths[base + k]);
-            const Decision &bd = bdec[k];
-            ASSERT_EQ(sd.shortcircuit, bd.shortcircuit) << base + k;
-            ASSERT_EQ(sd.outputs, bd.outputs) << base + k;
-            ASSERT_EQ(sd.cpu_skip_fraction, bd.cpu_skip_fraction);
-            ASSERT_EQ(sd.skip_ips, bd.skip_ips) << base + k;
-            ASSERT_EQ(sd.lookup_bytes, bd.lookup_bytes) << base + k;
-            ASSERT_EQ(sd.lookup_candidates, bd.lookup_candidates)
-                << base + k;
-            ASSERT_EQ(sd.charge_lookup, bd.charge_lookup);
-            ASSERT_EQ(sd.lookup_ran, bd.lookup_ran) << base + k;
-            ASSERT_EQ(sd.lookup_hit, bd.lookup_hit) << base + k;
-            ASSERT_EQ(sd.audited, bd.audited) << base + k;
-            hits += sd.lookup_hit;
-        }
-        base += len;
-    }
-    EXPECT_EQ(scalar.hitCounts(), batched.hitCounts());
-    EXPECT_EQ(scalar.auditsRun(), batched.auditsRun());
-    EXPECT_EQ(scalar.auditsFailed(), batched.auditsFailed());
-    EXPECT_EQ(scalar.tableClears(), batched.tableClears());
-    EXPECT_EQ(scalar.overlayEntries(), batched.overlayEntries());
-    EXPECT_EQ(scalar.frozenActive(), batched.frozenActive());
-    // The tiled duplicates must actually exercise the hit path
-    // (and with it the audit watchdog).
-    EXPECT_GT(hits, 0u);
-    EXPECT_GT(scalar.auditsRun(), 0u);
-    EXPECT_GT(scalar.overlayEntries(), 0u);
-}
-
 // --------------------------------------------------------- Simulation
 
 TEST(Simulation, SessionStatsConsistent)
@@ -1063,63 +881,100 @@ TEST(Simulation, SameSeedSameEnergy)
     EXPECT_DOUBLE_EQ(e1, e2);
 }
 
-// Sessions must be bitwise-identical at every batch_block setting:
-// the batched drain only hoists event generation and the frozen
-// index probes, never any state-dependent work.
-TEST(Simulation, BatchedSessionBitwiseIdentical)
+/** Fold a double's bit pattern into a digest. */
+uint64_t
+mixBits(uint64_t h, double v)
 {
-    auto game = games::makeGame("colorphun");
+    return util::mixCombine(h, std::bit_cast<uint64_t>(v));
+}
+
+/**
+ * Digest of everything a session reports: every SessionStats field
+ * and every EnergyReport component, doubles by their bit pattern.
+ */
+uint64_t
+sessionDigest(const SessionResult &res)
+{
+    const SessionStats &s = res.stats;
+    uint64_t h = 0x5e55d16e57ULL;
+    for (uint64_t v :
+         {s.events, s.shortcircuits, s.instr_total, s.instr_skipped,
+          s.lookup_bytes, s.lookup_candidates,
+          s.erroneous_shortcircuits, s.err_temp_only, s.err_history,
+          s.err_extern, s.output_fields_total, s.output_fields_wrong,
+          s.useless_events, s.useless_instr_executed})
+        h = util::mixCombine(h, v);
+    for (double v : {s.ip_work_total, s.ip_work_skipped,
+                     s.lookup_energy_j})
+        h = mixBits(h, v);
+    for (const soc::ComponentEnergy &c : res.report.components()) {
+        h = util::mixCombine(h, util::fnv1a(c.name));
+        h = util::mixCombine(h, static_cast<uint64_t>(c.group));
+        h = mixBits(h, c.dynamic_j);
+        h = mixBits(h, c.static_j);
+    }
+    h = mixBits(h, res.report.elapsed());
+    return mixBits(h, res.report.total());
+}
+
+/** A SNIP model of @p name built from a recorded Baseline session. */
+SnipModel
+goldenModel(const std::string &name)
+{
+    auto game = games::makeGame(name);
     BaselineScheme baseline;
     SimulationConfig pcfg;
     pcfg.duration_s = 30.0;
     pcfg.record_events = true;
     SessionResult prof = runSession(*game, baseline, pcfg);
-    auto replica = games::makeGame("colorphun");
+    auto replica = games::makeGame(name);
     trace::Profile profile =
         trace::Replayer::replay(prof.trace, *replica);
     SnipConfig scfg;
     scfg.min_records_per_type = 8;
-    SnipModel model = buildSnipModel(profile, *game, scfg);
-    ASSERT_NE(model.table, nullptr);
+    return buildSnipModel(profile, *game, scfg);
+}
 
-    auto runWith = [&](uint32_t block) {
-        SnipRuntimeConfig rcfg;
-        rcfg.audit_every = 8;
-        SnipScheme scheme(model, rcfg);
-        SimulationConfig ecfg;
-        ecfg.duration_s = 15.0;
-        ecfg.seed = 5;
-        ecfg.batch_block = block;
-        return runSession(*game, scheme, ecfg);
-    };
-    SessionResult scalar = runWith(1);
-    for (uint32_t block : {0u, 8u, 256u}) {
-        SessionResult batched = runWith(block);
-        const SessionStats &a = scalar.stats;
-        const SessionStats &b = batched.stats;
-        EXPECT_EQ(a.events, b.events) << block;
-        EXPECT_EQ(a.shortcircuits, b.shortcircuits) << block;
-        EXPECT_EQ(a.instr_total, b.instr_total) << block;
-        EXPECT_EQ(a.instr_skipped, b.instr_skipped) << block;
-        EXPECT_DOUBLE_EQ(a.ip_work_total, b.ip_work_total) << block;
-        EXPECT_DOUBLE_EQ(a.ip_work_skipped, b.ip_work_skipped)
-            << block;
-        EXPECT_EQ(a.lookup_bytes, b.lookup_bytes) << block;
-        EXPECT_EQ(a.lookup_candidates, b.lookup_candidates) << block;
-        EXPECT_DOUBLE_EQ(a.lookup_energy_j, b.lookup_energy_j)
-            << block;
-        EXPECT_EQ(a.erroneous_shortcircuits, b.erroneous_shortcircuits)
-            << block;
-        EXPECT_EQ(a.output_fields_total, b.output_fields_total)
-            << block;
-        EXPECT_EQ(a.output_fields_wrong, b.output_fields_wrong)
-            << block;
-        EXPECT_EQ(a.useless_events, b.useless_events) << block;
-        EXPECT_DOUBLE_EQ(scalar.report.total(), batched.report.total())
-            << block;
-    }
-    // The stream must actually exercise the hit path.
-    EXPECT_GT(scalar.stats.shortcircuits, 0u);
+// Pins the whole session loop: any change to event generation, the
+// decide/observe protocol, output application or SoC charging moves
+// at least one of these digests. The constants were recorded with
+// the sequential loop of the time the test was added; a deliberate
+// behaviour change must re-record them and say why.
+TEST(Simulation, SessionGoldenDigest)
+{
+    SimulationConfig ecfg;
+    ecfg.duration_s = 20.0;
+    ecfg.seed = 5;
+
+    auto colorphun = games::makeGame("colorphun");
+    BaselineScheme baseline;
+    SessionResult base = runSession(*colorphun, baseline, ecfg);
+
+    SnipModel cmodel = goldenModel("colorphun");
+    ASSERT_NE(cmodel.table, nullptr);
+    SnipRuntimeConfig rcfg;
+    rcfg.audit_every = 8;
+    rcfg.online_fill = true;
+    SnipScheme snip(cmodel, rcfg);
+    SessionResult snipped = runSession(*colorphun, snip, ecfg);
+    EXPECT_GT(snipped.stats.shortcircuits, 0u);
+    EXPECT_GT(snip.auditsRun(), 0u);
+    EXPECT_GT(snip.overlayEntries(), 0u);
+
+    SnipScheme free_lookups(cmodel, SnipRuntimeConfig{}, false);
+    SessionResult noov = runSession(*colorphun, free_lookups, ecfg);
+
+    auto ab = games::makeGame("ab_evolution");
+    SnipModel amodel = goldenModel("ab_evolution");
+    ASSERT_NE(amodel.table, nullptr);
+    SnipScheme ab_snip(amodel);
+    SessionResult ab_res = runSession(*ab, ab_snip, ecfg);
+    EXPECT_GT(ab_res.stats.shortcircuits, 0u);
+
+    EXPECT_EQ(sessionDigest(base), 0x51abb193bb39be90ULL);
+    EXPECT_EQ(sessionDigest(snipped), 0xa630b818b0372b09ULL);
+    EXPECT_EQ(sessionDigest(noov), 0xea6d011c6373f285ULL);
+    EXPECT_EQ(sessionDigest(ab_res), 0xfeac54eaf54da367ULL);
 }
 
 TEST(Simulation, DifferentSeedsDiffer)
@@ -1238,6 +1093,25 @@ TEST(Simulation, InvalidDurationFatal)
     cfg.duration_s = 0.0;
     EXPECT_THROW(runSession(*game, s, cfg), std::runtime_error);
     util::setThrowOnError(prev);
+}
+
+// NaN compares false against everything, so a `<= 0` guard let it
+// through and the frame loop never reached the end; +inf never ends
+// either. All three die on the same fatal() path.
+TEST(SimulationDeathTest, NonFiniteOrNonPositiveDurationFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (double d : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), 0.0}) {
+        auto game = games::makeGame("colorphun");
+        BaselineScheme s;
+        SimulationConfig cfg;
+        cfg.duration_s = d;
+        EXPECT_EXIT(runSession(*game, s, cfg),
+                    ::testing::ExitedWithCode(1),
+                    "not finite and positive")
+            << d;
+    }
 }
 
 // ------------------------------------------------ ContinuousLearner

@@ -1,50 +1,64 @@
 #!/usr/bin/env bash
-# CI driver: build + test the default config, run the micro_train
-# Shrink-phase smoke (twice — the selection/model digests must match
-# across runs and their pinned values, and the binary itself exits
-# non-zero on any broken determinism/zero-alloc contract), validate
-# the snip::obs telemetry export (fig11 --obs-json must parse and
-# carry the hit-rate / erroneous-field-rate / per-Shrink-phase-timing
-# signals), run the
-# out-of-core micro_train stage (2M synthetic rows trained through
-# the mmap'd SNCT view under a hard RSS cap, with the forest
-# fingerprint required identical across two block geometries), build +
-# test the asan/ubsan config (which reruns the obs, Log2Histogram,
-# and EmpiricalCdf regression tests under sanitizers), run the TSan
-# smokes of the shared-const concurrency contracts (parallel session
-# runner lookups + parallel training/PFI on a shared const forest +
-# lazily-sorted EmpiricalCdf reads + ShardedRegistry attribution,
-# including micro_train itself), run the micro_lookup hot-path smoke
-# (the binary exits non-zero if any lookup thread allocated in its
-# timed loop or the frozen and mutable layouts disagree on a single
-# decision; the JSON is additionally checked for zero allocs_per_iter
-# at every thread count of both lookup benchmarks and the batched
-# lookup benchmark must be present with zero allocs), then fuzz the
-# OTA model codec and the frozen "SNPF" arena with corrupt packages
-# under asan (truncations and random bit flips must be rejected
-# cleanly — no crashes, no sanitizer reports, including the mmap'd
-# SNCT attach path), and finally replay a 10k-event stream through
-# decideBatch/lookupBatch under asan asserting bitwise-identical
-# decisions against the scalar path. The pipelined session runtime
-# gets three stages of its own: the sequential-vs---pipeline bitwise
-# equivalence replay under asan, the fig11 --pipeline --obs-json
-# export check (per-stage occupancy/items/queue-depth must be
-# present and consistent), and the pipeline TSan smokes. The fleet
-# OTA backend gets three more: the fleet_sim --quick epoch push
-# (delta payload must undercut the full baseline, sharded
-# aggregation must stay bitwise-identical to serial, and the
-# per-cohort staleness report must be present and sane), the SNPD
-# patch corruption fuzz under asan (every real mutation of a patch
-# must be rejected and the device receive path must still converge
-# on the published head via full-fetch fallback), and the TSan
-# sharded-merge equivalence smoke. The loop benchmark's own
-# self-test runs last.
+# Continuous-integration checks. Stages, in order:
+#  - default build + ctest;
+#  - micro_train Shrink smoke, run twice: the selection and packed-model
+#    digests must agree across runs and with their pinned values, and
+#    the binary exits non-zero on a broken determinism or zero-alloc
+#    contract;
+#  - out-of-core micro_train: 2M synthetic rows through the mmap'd SNCT
+#    view under a hard RSS cap, the forest fingerprint identical across
+#    two block geometries;
+#  - fig11 --obs-json: the export parses and carries the hit-rate,
+#    erroneous-field-rate and per-Shrink-phase timing signals;
+#  - micro_lookup hot-path smoke: the binary exits non-zero if a lookup
+#    thread allocated in its timed loop, the frozen and mutable layouts
+#    disagree on one decision, or pool dispatch is not well ahead of
+#    spawn-per-call; the JSON must show zero allocs_per_iter for both
+#    lookup benchmarks at every thread count;
+#  - fleet_sim --quick epoch push: the delta payload undercuts the full
+#    package, sharded aggregation is bitwise-identical to serial, and
+#    the per-cohort staleness report is sane;
+#  - asan/ubsan build + ctest;
+#  - tsan smokes of the shared-const concurrency contracts: concurrent
+#    lookups on one const table (mutable and frozen), parallel sessions
+#    vs serial, parallel training/PFI, EmpiricalCdf reads,
+#    ShardedRegistry attribution, micro_train itself and the sharded
+#    fleet merge;
+#  - task pool: the whole parallel suite on an 8-way pool under tsan,
+#    and no worker respawns across fig12 epochs;
+#  - corruption fuzz under asan: the OTA model codec, the frozen SNPF
+#    arena, SNCT traces and training sections, and SNPD patches must
+#    reject corrupt bytes cleanly (no crash, no sanitizer report);
+#  - the loop benchmark's own self-test.
+#
+# Every --gtest_filter stage goes through run_filtered, which also
+# fails when the filter selects no test: GoogleTest 1.12 has no
+# --gtest_fail_if_no_test_selected, so a filter naming a deleted or
+# renamed test would otherwise pass silently.
 #
 # Usage: tools/ci.sh [jobs]   (jobs defaults to nproc)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
+
+# Run a gtest binary with its arguments; fail if it fails or if its
+# filter selected no test ("[==========] 0 tests from ...").
+run_filtered() {
+    local log
+    log=$(mktemp)
+    if ! "$@" 2>&1 | tee "$log"; then
+        rm -f "$log"
+        return 1
+    fi
+    if ! grep -qE '^\[==========\] [1-9][0-9]* tests? from .* ran\.' \
+            "$log"; then
+        echo "ci: no test selected by: $*" >&2
+        rm -f "$log"
+        return 1
+    fi
+    rm -f "$log"
+}
 
 echo "==> default build + ctest"
 cmake --preset default >/dev/null
@@ -133,7 +147,7 @@ if d['timers']['span.shrink']['sum_s'] <= 0.0:
 EOF
 
 echo "==> micro_lookup smoke (hot-path zero-alloc + frozen equivalence)"
-( cd build && ./bench/micro_lookup --pipeline \
+( cd build && ./bench/micro_lookup \
     --benchmark_min_time=0.05s \
     --benchmark_out=micro_lookup_ci.json \
     --benchmark_out_format=json >/dev/null )
@@ -149,8 +163,6 @@ if not any('BM_FrozenTableLookup' in b['name'] for b in lookups):
     sys.exit('micro_lookup: BM_FrozenTableLookup missing from JSON')
 if not any('BM_MemoTableLookup' in b['name'] for b in lookups):
     sys.exit('micro_lookup: BM_MemoTableLookup missing from JSON')
-if not any('BM_FrozenTableLookupBatch' in b['name'] for b in lookups):
-    sys.exit('micro_lookup: BM_FrozenTableLookupBatch missing from JSON')
 bad = [(b['name'], b['allocs_per_iter']) for b in lookups
        if b.get('allocs_per_iter', 0) != 0]
 if bad:
@@ -194,54 +206,18 @@ cmake --preset asan-ubsan >/dev/null
 cmake --build --preset asan-ubsan -j "$JOBS"
 ctest --preset asan-ubsan -j "$JOBS"
 
-echo "==> pipeline bitwise-equivalence replay (sequential vs --pipeline, asan)"
-./build-asan/tests/parallel_test \
-    --gtest_filter='PipelineTest.MatchesSequentialBitwise:PipelineTest.DeterminismFuzz:PipelineTest.BaselineSchemeMatchesSequential'
-
-echo "==> pipeline obs export smoke (fig11 --pipeline --obs-json)"
-./build/bench/fig11_schemes --quick --pipeline \
-    --obs-json build/fig11_obs_pipeline.json >/dev/null
-python3 - <<'EOF'
-import json, sys
-
-with open('build/fig11_obs_pipeline.json') as f:
-    d = json.load(f)
-
-missing = []
-for stage in ('gen', 'decide', 'exec'):
-    for section, key in [
-        ('gauges', f'pipeline.stage.{stage}.occupancy'),
-        ('counters', f'pipeline.stage.{stage}.items'),
-        ('counters', f'pipeline.stage.{stage}.blocked'),
-        ('counters', f'pipeline.stage.{stage}.deadline_misses'),
-        ('histograms', f'pipeline.stage.{stage}.queue_depth'),
-    ]:
-        if key not in d.get(section, {}):
-            missing.append(f'{section}/{key}')
-if missing:
-    sys.exit('fig11 --pipeline --obs-json missing: ' +
-             ', '.join(missing))
-for stage in ('gen', 'exec'):
-    occ = d['gauges'][f'pipeline.stage.{stage}.occupancy']
-    if occ <= 0.0:
-        sys.exit(f'pipeline.stage.{stage}.occupancy not positive')
-if (d['counters']['pipeline.stage.gen.items'] !=
-        d['counters']['pipeline.stage.exec.items']):
-    sys.exit('pipeline: gen/exec item counts disagree')
-EOF
-
-echo "==> tsan smoke (concurrent lookups + parallel Shrink phase + pipeline)"
+echo "==> tsan smoke (concurrent lookups + parallel sessions + parallel Shrink phase)"
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS" --target parallel_test \
     --target obs_test --target ml_test --target micro_train \
     --target fleet_test
-TSAN_OPTIONS="halt_on_error=1" \
+TSAN_OPTIONS="halt_on_error=1" run_filtered \
     ./build-tsan/tests/ml_test \
     --gtest_filter='ChunkedDatasetTest.ThreadInvarianceOnSharedView'
-TSAN_OPTIONS="halt_on_error=1" \
+TSAN_OPTIONS="halt_on_error=1" run_filtered \
     ./build-tsan/tests/parallel_test \
-    --gtest_filter='ParallelRunnerTest.ConcurrentLookupsOnSharedConstTable:ParallelRunnerTest.ConcurrentLookupsOnSharedConstFrozenTable:ParallelRunnerTest.ConcurrentBatchLookupsOnSharedConstFrozenTable:ParallelRunnerTest.RunSessionsMatchesSerialBitwise:ShrinkParallelTest.*:PipelineTest.MatchesSequentialBitwise:PipelineTest.ConcurrentPipelinedSessionsOnSharedFrozenTable'
-TSAN_OPTIONS="halt_on_error=1" \
+    --gtest_filter='ParallelRunnerTest.ConcurrentLookupsOnSharedConstTable:ParallelRunnerTest.ConcurrentLookupsOnSharedConstFrozenTable:ParallelRunnerTest.RunSessionsMatchesSerialBitwise:ShrinkParallelTest.*'
+TSAN_OPTIONS="halt_on_error=1" run_filtered \
     ./build-tsan/tests/obs_test \
     --gtest_filter='ShardedRegistry.*'
 TSAN_OPTIONS="halt_on_error=1" \
@@ -249,14 +225,14 @@ TSAN_OPTIONS="halt_on_error=1" \
     --threads 4 --out build-tsan/micro_train_tsan.json >/dev/null
 
 echo "==> tsan sharded-merge equivalence (fleet aggregation)"
-TSAN_OPTIONS="halt_on_error=1" \
+TSAN_OPTIONS="halt_on_error=1" run_filtered \
     ./build-tsan/tests/fleet_test \
     --gtest_filter='FleetAggregateTest.*'
 
 echo "==> task pool (tsan parallel_test @ 8 threads + steady-state spawn check)"
 # The whole parallel suite — pool internals, nested submission,
-# concurrent external callers, leased pipeline workers — racing on
-# an 8-way shared pool under tsan.
+# concurrent external callers, parallel sessions — racing on an
+# 8-way shared pool under tsan.
 SNIP_THREADS=8 TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/parallel_test
 # Zero steady-state respawns: across a 5-epoch continuous-learning
@@ -286,28 +262,24 @@ if g['pool.tasks'] <= 0:
 EOF
 
 echo "==> corruption fuzz smoke (OTA model codec + SNPF arena, asan)"
-SNIP_FUZZ_ITERS=512 \
+SNIP_FUZZ_ITERS=512 run_filtered \
     ./build-asan/tests/model_codec_test \
     --gtest_filter='ModelCodec*Fuzz*'
-SNIP_FUZZ_ITERS=512 \
+SNIP_FUZZ_ITERS=512 run_filtered \
     ./build-asan/tests/core_test \
     --gtest_filter='*FrozenArenaCorruptionFuzz*'
-./build-asan/tests/trace_test \
+run_filtered ./build-asan/tests/trace_test \
     --gtest_filter='ColumnarLogTest.MmapCorruptionRejectedCleanly:ColumnarLogTest.CorruptionRejectedOrSafe'
-SNIP_FUZZ_ITERS=256 \
+SNIP_FUZZ_ITERS=256 run_filtered \
     ./build-asan/tests/trace_test \
     --gtest_filter='TrainingSectionTest.CorruptionFuzzRejectedOrSafe:TrainingSectionTest.LabelColumnBitFlipRejected:TrainingWriterTest.RejectsMisuseAndUnfinishedFiles'
-./build-asan/tests/ml_test \
+run_filtered ./build-asan/tests/ml_test \
     --gtest_filter='ChunkedDatasetTest.BlockSizeInvarianceFuzz:ChunkedDatasetTest.RejectsForeignSchema'
 
 echo "==> SNPD patch corruption fuzz (delta OTA receive path, asan)"
-SNIP_FUZZ_ITERS=512 \
+SNIP_FUZZ_ITERS=512 run_filtered \
     ./build-asan/tests/fleet_test \
     --gtest_filter='Fleet*Fuzz*'
-
-echo "==> batch-equivalence fuzz (decideBatch/lookupBatch vs scalar, asan)"
-./build-asan/tests/core_test \
-    --gtest_filter='Schemes.DecideBatchMatchesScalarFuzz:MemoTableTest.FrozenLookupBatchMatchesScalar'
 
 echo "==> loop benchmark self-test (loopbench/run.py --self-test)"
 # A tiny instance of every loopbench workload: result format, output
