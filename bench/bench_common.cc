@@ -143,7 +143,7 @@ writeObsJson(const obs::Registry &reg, const BenchOptions &opts)
     if (opts.obs_json.empty())
         return;
     // The pool gauges snapshot process-lifetime totals; stamp them
-    // into an export-side copy (after any shard merging in the
+    // into an export-side copy (after any registry merging in the
     // bench) so a merged registry reports them exactly once and the
     // caller's registry stays untouched.
     obs::Registry out;

@@ -9,20 +9,20 @@
  *      delta OTA bytes (the fig06_ota_payload baseline vs SNPD
  *      patches) and asserting delta is strictly below full;
  *   2. a batch of per-device upload payloads is aggregated serially
- *      (the core federated merge chain) and sharded
- *      (fleet::aggregateUploads) at shard counts {1, 2, 8},
- *      asserting the frozen arenas are byte-identical and reporting
- *      both wall times;
+ *      (the core federated merge chain) and by
+ *      fleet::aggregateUploads (parallel decode, then the same
+ *      chain), asserting the frozen arenas are byte-identical and
+ *      reporting both wall times;
  *   3. each cohort's stale-version lookup hit rate is reported
  *      (staleness skew = max - min).
  *
- * Exits non-zero when the delta-beats-full or sharded-equivalence
+ * Exits non-zero when the delta-beats-full or aggregate-equivalence
  * contract is violated, which is what lets tools/ci.sh run it as a
  * fleet smoke. Emits single-line JSON (default
  * BENCH_fleet_sim.json, also printed to stdout).
  *
  * Flags: --quick (shorter sessions, smaller lineage), --seed <n>,
- * --threads <n>, --devices <n>, --shards <n>, --uploads <n>,
+ * --threads <n>, --devices <n>, --uploads <n>,
  * --epochs <n>, --out <path>.
  */
 
@@ -100,7 +100,6 @@ struct Args {
     uint64_t seed = 0xf1ee7ULL;
     unsigned threads = 0;
     uint64_t devices = 1000000;
-    size_t shards = 8;
     size_t uploads = 24;
     int epochs = 5;
     std::string game = "candy_crush";
@@ -126,9 +125,6 @@ parseArgs(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--devices") == 0 &&
                    i + 1 < argc) {
             a.devices = std::strtoull(argv[++i], nullptr, 0);
-        } else if (std::strcmp(argv[i], "--shards") == 0 &&
-                   i + 1 < argc) {
-            a.shards = std::strtoul(argv[++i], nullptr, 0);
         } else if (std::strcmp(argv[i], "--uploads") == 0 &&
                    i + 1 < argc) {
             a.uploads = std::strtoul(argv[++i], nullptr, 0);
@@ -229,7 +225,6 @@ main(int argc, char **argv)
     fcfg.threads = a.threads;
     fcfg.seed = a.seed;
     fcfg.eval_seconds = a.quick ? 10.0 : 20.0;
-    fcfg.shards = a.shards;
     fcfg.obs = &obs;
     util::Result<fleet::EpochPushReport> pushed =
         fleet::pushEpoch(reg, fcfg);
@@ -248,7 +243,7 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(
                          push.full_bytes));
 
-    // ---- sharded vs serial aggregation
+    // ---- parallel-decode vs serial aggregation
     auto game = games::makeGame(a.game);
     core::SnipModel agreed;
     {
@@ -284,31 +279,19 @@ main(int argc, char **argv)
         serialAggregate(serial_dest, ups);
     });
 
-    bool sharded_identical = true;
-    double sharded_s = 0.0;
-    std::vector<size_t> shard_counts = {1, 2, 8};
-    if (a.shards != 1 && a.shards != 2 && a.shards != 8)
-        shard_counts.push_back(a.shards);
-    for (size_t shards : shard_counts) {
-        core::MemoTable dest = makeDest(*game, agreed);
-        fleet::AggregateConfig acfg;
-        acfg.shards = shards;
-        acfg.threads = a.threads;
-        acfg.obs = &obs;
-        double t = wallSeconds([&] {
-            auto ups = copyUploads(uploads);
-            fleet::aggregateUploads(dest, ups, acfg);
-        });
-        if (shards == a.shards)
-            sharded_s = t;
-        if (!sameArena(serial_dest, dest)) {
-            sharded_identical = false;
-            std::fprintf(stderr,
-                         "fleet_sim: FAIL sharded aggregate at %zu "
-                         "shards differs from the serial chain\n",
-                         shards);
-        }
-    }
+    core::MemoTable parallel_dest = makeDest(*game, agreed);
+    fleet::AggregateConfig acfg;
+    acfg.threads = a.threads;
+    acfg.obs = &obs;
+    double parallel_s = wallSeconds([&] {
+        auto ups = copyUploads(uploads);
+        fleet::aggregateUploads(parallel_dest, ups, acfg);
+    });
+    bool aggregate_identical = sameArena(serial_dest, parallel_dest);
+    if (!aggregate_identical)
+        std::fprintf(stderr,
+                     "fleet_sim: FAIL aggregateUploads differs from "
+                     "the serial chain\n");
 
     // ---- report
     std::string cohorts_json;
@@ -339,8 +322,8 @@ main(int argc, char **argv)
         "\"delta_ratio\":%.4f,\"delta_beats_full\":%s,"
         "\"fallbacks\":%zu,\"staleness_skew\":%.4f,"
         "\"uploads\":%zu,\"allocs_per_upload\":%llu,"
-        "\"agg_serial_s\":%.4f,\"agg_sharded_s\":%.4f,"
-        "\"agg_shards\":%zu,\"sharded_identical\":%s,"
+        "\"agg_serial_s\":%.4f,\"agg_parallel_s\":%.4f,"
+        "\"aggregate_identical\":%s,"
         "\"cohorts\":[%s]}",
         a.game.c_str(), static_cast<unsigned long long>(a.devices),
         versions, static_cast<unsigned long long>(push.head_bytes),
@@ -353,8 +336,8 @@ main(int argc, char **argv)
         delta_beats_full ? "true" : "false", push.fallbacks,
         push.staleness_skew, a.uploads,
         static_cast<unsigned long long>(allocs_per_upload),
-        serial_s, sharded_s, a.shards,
-        sharded_identical ? "true" : "false", cohorts_json.c_str());
+        serial_s, parallel_s,
+        aggregate_identical ? "true" : "false", cohorts_json.c_str());
     std::printf("%s\n", json);
     if (FILE *f = std::fopen(a.out.c_str(), "w")) {
         std::fprintf(f, "%s\n", json);
@@ -363,5 +346,5 @@ main(int argc, char **argv)
         util::fatal("fleet_sim: cannot write %s", a.out.c_str());
     }
 
-    return delta_beats_full && sharded_identical ? 0 : 1;
+    return delta_beats_full && aggregate_identical ? 0 : 1;
 }

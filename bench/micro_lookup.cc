@@ -321,8 +321,9 @@ spawnParallelFor(size_t n, const std::function<void(size_t)> &fn,
  * wind-down); the body is a token so the measurement is dispatch
  * latency, not compute. The caller thread must not allocate per
  * dispatch — Job is stack-resident, the callable is a FunctionRef,
- * and tickets ride preallocated rings — so allocs_per_iter feeds
- * the binary's alloc self-check like the lookup benches.
+ * and jobs are listed through an intrusive link — so
+ * allocs_per_iter feeds the binary's alloc self-check like the
+ * lookup benches.
  */
 void
 BM_ParallelDispatch(benchmark::State &state)

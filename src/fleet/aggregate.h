@@ -1,23 +1,17 @@
 /**
  * @file
- * Sharded federated aggregation. The core federated backend merges N
- * per-device upload payloads through one serial MemoTable::mergeFrom
- * chain; at fleet scale that chain is the backend's critical path.
- * This layer partitions the uploads into K contiguous shards, unions
- * each shard into its own MemoTable in parallel (util::parallelFor),
- * then merges the shard tables tree-wise (adjacent pairs per level,
- * left-to-right order preserved).
+ * Federated aggregation of per-device uploads. The core federated
+ * backend folds N upload payloads into the agreed table through one
+ * serial MemoTable::mergeFrom chain. aggregateUploads decodes the
+ * payloads in parallel (util::parallelFor, one task per upload) and
+ * then runs that same chain, in upload order, over the decoded
+ * tables — so the aggregate is *bitwise identical* (frozen arena
+ * bytes) to the serial chain at any thread count, which
+ * tests/fleet_test.cc enforces at threads {1, 2, 8}.
  *
- * Equivalence contract: the aggregate is *bitwise identical* (frozen
- * arena bytes) to the serial chain at any shard count. The argument:
- * mergeFrom visits entries in the canonical visitEntries order and
- * inserts first-seen-wins, i.e. each bucket's entry list is the
- * order-preserving dedup of the concatenated upload entry streams —
- * and dedup(concat(dedup(A), dedup(B))) == dedup(concat(A, B)), so
- * any merge tree that preserves the uploads' left-to-right order
- * yields the same canonical entry order, and freeze() is a pure
- * function of that order. tests/fleet_test.cc enforces this at shard
- * counts {1, 2, 8}.
+ * Only decoding runs in parallel: it is independent per upload,
+ * while parallel shard unions plus a tree merge measured slower
+ * than the one chain (DESIGN.md §9).
  *
  * Corrupt uploads are dropped exactly as the serial chain drops
  * them: that device contributes nothing this round, nothing fails.
@@ -41,9 +35,7 @@ namespace fleet {
 
 /** Aggregation knobs. */
 struct AggregateConfig {
-    /** Upload shards unioned in parallel (clamped to [1, uploads]). */
-    size_t shards = 8;
-    /** parallelFor workers (0 = SNIP_THREADS / all cores). */
+    /** Decode workers (0 = SNIP_THREADS / all cores). */
     unsigned threads = 0;
     /** Optional `fleet.aggregate.*` metrics sink. */
     obs::Registry *obs = nullptr;
@@ -54,10 +46,6 @@ struct AggregateStats {
     size_t uploads = 0;
     /** Uploads rejected by integrity checks and dropped. */
     size_t dropped = 0;
-    /** Shards actually used after clamping. */
-    size_t shards = 0;
-    /** Tree-merge levels above the shard unions. */
-    size_t merge_levels = 0;
 };
 
 /**

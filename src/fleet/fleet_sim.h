@@ -51,8 +51,6 @@ struct FleetSimConfig {
     uint64_t devices = 1000000;
     /** Staleness rings; empty uses defaultCohorts(). */
     std::vector<CohortSpec> cohorts;
-    /** Upload shards for the aggregation half of the epoch. */
-    size_t shards = 8;
     unsigned threads = 0;
     uint64_t seed = 0xf1ee7ULL;
     /** Stale-version evaluation session length (s). */

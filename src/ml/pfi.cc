@@ -1,7 +1,6 @@
 #include "ml/pfi.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "obs/span.h"
 #include "util/parallel.h"
@@ -157,46 +156,14 @@ computePfi(const Predictor &predictor, const DatasetView &ds,
     // serially in task order, so the result is bitwise identical
     // for any worker count.
     obs::Span span(cfg.obs, "pfi");
-    obs::ShardedRegistry shards;
     size_t repeats = static_cast<size_t>(cfg.repeats);
     std::vector<double> err(cols.size() * repeats, 0.0);
     util::parallelFor(err.size(), [&](size_t k) {
-        size_t ci = k / repeats;
-        int rep = static_cast<int>(k % repeats);
-        if (!cfg.obs) {
-            err[k] = permutedError(predictor, ds, cols[ci], cfg.seed,
-                                   rep);
-            return;
-        }
-        // Each worker accumulates into its own shard; merged after
-        // the join so the main registry stays single-writer.
-        obs::Registry &local = shards.local();
-        auto t0 = std::chrono::steady_clock::now();
-        err[k] = permutedError(predictor, ds, cols[ci], cfg.seed,
-                               rep);
-        auto t1 = std::chrono::steady_clock::now();
-        local.counter("shrink.pfi.tasks").add(1);
-        local.timer("shrink.pfi.task_s")
-            .add(std::chrono::duration<double>(t1 - t0).count());
+        err[k] = permutedError(predictor, ds, cols[k / repeats],
+                               cfg.seed, static_cast<int>(k % repeats));
     }, cfg.threads);
-
-    if (cfg.obs) {
-        // Worker attribution: one busy-seconds sample per worker
-        // shard, then fold the shards into the main registry.
-        size_t workers = 0;
-        for (const obs::Registry *shard : shards.shards()) {
-            const util::Summary *busy =
-                shard->findTimer("shrink.pfi.task_s");
-            if (!busy || busy->count() == 0)
-                continue;
-            cfg.obs->timer("shrink.pfi.worker_busy_s")
-                .add(busy->sum());
-            ++workers;
-        }
-        cfg.obs->gauge("shrink.pfi.workers")
-            .set(static_cast<double>(workers));
-        shards.mergeInto(*cfg.obs);
-    }
+    if (cfg.obs)
+        cfg.obs->counter("shrink.pfi.tasks").add(err.size());
 
     for (size_t ci = 0; ci < cols.size(); ++ci) {
         double err_sum = 0.0;

@@ -6,13 +6,15 @@
  * across rows, breaking its relationship with the label while
  * preserving its marginal distribution.
  *
- * Evaluation is task-parallel (one task per feature x repeat). Each
- * task's permutation stream is seeded from (cfg.seed, column id,
- * repeat) — not from the task's position in the column list — so a
- * column's importance is a pure function of the seed and the column:
- * identical for any thread count AND for any subset of columns it is
- * computed alongside (what lets the feature selector cache
- * importances of untouched columns exactly).
+ * Evaluation is task-parallel (one util::parallelFor task per
+ * feature x repeat; each worker reuses thread_local scratch, which
+ * is safe because a waiting caller never runs another loop's
+ * indices). Each task's permutation stream is seeded from
+ * (cfg.seed, column id, repeat) — not from the task's position in
+ * the column list — so a column's importance is a pure function of
+ * the seed and the column: identical for any thread count AND for
+ * any subset of columns it is computed alongside (what lets the
+ * feature selector cache importances of untouched columns exactly).
  */
 
 #ifndef SNIP_ML_PFI_H
@@ -43,9 +45,8 @@ struct PfiConfig {
     unsigned threads = 0;
     /**
      * Optional metrics sink (nullptr = observability off). Records
-     * the `shrink.pfi` span plus per-task timings attributed to the
-     * parallelFor workers that ran them (thread-local shards merged
-     * at join); never alters results.
+     * the `shrink.pfi` span and the `shrink.pfi.tasks` count, added
+     * once by the caller after the join; never alters results.
      */
     obs::Registry *obs = nullptr;
     /**

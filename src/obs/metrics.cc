@@ -1,6 +1,6 @@
 #include "obs/metrics.h"
 
-#include "util/task_pool.h"
+#include "util/parallel.h"
 
 namespace snip {
 namespace obs {
@@ -97,50 +97,13 @@ Registry::empty() const
            histograms_.empty();
 }
 
-Registry &
-ShardedRegistry::local()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto id = std::this_thread::get_id();
-    auto it = by_thread_.find(id);
-    if (it == by_thread_.end()) {
-        shards_.emplace_back();
-        it = by_thread_.emplace(id, &shards_.back()).first;
-    }
-    return *it->second;
-}
-
-std::vector<const Registry *>
-ShardedRegistry::shards() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<const Registry *> out;
-    out.reserve(shards_.size());
-    for (const Registry &r : shards_)
-        out.push_back(&r);
-    return out;
-}
-
-void
-ShardedRegistry::mergeInto(Registry &target) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Registry &r : shards_)
-        target.merge(r);
-}
-
 void
 exportTaskPoolStats(Registry &reg)
 {
-    const util::TaskPool &pool = util::TaskPool::instance();
-    util::TaskPool::Stats s = pool.stats();
-    reg.gauge("pool.size").set(static_cast<double>(pool.size()));
+    util::ParallelStats s = util::parallelStats();
     reg.gauge("pool.threads_spawned")
         .set(static_cast<double>(s.threads_spawned));
     reg.gauge("pool.tasks").set(static_cast<double>(s.tasks));
-    reg.gauge("pool.steals").set(static_cast<double>(s.steals));
-    reg.gauge("pool.overflow").set(static_cast<double>(s.overflow));
-    reg.gauge("pool.park_ns").set(static_cast<double>(s.park_ns));
 }
 
 }  // namespace obs

@@ -18,9 +18,8 @@
  *
  * Thread safety: a Registry is single-writer, like the rest of the
  * runtime's per-session state. Parallel phases (util::parallelFor
- * bodies) write into per-worker shards of a ShardedRegistry and
- * merge them into the main registry at join — see computePfi for
- * the canonical use.
+ * bodies) do not touch it; the caller records their totals after
+ * the join — see computePfi for the canonical use.
  *
  * The metric namespace (dotted lower_snake segments: `lookup.*`,
  * `decide.*`, `session.*`, `span.shrink.*`, `learn.*`, `table.*`)
@@ -31,13 +30,9 @@
 #define SNIP_OBS_METRICS_H
 
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <vector>
 
 #include "util/stats.h"
 
@@ -106,7 +101,7 @@ class Registry
     /**
      * Fold another registry into this one: counters sum, timers and
      * histograms merge, gauges take the other's value (last writer
-     * wins — recompute derived rates after merging shards).
+     * wins — recompute derived rates after merging).
      */
     void merge(const Registry &other);
 
@@ -127,38 +122,11 @@ class Registry
 };
 
 /**
- * Per-worker registry shards for parallel phases. Each worker calls
- * local() once at task start (mutex-guarded create-on-first-use,
- * lock-free after that thread's shard exists is NOT guaranteed —
- * callers should hold the returned reference for the task body) and
- * writes to its own shard; the coordinating thread merges all
- * shards into the main registry after the parallelFor join.
- */
-class ShardedRegistry
-{
-  public:
-    /** This thread's shard (created on first use). */
-    Registry &local();
-
-    /** All shards, in creation order. Call only after the join. */
-    std::vector<const Registry *> shards() const;
-
-    /** Merge every shard into `target` (after the join). */
-    void mergeInto(Registry &target) const;
-
-  private:
-    mutable std::mutex mu_;
-    /** Node-stable so local() references survive later creates. */
-    std::deque<Registry> shards_;
-    std::map<std::thread::id, Registry *> by_thread_;
-};
-
-/**
- * Snapshot the process-wide util::TaskPool counters into `reg` as
- * `pool.*` gauges: threads_spawned, size, tasks, steals, overflow,
- * park_ns. Gauges (not counters) because the pool totals are
+ * Snapshot the util::parallelFor pool's lifetime totals
+ * (util::parallelStats) into `reg` as the `pool.threads_spawned` and
+ * `pool.tasks` gauges. Gauges (not counters) because the totals are
  * process-lifetime monotonic values, not per-phase deltas — call
- * this once per export, after any shard merging, so a merged
+ * this once per export, after any registry merging, so a merged
  * registry doesn't double-count them.
  */
 void exportTaskPoolStats(Registry &reg);

@@ -11,8 +11,8 @@
  * callable it refers to. It is only safe to call while the referred
  * callable is alive — the intended use is as a by-value parameter
  * invoked during the call it was passed to (exactly how
- * util::parallelFor and TaskPool use it). Never store one beyond the
- * callee's return.
+ * util::parallelFor uses it). Never store one beyond the callee's
+ * return.
  */
 
 #ifndef SNIP_UTIL_FUNCTION_REF_H

@@ -12,11 +12,12 @@
  * run, but under the write-disjointness contract the aggregate
  * result is schedule-independent and identical to a serial loop.
  *
- * Execution is backed by the process-wide util::TaskPool: workers
+ * Execution is backed by one small process-lifetime pool: workers
  * are spawned once (lazily, up to the largest thread count ever
- * requested) and reused by every subsequent call, so a warm
- * parallelFor costs a queue push, not a pthread_create. The callable
- * is taken as a non-owning FunctionRef — zero heap allocations per
+ * requested) and reused by every later call, so a warm parallelFor
+ * costs a lock and a condvar wake, not a pthread_create. The loop's
+ * control block lives on the caller's stack and the callable is
+ * taken as a non-owning FunctionRef — zero heap allocations per
  * dispatch — and lambdas at existing call sites convert implicitly.
  */
 
@@ -24,6 +25,7 @@
 #define SNIP_UTIL_PARALLEL_H
 
 #include <cstddef>
+#include <cstdint>
 
 #include "util/function_ref.h"
 
@@ -46,11 +48,22 @@ unsigned defaultThreadCount();
  * With one worker (or n <= 1) this degenerates to a plain serial
  * loop with no thread or atomic traffic at all. Safe to call from
  * inside a task that is itself running on the pool (nested loops
- * help-wait instead of deadlocking). The first exception thrown by
- * fn is rethrown on the calling thread after the loop winds down.
+ * help-wait instead of deadlocking), and a waiting caller only ever
+ * runs indices of its own loop. The first exception thrown by fn is
+ * rethrown on the calling thread after the loop winds down.
  */
 void parallelFor(size_t n, FunctionRef<void(size_t)> fn,
                  unsigned threads = 0);
+
+/** Lifetime totals of the pool behind parallelFor. */
+struct ParallelStats {
+    /** Workers ever created; they are never respawned. */
+    uint64_t threads_spawned = 0;
+    /** Times a worker joined a loop as a helper. */
+    uint64_t tasks = 0;
+};
+
+ParallelStats parallelStats();
 
 }  // namespace util
 }  // namespace snip

@@ -3,8 +3,8 @@
  * Tests for the fleet backend (src/fleet): SNPD delta patches
  * (round-trip byte identity, corruption fuzz with the full-fetch
  * fallback — gtest filter Fleet*Fuzz* is the ci.sh asan stage),
- * sharded federated aggregation (bitwise equality with the serial
- * merge chain at shard counts {1, 2, 8} — FleetAggregate* is the
+ * federated aggregation (bitwise equality with the serial merge
+ * chain at decode thread counts {1, 2, 8} — FleetAggregate* is the
  * ci.sh tsan stage), the versioned model registry (lineage,
  * idempotent publish, integrity rejection, persistence), and the
  * cohort epoch-push simulation.
@@ -248,13 +248,13 @@ TEST(FleetDeltaTest, CorruptionFuzzFallback)
     }
 }
 
-// ------------------------------------------------ sharded aggregation
+// --------------------------------------------------------- aggregation
 
-TEST(FleetAggregateTest, ShardedMatchesSerialBitwise)
+TEST(FleetAggregateTest, MatchesSerialChainBitwise)
 {
-    // The tentpole contract: aggregateUploads at shard counts
-    // {1, 2, 8} freezes to the exact arena bytes of the core serial
-    // merge chain over the same uploads.
+    // aggregateUploads at decode thread counts {1, 2, 8} freezes to
+    // the exact arena bytes of the core serial merge chain over the
+    // same uploads.
     const std::string game_name = "memory_game";
     auto game = games::makeGame(game_name);
     core::SnipModel agreed = buildModelFor(game_name, 15.0, 41);
@@ -283,26 +283,25 @@ TEST(FleetAggregateTest, ShardedMatchesSerialBitwise)
     auto serial_frozen = serial.freeze();
     ASSERT_GT(serial_frozen->arenaSize(), 0u);
 
-    for (size_t shards : {1u, 2u, 8u}) {
+    for (unsigned threads : {1u, 2u, 8u}) {
         core::MemoTable dest = make_dest();
         std::vector<util::ByteBuffer> ups;
         for (const auto &u : uploads)
             ups.push_back(copyOf(u));
         AggregateConfig cfg;
-        cfg.shards = shards;
+        cfg.threads = threads;
         AggregateStats stats = aggregateUploads(dest, ups, cfg);
         EXPECT_EQ(stats.uploads, kUploads);
         EXPECT_EQ(stats.dropped, 0u);
-        EXPECT_EQ(stats.shards, shards);
 
         auto frozen = dest.freeze();
         ASSERT_EQ(frozen->arenaSize(), serial_frozen->arenaSize())
-            << shards << " shards";
+            << threads << " threads";
         EXPECT_EQ(std::memcmp(frozen->arenaData(),
                               serial_frozen->arenaData(),
                               frozen->arenaSize()),
                   0)
-            << shards << " shards";
+            << threads << " threads";
     }
 }
 

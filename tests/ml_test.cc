@@ -818,7 +818,7 @@ TEST(RandomForestTest, TrainingRecordsObsMetrics)
     ASSERT_NE(reg.findTimer("span.train_forest"), nullptr);
     EXPECT_EQ(reg.findTimer("span.train_forest")->count(), 1u);
 
-    // PFI attributes per-task work through the same registry.
+    // PFI counts its tasks through the same registry.
     PfiConfig pcfg;
     pcfg.obs = &reg;
     computePfi(forest, ds, cols, pcfg);
@@ -826,9 +826,6 @@ TEST(RandomForestTest, TrainingRecordsObsMetrics)
     uint64_t tasks =
         cols.size() * static_cast<uint64_t>(pcfg.repeats);
     EXPECT_EQ(reg.counterValue("shrink.pfi.tasks"), tasks);
-    ASSERT_NE(reg.findTimer("shrink.pfi.task_s"), nullptr);
-    EXPECT_EQ(reg.findTimer("shrink.pfi.task_s")->count(), tasks);
-    EXPECT_GE(reg.gaugeValue("shrink.pfi.workers"), 1.0);
 }
 
 TEST(RandomForestTest, TrainDeterministicAcrossThreadCounts)

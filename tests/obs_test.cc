@@ -3,15 +3,13 @@
  * Unit tests for the obs layer: registry find-or-create semantics
  * and handle stability, merge rules (counters sum, gauges last
  * writer, timers/histograms merge), span nesting and the disabled
- * no-op contract, per-worker sharding under parallelFor, and the
- * JSON/table sinks.
+ * no-op contract, and the JSON/table sinks.
  */
 
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <sstream>
-#include <thread>
 
 #include "core/memo_table.h"
 #include "core/scheme.h"
@@ -19,7 +17,6 @@
 #include "obs/metrics.h"
 #include "obs/sink.h"
 #include "obs/span.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace snip {
@@ -152,48 +149,6 @@ TEST(Span, NullRegistryIsInert)
     }
     EXPECT_TRUE(reg.findTimer("span.invisible") == nullptr);
     EXPECT_NE(reg.findTimer("span.outer.child"), nullptr);
-}
-
-// ----------------------------------------------------- ShardedRegistry
-
-TEST(ShardedRegistry, OneShardPerThread)
-{
-    ShardedRegistry shards;
-    Registry &main_shard = shards.local();
-    main_shard.counter("n").add(1);
-    std::thread other([&] { shards.local().counter("n").add(2); });
-    other.join();
-    ASSERT_EQ(shards.shards().size(), 2u);
-
-    Registry merged;
-    shards.mergeInto(merged);
-    EXPECT_EQ(merged.counterValue("n"), 3u);
-    // Repeated local() on the same thread returns the same shard.
-    EXPECT_EQ(&shards.local(), &main_shard);
-}
-
-TEST(ShardedRegistry, ParallelForAttribution)
-{
-    constexpr size_t kTasks = 64;
-    ShardedRegistry shards;
-    util::parallelFor(kTasks, [&](size_t) {
-        Registry &local = shards.local();
-        local.counter("tasks").add(1);
-        local.timer("task_s").add(0.001);
-    });
-    Registry merged;
-    shards.mergeInto(merged);
-    EXPECT_EQ(merged.counterValue("tasks"), kTasks);
-    EXPECT_EQ(merged.findTimer("task_s")->count(), kTasks);
-
-    // Per-worker busy time is attributable before the merge.
-    double busy = 0.0;
-    for (const Registry *shard : shards.shards()) {
-        const util::Summary *t = shard->findTimer("task_s");
-        if (t)
-            busy += t->sum();
-    }
-    EXPECT_NEAR(busy, 0.001 * kTasks, 1e-9);
 }
 
 // -------------------------------------------------------------- Sinks

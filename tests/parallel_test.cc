@@ -37,7 +37,6 @@
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/rng.h"
-#include "util/task_pool.h"
 #include "util/stats.h"
 
 namespace snip {
@@ -121,9 +120,9 @@ TEST(ParallelRunnerTest, ForEachCoversEveryIndexExactlyOnce)
 TEST(TaskPoolTest, NestedParallelForCompletesAtEveryPoolSize)
 {
     // A task running on a pool worker submits a nested loop and
-    // help-waits; at pool size 1 the owner must retire its own
-    // queued tickets, at larger sizes thieves race it. Deadlock
-    // here hangs the test binary, which is the assertion.
+    // help-waits; at pool size 1 the owner drains its own loop
+    // alone, at larger sizes helpers race it. Deadlock here hangs
+    // the test binary, which is the assertion.
     for (unsigned threads : {1u, 2u, 8u}) {
         constexpr size_t kOuter = 6;
         constexpr size_t kInner = 5;
@@ -154,7 +153,7 @@ TEST(TaskPoolTest, ConcurrentExternalCallersShareThePool)
 {
     // Eight raw std::threads (none of them pool workers) each drive
     // their own parallelFor against the shared pool at once — the
-    // TSan smoke for the overflow ring, parking, and reclaim paths.
+    // TSan smoke for the job list, idle waits and helper hand-off.
     constexpr size_t kCallers = 8;
     constexpr size_t kN = 64;
     std::vector<std::vector<std::atomic<int>>> counts(kCallers);
@@ -200,32 +199,72 @@ TEST(TaskPoolTest, ExceptionsPropagateToTheSubmitter)
     EXPECT_EQ(total.load(), 16);
 }
 
+/** Set while this thread runs one of caller A's indices. */
+thread_local bool t_inside_a = false;
+
+TEST(TaskPoolTest, WaiterNeverRunsForeignIndices)
+{
+    // Caller A nests a parallelFor inside each of its indices, so
+    // the thread running an A index help-waits on the nested loop
+    // with the marker set. Caller B's body asserts the marker is
+    // clear: a waiter that ran B's indices (or any other loop's)
+    // would trip it — the rule PFI's thread_local scratch needs.
+    std::atomic<int> foreign{0};
+    std::atomic<int> a_total{0};
+    std::atomic<int> b_total{0};
+    std::atomic<bool> a_done{false};
+    int b_rounds = 0;
+    std::thread a([&] {
+        for (int round = 0; round < 50; ++round) {
+            util::parallelFor(8, [&](size_t) {
+                t_inside_a = true;
+                util::parallelFor(16, [&](size_t) {
+                    a_total.fetch_add(1, std::memory_order_relaxed);
+                }, 4);
+                t_inside_a = false;
+            }, 4);
+        }
+        a_done.store(true);
+    });
+    std::thread b([&] {
+        // Keep B's loops listed for as long as A runs.
+        for (; b_rounds < 200 || !a_done.load(); ++b_rounds) {
+            util::parallelFor(16, [&](size_t) {
+                if (t_inside_a)
+                    foreign.fetch_add(1, std::memory_order_relaxed);
+                b_total.fetch_add(1, std::memory_order_relaxed);
+            }, 4);
+        }
+    });
+    a.join();
+    b.join();
+    EXPECT_EQ(foreign.load(), 0);
+    EXPECT_EQ(a_total.load(), 50 * 8 * 16);
+    EXPECT_EQ(b_total.load(), b_rounds * 16);
+}
+
 TEST(TaskPoolTest, StatsAreMonotonicAndSpawnsStayBounded)
 {
-    util::TaskPool &pool = util::TaskPool::instance();
-    util::TaskPool::Stats before = pool.stats();
+    util::ParallelStats before = util::parallelStats();
     std::atomic<int> total{0};
     for (int round = 0; round < 50; ++round) {
         util::parallelFor(32, [&](size_t) {
             total.fetch_add(1, std::memory_order_relaxed);
         }, 8);
     }
-    util::TaskPool::Stats after = pool.stats();
+    util::ParallelStats after = util::parallelStats();
     EXPECT_EQ(total.load(), 50 * 32);
     EXPECT_GE(after.tasks, before.tasks);
-    EXPECT_GE(after.steals, before.steals);
-    EXPECT_GE(after.overflow, before.overflow);
     // The warm-path contract: the pool grows (once) toward the
     // largest requested fan-out — threads=8 needs 7 helpers — and
     // repeated dispatch never creates another thread.
     EXPECT_EQ(after.threads_spawned,
               std::max<uint64_t>(before.threads_spawned, 7u));
-    EXPECT_EQ(after.threads_spawned,
-              static_cast<uint64_t>(pool.size()));
-    util::TaskPool::Stats again = pool.stats();
     for (int round = 0; round < 20; ++round)
         util::parallelFor(32, [&](size_t) {}, 8);
-    EXPECT_EQ(pool.stats().threads_spawned, again.threads_spawned);
+    util::ParallelStats again = util::parallelStats();
+    EXPECT_EQ(again.threads_spawned, after.threads_spawned);
+    EXPECT_GE(again.tasks, after.tasks);
 }
 
 /** Field-by-field equality of two session stats blocks. */
