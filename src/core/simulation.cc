@@ -109,6 +109,10 @@ struct SessionState {
     /** Per-IP last-use clock for the sleep policy. */
     std::array<double, soc::kNumIpKinds> ipLastUse{};
     ObsHandles oc;
+    /** The current event and its ground truth; every event of the
+     *  session reuses both buffers. */
+    events::EventObject ev;
+    games::HandlerExecution truth;
 };
 
 /**
@@ -118,16 +122,17 @@ struct SessionState {
  */
 void
 processEvent(games::Game &game, Scheme &scheme,
-             const SimulationConfig &cfg, SessionState &s,
-             const events::EventObject &ev)
+             const SimulationConfig &cfg, SessionState &s)
 {
     SessionStats &st = s.stats;
     const ObsHandles &oc = s.oc;
+    const events::EventObject &ev = s.ev;
+    const games::HandlerExecution &truth = s.truth;
     double at = ev.timestamp;
     s.sensorMgr.deliver(ev);
     s.binder.transfer(ev);
 
-    games::HandlerExecution truth = game.process(ev);
+    game.process(ev, s.truth);
     Decision d = scheme.decide(game, ev, truth);
 
     ++st.events;
@@ -273,11 +278,10 @@ runSession(games::Game &game, Scheme &scheme,
             }
             if (best == SIZE_MAX)
                 break;
-            events::EventObject ev =
-                game.makeEvent(mix[best].type, next_at[best], rng);
+            game.makeEvent(mix[best].type, next_at[best], rng, s.ev);
             next_at[best] +=
                 rng.uniformReal(0.7, 1.3) / mix[best].rate_hz;
-            processEvent(game, scheme, cfg, s, ev);
+            processEvent(game, scheme, cfg, s);
         }
 
         // Per-frame background load (composition, UI animation,

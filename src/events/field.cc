@@ -70,6 +70,13 @@ FieldSchema::addOutput(const std::string &name, OutputCategory cat,
     return add(std::move(d));
 }
 
+void
+FieldSchema::reserve(size_t n)
+{
+    defs_.reserve(n);
+    byName_.reserve(n);
+}
+
 const FieldDef &
 FieldSchema::def(FieldId id) const
 {
@@ -117,10 +124,27 @@ FieldSchema::totalOutputBytes() const
 void
 canonicalize(std::vector<FieldValue> &values)
 {
-    std::sort(values.begin(), values.end(),
-              [](const FieldValue &a, const FieldValue &b) {
-                  return a.id < b.id;
-              });
+    // Records are short and nearly sorted (a handler appends a few
+    // history reads behind its event fields), so an insertion sort
+    // is a linear pass plus a few short moves. Long inputs only come
+    // from non-canonical producers; they take a stable sort so the
+    // worst case stays O(n log n). Both are stable, so equal ids keep
+    // their order whichever runs.
+    constexpr size_t kInsertionMax = 64;
+    if (values.size() > kInsertionMax) {
+        std::stable_sort(values.begin(), values.end(),
+                         [](const FieldValue &a, const FieldValue &b) {
+                             return a.id < b.id;
+                         });
+        return;
+    }
+    for (size_t i = 1; i < values.size(); ++i) {
+        FieldValue v = values[i];
+        size_t j = i;
+        for (; j > 0 && values[j - 1].id > v.id; --j)
+            values[j] = values[j - 1];
+        values[j] = v;
+    }
 }
 
 const FieldValue *

@@ -92,6 +92,9 @@ class FieldSchema
     FieldId addOutput(const std::string &name, OutputCategory cat,
                       uint32_t size_bytes);
 
+    /** Make room for @p n fields in all. */
+    void reserve(size_t n);
+
     /** Look up a definition; panics on unknown id. */
     const FieldDef &def(FieldId id) const;
 
@@ -120,7 +123,7 @@ class FieldSchema
     std::unordered_map<std::string, FieldId> byName_;
 };
 
-/** Sort a field-value vector by id (canonical record order). */
+/** Stable-sort a field-value vector by id (canonical record order). */
 void canonicalize(std::vector<FieldValue> &values);
 
 /** Find a value by field id; returns nullptr when absent. */

@@ -12,6 +12,7 @@
 #include "fleet/delta.h"
 #include "obs/metrics.h"
 #include "trace/trace_log.h"
+#include "util/bytes.h"
 #include "util/crc32.h"
 
 namespace snip {
@@ -257,14 +258,14 @@ ModelRegistry::saveDir(const std::string &dir) const
                   << v.bytes << '\n';
         }
     }
-    std::ofstream out(dir + "/index.txt",
-                      std::ios::binary | std::ios::trunc);
-    out << index.str();
-    out.close();
-    if (!out)
-        return util::Status::Errorf("registry: cannot write %s",
-                                    (dir + "/index.txt").c_str());
-    return util::Status::Ok();
+    // The index goes last: until it is renamed into place, a load
+    // sees the previous index, whose packages are all still present.
+    const std::string text = index.str();
+    util::Status st =
+        util::writeFileAtomic(dir + "/index.txt", text.data(), text.size());
+    if (!st.ok())
+        return util::Status::Errorf("registry: %s", st.message().c_str());
+    return st;
 }
 
 util::Result<ModelRegistry>

@@ -22,6 +22,13 @@ constexpr uint64_t kSaltCost = 0x0c057c05ULL;
 constexpr uint64_t kSaltWhich = 0x0071c400ULL;
 constexpr uint64_t kSaltTempOnly = 0x007e3b01ULL;
 
+/**
+ * Bound on the words of the necessary-input hash (type salt,
+ * necessary event and history fields, scoring fields); checked per
+ * handler at construction so process() can hash from the stack.
+ */
+constexpr size_t kMaxHashWords = 32;
+
 /** Value of a field within an event object; panics when absent. */
 uint64_t
 eventValue(const events::EventObject &ev, events::FieldId fid)
@@ -56,33 +63,37 @@ Game::buildSchema()
 {
     // History fields first: input side ("h.<name>") and output side
     // ("o.<name>") bind to the same state slot.
-    std::unordered_map<std::string, size_t> hist_idx;
-    for (size_t i = 0; i < params_.history_fields.size(); ++i) {
-        auto &d = params_.history_fields[i];
-        if (hist_idx.count(d.name))
-            util::fatal("game %s: duplicate history field %s",
-                        params_.name.c_str(), d.name.c_str());
+    auto &hist = params_.history_fields;
+    size_t nfields = 2 * hist.size() + params_.extern_fields.size();
+    for (const HandlerSpec &spec : params_.handlers)
+        nfields += spec.event_fields.size() + spec.max_history_blocks +
+                   spec.temp_outputs + (spec.extern_output.empty() ? 0 : 1);
+    schema_.reserve(nfields);
+    for (size_t i = 0; i < hist.size(); ++i) {
+        auto &d = hist[i];
+        for (size_t j = 0; j < i; ++j)
+            if (hist[j].name == d.name)
+                util::fatal("game %s: duplicate history field %s",
+                            params_.name.c_str(), d.name.c_str());
         d.in_fid = schema_.addInput("h." + d.name,
                                     events::InputCategory::History,
                                     d.size_bytes);
         d.out_fid = schema_.addOutput("o." + d.name,
                                       events::OutputCategory::History,
                                       d.size_bytes);
-        hist_idx[d.name] = i;
     }
 
     for (const auto &name : params_.extern_fields) {
-        externIn_[name] = schema_.addInput(
-            "x." + name, events::InputCategory::Extern,
-            params_.extern_bytes);
+        schema_.addInput("x." + name, events::InputCategory::Extern,
+                         params_.extern_bytes);
     }
 
-    auto hist_decl = [&](const std::string &name) -> HistoryFieldDecl & {
-        auto it = hist_idx.find(name);
-        if (it == hist_idx.end())
-            util::fatal("game %s: unknown history field %s",
-                        params_.name.c_str(), name.c_str());
-        return params_.history_fields[it->second];
+    auto hist_ref = [&](const std::string &name) -> HistRef {
+        for (const HistoryFieldDecl &d : hist)
+            if (d.name == name)
+                return {d.in_fid, d.out_fid, d.buckets};
+        util::fatal("game %s: unknown history field %s",
+                    params_.name.c_str(), name.c_str());
     };
 
     handlerIds_.resize(params_.handlers.size());
@@ -99,6 +110,7 @@ Game::buildSchema()
         handlerIdx_[ti] = static_cast<int>(h);
 
         const char *tn = events::eventTypeName(spec.type);
+        HandlerIds &ids = handlerIds_[h];
 
         uint32_t size_sum = 0;
         for (auto &efs : spec.event_fields) {
@@ -109,13 +121,14 @@ Game::buildSchema()
             if (efs.cardinality < 2)
                 util::fatal("game %s: field %s.%s cardinality < 2",
                             params_.name.c_str(), tn, efs.name.c_str());
+            if (efs.necessary)
+                ids.necessary_event.push_back(efs.fid);
         }
         if (size_sum != events::eventObjectBytes(spec.type))
             util::fatal("game %s: %s event fields sum to %u B, object "
                         "is %u B", params_.name.c_str(), tn, size_sum,
                         events::eventObjectBytes(spec.type));
 
-        HandlerIds &ids = handlerIds_[h];
         for (uint32_t j = 0; j < spec.max_history_blocks; ++j) {
             events::FieldId bf = schema_.addInput(
                 std::string(tn) + ".blk" + std::to_string(j),
@@ -135,49 +148,81 @@ Game::buildSchema()
                 events::OutputCategory::Extern, 256);
         }
 
-        // Validate cross-references.
+        // Resolve (and validate) the cross-references by name.
         for (const auto &n : spec.necessary_history) {
-            if (hist_decl(n).isAccumulator())
+            ids.necessary.push_back(hist_ref(n));
+            if (ids.necessary.back().buckets == 0)
                 util::fatal("game %s: necessary_history %s is an "
                             "accumulator", params_.name.c_str(),
                             n.c_str());
         }
         for (const auto &n : spec.scoring_history) {
-            if (!hist_decl(n).isAccumulator())
+            ids.scoring.push_back(hist_ref(n));
+            if (ids.scoring.back().buckets != 0)
                 util::fatal("game %s: scoring_history %s is not an "
                             "accumulator", params_.name.c_str(),
                             n.c_str());
         }
         for (const auto &n : spec.history_outputs)
-            hist_decl(n);
-        if (!spec.complexity_field.empty())
-            hist_decl(spec.complexity_field);
+            ids.outputs.push_back(hist_ref(n));
+        auto is_necessary = [&](events::FieldId in_fid) {
+            for (const HistRef &r : ids.necessary)
+                if (r.in_fid == in_fid)
+                    return true;
+            return false;
+        };
+        if (!spec.complexity_field.empty()) {
+            ids.complexity = hist_ref(spec.complexity_field);
+            ids.complexity_extra = !is_necessary(ids.complexity.in_fid);
+        }
         if (!spec.plateau_history_field.empty()) {
-            const auto &d = hist_decl(spec.plateau_history_field);
-            if (d.isAccumulator())
+            ids.plateau = hist_ref(spec.plateau_history_field);
+            if (ids.plateau.buckets == 0)
                 util::fatal("game %s: plateau field %s is an "
                             "accumulator", params_.name.c_str(),
-                            d.name.c_str());
-            bool found = false;
-            for (const auto &efs : spec.event_fields)
-                found |= (efs.name == spec.plateau_event_field &&
-                          efs.necessary);
-            if (!found)
+                            spec.plateau_history_field.c_str());
+            for (const auto &efs : spec.event_fields) {
+                if (efs.name == spec.plateau_event_field &&
+                    efs.necessary) {
+                    ids.plateau_event = efs.fid;
+                    ids.plateau_cardinality = efs.cardinality;
+                }
+            }
+            if (ids.plateau_event == events::kInvalidField)
                 util::fatal("game %s: plateau event field %s missing "
                             "or not necessary", params_.name.c_str(),
                             spec.plateau_event_field.c_str());
-            bool nec = false;
-            for (const auto &n : spec.necessary_history)
-                nec |= (n == spec.plateau_history_field);
-            if (!nec)
+            if (!is_necessary(ids.plateau.in_fid))
                 util::fatal("game %s: plateau history field %s must "
                             "be in necessary_history",
                             params_.name.c_str(),
                             spec.plateau_history_field.c_str());
         }
-        if (!spec.extern_field.empty() && !externIn_.count(spec.extern_field))
-            util::fatal("game %s: unknown extern field %s",
-                        params_.name.c_str(), spec.extern_field.c_str());
+        if (!spec.extern_field.empty()) {
+            ids.extern_in = schema_.find("x." + spec.extern_field);
+            if (ids.extern_in == events::kInvalidField)
+                util::fatal("game %s: unknown extern field %s",
+                            params_.name.c_str(),
+                            spec.extern_field.c_str());
+        }
+
+        ids.type_salt = util::mixCombine(
+            params_.salt, 0x7717e000ULL + static_cast<uint64_t>(spec.type));
+        size_t hash_words = 1 + ids.necessary_event.size() +
+                            ids.necessary.size() + ids.scoring.size();
+        if (hash_words > kMaxHashWords)
+            util::fatal("game %s: %s hashes %zu necessary inputs, more "
+                        "than %zu", params_.name.c_str(), tn, hash_words,
+                        kMaxHashWords);
+        ids.max_inputs = spec.event_fields.size() + ids.necessary.size() +
+                         (ids.complexity_extra ? 1 : 0) +
+                         ids.blocks.size() +
+                         (ids.extern_in != events::kInvalidField ? 1 : 0) +
+                         ids.scoring.size();
+        ids.max_outputs = ids.temp_out.size() +
+                          (ids.outputs.empty() ? 0 : 1) +
+                          ids.scoring.size() +
+                          (ids.extern_out != events::kInvalidField ? 1 : 0);
     }
 }
 
@@ -200,13 +245,6 @@ Game::handler(events::EventType t) const
     return params_.handlers[static_cast<size_t>(idx)];
 }
 
-uint64_t
-Game::typeSalt(events::EventType t) const
-{
-    return util::mixCombine(params_.salt,
-                            0x7717e000ULL + static_cast<uint64_t>(t));
-}
-
 const std::vector<double> &
 Game::zipfCdf(uint32_t cardinality) const
 {
@@ -225,20 +263,20 @@ Game::zipfCdf(uint32_t cardinality) const
     return zipfCdfs_.emplace(cardinality, std::move(cdf)).first->second;
 }
 
-events::EventObject
-Game::makeEvent(events::EventType t, double now, util::Rng &rng)
+void
+Game::makeEvent(events::EventType t, double now, util::Rng &rng,
+                events::EventObject &out)
 {
     const HandlerSpec &spec = handler(t);
     GenMemory &mem = genMem_[static_cast<int>(t)];
 
-    events::EventObject ev;
-    ev.type = t;
-    ev.seq = seq_++;
-    ev.timestamp = now;
+    out.type = t;
+    out.seq = seq_++;
+    out.timestamp = now;
 
     if (mem.valid && rng.chance(params_.user.exact_repeat_prob)) {
-        ev.fields = mem.fields;  // finger held still: exact repeat
-        return ev;
+        out.fields = mem.fields;  // finger held still: exact repeat
+        return;
     }
 
     bool burst = mem.valid && rng.chance(params_.user.burst_continue_prob);
@@ -255,6 +293,7 @@ Game::makeEvent(events::EventType t, double now, util::Rng &rng)
     uint64_t latent[2] = {zipf_draw(params_.user.noise_pool),
                           zipf_draw(params_.user.noise_pool)};
 
+    out.fields.clear();
     size_t noise_idx = 0;
     for (const auto &efs : spec.event_fields) {
         uint64_t value;
@@ -265,16 +304,23 @@ Game::makeEvent(events::EventType t, double now, util::Rng &rng)
             value = util::mixCombine(
                 efs.fid, latent[noise_idx++ % 2]);
         }
-        ev.fields.push_back({efs.fid, value});
+        out.fields.push_back({efs.fid, value});
     }
-    events::canonicalize(ev.fields);
+    events::canonicalize(out.fields);
     mem.valid = true;
-    mem.fields = ev.fields;
+    mem.fields = out.fields;
+}
+
+events::EventObject
+Game::makeEvent(events::EventType t, double now, util::Rng &rng)
+{
+    events::EventObject ev;
+    makeEvent(t, now, rng, ev);
     return ev;
 }
 
-HandlerExecution
-Game::process(const events::EventObject &ev) const
+void
+Game::process(const events::EventObject &ev, HandlerExecution &out) const
 {
     int idx = handlerIdx_[static_cast<int>(ev.type)];
     if (idx < 0)
@@ -283,90 +329,84 @@ Game::process(const events::EventObject &ev) const
     const HandlerSpec &spec = params_.handlers[static_cast<size_t>(idx)];
     const HandlerIds &ids = handlerIds_[static_cast<size_t>(idx)];
 
-    auto hist_decl = [&](const std::string &name) -> const HistoryFieldDecl & {
-        for (const auto &d : params_.history_fields)
-            if (d.name == name)
-                return d;
-        util::panic("game %s: unknown history field %s",
-                    params_.name.c_str(), name.c_str());
-    };
-
-    HandlerExecution ex;
-    ex.type = ev.type;
-    ex.seq = ev.seq;
-    ex.inputs = ev.fields;
+    out.type = ev.type;
+    out.seq = ev.seq;
+    out.inputs.reserve(ids.max_inputs);
+    out.inputs.assign(ev.fields.begin(), ev.fields.end());
+    out.outputs.clear();
+    out.outputs.reserve(ids.max_outputs);
+    out.ip_calls.clear();
+    out.ip_calls.reserve(spec.ip_calls.size());
+    out.scoring = false;
 
     // --- Necessary-input vector (the ground truth PFI must find) ---
-    std::vector<uint64_t> vals;
-    vals.push_back(typeSalt(ev.type));
-    for (const auto &efs : spec.event_fields) {
-        if (efs.necessary)
-            vals.push_back(util::mixCombine(efs.fid,
-                                            eventValue(ev, efs.fid)));
+    // vhash covers the prefix read on every execution; the scoring
+    // branch appends its accumulators and necessary_hash continues
+    // the same FNV-1a pass from vhash.
+    std::array<uint64_t, kMaxHashWords> vals;
+    size_t nvals = 0;
+    vals[nvals++] = ids.type_salt;
+    for (events::FieldId fid : ids.necessary_event)
+        vals[nvals++] = util::mixCombine(fid, eventValue(ev, fid));
+    for (const HistRef &r : ids.necessary) {
+        uint64_t v = state_.get(r.in_fid);
+        out.inputs.push_back({r.in_fid, v});
+        vals[nvals++] = util::mixCombine(r.in_fid, v);
     }
-    for (const auto &name : spec.necessary_history) {
-        const auto &d = hist_decl(name);
-        uint64_t v = state_.get(d.in_fid);
-        ex.inputs.push_back({d.in_fid, v});
-        vals.push_back(util::mixCombine(d.in_fid, v));
-    }
-    uint64_t vhash = util::hashWords(vals);
+    const size_t nprefix = nvals;
+    uint64_t vhash = util::fnv1a(vals.data(), nprefix * sizeof(uint64_t));
 
     // --- Unnecessary reads: complexity, context blocks, extern ---
     uint64_t complexity = 0;
-    if (!spec.complexity_field.empty()) {
-        const auto &d = hist_decl(spec.complexity_field);
-        complexity = state_.get(d.in_fid);
-        if (!events::findField(ex.inputs, d.in_fid))
-            ex.inputs.push_back({d.in_fid, complexity});
-        uint32_t blocks = d.buckets
+    if (ids.complexity.in_fid != events::kInvalidField) {
+        const HistRef &c = ids.complexity;
+        complexity = state_.get(c.in_fid);
+        if (ids.complexity_extra)
+            out.inputs.push_back({c.in_fid, complexity});
+        uint32_t blocks = c.buckets
             ? static_cast<uint32_t>(complexity * spec.max_history_blocks /
-                                    d.buckets)
+                                    c.buckets)
             : 0;
         if (spec.max_history_blocks > 0 && blocks == 0)
             blocks = 1;  // even a bare scene has one context block
         blocks = std::min<uint32_t>(blocks, spec.max_history_blocks);
         for (uint32_t j = 0; j < blocks; ++j)
-            ex.inputs.push_back({ids.blocks[j], state_.blockContent(j)});
+            out.inputs.push_back({ids.blocks[j], state_.blockContent(j)});
     }
-    if (!spec.extern_field.empty() &&
+    if (ids.extern_in != events::kInvalidField &&
         util::mixCombine(vhash, kSaltExtIn) % 1000000 <
             spec.extern_per_million) {
-        events::FieldId xf = externIn_.at(spec.extern_field);
-        ex.inputs.push_back({xf, util::mixCombine(params_.salt, xf)});
+        out.inputs.push_back(
+            {ids.extern_in, util::mixCombine(params_.salt, ids.extern_in)});
     }
 
     // --- Useless (no-op) decision: deterministic in the combo ---
     bool useless = false;
-    if (!spec.plateau_history_field.empty()) {
-        const auto &d = hist_decl(spec.plateau_history_field);
-        uint64_t hv = state_.get(d.in_fid);
-        for (const auto &efs : spec.event_fields) {
-            if (efs.name == spec.plateau_event_field) {
-                uint64_t evv = eventValue(ev, efs.fid);
-                if (d.buckets && hv == d.buckets - 1 &&
-                    evv * 4 >= 3ull * efs.cardinality)
-                    useless = true;
-            }
-        }
+    if (ids.plateau.in_fid != events::kInvalidField) {
+        // The plateau field is bounded (buckets > 0, checked at
+        // construction): its top bucket is buckets - 1.
+        uint64_t hv = state_.get(ids.plateau.in_fid);
+        uint64_t evv = eventValue(ev, ids.plateau_event);
+        useless = hv == ids.plateau.buckets - 1 &&
+                  evv * 4 >= 3ull * ids.plateau_cardinality;
     }
     useless = useless ||
         util::mixCombine(vhash, kSaltUseless) % 10000 <
             spec.useless_per_myriad;
-    ex.useless = useless;
+    out.useless = useless;
 
     bool state_changed = false;
     if (!useless) {
         uint64_t pattern = util::mixCombine(vhash, kSaltPattern) %
                            std::max<uint32_t>(1, spec.output_cardinality);
-        uint64_t pkey = util::mixCombine(typeSalt(ev.type), pattern + 1);
+        uint64_t pkey = util::mixCombine(ids.type_salt, pattern + 1);
         bool scoring = util::mixCombine(vhash, kSaltScore) % 100 <
                        spec.scoring_per_cent;
-        scoring = scoring && !spec.scoring_history.empty();
-        ex.scoring = scoring;
+        scoring = scoring && !ids.scoring.empty();
+        out.scoring = scoring;
 
         for (events::FieldId tf : ids.temp_out)
-            ex.outputs.push_back({tf, util::mixCombine(pkey, tf)});
+            out.outputs.push_back({tf, util::mixCombine(pkey, tf)});
         // Some reactions are render/haptic-only (Out.Temp) and leave
         // the state untouched; otherwise a single event advances
         // only one piece of game state (a tile, the stretch, the
@@ -377,37 +417,38 @@ Game::process(const events::EventObject &ev) const
         // differing in their transient output.
         bool temp_only = util::mixCombine(vhash, kSaltTempOnly) % 100 <
                          spec.temp_only_per_cent;
-        if (!spec.history_outputs.empty() && !temp_only) {
+        if (!ids.outputs.empty() && !temp_only) {
             size_t which = util::mixCombine(vhash, kSaltWhich) %
-                           spec.history_outputs.size();
-            const auto &d = hist_decl(spec.history_outputs[which]);
-            uint64_t coarse = util::mixCombine(typeSalt(ev.type),
+                           ids.outputs.size();
+            events::FieldId of = ids.outputs[which].out_fid;
+            uint64_t coarse = util::mixCombine(ids.type_salt,
                                                pattern / 4 + 1);
-            uint64_t value = util::mixCombine(coarse, d.out_fid);
-            ex.outputs.push_back({d.out_fid, value});
-            state_changed |= state_.wouldChange(d.out_fid, value);
+            uint64_t value = util::mixCombine(coarse, of);
+            out.outputs.push_back({of, value});
+            state_changed |= state_.wouldChange(of, value);
         }
         if (scoring) {
             uint32_t k = 0;
-            for (const auto &name : spec.scoring_history) {
-                const auto &d = hist_decl(name);
-                uint64_t cur = state_.get(d.in_fid);
-                ex.inputs.push_back({d.in_fid, cur});
-                vals.push_back(util::mixCombine(d.in_fid, cur));
+            for (const HistRef &r : ids.scoring) {
+                uint64_t cur = state_.get(r.in_fid);
+                out.inputs.push_back({r.in_fid, cur});
+                vals[nvals++] = util::mixCombine(r.in_fid, cur);
                 uint64_t u = util::mixCombine(vhash, kSaltDelta + k++);
-                ex.outputs.push_back({d.out_fid, cur + 1 + u % 50});
+                out.outputs.push_back({r.out_fid, cur + 1 + u % 50});
                 state_changed = true;
             }
             if (ids.extern_out != events::kInvalidField &&
                 util::mixCombine(vhash, kSaltExtOut) % 5 == 0) {
-                ex.outputs.push_back(
+                out.outputs.push_back(
                     {ids.extern_out,
                      util::mixCombine(pkey, ids.extern_out)});
             }
         }
     }
-    ex.necessary_hash = util::hashWords(vals);
-    ex.state_changed = state_changed;
+    out.necessary_hash =
+        util::fnv1a(vals.data() + nprefix,
+                    (nvals - nprefix) * sizeof(uint64_t), vhash);
+    out.state_changed = state_changed;
 
     // --- Cost model (deterministic in combo + complexity) ---
     uint64_t cu = util::mixCombine(vhash, kSaltCost);
@@ -417,19 +458,26 @@ Game::process(const events::EventObject &ev) const
     double scale = spread *
         (1.0 + spec.complexity_cost_factor *
                    static_cast<double>(complexity)) *
-        (ex.scoring ? 1.3 : 1.0);
-    ex.cpu_instructions =
+        (out.scoring ? 1.3 : 1.0);
+    out.cpu_instructions =
         static_cast<uint64_t>(spec.minstr_mean * scale * 1e6);
     for (const auto &c : spec.ip_calls)
-        ex.ip_calls.push_back({c.kind, c.work_units * scale});
-    uint64_t input_bytes = schema_.bytesOf(ex.inputs);
-    ex.memory_bytes = static_cast<uint64_t>(
+        out.ip_calls.push_back({c.kind, c.work_units * scale});
+    uint64_t input_bytes = schema_.bytesOf(out.inputs);
+    out.memory_bytes = static_cast<uint64_t>(
         spec.mem_bytes_factor * static_cast<double>(input_bytes)) +
-        ex.cpu_instructions / 16;
-    ex.maxcpu_fraction = spec.maxcpu_repeat_fraction;
+        out.cpu_instructions / 16;
+    out.maxcpu_fraction = spec.maxcpu_repeat_fraction;
 
-    events::canonicalize(ex.inputs);
-    events::canonicalize(ex.outputs);
+    events::canonicalize(out.inputs);
+    events::canonicalize(out.outputs);
+}
+
+HandlerExecution
+Game::process(const events::EventObject &ev) const
+{
+    HandlerExecution ex;
+    process(ev, ex);
     return ex;
 }
 
@@ -443,20 +491,14 @@ Game::applyOutputs(const std::vector<events::FieldValue> &outputs)
 std::vector<events::FieldId>
 Game::necessaryInputIds(events::EventType t) const
 {
-    const HandlerSpec &spec = handler(t);
-    std::vector<events::FieldId> ids;
-    for (const auto &efs : spec.event_fields)
-        if (efs.necessary)
-            ids.push_back(efs.fid);
-    auto add_hist = [&](const std::string &name) {
-        for (const auto &d : params_.history_fields)
-            if (d.name == name)
-                ids.push_back(d.in_fid);
-    };
-    for (const auto &n : spec.necessary_history)
-        add_hist(n);
-    for (const auto &n : spec.scoring_history)
-        add_hist(n);
+    handler(t);  // panics when the game lacks the type
+    const HandlerIds &hids =
+        handlerIds_[static_cast<size_t>(handlerIdx_[static_cast<int>(t)])];
+    std::vector<events::FieldId> ids = hids.necessary_event;
+    for (const HistRef &r : hids.necessary)
+        ids.push_back(r.in_fid);
+    for (const HistRef &r : hids.scoring)
+        ids.push_back(r.in_fid);
     std::sort(ids.begin(), ids.end());
     return ids;
 }

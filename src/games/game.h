@@ -120,17 +120,29 @@ class Game
     const HandlerSpec &handler(events::EventType t) const;
 
     /**
-     * Draw the next event of type @p t at simulated time @p now.
-     * Consumes randomness from @p rng; advances per-type gesture
-     * memory (bursts / exact repeats).
+     * Draw the next event of type @p t at simulated time @p now into
+     * @p out, overwriting it and reusing its capacity. Consumes
+     * randomness from @p rng; advances per-type gesture memory
+     * (bursts / exact repeats).
      */
+    void makeEvent(events::EventType t, double now, util::Rng &rng,
+                   events::EventObject &out);
+
+    /** makeEvent() into a fresh object. */
     events::EventObject makeEvent(events::EventType t, double now,
                                   util::Rng &rng);
 
     /**
-     * Compute the full execution of @p ev against the current state.
-     * Pure: identical (event, state) gives identical results.
+     * Compute the full execution of @p ev against the current state
+     * into @p out, overwriting every field and reusing its capacity:
+     * once a buffer has held one execution of a type, later ones of
+     * that type allocate nothing. Pure: identical (event, state)
+     * gives identical results.
      */
+    void process(const events::EventObject &ev,
+                 HandlerExecution &out) const;
+
+    /** process() into a fresh execution. */
     HandlerExecution process(const events::EventObject &ev) const;
 
     /** Commit output writes to the state. */
@@ -158,7 +170,6 @@ class Game
   private:
     void buildSchema();
     const std::vector<double> &zipfCdf(uint32_t cardinality) const;
-    uint64_t typeSalt(events::EventType t) const;
 
     GameParams params_;
     events::FieldSchema schema_;
@@ -174,14 +185,43 @@ class Game
     };
     std::array<GenMemory, events::kNumEventTypes> genMem_;
 
-    /** Registered auxiliary ids. */
-    std::unordered_map<std::string, events::FieldId> externIn_;
     /** Context-block field id -> block index. */
     std::unordered_map<events::FieldId, uint32_t> blockIndex_;
+
+    /** A history field's state slot, resolved from its name. */
+    struct HistRef {
+        events::FieldId in_fid = events::kInvalidField;
+        events::FieldId out_fid = events::kInvalidField;
+        uint32_t buckets = 0;
+    };
+    /**
+     * One handler's field layout, resolved from the spec's names at
+     * construction so process() never looks a name up.
+     */
     struct HandlerIds {
         std::vector<events::FieldId> temp_out;
         events::FieldId extern_out = events::kInvalidField;
         std::vector<events::FieldId> blocks;
+        /** Necessary In.Event fields, in event_fields order. */
+        std::vector<events::FieldId> necessary_event;
+        std::vector<HistRef> necessary;  ///< necessary_history
+        std::vector<HistRef> scoring;    ///< scoring_history
+        std::vector<HistRef> outputs;    ///< history_outputs
+        /** complexity_field; in_fid is kInvalidField when unset. */
+        HistRef complexity;
+        /** Whether complexity is read on its own (not necessary). */
+        bool complexity_extra = false;
+        /** plateau_history_field; in_fid kInvalidField when unset. */
+        HistRef plateau;
+        events::FieldId plateau_event = events::kInvalidField;
+        uint32_t plateau_cardinality = 0;
+        /** extern_field's "x.<name>" id; kInvalidField when unset. */
+        events::FieldId extern_in = events::kInvalidField;
+        /** Per-type salt of the necessary-input hash. */
+        uint64_t type_salt = 0;
+        /** Most inputs / outputs one execution can record. */
+        size_t max_inputs = 0;
+        size_t max_outputs = 0;
     };
     std::vector<HandlerIds> handlerIds_;
 

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "events/field.h"
+#include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 
@@ -704,18 +705,10 @@ util::Status
 ColumnarLog::save(const std::vector<uint8_t> &bytes,
                   const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return util::Status::Errorf("columnar: cannot write '%s'",
-                                    path.c_str());
-    size_t wrote =
-        bytes.empty() ? 0 : std::fwrite(bytes.data(), 1,
-                                        bytes.size(), f);
-    bool ok = wrote == bytes.size() && std::fclose(f) == 0;
-    if (!ok)
-        return util::Status::Errorf("columnar: short write on '%s'",
-                                    path.c_str());
-    return util::Status::Ok();
+    util::Status st = util::writeFileAtomic(path, bytes.data(), bytes.size());
+    if (!st.ok())
+        return util::Status::Errorf("columnar: %s", st.message().c_str());
+    return st;
 }
 
 void

@@ -21,10 +21,13 @@ Replayer::replay(const EventTrace &trace, games::Game &game)
     Profile profile;
     profile.game = trace.game;
     profile.records.reserve(trace.events.size());
+    // Process into one reused buffer; each stored record is an
+    // exact-size copy of it.
+    games::HandlerExecution ex;
     for (const auto &ev : trace.events) {
-        games::HandlerExecution ex = game.process(ev);
+        game.process(ev, ex);
         game.applyOutputs(ex.outputs);
-        profile.records.push_back(std::move(ex));
+        profile.records.push_back(ex);
     }
     return profile;
 }

@@ -206,16 +206,12 @@ decodeProfile(util::ByteBuffer &buf, Profile *out)
 util::Status
 saveBuffer(const util::ByteBuffer &buf, const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return util::Status::Errorf(
-            "saveBuffer: cannot open %s for writing", path.c_str());
-    size_t written = std::fwrite(buf.data().data(), 1, buf.size(), f);
-    int close_err = std::fclose(f);
-    if (written != buf.size() || close_err != 0)
-        return util::Status::Errorf("saveBuffer: short write to %s",
-                                    path.c_str());
-    return util::Status::Ok();
+    util::Status st =
+        util::writeFileAtomic(path, buf.data().data(), buf.size());
+    if (!st.ok())
+        return util::Status::Errorf("saveBuffer: %s",
+                                    st.message().c_str());
+    return st;
 }
 
 util::Status

@@ -1,6 +1,11 @@
 #include "util/bytes.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 
 #include "util/logging.h"
 
@@ -25,10 +30,41 @@ fnv1a(const std::string &s)
     return fnv1a(s.data(), s.size());
 }
 
-uint64_t
-hashWords(const std::vector<uint64_t> &words)
+Status
+writeFileAtomic(const std::string &path, const void *data, size_t len)
 {
-    return fnv1a(words.data(), words.size() * sizeof(uint64_t));
+    const std::string tmp = path + ".tmp";
+    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                    0644);
+    if (fd < 0)
+        return Status::Errorf("cannot open %s for writing: %s",
+                              tmp.c_str(), std::strerror(errno));
+    const char *failed = nullptr;
+    const uint8_t *p = static_cast<const uint8_t *>(data);
+    while (len > 0) {
+        ssize_t n = ::write(fd, p, len);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0) {
+            failed = "write";
+            break;
+        }
+        p += n;
+        len -= static_cast<size_t>(n);
+    }
+    if (!failed && ::fsync(fd) != 0)
+        failed = "fsync";
+    if (::close(fd) != 0 && !failed)
+        failed = "close";
+    if (!failed && ::rename(tmp.c_str(), path.c_str()) != 0)
+        failed = "rename";
+    if (failed) {
+        int err = errno;
+        ::unlink(tmp.c_str());
+        return Status::Errorf("%s of %s failed: %s", failed, tmp.c_str(),
+                              std::strerror(err));
+    }
+    return Status::Ok();
 }
 
 std::string

@@ -13,18 +13,31 @@
 #include <string>
 #include <vector>
 
+#include "util/status.h"
+
 namespace snip {
 namespace util {
 
-/** 64-bit FNV-1a over a raw byte range. */
+/**
+ * 64-bit FNV-1a over a raw byte range. Passing the hash of a prefix
+ * as @p seed continues the stream: fnv1a(b, n, fnv1a(a, m)) equals
+ * fnv1a over a‖b.
+ */
 uint64_t fnv1a(const void *data, size_t len,
                uint64_t seed = 0xcbf29ce484222325ULL);
 
 /** 64-bit FNV-1a over a string. */
 uint64_t fnv1a(const std::string &s);
 
-/** Hash a vector of 64-bit words (order-sensitive). */
-uint64_t hashWords(const std::vector<uint64_t> &words);
+/**
+ * Replace the file at @p path with @p len bytes, crash-consistently:
+ * write `<path>.tmp`, fsync and close it, then rename it over
+ * @p path. A crash at any point leaves either the old file or the
+ * new one, never a torn one; on any failure the tmp file is removed
+ * and @p path is untouched.
+ */
+Status writeFileAtomic(const std::string &path, const void *data,
+                       size_t len);
 
 /** Format bytes as lowercase hex. */
 std::string toHex(const void *data, size_t len);

@@ -451,6 +451,54 @@ TEST(FleetRegistryTest, DeltaMemoizedAndSaveLoadRoundTrip)
     EXPECT_EQ(fetched.value()->data(), packageOf(m1)->data());
 }
 
+// A save that "crashed" mid-write leaves torn tmp files behind: the
+// load must still see the last complete save, and the next save must
+// replace both the index and the packages, consuming the tmp files.
+TEST(FleetRegistryTest, TornSaveKeepsOldStateAndNextSaveReplacesIt)
+{
+    core::SnipModel m1 = buildModelFor("colorphun", 10.0, 81);
+    core::SnipModel m2 = buildModelFor("colorphun", 14.0, 82);
+    ModelRegistry reg;
+    auto v1 = reg.publish("colorphun", packageOf(m1));
+    ASSERT_TRUE(v1.ok());
+    std::string dir = ::testing::TempDir() + "fleet_reg_torn";
+    ASSERT_TRUE(reg.saveDir(dir).ok());
+
+    auto v2 = reg.publish("colorphun", packageOf(m2));
+    ASSERT_TRUE(v2.ok());
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(v2.value()));
+    const std::string torn_index = dir + "/index.txt.tmp";
+    const std::string torn_pkg = dir + "/" + hex + ".snpm.tmp";
+    for (const std::string &path : {torn_index, torn_pkg}) {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fputs("colorphun\t", f);  // cut off mid-line
+        std::fclose(f);
+    }
+
+    auto old = ModelRegistry::loadDir(dir);
+    ASSERT_TRUE(old.ok()) << old.status().message();
+    EXPECT_EQ(old.value().versionCount("colorphun"), 1u);
+    EXPECT_EQ(old.value().head("colorphun")->id, v1.value());
+
+    ASSERT_TRUE(reg.saveDir(dir).ok());
+    for (const std::string &path : {torn_index, torn_pkg}) {
+        std::FILE *f = std::fopen(path.c_str(), "rb");
+        EXPECT_EQ(f, nullptr) << path;
+        if (f)
+            std::fclose(f);
+    }
+    auto now = ModelRegistry::loadDir(dir);
+    ASSERT_TRUE(now.ok()) << now.status().message();
+    EXPECT_EQ(now.value().versionCount("colorphun"), 2u);
+    EXPECT_EQ(now.value().head("colorphun")->id, v2.value());
+    auto fetched = now.value().fetch("colorphun", v2.value());
+    ASSERT_TRUE(fetched.ok());
+    EXPECT_EQ(fetched.value()->data(), packageOf(m2)->data());
+}
+
 // ------------------------------------------------------- epoch push
 
 TEST(FleetSimTest, PushEpochCohortReport)

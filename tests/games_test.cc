@@ -9,11 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
 #include <set>
 #include <unordered_set>
 
+#include "core/scheme.h"
+#include "core/simulation.h"
 #include "games/catalog.h"
 #include "games/registry.h"
+#include "trace/recorder.h"
 #include "util/logging.h"
 
 namespace snip {
@@ -394,6 +399,94 @@ TEST_P(GameTest, RecommendedOverridesNameRealFields)
 
 INSTANTIATE_TEST_SUITE_P(AllGames, GameTest,
                          ::testing::ValuesIn(allGameNames()));
+
+// ------------------------------------------------- ground-truth pin
+
+/** Fold one execution, every field, doubles by bit pattern. */
+uint64_t
+digestExecution(uint64_t h, const HandlerExecution &ex)
+{
+    auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+    h = util::mixCombine(h, static_cast<uint64_t>(ex.type));
+    h = util::mixCombine(h, ex.seq);
+    for (const auto *fvs : {&ex.inputs, &ex.outputs}) {
+        h = util::mixCombine(h, fvs->size());
+        for (const events::FieldValue &fv : *fvs)
+            h = util::mixCombine(util::mixCombine(h, fv.id), fv.value);
+    }
+    h = util::mixCombine(h, ex.necessary_hash);
+    h = util::mixCombine(h, ex.cpu_instructions);
+    h = util::mixCombine(h, ex.memory_bytes);
+    h = util::mixCombine(h, ex.ip_calls.size());
+    for (const IpCall &c : ex.ip_calls) {
+        h = util::mixCombine(h, static_cast<uint64_t>(c.kind));
+        h = util::mixCombine(h, bits(c.work_units));
+    }
+    h = util::mixCombine(h, bits(ex.maxcpu_fraction));
+    return util::mixCombine(
+        h, (ex.state_changed ? 1u : 0u) | (ex.useless ? 2u : 0u) |
+               (ex.scoring ? 4u : 0u));
+}
+
+/**
+ * Record a 60 s Baseline session of a game built from @p params,
+ * replay it through a fresh instance, and digest every execution.
+ * Asserts on the way that input and output ids strictly increase.
+ */
+uint64_t
+replayDigest(const GameParams &params)
+{
+    Game game(params);
+    core::BaselineScheme baseline;
+    core::SimulationConfig cfg;
+    cfg.duration_s = 60.0;
+    cfg.record_events = true;
+    core::SessionResult rec = core::runSession(game, baseline, cfg);
+    EXPECT_FALSE(rec.trace.events.empty()) << params.name;
+
+    Game fresh(params);
+    trace::Profile profile = trace::Replayer::replay(rec.trace, fresh);
+    EXPECT_EQ(profile.records.size(), rec.trace.events.size());
+    uint64_t h = 0x9a3e5d16e57ULL;
+    for (const HandlerExecution &ex : profile.records) {
+        for (size_t i = 1; i < ex.inputs.size(); ++i)
+            EXPECT_LT(ex.inputs[i - 1].id, ex.inputs[i].id) << params.name;
+        for (size_t i = 1; i < ex.outputs.size(); ++i)
+            EXPECT_LT(ex.outputs[i - 1].id, ex.outputs[i].id)
+                << params.name;
+        h = digestExecution(h, ex);
+    }
+    return h;
+}
+
+// Pins the handler ground truth of every catalog game: a 60 s
+// Baseline trace replayed through a fresh game must reproduce every
+// HandlerExecution field bit for bit. In.Extern reads are rare (a
+// few per 10^4 combos), so each game is pinned once more with them
+// on a quarter of the combos. Replay also proves the canonical form
+// on long runs: ids strictly increase, so no record has a duplicate.
+TEST(Games, ProcessGoldenDigest)
+{
+    const std::map<std::string, std::pair<uint64_t, uint64_t>> want = {
+        {"colorphun", {0xf0ab0437102ea0a5ULL, 0x67c11a02d3ffb9e4ULL}},
+        {"memory_game", {0xd5c166bcdc46889cULL, 0x98bc518398d7e0d9ULL}},
+        {"candy_crush", {0x040f2d55f065e38cULL, 0x6b6b5dea83ce3ed2ULL}},
+        {"greenwall", {0x83ad7a303980d2cdULL, 0x1c07a73a65a30fceULL}},
+        {"ab_evolution", {0x06a45fb04d580b39ULL, 0xb0a75746f9d40455ULL}},
+        {"chase_whisply", {0xa7345aab2805bca4ULL, 0xdfe888e828218413ULL}},
+        {"race_kings", {0xf3f89a1763dcb5d3ULL, 0x70323c272f56944bULL}},
+    };
+    ASSERT_EQ(want.size(), allGameNames().size());
+    for (const std::string &name : allGameNames()) {
+        GameParams params = paramsFor(name);
+        uint64_t plain = replayDigest(params);
+        for (HandlerSpec &spec : params.handlers)
+            spec.extern_per_million = 250000;
+        uint64_t with_extern = replayDigest(params);
+        EXPECT_EQ(plain, want.at(name).first) << name;
+        EXPECT_EQ(with_extern, want.at(name).second) << name;
+    }
+}
 
 // --------------------------------------------------- game specifics
 

@@ -260,6 +260,37 @@ TEST(TraceLogTest, FileSaveLoadRoundTrip)
     std::remove(path.c_str());
 }
 
+// Saves go through a fsync'd tmp file and a rename: a torn tmp file
+// from a crashed save is invisible to loads, and the next save
+// replaces it along with the target.
+TEST(TraceLogTest, TornTmpFileKeepsOldStateAndNextSaveReplacesIt)
+{
+    std::string path = ::testing::TempDir() + "/snip_trace_torn.bin";
+    util::ByteBuffer old_buf, new_buf;
+    old_buf.putString("old payload");
+    new_buf.putString("new payload, longer than the old one");
+    ASSERT_TRUE(saveBuffer(old_buf, path).ok());
+
+    const std::string tmp = path + ".tmp";
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(new_buf.data().data(), 1, 5, f);  // torn: 5 bytes
+    std::fclose(f);
+
+    util::ByteBuffer loaded;
+    ASSERT_TRUE(loadBuffer(path, &loaded).ok());
+    EXPECT_EQ(loaded.data(), old_buf.data());
+
+    ASSERT_TRUE(saveBuffer(new_buf, path).ok());
+    ASSERT_TRUE(loadBuffer(path, &loaded).ok());
+    EXPECT_EQ(loaded.data(), new_buf.data());
+    f = std::fopen(tmp.c_str(), "rb");
+    EXPECT_EQ(f, nullptr);
+    if (f)
+        std::fclose(f);
+    std::remove(path.c_str());
+}
+
 TEST(TraceLogTest, FileErrorsReturnStatus)
 {
     util::ByteBuffer buf;

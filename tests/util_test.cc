@@ -18,6 +18,7 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "util/bytes.h"
@@ -268,10 +269,47 @@ TEST(Fnv1a, KnownProperties)
     EXPECT_EQ(fnv1a(std::string("hello")), fnv1a(std::string("hello")));
 }
 
-TEST(HashWords, OrderSensitive)
+TEST(Fnv1a, WordOrderSensitive)
 {
-    EXPECT_NE(hashWords({1, 2}), hashWords({2, 1}));
-    EXPECT_NE(hashWords({1}), hashWords({1, 0}));
+    const uint64_t ab[] = {1, 2}, ba[] = {2, 1}, one[] = {1, 0};
+    EXPECT_NE(fnv1a(ab, sizeof ab), fnv1a(ba, sizeof ba));
+    EXPECT_NE(fnv1a(one, 8), fnv1a(one, 16));
+}
+
+// The seed continues a stream: hashing b from fnv1a(a) equals hashing
+// a‖b in one pass, for every split point (the empty suffix included).
+TEST(Fnv1a, SeedContinuesStream)
+{
+    Rng rng(17);
+    for (int trial = 0; trial < 64; ++trial) {
+        std::vector<uint8_t> ab(rng.uniformInt(0, 96));
+        for (auto &b : ab)
+            b = static_cast<uint8_t>(rng.next());
+        size_t split = rng.uniformInt(0, ab.size());
+        uint64_t whole = fnv1a(ab.data(), ab.size());
+        uint64_t a = fnv1a(ab.data(), split);
+        EXPECT_EQ(fnv1a(ab.data() + split, ab.size() - split, a), whole);
+    }
+}
+
+// A failed atomic write leaves neither the target nor a tmp file.
+TEST(WriteFileAtomic, FailureLeavesNoTmpFile)
+{
+    const char data[] = "payload";
+    EXPECT_FALSE(
+        writeFileAtomic("/nonexistent/dir/f.bin", data, sizeof data).ok());
+
+    // rename() onto a non-empty directory fails after the tmp file
+    // was fully written: the tmp file must be removed.
+    std::string dir = ::testing::TempDir() + "/snip_atomic_dir";
+    ::mkdir(dir.c_str(), 0755);
+    std::string inner = dir + "/keep";
+    ASSERT_TRUE(writeFileAtomic(inner, data, sizeof data).ok());
+    EXPECT_FALSE(writeFileAtomic(dir, data, sizeof data).ok());
+    struct stat sb;
+    EXPECT_NE(::stat((dir + ".tmp").c_str(), &sb), 0);
+    std::remove(inner.c_str());
+    ::rmdir(dir.c_str());
 }
 
 TEST(ByteBuffer, RoundTripPrimitives)

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Continuous-integration checks. Stages, in order:
 #  - default build + ctest;
+#  - bench goldens: the stdout and --csv series of the 14 paper
+#    benches at --quick (fig11 also at --threads 4) are diffed byte
+#    for byte against tests/golden/ (tools/bench_goldens.sh);
 #  - micro_train Shrink smoke, run twice: the selection and packed-model
 #    digests must agree across runs and with their pinned values, and
 #    the binary exits non-zero on a broken determinism or zero-alloc
@@ -65,6 +68,9 @@ echo "==> default build + ctest"
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$JOBS"
 ctest --preset default -j "$JOBS"
+
+echo "==> bench goldens (paper benches at --quick, byte for byte)"
+tools/bench_goldens.sh build
 
 echo "==> micro_train smoke (Shrink-phase contracts, two runs)"
 ./build/bench/micro_train --quick --out build/micro_train_a.json \
