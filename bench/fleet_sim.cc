@@ -50,7 +50,7 @@
 using namespace snip;
 
 // ------------------------------------------------ counting allocator
-// Same instrumentation as micro_lookup/micro_train: every allocation
+// Same instrumentation as tests/alloc_test.cc: every allocation
 // in the process counts, making the per-upload figure an upper
 // bound.
 #if defined(__GNUC__) && !defined(__clang__)

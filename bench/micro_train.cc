@@ -1,49 +1,46 @@
 /**
  * @file
- * Training-side (Shrink phase, paper §V-A) microbenchmark: forest
- * training throughput, PFI throughput, and full necessary-input
- * selection wall time at 1 vs N threads, plus the determinism and
- * allocation contracts the parallel pipeline promises:
+ * Training-side (Shrink phase, paper §V-A) microbenchmark: PFI
+ * throughput over the exact-match TablePredictor and full
+ * necessary-input selection wall time at 1 vs N threads, plus the
+ * determinism contracts the parallel pipeline promises:
  *
- *   - forests / PFI importances / SelectionResult / packed OTA
- *     model bytes are byte-identical at every thread count;
- *   - the forest vote path does zero heap allocations per
- *     prediction (counted by a global counting allocator);
+ *   - PFI importances / SelectionResult / packed OTA model bytes are
+ *     byte-identical at every thread count;
  *   - cached-PFI selection (SelectionConfig::cache_pfi) matches the
  *     full-recompute selection exactly;
- *   - Dataset construction does a bounded number of allocations
- *     (never O(rows));
  *   - training through a memory-mapped ml::ChunkedDataset — any
  *     block size — reproduces the in-memory selection and packed
  *     model byte for byte (the out-of-core digest contract).
  *
  * With --rows N the bench additionally generates an N-row synthetic
  * SNCT v2 training trace on disk (trace::TrainingWriter, streaming,
- * bounded memory), trains a forest through the mmap'd view, and
- * reports rows_per_sec plus peak_rss_bytes (VmHWM) — optionally
- * asserting the peak against --rss-cap-mb, which is how tools/ci.sh
- * proves multi-GB-trace training stays under a fixed footprint.
+ * bounded memory), runs the production out-of-core Shrink over it
+ * (core::buildSnipModel on the mmap'd trace) and reports its wall
+ * time, rows_per_sec, the packed model's size and CRC, and
+ * peak_rss_bytes (VmHWM) — optionally asserting the peak against
+ * --rss-cap-mb. tools/ci.sh runs it at two block geometries and
+ * requires the same package CRC.
  *
  * Emits JSON (default BENCH_micro_train.json, also printed to
  * stdout) so BENCH_* files carry a training-side perf trajectory,
  * and exits non-zero when any contract above is violated — which is
  * what lets tools/ci.sh use it as a determinism smoke.
  *
- * Flags: --quick (smaller profile/forest), --seed <n>,
+ * Flags: --quick (shorter profile), --seed <n>,
  * --threads <n> (the "N" side; default: all cores / SNIP_THREADS),
- * --profile-s <sec>, --trees <n>, --out <path>, --rows <n>
+ * --profile-s <sec>, --out <path>, --rows <n>
  * (synthetic out-of-core rows; 0 = skip), --block-rows <n>,
  * --rss-budget-mb <mb> (chunked residency budget),
  * --rss-cap-mb <mb> (hard VmHWM assertion; 0 = report only).
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -51,7 +48,7 @@
 #include "ml/chunked_dataset.h"
 #include "ml/dataset.h"
 #include "ml/feature_selection.h"
-#include "ml/random_forest.h"
+#include "ml/table_predictor.h"
 #include "trace/columnar_log.h"
 #include "util/crc32.h"
 #include "util/logging.h"
@@ -59,41 +56,6 @@
 #include "util/rng.h"
 
 using namespace snip;
-
-// ------------------------------------------------ counting allocator
-// Same instrumentation as micro_lookup: any allocation anywhere in
-// the process inflates the count, which only makes the
-// zero-allocation claim stronger.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-namespace {
-std::atomic<uint64_t> g_allocs{0};
-}
-
-void *
-operator new(size_t size)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](size_t size)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, size_t) noexcept { std::free(p); }
-void operator delete[](void *p, size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -153,7 +115,6 @@ peakRssBytes()
 struct Args {
     bench::BenchOptions opts;
     double profile_s = 60.0;
-    int trees = 32;
     std::string out = "BENCH_micro_train.json";
     /** Synthetic out-of-core rows; 0 = skip that stage. */
     uint64_t rows = 0;
@@ -172,7 +133,6 @@ parseArgs(int argc, char **argv)
         if (std::strcmp(argv[i], "--quick") == 0) {
             a.opts.quick = true;
             a.profile_s = 20.0;
-            a.trees = 12;
         } else if (std::strcmp(argv[i], "--seed") == 0 &&
                    i + 1 < argc) {
             a.opts.seed = std::strtoull(argv[++i], nullptr, 0);
@@ -183,10 +143,6 @@ parseArgs(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--profile-s") == 0 &&
                    i + 1 < argc) {
             a.profile_s = std::strtod(argv[++i], nullptr);
-        } else if (std::strcmp(argv[i], "--trees") == 0 &&
-                   i + 1 < argc) {
-            a.trees = static_cast<int>(
-                std::strtol(argv[++i], nullptr, 0));
         } else if (std::strcmp(argv[i], "--out") == 0 &&
                    i + 1 < argc) {
             a.out = argv[++i];
@@ -208,7 +164,7 @@ parseArgs(int argc, char **argv)
         } else {
             util::fatal("unknown argument '%s' (expected --quick, "
                         "--seed <n>, --threads <n>, --profile-s "
-                        "<sec>, --trees <n>, --out <path>, "
+                        "<sec>, --out <path>, "
                         "--rows <n>, --block-rows <n>, "
                         "--rss-budget-mb <mb>, --rss-cap-mb <mb>)",
                         argv[i]);
@@ -231,15 +187,8 @@ main(int argc, char **argv)
     bench::ProfiledGame pg =
         bench::profileGame("ab_evolution", args.opts, args.profile_s);
 
-    // Dataset construction allocation contract: a fixed number of
-    // allocations (the column/label/weight arrays + the id union),
-    // never O(rows).
-    auto drag_recs = pg.profile.ofType(events::EventType::Drag);
-    uint64_t ctor_a0 = g_allocs.load(std::memory_order_relaxed);
-    ml::Dataset ds(drag_recs, pg.game->schema());
-    uint64_t ctor_allocs =
-        g_allocs.load(std::memory_order_relaxed) - ctor_a0;
-    bool ctor_bounded = ctor_allocs <= 16;
+    ml::Dataset ds(pg.profile.ofType(events::EventType::Drag),
+                   pg.game->schema());
 
     std::vector<size_t> cols(ds.numFeatures());
     for (size_t i = 0; i < cols.size(); ++i)
@@ -248,76 +197,28 @@ main(int argc, char **argv)
                 ds.numRows(), ds.numFeatures(), nthreads);
     bool ok = true;
 
-    // ---- 1. forest training throughput, 1 vs N threads ----------
-    ml::ForestConfig fc;
-    fc.num_trees = args.trees;
-    ml::RandomForest forest1(fc), forestN(fc);
-    double train_1t = wallSeconds([&] {
-        ml::ForestConfig c = fc;
-        c.threads = 1;
-        forest1 = ml::RandomForest(c);
-        forest1.train(ds, cols);
-    });
-    double train_nt = wallSeconds([&] {
-        ml::ForestConfig c = fc;
-        c.threads = nthreads;
-        forestN = ml::RandomForest(c);
-        forestN.train(ds, cols);
-    });
-
-    // Thread-count invariance: label-for-label identical forests.
-    std::vector<uint64_t> p1(ds.numRows()), pn(ds.numRows());
-    forest1.predictRows(ds, 0, ds.numRows(), p1.data());
-    forestN.predictRows(ds, 0, ds.numRows(), pn.data());
-    bool train_identical =
-        forest1.treeCount() == forestN.treeCount() && p1 == pn;
-    ok = ok && train_identical;
-
-    // Batched API vs per-row predictions, label for label.
-    bool batched_matches = true;
-    for (size_t r = 0; r < ds.numRows(); ++r)
-        batched_matches =
-            batched_matches && p1[r] == forest1.predict(ds, r);
-    ok = ok && batched_matches;
-
-    // ---- 2. zero-allocation vote path ---------------------------
-    uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
-    uint64_t sink = 0;
-    for (size_t r = 0; r < ds.numRows(); ++r)
-        sink += forest1.predict(ds, r);
-    uint64_t single_allocs =
-        g_allocs.load(std::memory_order_relaxed) - a0;
-    a0 = g_allocs.load(std::memory_order_relaxed);
-    forest1.predictRows(ds, 0, ds.numRows(), p1.data());
-    uint64_t batched_allocs =
-        g_allocs.load(std::memory_order_relaxed) - a0;
-    double allocs_per_pred =
-        static_cast<double>(single_allocs) /
-        static_cast<double>(ds.numRows());
-    double allocs_per_row_batched =
-        static_cast<double>(batched_allocs) /
-        static_cast<double>(ds.numRows());
-    ok = ok && single_allocs == 0 && batched_allocs == 0;
-
-    // ---- 3. PFI throughput, 1 vs N threads ----------------------
+    // ---- 1. PFI throughput, 1 vs N threads ----------------------
+    // Over the exact-match table, the predictor Shrink ranks with.
+    ml::TablePredictor table;
+    table.train(ds, cols);
     ml::PfiConfig pc;
     pc.seed = util::mixCombine(args.opts.seed, 0x9f1ULL);
     ml::PfiResult pfi_1, pfi_n;
     double pfi_1t = wallSeconds([&] {
         ml::PfiConfig c = pc;
         c.threads = 1;
-        pfi_1 = ml::computePfi(forest1, ds, cols, c);
+        pfi_1 = ml::computePfi(table, ds, cols, c);
     });
     double pfi_nt = wallSeconds([&] {
         ml::PfiConfig c = pc;
         c.threads = nthreads;
-        pfi_n = ml::computePfi(forest1, ds, cols, c);
+        pfi_n = ml::computePfi(table, ds, cols, c);
     });
     bool pfi_identical = pfi_1.importance == pfi_n.importance &&
                          pfi_1.base_error == pfi_n.base_error;
     ok = ok && pfi_identical;
 
-    // ---- 4. selection wall time, 1 vs N threads -----------------
+    // ---- 2. selection wall time, 1 vs N threads -----------------
     ml::SelectionConfig sc;
     sc.pfi.seed = util::mixCombine(args.opts.seed, 0x5e1ULL);
     ml::SelectionResult sel_1, sel_n, sel_full;
@@ -343,7 +244,7 @@ main(int argc, char **argv)
     ok = ok && sel_identical;
     uint32_t digest = selectionDigest(sel_1);
 
-    // ---- 5. OTA package bytes across thread counts --------------
+    // ---- 3. OTA package bytes across thread counts --------------
     core::SnipConfig scfg;
     scfg.seed = util::mixCombine(args.opts.seed, 0x07aULL);
     scfg.threads = 1;
@@ -359,9 +260,8 @@ main(int argc, char **argv)
     ok = ok && model_identical;
     uint32_t model_digest = util::crc32(pkg1.data().data(),
                                         pkg1.size());
-    ok = ok && ctor_bounded;
 
-    // ---- 6. out-of-core equivalence (mmap'd training trace) -----
+    // ---- 4. out-of-core equivalence (mmap'd training trace) -----
     // Convert the profile to an SNCT v2 training trace on disk,
     // train through the memory-mapped ChunkedDataset view, and
     // require selection + packed model bytes identical to the
@@ -425,12 +325,13 @@ main(int argc, char **argv)
     ok = ok && chunked_sel_identical && chunked_blocks_identical &&
          chunked_model_identical;
 
-    // ---- 7. synthetic out-of-core training (--rows) -------------
+    // ---- 5. synthetic out-of-core Shrink (--rows) ---------------
+    // The production path: buildSnipModel over the mmap'd trace.
     double oo_wall = 0.0;
     double rows_per_sec = 0.0;
-    uint64_t oo_fingerprint = 0;
-    bool oo_threads_identical = true;
-    int oo_trees = args.opts.quick ? 2 : 4;
+    size_t oo_bytes = 0;
+    size_t oo_entries = 0;
+    uint32_t oo_crc = 0;
     std::string spath = args.out + ".synth.snct";
     if (args.rows > 0) {
         // Borrow real Drag field ids so the synthetic section
@@ -484,33 +385,24 @@ main(int argc, char **argv)
         if (!slog.ok())
             util::fatal("open synthetic: %s",
                         slog.status().message().c_str());
-        auto sds = ml::ChunkedDataset::attach(
-            slog.value(), events::EventType::Drag, pg.game->schema(),
-            ccfg);
-        if (!sds.ok())
-            util::fatal("attach synthetic: %s",
-                        sds.status().message().c_str());
-        std::vector<size_t> scols(sds.value()->numFeatures());
-        for (size_t i = 0; i < scols.size(); ++i)
-            scols[i] = i;
-        ml::ForestConfig ofc;
-        ofc.num_trees = oo_trees;
-        ofc.threads = 1;
-        ml::RandomForest oforest(ofc);
-        oo_wall = wallSeconds(
-            [&] { oforest.train(*sds.value(), scols); });
-        rows_per_sec = static_cast<double>(args.rows) * oo_trees /
+        core::SnipConfig ocfg = scfg;
+        ocfg.threads = nthreads;
+        util::Result<core::SnipModel> om =
+            util::Status::Error("not built");
+        oo_wall = wallSeconds([&] {
+            om = core::buildSnipModel(slog.value(), *pg.game, ocfg,
+                                      ccfg);
+        });
+        if (!om.ok())
+            util::fatal("synthetic buildSnipModel: %s",
+                        om.status().message().c_str());
+        rows_per_sec = static_cast<double>(args.rows) /
                        (oo_wall > 0 ? oo_wall : 1e-9);
-        oo_fingerprint = oforest.fingerprint();
-        if (nthreads > 1) {
-            ml::ForestConfig nfc = ofc;
-            nfc.threads = nthreads;
-            ml::RandomForest nforest(nfc);
-            nforest.train(*sds.value(), scols);
-            oo_threads_identical =
-                nforest.fingerprint() == oo_fingerprint;
-        }
-        ok = ok && oo_threads_identical;
+        util::ByteBuffer opkg;
+        core::packModel(om.value(), opkg);
+        oo_bytes = opkg.size();
+        oo_entries = om.value().table->entryCount();
+        oo_crc = util::crc32(opkg.data().data(), opkg.size());
     }
     std::remove(spath.c_str());
 
@@ -527,11 +419,9 @@ main(int argc, char **argv)
         "{\n"
         "  \"bench\": \"micro_train\",\n"
         "  \"game\": \"ab_evolution\",\n"
+        "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
+        "\"build_type\": \"%s\"},\n"
         "  \"rows\": %zu, \"features\": %zu, \"threads\": %u,\n"
-        "  \"train\": {\"trees\": %d, \"wall_s_1t\": %.6f, "
-        "\"wall_s_nt\": %.6f, \"trees_per_sec_1t\": %.2f, "
-        "\"trees_per_sec_nt\": %.2f, \"speedup\": %.3f, "
-        "\"identical\": %s},\n"
         "  \"pfi\": {\"columns\": %zu, \"repeats\": %d, "
         "\"wall_s_1t\": %.6f, \"wall_s_nt\": %.6f, "
         "\"cols_per_sec_1t\": %.2f, \"cols_per_sec_nt\": %.2f, "
@@ -540,28 +430,22 @@ main(int argc, char **argv)
         "\"speedup\": %.3f, \"wall_s_full_recompute\": %.6f, "
         "\"cache_speedup\": %.3f, \"identical\": %s, "
         "\"digest\": \"%08x\"},\n"
-        "  \"predict\": {\"allocs_per_prediction\": %.4f, "
-        "\"allocs_per_row_batched\": %.4f},\n"
         "  \"model_codec\": {\"bytes\": %zu, "
         "\"identical_across_threads\": %s, \"digest\": \"%08x\"},\n"
-        "  \"dataset_ctor\": {\"allocs\": %llu, \"bounded\": %s},\n"
         "  \"chunked\": {\"block_rows\": %zu, "
         "\"sel_identical\": %s, \"blocks_identical\": %s, "
         "\"model_identical\": %s},\n"
-        "  \"out_of_core\": {\"rows\": %llu, \"trees\": %d, "
+        "  \"out_of_core\": {\"rows\": %llu, \"block_rows\": %zu, "
         "\"wall_s\": %.3f, \"rows_per_sec\": %.0f, "
-        "\"fingerprint\": \"%016llx\", \"threads_identical\": %s},\n"
-        "  \"rows_per_sec\": %.0f,\n"
+        "\"package_bytes\": %zu, \"entries\": %zu, "
+        "\"package_crc\": \"%08x\"},\n"
         "  \"peak_rss_bytes\": %llu, \"rss_cap_bytes\": %llu, "
         "\"rss_ok\": %s,\n"
         "  \"contracts_ok\": %s\n"
         "}\n",
-        ds.numRows(), ds.numFeatures(), nthreads, args.trees,
-        train_1t, train_nt,
-        args.trees / (train_1t > 0 ? train_1t : 1e-9),
-        args.trees / (train_nt > 0 ? train_nt : 1e-9),
-        train_1t / (train_nt > 0 ? train_nt : 1e-9),
-        train_identical && batched_matches ? "true" : "false",
+        std::thread::hardware_concurrency(), __VERSION__,
+        SNIP_BUILD_TYPE,
+        ds.numRows(), ds.numFeatures(), nthreads,
         cols.size(), pc.repeats, pfi_1t, pfi_nt,
         cols.size() / (pfi_1t > 0 ? pfi_1t : 1e-9),
         cols.size() / (pfi_nt > 0 ? pfi_nt : 1e-9),
@@ -571,19 +455,14 @@ main(int argc, char **argv)
         sel_full_t,
         sel_full_t / (sel_nt > 0 ? sel_nt : 1e-9),
         sel_identical ? "true" : "false", digest,
-        allocs_per_pred, allocs_per_row_batched, pkg1.size(),
+        pkg1.size(),
         model_identical ? "true" : "false", model_digest,
-        static_cast<unsigned long long>(ctor_allocs),
-        ctor_bounded ? "true" : "false",
         args.block_rows,
         chunked_sel_identical ? "true" : "false",
         chunked_blocks_identical ? "true" : "false",
         chunked_model_identical ? "true" : "false",
-        static_cast<unsigned long long>(args.rows), oo_trees,
-        oo_wall, rows_per_sec,
-        static_cast<unsigned long long>(oo_fingerprint),
-        oo_threads_identical ? "true" : "false",
-        rows_per_sec,
+        static_cast<unsigned long long>(args.rows), args.block_rows,
+        oo_wall, rows_per_sec, oo_bytes, oo_entries, oo_crc,
         static_cast<unsigned long long>(peak_rss),
         static_cast<unsigned long long>(rss_cap),
         rss_ok ? "true" : "false",
@@ -600,9 +479,8 @@ main(int argc, char **argv)
 
     if (!ok) {
         std::fprintf(stderr, "micro_train: CONTRACT VIOLATION — see "
-                             "\"identical\"/alloc fields above\n");
+                             "the \"identical\" fields above\n");
         return 1;
     }
-    (void)sink;
     return 0;
 }

@@ -119,12 +119,5 @@ ChunkedDataset::noteStreamed(size_t bytes) const
     }
 }
 
-void
-ChunkedDataset::releaseResidency() const
-{
-    streamed_.store(0, std::memory_order_relaxed);
-    log_->releaseResidency();
-}
-
 }  // namespace ml
 }  // namespace snip

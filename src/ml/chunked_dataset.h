@@ -8,10 +8,12 @@
  * RSS near a configured budget.
  *
  * Residency control is advisory and value-invariant: consumers
- * (DecisionTree, PFI, the CRC keys) call noteStreamed(bytes) every
- * streamBlockRows() rows; once the accumulated volume crosses half
- * the budget, the whole mapping is MADV_DONTNEED'd and clean pages
- * refault from the page cache on the next touch. Dropping pages
+ * (TablePredictor's row-key sweeps, the CRC keys of crcOfU64, the
+ * table prefill in core::buildSnipModel and attach()'s weight pass)
+ * call noteStreamed(bytes) every streamBlockRows() rows; once the
+ * accumulated volume crosses half the budget, the whole mapping is
+ * MADV_DONTNEED'd and clean pages refault from the page cache on the
+ * next touch. Dropping pages
  * never changes bytes, so chunked and in-memory training produce
  * bitwise-identical models at any block size or thread count (the
  * digest-equality contract; see DESIGN.md).
@@ -74,9 +76,6 @@ class ChunkedDataset : public DatasetView
 
     /** Streamed-volume accounting (see file header). */
     void noteStreamed(size_t bytes) const override;
-
-    /** Drop trace residency immediately (mmap-backed logs). */
-    void releaseResidency() const override;
 
   private:
     ChunkedDataset() = default;

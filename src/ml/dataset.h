@@ -18,8 +18,8 @@
  * DatasetView's hot accessors (value/label/weight/columnData) are
  * non-virtual reads through base-class pointers, so the ML inner
  * loops compile identically for both storages; only the residency
- * hooks (noteStreamed/releaseResidency) are virtual, and those sit
- * outside the per-row loops.
+ * hook (noteStreamed) is virtual, and it sits outside the per-row
+ * loops.
  */
 
 #ifndef SNIP_ML_DATASET_H
@@ -110,9 +110,6 @@ class DatasetView
      * cadence (the block-size digest-equality contract).
      */
     virtual void noteStreamed(size_t bytes) const { (void)bytes; }
-
-    /** Drop any droppable residency immediately (no-op in memory). */
-    virtual void releaseResidency() const {}
 
     /**
      * Process-unique id of this view, drawn from a monotonic counter

@@ -40,31 +40,6 @@ gini(const std::vector<uint64_t> &tally, uint64_t total)
  */
 constexpr size_t kHistCells = size_t{1} << 21;
 
-/**
- * Residency charged for gathering @p n frontier rows from one mapped
- * column, inside a scan that visits @p scan_rows rows of that column
- * in total. Node frontiers are bootstrap-shuffled, so each touched
- * row can fault in a whole page; deep in the tree the nodes are tiny
- * and byte-accurate accounting (n * 8) would never reach the release
- * threshold while the sparse touches quietly fault in every page of
- * every candidate column. Charging min(page, column / scan_rows) per
- * row tracks the true fresh residency at both ends: a dense scan
- * amortizes to the column's own bytes (its pages are shared between
- * rows), a sparse leaf-node scan pays a page per row. Purely
- * advisory — in-memory datasets no-op the hook.
- */
-constexpr size_t kGatherPage = 4096;
-
-size_t
-gatherBytes(const DatasetView &ds, size_t n, size_t scan_rows)
-{
-    size_t col = ds.numRows() * 8;
-    size_t per_row = std::min(
-        kGatherPage,
-        std::max<size_t>(8, col / std::max<size_t>(1, scan_rows)));
-    return n * per_row;
-}
-
 }  // namespace
 
 DecisionTree::DecisionTree(TreeConfig cfg) : cfg_(cfg) {}
@@ -101,7 +76,6 @@ DecisionTree::trainOnRows(const DatasetView &ds,
             std::lower_bound(labels_.begin(), labels_.end(),
                              ds.label(r)) -
             labels_.begin());
-    ds.noteStreamed(gatherBytes(ds, rows.size(), rows.size()));
     tally_.assign(labels_.size(), 0);
     lt_.assign(labels_.size(), 0);
     rt_.assign(labels_.size(), 0);
@@ -116,8 +90,7 @@ DecisionTree::trainOnRows(const DatasetView &ds,
 
     // Everything but the node array is build-time scratch. Release
     // it (capacity included) so a trained tree holds O(nodes), not
-    // O(rows) — across a sequentially-trained out-of-core forest the
-    // retained frontiers would otherwise multiply by the tree count.
+    // O(rows).
     for (auto *v : {&labels_, &tally_, &lt_, &rt_, &vals_, &hist_,
                     &histW_})
         std::vector<uint64_t>().swap(*v);
@@ -140,7 +113,6 @@ DecisionTree::makeLeaf(const DatasetView &ds, size_t lo, size_t hi)
         if (repr_[li] == SIZE_MAX)
             repr_[li] = r;  // first row seen, as before
     }
-    ds.noteStreamed(gatherBytes(ds, hi - lo, hi - lo));
     // Strict > over ascending labels keeps the smallest-label
     // tie-break of the ordered-map scan.
     uint64_t best = 0;
@@ -169,7 +141,6 @@ DecisionTree::build(const DatasetView &ds,
             break;
         }
     }
-    ds.noteStreamed(gatherBytes(ds, nrows, nrows));
     if (uniform || depth >= cfg_.max_depth ||
         nrows < cfg_.min_samples_split)
         return makeLeaf(ds, lo, hi);
@@ -192,29 +163,22 @@ DecisionTree::build(const DatasetView &ds,
         tally_[row_label_idx_[r]] += ds.weight(r);
         total_w += ds.weight(r);
     }
-    ds.noteStreamed(gatherBytes(ds, nrows, nrows));
     double parent_gini = gini(tally_, total_w);
 
     double best_gain = 1e-12;
     size_t best_col = SIZE_MAX;
     uint64_t best_thr = 0;
     size_t nlabels = labels_.size();
-    size_t blk = std::max<size_t>(1, ds.streamBlockRows());
 
     for (size_t col : cand) {
         // Distinct values as threshold candidates (capped). The
         // contiguous column keeps the scans below cache-linear in
         // the column even though the node rows are a bootstrap
-        // subset; block-sized passes let a mapped store release
-        // pages behind the scan.
+        // subset.
         const uint64_t *colv = ds.columnData(col);
         vals_.clear();
-        for (size_t base = 0; base < nrows; base += blk) {
-            size_t n = std::min(blk, nrows - base);
-            for (size_t i = 0; i < n; ++i)
-                vals_.push_back(colv[frontier_[lo + base + i]]);
-            ds.noteStreamed(gatherBytes(ds, n, nrows));
-        }
+        for (size_t i = lo; i < hi; ++i)
+            vals_.push_back(colv[frontier_[i]]);
         std::sort(vals_.begin(), vals_.end());
         vals_.erase(std::unique(vals_.begin(), vals_.end()),
                     vals_.end());
@@ -234,19 +198,15 @@ DecisionTree::build(const DatasetView &ds,
             // to rescanning the rows per threshold.
             hist_.assign(nvals * nlabels, 0);
             histW_.assign(nvals, 0);
-            for (size_t base = 0; base < nrows; base += blk) {
-                size_t n = std::min(blk, nrows - base);
-                for (size_t i = 0; i < n; ++i) {
-                    size_t r = frontier_[lo + base + i];
-                    size_t di = static_cast<size_t>(
-                        std::lower_bound(vals_.begin(), vals_.end(),
-                                         colv[r]) -
-                        vals_.begin());
-                    uint64_t w = ds.weight(r);
-                    hist_[di * nlabels + row_label_idx_[r]] += w;
-                    histW_[di] += w;
-                }
-                ds.noteStreamed(2 * gatherBytes(ds, n, nrows));
+            for (size_t i = lo; i < hi; ++i) {
+                size_t r = frontier_[i];
+                size_t di = static_cast<size_t>(
+                    std::lower_bound(vals_.begin(), vals_.end(),
+                                     colv[r]) -
+                    vals_.begin());
+                uint64_t w = ds.weight(r);
+                hist_[di * nlabels + row_label_idx_[r]] += w;
+                histW_[di] += w;
             }
             std::fill(lt_.begin(), lt_.end(), 0);
             uint64_t lw = 0;
@@ -293,7 +253,6 @@ DecisionTree::build(const DatasetView &ds,
                         rw += w;
                     }
                 }
-                ds.noteStreamed(2 * gatherBytes(ds, nrows, nrows));
                 if (lw == 0 || rw == 0)
                     continue;
                 double child =
@@ -320,16 +279,12 @@ DecisionTree::build(const DatasetView &ds,
     const uint64_t *bestv = ds.columnData(best_col);
     partScratch_.clear();
     size_t w = lo;
-    for (size_t base = 0; base < nrows; base += blk) {
-        size_t n = std::min(blk, nrows - base);
-        for (size_t i = 0; i < n; ++i) {
-            size_t r = frontier_[lo + base + i];
-            if (bestv[r] <= best_thr)
-                frontier_[w++] = r;
-            else
-                partScratch_.push_back(r);
-        }
-        ds.noteStreamed(gatherBytes(ds, n, nrows));
+    for (size_t i = lo; i < hi; ++i) {
+        size_t r = frontier_[i];
+        if (bestv[r] <= best_thr)
+            frontier_[w++] = r;
+        else
+            partScratch_.push_back(r);
     }
     std::copy(partScratch_.begin(), partScratch_.end(),
               frontier_.begin() + static_cast<long>(w));
@@ -384,40 +339,6 @@ DecisionTree::predictRow(const DatasetView &ds, size_t row,
     return nodes_[static_cast<size_t>(
                       walk(ds, row, override_col, override_value))]
         .representative;
-}
-
-void
-DecisionTree::predictRows(const DatasetView &ds, size_t row_begin,
-                          size_t row_end, uint64_t *out_labels,
-                          size_t override_col,
-                          const uint64_t *override_values) const
-{
-    for (size_t r = row_begin; r < row_end; ++r) {
-        uint64_t ov =
-            override_col != SIZE_MAX ? override_values[r] : 0;
-        out_labels[r - row_begin] =
-            nodes_[static_cast<size_t>(
-                       walk(ds, r, override_col, ov))]
-                .label;
-    }
-}
-
-uint64_t
-DecisionTree::fingerprint() const
-{
-    uint64_t h = util::mixCombine(0x7ee5f1ULL, nodes_.size());
-    for (const Node &n : nodes_) {
-        h = util::mixCombine(h, n.leaf ? 1 : 0);
-        h = util::mixCombine(h, static_cast<uint64_t>(n.col));
-        h = util::mixCombine(h, n.threshold);
-        h = util::mixCombine(
-            h, static_cast<uint64_t>(static_cast<int64_t>(n.left)));
-        h = util::mixCombine(
-            h, static_cast<uint64_t>(static_cast<int64_t>(n.right)));
-        h = util::mixCombine(h, n.label);
-        h = util::mixCombine(h, static_cast<uint64_t>(n.representative));
-    }
-    return h ? h : 1;
 }
 
 }  // namespace ml

@@ -5,19 +5,14 @@
  * (and as the building block of RandomForest, the model family the
  * PFI literature [6] is defined on).
  *
- * Construction is streaming / out-of-core friendly: nodes reference
- * [begin, end) ranges of ONE row-index frontier that is partitioned
- * in place (stable, left rows first), instead of materializing
- * per-node row vectors — index memory is O(rows) for the whole
- * build, while the O(rows x features) value matrix is only ever
- * *read* through DatasetView columns in block-sized passes
- * (ds.noteStreamed() fires every streamBlockRows() rows so a
- * memory-mapped store can cap its residency). Split evaluation
- * tallies a per-distinct-value weight histogram in one pass and
- * prefix-sums it across thresholds; all tallies are uint64, so the
- * restructuring is bitwise identical to the legacy per-threshold
- * rescan — the Gini doubles are computed from the exact same
- * integers in the same order.
+ * Nodes reference [begin, end) ranges of ONE row-index frontier that
+ * is partitioned in place (stable, left rows first), instead of
+ * materializing per-node row vectors, so index memory is O(rows) for
+ * the whole build. Split evaluation tallies a per-distinct-value
+ * weight histogram in one pass and prefix-sums it across thresholds;
+ * all tallies are uint64, so the result is bitwise identical to a
+ * per-threshold rescan — the Gini doubles are computed from the
+ * exact same integers in the same order.
  */
 
 #ifndef SNIP_ML_DECISION_TREE_H
@@ -65,19 +60,12 @@ class DecisionTree : public Predictor
                       size_t override_col = SIZE_MAX,
                       uint64_t override_value = 0) const override;
 
-    void predictRows(const DatasetView &ds, size_t row_begin,
-                     size_t row_end, uint64_t *out_labels,
-                     size_t override_col = SIZE_MAX,
-                     const uint64_t *override_values =
-                         nullptr) const override;
-
     /** Node count (tests / complexity reporting). */
     size_t nodeCount() const { return nodes_.size(); }
 
     /**
-     * Leaf node index reached by @p row — the forest's batched vote
-     * path descends once and reads label/representative by node id
-     * instead of descending again per query.
+     * Leaf node index reached by @p row — the forest descends once
+     * and reads label/representative by node id.
      */
     size_t leafIndex(const DatasetView &ds, size_t row,
                      size_t override_col = SIZE_MAX,
@@ -98,9 +86,6 @@ class DecisionTree : public Predictor
     {
         return nodes_[node].representative;
     }
-
-    /** Structural hash of the trained tree (see Predictor). */
-    uint64_t fingerprint() const override;
 
   private:
     struct Node {

@@ -26,8 +26,8 @@ Predictor::predictRows(const DatasetView &ds, size_t row_begin,
 double
 weightedErrorRate(const Predictor &p, const DatasetView &ds)
 {
-    // Batched so forests pay the per-range cost once, in blocks
-    // small enough to stay cache-resident.
+    // Batched so TablePredictor reads its stored row keys in one
+    // pass per block, in blocks small enough to stay cache-resident.
     constexpr size_t kBlock = 512;
     uint64_t labels[kBlock];
     uint64_t wrong = 0;

@@ -60,8 +60,8 @@ class Predictor
      * column for row r — how PFI feeds a whole permuted column in
      * one call. Label-for-label identical to calling predict() per
      * row; implementations override it to amortize per-call work
-     * (the forest walks each tree once over the range instead of
-     * re-descending every tree per row).
+     * (TablePredictor swaps one key term per row instead of
+     * rehashing the row).
      */
     virtual void predictRows(const DatasetView &ds, size_t row_begin,
                              size_t row_end, uint64_t *out_labels,
@@ -73,9 +73,9 @@ class Predictor
      * Content fingerprint of the trained model: equal fingerprints
      * must imply identical prediction behaviour for identical
      * inputs. 0 means "unfingerprintable" and disables any caching
-     * keyed on it (the base-class default; concrete predictors hash
-     * their trained state). Never 0 from an implementation that
-     * supports it.
+     * keyed on it (the base-class default, kept by the reference
+     * learners; TablePredictor hashes its trained state). Never 0
+     * from an implementation that supports it.
      */
     virtual uint64_t fingerprint() const { return 0; }
 };

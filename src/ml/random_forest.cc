@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/span.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -16,22 +15,6 @@ namespace {
 constexpr uint64_t kTreeStream = 0x7ee5eedULL;
 constexpr uint64_t kBootStream = 0xb0075eedULL;
 
-/**
- * Per-caller vote scratch. thread_local (not a mutable member) so
- * that concurrent PFI tasks predicting on one shared const forest
- * never share a buffer; reused across calls, so the vote path does
- * zero heap allocations once warmed up.
- */
-struct VoteScratch {
-    std::vector<uint32_t> votes;      // block_rows x label count
-    std::vector<uint32_t> tree_leaf;  // per-tree leaf (predictRow)
-};
-
-thread_local VoteScratch t_scratch;
-
-/** Rows per batched voting block (bounds the vote matrix). */
-constexpr size_t kVoteBlock = 64;
-
 }  // namespace
 
 RandomForest::RandomForest(ForestConfig cfg) : cfg_(cfg) {}
@@ -41,9 +24,6 @@ RandomForest::train(const DatasetView &ds,
                     const std::vector<size_t> &feature_cols)
 {
     size_t num_trees = static_cast<size_t>(cfg_.num_trees);
-    obs::Span span(cfg_.obs, "train_forest");
-    if (cfg_.obs)
-        cfg_.obs->counter("shrink.forest.trees").add(num_trees);
     trees_.clear();
     trees_.resize(num_trees);
 
@@ -72,7 +52,7 @@ RandomForest::train(const DatasetView &ds,
                 boot_rng.uniformInt(0, n - 1));
         tree->trainOnRows(ds, feature_cols, boot);
         trees_[t] = std::move(tree);
-    }, cfg_.threads);
+    });
 
     // Dense label dictionary: sorted distinct leaf labels across the
     // forest, plus a per-tree node -> label-index table, so voting
@@ -106,13 +86,23 @@ RandomForest::train(const DatasetView &ds,
 }
 
 size_t
-RandomForest::majorityIndex(const uint32_t *votes) const
+RandomForest::vote(const DatasetView &ds, size_t row, size_t override_col,
+                   uint64_t override_value,
+                   std::vector<size_t> &leaves) const
 {
+    if (trees_.empty())
+        util::panic("RandomForest: predict before train()");
+    std::vector<uint32_t> votes(labels_.size(), 0);
+    leaves.resize(trees_.size());
+    for (size_t t = 0; t < trees_.size(); ++t) {
+        leaves[t] = trees_[t]->leafIndex(ds, row, override_col,
+                                         override_value);
+        ++votes[leaf_label_idx_[t][leaves[t]]];
+    }
     // labels_ is sorted ascending and the scan takes the first
-    // strict maximum, so ties break toward the smallest label —
-    // the same rule the old std::map-based tally applied.
+    // strict maximum, so ties break toward the smallest label.
     size_t best = 0;
-    for (size_t i = 1; i < labels_.size(); ++i) {
+    for (size_t i = 1; i < votes.size(); ++i) {
         if (votes[i] > votes[best])
             best = i;
     }
@@ -124,16 +114,8 @@ RandomForest::predict(const DatasetView &ds, size_t row,
                       size_t override_col,
                       uint64_t override_value) const
 {
-    if (trees_.empty())
-        util::panic("RandomForest::predict before train()");
-    VoteScratch &s = t_scratch;
-    s.votes.assign(labels_.size(), 0);
-    for (size_t t = 0; t < trees_.size(); ++t) {
-        size_t leaf = trees_[t]->leafIndex(ds, row, override_col,
-                                           override_value);
-        ++s.votes[leaf_label_idx_[t][leaf]];
-    }
-    return labels_[majorityIndex(s.votes.data())];
+    std::vector<size_t> leaves;
+    return labels_[vote(ds, row, override_col, override_value, leaves)];
 }
 
 size_t
@@ -141,83 +123,15 @@ RandomForest::predictRow(const DatasetView &ds, size_t row,
                          size_t override_col,
                          uint64_t override_value) const
 {
-    if (trees_.empty())
-        util::panic("RandomForest::predictRow before train()");
-    // One descent per tree: remember each tree's leaf while voting,
-    // then reuse it — the old code re-descended every tree a second
-    // time to find a representative for the winning label.
-    VoteScratch &s = t_scratch;
-    s.votes.assign(labels_.size(), 0);
-    s.tree_leaf.resize(trees_.size());
+    // The first tree whose leaf carries the winning label supplies
+    // the representative row.
+    std::vector<size_t> leaves;
+    size_t best = vote(ds, row, override_col, override_value, leaves);
     for (size_t t = 0; t < trees_.size(); ++t) {
-        size_t leaf = trees_[t]->leafIndex(ds, row, override_col,
-                                           override_value);
-        s.tree_leaf[t] = static_cast<uint32_t>(leaf);
-        ++s.votes[leaf_label_idx_[t][leaf]];
-    }
-    uint32_t best = static_cast<uint32_t>(
-        majorityIndex(s.votes.data()));
-    for (size_t t = 0; t < trees_.size(); ++t) {
-        size_t leaf = s.tree_leaf[t];
-        if (leaf_label_idx_[t][leaf] == best)
-            return trees_[t]->nodeRepresentative(leaf);
+        if (leaf_label_idx_[t][leaves[t]] == best)
+            return trees_[t]->nodeRepresentative(leaves[t]);
     }
     return SIZE_MAX;
-}
-
-void
-RandomForest::predictRows(const DatasetView &ds, size_t row_begin,
-                          size_t row_end, uint64_t *out_labels,
-                          size_t override_col,
-                          const uint64_t *override_values) const
-{
-    if (trees_.empty())
-        util::panic("RandomForest::predictRows before train()");
-    if (override_col != SIZE_MAX && override_values == nullptr)
-        util::panic("RandomForest::predictRows: override_col "
-                    "without override_values");
-    VoteScratch &s = t_scratch;
-    size_t num_labels = labels_.size();
-    for (size_t b0 = row_begin; b0 < row_end; b0 += kVoteBlock) {
-        size_t b1 = std::min(row_end, b0 + kVoteBlock);
-        size_t block = b1 - b0;
-        s.votes.assign(block * num_labels, 0);
-        // Tree-outer, row-inner: each tree's node array stays hot
-        // while it descends the whole block, instead of re-touching
-        // every tree for every row.
-        for (size_t t = 0; t < trees_.size(); ++t) {
-            const DecisionTree &tree = *trees_[t];
-            const uint32_t *idx = leaf_label_idx_[t].data();
-            for (size_t r = b0; r < b1; ++r) {
-                uint64_t ov = override_col != SIZE_MAX
-                                  ? override_values[r]
-                                  : 0;
-                size_t leaf =
-                    tree.leafIndex(ds, r, override_col, ov);
-                ++s.votes[(r - b0) * num_labels + idx[leaf]];
-            }
-        }
-        for (size_t r = b0; r < b1; ++r) {
-            out_labels[r - row_begin] = labels_[majorityIndex(
-                s.votes.data() + (r - b0) * num_labels)];
-        }
-        // Blocks walk the rows in order, so each descent reads a
-        // consecutive slice of whichever columns its path tests;
-        // charging every feature column for the block upper-bounds
-        // the fresh residency (no-op on in-memory datasets).
-        ds.noteStreamed(block * 8 * ds.numFeatures());
-    }
-}
-
-uint64_t
-RandomForest::fingerprint() const
-{
-    uint64_t h = util::mixCombine(0xf02e57f9ULL, trees_.size());
-    for (const auto &t : trees_)
-        h = util::mixCombine(h, t->fingerprint());
-    for (uint64_t lbl : labels_)
-        h = util::mixCombine(h, lbl);
-    return h ? h : 1;
 }
 
 }  // namespace ml

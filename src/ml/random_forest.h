@@ -4,11 +4,11 @@
  * PFI) over decision trees: bootstrap row sampling plus per-split
  * feature subsampling, majority vote.
  *
- * Training is tree-parallel (util::parallelFor): every tree's seed
- * and bootstrap stream are derived up-front from the forest seed, so
- * 1-thread and N-thread runs build bitwise-identical forests. Voting
- * uses a dense label dictionary built at train time and flat
- * per-caller vote buffers — no per-prediction heap allocation.
+ * A reference learner for the predictor ablation (bench/ablation_pfi);
+ * Shrink itself runs PFI over the exact-match TablePredictor. Trees
+ * train in parallel (util::parallelFor at the default width); every
+ * tree's seed and bootstrap stream are derived up-front from the
+ * forest seed, so the forest is the same at any worker count.
  */
 
 #ifndef SNIP_ML_RANDOM_FOREST_H
@@ -17,7 +17,6 @@
 #include <memory>
 
 #include "ml/decision_tree.h"
-#include "obs/metrics.h"
 
 namespace snip {
 namespace ml {
@@ -27,17 +26,6 @@ struct ForestConfig {
     int num_trees = 16;
     TreeConfig tree;
     uint64_t seed = 0xf02e57ULL;
-    /**
-     * Worker threads for tree training (0 = SNIP_THREADS / all
-     * cores). Results are identical for any value.
-     */
-    unsigned threads = 0;
-    /**
-     * Optional metrics sink (nullptr = observability off): records
-     * the `train_forest` span and a trained-trees counter. Never
-     * alters results.
-     */
-    obs::Registry *obs = nullptr;
 };
 
 /** Majority-vote forest. */
@@ -57,24 +45,17 @@ class RandomForest : public Predictor
                       size_t override_col = SIZE_MAX,
                       uint64_t override_value = 0) const override;
 
-    void predictRows(const DatasetView &ds, size_t row_begin,
-                     size_t row_end, uint64_t *out_labels,
-                     size_t override_col = SIZE_MAX,
-                     const uint64_t *override_values =
-                         nullptr) const override;
-
     /** Number of trained trees. */
     size_t treeCount() const { return trees_.size(); }
 
-    /** Distinct leaf labels across the forest (vote-buffer width). */
-    size_t labelCount() const { return labels_.size(); }
-
-    /** Structural hash over all trees (see Predictor). */
-    uint64_t fingerprint() const override;
-
   private:
-    /** Majority label index from a tally, ties to smallest label. */
-    size_t majorityIndex(const uint32_t *votes) const;
+    /**
+     * Leaf reached in every tree (@p leaves) and the index of the
+     * majority label, ties to the smallest label.
+     */
+    size_t vote(const DatasetView &ds, size_t row, size_t override_col,
+                uint64_t override_value,
+                std::vector<size_t> &leaves) const;
 
     ForestConfig cfg_;
     std::vector<std::unique_ptr<DecisionTree>> trees_;

@@ -9,10 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "ml/chunked_dataset.h"
 #include "ml/dataset.h"
@@ -22,6 +27,7 @@
 #include "ml/random_forest.h"
 #include "ml/table_predictor.h"
 #include "obs/metrics.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace snip {
@@ -767,94 +773,6 @@ TEST(RandomForestTest, LearnsSeparableFunction)
     EXPECT_LT(weightedErrorRate(forest, ds), 0.1);
 }
 
-TEST(RandomForestTest, PredictRowsMatchesPerRowPredict)
-{
-    Synthetic syn(400);
-    Dataset ds(syn.ptrs(), syn.schema);
-    std::vector<size_t> cols = {0, 1, 2, 3};
-    ForestConfig cfg;
-    cfg.num_trees = 9;
-    RandomForest forest(cfg);
-    forest.train(ds, cols);
-
-    std::vector<uint64_t> batched(ds.numRows());
-    forest.predictRows(ds, 0, ds.numRows(), batched.data());
-    for (size_t r = 0; r < ds.numRows(); ++r)
-        EXPECT_EQ(batched[r], forest.predict(ds, r)) << "row " << r;
-
-    // A range that is not block-aligned (exercises the tail of the
-    // kVoteBlock loop) placed at out[r - begin].
-    std::vector<uint64_t> window(77);
-    forest.predictRows(ds, 13, 90, window.data());
-    for (size_t r = 13; r < 90; ++r)
-        EXPECT_EQ(window[r - 13], forest.predict(ds, r));
-
-    // Override path with per-row values (absolute-row indexing).
-    size_t col_a = ds.columnOf(syn.fa);
-    std::vector<uint64_t> shifted(ds.numRows());
-    for (size_t r = 0; r < ds.numRows(); ++r)
-        shifted[r] = ds.value((r + 7) % ds.numRows(), col_a);
-    forest.predictRows(ds, 0, ds.numRows(), batched.data(), col_a,
-                       shifted.data());
-    for (size_t r = 0; r < ds.numRows(); ++r) {
-        EXPECT_EQ(batched[r],
-                  forest.predict(ds, r, col_a, shifted[r]))
-            << "row " << r;
-    }
-}
-
-TEST(RandomForestTest, TrainingRecordsObsMetrics)
-{
-    Synthetic syn(400);
-    Dataset ds(syn.ptrs(), syn.schema);
-    std::vector<size_t> cols = {0, 1, 2, 3};
-    obs::Registry reg;
-    ForestConfig cfg;
-    cfg.num_trees = 6;
-    cfg.obs = &reg;
-    RandomForest forest(cfg);
-    forest.train(ds, cols);
-    EXPECT_EQ(reg.counterValue("shrink.forest.trees"), 6u);
-    ASSERT_NE(reg.findTimer("span.train_forest"), nullptr);
-    EXPECT_EQ(reg.findTimer("span.train_forest")->count(), 1u);
-
-    // PFI counts its tasks through the same registry.
-    PfiConfig pcfg;
-    pcfg.obs = &reg;
-    computePfi(forest, ds, cols, pcfg);
-    // One task per (feature, repeat).
-    uint64_t tasks =
-        cols.size() * static_cast<uint64_t>(pcfg.repeats);
-    EXPECT_EQ(reg.counterValue("shrink.pfi.tasks"), tasks);
-}
-
-TEST(RandomForestTest, TrainDeterministicAcrossThreadCounts)
-{
-    Synthetic syn(500);
-    Dataset ds(syn.ptrs(), syn.schema);
-    std::vector<size_t> cols = {0, 1, 2, 3};
-
-    ForestConfig c1;
-    c1.num_trees = 10;
-    c1.threads = 1;
-    RandomForest f1(c1);
-    f1.train(ds, cols);
-
-    ForestConfig c8 = c1;
-    c8.threads = 8;
-    RandomForest f8(c8);
-    f8.train(ds, cols);
-
-    ASSERT_EQ(f1.treeCount(), f8.treeCount());
-    EXPECT_EQ(f1.labelCount(), f8.labelCount());
-    for (size_t r = 0; r < ds.numRows(); ++r) {
-        EXPECT_EQ(f1.predict(ds, r), f8.predict(ds, r))
-            << "row " << r;
-        EXPECT_EQ(f1.predictRow(ds, r), f8.predictRow(ds, r))
-            << "row " << r;
-    }
-}
-
 /**
  * predictRow must return a representative of the *majority-vote*
  * label, not re-derive a possibly different answer (the old
@@ -919,18 +837,16 @@ TEST(PfiTest, DeterministicAcrossThreadCounts)
     Synthetic syn(400);
     Dataset ds(syn.ptrs(), syn.schema);
     std::vector<size_t> cols = {0, 1, 2, 3};
-    ForestConfig fcfg;
-    fcfg.num_trees = 8;
-    RandomForest forest(fcfg);
-    forest.train(ds, cols);
+    TablePredictor tp;
+    tp.train(ds, cols);
 
     PfiConfig c1;
     c1.seed = 42;
     c1.threads = 1;
     PfiConfig c8 = c1;
     c8.threads = 8;
-    PfiResult a = computePfi(forest, ds, cols, c1);
-    PfiResult b = computePfi(forest, ds, cols, c8);
+    PfiResult a = computePfi(tp, ds, cols, c1);
+    PfiResult b = computePfi(tp, ds, cols, c8);
     EXPECT_EQ(a.base_error, b.base_error);
     EXPECT_EQ(a.importance, b.importance);  // bitwise, not approx
 }
@@ -1148,12 +1064,10 @@ TEST(ChunkedDatasetTest, MatchesInMemoryDataset)
     std::vector<size_t> cols(mem.numFeatures());
     for (size_t i = 0; i < cols.size(); ++i)
         cols[i] = i;
-    ForestConfig fc;
-    fc.num_trees = 8;
-    RandomForest fm(fc), fch(fc);
-    fm.train(mem, cols);
-    fch.train(ch, cols);
-    EXPECT_EQ(fm.fingerprint(), fch.fingerprint());
+    TablePredictor tm, tch;
+    tm.train(mem, cols);
+    tch.train(ch, cols);
+    EXPECT_EQ(tm.fingerprint(), tch.fingerprint());
 
     SelectionConfig sc;
     expectSameSelection(selectNecessaryInputs(mem, sc),
@@ -1212,9 +1126,9 @@ TEST(ChunkedDatasetTest, MaterializeRecordRoundTrip)
 }
 
 // The digest-equality contract, block-size axis: any block geometry
-// ({1, 64, 4096, all-rows}) must produce bitwise-identical forests
-// and selections — noteStreamed cadence only drops clean pages,
-// never changes bytes.
+// ({1, 64, 4096, all-rows}) must produce bitwise-identical tables,
+// importances and selections — noteStreamed cadence only drops
+// clean pages, never changes bytes.
 TEST(ChunkedDatasetTest, BlockSizeInvarianceFuzz)
 {
     Synthetic syn(500, 9);
@@ -1222,6 +1136,7 @@ TEST(ChunkedDatasetTest, BlockSizeInvarianceFuzz)
     std::vector<size_t> blocks = {1, 64, 4096, syn.records.size()};
 
     uint64_t want_fp = 0;
+    PfiResult want_pfi;
     SelectionResult want_sel;
     for (size_t bi = 0; bi < blocks.size(); ++bi) {
         ChunkedConfig cfg;
@@ -1233,17 +1148,19 @@ TEST(ChunkedDatasetTest, BlockSizeInvarianceFuzz)
         std::vector<size_t> cols(cds.value()->numFeatures());
         for (size_t i = 0; i < cols.size(); ++i)
             cols[i] = i;
-        ForestConfig fc;
-        fc.num_trees = 6;
-        RandomForest f(fc);
-        f.train(*cds.value(), cols);
+        TablePredictor tp;
+        tp.train(*cds.value(), cols);
+        PfiResult pfi = computePfi(tp, *cds.value(), cols);
         SelectionResult sel =
             selectNecessaryInputs(*cds.value(), {});
         if (bi == 0) {
-            want_fp = f.fingerprint();
+            want_fp = tp.fingerprint();
+            want_pfi = pfi;
             want_sel = sel;
         } else {
-            EXPECT_EQ(f.fingerprint(), want_fp)
+            EXPECT_EQ(tp.fingerprint(), want_fp)
+                << "block " << blocks[bi];
+            EXPECT_EQ(pfi.importance, want_pfi.importance)
                 << "block " << blocks[bi];
             expectSameSelection(sel, want_sel);
         }
@@ -1252,7 +1169,8 @@ TEST(ChunkedDatasetTest, BlockSizeInvarianceFuzz)
 
 // Thread axis of the same contract, on one SHARED mmap-shaped view:
 // 1 vs 8 threads must agree bitwise (and under TSan this doubles as
-// the shared-residency-accounting race smoke).
+// the shared-residency-accounting race smoke: concurrent row-key
+// sweeps all charge the one view's streamed-volume counter).
 TEST(ChunkedDatasetTest, ThreadInvarianceOnSharedView)
 {
     Synthetic syn(400, 5);
@@ -1267,24 +1185,118 @@ TEST(ChunkedDatasetTest, ThreadInvarianceOnSharedView)
     for (size_t i = 0; i < cols.size(); ++i)
         cols[i] = i;
 
-    ForestConfig f1;
-    f1.num_trees = 8;
-    f1.threads = 1;
-    ForestConfig f8 = f1;
-    f8.threads = 8;
-    RandomForest forest1(f1), forest8(f8);
-    forest1.train(ds, cols);
-    forest8.train(ds, cols);
-    EXPECT_EQ(forest1.fingerprint(), forest8.fingerprint());
+    std::vector<uint64_t> want = TablePredictor::rowKeys(ds, cols);
+    std::vector<std::vector<uint64_t>> keys(8);
+    util::parallelFor(keys.size(), [&](size_t i) {
+        keys[i] = TablePredictor::rowKeys(ds, cols);
+    }, 8);
+    for (size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(keys[i], want) << "sweep " << i;
 
+    TablePredictor tp;
+    tp.train(ds, cols);
     PfiConfig p1;
     p1.threads = 1;
     PfiConfig p8 = p1;
     p8.threads = 8;
-    PfiResult r1 = computePfi(forest1, ds, cols, p1);
-    PfiResult r8 = computePfi(forest1, ds, cols, p8);
+    PfiResult r1 = computePfi(tp, ds, cols, p1);
+    PfiResult r8 = computePfi(tp, ds, cols, p8);
     EXPECT_EQ(r1.importance, r8.importance);
     EXPECT_EQ(r1.base_error, r8.base_error);
+}
+
+/**
+ * Resident bytes of this process's mappings of @p path, summed from
+ * /proc/self/smaps; -1 when nothing maps it. A mapping's header line
+ * ("lo-hi perms offset dev inode path") has a space before its first
+ * colon; its attribute lines ("Rss:  12 kB") do not.
+ */
+long long
+mappingRss(const std::string &path)
+{
+    std::ifstream smaps("/proc/self/smaps");
+    std::string line;
+    bool ours = false;
+    long long rss = -1;
+    while (std::getline(smaps, line)) {
+        if (line.find(' ') < line.find(':')) {
+            ours = line.size() >= path.size() &&
+                   line.compare(line.size() - path.size(), path.size(),
+                                path) == 0;
+            continue;
+        }
+        long long kb = 0;
+        if (ours && std::sscanf(line.c_str(), "Rss: %lld kB", &kb) == 1)
+            rss = std::max(rss, 0LL) + kb * 1024;
+    }
+    return rss;
+}
+
+// noteStreamed is what bounds an out-of-core consumer's page
+// footprint: sweeping every column of a 16 MB mapped section in
+// streamBlockRows() blocks under a 1 MB budget must keep the
+// mapping's resident set within budget + one block + one page.
+TEST(ChunkedDatasetTest, ResidencyStaysWithinBudget)
+{
+    constexpr size_t kFeat = 8;
+    constexpr uint64_t kRows = uint64_t{1} << 18;  // 2 MB per column
+    events::FieldSchema schema;
+    std::vector<uint32_t> fids;
+    for (size_t f = 0; f < kFeat; ++f)
+        fids.push_back(schema.addInput("f" + std::to_string(f),
+                                       events::InputCategory::Event, 8));
+    std::vector<uint32_t> oids = {
+        schema.addOutput("o", events::OutputCategory::History, 8)};
+
+    std::string path = ::testing::TempDir() + "snip_residency.snct";
+    {
+        trace::TrainingWriter w;
+        util::Status st = w.create(path, "synthetic",
+                                   events::EventType::Touch, fids, oids,
+                                   kRows);
+        std::vector<uint64_t> feat(kFeat);
+        for (uint64_t r = 0; st.ok() && r < kRows; ++r) {
+            for (size_t f = 0; f < kFeat; ++f)
+                feat[f] = util::mixCombine(r, f) & 0xff;
+            st = w.addRow(feat.data(), feat[0], 1, &feat[1]);
+        }
+        if (st.ok())
+            st = w.finish();
+        ASSERT_TRUE(st.ok()) << st.message();
+    }
+    {
+        auto log = trace::ColumnarLog::open(path);
+        ASSERT_TRUE(log.ok()) << log.status().message();
+        ASSERT_TRUE(log.value()->mmapBacked());
+        ChunkedConfig cfg;
+        cfg.residency_budget_bytes = size_t{1} << 20;
+        auto cds = ChunkedDataset::attach(
+            log.value(), events::EventType::Touch, schema, cfg);
+        ASSERT_TRUE(cds.ok()) << cds.status().message();
+        const ChunkedDataset &ds = *cds.value();
+        size_t blk = ds.streamBlockRows();
+        long long bound = static_cast<long long>(
+            cfg.residency_budget_bytes + blk * sizeof(uint64_t) +
+            static_cast<size_t>(sysconf(_SC_PAGESIZE)));
+
+        long long peak = -1;
+        uint64_t sum = 0;
+        for (size_t c = 0; c < ds.numFeatures(); ++c) {
+            const uint64_t *col = ds.columnData(c);
+            for (size_t base = 0; base < ds.numRows(); base += blk) {
+                size_t end = std::min(ds.numRows(), base + blk);
+                for (size_t r = base; r < end; ++r)
+                    sum += col[r];
+                peak = std::max(peak, mappingRss(path));
+                ds.noteStreamed((end - base) * sizeof(uint64_t));
+            }
+        }
+        EXPECT_GT(sum, 0u);
+        ASSERT_GE(peak, 0) << "no mapping of " << path << " in smaps";
+        EXPECT_LE(peak, bound) << "swept " << kFeat * kRows * 8
+                               << " bytes";
+    }
+    std::remove(path.c_str());
 }
 
 // A training section recorded against a different game must come
@@ -1307,8 +1319,9 @@ TEST(ChunkedDatasetTest, RejectsForeignSchema)
 // ----------------------------------------------------------- PfiCache
 
 // A cache hit must be byte-exact and observable: the second run
-// re-scores nothing (shrink.pfi.cols_rescored unchanged) yet
-// returns the identical result; changing the seed misses.
+// re-scores nothing (shrink.pfi.cols_rescored and shrink.pfi.tasks
+// unchanged) yet returns the identical result; changing the seed
+// misses.
 TEST(PfiTest, CacheServesExactHits)
 {
     Synthetic syn(300);
@@ -1316,10 +1329,8 @@ TEST(PfiTest, CacheServesExactHits)
     std::vector<size_t> cols(ds.numFeatures());
     for (size_t i = 0; i < cols.size(); ++i)
         cols[i] = i;
-    ForestConfig fc;
-    fc.num_trees = 6;
-    RandomForest forest(fc);
-    forest.train(ds, cols);
+    TablePredictor tp;
+    tp.train(ds, cols);
 
     PfiCache cache;
     obs::Registry reg;
@@ -1327,15 +1338,19 @@ TEST(PfiTest, CacheServesExactHits)
     pc.cache = &cache;
     pc.obs = &reg;
 
-    PfiResult a = computePfi(forest, ds, cols, pc);
+    PfiResult a = computePfi(tp, ds, cols, pc);
     uint64_t rescored =
         reg.counter("shrink.pfi.cols_rescored").value();
     EXPECT_EQ(rescored, cols.size());
     EXPECT_EQ(reg.counter("shrink.pfi.cols_cached").value(), 0u);
+    // One task per (feature, repeat).
+    uint64_t tasks = cols.size() * static_cast<uint64_t>(pc.repeats);
+    EXPECT_EQ(reg.counterValue("shrink.pfi.tasks"), tasks);
 
-    PfiResult b = computePfi(forest, ds, cols, pc);
+    PfiResult b = computePfi(tp, ds, cols, pc);
     EXPECT_EQ(reg.counter("shrink.pfi.cols_rescored").value(),
               rescored);  // nothing re-scored
+    EXPECT_EQ(reg.counterValue("shrink.pfi.tasks"), tasks);
     EXPECT_EQ(reg.counter("shrink.pfi.cols_cached").value(),
               cols.size());
     EXPECT_EQ(a.importance, b.importance);
@@ -1344,7 +1359,7 @@ TEST(PfiTest, CacheServesExactHits)
     // A different seed is a different key: must re-score.
     PfiConfig other = pc;
     other.seed = pc.seed + 1;
-    (void)computePfi(forest, ds, cols, other);
+    (void)computePfi(tp, ds, cols, other);
     EXPECT_GT(reg.counter("shrink.pfi.cols_rescored").value(),
               rescored);
 }
@@ -1358,23 +1373,21 @@ TEST(PfiTest, CacheKeyTracksColumnContent)
     std::vector<size_t> cols(ds.numFeatures());
     for (size_t i = 0; i < cols.size(); ++i)
         cols[i] = i;
-    ForestConfig fc;
-    fc.num_trees = 4;
-    RandomForest forest(fc);
-    forest.train(ds, cols);
+    TablePredictor tp;
+    tp.train(ds, cols);
 
     PfiConfig pc;
-    uint64_t k1 = pfiCacheKey(forest, ds, cols, pc);
+    uint64_t k1 = pfiCacheKey(tp, ds, cols, pc);
     ASSERT_NE(k1, 0u);
-    EXPECT_EQ(pfiCacheKey(forest, ds, cols, pc), k1);
+    EXPECT_EQ(pfiCacheKey(tp, ds, cols, pc), k1);
 
     syn.records[7].inputs[0].value ^= 1;
     Dataset ds2(syn.ptrs(), syn.schema);
-    EXPECT_NE(pfiCacheKey(forest, ds2, cols, pc), k1);
+    EXPECT_NE(pfiCacheKey(tp, ds2, cols, pc), k1);
 
     // Dropping a column from the scored set changes the key too.
     std::vector<size_t> fewer(cols.begin(), cols.end() - 1);
-    EXPECT_NE(pfiCacheKey(forest, ds, fewer, pc), k1);
+    EXPECT_NE(pfiCacheKey(tp, ds, fewer, pc), k1);
 }
 
 }  // namespace
