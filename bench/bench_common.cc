@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "trace/columnar_log.h"
 #include "util/logging.h"
 
 namespace snip {
@@ -30,9 +29,6 @@ parseOptions(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--obs-json") == 0 &&
                    i + 1 < argc) {
             opts.obs_json = argv[++i];
-        } else if (std::strcmp(argv[i], "--trace-cache") == 0 &&
-                   i + 1 < argc) {
-            opts.trace_cache = argv[++i];
         } else if (std::strcmp(argv[i], "--epochs") == 0 &&
                    i + 1 < argc) {
             opts.epochs = static_cast<unsigned>(
@@ -42,32 +38,12 @@ parseOptions(int argc, char **argv)
         } else {
             util::fatal("unknown argument '%s' (expected --quick, "
                         "--csv <path>, --seed <n>, --threads <n>, "
-                        "--obs-json <path>, --trace-cache <dir>, "
-                        "--epochs <n>)",
+                        "--obs-json <path>, --epochs <n>)",
                         argv[i]);
         }
     }
-    if (opts.trace_cache.empty()) {
-        if (const char *env = std::getenv("SNIP_TRACE_CACHE"))
-            opts.trace_cache = env;
-    }
     return opts;
 }
-
-namespace {
-
-/** Cache key of one baseline recording: game, seed, duration. */
-std::string
-traceCachePath(const std::string &dir, const std::string &game,
-               uint64_t seed, double secs)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "-s%llu-%gs.snct",
-                  static_cast<unsigned long long>(seed), secs);
-    return dir + "/" + game + buf;
-}
-
-}  // namespace
 
 ProfiledGame
 profileGame(const std::string &game_name, const BenchOptions &opts,
@@ -76,36 +52,13 @@ profileGame(const std::string &game_name, const BenchOptions &opts,
     ProfiledGame pg;
     pg.game = games::makeGame(game_name);
 
-    double secs = profile_s > 0 ? profile_s : opts.profileSeconds();
-    std::string cache_path;
-    if (!opts.trace_cache.empty()) {
-        cache_path = traceCachePath(opts.trace_cache, game_name,
-                                    opts.seed, secs);
-        auto log = trace::ColumnarLog::open(cache_path);
-        if (log.ok() && log.value()->game() == game_name) {
-            trace::EventTrace tr;
-            log.value()->toTrace(&tr);
-            auto replica = games::makeGame(game_name);
-            pg.profile = trace::Replayer::replay(tr, *replica);
-            return pg;
-        }
-    }
-
     core::BaselineScheme baseline;
     core::SimulationConfig cfg;
-    cfg.duration_s = secs;
+    cfg.duration_s = profile_s > 0 ? profile_s : opts.profileSeconds();
     cfg.record_events = true;
     cfg.seed = opts.seed;
     core::SessionResult res =
         core::runSession(*pg.game, baseline, cfg);
-
-    if (!cache_path.empty()) {
-        // Best-effort: a failed write (missing dir, full disk) only
-        // costs the next run a re-record.
-        std::vector<uint8_t> bytes;
-        if (trace::ColumnarLog::encode(res.trace, &bytes).ok())
-            (void)trace::ColumnarLog::save(bytes, cache_path);
-    }
 
     auto replica = games::makeGame(game_name);
     pg.profile = trace::Replayer::replay(res.trace, *replica);

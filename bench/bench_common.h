@@ -16,9 +16,6 @@
  *                    classes, per-Shrink-phase wall times, ...) as
  *                    JSON; benches that don't populate a registry
  *                    ignore it
- *   --trace-cache <dir> reuse baseline recordings across runs as
- *                    mmap'd columnar traces (see BenchOptions;
- *                    default: $SNIP_TRACE_CACHE)
  */
 
 #ifndef SNIP_BENCH_BENCH_COMMON_H
@@ -47,15 +44,6 @@ struct BenchOptions {
     unsigned threads = 0;
     /** Export the bench's obs registry as JSON here (empty = off). */
     std::string obs_json;
-    /**
-     * Directory of cached baseline traces in the binary columnar
-     * format (empty = record every run). profileGame() keys files by
-     * game/seed/duration, so a cache hit replays the mmap'd columnar
-     * trace instead of re-running the recording session; a miss
-     * records as usual and writes the cache entry. Defaults to the
-     * SNIP_TRACE_CACHE environment variable.
-     */
-    std::string trace_cache;
     /**
      * Epoch-count override for the continuous-learning benches
      * (0 = the bench's default). Used by CI to run a short fixed

@@ -49,23 +49,19 @@ main(int argc, char **argv)
     // One independent baseline session per game — run the whole
     // catalog in parallel, then print rows in catalog order.
     const auto &names = games::allGameNames();
-    std::vector<core::SessionSpec> specs;
-    for (const auto &name : names) {
-        core::SessionSpec spec;
-        spec.make_game = [name] { return games::makeGame(name); };
-        spec.make_scheme = [](games::Game &) {
-            return std::make_unique<core::BaselineScheme>();
-        };
-        spec.cfg = bench::evalConfig(opts);
-        spec.cfg.duration_s = opts.profileSeconds() / 2;
-        specs.push_back(std::move(spec));
-    }
-    std::vector<core::SessionResult> results =
-        opts.runner().runSessions(specs);
+    core::SimulationConfig cfg = bench::evalConfig(opts);
+    cfg.duration_s = opts.profileSeconds() / 2;
+    std::vector<util::Power> power(names.size());
+    opts.runner().forEach(names.size(), [&](size_t i) {
+        auto game = games::makeGame(names[i]);
+        core::BaselineScheme baseline;
+        power[i] = core::runSession(*game, baseline, cfg)
+                       .report.averagePower();
+    });
 
     for (size_t i = 0; i < names.size(); ++i) {
         auto game = games::makeGame(names[i]);
-        util::Power p = results[i].report.averagePower();
+        util::Power p = power[i];
         double h = battery.hoursToEmpty(p);
         char speedup[32];
         std::snprintf(speedup, sizeof(speedup), "%.1fx", idle_h / h);

@@ -79,10 +79,34 @@ operator new[](size_t size)
     throw std::bad_alloc();
 }
 
+// The nothrow forms too (std::stable_sort's temporary buffer uses
+// them), so every block reaching the deletes below came from malloc.
+void *
+operator new(size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
+void *
+operator new[](size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
 void operator delete(void *p) noexcept { std::free(p); }
 void operator delete[](void *p) noexcept { std::free(p); }
 void operator delete(void *p, size_t) noexcept { std::free(p); }
 void operator delete[](void *p, size_t) noexcept { std::free(p); }
+void operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 namespace {
 

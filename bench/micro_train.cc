@@ -14,7 +14,7 @@
  *     model byte for byte (the out-of-core digest contract).
  *
  * With --rows N the bench additionally generates an N-row synthetic
- * SNCT v2 training trace on disk (trace::TrainingWriter, streaming,
+ * SNCT training file on disk (trace::TrainingWriter, streaming,
  * bounded memory), runs the production out-of-core Shrink over it
  * (core::buildSnipModel on the mmap'd trace) and reports its wall
  * time, rows_per_sec, the packed model's size and CRC, and
@@ -262,7 +262,7 @@ main(int argc, char **argv)
                                         pkg1.size());
 
     // ---- 4. out-of-core equivalence (mmap'd training trace) -----
-    // Convert the profile to an SNCT v2 training trace on disk,
+    // Convert the profile to an SNCT training file on disk,
     // train through the memory-mapped ChunkedDataset view, and
     // require selection + packed model bytes identical to the
     // in-memory path — at two different block sizes.

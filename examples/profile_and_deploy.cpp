@@ -3,7 +3,7 @@
  * The full Fig. 10 deployment flow with on-disk artifacts:
  *
  *   phone:  record event stream  ->  events.bin  (upload)
- *   cloud:  load events.bin, replay on emulator -> profile.bin
+ *   cloud:  load events.bin, replay on emulator -> profile.snct
  *   cloud:  PFI selection -> necessary inputs + lookup table
  *   phone:  deploy table (OTA), play with SNIP
  *
@@ -19,6 +19,7 @@
 #include "core/simulation.h"
 #include "core/snip.h"
 #include "games/registry.h"
+#include "trace/columnar_log.h"
 #include "trace/recorder.h"
 #include "trace/trace_log.h"
 #include "util/bytes.h"
@@ -33,7 +34,7 @@ main(int argc, char **argv)
     std::string name = argc > 1 ? argv[1] : "candy_crush";
     std::string dir = "/tmp";
     std::string events_path = dir + "/snip_" + name + "_events.bin";
-    std::string profile_path = dir + "/snip_" + name + "_profile.bin";
+    std::string profile_path = dir + "/snip_" + name + "_profile.snct";
     std::string model_path = dir + "/snip_" + name + "_model.snpm";
 
     // --- Phone side: play & record -------------------------------
@@ -67,17 +68,21 @@ main(int argc, char **argv)
     trace::Profile profile =
         trace::Replayer::replay(uploaded, *emulator);
 
-    util::ByteBuffer prof_buf;
-    trace::encodeProfile(profile, prof_buf);
-    st = trace::saveBuffer(prof_buf, profile_path);
+    // The replayed profile is kept as SNCT training columns: the file
+    // the out-of-core Shrink maps.
+    std::vector<uint8_t> prof_bytes;
+    st = trace::ColumnarLog::encodeTraining(profile, &prof_bytes);
+    if (st.ok())
+        st = trace::ColumnarLog::save(prof_bytes, profile_path);
     if (!st.ok())
         util::fatal("%s", st.message().c_str());
-    std::printf("[cloud] replayed -> %zu full I/O records (%s on "
-                "disk; a real device would need %s for the naive "
-                "union-of-locations table)\n",
+    std::printf("[cloud] replayed -> %zu full I/O records (%s of "
+                "training columns -> %s; a real device would need %s "
+                "for the naive union-of-locations table)\n",
                 profile.records.size(),
-                util::formatSize(static_cast<double>(prof_buf.size()))
+                util::formatSize(static_cast<double>(prof_bytes.size()))
                     .c_str(),
+                profile_path.c_str(),
                 util::formatSize(static_cast<double>(
                                      profile.records.size() *
                                      emulator->schema()

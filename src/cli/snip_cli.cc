@@ -9,17 +9,12 @@
  *       useless-event and repetition statistics.
  *   snip record --game G --out events.bin [--seconds S] [--seed N]
  *       Record a play session's event stream (the phone-side step).
- *   snip select --in events.bin --out profile.bin [--verbose]
+ *   snip select --in events.bin [--out profile.snct] [--verbose]
  *       Replay the stream offline, run PFI selection, report the
  *       necessary inputs per event type (the cloud-side step).
- *   snip convert --in A --out B [--training]
- *       Convert a recorded event trace between the row transport
- *       encoding ("SNPE") and the mmap-friendly binary columnar
- *       replay format ("SNCT"); direction is detected from the
- *       input's magic. With --training, replay the trace through
- *       the game and emit SNCT v2 per-type training sections (the
- *       feature/label/weight columns ml::ChunkedDataset maps for
- *       out-of-core Shrink) instead of the event stream.
+ *       --out saves the replayed profile as SNCT training sections
+ *       (the feature/label/weight columns ml::ChunkedDataset maps
+ *       for the out-of-core Shrink).
  *   snip eval --game G [--seconds S] [--scheme snip|baseline|
  *             maxcpu|maxip|nooverheads] [--audit N]
  *       Profile + deploy + evaluate one scheme; prints savings,
@@ -58,7 +53,7 @@
 
 #include <cstdio>
 #include <iostream>
-#include <cstring>
+#include <cstdlib>
 #include <map>
 #include <string>
 
@@ -235,13 +230,14 @@ cmdSelect(const Args &args)
 
     std::string out = args.get("out");
     if (!out.empty()) {
-        util::ByteBuffer pbuf;
-        trace::encodeProfile(profile, pbuf);
-        st = trace::saveBuffer(pbuf, out);
+        std::vector<uint8_t> bytes;
+        st = trace::ColumnarLog::encodeTraining(profile, &bytes);
+        if (st.ok())
+            st = trace::ColumnarLog::save(bytes, out);
         if (!st.ok())
             util::fatal("select: %s", st.message().c_str());
         std::printf("profile -> %s (%s)\n", out.c_str(),
-                    util::formatSize(static_cast<double>(pbuf.size()))
+                    util::formatSize(static_cast<double>(bytes.size()))
                         .c_str());
     }
 
@@ -272,102 +268,6 @@ cmdSelect(const Args &args)
                 model.table->entryCount(),
                 util::formatSize(static_cast<double>(
                                      model.table->totalBytes()))
-                    .c_str());
-    return 0;
-}
-
-int
-cmdConvert(const Args &args)
-{
-    std::string in = args.get("in");
-    std::string out = args.get("out");
-    if (in.empty() || out.empty())
-        util::fatal("convert: --in <file> and --out <file> are "
-                    "required");
-    util::ByteBuffer buf;
-    util::Status st = trace::loadBuffer(in, &buf);
-    if (!st.ok())
-        util::fatal("convert: %s", st.message().c_str());
-    if (buf.size() < 4)
-        util::fatal("convert: '%s' is too short to carry a trace "
-                    "magic", in.c_str());
-    uint32_t magic;
-    std::memcpy(&magic, buf.data().data(), 4);
-
-    if (!args.get("training").empty()) {
-        // Any trace -> SNCT v2 training sections: replay the events
-        // through the game and encode the per-type feature/label/
-        // weight columns ml::ChunkedDataset maps for out-of-core
-        // Shrink.
-        trace::EventTrace tr;
-        if (magic == trace::kColumnarMagic) {
-            auto log = trace::ColumnarLog::attach(buf.data().data(),
-                                                  buf.size(),
-                                                  nullptr);
-            if (!log.ok())
-                util::fatal("convert: %s",
-                            log.status().message().c_str());
-            log.value()->toTrace(&tr);
-        } else {
-            st = trace::decodeEventTrace(buf, &tr);
-            if (!st.ok())
-                util::fatal("convert: %s", st.message().c_str());
-        }
-        auto game = games::makeGame(tr.game);
-        trace::Profile profile = trace::Replayer::replay(tr, *game);
-        std::vector<uint8_t> bytes;
-        st = trace::ColumnarLog::encodeTraining(profile, &bytes);
-        if (!st.ok())
-            util::fatal("convert: %s", st.message().c_str());
-        st = trace::ColumnarLog::save(bytes, out);
-        if (!st.ok())
-            util::fatal("convert: %s", st.message().c_str());
-        std::printf("trace -> training columns: %zu records of %s "
-                    "-> %s (%s)\n",
-                    profile.records.size(), tr.game.c_str(),
-                    out.c_str(),
-                    util::formatSize(static_cast<double>(
-                                         bytes.size()))
-                        .c_str());
-        return 0;
-    }
-
-    if (magic == trace::kColumnarMagic) {
-        // Columnar -> rows.
-        auto log = trace::ColumnarLog::attach(buf.data().data(),
-                                              buf.size(), nullptr);
-        if (!log.ok())
-            util::fatal("convert: %s",
-                        log.status().message().c_str());
-        trace::EventTrace tr;
-        log.value()->toTrace(&tr);
-        util::ByteBuffer rows;
-        trace::encodeEventTrace(tr, rows);
-        st = trace::saveBuffer(rows, out);
-        if (!st.ok())
-            util::fatal("convert: %s", st.message().c_str());
-        std::printf("columnar -> rows: %zu events of %s -> %s (%s)\n",
-                    tr.events.size(), tr.game.c_str(), out.c_str(),
-                    util::formatSize(static_cast<double>(rows.size()))
-                        .c_str());
-        return 0;
-    }
-
-    // Rows -> columnar.
-    trace::EventTrace tr;
-    st = trace::decodeEventTrace(buf, &tr);
-    if (!st.ok())
-        util::fatal("convert: %s", st.message().c_str());
-    std::vector<uint8_t> bytes;
-    st = trace::ColumnarLog::encode(tr, &bytes);
-    if (!st.ok())
-        util::fatal("convert: %s", st.message().c_str());
-    st = trace::ColumnarLog::save(bytes, out);
-    if (!st.ok())
-        util::fatal("convert: %s", st.message().c_str());
-    std::printf("rows -> columnar: %zu events of %s -> %s (%s)\n",
-                tr.events.size(), tr.game.c_str(), out.c_str(),
-                util::formatSize(static_cast<double>(bytes.size()))
                     .c_str());
     return 0;
 }
@@ -832,11 +732,9 @@ usage()
         "  characterize --game G [--seconds S]  baseline stats\n"
         "  record --game G --out F [--seconds S] record events\n"
         "  select --in F [--out P] [--verbose]  replay + PFI\n"
-        "  convert --in F --out F [--training]  rows <-> columnar trace\n"
-        "                                       (--training: replay and\n"
-        "                                       emit SNCT v2 training\n"
-        "                                       columns for out-of-core\n"
-        "                                       Shrink)\n"
+        "                                       (--out: save the profile\n"
+        "                                       as SNCT training columns\n"
+        "                                       for out-of-core Shrink)\n"
         "  eval --game G [--scheme S] [--audit N] deploy + measure\n"
         "  learn --game G [--epochs E] [--gate]  continuous learning\n"
         "  pack --game G --out F                 build + serialize OTA model\n"
@@ -868,8 +766,6 @@ main(int argc, char **argv)
         return cmdRecord(args);
     if (args.command == "select")
         return cmdSelect(args);
-    if (args.command == "convert")
-        return cmdConvert(args);
     if (args.command == "eval")
         return cmdEval(args);
     if (args.command == "learn")

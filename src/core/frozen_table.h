@@ -117,7 +117,7 @@ class FrozenTable
      * Visit every entry as a HandlerExecution (inputs = key fields,
      * canonical id order) in global ordinal order. Re-inserting the
      * records into a MemoTable with the same selections rebuilds
-     * the exact source table (the v1-compat / server-side path).
+     * the exact source table (unpackModel's server-side path).
      */
     void visitRecords(
         const std::function<void(const games::HandlerExecution &)>

@@ -19,8 +19,7 @@
  * server-side reader: it rebuilds a mutable MemoTable from the arena
  * (for federated merging and re-learning); freeze() of that rebuild
  * reproduces the arena byte for byte, so pack→unpack→pack is still
- * byte-identical. Version 1 packages (per-entry wire format) are
- * still read via the rebuild path.
+ * byte-identical. Any other version is rejected.
  *
  * Unpacking is corruption-safe: a truncated, bit-flipped, or
  * version-mismatched package — including a malformed arena behind a
@@ -46,8 +45,6 @@ namespace core {
 constexpr uint32_t kModelMagic = 0x534e504d;
 /** Current package format version (frozen-arena table section). */
 constexpr uint32_t kModelVersion = 2;
-/** Legacy per-entry format, still readable via the rebuild path. */
-constexpr uint32_t kLegacyModelVersion = 1;
 
 /** Serialize @p model into the OTA envelope, appended to @p out. */
 void packModel(const SnipModel &model, util::ByteBuffer &out);
@@ -55,19 +52,17 @@ void packModel(const SnipModel &model, util::ByteBuffer &out);
 /**
  * Validate (magic, version, length, CRC) and decode a package into
  * its *mutable* form: the server-side reader. Reads the whole buffer
- * from the start; v2 arenas are rebuilt into a MemoTable, v1
- * packages decode natively. On any malformed input — truncation, bit
- * corruption, bad counts or field ids, unsupported version — returns
- * an error Status and no model.
+ * from the start and rebuilds the arena into a MemoTable. On any
+ * malformed input — truncation, bit corruption, bad counts or field
+ * ids, unsupported version — returns an error Status and no model.
  */
 util::Result<SnipModel> unpackModel(util::ByteBuffer &buf);
 
 /**
  * Device-side deploy: validate the envelope and attach the model's
  * table as a zero-copy FrozenTable view over the package bytes
- * (v2; the package buffer is kept alive by the returned model's
- * view, and `model.table` stays null). v1 packages fall back to the
- * per-entry rebuild and are frozen after. Malformed input — wrong
+ * (the package buffer is kept alive by the returned model's view,
+ * and `model.table` stays null). Malformed input — wrong
  * CRC, or an arena whose offsets/ids/geometry fail validation even
  * behind a correct CRC — is rejected with an error Status.
  */

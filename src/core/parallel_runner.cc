@@ -1,6 +1,5 @@
 #include "core/parallel_runner.h"
 
-#include "util/logging.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -23,30 +22,6 @@ ParallelRunner::forEach(size_t n,
                         util::FunctionRef<void(size_t)> fn) const
 {
     util::parallelFor(n, fn, threads_);
-}
-
-std::vector<SessionResult>
-ParallelRunner::runSessions(const std::vector<SessionSpec> &specs) const
-{
-    // Validate every spec on the calling thread before any work is
-    // dispatched: even though the pool now forwards the first worker
-    // exception to the caller, a bad spec should fail before any
-    // session has consumed cycles, and with throw-on-error configured
-    // the throw must carry the offending index.
-    for (size_t i = 0; i < specs.size(); ++i) {
-        if (!specs[i].make_game || !specs[i].make_scheme)
-            util::fatal("ParallelRunner: session %zu lacks a game or "
-                        "scheme factory", i);
-    }
-
-    std::vector<SessionResult> results(specs.size());
-    forEach(specs.size(), [&](size_t i) {
-        const SessionSpec &spec = specs[i];
-        std::unique_ptr<games::Game> game = spec.make_game();
-        std::unique_ptr<Scheme> scheme = spec.make_scheme(*game);
-        results[i] = runSession(*game, *scheme, spec.cfg);
-    });
-    return results;
 }
 
 uint64_t

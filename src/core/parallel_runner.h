@@ -10,18 +10,16 @@
  * objects (profiles, schemas, const Games used only for schema /
  * params access, const MemoTables) may be referenced from any
  * worker; mutable objects (the session's Game, Scheme, Soc, and any
- * online-filled MemoTable) must be owned by exactly one task. The
- * factories in SessionSpec run *on the worker*, so everything they
- * construct is worker-owned by design.
+ * online-filled MemoTable) must be owned by exactly one task: build
+ * them inside the forEach body, so they are worker-owned by design.
  */
 
 #ifndef SNIP_CORE_PARALLEL_RUNNER_H
 #define SNIP_CORE_PARALLEL_RUNNER_H
 
-#include <functional>
-#include <vector>
+#include <cstddef>
+#include <cstdint>
 
-#include "core/simulation.h"
 #include "util/function_ref.h"
 
 namespace snip {
@@ -36,16 +34,6 @@ namespace core {
  * share it without a core dependency.)
  */
 unsigned defaultThreadCount();
-
-/** One session to run: factories execute on the worker thread. */
-struct SessionSpec {
-    /** Build the (worker-owned) game instance. */
-    std::function<std::unique_ptr<games::Game>()> make_game;
-    /** Build the (worker-owned) scheme; receives the game. */
-    std::function<std::unique_ptr<Scheme>(games::Game &)> make_scheme;
-    /** Fully-seeded session config. */
-    SimulationConfig cfg;
-};
 
 /** Fixed-size thread pool for independent simulation work. */
 class ParallelRunner
@@ -66,13 +54,6 @@ class ParallelRunner
      * stay alive for the duration of this call.
      */
     void forEach(size_t n, util::FunctionRef<void(size_t)> fn) const;
-
-    /**
-     * Run every spec as one session and return the results in spec
-     * order. Deterministic: slot i only depends on specs[i].
-     */
-    std::vector<SessionResult>
-    runSessions(const std::vector<SessionSpec> &specs) const;
 
     /**
      * Canonical per-session seed derivation: decorrelates session

@@ -210,7 +210,7 @@ buildSnipModel(std::shared_ptr<const trace::ColumnarLog> tlog,
     if (ttypes.empty())
         return util::Status::Error(
             "snip: trace carries no training sections "
-            "(re-record with `snip convert --training`)");
+            "(write one with `snip select --out`)");
 
     SnipModel model;
     model.game = tlog->game();

@@ -152,7 +152,7 @@ SnipModel buildSnipModel(const trace::Profile &profile,
 
 /**
  * Out-of-core variant: run the same pipeline over the training
- * sections of a (typically mmap-backed) columnar trace, training
+ * sections of a (typically mmap-backed) SNCT file, training
  * through bounded-RSS ml::ChunkedDataset views instead of an
  * in-memory Dataset. Selections and the pre-filled table are
  * bitwise identical to the in-memory path over the same records

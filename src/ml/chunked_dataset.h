@@ -1,6 +1,6 @@
 /**
  * @file
- * Out-of-core DatasetView over a memory-mapped SNCT v2 training
+ * Out-of-core DatasetView over a memory-mapped SNCT training
  * section (trace::ColumnarLog): the column-major feature / label /
  * weight arrays of one event type are used *in place* — attach()
  * copies nothing but the feature-id list — so training over a

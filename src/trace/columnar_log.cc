@@ -20,10 +20,10 @@ namespace trace {
 
 namespace {
 
-constexpr size_t kHeaderBytesV1 = 72;
-constexpr size_t kHeaderBytesV2 = 88;
-constexpr size_t kDirRecBytes = 32;
+constexpr size_t kHeaderBytes = 32;
 constexpr size_t kTrainRecBytes = 80;
+/** Offset of the crc word inside a directory record. */
+constexpr size_t kRecCrcOffset = 12;
 
 /** Bytes scanned per step of the streaming CRC verify. */
 constexpr uint64_t kVerifyBlockBytes = uint64_t{16} << 20;
@@ -124,129 +124,88 @@ trainingCrc(const ColumnarLog::TrainingCols &tc, bool mmap_backed)
     return crc;
 }
 
-}  // namespace
+/** One training section's directory record and array offsets. */
+struct SectionLayout {
+    events::EventType type{};
+    const std::vector<uint32_t> *feat_ids = nullptr;
+    const std::vector<uint32_t> *out_ids = nullptr;
+    uint64_t nrows = 0;
+    size_t feat_ids_off = 0, out_ids_off = 0, feat_cols_off = 0;
+    size_t labels_off = 0, weights_off = 0, out_cols_off = 0;
+};
 
-util::Status
-ColumnarLog::encode(const EventTrace &trace, std::vector<uint8_t> *out)
+/** Offset of the training directory after a @p game_len name. */
+size_t
+dirOffset(size_t game_len)
 {
-    size_t n = trace.events.size();
+    return align8(kHeaderBytes + game_len);
+}
 
-    // Pass 1: per-type field-id template + row counts. The columns
-    // are only well-formed when every row of a type carries the same
-    // fields in the same order.
-    struct TypeBuild {
-        bool present = false;
-        std::vector<uint32_t> ids;
-        uint64_t nrows = 0;
-    };
-    std::array<TypeBuild, events::kNumEventTypes> builds;
-    std::vector<uint32_t> row(n);
-    for (size_t i = 0; i < n; ++i) {
-        const events::EventObject &ev = trace.events[i];
-        int t = static_cast<int>(ev.type);
-        if (t < 0 || t >= events::kNumEventTypes)
-            return util::Status::Errorf(
-                "columnar: bad event type %d", t);
-        TypeBuild &b = builds[t];
-        if (!b.present) {
-            b.present = true;
-            b.ids.reserve(ev.fields.size());
-            for (const auto &fv : ev.fields)
-                b.ids.push_back(fv.id);
-        } else {
-            bool same = b.ids.size() == ev.fields.size();
-            for (size_t f = 0; same && f < b.ids.size(); ++f)
-                same = b.ids[f] == ev.fields[f].id;
-            if (!same)
-                return util::Status::Errorf(
-                    "columnar: type %d rows do not share one field "
-                    "set (event %zu)", t, i);
-        }
-        row[i] = static_cast<uint32_t>(b.nrows++);
+/**
+ * Assign every section's array offsets: header, game name, the
+ * directory, then each section's arrays in directory order. Returns
+ * the file size.
+ */
+size_t
+layOut(size_t game_len, std::vector<SectionLayout> *secs)
+{
+    size_t off = dirOffset(game_len) + secs->size() * kTrainRecBytes;
+    for (SectionLayout &s : *secs) {
+        s.feat_ids_off = off;
+        off = align8(off + s.feat_ids->size() * 4);
+        s.out_ids_off = off;
+        off = align8(off + s.out_ids->size() * 4);
+        s.feat_cols_off = off;
+        off += s.feat_ids->size() * s.nrows * 8;
+        s.labels_off = off;
+        off += s.nrows * 8;
+        s.weights_off = off;
+        off += s.nrows * 8;
+        s.out_cols_off = off;
+        off += s.out_ids->size() * s.nrows * 8;
     }
+    return off;
+}
 
-    // Layout.
-    uint32_t ntypes = 0;
-    for (const auto &b : builds)
-        ntypes += b.present;
-    size_t game_len = trace.game.size();
-    size_t off = align8(kHeaderBytesV2 + game_len);
-    size_t type_off = off;
-    off = align8(off + n);
-    size_t row_off = off;
-    off = align8(off + n * 4);
-    size_t seq_off = off;
-    off += n * 8;
-    size_t ts_off = off;
-    off += n * 8;
-    size_t dir_off = off;
-    off += static_cast<size_t>(ntypes) * kDirRecBytes;
-    struct TypeOffsets {
-        size_t ids = 0, cols = 0;
-    };
-    std::array<TypeOffsets, events::kNumEventTypes> offsets{};
-    for (int t = 0; t < events::kNumEventTypes; ++t) {
-        const TypeBuild &b = builds[t];
-        if (!b.present)
-            continue;
-        offsets[t].ids = off;
-        off = align8(off + b.ids.size() * 4);
-        offsets[t].cols = off;
-        off += b.nrows * b.ids.size() * 8;
-    }
-    size_t total = off;
-
-    out->assign(total, 0);
-    uint8_t *base = out->data();
+/**
+ * Write everything before the first value column into @p base: the
+ * header, the game name, the directory records (crc 0, patched once
+ * the columns are written) and every section's id arrays.
+ */
+void
+writeHead(uint8_t *base, size_t total, const std::string &game,
+          const std::vector<SectionLayout> &secs)
+{
     writeU32(base + 0, kColumnarMagic);
     writeU32(base + 4, kColumnarVersion);
     writeU64(base + 8, total);
-    writeU64(base + 16, n);
-    writeU32(base + 24, ntypes);
-    writeU32(base + 28, static_cast<uint32_t>(game_len));
-    writeU64(base + 32, type_off);
-    writeU64(base + 40, row_off);
-    writeU64(base + 48, seq_off);
-    writeU64(base + 56, ts_off);
-    writeU64(base + 64, dir_off);
-    writeU64(base + 72, 0);  // train_dir_off: no training sections
-    writeU32(base + 80, 0);  // ntrain
-    writeU32(base + 84, 0);  // pad
-    std::memcpy(base + kHeaderBytesV2, trace.game.data(), game_len);
-
-    uint32_t dir_i = 0;
-    for (int t = 0; t < events::kNumEventTypes; ++t) {
-        const TypeBuild &b = builds[t];
-        if (!b.present)
-            continue;
-        uint8_t *rec = base + dir_off + dir_i++ * kDirRecBytes;
-        writeU32(rec + 0, static_cast<uint32_t>(t));
-        writeU32(rec + 4, static_cast<uint32_t>(b.ids.size()));
-        writeU64(rec + 8, b.nrows);
-        writeU64(rec + 16, offsets[t].ids);
-        writeU64(rec + 24, offsets[t].cols);
-        for (size_t f = 0; f < b.ids.size(); ++f)
-            writeU32(base + offsets[t].ids + f * 4, b.ids[f]);
+    writeU64(base + 16, dirOffset(game.size()));
+    writeU32(base + 24, static_cast<uint32_t>(secs.size()));
+    writeU32(base + 28, static_cast<uint32_t>(game.size()));
+    std::memcpy(base + kHeaderBytes, game.data(), game.size());
+    for (size_t i = 0; i < secs.size(); ++i) {
+        const SectionLayout &s = secs[i];
+        uint8_t *rec = base + dirOffset(game.size()) + i * kTrainRecBytes;
+        writeU32(rec + 0, static_cast<uint32_t>(s.type));
+        writeU32(rec + 4, static_cast<uint32_t>(s.feat_ids->size()));
+        writeU32(rec + 8, static_cast<uint32_t>(s.out_ids->size()));
+        writeU32(rec + kRecCrcOffset, 0);
+        writeU64(rec + 16, s.nrows);
+        writeU64(rec + 24, s.feat_ids_off);
+        writeU64(rec + 32, s.feat_cols_off);
+        writeU64(rec + 40, s.labels_off);
+        writeU64(rec + 48, s.weights_off);
+        writeU64(rec + 56, s.out_ids_off);
+        writeU64(rec + 64, s.out_cols_off);
+        writeU64(rec + 72, 0);  // reserved
+        for (size_t f = 0; f < s.feat_ids->size(); ++f)
+            writeU32(base + s.feat_ids_off + f * 4, (*s.feat_ids)[f]);
+        for (size_t o = 0; o < s.out_ids->size(); ++o)
+            writeU32(base + s.out_ids_off + o * 4, (*s.out_ids)[o]);
     }
-
-    // Pass 2: fill the global arrays and the column-major values.
-    for (size_t i = 0; i < n; ++i) {
-        const events::EventObject &ev = trace.events[i];
-        int t = static_cast<int>(ev.type);
-        const TypeBuild &b = builds[t];
-        base[type_off + i] = static_cast<uint8_t>(t);
-        writeU32(base + row_off + i * 4, row[i]);
-        writeU64(base + seq_off + i * 8, ev.seq);
-        uint64_t bits;
-        std::memcpy(&bits, &ev.timestamp, 8);
-        writeU64(base + ts_off + i * 8, bits);
-        for (size_t f = 0; f < ev.fields.size(); ++f)
-            writeU64(base + offsets[t].cols +
-                         (f * b.nrows + row[i]) * 8,
-                     ev.fields[f].value);
-    }
-    return util::Status::Ok();
 }
+
+}  // namespace
 
 util::Status
 ColumnarLog::encodeTraining(const Profile &profile,
@@ -255,93 +214,40 @@ ColumnarLog::encodeTraining(const Profile &profile,
     // One section per event type present: the union-of-locations
     // feature matrix plus labels / weights / output columns — the
     // exact bytes ml::ChunkedDataset maps, built here once offline.
-    struct Section {
-        int type = 0;
-        std::vector<const games::HandlerExecution *> recs;
-        std::vector<uint32_t> feat_ids, out_ids;
-        size_t rec_off = 0, feat_ids_off = 0, out_ids_off = 0;
-        size_t feat_cols_off = 0, labels_off = 0, weights_off = 0;
-        size_t out_cols_off = 0;
-    };
-    std::vector<Section> secs;
-    for (events::EventType t : profile.typesPresent()) {
-        Section s;
-        s.type = static_cast<int>(t);
-        s.recs = profile.ofType(t);
-        size_t nin = 0, nout = 0;
-        for (const auto *r : s.recs) {
-            nin += r->inputs.size();
-            nout += r->outputs.size();
-        }
-        s.feat_ids.reserve(nin);
-        s.out_ids.reserve(nout);
-        for (const auto *r : s.recs) {
+    std::vector<events::EventType> types = profile.typesPresent();
+    std::vector<std::vector<const games::HandlerExecution *>> recs;
+    std::vector<std::vector<uint32_t>> feat_ids(types.size());
+    std::vector<std::vector<uint32_t>> out_ids(types.size());
+    std::vector<SectionLayout> secs(types.size());
+    for (size_t si = 0; si < types.size(); ++si) {
+        recs.push_back(profile.ofType(types[si]));
+        for (const auto *r : recs[si]) {
             for (const auto &fv : r->inputs)
-                s.feat_ids.push_back(fv.id);
+                feat_ids[si].push_back(fv.id);
             for (const auto &fv : r->outputs)
-                s.out_ids.push_back(fv.id);
+                out_ids[si].push_back(fv.id);
         }
-        for (auto *ids : {&s.feat_ids, &s.out_ids}) {
+        for (auto *ids : {&feat_ids[si], &out_ids[si]}) {
             std::sort(ids->begin(), ids->end());
             ids->erase(std::unique(ids->begin(), ids->end()),
                        ids->end());
         }
-        secs.push_back(std::move(s));
+        secs[si].type = types[si];
+        secs[si].feat_ids = &feat_ids[si];
+        secs[si].out_ids = &out_ids[si];
+        secs[si].nrows = recs[si].size();
     }
 
-    // Layout: v2 header, game name, no event stream (all global
-    // arrays empty at one aligned offset), then the training
-    // directory and each section's arrays.
-    size_t game_len = profile.game.size();
-    size_t off = align8(kHeaderBytesV2 + game_len);
-    size_t empty_off = off;
-    size_t train_dir_off = off;
-    off += secs.size() * kTrainRecBytes;
-    for (Section &s : secs) {
-        uint64_t nrows = s.recs.size();
-        s.feat_ids_off = off;
-        off = align8(off + s.feat_ids.size() * 4);
-        s.out_ids_off = off;
-        off = align8(off + s.out_ids.size() * 4);
-        s.feat_cols_off = off;
-        off += s.feat_ids.size() * nrows * 8;
-        s.labels_off = off;
-        off += nrows * 8;
-        s.weights_off = off;
-        off += nrows * 8;
-        s.out_cols_off = off;
-        off += s.out_ids.size() * nrows * 8;
-    }
-    size_t total = off;
-
+    size_t total = layOut(profile.game.size(), &secs);
     out->assign(total, 0);
     uint8_t *base = out->data();
-    writeU32(base + 0, kColumnarMagic);
-    writeU32(base + 4, kColumnarVersion);
-    writeU64(base + 8, total);
-    writeU64(base + 16, 0);  // nevents
-    writeU32(base + 24, 0);  // ntypes
-    writeU32(base + 28, static_cast<uint32_t>(game_len));
-    writeU64(base + 32, empty_off);  // type_off
-    writeU64(base + 40, empty_off);  // row_off
-    writeU64(base + 48, empty_off);  // seq_off
-    writeU64(base + 56, empty_off);  // ts_off
-    writeU64(base + 64, empty_off);  // dir_off
-    writeU64(base + 72, train_dir_off);
-    writeU32(base + 80, static_cast<uint32_t>(secs.size()));
-    writeU32(base + 84, 0);
-    std::memcpy(base + kHeaderBytesV2, profile.game.data(), game_len);
+    writeHead(base, total, profile.game, secs);
 
     for (size_t si = 0; si < secs.size(); ++si) {
-        Section &s = secs[si];
-        uint64_t nrows = s.recs.size();
-        size_t nfeat = s.feat_ids.size();
-        size_t nout = s.out_ids.size();
-        for (size_t f = 0; f < nfeat; ++f)
-            writeU32(base + s.feat_ids_off + f * 4, s.feat_ids[f]);
-        for (size_t o = 0; o < nout; ++o)
-            writeU32(base + s.out_ids_off + o * 4, s.out_ids[o]);
-
+        const SectionLayout &s = secs[si];
+        uint64_t nrows = s.nrows;
+        size_t nfeat = s.feat_ids->size();
+        size_t nout = s.out_ids->size();
         uint64_t *feat_cols =
             reinterpret_cast<uint64_t *>(base + s.feat_cols_off);
         uint64_t *labels =
@@ -356,22 +262,22 @@ ColumnarLog::encodeTraining(const Profile &profile,
                   kTrainingAbsent);
 
         for (uint64_t row = 0; row < nrows; ++row) {
-            const games::HandlerExecution *r = s.recs[row];
+            const games::HandlerExecution *r = recs[si][row];
             // Inputs/outputs are canonical (ascending ids): lockstep
             // walk against the sorted union, as the in-memory
             // Dataset constructor does.
             size_t col = 0;
             for (const auto &fv : r->inputs) {
-                while (col < nfeat && s.feat_ids[col] < fv.id)
+                while (col < nfeat && (*s.feat_ids)[col] < fv.id)
                     ++col;
-                if (col < nfeat && s.feat_ids[col] == fv.id)
+                if (col < nfeat && (*s.feat_ids)[col] == fv.id)
                     feat_cols[col * nrows + row] = fv.value;
             }
             size_t oc = 0;
             for (const auto &fv : r->outputs) {
-                while (oc < nout && s.out_ids[oc] < fv.id)
+                while (oc < nout && (*s.out_ids)[oc] < fv.id)
                     ++oc;
-                if (oc < nout && s.out_ids[oc] == fv.id)
+                if (oc < nout && (*s.out_ids)[oc] == fv.id)
                     out_cols[oc * nrows + row] = fv.value;
             }
             labels[row] = events::hashFields(r->outputs);
@@ -383,28 +289,15 @@ ColumnarLog::encodeTraining(const Profile &profile,
         tc.nfeat = static_cast<uint32_t>(nfeat);
         tc.nout = static_cast<uint32_t>(nout);
         tc.nrows = nrows;
-        tc.feat_ids =
-            reinterpret_cast<const uint32_t *>(base + s.feat_ids_off);
-        tc.out_ids =
-            reinterpret_cast<const uint32_t *>(base + s.out_ids_off);
+        tc.feat_ids = s.feat_ids->data();
+        tc.out_ids = s.out_ids->data();
         tc.feat_cols = feat_cols;
         tc.labels = labels;
         tc.weights = weights;
         tc.out_cols = out_cols;
-
-        uint8_t *rec = base + train_dir_off + si * kTrainRecBytes;
-        writeU32(rec + 0, static_cast<uint32_t>(s.type));
-        writeU32(rec + 4, tc.nfeat);
-        writeU32(rec + 8, tc.nout);
-        writeU32(rec + 12, trainingCrc(tc, false));
-        writeU64(rec + 16, nrows);
-        writeU64(rec + 24, s.feat_ids_off);
-        writeU64(rec + 32, s.feat_cols_off);
-        writeU64(rec + 40, s.labels_off);
-        writeU64(rec + 48, s.weights_off);
-        writeU64(rec + 56, s.out_ids_off);
-        writeU64(rec + 64, s.out_cols_off);
-        writeU64(rec + 72, 0);  // reserved
+        writeU32(base + dirOffset(profile.game.size()) +
+                     si * kTrainRecBytes + kRecCrcOffset,
+                 trainingCrc(tc, false));
     }
     return util::Status::Ok();
 }
@@ -438,44 +331,27 @@ ColumnarLog::decode()
 {
     const uint8_t *base = data_;
     const size_t size = size_;
-    if (size < kHeaderBytesV1)
+    if (size < kHeaderBytes)
         return util::Status::Error("columnar: truncated header");
     if (readU32(base) != kColumnarMagic)
         return util::Status::Errorf("columnar: bad magic 0x%08x",
                                     readU32(base));
     uint32_t version = readU32(base + 4);
-    if (version < kColumnarMinVersion || version > kColumnarVersion)
+    if (version != kColumnarVersion)
         return util::Status::Errorf(
-            "columnar: unsupported version %u", version);
-    size_t header_bytes =
-        version >= 2 ? kHeaderBytesV2 : kHeaderBytesV1;
-    if (size < header_bytes)
-        return util::Status::Error("columnar: truncated header");
+            "columnar: unsupported version %u (expected %u)", version,
+            kColumnarVersion);
     if (readU64(base + 8) != size)
         return util::Status::Errorf(
             "columnar: size %llu does not match buffer size %zu",
             static_cast<unsigned long long>(readU64(base + 8)), size);
-    uint64_t nevents = readU64(base + 16);
-    uint32_t ntypes = readU32(base + 24);
+    uint64_t train_dir_off = readU64(base + 16);
+    uint32_t ntrain = readU32(base + 24);
     uint32_t game_len = readU32(base + 28);
-    uint64_t type_off = readU64(base + 32);
-    uint64_t row_off = readU64(base + 40);
-    uint64_t seq_off = readU64(base + 48);
-    uint64_t ts_off = readU64(base + 56);
-    uint64_t dir_off = readU64(base + 64);
-    uint64_t train_dir_off = 0;
-    uint32_t ntrain = 0;
-    if (version >= 2) {
-        train_dir_off = readU64(base + 72);
-        ntrain = readU32(base + 80);
-    }
-    if (ntypes > events::kNumEventTypes ||
-        ntrain > events::kNumEventTypes)
+    if (ntrain > events::kNumEventTypes)
         return util::Status::Errorf("columnar: %u types out of range",
-                                    ntypes > events::kNumEventTypes
-                                        ? ntypes
-                                        : ntrain);
-    if (game_len > size - header_bytes)
+                                    ntrain);
+    if (game_len > size - kHeaderBytes)
         return util::Status::Error("columnar: game name out of bounds");
 
     // Same span discipline as the frozen arena decoder: count
@@ -486,73 +362,13 @@ ColumnarLog::decode()
         return off <= size && count <= (size - off) / elem &&
                off % align == 0;
     };
-    if (!span(type_off, nevents, 1, 1) ||
-        !span(row_off, nevents, 4, 4) ||
-        !span(seq_off, nevents, 8, 8) ||
-        !span(ts_off, nevents, 8, 8) ||
-        !span(dir_off, ntypes, kDirRecBytes, 8) ||
-        !span(train_dir_off, ntrain, kTrainRecBytes, 8))
+    if (!span(train_dir_off, ntrain, kTrainRecBytes, 8))
         return util::Status::Error(
-            "columnar: global arrays out of bounds");
-
-    game_.assign(reinterpret_cast<const char *>(base + header_bytes),
+            "columnar: training directory out of bounds");
+    game_.assign(reinterpret_cast<const char *>(base + kHeaderBytes),
                  game_len);
-    nevents_ = nevents;
-    type_ = base + type_off;
-    row_ = reinterpret_cast<const uint32_t *>(base + row_off);
-    seq_ = reinterpret_cast<const uint64_t *>(base + seq_off);
-    ts_ = reinterpret_cast<const uint64_t *>(base + ts_off);
 
-    int prev_type = -1;
-    for (uint32_t i = 0; i < ntypes; ++i) {
-        const uint8_t *rec = base + dir_off + i * kDirRecBytes;
-        uint32_t type = readU32(rec + 0);
-        if (type >= events::kNumEventTypes ||
-            static_cast<int>(type) <= prev_type)
-            return util::Status::Errorf(
-                "columnar: bad or out-of-order type %u", type);
-        prev_type = static_cast<int>(type);
-        TypeCols tc;
-        tc.nfields = readU32(rec + 4);
-        tc.nrows = readU64(rec + 8);
-        uint64_t ids_off = readU64(rec + 16);
-        uint64_t cols_off = readU64(rec + 24);
-        if (tc.nfields != 0 &&
-            tc.nrows > UINT64_MAX / tc.nfields)
-            return util::Status::Error(
-                "columnar: column count overflow");
-        if (!span(ids_off, tc.nfields, 4, 4) ||
-            !span(cols_off, tc.nrows * tc.nfields, 8, 8))
-            return util::Status::Errorf(
-                "columnar: type %u columns out of bounds", type);
-        tc.ids = reinterpret_cast<const uint32_t *>(base + ids_off);
-        tc.cols = reinterpret_cast<const uint64_t *>(base + cols_off);
-        types_[type] = tc;
-        has_type_[type] = true;
-    }
-
-    // Every event must land in a directory type, and its row index
-    // must equal the running per-type counter — the invariant that
-    // makes event(i) a safe O(1) column access.
-    std::array<uint64_t, events::kNumEventTypes> counters{};
-    for (uint64_t i = 0; i < nevents; ++i) {
-        uint8_t t = type_[i];
-        if (t >= events::kNumEventTypes || !has_type_[t])
-            return util::Status::Errorf(
-                "columnar: event %llu has undeclared type %u",
-                static_cast<unsigned long long>(i), t);
-        if (row_[i] != counters[t]++)
-            return util::Status::Errorf(
-                "columnar: event %llu row index mismatch",
-                static_cast<unsigned long long>(i));
-    }
-    for (int t = 0; t < events::kNumEventTypes; ++t) {
-        if (has_type_[t] && counters[t] != types_[t].nrows)
-            return util::Status::Errorf(
-                "columnar: type %d row count mismatch", t);
-    }
-
-    // Training sections (v2): bounds-check every array, require
+    // Training sections: bounds-check every array, require
     // ascending id arrays, then CRC-verify the payload — a bit flip
     // anywhere in a section (including a label or weight column)
     // turns into an error Status here, never into silently wrong
@@ -711,32 +527,6 @@ ColumnarLog::save(const std::vector<uint8_t> &bytes,
     return st;
 }
 
-void
-ColumnarLog::event(size_t i, events::EventObject *ev) const
-{
-    uint8_t t = type_[i];
-    const TypeCols &tc = types_[t];
-    ev->type = static_cast<events::EventType>(t);
-    ev->seq = seq_[i];
-    uint64_t bits = ts_[i];
-    double d;
-    std::memcpy(&d, &bits, 8);
-    ev->timestamp = d;
-    uint64_t r = row_[i];
-    ev->fields.resize(tc.nfields);
-    for (uint32_t f = 0; f < tc.nfields; ++f)
-        ev->fields[f] = {tc.ids[f], tc.cols[f * tc.nrows + r]};
-}
-
-void
-ColumnarLog::toTrace(EventTrace *out) const
-{
-    out->game = game_;
-    out->events.resize(nevents_);
-    for (size_t i = 0; i < nevents_; ++i)
-        event(i, &out->events[i]);
-}
-
 /* ----------------------------- TrainingWriter ------------------- */
 
 /** Rows buffered per column before a flush. */
@@ -818,62 +608,24 @@ TrainingWriter::create(const std::string &path, const std::string &game,
     impl->nfeat = static_cast<uint32_t>(feat_ids.size());
     impl->nout = static_cast<uint32_t>(out_ids.size());
 
-    // Same layout encodeTraining() emits for a single section.
-    size_t game_len = game.size();
-    size_t off = align8(kHeaderBytesV2 + game_len);
-    size_t empty_off = off;
-    size_t train_dir_off = off;
-    off += kTrainRecBytes;
-    size_t feat_ids_off = off;
-    off = align8(off + feat_ids.size() * 4);
-    size_t out_ids_off = off;
-    off = align8(off + out_ids.size() * 4);
-    impl->feat_cols_off = off;
-    off += feat_ids.size() * nrows * 8;
-    impl->labels_off = off;
-    off += nrows * 8;
-    impl->weights_off = off;
-    off += nrows * 8;
-    impl->out_cols_off = off;
-    off += out_ids.size() * nrows * 8;
-    size_t total = off;
-    impl->crc_field_off = train_dir_off + 12;
-
-    // The full prefix (header + game + directory + id arrays) is
-    // tiny; build it in memory and write it once. The directory CRC
-    // stays 0 until finish() patches it, so a crashed/abandoned
-    // write is rejected by attach().
+    // Same layout encodeTraining() emits for a single section. The
+    // prefix (header + game + directory + id arrays) is tiny; build
+    // it in memory and write it once. The directory CRC stays 0
+    // until finish() patches it, so a crashed/abandoned write is
+    // rejected by attach().
+    std::vector<SectionLayout> secs(1);
+    secs[0].type = t;
+    secs[0].feat_ids = &feat_ids;
+    secs[0].out_ids = &out_ids;
+    secs[0].nrows = nrows;
+    size_t total = layOut(game.size(), &secs);
+    impl->feat_cols_off = secs[0].feat_cols_off;
+    impl->labels_off = secs[0].labels_off;
+    impl->weights_off = secs[0].weights_off;
+    impl->out_cols_off = secs[0].out_cols_off;
+    impl->crc_field_off = dirOffset(game.size()) + kRecCrcOffset;
     std::vector<uint8_t> prefix(impl->feat_cols_off, 0);
-    uint8_t *base = prefix.data();
-    writeU32(base + 0, kColumnarMagic);
-    writeU32(base + 4, kColumnarVersion);
-    writeU64(base + 8, total);
-    writeU64(base + 16, 0);  // nevents
-    writeU32(base + 24, 0);  // ntypes
-    writeU32(base + 28, static_cast<uint32_t>(game_len));
-    for (size_t h = 32; h <= 64; h += 8)
-        writeU64(base + h, empty_off);
-    writeU64(base + 72, train_dir_off);
-    writeU32(base + 80, 1);  // ntrain
-    writeU32(base + 84, 0);
-    std::memcpy(base + kHeaderBytesV2, game.data(), game_len);
-    uint8_t *rec = base + train_dir_off;
-    writeU32(rec + 0, static_cast<uint32_t>(t));
-    writeU32(rec + 4, impl->nfeat);
-    writeU32(rec + 8, impl->nout);
-    writeU32(rec + 12, 0);  // crc patched by finish()
-    writeU64(rec + 16, nrows);
-    writeU64(rec + 24, feat_ids_off);
-    writeU64(rec + 32, impl->feat_cols_off);
-    writeU64(rec + 40, impl->labels_off);
-    writeU64(rec + 48, impl->weights_off);
-    writeU64(rec + 56, out_ids_off);
-    writeU64(rec + 64, impl->out_cols_off);
-    writeU64(rec + 72, 0);
-    for (size_t f = 0; f < feat_ids.size(); ++f)
-        writeU32(base + feat_ids_off + f * 4, feat_ids[f]);
-    for (size_t o = 0; o < out_ids.size(); ++o)
-        writeU32(base + out_ids_off + o * 4, out_ids[o]);
+    writeHead(prefix.data(), total, game, secs);
 
     impl->ids_crc =
         util::crc32(feat_ids.data(), feat_ids.size() * 4, 0);

@@ -1,59 +1,40 @@
 /**
  * @file
- * Binary columnar event-trace format ("SNCT"): the replay-side
- * counterpart of the row-oriented "SNPE" transport encoding. A
- * ColumnarLog stores the trace as flat per-type value columns plus
- * global type/seq/timestamp arrays, so the fig/micro benches can
- * mmap a converted trace once and replay it without re-parsing the
- * row encoding per run — and a reader never materializes more than
- * the events it asks for (the seed of the out-of-core Shrink path).
+ * Binary columnar training file ("SNCT"): the replayed profile in
+ * exactly the shape the ML layer trains on. For each event type it
+ * holds one *training section* — feature/label/weight/output columns,
+ * column-major — which ml::ChunkedDataset maps in place, so the
+ * out-of-core Shrink (core::buildSnipModel on a mapped file) never
+ * materializes the profile. `snip select --out` writes one from a
+ * recorded SNPE event trace; TrainingWriter streams one of any size.
  *
  * Layout (little-endian, all array offsets 8-aligned):
  *
- *   header (72 B, v1): magic "SNCT", version, total_size u64,
- *     nevents u64, ntypes u32, game_len u32, then five u64 offsets:
- *     type_off  -> u8[nevents]   event type codes
- *     row_off   -> u32[nevents]  per-type row index (O(1) random
- *                                access into the type's columns)
- *     seq_off   -> u64[nevents]  sequence numbers
- *     ts_off    -> u64[nevents]  timestamps as raw double bits
- *                                (lossless, unlike SNPE's ns u64)
- *     dir_off   -> ntypes directory records
- *   game name bytes [game_len] at offset 72
- *   directory record (32 B): type u32, nfields u32, nrows u64,
- *     ids_off u64 -> u32[nfields], cols_off u64 ->
- *     u64[nrows * nfields] *column-major* (field f's values are
- *     adjacent: cols[f * nrows .. (f + 1) * nrows)).
- *
- * Version 2 extends the header to 88 B for *training sections* —
- * per-type feature/label/weight columns in exactly the shape the ML
- * layer trains on (ml::ChunkedDataset maps them directly):
- *
- *   header v2 additions: train_dir_off u64 at 72, ntrain u32 at 80,
- *     pad u32 at 84; the game name moves to offset 88.
- *   training directory record (80 B): type u32, nfeat u32, nout u32,
- *     crc u32, nrows u64, then six u64 offsets — feat_ids ->
- *     u32[nfeat] (ascending field ids), feat_cols ->
- *     u64[nfeat * nrows] column-major feature values (the
- *     union-of-locations matrix; kTrainingAbsent marks "record did
- *     not read this location"), labels -> u64[nrows] output-
+ *   header (32 B): magic "SNCT" u32, version u32, total_size u64,
+ *     train_dir_off u64, ntrain u32, game_len u32
+ *   game name bytes [game_len] at offset 32
+ *   training directory at align8(32 + game_len): ntrain records of
+ *     80 B, in ascending type order —
+ *     type u32, nfeat u32, nout u32, crc u32, nrows u64, then six
+ *     u64 offsets: feat_ids -> u32[nfeat] (ascending field ids),
+ *     feat_cols -> u64[nfeat * nrows] column-major feature values
+ *     (the union-of-locations matrix; kTrainingAbsent marks "record
+ *     did not read this location"), labels -> u64[nrows] output-
  *     signature hashes, weights -> u64[nrows] max(1, instructions),
  *     out_ids -> u32[nout] and out_cols -> u64[nout * nrows] (the
  *     output fields, for reconstructing records, e.g. table
  *     prefill) — and a reserved u64. crc chains the per-column
  *     crc32 words (see columnar_log.cc) so bit flips anywhere in a
  *     section are rejected at attach() time.
- *
- * Events of one type always carry exactly the handler's event
- * fields in canonical order, which is what makes uniform per-type
- * columns valid; encode() rejects a trace violating that.
+ *   each section's arrays, in the order feat_ids, out_ids,
+ *     feat_cols, labels, weights, out_cols.
  *
  * Like the SNPE decoder, attach()/open() validate everything before
- * trusting it: a malformed, truncated, or bit-flipped file yields
- * an error Status, never UB. Training-section payloads are CRC-
+ * trusting it: a malformed, truncated, bit-flipped or other-version
+ * file yields an error Status, never UB. Section payloads are CRC-
  * verified with a streaming scan (block-sized, with MADV_DONTNEED
  * between blocks on mmap-backed views, so verifying a multi-GB
- * trace never grows RSS past one block).
+ * file never grows RSS past one block).
  */
 
 #ifndef SNIP_TRACE_COLUMNAR_LOG_H
@@ -70,12 +51,10 @@
 namespace snip {
 namespace trace {
 
-/** Columnar trace magic ("SNCT"), first word of the layout. */
+/** Columnar training file magic ("SNCT"), first word of the layout. */
 constexpr uint32_t kColumnarMagic = 0x534e4354;
-/** Columnar trace format version (2 adds training sections). */
-constexpr uint32_t kColumnarVersion = 2;
-/** Oldest version attach() still reads. */
-constexpr uint32_t kColumnarMinVersion = 1;
+/** The one format version attach() reads. */
+constexpr uint32_t kColumnarVersion = 3;
 
 /**
  * "Record did not read this location" marker in training feature /
@@ -85,33 +64,24 @@ constexpr uint32_t kColumnarMinVersion = 1;
 constexpr uint64_t kTrainingAbsent = 0xab5e9700ab5e9700ULL;
 
 /**
- * Immutable reader over a columnar trace buffer. All methods are
+ * Immutable reader over a columnar training buffer. All methods are
  * const; any number of threads may read concurrently.
  */
 class ColumnarLog
 {
   public:
     /**
-     * Convert a row trace to the columnar encoding. Errors when the
-     * rows of one event type do not share a single field-id set in
-     * one order (the per-type columns would be ill-formed).
-     */
-    static util::Status encode(const EventTrace &trace,
-                               std::vector<uint8_t> *out);
-
-    /**
-     * Encode a profile's per-type training sections (v2): for every
+     * Encode a profile's per-type training sections: for every
      * event type with records, the union-of-locations feature
      * matrix, output-signature labels, instruction weights and
      * output columns, in the exact shape ml::ChunkedDataset maps.
-     * The result carries no event stream (nevents = 0).
      */
     static util::Status encodeTraining(const Profile &profile,
                                        std::vector<uint8_t> *out);
 
     /**
      * Attach a validated view over columnar bytes. Every offset,
-     * count and type code is bounds-checked — and training sections
+     * count and type code is bounds-checked — and every section
      * CRC-verified — before the view is returned. @p owner keeps
      * the backing buffer alive (zero-copy); misaligned buffers are
      * copied into owned aligned storage. @p mmap_backed marks the
@@ -124,7 +94,7 @@ class ColumnarLog
            bool mmap_backed = false);
 
     /**
-     * Open a columnar trace file: mmap(2) when available (the
+     * Open a columnar training file: mmap(2) when available (the
      * mapping is dropped with the last reader reference), falling
      * back to reading the file into an owned buffer.
      */
@@ -135,16 +105,14 @@ class ColumnarLog
     static util::Status save(const std::vector<uint8_t> &bytes,
                              const std::string &path);
 
-    /** Game name recorded with the trace. */
+    /** Game name recorded with the profile. */
     const std::string &game() const { return game_; }
-    /** Number of events. */
-    size_t eventCount() const { return nevents_; }
     /** Whether the buffer is a borrowed (mmap/attach) view. */
     bool zeroCopy() const { return owned_.empty(); }
     /** Whether the buffer is a droppable private file mapping. */
     bool mmapBacked() const { return mmap_backed_; }
 
-    /** Mapped training section of one event type (v2). */
+    /** Mapped training section of one event type. */
     struct TrainingCols {
         uint32_t nfeat = 0;
         uint32_t nout = 0;
@@ -175,25 +143,8 @@ class ColumnarLog
      */
     void releaseResidency() const;
 
-    /**
-     * Decode event @p i into @p ev, reusing its field storage (no
-     * allocation once the vector capacity covers the widest type).
-     */
-    void event(size_t i, events::EventObject *ev) const;
-
-    /** Materialize the whole trace back into row form. */
-    void toTrace(EventTrace *out) const;
-
   private:
     ColumnarLog() = default;
-
-    /** Decoded directory entry of one event type. */
-    struct TypeCols {
-        uint32_t nfields = 0;
-        uint64_t nrows = 0;
-        const uint32_t *ids = nullptr;
-        const uint64_t *cols = nullptr;  // column-major
-    };
 
     util::Status decode();
 
@@ -204,26 +155,18 @@ class ColumnarLog
     std::vector<uint64_t> owned_;
 
     std::string game_;
-    size_t nevents_ = 0;
     bool mmap_backed_ = false;
-    const uint8_t *type_ = nullptr;
-    const uint32_t *row_ = nullptr;
-    const uint64_t *seq_ = nullptr;
-    const uint64_t *ts_ = nullptr;
-    std::array<TypeCols, events::kNumEventTypes> types_{};
-    /** Directory entry present for this type code. */
-    std::array<bool, events::kNumEventTypes> has_type_{};
     std::array<TrainingCols, events::kNumEventTypes> training_{};
     std::array<bool, events::kNumEventTypes> has_training_{};
 };
 
 /**
- * Streaming writer of a v2 trace that holds ONE training section,
- * for generating / converting multi-GB training files with bounded
- * memory: the full layout (declared row count) is reserved up
- * front, rows are appended through a fixed-size buffer that flushes
- * each column slice to its file offset (pwrite), per-column CRCs
- * are chained across flushes, and finish() patches the section CRC.
+ * Streaming writer of a training file that holds ONE section, for
+ * generating multi-GB training files with bounded memory: the full
+ * layout (declared row count) is reserved up front, rows are
+ * appended through a fixed-size buffer that flushes each column
+ * slice to its file offset (pwrite), per-column CRCs are chained
+ * across flushes, and finish() patches the section CRC.
  * The file is invalid (attach() rejects it) until finish() returns
  * Ok with exactly the declared number of rows added.
  */

@@ -10,14 +10,11 @@ namespace trace {
 namespace {
 
 constexpr uint32_t kEventTraceMagic = 0x534e5045;  // "SNPE"
-constexpr uint32_t kProfileMagic = 0x534e5050;     // "SNPP"
 constexpr uint32_t kVersion = 1;
 
 /** Minimum encoded sizes, used to sanity-bound decoded counts. */
 constexpr uint64_t kMinFieldBytes = 12;   // id u32 + value u64
 constexpr uint64_t kMinEventBytes = 21;   // type + seq + ts + nfields
-constexpr uint64_t kMinRecordBytes = 54;  // fixed record scalars
-constexpr uint64_t kMinIpCallBytes = 9;   // kind u8 + work u64
 
 void
 encodeFields(const std::vector<events::FieldValue> &fields,
@@ -114,92 +111,6 @@ decodeEventTrace(util::ByteBuffer &buf, EventTrace *out)
     if (!r.ok())
         return util::Status::Error("decodeEventTrace: truncated");
     *out = std::move(trace);
-    return util::Status::Ok();
-}
-
-void
-encodeProfile(const Profile &profile, util::ByteBuffer &buf)
-{
-    buf.putU32(kProfileMagic);
-    buf.putU32(kVersion);
-    buf.putString(profile.game);
-    buf.putU32(static_cast<uint32_t>(profile.records.size()));
-    for (const auto &r : profile.records) {
-        buf.putU8(static_cast<uint8_t>(r.type));
-        buf.putU64(r.seq);
-        encodeFields(r.inputs, buf);
-        encodeFields(r.outputs, buf);
-        buf.putU64(r.necessary_hash);
-        buf.putU64(r.cpu_instructions);
-        buf.putU64(r.memory_bytes);
-        buf.putU32(static_cast<uint32_t>(r.ip_calls.size()));
-        for (const auto &c : r.ip_calls) {
-            buf.putU8(static_cast<uint8_t>(c.kind));
-            buf.putU64(static_cast<uint64_t>(c.work_units * 1e6));
-        }
-        buf.putU64(static_cast<uint64_t>(r.maxcpu_fraction * 1e6));
-        buf.putU8(static_cast<uint8_t>((r.state_changed ? 1 : 0) |
-                                       (r.useless ? 2 : 0) |
-                                       (r.scoring ? 4 : 0)));
-    }
-}
-
-util::Status
-decodeProfile(util::ByteBuffer &buf, Profile *out)
-{
-    util::ByteReader r(buf);
-    util::Status st = checkHeader(r, kProfileMagic, "decodeProfile");
-    if (!st.ok())
-        return st;
-    Profile profile;
-    profile.game = r.str();
-    uint32_t n = r.u32();
-    if (!r.fits(n, kMinRecordBytes))
-        return util::Status::Error(
-            "decodeProfile: truncated record list");
-    profile.records.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        games::HandlerExecution rec;
-        uint8_t type = r.u8();
-        if (r.ok() && type >= events::kNumEventTypes)
-            return util::Status::Errorf(
-                "decodeProfile: bad event type %u", type);
-        rec.type = static_cast<events::EventType>(type);
-        rec.seq = r.u64();
-        st = decodeFields(r, &rec.inputs);
-        if (!st.ok())
-            return st;
-        st = decodeFields(r, &rec.outputs);
-        if (!st.ok())
-            return st;
-        rec.necessary_hash = r.u64();
-        rec.cpu_instructions = r.u64();
-        rec.memory_bytes = r.u64();
-        uint32_t calls = r.u32();
-        if (!r.fits(calls, kMinIpCallBytes))
-            return util::Status::Error(
-                "decodeProfile: truncated ip-call list");
-        rec.ip_calls.reserve(calls);
-        for (uint32_t c = 0; c < calls; ++c) {
-            games::IpCall call;
-            uint8_t kind = r.u8();
-            if (r.ok() && kind >= soc::kNumIpKinds)
-                return util::Status::Errorf(
-                    "decodeProfile: bad ip kind %u", kind);
-            call.kind = static_cast<soc::IpKind>(kind);
-            call.work_units = static_cast<double>(r.u64()) * 1e-6;
-            rec.ip_calls.push_back(call);
-        }
-        rec.maxcpu_fraction = static_cast<double>(r.u64()) * 1e-6;
-        uint8_t flags = r.u8();
-        rec.state_changed = flags & 1;
-        rec.useless = flags & 2;
-        rec.scoring = flags & 4;
-        profile.records.push_back(std::move(rec));
-    }
-    if (!r.ok())
-        return util::Status::Error("decodeProfile: truncated");
-    *out = std::move(profile);
     return util::Status::Ok();
 }
 

@@ -1,9 +1,11 @@
 /**
  * @file
- * Binary serialization of event traces and profiles — the "send to
- * cloud" / "over-the-air update" transport of the paper's Fig. 10
- * flow. Format is a small versioned little-endian encoding over
- * util::ByteBuffer, with file save/load helpers.
+ * Binary serialization of event traces ("SNPE") — the "send to
+ * cloud" transport of the paper's Fig. 10 flow. Format is a small
+ * versioned little-endian encoding over util::ByteBuffer, with file
+ * save/load helpers. The replayed profile travels as SNCT training
+ * sections (columnar_log.h), the model as an SNPM package
+ * (core/model_codec.h).
  *
  * Decoding is *recoverable*: these buffers arrive over real
  * transports, so a malformed, truncated, or version-mismatched
@@ -28,11 +30,6 @@ namespace trace {
 void encodeEventTrace(const EventTrace &trace, util::ByteBuffer &buf);
 /** Deserialize an event trace; error Status on malformed input. */
 util::Status decodeEventTrace(util::ByteBuffer &buf, EventTrace *out);
-
-/** Serialize a full profile. */
-void encodeProfile(const Profile &profile, util::ByteBuffer &buf);
-/** Deserialize a profile; error Status on malformed input. */
-util::Status decodeProfile(util::ByteBuffer &buf, Profile *out);
 
 /** Write a buffer to a file; error Status on I/O errors. */
 util::Status saveBuffer(const util::ByteBuffer &buf,

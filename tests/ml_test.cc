@@ -999,7 +999,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SelectionSizeTest,
 
 // ----------------------------------------------------- ChunkedDataset
 
-/** Synthetic records encoded as an SNCT v2 training trace. */
+/** Synthetic records encoded as an SNCT training file. */
 std::shared_ptr<const trace::ColumnarLog>
 trainingLog(const Synthetic &syn)
 {

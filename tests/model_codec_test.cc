@@ -331,25 +331,21 @@ TEST(ModelCodecTest, RejectedPackageFallsBackToBaseline)
     EXPECT_EQ(res.stats.shortcircuits, 0u);
 }
 
-TEST(ModelCodecTest, V1PackageStillLoads)
+TEST(ModelCodecTest, V1PackageRejected)
 {
-    // Fleets upgrade gradually: a legacy v1 package (per-entry table
-    // wire format) must still unpack on the server and deploy on the
-    // device (rebuild + freeze). There is no v1 encoder any more, so
-    // hand-craft the payload.
+    // Only the current version is read: a version-1 package (the old
+    // per-entry table wire format) behind a valid CRC is rejected by
+    // both the server-side reader and the device-side deploy, with a
+    // Status naming the version, like any other unsupported version.
     auto game = games::makeGame("colorphun");
     std::vector<events::FieldId> selected =
         game->necessaryInputIds(events::EventType::Touch);
     std::sort(selected.begin(), selected.end());
     util::Rng rng(31337);
     std::vector<games::HandlerExecution> recs;
-    std::vector<events::EventObject> evs;
-    for (int i = 0; i < 8; ++i) {
-        events::EventObject ev =
-            game->makeEvent(events::EventType::Touch, 0.0, rng);
-        evs.push_back(ev);
-        recs.push_back(game->process(ev));
-    }
+    for (int i = 0; i < 8; ++i)
+        recs.push_back(game->process(
+            game->makeEvent(events::EventType::Touch, 0.0, rng)));
 
     util::ByteBuffer payload;
     payload.putString("colorphun");
@@ -383,24 +379,20 @@ TEST(ModelCodecTest, V1PackageStillLoads)
             payload.putU64(fv.value);
         }
     }
-    util::ByteBuffer pkg = envelope(payload, kLegacyModelVersion);
+    util::ByteBuffer pkg = envelope(payload, 1);
 
     util::Result<SnipModel> r = unpackModel(pkg);
-    ASSERT_TRUE(r.ok()) << r.status().message();
-    ASSERT_TRUE(r.value().table != nullptr);
-    EXPECT_GT(r.value().table->entryCount(), 0u);
-    // The most recent record matches the game's current state.
-    MemoLookup hit = r.value().table->lookup(evs.back(), *game);
-    EXPECT_TRUE(hit.hit);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().message().find("unsupported version 1"),
+              std::string::npos)
+        << r.status().message();
 
     auto shared_pkg = std::make_shared<util::ByteBuffer>(copyOf(pkg));
     util::Result<SnipModel> dep = deployModel(shared_pkg);
-    ASSERT_TRUE(dep.ok()) << dep.status().message();
-    ASSERT_TRUE(dep.value().frozen != nullptr);
-    // v1 deploys via rebuild: the arena is built, not borrowed.
-    EXPECT_FALSE(dep.value().frozen->zeroCopy());
-    EXPECT_EQ(dep.value().frozen->entryCount(),
-              r.value().table->entryCount());
+    ASSERT_FALSE(dep.ok());
+    EXPECT_NE(dep.status().message().find("unsupported version 1"),
+              std::string::npos)
+        << dep.status().message();
 }
 
 TEST(ModelCodecTest, DeployModelZeroCopyRunsBitwiseIdentical)

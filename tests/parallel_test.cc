@@ -366,35 +366,31 @@ expectStatsEqual(const SessionStats &a, const SessionStats &b)
 }
 
 /**
- * The tentpole determinism guarantee: running the same session
- * specs on a 4-worker pool produces results bitwise identical to a
- * plain serial loop (scheduling order must not leak into results).
+ * The determinism guarantee every session-parallel bench relies on:
+ * sessions run through ParallelRunner::forEach on a 4-worker pool,
+ * each building its own game and scheme inside the body, produce
+ * results bitwise identical to a plain serial loop (scheduling order
+ * must not leak into results).
  */
-TEST(ParallelRunnerTest, RunSessionsMatchesSerialBitwise)
+TEST(ParallelRunnerTest, ForEachSessionsMatchSerialBitwise)
 {
     constexpr size_t kSessions = 6;
     const uint64_t base = 0xab5e5510ULL;
-
-    std::vector<SessionSpec> specs;
-    for (size_t i = 0; i < kSessions; ++i) {
-        SessionSpec spec;
-        spec.make_game = [] { return games::makeGame("colorphun"); };
-        spec.make_scheme = [](games::Game &) {
-            return std::make_unique<BaselineScheme>();
-        };
-        spec.cfg.duration_s = 10.0;
-        spec.cfg.seed = ParallelRunner::sessionSeed(base, i);
-        specs.push_back(std::move(spec));
-    }
+    auto run = [&](size_t i) {
+        auto game = games::makeGame("colorphun");
+        BaselineScheme baseline;
+        SimulationConfig cfg;
+        cfg.duration_s = 10.0;
+        cfg.seed = ParallelRunner::sessionSeed(base, i);
+        return runSession(*game, baseline, cfg);
+    };
 
     ParallelRunner pool(4);
-    std::vector<SessionResult> par = pool.runSessions(specs);
-    ASSERT_EQ(par.size(), kSessions);
+    std::vector<SessionResult> par(kSessions);
+    pool.forEach(kSessions, [&](size_t i) { par[i] = run(i); });
 
     for (size_t i = 0; i < kSessions; ++i) {
-        auto game = specs[i].make_game();
-        auto scheme = specs[i].make_scheme(*game);
-        SessionResult ser = runSession(*game, *scheme, specs[i].cfg);
+        SessionResult ser = run(i);
         expectStatsEqual(par[i].stats, ser.stats);
         EXPECT_EQ(par[i].report.total(), ser.report.total());
         EXPECT_EQ(par[i].report.elapsed(), ser.report.elapsed());
@@ -720,37 +716,6 @@ TEST(ShrinkParallelTest, ConcurrentEmpiricalCdfReads)
         th.join();
     for (unsigned t = 0; t < kThreads; ++t)
         EXPECT_EQ(ok[t], 1) << "thread " << t;
-}
-
-/**
- * Regression: a SessionSpec without a factory must surface as an
- * error on the *calling* thread. The old code validated inside the
- * parallelFor worker, where util::fatal's throw (with throw-on-error
- * configured, as tests and library embedders use) escapes the worker
- * and lands in std::terminate instead of the caller's catch scope.
- */
-TEST(ParallelRunnerTest, InvalidSpecThrowsOnCallerThread)
-{
-    bool prev = util::setThrowOnError(true);
-    std::vector<SessionSpec> specs(3);  // no factories at all
-    ParallelRunner pool(4);
-    EXPECT_THROW(pool.runSessions(specs), std::runtime_error);
-
-    // A single bad spec among good ones must also throw before any
-    // session work is dispatched.
-    std::vector<SessionSpec> mixed;
-    for (int i = 0; i < 3; ++i) {
-        SessionSpec spec;
-        spec.make_game = [] { return games::makeGame("colorphun"); };
-        spec.make_scheme = [](games::Game &) {
-            return std::make_unique<BaselineScheme>();
-        };
-        spec.cfg.duration_s = 1.0;
-        mixed.push_back(std::move(spec));
-    }
-    mixed[1].make_scheme = nullptr;
-    EXPECT_THROW(pool.runSessions(mixed), std::runtime_error);
-    util::setThrowOnError(prev);
 }
 
 }  // namespace

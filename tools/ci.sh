@@ -17,7 +17,8 @@
 #    package, aggregateUploads (parallel decode + serial merge) is
 #    bitwise-identical to the serial chain, and the per-cohort
 #    staleness report is sane;
-#  - asan/ubsan build + ctest;
+#  - asan/ubsan build + ctest, then fleet_sim --quick under asan (its
+#    counting allocator replaces every operator new/delete form);
 #  - tsan smokes of the shared-const concurrency contracts: concurrent
 #    lookups on one const table (mutable and frozen), parallel sessions
 #    vs serial, parallel PFI on one const TablePredictor, EmpiricalCdf
@@ -27,7 +28,7 @@
 #    and at most threads - 1 workers ever spawned across fig12
 #    epochs;
 #  - corruption fuzz under asan: the OTA model codec, the frozen SNPF
-#    arena, SNCT traces and training sections, and SNPD patches must
+#    arena, SNCT training files, and SNPD patches must
 #    reject corrupt bytes cleanly (no crash, no sanitizer report);
 #  - the loop benchmark's own self-test.
 #
@@ -197,6 +198,13 @@ cmake --preset asan-ubsan >/dev/null
 cmake --build --preset asan-ubsan -j "$JOBS"
 ctest --preset asan-ubsan -j "$JOBS"
 
+echo "==> fleet_sim under asan (replaced operator new/delete pairs)"
+# fleet_sim replaces the global allocator to count allocations; every
+# new/delete form must be replaced together, or asan reports an
+# alloc-dealloc mismatch.
+./build-asan/bench/fleet_sim --quick \
+    --out build-asan/fleet_sim_asan.json >/dev/null
+
 echo "==> tsan smoke (concurrent lookups + parallel sessions + parallel Shrink phase)"
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS" --target parallel_test \
@@ -206,7 +214,7 @@ TSAN_OPTIONS="halt_on_error=1" run_filtered \
     --gtest_filter='ChunkedDatasetTest.ThreadInvarianceOnSharedView'
 TSAN_OPTIONS="halt_on_error=1" run_filtered \
     ./build-tsan/tests/parallel_test \
-    --gtest_filter='ParallelRunnerTest.ConcurrentLookupsOnSharedConstTable:ParallelRunnerTest.ConcurrentLookupsOnSharedConstFrozenTable:ParallelRunnerTest.RunSessionsMatchesSerialBitwise:ShrinkParallelTest.*'
+    --gtest_filter='ParallelRunnerTest.ConcurrentLookupsOnSharedConstTable:ParallelRunnerTest.ConcurrentLookupsOnSharedConstFrozenTable:ParallelRunnerTest.ForEachSessionsMatchSerialBitwise:ShrinkParallelTest.*'
 TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/bench/micro_train --quick --profile-s 10 \
     --threads 4 --out build-tsan/micro_train_tsan.json >/dev/null
@@ -255,7 +263,7 @@ SNIP_FUZZ_ITERS=512 run_filtered \
     ./build-asan/tests/core_test \
     --gtest_filter='*FrozenArenaCorruptionFuzz*'
 run_filtered ./build-asan/tests/trace_test \
-    --gtest_filter='ColumnarLogTest.MmapCorruptionRejectedCleanly:ColumnarLogTest.CorruptionRejectedOrSafe'
+    --gtest_filter='ColumnarLogTest.MmapCorruptionRejectedCleanly:ColumnarLogTest.CorruptionRejectedOrSafe:ColumnarLogTest.OtherVersionsRejected'
 SNIP_FUZZ_ITERS=256 run_filtered \
     ./build-asan/tests/trace_test \
     --gtest_filter='TrainingSectionTest.CorruptionFuzzRejectedOrSafe:TrainingSectionTest.LabelColumnBitFlipRejected:TrainingWriterTest.RejectsMisuseAndUnfinishedFiles'
