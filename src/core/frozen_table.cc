@@ -55,6 +55,19 @@ align8(size_t off)
     return (off + 7) & ~size_t{7};
 }
 
+/** The event subkey, folded over the selected event fields in
+ *  ascending order. Must match MemoTable::eventSubkey bit for bit:
+ *  same seed, and an explicit presence bit, never a sentinel value. */
+constexpr uint64_t kSubkeySeed = 0xe4e27000ULL;
+
+uint64_t
+subkeyStep(uint64_t h, events::FieldId fid, bool present, uint64_t v)
+{
+    return util::mixCombine(
+        h, util::mixCombine(fid, util::mixCombine(present ? 1 : 0,
+                                                  present ? v : 0)));
+}
+
 /** One type's gathered build-side data, pre-layout. */
 struct TypeBuild {
     int type = 0;
@@ -446,30 +459,50 @@ FrozenTable::decode(const events::FieldSchema &schema)
                     "frozen: bad output field id %u", fid);
         }
 
-        // Index slots: occupied slots (count > 0) must point at
-        // in-range entry runs that tile [0, nentries) exactly.
-        uint64_t indexed = 0;
+        // Index slots: occupied slots (count > 0) hold distinct
+        // subkeys and point at entry runs that tile [0, nentries)
+        // exactly, so every entry is in exactly one bucket.
+        struct Run {
+            uint32_t begin, count;
+            uint64_t subkey;
+            uint32_t slot;
+        };
+        std::vector<Run> runs;
         for (uint32_t s = 0; s < tv.capacity; ++s) {
             const uint8_t *slot = tv.index + s * kSlotBytes;
-            uint32_t begin = readU32(slot + 8);
             uint32_t count = readU32(slot + 12);
-            if (count == 0)
-                continue;
-            ++tv.buckets;
-            if (begin > tv.nentries ||
-                count > tv.nentries - begin)
-                return util::Status::Error(
-                    "frozen: index slot out of entry range");
-            indexed += count;
+            if (count != 0)
+                runs.push_back(
+                    {readU32(slot + 8), count, readU64(slot), s});
         }
-        if (indexed != tv.nentries)
-            return util::Status::Errorf(
-                "frozen: type %u index covers %llu of %u entries",
-                type, static_cast<unsigned long long>(indexed),
-                tv.nentries);
+        tv.buckets = static_cast<uint32_t>(runs.size());
         if (2ull * tv.buckets > tv.capacity)
             return util::Status::Errorf(
                 "frozen: type %u index overloaded", type);
+        std::sort(runs.begin(), runs.end(),
+                  [](const Run &a, const Run &b) {
+                      return a.subkey < b.subkey;
+                  });
+        for (size_t r = 1; r < runs.size(); ++r)
+            if (runs[r].subkey == runs[r - 1].subkey)
+                return util::Status::Errorf(
+                    "frozen: type %u index repeats a subkey", type);
+        std::sort(runs.begin(), runs.end(),
+                  [](const Run &a, const Run &b) {
+                      return a.begin < b.begin;
+                  });
+        uint32_t next = 0;
+        for (const Run &r : runs) {
+            if (r.begin != next || r.count > tv.nentries - next)
+                return util::Status::Errorf(
+                    "frozen: type %u index runs do not tile its "
+                    "entries", type);
+            next += r.count;
+        }
+        if (next != tv.nentries)
+            return util::Status::Errorf(
+                "frozen: type %u index covers %u of %u entries", type,
+                next, tv.nentries);
 
         uint64_t modeled = 0;
         for (uint32_t e = 0; e < tv.nentries; ++e)
@@ -478,6 +511,33 @@ FrozenTable::decode(const events::FieldSchema &schema)
         if (modeled != tv.type_bytes)
             return util::Status::Errorf(
                 "frozen: type %u byte accounting mismatch", type);
+
+        max_selected_ = std::max(max_selected_, tv.nselected);
+        for (uint32_t e = 0; e < tv.nentries; ++e)
+            max_outputs_ = std::max(max_outputs_,
+                                    tv.out_off[e + 1] - tv.out_off[e]);
+
+        // The off-wire full-key index.
+        KeyIndex &ix = index_[type];
+        ix.reserve(tv.nentries);
+        slot_bytes_[type].assign(tv.capacity, 0);
+        for (const Run &r : runs) {
+            KeyIndex::Entry entry;
+            entry.subkey = r.subkey;
+            for (uint32_t e = r.begin; e < r.begin + r.count; ++e) {
+                entry.cum_bytes +=
+                    tv.entry_bytes[e] + MemoTable::kEntryHeaderBytes;
+                entry.pos = e - r.begin;
+                entry.key_begin = tv.key_off[e];
+                entry.out_begin = tv.out_off[e];
+                entry.nout = tv.out_off[e + 1] - tv.out_off[e];
+                ix.append(tv.key_values, entry,
+                          tv.key_slots + tv.key_off[e],
+                          tv.key_values + tv.key_off[e],
+                          tv.key_off[e + 1] - tv.key_off[e], true);
+            }
+            slot_bytes_[type][r.slot] = entry.cum_bytes;
+        }
 
         sum_entries += tv.nentries;
         sum_bytes += tv.type_bytes;
@@ -494,46 +554,83 @@ FrozenTable::decode(const events::FieldSchema &schema)
     return util::Status::Ok();
 }
 
-uint64_t
-FrozenTable::eventSubkey(
-    const TypeView &tv,
-    const std::vector<events::FieldValue> &fields) const
+Bucket
+FrozenTable::bucket(events::EventType type, uint64_t subkey) const
 {
-    // Must match MemoTable::eventSubkey bit for bit: same seed, same
-    // presence-bit mixing, same ascending selected-event order.
-    uint64_t h = 0xe4e27000ULL;
-    for (uint32_t i = 0; i < tv.nselected; ++i) {
-        if (!tv.is_event[i])
-            continue;
-        events::FieldId fid = tv.selected[i];
-        const events::FieldValue *fv = events::findField(fields, fid);
-        uint64_t present = fv ? 1 : 0;
-        uint64_t v = fv ? fv->value : 0;
-        h = util::mixCombine(
-            h, util::mixCombine(fid, util::mixCombine(present, v)));
-    }
-    return h;
-}
-
-bool
-FrozenTable::probe(const TypeView &tv, uint64_t subkey,
-                   uint32_t *begin, uint32_t *count) const
-{
+    const TypeView &tv = types_[static_cast<int>(type)];
+    if (tv.nselected == 0)
+        return {};
     uint32_t mask = tv.capacity - 1;
     uint32_t i = static_cast<uint32_t>(subkey) & mask;
     for (uint32_t step = 0; step < tv.capacity; ++step) {
         const uint8_t *slot = tv.index + i * kSlotBytes;
-        uint32_t c = readU32(slot + 12);
-        if (c == 0)
-            return false;
-        if (readU64(slot) == subkey) {
-            *begin = readU32(slot + 8);
-            *count = c;
-            return true;
-        }
+        uint32_t count = readU32(slot + 12);
+        if (count == 0)
+            return {};
+        if (readU64(slot) == subkey)
+            return {count, slot_bytes_[static_cast<int>(type)][i]};
         i = (i + 1) & mask;
     }
-    return false;  // crafted full index: bounded, clean miss
+    return {};  // crafted full index: bounded, clean miss
+}
+
+uint64_t
+FrozenTable::gather(const events::EventObject &ev,
+                    const games::Game &game,
+                    LookupScratch &scratch) const
+{
+    const TypeView &tv = types_[static_cast<int>(ev.type)];
+    size_t n = tv.nselected;
+    scratch.values.resize(n);
+    scratch.present.resize(n);
+    uint64_t subkey = kSubkeySeed;
+    for (size_t i = 0; i < n; ++i) {
+        events::FieldId fid = tv.selected[i];
+        if (tv.is_event[i]) {
+            const events::FieldValue *fv =
+                events::findField(ev.fields, fid);
+            scratch.present[i] = fv != nullptr;
+            scratch.values[i] = fv ? fv->value : 0;
+            subkey = subkeyStep(subkey, fid, fv != nullptr,
+                                scratch.values[i]);
+        } else {
+            uint64_t v = 0;
+            scratch.present[i] = game.gatherInputValue(fid, v);
+            scratch.values[i] = v;
+        }
+    }
+    return subkey;
+}
+
+BucketMatch
+FrozenTable::match(events::EventType type, uint64_t subkey,
+                   const LookupScratch &in) const
+{
+    const TypeView &tv = types_[static_cast<int>(type)];
+    if (tv.nselected == 0)
+        return {};
+    // Only a miss needs the bucket (its whole scan is charged); start
+    // loading its index slot so a miss does not wait for it.
+    const uint32_t home = static_cast<uint32_t>(subkey) & (tv.capacity - 1);
+    __builtin_prefetch(tv.index + home * kSlotBytes);
+    __builtin_prefetch(&slot_bytes_[static_cast<int>(type)][home]);
+    const KeyIndex &ix = index_[static_cast<int>(type)];
+    uint32_t hit = ix.match(tv.key_values, subkey, in);
+    return ix.charge(hit, hit == KeyIndex::kNone ? bucket(type, subkey)
+                                                 : Bucket{});
+}
+
+void
+FrozenTable::outputs(events::EventType type, uint32_t entry,
+                     std::vector<events::FieldValue> &out) const
+{
+    const int t = static_cast<int>(type);
+    const TypeView &tv = types_[t];
+    const KeyIndex::Entry &e = index_[t].entry(entry);
+    out.resize(e.nout);
+    for (uint32_t i = 0; i < e.nout; ++i)
+        out[i] = {tv.out_ids[e.out_begin + i],
+                  tv.out_values[e.out_begin + i]};
 }
 
 FrozenLookup
@@ -546,111 +643,80 @@ FrozenTable::lookup(const events::EventObject &ev,
     if (tv.nselected == 0)
         return res;
 
-    // Same accounting as MemoTable::lookup: gathering the selected
-    // inputs costs their size even when no candidates exist.
+    // Gathering the selected inputs costs their size even when no
+    // candidates exist (they must be loaded to compare).
     res.bytes_scanned = tv.selected_bytes;
-    uint32_t begin = 0, count = 0;
-    if (!probe(tv, eventSubkey(tv, ev.fields), &begin, &count))
-        return res;
-
-    size_t n = tv.nselected;
-    scratch.values.resize(n);
-    scratch.present.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        events::FieldId fid = tv.selected[i];
-        if (tv.is_event[i]) {
-            const events::FieldValue *fv =
-                events::findField(ev.fields, fid);
-            scratch.present[i] = fv != nullptr;
-            scratch.values[i] = fv ? fv->value : 0;
-        } else {
-            uint64_t v = 0;
-            scratch.present[i] = game.gatherInputValue(fid, v);
-            scratch.values[i] = v;
-        }
-    }
-
-    // One adjacent run of entries; keys are flat parallel arrays.
-    for (uint32_t e = begin; e < begin + count; ++e) {
-        ++res.candidates;
-        res.bytes_scanned +=
-            tv.entry_bytes[e] + MemoTable::kEntryHeaderBytes;
-        bool match = true;
-        for (uint32_t k = tv.key_off[e]; k < tv.key_off[e + 1];
-             ++k) {
-            uint32_t slot = tv.key_slots[k];
-            if (!scratch.present[slot] ||
-                scratch.values[slot] != tv.key_values[k]) {
-                match = false;
-                break;
-            }
-        }
-        if (match) {
-            res.hit = true;
-            res.entry_ordinal = tv.entry_base + e;
-            res.nout = tv.out_off[e + 1] - tv.out_off[e];
-            res.out_ids = tv.out_ids + tv.out_off[e];
-            res.out_values = tv.out_values + tv.out_off[e];
-            return res;
-        }
+    BucketMatch m = match(ev.type, gather(ev, game, scratch), scratch);
+    res.candidates = m.candidates;
+    res.bytes_scanned += m.bytes;
+    if (m.hit()) {
+        const KeyIndex::Entry &e =
+            index_[static_cast<int>(ev.type)].entry(m.entry);
+        res.hit = true;
+        res.entry_ordinal = tv.entry_base + m.entry;
+        res.nout = e.nout;
+        res.out_ids = tv.out_ids + e.out_begin;
+        res.out_values = tv.out_values + e.out_begin;
     }
     return res;
 }
 
 bool
-FrozenTable::containsRecord(const games::HandlerExecution &rec) const
+FrozenTable::project(const games::HandlerExecution &rec,
+                     RecordKey &key) const
 {
     const TypeView &tv = types_[static_cast<int>(rec.type)];
     if (tv.nselected == 0)
         return false;
 
+    // The two-pointer projection needs inputs sorted by id; records
+    // from non-canonical producers are sorted into the key's scratch
+    // (an unsorted record must not silently drop key fields).
     const std::vector<events::FieldValue> *inputs = &rec.inputs;
-    std::vector<events::FieldValue> sorted_inputs;
     if (!std::is_sorted(rec.inputs.begin(), rec.inputs.end(),
                         [](const events::FieldValue &a,
                            const events::FieldValue &b) {
                             return a.id < b.id;
                         })) {
-        sorted_inputs = rec.inputs;
-        events::canonicalize(sorted_inputs);
-        inputs = &sorted_inputs;
+        key.sorted = rec.inputs;
+        events::canonicalize(key.sorted);
+        inputs = &key.sorted;
     }
 
-    // Project onto the selected set exactly as MemoTable::insert
-    // does, then compare against the bucket like its dedup check.
-    std::vector<uint32_t> slots;
-    std::vector<uint64_t> values;
+    key.type = rec.type;
+    key.slots.clear();
+    key.values.clear();
     size_t si = 0;
     for (const auto &fv : *inputs) {
         while (si < tv.nselected && tv.selected[si] < fv.id)
             ++si;
         if (si < tv.nselected && tv.selected[si] == fv.id) {
-            slots.push_back(static_cast<uint32_t>(si));
-            values.push_back(fv.value);
+            key.slots.push_back(static_cast<uint32_t>(si));
+            key.values.push_back(fv.value);
         }
     }
-
-    uint64_t subkey = eventSubkey(tv, *inputs);
-    uint32_t begin = 0, count = 0;
-    if (!probe(tv, subkey, &begin, &count))
-        return false;
-    for (uint32_t e = begin; e < begin + count; ++e) {
-        uint32_t nk = tv.key_off[e + 1] - tv.key_off[e];
-        if (nk != slots.size())
+    // The subkey over the projection: a selected event field is
+    // present in the inputs exactly when its slot is in the key.
+    key.subkey = kSubkeySeed;
+    for (uint32_t i = 0, k = 0; i < tv.nselected; ++i) {
+        while (k < key.size() && key.slots[k] < i)
+            ++k;
+        if (!tv.is_event[i])
             continue;
-        bool same = true;
-        for (uint32_t k = 0; k < nk; ++k) {
-            uint32_t off = tv.key_off[e] + k;
-            if (tv.key_slots[off] != slots[k] ||
-                tv.key_values[off] != values[k]) {
-                same = false;
-                break;
-            }
-        }
-        if (same)
-            return true;
+        bool present = k < key.size() && key.slots[k] == i;
+        key.subkey = subkeyStep(key.subkey, tv.selected[i], present,
+                                present ? key.values[k] : 0);
     }
-    return false;
+    return true;
+}
+
+bool
+FrozenTable::contains(const RecordKey &key) const
+{
+    const int t = static_cast<int>(key.type);
+    return index_[t].find(types_[t].key_values, key.subkey,
+                          key.slots.data(), key.values.data(),
+                          key.size()) != KeyIndex::kNone;
 }
 
 void

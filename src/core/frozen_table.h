@@ -6,9 +6,11 @@
  * linear probing) per event type whose slots point at ranges of
  * structure-of-arrays entry storage — key slots, key values, output
  * ids/values and entry sizes each in one flat array, the entries of
- * a bucket adjacent. A lookup is one index probe plus a linear scan
- * of adjacent memory: zero per-entry pointer chasing and zero
- * allocations.
+ * a bucket adjacent. At freeze()/attach() the table derives, outside
+ * the wire format, a full-key index over each type (key_index.h): a
+ * lookup is one subkey probe plus O(key shapes) full-key probes, and
+ * is charged exactly the bytes and candidates the paper's linear
+ * bucket scan walks. Zero allocations per lookup.
  *
  * The arena's in-memory layout *is* its on-wire layout (the "SNPF"
  * section of a v2 model package), so OTA deploy can construct a
@@ -27,7 +29,9 @@
 #include <memory>
 #include <vector>
 
+#include "core/key_index.h"
 #include "core/memo_table.h"
+#include "games/game.h"
 #include "util/status.h"
 
 namespace snip {
@@ -38,13 +42,13 @@ constexpr uint32_t kFrozenMagic = 0x534e5046;
 /** Frozen arena format version. */
 constexpr uint32_t kFrozenVersion = 1;
 
-/** Result of one frozen-table lookup (mirrors MemoLookup). */
+/** Result of one frozen-table lookup. */
 struct FrozenLookup {
     bool hit = false;
-    /** Candidate entries scanned under the event-subkey index. */
+    /** Candidate entries the modelled bucket scan compares. */
     uint32_t candidates = 0;
-    /** Total bytes gathered + compared (same accounting as
-     *  MemoTable::lookup, including kEntryHeaderBytes per entry). */
+    /** Modelled bytes gathered + compared: the type's selected
+     *  bytes, plus entry bytes and kEntryHeaderBytes per candidate. */
     uint64_t bytes_scanned = 0;
     /**
      * Ordinal of the matched entry across the whole table (types in
@@ -56,6 +60,24 @@ struct FrozenLookup {
     uint32_t nout = 0;
     const events::FieldId *out_ids = nullptr;
     const uint64_t *out_values = nullptr;
+};
+
+/**
+ * A handler execution's key projected onto its type's selected
+ * fields: what an entry built from it stores. Caller-owned and reused,
+ * so projecting allocates nothing once it has held the widest key.
+ */
+struct RecordKey {
+    events::EventType type = events::EventType::Touch;
+    /** Event-subkey bucket the entry belongs in. */
+    uint64_t subkey = 0;
+    /** Stored slots (ascending) and their values. */
+    std::vector<uint32_t> slots;
+    std::vector<uint64_t> values;
+    /** Sorted copy of non-canonical record inputs. */
+    std::vector<events::FieldValue> sorted;
+
+    uint32_t size() const { return static_cast<uint32_t>(slots.size()); }
 };
 
 /**
@@ -94,24 +116,54 @@ class FrozenTable
            const events::FieldSchema &schema);
 
     /**
-     * Look up an event. Identical semantics and byte/candidate
-     * accounting to MemoTable::lookup over the same entries: gather
-     * cost is charged even on an empty bucket, candidates are
-     * scanned in canonical order, comparison checks stored key
-     * slots against the gathered values.
+     * Look up an event: the earliest entry of its subkey bucket whose
+     * stored key slots all hold the gathered values. The charge is
+     * the paper's linear scan: the type's selected bytes (even when
+     * there is no bucket), then every candidate up to the match, or
+     * the whole bucket on a miss.
      */
     FrozenLookup lookup(const events::EventObject &ev,
                         const games::Game &game,
                         LookupScratch &scratch) const;
 
+    // The steps of lookup(), for callers that probe an online-fill
+    // overlay with the same subkey and gathered inputs.
+
+    /** Whether @p type has a selection (undeployed types never
+     *  look up). */
+    bool deployed(events::EventType type) const
+    {
+        return types_[static_cast<int>(type)].nselected != 0;
+    }
+    /** Gather @p ev's values of its type's selected fields, event
+     *  side from @p ev, history side from @p game's live state, and
+     *  return the event's subkey (the hash of its event side). */
+    uint64_t gather(const events::EventObject &ev,
+                    const games::Game &game,
+                    LookupScratch &scratch) const;
+    /** Probe @p subkey's bucket with inputs gathered for @p type,
+     *  charged as the bucket scan (not counting the gather). */
+    BucketMatch match(events::EventType type, uint64_t subkey,
+                      const LookupScratch &in) const;
+    /** Global ordinal of @p type's entry @p entry (types ascending,
+     *  entries in canonical order). */
+    uint32_t entryOrdinal(events::EventType type, uint32_t entry) const
+    {
+        return types_[static_cast<int>(type)].entry_base + entry;
+    }
+    /** Copy entry @p entry's memoized outputs into @p out. */
+    void outputs(events::EventType type, uint32_t entry,
+                 std::vector<events::FieldValue> &out) const;
+
     /**
-     * Whether an observed execution is already memoized: projects
-     * the record onto the type's selected fields and compares
-     * against the bucket's entries exactly as MemoTable::insert's
-     * duplicate check would. Used to keep online-fill overlays free
-     * of entries the frozen table already holds.
+     * Project @p rec's inputs onto its type's selected fields, as
+     * MemoTable::insert does. False when the type is undeployed.
      */
-    bool containsRecord(const games::HandlerExecution &rec) const;
+    bool project(const games::HandlerExecution &rec,
+                 RecordKey &key) const;
+    /** Whether an entry with exactly @p key is memoized (MemoTable's
+     *  duplicate check). */
+    bool contains(const RecordKey &key) const;
 
     /**
      * Visit every entry as a HandlerExecution (inputs = key fields,
@@ -134,6 +186,10 @@ class FrozenTable
     uint64_t totalBytes() const { return total_bytes_; }
     /** Sum of selected-field sizes for a type (bytes). */
     uint64_t selectedBytes(events::EventType type) const;
+    /** Widest selection and most outputs of any entry: what a
+     *  caller's per-lookup buffers need to hold. */
+    uint32_t maxSelected() const { return max_selected_; }
+    uint32_t maxOutputs() const { return max_outputs_; }
     /** Selected fields of a type (empty when undeployed). */
     std::vector<events::FieldId>
     selectedVector(events::EventType type) const;
@@ -184,13 +240,10 @@ class FrozenTable
         const uint32_t *entry_bytes = nullptr;
     };
 
-    uint64_t eventSubkey(const TypeView &tv,
-                         const std::vector<events::FieldValue>
-                             &fields) const;
-    /** Probe the index for @p subkey; false = no bucket. */
-    bool probe(const TypeView &tv, uint64_t subkey, uint32_t *begin,
-               uint32_t *count) const;
-    /** Decode directory + validate everything; data_/size_ set. */
+    /** The arena bucket of @p subkey (count 0 when there is none). */
+    Bucket bucket(events::EventType type, uint64_t subkey) const;
+    /** Decode directory + validate everything, then derive the
+     *  full-key indexes; data_/size_ set. */
     util::Status decode(const events::FieldSchema &schema);
 
     const uint8_t *data_ = nullptr;
@@ -203,8 +256,14 @@ class FrozenTable
 
     events::FieldSchema schema_;
     std::array<TypeView, events::kNumEventTypes> types_{};
+    /** Off-wire full-key index per type, and per index slot the
+     *  modelled bytes of scanning its whole bucket. */
+    std::array<KeyIndex, events::kNumEventTypes> index_;
+    std::array<std::vector<uint64_t>, events::kNumEventTypes> slot_bytes_;
     size_t total_entries_ = 0;
     uint64_t total_bytes_ = 0;
+    uint32_t max_selected_ = 0;
+    uint32_t max_outputs_ = 0;
 };
 
 }  // namespace core

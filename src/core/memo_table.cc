@@ -26,15 +26,12 @@ MemoTable::setSelected(events::EventType type,
     std::sort(selected.begin(), selected.end());
     tt.selected = std::move(selected);
     tt.selected_event.clear();
-    tt.selected_is_event.clear();
     tt.selected_bytes = 0;
     for (events::FieldId fid : tt.selected) {
         const auto &d = schema_.def(fid);
         tt.selected_bytes += d.size_bytes;
-        bool is_event = d.side == events::FieldSide::Input &&
-                        d.in_cat == events::InputCategory::Event;
-        tt.selected_is_event.push_back(is_event);
-        if (is_event)
+        if (d.side == events::FieldSide::Input &&
+            d.in_cat == events::InputCategory::Event)
             tt.selected_event.push_back(fid);
     }
 }
@@ -125,75 +122,6 @@ MemoTable::insert(const games::HandlerExecution &rec)
     tt.bytes += bytes + kEntryHeaderBytes;
     ++tt.entries;
     bucket.push_back(std::move(entry));
-}
-
-MemoLookup
-MemoTable::lookup(const events::EventObject &ev,
-                  const games::Game &game,
-                  LookupScratch &scratch) const
-{
-    const TypeTable &tt = types_[static_cast<int>(ev.type)];
-    MemoLookup res;
-    if (tt.selected.empty())
-        return res;
-
-    // Gathering the necessary inputs costs their size even when the
-    // table has no candidates (they must be loaded to compare).
-    res.bytes_scanned = tt.selected_bytes;
-
-    uint64_t subkey = eventSubkey(tt, ev.fields);
-    auto it = tt.buckets.find(subkey);
-    if (it == tt.buckets.end())
-        return res;
-
-    // Gather current values of the selected fields once, into the
-    // caller's reusable slot layout (resize only grows capacity the
-    // first time a type this wide is looked up).
-    size_t n = tt.selected.size();
-    scratch.values.resize(n);
-    scratch.present.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        events::FieldId fid = tt.selected[i];
-        if (tt.selected_is_event[i]) {
-            const events::FieldValue *fv =
-                events::findField(ev.fields, fid);
-            scratch.present[i] = fv != nullptr;
-            scratch.values[i] = fv ? fv->value : 0;
-        } else {
-            uint64_t v = 0;
-            scratch.present[i] = game.gatherInputValue(fid, v);
-            scratch.values[i] = v;
-        }
-    }
-
-    for (const MemoEntry &e : it->second) {
-        ++res.candidates;
-        res.bytes_scanned += e.entry_bytes + kEntryHeaderBytes;
-        bool match = true;
-        size_t nk = e.key_fields.size();
-        for (size_t j = 0; j < nk; ++j) {
-            uint32_t slot = e.key_slots[j];
-            if (!scratch.present[slot] ||
-                scratch.values[slot] != e.key_fields[j].value) {
-                match = false;
-                break;
-            }
-        }
-        if (match) {
-            res.hit = true;
-            res.entry = &e;
-            return res;
-        }
-    }
-    return res;
-}
-
-MemoLookup
-MemoTable::lookup(const events::EventObject &ev,
-                  const games::Game &game) const
-{
-    thread_local LookupScratch scratch;
-    return lookup(ev, game, scratch);
 }
 
 std::shared_ptr<const FrozenTable>

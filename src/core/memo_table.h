@@ -1,16 +1,12 @@
 /**
  * @file
- * The deployed SNIP lookup table (paper §V-B, "Using the lookup
- * table during execution"): per event type it keeps the PFI-selected
- * necessary input fields and a set of entries mapping observed
- * necessary-input values to memoized outputs.
- *
- * Runtime lookup follows the paper's mechanism: the table is indexed
- * by a hash of the *event-object* portion of the necessary inputs
- * (computable before any processing); every candidate entry under
- * that index is then compared against the freshly gathered values of
- * all its stored necessary fields. The scan volume (candidates x
- * entry size) is exactly the Fig. 11c overhead term.
+ * The build side of the SNIP lookup table (paper §V-B): per event
+ * type it keeps the PFI-selected necessary input fields and a set of
+ * entries mapping observed necessary-input values to memoized
+ * outputs, bucketed by a hash of the *event-object* portion of the
+ * necessary inputs (the event subkey). Runtime lookups go through the
+ * frozen form (frozen_table.h), which charges the paper's scan of a
+ * bucket's candidates — the Fig. 11c overhead term.
  */
 
 #ifndef SNIP_CORE_MEMO_TABLE_H
@@ -24,7 +20,6 @@
 
 #include "events/event.h"
 #include "events/field.h"
-#include "games/game.h"
 #include "games/handler.h"
 
 namespace snip {
@@ -43,9 +38,8 @@ struct MemoEntry {
      *  the profiled execution did not read are simply not stored;
      *  comparison only checks stored fields. */
     std::vector<events::FieldValue> key_fields;
-    /** Precomputed slot of each key field within the type's sorted
-     *  selected set (parallel to key_fields). Lets lookup() compare
-     *  against the gathered-value layout without per-field searches. */
+    /** Slot of each key field within the type's sorted selected set
+     *  (parallel to key_fields): the frozen arena's key slots. */
     std::vector<uint32_t> key_slots;
     /** Memoized output writes. */
     std::vector<events::FieldValue> outputs;
@@ -53,31 +47,11 @@ struct MemoEntry {
     uint32_t entry_bytes = 0;
 };
 
-/** Result of one runtime lookup. */
-struct MemoLookup {
-    bool hit = false;
-    /** Entry that matched (valid when hit). */
-    const MemoEntry *entry = nullptr;
-    /** Candidate entries scanned under the event-hash index. */
-    uint32_t candidates = 0;
-    /** Total bytes gathered + compared during the scan. */
-    uint64_t bytes_scanned = 0;
-};
-
 /**
- * Caller-owned reusable gather buffers. lookup() fills one slot per
- * selected field of the event's type (slot order == the sorted
- * selected set); reusing the scratch across calls makes the hit path
- * allocation-free after the first event of the largest type.
+ * Per-game build-side lookup table: Shrink fills it, the federated
+ * merge unions it, and freeze() turns it into the FrozenTable every
+ * device lookup probes. It has no lookup of its own.
  */
-struct LookupScratch {
-    /** Gathered value per selected-field slot. */
-    std::vector<uint64_t> values;
-    /** Whether the slot's field was present/readable. */
-    std::vector<uint8_t> present;
-};
-
-/** Per-game deployed lookup table. */
 class MemoTable
 {
   public:
@@ -109,25 +83,6 @@ class MemoTable
      * table is append-only between re-learns).
      */
     void insert(const games::HandlerExecution &rec);
-
-    /**
-     * Look up an event at runtime. Event-side values come from
-     * @p ev; history-side values are read from @p game's live state.
-     *
-     * Thread safety: lookup() never mutates the table, so any number
-     * of threads may look up concurrently on a shared const table
-     * (each with its own scratch) as long as no thread insert()s or
-     * clear()s. Hit accounting is the caller's job (the deploy-side
-     * FrozenTable hands back an entry ordinal for a caller-owned
-     * dense counter array; see frozen_table.h).
-     */
-    MemoLookup lookup(const events::EventObject &ev,
-                      const games::Game &game,
-                      LookupScratch &scratch) const;
-
-    /** Convenience overload with a thread-local scratch. */
-    MemoLookup lookup(const events::EventObject &ev,
-                      const games::Game &game) const;
 
     /**
      * Freeze this table into its immutable deploy-side form (a
@@ -184,9 +139,6 @@ class MemoTable
     struct TypeTable {
         std::vector<events::FieldId> selected;   // sorted
         std::vector<events::FieldId> selected_event;    // In.Event subset
-        /** Per-slot In.Event flag (parallel to selected); lets
-         *  lookup() gather without consulting the schema per field. */
-        std::vector<uint8_t> selected_is_event;
         uint64_t selected_bytes = 0;
         /** Event-subkey hash -> candidate entries. */
         std::unordered_map<uint64_t, std::vector<MemoEntry>> buckets;

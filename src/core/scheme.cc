@@ -95,7 +95,7 @@ frozenOf(const SnipModel &model)
 SnipScheme::SnipScheme(SnipModel &model, SnipRuntimeConfig cfg,
                        bool charge_overheads)
     : model_(model), cfg_(cfg), chargeOverheads_(charge_overheads),
-      frozen_(frozenOf(model)), overlay_(frozen_->schema())
+      frozen_(frozenOf(model)), overlay_(*frozen_)
 {
     initRuntime();
 }
@@ -103,7 +103,7 @@ SnipScheme::SnipScheme(SnipModel &model, SnipRuntimeConfig cfg,
 SnipScheme::SnipScheme(const SnipModel &model, SnipRuntimeConfig cfg,
                        bool charge_overheads)
     : model_(model), cfg_(cfg), chargeOverheads_(charge_overheads),
-      frozen_(frozenOf(model)), overlay_(frozen_->schema())
+      frozen_(frozenOf(model)), overlay_(*frozen_)
 {
     initRuntime();
 }
@@ -111,13 +111,12 @@ SnipScheme::SnipScheme(const SnipModel &model, SnipRuntimeConfig cfg,
 void
 SnipScheme::initRuntime()
 {
-    for (int t = 0; t < events::kNumEventTypes; ++t) {
-        events::EventType type = static_cast<events::EventType>(t);
-        auto selected = frozen_->selectedVector(type);
-        if (!selected.empty())
-            overlay_.setSelected(type, std::move(selected));
-    }
     hitCounts_.assign(frozen_->entryCount(), 0);
+    scratch_.values.reserve(frozen_->maxSelected());
+    scratch_.present.reserve(frozen_->maxSelected());
+    key_.slots.reserve(frozen_->maxSelected());
+    key_.values.reserve(frozen_->maxSelected());
+    outputs_.reserve(frozen_->maxOutputs());
     if (cfg_.obs) {
         obsAudits_ = &cfg_.obs->counter("decide.audits");
         obsAuditFailures_ =
@@ -137,47 +136,36 @@ SnipScheme::decide(const games::Game &game, const events::EventObject &ev,
     auditPending_ = false;
     d.lookup_ran = true;
 
-    // Frozen-first lookup with the overlay consulted only on a miss.
-    // The scan is equivalent to the old single-table scan: frozen
-    // buckets hold the profile entries in their original insertion
-    // order and overlay buckets the online-filled ones that would
-    // have followed them, and the shared gather cost (the type's
-    // selected bytes, charged by both lookups) is counted once.
+    const FrozenTable &ft = *frozen_;
+    const events::EventType type = ev.type;
+    if (!ft.deployed(type))
+        return d;
+
+    // Frozen-first lookup with the overlay consulted only on a miss:
+    // the scan of one table whose buckets hold the profile entries in
+    // insertion order followed by the online-filled ones. The subkey
+    // and the gathered inputs serve both probes, and their cost (the
+    // type's selected bytes) is charged once.
+    d.lookup_bytes = ft.selectedBytes(type);
+    const uint64_t subkey = ft.gather(ev, game, scratch_);
     bool hit = false;
     if (frozenActive_) {
-        FrozenLookup fres = frozen_->lookup(ev, game, scratch_);
-        d.lookup_bytes = fres.bytes_scanned;
-        d.lookup_candidates = fres.candidates;
-        if (fres.hit) {
+        BucketMatch m = ft.match(type, subkey, scratch_);
+        d.lookup_bytes += m.bytes;
+        d.lookup_candidates += m.candidates;
+        if (m.hit()) {
             hit = true;
-            ++hitCounts_[fres.entry_ordinal];
-            d.outputs.resize(fres.nout);
-            for (uint32_t i = 0; i < fres.nout; ++i)
-                d.outputs[i] = {fres.out_ids[i],
-                                fres.out_values[i]};
-        } else if (overlay_.entryCount(ev.type) > 0) {
-            MemoLookup ores = overlay_.lookup(ev, game, scratch_);
-            // The overlay's gather cost is already covered by the
-            // frozen lookup's charge; count only the extra scan
-            // volume, clamped at zero (an empty-bucket early-out can
-            // charge less than the shared gather cost).
-            uint64_t sel = overlay_.selectedBytes(ev.type);
-            d.lookup_bytes += ores.bytes_scanned > sel
-                                  ? ores.bytes_scanned - sel
-                                  : 0;
-            d.lookup_candidates += ores.candidates;
-            if (ores.hit) {
-                hit = true;
-                d.outputs = ores.entry->outputs;
-            }
+            ++hitCounts_[ft.entryOrdinal(type, m.entry)];
+            ft.outputs(type, m.entry, outputs_);
         }
-    } else {
-        MemoLookup ores = overlay_.lookup(ev, game, scratch_);
-        d.lookup_bytes = ores.bytes_scanned;
-        d.lookup_candidates = ores.candidates;
-        if (ores.hit) {
+    }
+    if (!hit) {
+        BucketMatch m = overlay_.match(type, subkey, scratch_);
+        d.lookup_bytes += m.bytes;
+        d.lookup_candidates += m.candidates;
+        if (m.hit()) {
             hit = true;
-            d.outputs = ores.entry->outputs;
+            overlay_.outputs(type, m.entry, outputs_);
         }
     }
 
@@ -190,11 +178,10 @@ SnipScheme::decide(const games::Game &game, const events::EventObject &ev,
             ++hitCounter_ % cfg_.audit_every == 0) {
             auditPending_ = true;
             d.audited = true;
-            auditOutputs_ = std::move(d.outputs);
-            d.outputs.clear();
-            return d;  // processed fully; observe() compares
+            return d;  // processed fully; observe() compares outputs_
         }
         d.shortcircuit = true;
+        d.outputs = &outputs_;
     }
     return d;
 }
@@ -208,7 +195,7 @@ SnipScheme::observe(const games::HandlerExecution &truth)
         ++windowAudits_;
         if (obsAudits_)
             obsAudits_->add(1);
-        if (auditOutputs_ != truth.outputs) {
+        if (outputs_ != truth.outputs) {
             ++auditsFailed_;
             ++windowFailures_;
             if (obsAuditFailures_)
@@ -237,20 +224,19 @@ SnipScheme::observe(const games::HandlerExecution &truth)
             windowFailures_ = 0;
         }
     }
-    if (cfg_.online_fill) {
-        // Entries the frozen table already memoizes would be
-        // deduplicated by the old single-table insert; skip them so
-        // the overlay holds only genuinely new observations. The
-        // counter tracks actual overlay growth — a skipped or
-        // deduplicated insert is not an online insert.
-        if (!frozenActive_ || !frozen_->containsRecord(truth)) {
-            size_t before = overlay_.entryCount(truth.type);
-            overlay_.insert(truth);
-            if (obsOnlineInserts_ &&
-                overlay_.entryCount(truth.type) > before)
-                obsOnlineInserts_->add(1);
-        }
-    }
+    // Skip entries the frozen table already memoizes (one table
+    // would deduplicate them), so the overlay holds only genuinely
+    // new observations. The counter tracks actual overlay growth,
+    // not attempts.
+    if (!cfg_.online_fill || !frozen_->project(truth, key_) ||
+        (frozenActive_ && frozen_->contains(key_)) ||
+        !overlay_.insert(key_, truth.outputs))
+        return;
+    // Keep decide() allocation-free on hits of the widest entry.
+    if (outputs_.capacity() < truth.outputs.size())
+        outputs_.reserve(truth.outputs.size());
+    if (obsOnlineInserts_)
+        obsOnlineInserts_->add(1);
 }
 
 uint64_t
@@ -271,6 +257,8 @@ SnipScheme::recordTableStats(obs::Registry &reg) const
         overlay_.recordStats(reg);
     reg.gauge("table.overlay_entries")
         .set(static_cast<double>(overlay_.entryCount()));
+    reg.gauge("table.overlay_bytes")
+        .set(static_cast<double>(overlay_.totalBytes()));
 }
 
 std::unique_ptr<Scheme>

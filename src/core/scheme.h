@@ -16,6 +16,7 @@
 #include <memory>
 #include <unordered_set>
 
+#include "core/overlay_table.h"
 #include "core/snip.h"
 #include "events/event.h"
 #include "games/game.h"
@@ -39,8 +40,12 @@ const char *schemeName(SchemeKind k);
 struct Decision {
     /** Skip the whole end-to-end processing, applying outputs. */
     bool shortcircuit = false;
-    /** Outputs to apply when short-circuiting (may be wrong). */
-    std::vector<events::FieldValue> outputs;
+    /**
+     * Outputs to apply when short-circuiting (may be wrong): a buffer
+     * the scheme owns, valid until its next decide(). Null unless
+     * shortcircuit.
+     */
+    const std::vector<events::FieldValue> *outputs = nullptr;
     /** Fraction of CPU instructions skipped (Max CPU partial). */
     double cpu_skip_fraction = 0.0;
     /** Skip the handler's IP invocations (Max IP). */
@@ -180,14 +185,17 @@ struct SnipRuntimeConfig {
  *
  * The scheme serves lookups from the model's immutable FrozenTable
  * (freezing the mutable table on construction if the model was not
- * already frozen). Online fill goes into a small per-scheme mutable
- * *overlay* MemoTable with the same selections, consulted only on a
- * frozen miss — the frozen arena itself is never mutated, so it can
- * be shared across sessions and threads. Hit accounting lives in a
- * scheme-owned dense counter array indexed by frozen entry ordinal
- * (race-free by construction; the arena has no mutable hit field).
- * The watchdog's "clear the table" action deactivates the frozen
- * layout and falls back to the (cleared) overlay until re-learn.
+ * already frozen). Online fill goes into a per-scheme append-only
+ * OverlayTable with the same selections, consulted only on a frozen
+ * miss — the frozen arena itself is never mutated, so it can be
+ * shared across sessions and threads. Each event's subkey and
+ * necessary inputs are computed once and serve both probes, and the
+ * charge is the scan of the frozen bucket followed by the overlay
+ * bucket. Hit accounting lives in a scheme-owned dense counter array
+ * indexed by frozen entry ordinal (race-free by construction; the
+ * arena has no mutable hit field). The watchdog's "clear the table"
+ * action deactivates the frozen layout and falls back to the
+ * (cleared) overlay until re-learn.
  */
 class SnipScheme : public Scheme
 {
@@ -233,7 +241,8 @@ class SnipScheme : public Scheme
     size_t overlayEntries() const { return overlay_.entryCount(); }
     /** Bytes of the deployed layout(s) serving lookups now. */
     uint64_t deployedTableBytes() const;
-    /** Export `table.*` gauges for the layout serving lookups. */
+    /** Export `table.*` gauges for the layout serving lookups, plus
+     *  `table.overlay_{entries,bytes}`. */
     void recordTableStats(obs::Registry &reg) const;
 
     /** Audits performed so far. */
@@ -250,8 +259,8 @@ class SnipScheme : public Scheme
 
     /** Immutable deployed arena (shared with the model). */
     std::shared_ptr<const FrozenTable> frozen_;
-    /** Mutable online-fill overlay (frozen's selections). */
-    MemoTable overlay_;
+    /** Online-fill overlay (frozen's selections). */
+    OverlayTable overlay_;
     /** Cleared by the watchdog: lookups become overlay-only. */
     bool frozenActive_ = true;
     /** Dense per-entry hit counters (frozen entry ordinals). */
@@ -265,7 +274,6 @@ class SnipScheme : public Scheme
     uint32_t windowAudits_ = 0;
     uint32_t windowFailures_ = 0;
     bool auditPending_ = false;
-    std::vector<events::FieldValue> auditOutputs_;
 
     /** Pre-resolved counters (null when cfg_.obs is null). */
     obs::Counter *obsAudits_ = nullptr;
@@ -273,10 +281,14 @@ class SnipScheme : public Scheme
     obs::Counter *obsTableClears_ = nullptr;
     obs::Counter *obsOnlineInserts_ = nullptr;
 
-    /** Reusable gather buffers: zero-allocation lookups. */
+    /** Reusable per-event buffers: zero-allocation decide/observe.
+     *  outputs_ holds the matched entry's outputs (Decision::outputs,
+     *  or the audited outputs observe() checks). */
     LookupScratch scratch_;
+    std::vector<events::FieldValue> outputs_;
+    RecordKey key_;
 
-    /** Shared ctor tail: overlay selections, hit counters, obs. */
+    /** Shared ctor tail: hit counters, obs. */
     void initRuntime();
 
 };

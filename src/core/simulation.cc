@@ -183,9 +183,9 @@ processEvent(games::Game &game, Scheme &scheme,
         ++st.shortcircuits;
         st.instr_skipped += truth.cpu_instructions;
         st.ip_work_skipped += truth.ipWorkUnits();
-        game.applyOutputs(d.outputs);
+        game.applyOutputs(*d.outputs);
         OutputDiff diff =
-            diffOutputs(d.outputs, truth.outputs, game.schema());
+            diffOutputs(*d.outputs, truth.outputs, game.schema());
         st.output_fields_wrong += diff.fields_wrong;
         if (diff.anyWrong()) {
             ++st.erroneous_shortcircuits;

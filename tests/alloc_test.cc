@@ -7,8 +7,11 @@
  *    have held one event of each type, makeEvent + process +
  *    applyOutputs allocate nothing (runSession drives every event of
  *    a session through the same two buffers);
- *  - the table lookup: MemoTable::lookup and FrozenTable::lookup
- *    with a pre-sized LookupScratch allocate nothing, hit or miss;
+ *  - the table lookup: FrozenTable::lookup with a pre-sized
+ *    LookupScratch allocates nothing, hit or miss;
+ *  - the SNIP decision: SnipScheme::decide + observe allocate nothing
+ *    without online fill, and with it only when the overlay's arrays
+ *    grow (O(log entries) times), audits included;
  *  - the pool: a warm util::parallelFor dispatch allocates nothing
  *    (stack-resident job, FunctionRef callable);
  *  - ml::Dataset construction makes a fixed number of allocations,
@@ -23,6 +26,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -30,7 +34,6 @@
 #include <span>
 
 #include "core/frozen_table.h"
-#include "core/memo_table.h"
 #include "core/scheme.h"
 #include "core/simulation.h"
 #include "core/snip.h"
@@ -137,56 +140,139 @@ TEST_P(AllocTest, SteadyStateEventPathAllocatesNothing)
 INSTANTIATE_TEST_SUITE_P(AllGames, AllocTest,
                          ::testing::ValuesIn(allGameNames()));
 
-class LookupAllocTest : public ::testing::TestWithParam<std::string>
+/**
+ * A deployed model of @p name built the way the runtime builds one,
+ * from a recorded 30 s Baseline session whose events are kept in
+ * @p events.
+ */
+core::SnipModel
+deployedModel(const std::string &name,
+              std::vector<events::EventObject> *events = nullptr)
 {
-};
-
-// Both table layouts, driven by a recorded session replayed through a
-// fresh game (so history-side reads see the recorded state and the
-// lookups hit as they do at runtime), with the scratch pre-sized to
-// the widest selection as the runtime sizes it.
-TEST_P(LookupAllocTest, LookupsAllocateNothing)
-{
-    auto game = makeGame(GetParam());
+    auto game = makeGame(name);
     core::BaselineScheme baseline;
     core::SimulationConfig cfg;
     cfg.duration_s = 30.0;
     cfg.record_events = true;
     core::SessionResult res = core::runSession(*game, baseline, cfg);
-    auto replica = makeGame(GetParam());
+    auto replica = makeGame(name);
     trace::Profile profile = trace::Replayer::replay(res.trace, *replica);
     core::SnipModel model = core::buildSnipModel(profile, *game);
-    std::shared_ptr<const core::FrozenTable> frozen =
-        model.table->freeze();
+    model.freeze();
+    if (events)
+        *events = std::move(res.trace.events);
+    return model;
+}
+
+class LookupAllocTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+// Driven by a recorded session replayed through a fresh game (so
+// history-side reads see the recorded state and the lookups hit as
+// they do at runtime), with the scratch pre-sized to the widest
+// selection as the runtime sizes it.
+TEST_P(LookupAllocTest, LookupsAllocateNothing)
+{
+    std::vector<events::EventObject> trace;
+    core::SnipModel model = deployedModel(GetParam(), &trace);
+    const core::FrozenTable &frozen = *model.frozen;
 
     size_t widest = 0;
     for (const auto &t : model.types)
         widest = std::max(widest, t.selection.selected.size());
-    core::LookupScratch ms, fs;
-    for (core::LookupScratch *s : {&ms, &fs}) {
-        s->values.reserve(widest);
-        s->present.reserve(widest);
-    }
+    core::LookupScratch scratch;
+    scratch.values.reserve(widest);
+    scratch.present.reserve(widest);
 
     auto live = makeGame(GetParam());
     HandlerExecution ex;
-    uint64_t allocs = 0, mhits = 0, fhits = 0;
-    for (const auto &ev : res.trace.events) {
+    uint64_t allocs = 0, hits = 0;
+    for (const auto &ev : trace) {
         const uint64_t before = t_allocs;
-        core::MemoLookup m = model.table->lookup(ev, *live, ms);
-        core::FrozenLookup f = frozen->lookup(ev, *live, fs);
+        core::FrozenLookup f = frozen.lookup(ev, *live, scratch);
         allocs += t_allocs - before;
-        mhits += m.hit;
-        fhits += f.hit;
+        hits += f.hit;
         live->process(ev, ex);
         live->applyOutputs(ex.outputs);
     }
     EXPECT_EQ(allocs, 0u) << GetParam();
-    EXPECT_GT(mhits, 0u) << GetParam();  // the hit path ran
-    EXPECT_GT(fhits, 0u) << GetParam();
+    EXPECT_GT(hits, 0u) << GetParam();  // the hit path ran
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGames, LookupAllocTest,
+                         ::testing::ValuesIn(allGameNames()));
+
+class SnipSchemeAllocTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+// The SNIP decision path driven as runSession drives it: decide, then
+// either the short-circuit outputs or the handler's own outputs and
+// observe(). Hits, misses and watchdog audits all run. Without online
+// fill nothing allocates; with it, only events that grow the overlay
+// may, and its arrays grow geometrically.
+TEST_P(SnipSchemeAllocTest, DecideObserveAllocateOnlyOnOverlayGrowth)
+{
+    core::SnipModel model = deployedModel(GetParam());
+    size_t deployed = model.types.size();
+    for (bool fill : {false, true}) {
+        SCOPED_TRACE(fill ? "online fill" : "frozen only");
+        core::SnipRuntimeConfig rcfg;
+        rcfg.online_fill = fill;
+        rcfg.audit_every = 16;
+        core::SnipScheme scheme(model, rcfg);
+        auto live = makeGame(GetParam());
+        const auto &mix = live->params().mix;
+        util::Rng rng(43);
+        events::EventObject ev;
+        HandlerExecution truth;
+        double now = 0.0;
+        uint64_t allocs = 0, stray = 0, hits = 0, misses = 0;
+        auto step = [&](bool count) {
+            live->makeEvent(mix[rng.uniformInt(0, mix.size() - 1)].type,
+                            now, rng, ev);
+            live->process(ev, truth);
+            now += 0.01;
+            const uint64_t before = t_allocs;
+            const size_t entries = scheme.overlayEntries();
+            const uint64_t clears = scheme.tableClears();
+            core::Decision d = scheme.decide(*live, ev, truth);
+            if (!d.shortcircuit)
+                scheme.observe(truth);
+            const uint64_t n = t_allocs - before;
+            live->applyOutputs(d.shortcircuit ? *d.outputs
+                                              : truth.outputs);
+            // A watchdog clear logs a formatted warning line.
+            if (!count || scheme.tableClears() != clears)
+                return;
+            (d.lookup_hit ? hits : misses) += 1;
+            allocs += n;
+            if (scheme.overlayEntries() <= entries)
+                stray += n;
+        };
+        for (int i = 0; i < 2000; ++i)  // warm-up
+            step(false);
+        const uint64_t audits = scheme.auditsRun();
+        for (int i = 0; i < 20000; ++i)
+            step(true);
+        EXPECT_GT(hits, 0u);
+        EXPECT_GT(misses, 0u);
+        EXPECT_GT(scheme.auditsRun(), audits);
+        EXPECT_EQ(stray, 0u);
+        if (!fill) {
+            EXPECT_EQ(allocs, 0u);
+            continue;
+        }
+        // Each deployed type's overlay keeps ~20 growable arrays.
+        const uint64_t growths = static_cast<uint64_t>(
+            std::bit_width(scheme.overlayEntries()) + 1);
+        EXPECT_LE(allocs, 20 * deployed * growths)
+            << scheme.overlayEntries() << " overlay entries";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllGames, SnipSchemeAllocTest,
                          ::testing::ValuesIn(allGameNames()));
 
 TEST(DatasetAllocTest, ConstructionAllocationsDoNotGrowWithRows)

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <unordered_map>
 
 #include "core/continuous_learning.h"
 #include "core/frozen_table.h"
@@ -20,6 +21,7 @@
 #include "core/memo_table.h"
 #include "core/model_codec.h"
 #include "core/output_diff.h"
+#include "core/overlay_table.h"
 #include "core/scheme.h"
 #include "core/simulation.h"
 #include "core/snip.h"
@@ -27,6 +29,7 @@
 #include "obs/metrics.h"
 #include "trace/columnar_log.h"
 #include "trace/recorder.h"
+#include "util/crc32.h"
 #include "util/logging.h"
 
 namespace snip {
@@ -122,6 +125,34 @@ class MemoTableTest : public ::testing::Test
         return game_->process(ev);
     }
 
+    /**
+     * Freeze @p table and look @p ev up against the live game; the
+     * outputs are copied out before the arena goes away.
+     */
+    struct Probe {
+        bool hit = false;
+        uint32_t candidates = 0;
+        uint64_t bytes = 0;
+        std::vector<events::FieldValue> outputs;
+    };
+    Probe
+    probe(const MemoTable &table, const events::EventObject &ev,
+          LookupScratch &scratch)
+    {
+        auto frozen = table.freeze();
+        FrozenLookup r = frozen->lookup(ev, *game_, scratch);
+        Probe p{r.hit, r.candidates, r.bytes_scanned, {}};
+        for (uint32_t o = 0; o < r.nout; ++o)
+            p.outputs.push_back({r.out_ids[o], r.out_values[o]});
+        return p;
+    }
+    Probe
+    probe(const MemoTable &table, const events::EventObject &ev)
+    {
+        LookupScratch scratch;
+        return probe(table, ev, scratch);
+    }
+
     std::unique_ptr<games::Game> game_;
     std::vector<events::FieldId> selected_;
     std::unique_ptr<MemoTable> table_;
@@ -132,11 +163,11 @@ TEST_F(MemoTableTest, MissOnEmptyTable)
 {
     util::Rng rng(1);
     nextExecution(rng);
-    MemoLookup res = table_->lookup(last_event_, *game_);
+    Probe res = probe(*table_, last_event_);
     EXPECT_FALSE(res.hit);
     EXPECT_EQ(res.candidates, 0u);
     // Gathering the necessary inputs still costs their bytes.
-    EXPECT_EQ(res.bytes_scanned,
+    EXPECT_EQ(res.bytes,
               table_->selectedBytes(events::EventType::Touch));
 }
 
@@ -146,9 +177,9 @@ TEST_F(MemoTableTest, HitAfterInsertWithUnchangedState)
     games::HandlerExecution ex = nextExecution(rng);
     table_->insert(ex);
     EXPECT_EQ(table_->entryCount(), 1u);
-    MemoLookup res = table_->lookup(last_event_, *game_);
+    Probe res = probe(*table_, last_event_);
     ASSERT_TRUE(res.hit);
-    EXPECT_EQ(res.entry->outputs, ex.outputs);
+    EXPECT_EQ(res.outputs, ex.outputs);
     EXPECT_GE(res.candidates, 1u);
 }
 
@@ -162,7 +193,7 @@ TEST_F(MemoTableTest, StateChangeInvalidatesMatch)
     ASSERT_NE(mode_out, events::kInvalidField);
     uint64_t cur = game_->state().get(game_->schema().find("h.mode"));
     game_->state().apply(mode_out, cur + 1);
-    MemoLookup res = table_->lookup(last_event_, *game_);
+    Probe res = probe(*table_, last_event_);
     EXPECT_FALSE(res.hit);
 }
 
@@ -204,9 +235,9 @@ TEST_F(MemoTableTest, UndeployedTypeMisses)
     // colorphun has no Gyro handler deployed in this table.
     events::EventObject ev;
     ev.type = events::EventType::Gyro;
-    MemoLookup res = table_->lookup(ev, *game_);
+    Probe res = probe(*table_, ev);
     EXPECT_FALSE(res.hit);
-    EXPECT_EQ(res.bytes_scanned, 0u);
+    EXPECT_EQ(res.bytes, 0u);
 }
 
 TEST_F(MemoTableTest, SetSelectedAfterInsertFatal)
@@ -220,10 +251,10 @@ TEST_F(MemoTableTest, SetSelectedAfterInsertFatal)
     util::setThrowOnError(prev);
 }
 
-// Regression: lookup() must be genuinely const (callable through a
-// const MemoTable& — the shape concurrent readers use) and carries
-// no mutable hit state at all; hit accounting lives in the caller's
-// dense counter array indexed by the FrozenTable entry ordinal.
+// Regression: lookups run through a const table (the shape
+// concurrent readers use) and carry no mutable hit state at all; hit
+// accounting lives in the caller's dense counter array indexed by
+// the FrozenTable entry ordinal.
 TEST_F(MemoTableTest, ConstLookupHitsFlowViaCallerOwnedOrdinals)
 {
     util::Rng rng(8);
@@ -231,10 +262,7 @@ TEST_F(MemoTableTest, ConstLookupHitsFlowViaCallerOwnedOrdinals)
 
     const MemoTable &ct = *table_;
     LookupScratch scratch;
-    MemoLookup res = ct.lookup(last_event_, *game_, scratch);
-    ASSERT_TRUE(res.hit);
-
-    auto frozen = ct.freeze();
+    std::shared_ptr<const FrozenTable> frozen = ct.freeze();
     std::vector<uint64_t> hit_counts(frozen->entryCount(), 0);
     FrozenLookup fres = frozen->lookup(last_event_, *game_, scratch);
     ASSERT_TRUE(fres.hit);
@@ -268,8 +296,7 @@ TEST_F(MemoTableTest, UnsortedInsertKeepsAllKeyFields)
 
     EXPECT_EQ(other.entryCount(), table_->entryCount());
     EXPECT_EQ(other.totalBytes(), table_->totalBytes());
-    MemoLookup res = other.lookup(last_event_, *game_);
-    EXPECT_TRUE(res.hit);
+    EXPECT_TRUE(probe(other, last_event_).hit);
 }
 
 // Regression: a missing In.Event field must not hash (and therefore
@@ -303,7 +330,7 @@ TEST_F(MemoTableTest, MissingFieldDoesNotCollideWithMaxValue)
     events::EventObject ev;
     ev.type = events::EventType::Touch;
     ev.fields = {{key_fid, ~0ULL}};
-    MemoLookup res = table.lookup(ev, *game_);
+    Probe res = probe(table, ev);
     EXPECT_FALSE(res.hit);
     EXPECT_EQ(res.candidates, 0u);
 
@@ -318,7 +345,7 @@ TEST_F(MemoTableTest, MissingFieldDoesNotCollideWithMaxValue)
     table2.insert(rec_max);
     events::EventObject missing;
     missing.type = events::EventType::Touch;
-    MemoLookup res2 = table2.lookup(missing, *game_);
+    Probe res2 = probe(table2, missing);
     EXPECT_FALSE(res2.hit);
     EXPECT_EQ(res2.candidates, 0u);
 }
@@ -355,13 +382,13 @@ TEST_F(MemoTableTest, ClearThenReinsertRoundTrip)
     table_->insert(ex);
     EXPECT_EQ(table_->entryCount(), count);
     EXPECT_EQ(table_->totalBytes(), bytes);
-    MemoLookup res = table_->lookup(last_event_, *game_);
+    Probe res = probe(*table_, last_event_);
     EXPECT_TRUE(res.hit);
-    EXPECT_EQ(res.entry->outputs, ex.outputs);
+    EXPECT_EQ(res.outputs, ex.outputs);
 }
 
-// The reusable scratch must produce results identical to the
-// convenience overload, whatever type width was looked up before.
+// A scratch reused across lookups must produce results identical to
+// a fresh one, whatever was looked up before.
 TEST_F(MemoTableTest, ScratchReuseAcrossLookupsIsEquivalent)
 {
     util::Rng rng(12);
@@ -369,12 +396,12 @@ TEST_F(MemoTableTest, ScratchReuseAcrossLookupsIsEquivalent)
     for (int i = 0; i < 20; ++i) {
         games::HandlerExecution ex = nextExecution(rng);
         table_->insert(ex);
-        MemoLookup a = table_->lookup(last_event_, *game_, scratch);
-        MemoLookup b = table_->lookup(last_event_, *game_);
+        Probe a = probe(*table_, last_event_, scratch);
+        Probe b = probe(*table_, last_event_);
         EXPECT_EQ(a.hit, b.hit);
         EXPECT_EQ(a.candidates, b.candidates);
-        EXPECT_EQ(a.bytes_scanned, b.bytes_scanned);
-        EXPECT_EQ(a.entry, b.entry);
+        EXPECT_EQ(a.bytes, b.bytes);
+        EXPECT_EQ(a.outputs, b.outputs);
     }
 }
 
@@ -403,63 +430,19 @@ TEST_F(MemoTableTest, MergeFromUnionsEntries)
 
     table_->mergeFrom(other);
     EXPECT_EQ(table_->entryCount(), before + 1);
-    MemoLookup hit = table_->lookup(last_event_, *game_);
+    Probe hit = probe(*table_, last_event_);
     ASSERT_TRUE(hit.hit);
-    EXPECT_EQ(hit.entry->outputs, fresh.outputs);
+    EXPECT_EQ(hit.outputs, fresh.outputs);
     // Merging again is idempotent, and the shared entry kept the
     // first-inserted outputs.
     table_->mergeFrom(other);
     EXPECT_EQ(table_->entryCount(), before + 1);
-    MemoLookup dup = table_->lookup(shared_event, *game_);
+    Probe dup = probe(*table_, shared_event);
     ASSERT_TRUE(dup.hit);
-    EXPECT_EQ(dup.entry->outputs, shared.outputs);
+    EXPECT_EQ(dup.outputs, shared.outputs);
 }
 
 // -------------------------------------------------------- FrozenTable
-
-// The deployed flat arena must make exactly the decisions of the
-// mutable table it was frozen from: hit/miss, candidate count, byte
-// accounting and matched outputs, over a large randomized event
-// stream mixing replays of profiled events with fresh ones.
-TEST_F(MemoTableTest, FrozenEquivalenceOverRandomEvents)
-{
-    util::Rng rng(0xf00d);
-    std::vector<events::EventObject> seen;
-    for (int i = 0; i < 256; ++i) {
-        table_->insert(nextExecution(rng));
-        seen.push_back(last_event_);
-    }
-    auto frozen = table_->freeze();
-    ASSERT_EQ(frozen->entryCount(), table_->entryCount());
-    ASSERT_EQ(frozen->totalBytes(), table_->totalBytes());
-
-    LookupScratch ms, fs;
-    uint64_t hits = 0;
-    for (int i = 0; i < 10000; ++i) {
-        events::EventObject ev =
-            rng.next() % 2 == 0
-                ? seen[rng.next() % seen.size()]
-                : game_->makeEvent(events::EventType::Touch, 0.0,
-                                   rng);
-        MemoLookup m = table_->lookup(ev, *game_, ms);
-        FrozenLookup f = frozen->lookup(ev, *game_, fs);
-        ASSERT_EQ(m.hit, f.hit) << "event " << i;
-        ASSERT_EQ(m.candidates, f.candidates) << "event " << i;
-        ASSERT_EQ(m.bytes_scanned, f.bytes_scanned) << "event " << i;
-        if (m.hit) {
-            ++hits;
-            ASSERT_EQ(m.entry->outputs.size(), f.nout);
-            for (uint32_t o = 0; o < f.nout; ++o) {
-                ASSERT_EQ(m.entry->outputs[o].id, f.out_ids[o]);
-                ASSERT_EQ(m.entry->outputs[o].value,
-                          f.out_values[o]);
-            }
-        }
-    }
-    // The stream replays profiled events, so some must still hit
-    // (the most recent insert matches the current game state).
-    EXPECT_GT(hits, 0u);
-}
 
 // attach() over a copy of the arena bytes must reproduce the
 // freeze()-built view exactly — this is the wire round trip the v2
@@ -556,6 +539,447 @@ TEST_F(MemoTableTest, FrozenArenaCorruptionFuzz)
             (void)r;
         }
     }
+
+    // CRC-resealed structural mutations of the index inside a package:
+    // overlapping runs, a gap, a repeated subkey. Each keeps every
+    // count in range and the run total at nentries, so only the
+    // tiling and distinct-subkey checks can reject it.
+    SnipModel model;
+    model.game = game_->name();
+    model.table = std::make_unique<MemoTable>(*table_);
+    util::ByteBuffer pkg;
+    packModel(model, pkg);
+    const std::vector<uint8_t> &bytes = pkg.data();
+    const uint8_t magic[4] = {0x46, 0x50, 0x4e, 0x53};  // "SNPF", LE
+    size_t arena = std::search(bytes.begin(), bytes.end(), magic,
+                               magic + 4) -
+                   bytes.begin();
+    ASSERT_LT(arena, bytes.size());
+    auto rd32 = [](const std::vector<uint8_t> &b, size_t off) {
+        uint32_t v;
+        std::memcpy(&v, b.data() + off, 4);
+        return v;
+    };
+    // The one deployed type's directory record: +8 index capacity,
+    // +12 entry count, +40 index offset. Index slots are
+    // {u64 subkey, u32 begin, u32 count}.
+    const size_t rec = arena + 32;
+    const uint32_t nentries = rd32(bytes, rec + 12);
+    size_t at0 = 0, next = 0;  // the run at entry 0, and another
+    for (uint32_t s = 0; s < rd32(bytes, rec + 8); ++s) {
+        size_t slot = arena + rd32(bytes, rec + 40) + s * 16;
+        if (rd32(bytes, slot + 12) == 0)
+            continue;
+        if (rd32(bytes, slot + 8) == 0)
+            at0 = slot;
+        else
+            next = slot;
+    }
+    ASSERT_NE(at0, 0u);
+    ASSERT_NE(next, 0u);
+    ASSERT_LT(rd32(bytes, at0 + 12), nentries);
+    auto deploy = [&](const std::function<void(std::vector<uint8_t> &)>
+                          &mutate) {
+        std::vector<uint8_t> b = bytes;
+        mutate(b);
+        uint32_t crc = util::crc32(b.data() + 12, b.size() - 16);
+        std::memcpy(b.data() + b.size() - 4, &crc, 4);
+        auto out = std::make_shared<util::ByteBuffer>();
+        out->putBytes(b.data(), b.size());
+        return deployModel(out).ok();
+    };
+    auto put32 = [](std::vector<uint8_t> &b, size_t off, uint32_t v) {
+        std::memcpy(b.data() + off, &v, 4);
+    };
+    EXPECT_TRUE(deploy([](std::vector<uint8_t> &) {}));
+    EXPECT_FALSE(deploy([&](std::vector<uint8_t> &b) {
+        put32(b, next + 8, 0);  // overlaps the run at 0
+    })) << "overlapping index runs accepted";
+    EXPECT_FALSE(deploy([&](std::vector<uint8_t> &b) {
+        put32(b, at0 + 8, 1);  // entry 0 in no bucket
+    })) << "gapped index runs accepted";
+    EXPECT_FALSE(deploy([&](std::vector<uint8_t> &b) {
+        std::memcpy(b.data() + next, b.data() + at0, 8);
+    })) << "repeated index subkey accepted";
+}
+
+/**
+ * The device lookup as it ran before the full-key index: gather the
+ * selected inputs, hash the event-side ones into a subkey, then walk
+ * that bucket's entries in order, charging each, until every stored
+ * key slot of one matches. The oracle the indexed probe of the frozen
+ * table and of the online-fill overlay must reproduce exactly.
+ */
+class ReferenceScan
+{
+  public:
+    struct Result {
+        bool hit = false;
+        uint32_t candidates = 0;
+        uint64_t bytes = 0;
+        uint32_t ordinal = 0;
+        std::vector<events::FieldValue> outputs;
+    };
+
+    /** Take @p table's selections; entries are added separately. */
+    explicit ReferenceScan(const FrozenTable &table)
+        : schema_(table.schema())
+    {
+        for (int t = 0; t < events::kNumEventTypes; ++t) {
+            Type &ty = types_[t];
+            ty.selected =
+                table.selectedVector(static_cast<events::EventType>(t));
+            for (events::FieldId fid : ty.selected) {
+                const auto &d = schema_.def(fid);
+                ty.selected_bytes += d.size_bytes;
+                ty.is_event.push_back(d.in_cat ==
+                                      events::InputCategory::Event);
+            }
+        }
+    }
+
+    /** Every entry of @p table in ordinal order, duplicates kept. */
+    void addAll(const FrozenTable &table)
+    {
+        table.visitRecords(
+            [&](const games::HandlerExecution &rec) { add(rec, false); });
+    }
+
+    /** Append @p rec's entry; with @p dedup an entry whose key is
+     *  already held is dropped, as MemoTable::insert drops it. */
+    bool add(const games::HandlerExecution &rec, bool dedup)
+    {
+        Type &ty = types_[static_cast<int>(rec.type)];
+        if (ty.selected.empty())
+            return false;
+        std::vector<events::FieldValue> inputs = rec.inputs;
+        events::canonicalize(inputs);
+        Entry e;
+        size_t si = 0;
+        for (const auto &fv : inputs) {
+            while (si < ty.selected.size() && ty.selected[si] < fv.id)
+                ++si;
+            if (si < ty.selected.size() && ty.selected[si] == fv.id) {
+                e.slots.push_back(static_cast<uint32_t>(si));
+                e.values.push_back(fv.value);
+                e.bytes += schema_.def(fv.id).size_bytes;
+            }
+        }
+        for (const auto &fv : rec.outputs)
+            e.bytes += schema_.def(fv.id).size_bytes;
+        e.outputs = rec.outputs;
+        e.ordinal = next_ordinal_++;
+        auto &bucket = ty.buckets[subkey(ty, inputs)];
+        if (dedup)
+            for (const Entry &o : bucket)
+                if (o.slots == e.slots && o.values == e.values)
+                    return false;
+        bucket.push_back(std::move(e));
+        return true;
+    }
+
+    void clear()
+    {
+        for (Type &ty : types_)
+            ty.buckets.clear();
+    }
+
+    Result lookup(const events::EventObject &ev,
+                  const games::Game &game) const
+    {
+        const Type &ty = types_[static_cast<int>(ev.type)];
+        Result r;
+        if (ty.selected.empty())
+            return r;
+        r.bytes = ty.selected_bytes;
+        auto it = ty.buckets.find(subkey(ty, ev.fields));
+        if (it == ty.buckets.end())
+            return r;
+        size_t n = ty.selected.size();
+        std::vector<uint64_t> values(n, 0);
+        std::vector<bool> present(n, false);
+        for (size_t i = 0; i < n; ++i) {
+            if (ty.is_event[i]) {
+                const events::FieldValue *fv =
+                    events::findField(ev.fields, ty.selected[i]);
+                present[i] = fv != nullptr;
+                values[i] = fv ? fv->value : 0;
+            } else {
+                present[i] =
+                    game.gatherInputValue(ty.selected[i], values[i]);
+            }
+        }
+        for (const Entry &e : it->second) {
+            ++r.candidates;
+            r.bytes += e.bytes + MemoTable::kEntryHeaderBytes;
+            bool match = true;
+            for (size_t k = 0; k < e.slots.size() && match; ++k)
+                match = present[e.slots[k]] &&
+                        values[e.slots[k]] == e.values[k];
+            if (match) {
+                r.hit = true;
+                r.ordinal = e.ordinal;
+                r.outputs = e.outputs;
+                return r;
+            }
+        }
+        return r;
+    }
+
+  private:
+    struct Entry {
+        std::vector<uint32_t> slots;
+        std::vector<uint64_t> values;
+        std::vector<events::FieldValue> outputs;
+        uint32_t bytes = 0;
+        uint32_t ordinal = 0;
+    };
+    struct Type {
+        std::vector<events::FieldId> selected;
+        std::vector<uint8_t> is_event;
+        uint64_t selected_bytes = 0;
+        std::unordered_map<uint64_t, std::vector<Entry>> buckets;
+    };
+
+    uint64_t subkey(const Type &ty,
+                    const std::vector<events::FieldValue> &fields) const
+    {
+        uint64_t h = 0xe4e27000ULL;
+        for (size_t i = 0; i < ty.selected.size(); ++i) {
+            if (!ty.is_event[i])
+                continue;
+            const events::FieldValue *fv =
+                events::findField(fields, ty.selected[i]);
+            h = util::mixCombine(
+                h, util::mixCombine(
+                       ty.selected[i],
+                       util::mixCombine(fv ? 1 : 0, fv ? fv->value : 0)));
+        }
+        return h;
+    }
+
+    events::FieldSchema schema_;
+    std::array<Type, events::kNumEventTypes> types_;
+    uint32_t next_ordinal_ = 0;
+};
+
+/** The frozen lookup of @p ev agrees with the reference scan. */
+::testing::AssertionResult
+sameLookup(const FrozenTable &table, const ReferenceScan &ref,
+           const events::EventObject &ev, const games::Game &game,
+           LookupScratch &scratch)
+{
+    FrozenLookup f = table.lookup(ev, game, scratch);
+    ReferenceScan::Result r = ref.lookup(ev, game);
+    std::vector<events::FieldValue> outputs;
+    for (uint32_t o = 0; o < f.nout; ++o)
+        outputs.push_back({f.out_ids[o], f.out_values[o]});
+    if (f.hit != r.hit || f.candidates != r.candidates ||
+        f.bytes_scanned != r.bytes ||
+        (r.hit && (f.entry_ordinal != r.ordinal || outputs != r.outputs)))
+        return ::testing::AssertionFailure()
+               << "indexed hit " << f.hit << " candidates "
+               << f.candidates << " bytes " << f.bytes_scanned
+               << " ordinal " << f.entry_ordinal << "; reference hit "
+               << r.hit << " candidates " << r.candidates << " bytes "
+               << r.bytes << " ordinal " << r.ordinal;
+    return ::testing::AssertionSuccess();
+}
+
+/** The overlay lookup of @p ev, as SnipScheme makes it when the
+ *  frozen table is inactive, agrees with the reference scan. */
+::testing::AssertionResult
+sameOverlayLookup(const FrozenTable &frozen, const OverlayTable &overlay,
+                  const ReferenceScan &ref,
+                  const events::EventObject &ev, const games::Game &game,
+                  LookupScratch &scratch)
+{
+    ReferenceScan::Result o;
+    if (frozen.deployed(ev.type)) {
+        BucketMatch m = overlay.match(
+            ev.type, frozen.gather(ev, game, scratch), scratch);
+        o.candidates = m.candidates;
+        o.bytes = frozen.selectedBytes(ev.type) + m.bytes;
+        o.hit = m.hit();
+        if (o.hit)
+            overlay.outputs(ev.type, m.entry, o.outputs);
+    }
+    ReferenceScan::Result r = ref.lookup(ev, game);
+    if (o.hit != r.hit || o.candidates != r.candidates ||
+        o.bytes != r.bytes || (r.hit && o.outputs != r.outputs))
+        return ::testing::AssertionFailure()
+               << "overlay hit " << o.hit << " candidates "
+               << o.candidates << " bytes " << o.bytes
+               << "; reference hit " << r.hit << " candidates "
+               << r.candidates << " bytes " << r.bytes;
+    return ::testing::AssertionSuccess();
+}
+
+SnipModel goldenModel(const std::string &name);
+
+// The full-key index must make exactly the decisions of the linear
+// bucket scan it replaced: hit or miss, matched entry ordinal and
+// outputs, candidates and bytes charged. Every catalog model over a
+// randomized 10k-event session, the online-fill overlay over random
+// insert sequences with watchdog clears, and crafted tables with
+// subset-shape entries, absent fields and same-key duplicates in one
+// bucket.
+TEST(FrozenTableTest, IndexedProbeMatchesReferenceScan)
+{
+    for (const std::string &name : games::allGameNames()) {
+        SCOPED_TRACE(name);
+        SnipModel model = goldenModel(name);
+        model.freeze();
+        const FrozenTable &frozen = *model.frozen;
+        ReferenceScan ref(frozen);
+        ref.addAll(frozen);
+        OverlayTable overlay(frozen);
+        ReferenceScan ref_overlay(frozen);
+        MemoTable memo(frozen.schema());
+        for (int t = 0; t < events::kNumEventTypes; ++t) {
+            auto type = static_cast<events::EventType>(t);
+            if (frozen.deployed(type))
+                memo.setSelected(type, frozen.selectedVector(type));
+        }
+
+        auto game = games::makeGame(name);
+        const auto &mix = game->params().mix;
+        util::Rng rng(0xf00d);
+        events::EventObject ev;
+        games::HandlerExecution ex;
+        LookupScratch scratch;
+        RecordKey key;
+        uint64_t hits = 0, overlay_hits = 0, clears = 0;
+        for (int i = 0; i < 10000; ++i) {
+            game->makeEvent(mix[rng.uniformInt(0, mix.size() - 1)].type,
+                            0.01 * i, rng, ev);
+            ASSERT_TRUE(sameLookup(frozen, ref, ev, *game, scratch))
+                << "event " << i;
+            ASSERT_TRUE(sameOverlayLookup(frozen, overlay, ref_overlay,
+                                          ev, *game, scratch))
+                << "event " << i;
+            hits += ref.lookup(ev, *game).hit;
+            overlay_hits += ref_overlay.lookup(ev, *game).hit;
+            game->process(ev, ex);
+            game->applyOutputs(ex.outputs);
+            if (rng.next() % 2 == 0 && frozen.project(ex, key)) {
+                ASSERT_EQ(overlay.insert(key, ex.outputs),
+                          ref_overlay.add(ex, true))
+                    << "event " << i;
+                memo.insert(ex);
+            }
+            if (i % 2500 == 2499) {  // the watchdog's clear
+                overlay.clear();
+                ref_overlay.clear();
+                memo.clear();
+                ++clears;
+            }
+            ASSERT_EQ(overlay.entryCount(), memo.entryCount());
+            ASSERT_EQ(overlay.totalBytes(), memo.totalBytes());
+        }
+        EXPECT_GT(hits, 0u);
+        EXPECT_GT(overlay_hits, 0u);
+        EXPECT_EQ(clears, 4u);
+    }
+
+    // Crafted: one colorphun Touch bucket (two event-side key fields)
+    // whose entries store different subsets of two history fields.
+    auto game = games::makeGame("colorphun");
+    const events::FieldSchema &schema = game->schema();
+    util::Rng rng(5);
+    events::EventObject touch =
+        game->makeEvent(events::EventType::Touch, 0.0, rng);
+    ASSERT_GE(touch.fields.size(), 2u);
+    const events::FieldId e1 = touch.fields[0].id;
+    const events::FieldId e2 = touch.fields[1].id;
+    const events::FieldId mode = schema.find("h.mode");
+    const events::FieldId streak = schema.find("h.streak");
+    const events::FieldId out = schema.find("o.mode");
+    ASSERT_NE(mode, events::kInvalidField);
+    ASSERT_NE(streak, events::kInvalidField);
+    MemoTable crafted(schema);
+    crafted.setSelected(events::EventType::Touch, {e1, e2, mode, streak});
+    auto record = [&](std::vector<events::FieldValue> inputs,
+                      uint64_t output) {
+        games::HandlerExecution rec;
+        rec.type = events::EventType::Touch;
+        rec.inputs = std::move(inputs);
+        rec.outputs = {{out, output}};
+        crafted.insert(rec);
+    };
+    record({{e1, 7}, {e2, 9}, {mode, 1}, {streak, 1}}, 10);  // pos 0
+    record({{e1, 7}, {e2, 9}, {mode, 1}}, 11);               // pos 1
+    record({{e1, 7}, {e2, 9}, {mode, 2}, {streak, 2}}, 12);  // pos 2
+    record({{e1, 7}, {e2, 9}}, 13);                          // pos 3
+    record({{e1, 7}, {e2, 9}, {mode, 4}, {streak, 4}}, 14);  // pos 4
+    record({{e1, 7}, {mode, 1}}, 15);  // e2 absent: its own bucket
+    ASSERT_EQ(crafted.entryCount(), 6u);
+
+    events::EventObject both, e1_only;
+    both.type = e1_only.type = events::EventType::Touch;
+    both.fields = {{e1, 7}, {e2, 9}};
+    e1_only.fields = {{e1, 7}};
+    auto setState = [&](uint64_t m, uint64_t s) {
+        game->state().apply(out, m);
+        game->state().apply(schema.find("o.streak"), s);
+    };
+    // (mode, streak) -> candidates the scan walks to its match; at
+    // (4, 4) the shape-less entry at pos 3 precedes the full match.
+    const std::vector<std::array<uint64_t, 2>> cases = {
+        {1, 1}, {1, 5}, {2, 2}, {3, 3}, {4, 4}};
+    auto checkCrafted = [&](const FrozenTable &table,
+                            const std::vector<uint32_t> &want) {
+        ReferenceScan cref(table);
+        cref.addAll(table);
+        LookupScratch scratch;
+        for (size_t c = 0; c < cases.size(); ++c) {
+            setState(cases[c][0], cases[c][1]);
+            ASSERT_TRUE(sameLookup(table, cref, both, *game, scratch))
+                << "case " << c;
+            FrozenLookup f = table.lookup(both, *game, scratch);
+            EXPECT_TRUE(f.hit) << "case " << c;
+            EXPECT_EQ(f.candidates, want[c]) << "case " << c;
+            ASSERT_TRUE(sameLookup(table, cref, e1_only, *game, scratch))
+                << "case " << c;
+            EXPECT_EQ(table.lookup(e1_only, *game, scratch).hit,
+                      cases[c][0] == 1)
+                << "case " << c;
+        }
+    };
+    auto frozen = crafted.freeze();
+    checkCrafted(*frozen, {1, 2, 3, 4, 4});
+
+    // Same-key duplicates in one bucket: overwrite pos 2's key with
+    // pos 0's (same shape). The earliest wins, and (2, 2) now falls
+    // through to the shape-less entry at pos 3.
+    std::vector<uint64_t> words((frozen->arenaSize() + 7) / 8);
+    std::memcpy(words.data(), frozen->arenaData(), frozen->arenaSize());
+    auto *raw = reinterpret_cast<uint8_t *>(words.data());
+    auto rd32 = [&](size_t off) {
+        uint32_t v;
+        std::memcpy(&v, raw + off, 4);
+        return v;
+    };
+    // One deployed type: its directory record follows the 32-byte
+    // header; +8 index capacity, +40 index, +44 key CSR, +56 values.
+    const size_t rec = 32;
+    uint32_t begin = UINT32_MAX;
+    for (uint32_t s = 0; s < rd32(rec + 8); ++s) {
+        size_t slot = rd32(rec + 40) + s * 16;
+        if (rd32(slot + 12) == 5)
+            begin = rd32(slot + 8);
+    }
+    ASSERT_NE(begin, UINT32_MAX);
+    const size_t key_off = rd32(rec + 44), key_values = rd32(rec + 56);
+    const uint32_t k0 = rd32(key_off + 4 * begin);
+    const uint32_t k2 = rd32(key_off + 4 * (begin + 2));
+    ASSERT_EQ(rd32(key_off + 4 * (begin + 1)) - k0, 4u);
+    ASSERT_EQ(rd32(key_off + 4 * (begin + 3)) - k2, 4u);
+    std::memcpy(raw + key_values + 8 * k2, raw + key_values + 8 * k0, 32);
+    auto dup = FrozenTable::attach(raw, frozen->arenaSize(), nullptr,
+                                   schema);
+    ASSERT_TRUE(dup.ok()) << dup.status().message();
+    checkCrafted(*dup.value(), {1, 2, 4, 4, 4});
 }
 
 // ------------------------------------------------------ lookup tables
@@ -757,7 +1181,8 @@ TEST(Schemes, SnipHitsAfterObserve)
     s.observe(truth);  // online fill
     Decision hit = s.decide(*game, ev, truth);
     ASSERT_TRUE(hit.shortcircuit);
-    EXPECT_EQ(hit.outputs, truth.outputs);
+    ASSERT_NE(hit.outputs, nullptr);
+    EXPECT_EQ(*hit.outputs, truth.outputs);
     EXPECT_GT(hit.lookup_bytes, 0u);
 }
 

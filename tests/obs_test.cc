@@ -268,6 +268,16 @@ TEST(SchemeTelemetry, OnlineInsertsCountOverlayGrowthOnly)
     s.observe(frozen_truth);
     EXPECT_EQ(reg.counterValue("decide.online_inserts"), 1u);
     EXPECT_EQ(s.overlayEntries(), 1u);
+
+    // The overlay's size is exported next to the frozen table's.
+    Registry tables;
+    s.recordTableStats(tables);
+    EXPECT_EQ(tables.gaugeValue("table.overlay_entries"), 1.0);
+    EXPECT_EQ(tables.gaugeValue("table.overlay_bytes"),
+              static_cast<double>(s.deployedTableBytes() -
+                                  s.frozen().totalBytes()));
+    EXPECT_GT(tables.gaugeValue("table.overlay_bytes"),
+              static_cast<double>(core::MemoTable::kEntryHeaderBytes));
 }
 
 }  // namespace

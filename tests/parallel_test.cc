@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests of the multi-session parallel harness (core::ParallelRunner)
- * and of the concurrency contracts it depends on: const MemoTable
+ * and of the concurrency contracts it depends on: const FrozenTable
  * lookups from many threads, const-Game reads, and bitwise-identical
  * session results regardless of worker count.
  *
- * ConcurrentLookupsOnSharedConstTable and the ShrinkParallelTest
+ * The ConcurrentLookupsOnSharedConst* tests and the ShrinkParallelTest
  * suite are the TSan smoke targets (tools/ci.sh runs this binary
  * under -fsanitize=thread).
  */
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/frozen_table.h"
-#include "core/memo_table.h"
 #include "core/model_codec.h"
 #include "core/parallel_runner.h"
 #include "core/scheme.h"
@@ -430,136 +429,107 @@ TEST(ParallelRunnerTest, FreshCloneEquivalentToReset)
     EXPECT_EQ(again.report.total(), clone.report.total());
 }
 
-/**
- * The shared-read contract the whole design rests on: many threads
- * doing lookups against ONE const MemoTable + ONE const Game must
- * race-free (this is the TSan smoke target) and must each see the
- * same results a serial reader sees.
- */
-TEST(ParallelRunnerTest, ConcurrentLookupsOnSharedConstTable)
+/** A colorphun model built the way the runtime builds one, and the
+ *  recorded session it came from. */
+SnipModel
+colorphunModel(SessionResult *session)
 {
-    // Build a deployed model the way the runtime does.
     auto game = games::makeGame("colorphun");
     BaselineScheme baseline;
     SimulationConfig cfg;
     cfg.duration_s = 30.0;
     cfg.record_events = true;
-    SessionResult res = runSession(*game, baseline, cfg);
+    *session = runSession(*game, baseline, cfg);
     auto replica = games::makeGame("colorphun");
     trace::Profile profile =
-        trace::Replayer::replay(res.trace, *replica);
-    SnipConfig scfg;
-    SnipModel model = buildSnipModel(profile, *game, scfg);
-    ASSERT_GT(model.table->entryCount(), 0u);
-
-    game->reset();
-    const MemoTable &table = *model.table;      // shared, const
-    const games::Game &cgame = *game;           // shared, const
-    const auto &events = res.trace.events;
-    ASSERT_FALSE(events.empty());
-
-    // Serial reference pass.
-    uint64_t ref_hits = 0, ref_candidates = 0;
-    {
-        LookupScratch scratch;
-        for (const auto &ev : events) {
-            MemoLookup r = table.lookup(ev, cgame, scratch);
-            ref_hits += r.hit;
-            ref_candidates += r.candidates;
-        }
-    }
-
-    constexpr unsigned kThreads = 8;
-    constexpr int kRounds = 4;
-    std::vector<uint64_t> hits(kThreads, 0);
-    std::vector<uint64_t> candidates(kThreads, 0);
-    std::vector<std::thread> pool;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        pool.emplace_back([&, t] {
-            LookupScratch scratch;  // per-caller, reused
-            for (int round = 0; round < kRounds; ++round) {
-                for (const auto &ev : events) {
-                    MemoLookup r = table.lookup(ev, cgame, scratch);
-                    hits[t] += r.hit;
-                    candidates[t] += r.candidates;
-                }
-            }
-        });
-    }
-    for (auto &th : pool)
-        th.join();
-
-    for (unsigned t = 0; t < kThreads; ++t) {
-        EXPECT_EQ(hits[t], ref_hits * kRounds) << "thread " << t;
-        EXPECT_EQ(candidates[t], ref_candidates * kRounds)
-            << "thread " << t;
-    }
-    EXPECT_GT(ref_hits, 0u);
+        trace::Replayer::replay(session->trace, *replica);
+    return buildSnipModel(profile, *game, SnipConfig{});
 }
 
-TEST(ParallelRunnerTest, ConcurrentLookupsOnSharedConstFrozenTable)
+/**
+ * The shared-read contract the whole design rests on: many threads
+ * probing ONE const FrozenTable (its arena and its off-wire full-key
+ * index) + ONE const Game, each with its own scratch, must be
+ * race-free (tools/ci.sh runs this under -fsanitize=thread) and must
+ * each see exactly what a serial reader sees.
+ */
+void
+expectConcurrentLookupsMatchSerial(const FrozenTable &table,
+                                   const games::Game &game,
+                                   const std::vector<events::EventObject>
+                                       &events)
 {
-    // Same contract as the mutable-table test above, for the
-    // deployed layout: one shared const FrozenTable, 8 threads,
-    // per-caller scratch, results identical to a serial pass. The
-    // frozen view is immutable by construction, so TSan has nothing
-    // to flag (tools/ci.sh runs this under -fsanitize=thread).
-    auto game = games::makeGame("colorphun");
-    BaselineScheme baseline;
-    SimulationConfig cfg;
-    cfg.duration_s = 30.0;
-    cfg.record_events = true;
-    SessionResult res = runSession(*game, baseline, cfg);
-    auto replica = games::makeGame("colorphun");
-    trace::Profile profile =
-        trace::Replayer::replay(res.trace, *replica);
-    SnipConfig scfg;
-    SnipModel model = buildSnipModel(profile, *game, scfg);
-    ASSERT_GT(model.table->entryCount(), 0u);
-
-    game->reset();
-    std::shared_ptr<const FrozenTable> frozen =
-        model.table->freeze();
-    const FrozenTable &table = *frozen;         // shared, const
-    const games::Game &cgame = *game;           // shared, const
-    const auto &events = res.trace.events;
     ASSERT_FALSE(events.empty());
-
-    uint64_t ref_hits = 0, ref_bytes = 0;
+    struct Totals {
+        uint64_t hits = 0, candidates = 0, bytes = 0, ordinals = 0;
+        void add(const FrozenLookup &r)
+        {
+            hits += r.hit;
+            candidates += r.candidates;
+            bytes += r.bytes_scanned;
+            ordinals += r.hit ? r.entry_ordinal : 0;
+        }
+    };
+    Totals ref;
     {
         LookupScratch scratch;
-        for (const auto &ev : events) {
-            FrozenLookup r = table.lookup(ev, cgame, scratch);
-            ref_hits += r.hit;
-            ref_bytes += r.bytes_scanned;
-        }
+        for (const auto &ev : events)
+            ref.add(table.lookup(ev, game, scratch));
     }
 
     constexpr unsigned kThreads = 8;
     constexpr int kRounds = 4;
-    std::vector<uint64_t> hits(kThreads, 0);
-    std::vector<uint64_t> bytes(kThreads, 0);
+    std::vector<Totals> totals(kThreads);
     std::vector<std::thread> pool;
     for (unsigned t = 0; t < kThreads; ++t) {
         pool.emplace_back([&, t] {
             LookupScratch scratch;  // per-caller, reused
-            for (int round = 0; round < kRounds; ++round) {
-                for (const auto &ev : events) {
-                    FrozenLookup r = table.lookup(ev, cgame, scratch);
-                    hits[t] += r.hit;
-                    bytes[t] += r.bytes_scanned;
-                }
-            }
+            for (int round = 0; round < kRounds; ++round)
+                for (const auto &ev : events)
+                    totals[t].add(table.lookup(ev, game, scratch));
         });
     }
     for (auto &th : pool)
         th.join();
 
     for (unsigned t = 0; t < kThreads; ++t) {
-        EXPECT_EQ(hits[t], ref_hits * kRounds) << "thread " << t;
-        EXPECT_EQ(bytes[t], ref_bytes * kRounds) << "thread " << t;
+        EXPECT_EQ(totals[t].hits, ref.hits * kRounds) << "thread " << t;
+        EXPECT_EQ(totals[t].candidates, ref.candidates * kRounds)
+            << "thread " << t;
+        EXPECT_EQ(totals[t].bytes, ref.bytes * kRounds) << "thread " << t;
+        EXPECT_EQ(totals[t].ordinals, ref.ordinals * kRounds)
+            << "thread " << t;
     }
-    EXPECT_GT(ref_hits, 0u);
+    EXPECT_GT(ref.hits, 0u);
+}
+
+// The device path: a zero-copy view attached by deployModel() over a
+// package, its full-key index derived at attach.
+TEST(ParallelRunnerTest, ConcurrentLookupsOnSharedConstTable)
+{
+    SessionResult res;
+    SnipModel built = colorphunModel(&res);
+    auto pkg = std::make_shared<util::ByteBuffer>();
+    packModel(built, *pkg);
+    util::Result<SnipModel> deployed = deployModel(pkg);
+    ASSERT_TRUE(deployed.ok()) << deployed.status().message();
+    ASSERT_TRUE(deployed.value().frozen->zeroCopy());
+
+    auto game = games::makeGame("colorphun");
+    expectConcurrentLookupsMatchSerial(*deployed.value().frozen, *game,
+                                       res.trace.events);
+}
+
+// The build-side path: a self-owning arena from freeze().
+TEST(ParallelRunnerTest, ConcurrentLookupsOnSharedConstFrozenTable)
+{
+    SessionResult res;
+    SnipModel model = colorphunModel(&res);
+    ASSERT_GT(model.table->entryCount(), 0u);
+    std::shared_ptr<const FrozenTable> frozen = model.table->freeze();
+
+    auto game = games::makeGame("colorphun");
+    expectConcurrentLookupsMatchSerial(*frozen, *game, res.trace.events);
 }
 
 // -------------------------------------------- Shrink-phase parallelism

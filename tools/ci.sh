@@ -20,7 +20,8 @@
 #  - asan/ubsan build + ctest, then fleet_sim --quick under asan (its
 #    counting allocator replaces every operator new/delete form);
 #  - tsan smokes of the shared-const concurrency contracts: concurrent
-#    lookups on one const table (mutable and frozen), parallel sessions
+#    lookups through the full-key index of one const FrozenTable (a
+#    deployed zero-copy view and a freeze()d arena), parallel sessions
 #    vs serial, parallel PFI on one const TablePredictor, EmpiricalCdf
 #    reads, micro_train itself and the parallel-decode fleet
 #    aggregation;
@@ -29,7 +30,9 @@
 #    epochs;
 #  - corruption fuzz under asan: the OTA model codec, the frozen SNPF
 #    arena, SNCT training files, and SNPD patches must
-#    reject corrupt bytes cleanly (no crash, no sanitizer report);
+#    reject corrupt bytes cleanly (no crash, no sanitizer report), and
+#    the indexed probe must match the reference scan on crafted
+#    arenas;
 #  - the loop benchmark's own self-test.
 #
 # Every --gtest_filter stage goes through run_filtered, which also
@@ -261,7 +264,7 @@ SNIP_FUZZ_ITERS=512 run_filtered \
     --gtest_filter='ModelCodec*Fuzz*'
 SNIP_FUZZ_ITERS=512 run_filtered \
     ./build-asan/tests/core_test \
-    --gtest_filter='*FrozenArenaCorruptionFuzz*'
+    --gtest_filter='*FrozenArenaCorruptionFuzz*:FrozenTableTest.IndexedProbeMatchesReferenceScan'
 run_filtered ./build-asan/tests/trace_test \
     --gtest_filter='ColumnarLogTest.MmapCorruptionRejectedCleanly:ColumnarLogTest.CorruptionRejectedOrSafe:ColumnarLogTest.OtherVersionsRejected'
 SNIP_FUZZ_ITERS=256 run_filtered \
