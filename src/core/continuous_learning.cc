@@ -58,9 +58,6 @@ ContinuousLearner::run()
     // online-fill overlay keeps accumulating across epochs; each
     // newly shipped model replaces it.
     std::unique_ptr<SnipScheme> scheme;
-    // Incremental mode: one cache set spans every re-learn. Lives
-    // outside the loop so PFI results survive between epochs.
-    ShrinkCaches caches;
     uint64_t payload_bytes = 0;
     uint64_t rejected_packages = 0;
     for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
@@ -69,15 +66,9 @@ ContinuousLearner::run()
             scheme.reset();  // borrows model; drop before replacing
             SnipConfig sc = cfg_.snip;
             // Per-epoch seed remixing deliberately decorrelates PFI
-            // noise across epochs; incremental mode trades that for
-            // cross-epoch cache hits, which need the seed stable.
-            sc.seed = cfg_.incremental_shrink
-                          ? cfg_.snip.seed
-                          : util::mixCombine(
-                                cfg_.snip.seed,
-                                static_cast<uint64_t>(epoch));
-            if (cfg_.incremental_shrink)
-                sc.caches = &caches;
+            // noise across epochs.
+            sc.seed = util::mixCombine(cfg_.snip.seed,
+                                       static_cast<uint64_t>(epoch));
             sc.obs = cfg_.obs;
             SnipModel built = buildSnipModel(profile, game_, sc);
 

@@ -39,18 +39,6 @@ struct LearningConfig {
     size_t max_profile_records = 200000;
     /** Re-run PFI selection every this many epochs (>= 1). */
     int relearn_every = 1;
-    /**
-     * Incremental Shrink across epochs: hold the Shrink seed stable
-     * (instead of remixing it per epoch) and carry a ShrinkCaches
-     * through every re-learn, so a type whose accumulated evidence
-     * is unchanged since the last epoch replays its cached selection
-     * (counter shrink.types_cached) and an unchanged PFI refresh is
-     * served from cache (shrink.pfi.cols_cached) instead of
-     * re-scored (shrink.pfi.cols_rescored). Turns a quiet epoch from
-     * O(full retrain) into O(changed columns) without changing any
-     * individual epoch's produced model for the seed it ran with.
-     */
-    bool incremental_shrink = false;
     /** Withhold short-circuiting until tested error <= gate AND
      *  enough profile evidence has accumulated. */
     bool confidence_gate = false;

@@ -55,40 +55,6 @@ align8(size_t off)
     return (off + 7) & ~size_t{7};
 }
 
-/** The event subkey, folded over the selected event fields in
- *  ascending order. Must match MemoTable::eventSubkey bit for bit:
- *  same seed, and an explicit presence bit, never a sentinel value. */
-constexpr uint64_t kSubkeySeed = 0xe4e27000ULL;
-
-uint64_t
-subkeyStep(uint64_t h, events::FieldId fid, bool present, uint64_t v)
-{
-    return util::mixCombine(
-        h, util::mixCombine(fid, util::mixCombine(present ? 1 : 0,
-                                                  present ? v : 0)));
-}
-
-/** One type's gathered build-side data, pre-layout. */
-struct TypeBuild {
-    int type = 0;
-    std::vector<events::FieldId> selected;
-    std::vector<uint8_t> is_event;
-    uint64_t selected_bytes = 0;
-    uint64_t type_bytes = 0;
-    /** Canonical-order entries grouped into buckets. */
-    std::vector<uint64_t> bucket_subkeys;
-    std::vector<uint32_t> bucket_begin;
-    std::vector<uint32_t> bucket_count;
-    std::vector<uint32_t> key_off;  // prefix, [nentries + 1]
-    std::vector<uint32_t> out_off;
-    std::vector<uint32_t> key_slots;
-    std::vector<uint64_t> key_values;
-    std::vector<events::FieldId> out_ids;
-    std::vector<uint64_t> out_values;
-    std::vector<uint32_t> entry_bytes;
-    uint32_t capacity = 0;
-};
-
 }  // namespace
 
 std::shared_ptr<const FrozenTable>
@@ -96,126 +62,117 @@ FrozenTable::freeze(const MemoTable &table)
 {
     const events::FieldSchema &schema = table.schema();
 
-    std::vector<TypeBuild> builds;
+    // Pass 1: layout, from the column sizes alone. Every u64 array
+    // lands on an 8-aligned offset (the arena base itself is always
+    // 8-aligned in memory).
+    struct TypeOffsets {
+        int type;
+        uint32_t capacity, selected, flags, index, key_off, out_off,
+            key_slots, key_values, out_ids, out_values, entry_bytes;
+    };
+    std::vector<TypeOffsets> offsets;
+    size_t ntypes = 0;
+    for (const auto &tt : table.types_)
+        ntypes += !tt.selected.empty();
+    size_t off = kHeaderBytes + ntypes * kTypeRecBytes;
     for (int t = 0; t < events::kNumEventTypes; ++t) {
-        events::EventType type = static_cast<events::EventType>(t);
-        const auto &selected = table.selected(type);
-        if (selected.empty())
+        const MemoTable::TypeTable &tt = table.types_[t];
+        if (tt.selected.empty())
             continue;
-        TypeBuild b;
-        b.type = t;
-        b.selected = selected;
-        b.selected_bytes = table.selectedBytes(type);
-        for (events::FieldId fid : selected) {
-            const auto &d = schema.def(fid);
-            b.is_event.push_back(
-                d.side == events::FieldSide::Input &&
-                d.in_cat == events::InputCategory::Event);
-        }
-        b.key_off.push_back(0);
-        b.out_off.push_back(0);
-        uint64_t prev_subkey = 0;
-        uint32_t nentries = 0;
-        table.visitEntries(type, [&](uint64_t subkey,
-                                     const MemoEntry &e) {
-            if (b.bucket_subkeys.empty() || subkey != prev_subkey) {
-                b.bucket_subkeys.push_back(subkey);
-                b.bucket_begin.push_back(nentries);
-                b.bucket_count.push_back(0);
-                prev_subkey = subkey;
-            }
-            ++b.bucket_count.back();
-            for (size_t k = 0; k < e.key_fields.size(); ++k) {
-                b.key_slots.push_back(e.key_slots[k]);
-                b.key_values.push_back(e.key_fields[k].value);
-            }
-            for (const auto &fv : e.outputs) {
-                b.out_ids.push_back(fv.id);
-                b.out_values.push_back(fv.value);
-            }
-            b.key_off.push_back(
-                static_cast<uint32_t>(b.key_slots.size()));
-            b.out_off.push_back(
-                static_cast<uint32_t>(b.out_ids.size()));
-            b.entry_bytes.push_back(e.entry_bytes);
-            b.type_bytes +=
-                e.entry_bytes + MemoTable::kEntryHeaderBytes;
-            ++nentries;
-        });
+        TypeOffsets o;
+        o.type = t;
         // Load factor <= 0.5: capacity = smallest power of two >=
         // max(4, 2 x buckets). Deterministic, so the arena is a pure
         // function of the canonical entry order.
-        b.capacity = 4;
-        while (b.capacity <
-               2 * static_cast<uint32_t>(b.bucket_subkeys.size()))
-            b.capacity <<= 1;
-        builds.push_back(std::move(b));
-    }
-
-    // Pass 1: layout. Every u64 array lands on an 8-aligned offset
-    // (the arena base itself is always 8-aligned in memory).
-    size_t off = kHeaderBytes + builds.size() * kTypeRecBytes;
-    struct TypeOffsets {
-        uint32_t selected, flags, index, key_off, out_off, key_slots,
-            key_values, out_ids, out_values, entry_bytes;
-    };
-    std::vector<TypeOffsets> offsets(builds.size());
-    for (size_t i = 0; i < builds.size(); ++i) {
-        const TypeBuild &b = builds[i];
-        TypeOffsets &o = offsets[i];
-        size_t nsel = b.selected.size();
-        size_t ne = b.entry_bytes.size();
+        o.capacity = 4;
+        while (o.capacity < 2 * static_cast<uint32_t>(tt.buckets.size()))
+            o.capacity <<= 1;
+        size_t nsel = tt.selected.size();
+        size_t ne = tt.index.size();
         o.selected = static_cast<uint32_t>(off);
         off += nsel * 4;
         o.flags = static_cast<uint32_t>(off);
         off = align8(off + nsel);
         o.index = static_cast<uint32_t>(off);
-        off += static_cast<size_t>(b.capacity) * kSlotBytes;
+        off += static_cast<size_t>(o.capacity) * kSlotBytes;
         o.key_off = static_cast<uint32_t>(off);
         off += (ne + 1) * 4;
         o.out_off = static_cast<uint32_t>(off);
         off = align8(off + (ne + 1) * 4);
         o.key_values = static_cast<uint32_t>(off);
-        off += b.key_values.size() * 8;
+        off += tt.key_values.size() * 8;
         o.out_values = static_cast<uint32_t>(off);
-        off += b.out_values.size() * 8;
+        off += tt.out_values.size() * 8;
         o.key_slots = static_cast<uint32_t>(off);
-        off += b.key_slots.size() * 4;
+        off += tt.key_values.size() * 4;
         o.out_ids = static_cast<uint32_t>(off);
-        off += b.out_ids.size() * 4;
+        off += tt.out_ids.size() * 4;
         o.entry_bytes = static_cast<uint32_t>(off);
         off = align8(off + ne * 4);
+        offsets.push_back(o);
     }
     size_t total_size = off;
 
-    // Pass 2: fill. u64-backed storage keeps the base 8-aligned.
+    // Pass 2: fill, a stable group-by copy of each type's columns in
+    // canonical order. u64-backed storage keeps the base 8-aligned.
     auto ft = std::shared_ptr<FrozenTable>(new FrozenTable());
     ft->owned_.assign((total_size + 7) / 8, 0);
     uint8_t *base = reinterpret_cast<uint8_t *>(ft->owned_.data());
-
-    uint64_t total_entries = 0, total_bytes = 0;
-    for (const TypeBuild &b : builds) {
-        total_entries += b.entry_bytes.size();
-        total_bytes += b.type_bytes;
-    }
     writeU32(base + 0, kFrozenMagic);
     writeU32(base + 4, kFrozenVersion);
     writeU32(base + 8, static_cast<uint32_t>(total_size));
-    writeU32(base + 12, static_cast<uint32_t>(builds.size()));
-    writeU64(base + 16, total_entries);
-    writeU64(base + 24, total_bytes);
+    writeU32(base + 12, static_cast<uint32_t>(ntypes));
+    writeU64(base + 16, table.entryCount());
+    writeU64(base + 24, table.totalBytes());
 
-    for (size_t i = 0; i < builds.size(); ++i) {
-        const TypeBuild &b = builds[i];
+    for (size_t i = 0; i < offsets.size(); ++i) {
         const TypeOffsets &o = offsets[i];
+        const MemoTable::TypeTable &tt = table.types_[o.type];
+        for (size_t k = 0; k < tt.selected.size(); ++k) {
+            writeU32(base + o.selected + k * 4, tt.selected[k]);
+            base[o.flags + k] = tt.is_event[k];
+        }
+        // Entries in canonical order; buckets are runs of equal
+        // subkeys, placed in ascending-subkey order with linear
+        // probing: a deterministic function of the bucket set.
+        const uint32_t mask = o.capacity - 1;
+        uint8_t *slot = nullptr;
+        uint32_t e = 0, nkeys = 0, nouts = 0;
+        uint64_t type_bytes = 0;
+        table.visitEntries(
+            static_cast<events::EventType>(o.type), [&](const EntryView &v) {
+                if (e == 0 || readU64(slot) != v.subkey) {
+                    uint32_t s = static_cast<uint32_t>(v.subkey) & mask;
+                    while (readU32(base + o.index + s * kSlotBytes + 12))
+                        s = (s + 1) & mask;
+                    slot = base + o.index + s * kSlotBytes;
+                    writeU64(slot, v.subkey);
+                    writeU32(slot + 8, e);
+                }
+                writeU32(slot + 12, readU32(slot + 12) + 1);
+                for (size_t k = 0; k < v.slots.size(); ++k, ++nkeys) {
+                    writeU32(base + o.key_slots + nkeys * 4, v.slots[k]);
+                    writeU64(base + o.key_values + nkeys * 8, v.values[k]);
+                }
+                for (size_t k = 0; k < v.out_ids.size(); ++k, ++nouts) {
+                    writeU32(base + o.out_ids + nouts * 4, v.out_ids[k]);
+                    writeU64(base + o.out_values + nouts * 8,
+                             v.out_values[k]);
+                }
+                writeU32(base + o.entry_bytes + e * 4, v.bytes);
+                type_bytes += v.bytes + MemoTable::kEntryHeaderBytes;
+                ++e;
+                writeU32(base + o.key_off + e * 4, nkeys);
+                writeU32(base + o.out_off + e * 4, nouts);
+            });
+
         uint8_t *rec = base + kHeaderBytes + i * kTypeRecBytes;
-        writeU32(rec + 0, static_cast<uint32_t>(b.type));
-        writeU32(rec + 4, static_cast<uint32_t>(b.selected.size()));
-        writeU32(rec + 8, b.capacity);
-        writeU32(rec + 12,
-                 static_cast<uint32_t>(b.entry_bytes.size()));
-        writeU64(rec + 16, b.selected_bytes);
-        writeU64(rec + 24, b.type_bytes);
+        writeU32(rec + 0, static_cast<uint32_t>(o.type));
+        writeU32(rec + 4, static_cast<uint32_t>(tt.selected.size()));
+        writeU32(rec + 8, o.capacity);
+        writeU32(rec + 12, e);
+        writeU64(rec + 16, tt.selected_bytes);
+        writeU64(rec + 24, type_bytes);
         writeU32(rec + 32, o.selected);
         writeU32(rec + 36, o.flags);
         writeU32(rec + 40, o.index);
@@ -226,38 +183,6 @@ FrozenTable::freeze(const MemoTable &table)
         writeU32(rec + 60, o.out_ids);
         writeU32(rec + 64, o.out_values);
         writeU32(rec + 68, o.entry_bytes);
-
-        for (size_t k = 0; k < b.selected.size(); ++k) {
-            writeU32(base + o.selected + k * 4, b.selected[k]);
-            base[o.flags + k] = b.is_event[k];
-        }
-        // Buckets placed in ascending-subkey order with linear
-        // probing: a deterministic function of the bucket set.
-        uint32_t mask = b.capacity - 1;
-        for (size_t bk = 0; bk < b.bucket_subkeys.size(); ++bk) {
-            uint32_t slot =
-                static_cast<uint32_t>(b.bucket_subkeys[bk]) & mask;
-            while (readU32(base + o.index + slot * kSlotBytes + 12))
-                slot = (slot + 1) & mask;
-            uint8_t *s = base + o.index + slot * kSlotBytes;
-            writeU64(s, b.bucket_subkeys[bk]);
-            writeU32(s + 8, b.bucket_begin[bk]);
-            writeU32(s + 12, b.bucket_count[bk]);
-        }
-        for (size_t k = 0; k < b.key_off.size(); ++k)
-            writeU32(base + o.key_off + k * 4, b.key_off[k]);
-        for (size_t k = 0; k < b.out_off.size(); ++k)
-            writeU32(base + o.out_off + k * 4, b.out_off[k]);
-        for (size_t k = 0; k < b.key_slots.size(); ++k)
-            writeU32(base + o.key_slots + k * 4, b.key_slots[k]);
-        for (size_t k = 0; k < b.key_values.size(); ++k)
-            writeU64(base + o.key_values + k * 8, b.key_values[k]);
-        for (size_t k = 0; k < b.out_ids.size(); ++k)
-            writeU32(base + o.out_ids + k * 4, b.out_ids[k]);
-        for (size_t k = 0; k < b.out_values.size(); ++k)
-            writeU64(base + o.out_values + k * 8, b.out_values[k]);
-        for (size_t k = 0; k < b.entry_bytes.size(); ++k)
-            writeU32(base + o.entry_bytes + k * 4, b.entry_bytes[k]);
     }
 
     ft->data_ = base;
@@ -659,55 +584,6 @@ FrozenTable::lookup(const events::EventObject &ev,
         res.out_values = tv.out_values + e.out_begin;
     }
     return res;
-}
-
-bool
-FrozenTable::project(const games::HandlerExecution &rec,
-                     RecordKey &key) const
-{
-    const TypeView &tv = types_[static_cast<int>(rec.type)];
-    if (tv.nselected == 0)
-        return false;
-
-    // The two-pointer projection needs inputs sorted by id; records
-    // from non-canonical producers are sorted into the key's scratch
-    // (an unsorted record must not silently drop key fields).
-    const std::vector<events::FieldValue> *inputs = &rec.inputs;
-    if (!std::is_sorted(rec.inputs.begin(), rec.inputs.end(),
-                        [](const events::FieldValue &a,
-                           const events::FieldValue &b) {
-                            return a.id < b.id;
-                        })) {
-        key.sorted = rec.inputs;
-        events::canonicalize(key.sorted);
-        inputs = &key.sorted;
-    }
-
-    key.type = rec.type;
-    key.slots.clear();
-    key.values.clear();
-    size_t si = 0;
-    for (const auto &fv : *inputs) {
-        while (si < tv.nselected && tv.selected[si] < fv.id)
-            ++si;
-        if (si < tv.nselected && tv.selected[si] == fv.id) {
-            key.slots.push_back(static_cast<uint32_t>(si));
-            key.values.push_back(fv.value);
-        }
-    }
-    // The subkey over the projection: a selected event field is
-    // present in the inputs exactly when its slot is in the key.
-    key.subkey = kSubkeySeed;
-    for (uint32_t i = 0, k = 0; i < tv.nselected; ++i) {
-        while (k < key.size() && key.slots[k] < i)
-            ++k;
-        if (!tv.is_event[i])
-            continue;
-        bool present = k < key.size() && key.slots[k] == i;
-        key.subkey = subkeyStep(key.subkey, tv.selected[i], present,
-                                present ? key.values[k] : 0);
-    }
-    return true;
 }
 
 bool

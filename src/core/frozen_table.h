@@ -63,24 +63,6 @@ struct FrozenLookup {
 };
 
 /**
- * A handler execution's key projected onto its type's selected
- * fields: what an entry built from it stores. Caller-owned and reused,
- * so projecting allocates nothing once it has held the widest key.
- */
-struct RecordKey {
-    events::EventType type = events::EventType::Touch;
-    /** Event-subkey bucket the entry belongs in. */
-    uint64_t subkey = 0;
-    /** Stored slots (ascending) and their values. */
-    std::vector<uint32_t> slots;
-    std::vector<uint64_t> values;
-    /** Sorted copy of non-canonical record inputs. */
-    std::vector<events::FieldValue> sorted;
-
-    uint32_t size() const { return static_cast<uint32_t>(slots.size()); }
-};
-
-/**
  * Immutable deployed lookup table over a frozen arena.
  *
  * Thread safety: every method is const and touches only immutable
@@ -155,21 +137,15 @@ class FrozenTable
     void outputs(events::EventType type, uint32_t entry,
                  std::vector<events::FieldValue> &out) const;
 
-    /**
-     * Project @p rec's inputs onto its type's selected fields, as
-     * MemoTable::insert does. False when the type is undeployed.
-     */
-    bool project(const games::HandlerExecution &rec,
-                 RecordKey &key) const;
-    /** Whether an entry with exactly @p key is memoized (MemoTable's
-     *  duplicate check). */
+    /** Whether an entry with exactly @p key (projected by a
+     *  MemoTable with this table's selections) is memoized. */
     bool contains(const RecordKey &key) const;
 
     /**
      * Visit every entry as a HandlerExecution (inputs = key fields,
      * canonical id order) in global ordinal order. Re-inserting the
-     * records into a MemoTable with the same selections rebuilds
-     * the exact source table (unpackModel's server-side path).
+     * records into MemoTable(*this) rebuilds the exact source table
+     * (unpackModel's server-side path).
      */
     void visitRecords(
         const std::function<void(const games::HandlerExecution &)>

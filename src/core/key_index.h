@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace snip {
@@ -129,7 +130,7 @@ class TagTable
  * (event subkey, shape, key values): a bucket is all entries under one
  * subkey. The index does not own the key values: every call takes the
  * type's flat key value column, which lives in the frozen arena or in
- * the overlay's own array.
+ * a MemoTable's own array.
  *
  * Thread safety: the const methods touch only immutable state.
  */
@@ -186,6 +187,14 @@ class KeyIndex
     BucketMatch charge(uint32_t hit, const Bucket &b) const;
 
     const Entry &entry(uint32_t e) const { return entries_[e]; }
+
+    /** Entry @p e's key slots (its shape), ascending. */
+    std::span<const uint32_t> slots(uint32_t e) const
+    {
+        const uint32_t s = entries_[e].shape;
+        return {shape_slots_.data() + shape_off_[s],
+                shape_off_[s + 1] - shape_off_[s]};
+    }
 
     /** Entries indexed. */
     uint32_t size() const

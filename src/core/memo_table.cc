@@ -1,18 +1,37 @@
 #include "core/memo_table.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/frozen_table.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace snip {
 namespace core {
 
+namespace {
+
+uint32_t
+subkeyTag(uint64_t subkey)
+{
+    return static_cast<uint32_t>(subkey ^ (subkey >> 32));
+}
+
+}  // namespace
+
 MemoTable::MemoTable(const events::FieldSchema &schema)
     : schema_(schema)
 {
+}
+
+MemoTable::MemoTable(const FrozenTable &frozen) : schema_(frozen.schema())
+{
+    for (int t = 0; t < events::kNumEventTypes; ++t) {
+        auto type = static_cast<events::EventType>(t);
+        if (frozen.deployed(type))
+            setSelected(type, frozen.selectedVector(type));
+    }
 }
 
 void
@@ -20,19 +39,19 @@ MemoTable::setSelected(events::EventType type,
                        std::vector<events::FieldId> selected)
 {
     TypeTable &tt = types_[static_cast<int>(type)];
-    if (tt.entries)
+    if (tt.index.size())
         util::fatal("MemoTable::setSelected(%s) after inserts; clear() "
                     "first", events::eventTypeName(type));
+    // A fresh type: the old selection's key shapes must not survive.
+    tt = TypeTable{};
     std::sort(selected.begin(), selected.end());
     tt.selected = std::move(selected);
-    tt.selected_event.clear();
-    tt.selected_bytes = 0;
     for (events::FieldId fid : tt.selected) {
         const auto &d = schema_.def(fid);
         tt.selected_bytes += d.size_bytes;
-        if (d.side == events::FieldSide::Input &&
-            d.in_cat == events::InputCategory::Event)
-            tt.selected_event.push_back(fid);
+        tt.slot_bytes.push_back(d.size_bytes);
+        tt.is_event.push_back(d.side == events::FieldSide::Input &&
+                              d.in_cat == events::InputCategory::Event);
     }
 }
 
@@ -48,80 +67,140 @@ MemoTable::selectedBytes(events::EventType type) const
     return types_[static_cast<int>(type)].selected_bytes;
 }
 
-uint64_t
-MemoTable::eventSubkey(
-    const TypeTable &tt,
-    const std::vector<events::FieldValue> &fields) const
+bool
+MemoTable::project(const games::HandlerExecution &rec,
+                   RecordKey &key) const
 {
-    uint64_t h = 0xe4e27000ULL;
-    for (events::FieldId fid : tt.selected_event) {
-        const events::FieldValue *fv = events::findField(fields, fid);
-        // Mix an explicit presence bit instead of a sentinel value:
-        // a missing field must never hash like any real value
-        // (UINT64_MAX is legitimate field content).
-        uint64_t present = fv ? 1 : 0;
-        uint64_t v = fv ? fv->value : 0;
-        h = util::mixCombine(
-            h, util::mixCombine(fid, util::mixCombine(present, v)));
-    }
-    return h;
-}
+    const TypeTable &tt = types_[static_cast<int>(rec.type)];
+    const uint32_t nsel = static_cast<uint32_t>(tt.selected.size());
+    if (nsel == 0)
+        return false;
 
-void
-MemoTable::insert(const games::HandlerExecution &rec)
-{
-    TypeTable &tt = types_[static_cast<int>(rec.type)];
-    if (tt.selected.empty())
-        return;  // type not deployed
-
-    // The two-pointer projection below requires inputs sorted by id;
-    // records from non-canonical producers get a sorted local copy
+    // The two-pointer projection needs inputs sorted by id; records
+    // from non-canonical producers are sorted into the key's scratch
     // (an unsorted record must not silently drop key fields).
     const std::vector<events::FieldValue> *inputs = &rec.inputs;
-    std::vector<events::FieldValue> sorted_inputs;
     if (!std::is_sorted(rec.inputs.begin(), rec.inputs.end(),
                         [](const events::FieldValue &a,
                            const events::FieldValue &b) {
                             return a.id < b.id;
                         })) {
-        sorted_inputs = rec.inputs;
-        events::canonicalize(sorted_inputs);
-        inputs = &sorted_inputs;
+        key.sorted = rec.inputs;
+        events::canonicalize(key.sorted);
+        inputs = &key.sorted;
     }
 
-    // Project inputs onto the selected set (both sorted by id),
-    // keeping each key field's slot within the selected layout.
-    std::vector<events::FieldValue> key;
-    std::vector<uint32_t> slots;
-    size_t si = 0;
+    key.type = rec.type;
+    key.slots.clear();
+    key.values.clear();
+    uint32_t si = 0;
     for (const auto &fv : *inputs) {
-        while (si < tt.selected.size() && tt.selected[si] < fv.id)
+        while (si < nsel && tt.selected[si] < fv.id)
             ++si;
-        if (si < tt.selected.size() && tt.selected[si] == fv.id) {
-            key.push_back(fv);
-            slots.push_back(static_cast<uint32_t>(si));
+        if (si < nsel && tt.selected[si] == fv.id) {
+            key.slots.push_back(si);
+            key.values.push_back(fv.value);
         }
     }
-
-    uint64_t subkey = eventSubkey(tt, *inputs);
-    auto &bucket = tt.buckets[subkey];
-    for (const auto &e : bucket) {
-        if (e.key_fields == key)
-            return;  // already memoized (append-only semantics)
+    // The subkey over the projection: a selected event field is
+    // present in the inputs exactly when its slot is in the key.
+    key.subkey = kSubkeySeed;
+    for (uint32_t i = 0, k = 0; i < nsel; ++i) {
+        while (k < key.size() && key.slots[k] < i)
+            ++k;
+        if (!tt.is_event[i])
+            continue;
+        bool present = k < key.size() && key.slots[k] == i;
+        key.subkey = subkeyStep(key.subkey, tt.selected[i], present,
+                                present ? key.values[k] : 0);
     }
-    MemoEntry entry;
-    entry.key_fields = std::move(key);
-    entry.key_slots = std::move(slots);
-    entry.outputs = rec.outputs;
-    uint64_t bytes = 0;
-    for (const auto &fv : entry.key_fields)
+    return true;
+}
+
+uint32_t
+MemoTable::bucketId(const TypeTable &tt, uint64_t subkey)
+{
+    return tt.bucket_ids.find(subkeyTag(subkey),
+                              [&](uint32_t b, uint32_t) {
+                                  return tt.buckets[b].subkey == subkey;
+                              });
+}
+
+bool
+MemoTable::insert(const RecordKey &key,
+                  const std::vector<events::FieldValue> &outputs)
+{
+    TypeTable &tt = types_[static_cast<int>(key.type)];
+    const uint32_t id = bucketId(tt, key.subkey);
+    const bool new_bucket = id == TagTable::kNone;
+    uint64_t bytes = kEntryHeaderBytes;
+    for (uint32_t slot : key.slots)
+        bytes += tt.slot_bytes[slot];
+    for (const auto &fv : outputs)
         bytes += schema_.def(fv.id).size_bytes;
-    for (const auto &fv : entry.outputs)
-        bytes += schema_.def(fv.id).size_bytes;
-    entry.entry_bytes = static_cast<uint32_t>(bytes);
-    tt.bytes += bytes + kEntryHeaderBytes;
-    ++tt.entries;
-    bucket.push_back(std::move(entry));
+
+    const Bucket scan = new_bucket ? Bucket{} : tt.buckets[id].scan;
+    KeyIndex::Entry e;
+    e.subkey = key.subkey;
+    e.pos = scan.count;
+    e.cum_bytes = scan.bytes + bytes;
+    e.key_begin = static_cast<uint32_t>(tt.key_values.size());
+    e.out_begin = static_cast<uint32_t>(tt.out_ids.size());
+    e.nout = static_cast<uint32_t>(outputs.size());
+    if (!tt.index.append(tt.key_values.data(), e, key.slots.data(),
+                         key.values.data(), key.size(), false))
+        return false;  // already memoized (append-only semantics)
+
+    tt.key_values.insert(tt.key_values.end(), key.values.begin(),
+                         key.values.end());
+    for (const auto &fv : outputs) {
+        tt.out_ids.push_back(fv.id);
+        tt.out_values.push_back(fv.value);
+    }
+    if (new_bucket) {
+        tt.bucket_ids.insert(subkeyTag(key.subkey),
+                             static_cast<uint32_t>(tt.buckets.size()));
+        tt.buckets.push_back({key.subkey, {1, e.cum_bytes}});
+    } else {
+        tt.buckets[id].scan = {e.pos + 1, e.cum_bytes};
+    }
+    bytes_ += bytes;
+    ++entries_;
+    return true;
+}
+
+bool
+MemoTable::insert(const games::HandlerExecution &rec)
+{
+    return project(rec, key_) && insert(key_, rec.outputs);
+}
+
+BucketMatch
+MemoTable::match(events::EventType type, uint64_t subkey,
+                 const LookupScratch &in) const
+{
+    const TypeTable &tt = types_[static_cast<int>(type)];
+    // Only a miss needs the bucket (its whole scan is charged); start
+    // loading its slot so a miss does not wait for it.
+    tt.bucket_ids.prefetch(subkeyTag(subkey));
+    uint32_t hit = tt.index.match(tt.key_values.data(), subkey, in);
+    if (hit != KeyIndex::kNone)
+        return tt.index.charge(hit, {});
+    uint32_t id = bucketId(tt, subkey);
+    return tt.index.charge(
+        hit, id == TagTable::kNone ? Bucket{} : tt.buckets[id].scan);
+}
+
+void
+MemoTable::outputs(events::EventType type, uint32_t entry,
+                   std::vector<events::FieldValue> &out) const
+{
+    const TypeTable &tt = types_[static_cast<int>(type)];
+    const KeyIndex::Entry &e = tt.index.entry(entry);
+    out.resize(e.nout);
+    for (uint32_t i = 0; i < e.nout; ++i)
+        out[i] = {tt.out_ids[e.out_begin + i],
+                  tt.out_values[e.out_begin + i]};
 }
 
 std::shared_ptr<const FrozenTable>
@@ -131,59 +210,54 @@ MemoTable::freeze() const
 }
 
 void
-MemoTable::visitEntries(
-    events::EventType type,
-    const std::function<void(uint64_t, const MemoEntry &)> &fn) const
+MemoTable::visitEntries(events::EventType type,
+                        util::FunctionRef<void(const EntryView &)> fn) const
 {
     const TypeTable &tt = types_[static_cast<int>(type)];
-    std::vector<uint64_t> subkeys;
-    subkeys.reserve(tt.buckets.size());
-    for (const auto &kv : tt.buckets)
-        subkeys.push_back(kv.first);
-    std::sort(subkeys.begin(), subkeys.end());
-    for (uint64_t sk : subkeys)
-        for (const MemoEntry &e : tt.buckets.at(sk))
-            fn(sk, e);
+    // A stable group-by over the append order: an entry's id orders
+    // it within its bucket.
+    std::vector<std::pair<uint64_t, uint32_t>> order(tt.index.size());
+    for (uint32_t e = 0; e < tt.index.size(); ++e)
+        order[e] = {tt.index.entry(e).subkey, e};
+    std::sort(order.begin(), order.end());
+
+    EntryView v;
+    uint64_t prev_cum = 0;
+    for (const auto &[subkey, id] : order) {
+        const KeyIndex::Entry &e = tt.index.entry(id);
+        if (e.pos == 0)
+            prev_cum = 0;
+        v.subkey = subkey;
+        v.slots = tt.index.slots(id);
+        v.values = {tt.key_values.data() + e.key_begin, v.slots.size()};
+        v.out_ids = {tt.out_ids.data() + e.out_begin, e.nout};
+        v.out_values = {tt.out_values.data() + e.out_begin, e.nout};
+        v.bytes = static_cast<uint32_t>(e.cum_bytes - prev_cum -
+                                        kEntryHeaderBytes);
+        prev_cum = e.cum_bytes;
+        fn(v);
+    }
 }
 
 void
 MemoTable::mergeFrom(const MemoTable &other)
 {
+    games::HandlerExecution rec;
     for (int t = 0; t < events::kNumEventTypes; ++t) {
-        events::EventType type = static_cast<events::EventType>(t);
-        other.visitEntries(
-            type, [&](uint64_t, const MemoEntry &e) {
-                games::HandlerExecution rec;
-                rec.type = type;
-                rec.inputs = e.key_fields;  // already canonical order
-                rec.outputs = e.outputs;
-                insert(rec);
-            });
+        rec.type = static_cast<events::EventType>(t);
+        if (types_[t].selected.empty())
+            continue;  // nothing of this type can be inserted
+        const std::vector<events::FieldId> &sel = other.types_[t].selected;
+        other.visitEntries(rec.type, [&](const EntryView &v) {
+            rec.inputs.clear();
+            for (size_t k = 0; k < v.slots.size(); ++k)
+                rec.inputs.push_back({sel[v.slots[k]], v.values[k]});
+            rec.outputs.clear();
+            for (size_t k = 0; k < v.out_ids.size(); ++k)
+                rec.outputs.push_back({v.out_ids[k], v.out_values[k]});
+            insert(rec);
+        });
     }
-}
-
-size_t
-MemoTable::entryCount() const
-{
-    size_t n = 0;
-    for (const auto &tt : types_)
-        n += tt.entries;
-    return n;
-}
-
-size_t
-MemoTable::entryCount(events::EventType type) const
-{
-    return types_[static_cast<int>(type)].entries;
-}
-
-uint64_t
-MemoTable::totalBytes() const
-{
-    uint64_t n = 0;
-    for (const auto &tt : types_)
-        n += tt.bytes;
-    return n;
 }
 
 void
@@ -197,9 +271,8 @@ MemoTable::recordStats(obs::Registry &reg) const
         ++configured;
         selected_bytes += tt.selected_bytes;
     }
-    reg.gauge("table.entries")
-        .set(static_cast<double>(entryCount()));
-    reg.gauge("table.bytes").set(static_cast<double>(totalBytes()));
+    reg.gauge("table.entries").set(static_cast<double>(entries_));
+    reg.gauge("table.bytes").set(static_cast<double>(bytes_));
     reg.gauge("table.selected_bytes")
         .set(static_cast<double>(selected_bytes));
     reg.gauge("table.types_configured")
@@ -210,11 +283,16 @@ MemoTable::recordStats(obs::Registry &reg) const
 void
 MemoTable::clear()
 {
-    for (auto &tt : types_) {
+    for (TypeTable &tt : types_) {
+        tt.key_values.clear();
+        tt.out_ids.clear();
+        tt.out_values.clear();
+        tt.index.clear();
         tt.buckets.clear();
-        tt.entries = 0;
-        tt.bytes = 0;
+        tt.bucket_ids.clear();
     }
+    entries_ = 0;
+    bytes_ = 0;
 }
 
 }  // namespace core

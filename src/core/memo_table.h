@@ -1,26 +1,35 @@
 /**
  * @file
- * The build side of the SNIP lookup table (paper §V-B): per event
- * type it keeps the PFI-selected necessary input fields and a set of
- * entries mapping observed necessary-input values to memoized
- * outputs, bucketed by a hash of the *event-object* portion of the
- * necessary inputs (the event subkey). Runtime lookups go through the
- * frozen form (frozen_table.h), which charges the paper's scan of a
- * bucket's candidates — the Fig. 11c overhead term.
+ * The one mutable store of the SNIP lookup table (paper §V-B): per
+ * event type it keeps the PFI-selected necessary input fields and an
+ * append-only set of entries mapping observed necessary-input values
+ * to memoized outputs, bucketed by a hash of the *event-object*
+ * portion of the necessary inputs (the event subkey). Shrink pre-fills
+ * it from the profile, the federated merge unions into it, freeze()
+ * turns it into the deployed arena (frozen_table.h), and a device's
+ * online fill appends to one until the next re-learn replaces it.
+ *
+ * Entries live in flat per-type columns (key values, output ids and
+ * values) behind the full-key index every device lookup uses
+ * (key_index.h), so an insert is an exact-key probe plus an append,
+ * and a probe charges exactly the paper's scan of a bucket's
+ * candidates — the Fig. 11c overhead term.
  */
 
 #ifndef SNIP_CORE_MEMO_TABLE_H
 #define SNIP_CORE_MEMO_TABLE_H
 
 #include <array>
-#include <functional>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
+#include "core/key_index.h"
 #include "events/event.h"
 #include "events/field.h"
 #include "games/handler.h"
+#include "util/function_ref.h"
+#include "util/rng.h"
 
 namespace snip {
 
@@ -32,25 +41,63 @@ namespace core {
 
 class FrozenTable;
 
-/** One memoized entry: necessary-input values -> outputs. */
-struct MemoEntry {
-    /** Stored necessary-field values (canonical id order). Fields
-     *  the profiled execution did not read are simply not stored;
-     *  comparison only checks stored fields. */
-    std::vector<events::FieldValue> key_fields;
-    /** Slot of each key field within the type's sorted selected set
-     *  (parallel to key_fields): the frozen arena's key slots. */
-    std::vector<uint32_t> key_slots;
+/**
+ * The event subkey is folded over a type's selected event-side fields
+ * in ascending id order, from this seed. A field's presence is mixed
+ * in as an explicit bit, never as a sentinel value: a missing field
+ * must never hash like any real value (UINT64_MAX is legitimate field
+ * content).
+ */
+constexpr uint64_t kSubkeySeed = 0xe4e27000ULL;
+
+/** One step of the subkey fold: selected event field @p fid. */
+inline uint64_t
+subkeyStep(uint64_t h, events::FieldId fid, bool present, uint64_t v)
+{
+    return util::mixCombine(
+        h, util::mixCombine(fid, util::mixCombine(present ? 1 : 0,
+                                                  present ? v : 0)));
+}
+
+/**
+ * A handler execution's key projected onto its type's selected
+ * fields: what an entry built from it stores. Caller-owned and reused,
+ * so projecting allocates nothing once it has held the widest key.
+ */
+struct RecordKey {
+    events::EventType type = events::EventType::Touch;
+    /** Event-subkey bucket the entry belongs in. */
+    uint64_t subkey = 0;
+    /** Stored slots (ascending) and their values. */
+    std::vector<uint32_t> slots;
+    std::vector<uint64_t> values;
+    /** Sorted copy of non-canonical record inputs. */
+    std::vector<events::FieldValue> sorted;
+
+    uint32_t size() const { return static_cast<uint32_t>(slots.size()); }
+};
+
+/** One entry as visitEntries() yields it: views into the columns,
+ *  valid for the duration of the callback. */
+struct EntryView {
+    /** Event subkey of its bucket. */
+    uint64_t subkey = 0;
+    /** Stored key slots (ascending) and their values. */
+    std::span<const uint32_t> slots;
+    std::span<const uint64_t> values;
     /** Memoized output writes. */
-    std::vector<events::FieldValue> outputs;
-    /** Entry payload size in bytes (keys + outputs). */
-    uint32_t entry_bytes = 0;
+    std::span<const events::FieldId> out_ids;
+    std::span<const uint64_t> out_values;
+    /** Entry payload bytes (keys + outputs, no header). */
+    uint32_t bytes = 0;
 };
 
 /**
- * Per-game build-side lookup table: Shrink fills it, the federated
- * merge unions it, and freeze() turns it into the FrozenTable every
- * device lookup probes. It has no lookup of its own.
+ * Per-game append-only lookup table. It is the build side of a model
+ * (Shrink's prefill, unpackModel's rebuild, the fleet aggregate) and
+ * a device's online-fill overlay alike.
+ *
+ * Thread safety: const methods touch only immutable state.
  */
 class MemoTable
 {
@@ -61,6 +108,10 @@ class MemoTable
      * must stay valid after that game is destroyed.
      */
     explicit MemoTable(const events::FieldSchema &schema);
+
+    /** An empty table with @p frozen's schema and selections: a
+     *  device's online-fill overlay, or the start of a rebuild. */
+    explicit MemoTable(const FrozenTable &frozen);
 
     /**
      * Configure the necessary (selected) fields of one event type.
@@ -77,18 +128,41 @@ class MemoTable
     uint64_t selectedBytes(events::EventType type) const;
 
     /**
-     * Insert (or refresh) an entry from a profiled/observed
-     * execution: its inputs are projected onto the selected fields.
-     * Duplicate keys keep the first-inserted outputs (the paper's
-     * table is append-only between re-learns).
+     * Project @p rec's inputs onto its type's selected fields, and
+     * fold the key's event subkey. False when the type is not
+     * configured.
      */
-    void insert(const games::HandlerExecution &rec);
+    bool project(const games::HandlerExecution &rec,
+                 RecordKey &key) const;
+
+    /**
+     * Append an entry keyed @p key (projected by this table, or by
+     * one with the same selections) memoizing @p outputs. Returns
+     * false, changing nothing, when an entry with that exact key is
+     * already held (the paper's table is append-only between
+     * re-learns, so the first outputs win).
+     */
+    bool insert(const RecordKey &key,
+                const std::vector<events::FieldValue> &outputs);
+
+    /** Project @p rec, then insert it; false when its type is not
+     *  configured or its key is already held. */
+    bool insert(const games::HandlerExecution &rec);
+
+    /** Probe @p subkey's bucket with inputs gathered for @p type
+     *  (FrozenTable::gather), charged as the bucket scan. */
+    BucketMatch match(events::EventType type, uint64_t subkey,
+                      const LookupScratch &in) const;
+
+    /** Copy entry @p entry's memoized outputs into @p out. */
+    void outputs(events::EventType type, uint32_t entry,
+                 std::vector<events::FieldValue> &out) const;
 
     /**
      * Freeze this table into its immutable deploy-side form (a
      * self-owning contiguous arena; see frozen_table.h). Pure and
-     * deterministic over the canonical entry order; the build-side
-     * table is unchanged.
+     * deterministic over the canonical entry order; the table is
+     * unchanged.
      */
     std::shared_ptr<const FrozenTable> freeze() const;
 
@@ -98,60 +172,78 @@ class MemoTable
     /**
      * Visit every entry of @p type in canonical order: buckets by
      * ascending event-subkey, entries in insertion order within a
-     * bucket. The order is stable across serialize/deserialize
-     * round-trips, which is what makes re-serialization
-     * byte-identical (model_codec.h).
+     * bucket. The order is a function of the entry set and its
+     * insertion order alone, which is what makes freeze() and
+     * re-serialization byte-identical (model_codec.h).
      */
-    void visitEntries(
-        events::EventType type,
-        const std::function<void(uint64_t subkey,
-                                 const MemoEntry &entry)> &fn) const;
+    void visitEntries(events::EventType type,
+                      util::FunctionRef<void(const EntryView &)> fn) const;
 
     /**
      * Union another table's entries into this one (the server-side
-     * federated merge). Entries are re-projected onto *this* table's
-     * selected sets; duplicate keys keep the first-seen outputs,
-     * matching insert()'s append-only semantics.
+     * federated merge), in @p other's canonical order. Entries are
+     * re-projected onto *this* table's selected sets; duplicate keys
+     * keep the first-seen outputs, as insert() does.
      */
     void mergeFrom(const MemoTable &other);
 
     /**
      * Export table shape as `table.*` gauges (entries, payload
-     * bytes, selected bytes, configured types). Read-only; see
-     * DESIGN.md for the metric namespace.
+     * bytes, selected bytes, configured types, `table.layout` = 0).
+     * Read-only; see DESIGN.md for the metric namespace.
      */
     void recordStats(obs::Registry &reg) const;
 
     /** Number of entries across all types. */
-    size_t entryCount() const;
+    size_t entryCount() const { return entries_; }
     /** Entries of one type. */
-    size_t entryCount(events::EventType type) const;
+    size_t entryCount(events::EventType type) const
+    {
+        return types_[static_cast<int>(type)].index.size();
+    }
     /** Total table payload bytes (entries + per-entry header). */
-    uint64_t totalBytes() const;
+    uint64_t totalBytes() const { return bytes_; }
 
     /** Per-entry header/index overhead modeled (bytes). */
     static constexpr uint32_t kEntryHeaderBytes = 256;
 
-    /** Drop all entries (the profiler's "clear the table" action). */
+    /** Drop all entries (the watchdog's "clear the table"); the
+     *  selections and array capacity stay. */
     void clear();
 
   private:
+    friend class FrozenTable;  // freeze() sizes the arena from columns
+
     struct TypeTable {
-        std::vector<events::FieldId> selected;   // sorted
-        std::vector<events::FieldId> selected_event;    // In.Event subset
+        std::vector<events::FieldId> selected;  // sorted
+        /** Per selected slot: an In.Event field, and its size. */
+        std::vector<uint8_t> is_event;
+        std::vector<uint32_t> slot_bytes;
         uint64_t selected_bytes = 0;
-        /** Event-subkey hash -> candidate entries. */
-        std::unordered_map<uint64_t, std::vector<MemoEntry>> buckets;
-        size_t entries = 0;
-        uint64_t bytes = 0;
+        /** Entry columns; each index entry says where its key and
+         *  outputs start. */
+        std::vector<uint64_t> key_values;
+        std::vector<events::FieldId> out_ids;
+        std::vector<uint64_t> out_values;
+        KeyIndex index;
+        /** Buckets by id, found through their subkey's tag. */
+        struct BucketRec {
+            uint64_t subkey = 0;
+            Bucket scan;
+        };
+        std::vector<BucketRec> buckets;
+        TagTable bucket_ids;
     };
 
-    uint64_t eventSubkey(const TypeTable &tt,
-                         const std::vector<events::FieldValue> &fields)
-        const;
+    /** The id of @p subkey's bucket, TagTable::kNone if none. */
+    static uint32_t bucketId(const TypeTable &tt, uint64_t subkey);
 
     events::FieldSchema schema_;
     std::array<TypeTable, events::kNumEventTypes> types_;
+    size_t entries_ = 0;
+    uint64_t bytes_ = 0;
+    /** insert(rec)'s projection scratch. */
+    RecordKey key_;
 };
 
 }  // namespace core

@@ -253,16 +253,9 @@ decodeArena(util::ByteBuffer &buf, util::ByteReader &r,
  * byte for byte.
  */
 void
-rebuildTable(const FrozenTable &view,
-             const events::FieldSchema &schema, SnipModel *model)
+rebuildTable(const FrozenTable &view, SnipModel *model)
 {
-    model->table = std::make_unique<MemoTable>(schema);
-    for (int t = 0; t < events::kNumEventTypes; ++t) {
-        events::EventType type = static_cast<events::EventType>(t);
-        auto selected = view.selectedVector(type);
-        if (!selected.empty())
-            model->table->setSelected(type, std::move(selected));
-    }
+    model->table = std::make_unique<MemoTable>(view);
     view.visitRecords([&](const games::HandlerExecution &rec) {
         model->table->insert(rec);
     });
@@ -366,7 +359,7 @@ unpackModel(util::ByteBuffer &buf)
     // Server-side read: rebuild the mutable table from the transient
     // borrowed view, which must not outlive this call.
     if (model.frozen) {
-        rebuildTable(*model.frozen, schema, &model);
+        rebuildTable(*model.frozen, &model);
         model.frozen.reset();
     }
     return model;

@@ -228,7 +228,7 @@ SnipScheme::observe(const games::HandlerExecution &truth)
     // would deduplicate them), so the overlay holds only genuinely
     // new observations. The counter tracks actual overlay growth,
     // not attempts.
-    if (!cfg_.online_fill || !frozen_->project(truth, key_) ||
+    if (!cfg_.online_fill || !overlay_.project(truth, key_) ||
         (frozenActive_ && frozen_->contains(key_)) ||
         !overlay_.insert(key_, truth.outputs))
         return;

@@ -16,7 +16,6 @@
 #include <memory>
 #include <unordered_set>
 
-#include "core/overlay_table.h"
 #include "core/snip.h"
 #include "events/event.h"
 #include "games/game.h"
@@ -186,7 +185,7 @@ struct SnipRuntimeConfig {
  * The scheme serves lookups from the model's immutable FrozenTable
  * (freezing the mutable table on construction if the model was not
  * already frozen). Online fill goes into a per-scheme append-only
- * OverlayTable with the same selections, consulted only on a frozen
+ * MemoTable with the same selections, consulted only on a frozen
  * miss — the frozen arena itself is never mutated, so it can be
  * shared across sessions and threads. Each event's subkey and
  * necessary inputs are computed once and serve both probes, and the
@@ -260,7 +259,7 @@ class SnipScheme : public Scheme
     /** Immutable deployed arena (shared with the model). */
     std::shared_ptr<const FrozenTable> frozen_;
     /** Online-fill overlay (frozen's selections). */
-    OverlayTable overlay_;
+    MemoTable overlay_;
     /** Cleared by the watchdog: lookups become overlay-only. */
     bool frozenActive_ = true;
     /** Dense per-entry hit counters (frozen entry ordinals). */

@@ -1,8 +1,5 @@
 #include "core/snip.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "ml/dataset.h"
 #include "obs/span.h"
 #include "util/logging.h"
@@ -13,66 +10,15 @@ namespace core {
 namespace {
 
 /**
- * Content digest of everything a type's selection outcome is a
- * function of: the dataset (per-column values + ids, labels,
- * weights) and the selection-relevant config. Equal keys imply a
- * cached TypeModel replays bit-identically.
- */
-uint64_t
-datasetKey(const ml::DatasetView &ds, events::EventType t,
-           const SnipConfig &cfg,
-           const std::vector<events::FieldId> &forced)
-{
-    size_t n = ds.numRows();
-    uint64_t h = util::mixCombine(0x5112cac4eULL,
-                                  static_cast<uint64_t>(t));
-    h = util::mixCombine(h, static_cast<uint64_t>(n));
-    uint64_t me, mce;
-    std::memcpy(&me, &cfg.max_error, 8);
-    std::memcpy(&mce, &cfg.max_conditional_error, 8);
-    h = util::mixCombine(h, me);
-    h = util::mixCombine(h, mce);
-    h = util::mixCombine(h, static_cast<uint64_t>(cfg.pfi_repeats));
-    h = util::mixCombine(h, cfg.seed);
-    for (events::FieldId fid : forced)
-        h = util::mixCombine(h, static_cast<uint64_t>(fid));
-    h = util::mixCombine(h, ml::crcOfU64(ds, ds.labelData(), n));
-    h = util::mixCombine(h, ml::crcOfU64(ds, ds.weightData(), n));
-    h = util::mixCombine(h, static_cast<uint64_t>(ds.numFeatures()));
-    for (size_t c = 0; c < ds.numFeatures(); ++c) {
-        uint64_t ch = util::mixCombine(
-            static_cast<uint64_t>(c),
-            static_cast<uint64_t>(ds.featureField(c)));
-        ch = util::mixCombine(ch, ml::crcOfU64(ds, ds.columnData(c), n));
-        h = util::mixCombine(h, ch);
-    }
-    return h ? h : 1;
-}
-
-/**
  * Selection for one event type over any DatasetView storage — the
  * single path both the in-memory and the out-of-core builds go
- * through. With cfg.caches set, an unchanged (dataset, config)
- * replays the cached TypeModel and skips selection entirely.
+ * through.
  */
 TypeModel
 selectForType(const ml::DatasetView &ds, events::EventType t,
               const SnipConfig &cfg,
               const std::vector<events::FieldId> &forced)
 {
-    ShrinkCaches::TypeCache *cache =
-        cfg.caches ? &cfg.caches->types[static_cast<int>(t)]
-                   : nullptr;
-    uint64_t key = 0;
-    if (cache) {
-        key = datasetKey(ds, t, cfg, forced);
-        if (cache->valid && cache->dataset_key == key) {
-            if (cfg.obs)
-                cfg.obs->counter("shrink.types_cached").add(1);
-            return cache->model;
-        }
-    }
-
     ml::SelectionConfig sel;
     sel.max_error = cfg.max_error;
     sel.max_conditional_error = cfg.max_conditional_error;
@@ -80,7 +26,6 @@ selectForType(const ml::DatasetView &ds, events::EventType t,
     sel.pfi.seed = util::mixCombine(cfg.seed,
                                     static_cast<uint64_t>(t));
     sel.pfi.threads = cfg.threads;
-    sel.pfi.cache = cache ? &cache->pfi : nullptr;
     sel.obs = cfg.obs;
     for (events::FieldId fid : forced) {
         if (ds.columnOf(fid) != SIZE_MAX)
@@ -91,11 +36,6 @@ selectForType(const ml::DatasetView &ds, events::EventType t,
     tm.type = t;
     tm.records = ds.numRows();
     tm.selection = ml::selectNecessaryInputs(ds, sel);
-    if (cache) {
-        cache->valid = true;
-        cache->dataset_key = key;
-        cache->model = tm;
-    }
     return tm;
 }
 

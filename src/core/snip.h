@@ -9,7 +9,6 @@
 #ifndef SNIP_CORE_SNIP_H
 #define SNIP_CORE_SNIP_H
 
-#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,15 +26,7 @@ namespace core {
 struct DeveloperOverrides {
     /** Field names that must stay in the necessary set. */
     std::vector<std::string> force_keep;
-    /**
-     * Field names whose erroneous short-circuiting the developer
-     * marked tolerable (Out.Temp-like). Reserved for error-budget
-     * accounting in reports.
-     */
-    std::vector<std::string> tolerate_errors;
 };
-
-struct ShrinkCaches;
 
 /** Pipeline knobs. */
 struct SnipConfig {
@@ -65,12 +56,6 @@ struct SnipConfig {
      * Never alters the built model.
      */
     obs::Registry *obs = nullptr;
-    /**
-     * Optional persistent caches (nullptr = off): skip per-type
-     * selection and per-refresh PFI whose inputs are bit-identical
-     * to a previous build. Never alters the built model.
-     */
-    ShrinkCaches *caches = nullptr;
 };
 
 /** Per-event-type selection outcome. */
@@ -80,28 +65,6 @@ struct TypeModel {
     /** Profiled records of this type behind the selection — the
      *  evidence weight of selection.selected_error. */
     uint64_t records = 0;
-};
-
-/**
- * Persistent caches for incremental Shrink across buildSnipModel
- * calls (continuous-learning epochs). Exactness is key-based: a
- * type's cached selection replays only when the content digest of
- * its dataset AND the selection-relevant config are unchanged, and
- * the nested PFI cache keys cover everything an importance is a
- * function of (see ml::pfiCacheKey) — so enabling the caches never
- * changes a produced model, it only skips recomputing identical
- * results (counters shrink.types_cached / shrink.pfi.cols_cached).
- */
-struct ShrinkCaches {
-    struct TypeCache {
-        bool valid = false;
-        /** Digest of the dataset + config the model was built from. */
-        uint64_t dataset_key = 0;
-        TypeModel model;
-        /** PFI results, reusable even when the selection re-runs. */
-        ml::PfiCache pfi;
-    };
-    std::array<TypeCache, events::kNumEventTypes> types{};
 };
 
 /** The deployable artifact: selections + initial table. */

@@ -8,8 +8,8 @@
  * RSS near a configured budget.
  *
  * Residency control is advisory and value-invariant: consumers
- * (TablePredictor's row-key sweeps, the CRC keys of crcOfU64, the
- * table prefill in core::buildSnipModel and attach()'s weight pass)
+ * (TablePredictor's row-key sweeps, the table prefill in
+ * core::buildSnipModel and attach()'s weight pass)
  * call noteStreamed(bytes) every streamBlockRows() rows; once the
  * accumulated volume crosses half the budget, the whole mapping is
  * MADV_DONTNEED'd and clean pages refault from the page cache on the

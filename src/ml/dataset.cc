@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "util/crc32.h"
 #include "util/logging.h"
 
 namespace snip {
@@ -46,19 +45,6 @@ DatasetView::bytesOfColumns(const std::vector<size_t> &cols) const
     for (size_t c : cols)
         total += featureBytes(c);
     return total;
-}
-
-uint32_t
-crcOfU64(const DatasetView &ds, const uint64_t *p, size_t n)
-{
-    size_t blk = std::max<size_t>(1, ds.streamBlockRows());
-    uint32_t crc = 0;
-    for (size_t base = 0; base < n; base += blk) {
-        size_t m = std::min(blk, n - base);
-        crc = util::crc32(p + base, m * sizeof(uint64_t), crc);
-        ds.noteStreamed(m * sizeof(uint64_t));
-    }
-    return crc;
 }
 
 Dataset::Dataset(

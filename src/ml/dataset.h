@@ -137,14 +137,6 @@ class DatasetView
     uint64_t id_;
 };
 
-/**
- * CRC-32 of @p n uint64s of @p ds's storage (a column, the labels or
- * the weights), streamed in streamBlockRows() slices with a
- * noteStreamed() per slice, so a mapped store can bound residency
- * while a multi-GB column is hashed.
- */
-uint32_t crcOfU64(const DatasetView &ds, const uint64_t *p, size_t n);
-
 /** In-memory feature matrix over one event type's records. */
 class Dataset : public DatasetView
 {

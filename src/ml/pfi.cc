@@ -74,82 +74,15 @@ permutedError(const Predictor &predictor, const DatasetView &ds,
 
 }  // namespace
 
-const PfiResult *
-PfiCache::find(uint64_t key) const
-{
-    if (key == 0)
-        return nullptr;
-    for (const Entry &e : entries_) {
-        if (e.key == key)
-            return &e.result;
-    }
-    return nullptr;
-}
-
-void
-PfiCache::insert(uint64_t key, PfiResult result)
-{
-    if (key == 0 || find(key))
-        return;
-    if (entries_.size() >= kMaxEntries)
-        entries_.pop_front();
-    entries_.push_back(Entry{key, std::move(result)});
-}
-
-uint64_t
-pfiCacheKey(const Predictor &predictor, const DatasetView &ds,
-            const std::vector<size_t> &cols, const PfiConfig &cfg)
-{
-    uint64_t fp = predictor.fingerprint();
-    if (fp == 0)
-        return 0;
-    size_t n = ds.numRows();
-    uint64_t h = util::mixCombine(0x9f1cac4eULL, fp);
-    h = util::mixCombine(h, static_cast<uint64_t>(n));
-    h = util::mixCombine(h, cfg.seed);
-    h = util::mixCombine(h, static_cast<uint64_t>(cfg.repeats));
-    // Dataset content: scoring reads labels, weights, and exactly
-    // the scored columns (the predictor was trained on this column
-    // set and predicts from it alone), so hashing those covers every
-    // input of the result.
-    h = util::mixCombine(h, crcOfU64(ds, ds.labelData(), n));
-    h = util::mixCombine(h, crcOfU64(ds, ds.weightData(), n));
-    h = util::mixCombine(h, static_cast<uint64_t>(cols.size()));
-    for (size_t c : cols) {
-        uint64_t ch = util::mixCombine(
-            static_cast<uint64_t>(c),
-            static_cast<uint64_t>(ds.featureField(c)));
-        ch = util::mixCombine(ch, crcOfU64(ds, ds.columnData(c), n));
-        h = util::mixCombine(h, ch);
-    }
-    return h ? h : 1;
-}
-
 PfiResult
 computePfi(const Predictor &predictor, const DatasetView &ds,
            const std::vector<size_t> &cols, const PfiConfig &cfg)
 {
-    uint64_t cache_key = 0;
-    if (cfg.cache) {
-        cache_key = pfiCacheKey(predictor, ds, cols, cfg);
-        if (const PfiResult *hit = cfg.cache->find(cache_key)) {
-            if (cfg.obs)
-                cfg.obs->counter("shrink.pfi.cols_cached")
-                    .add(cols.size());
-            return *hit;
-        }
-    }
-    if (cfg.obs)
-        cfg.obs->counter("shrink.pfi.cols_rescored").add(cols.size());
-
     PfiResult result;
     result.base_error = weightedErrorRate(predictor, ds);
     result.importance.assign(cols.size(), 0.0);
-    if (cols.empty() || cfg.repeats <= 0) {
-        if (cfg.cache)
-            cfg.cache->insert(cache_key, result);
+    if (cols.empty() || cfg.repeats <= 0)
         return result;
-    }
 
     // One task per (feature, repeat); every task writes only its
     // own slot of the error matrix, and the reduction below runs
@@ -173,8 +106,6 @@ computePfi(const Predictor &predictor, const DatasetView &ds,
                      result.base_error;
         result.importance[ci] = imp > 0.0 ? imp : 0.0;
     }
-    if (cfg.cache)
-        cfg.cache->insert(cache_key, result);
     return result;
 }
 

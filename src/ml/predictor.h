@@ -68,16 +68,6 @@ class Predictor
                              size_t override_col = SIZE_MAX,
                              const uint64_t *override_values =
                                  nullptr) const;
-
-    /**
-     * Content fingerprint of the trained model: equal fingerprints
-     * must imply identical prediction behaviour for identical
-     * inputs. 0 means "unfingerprintable" and disables any caching
-     * keyed on it (the base-class default, kept by the reference
-     * learners; TablePredictor hashes its trained state). Never 0
-     * from an implementation that supports it.
-     */
-    virtual uint64_t fingerprint() const { return 0; }
 };
 
 /**

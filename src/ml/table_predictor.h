@@ -117,12 +117,13 @@ class TablePredictor : public Predictor
     }
 
     /**
-     * Content hash over the full table state (see Predictor): covers
-     * the trained entries in order, the fallback, AND the inserted
-     * entries (sorted by key), since insertRow() changes predictions
-     * too.
+     * Content hash over the full table state: covers the trained
+     * entries in order, the fallback, AND the inserted entries
+     * (sorted by key), since insertRow() changes predictions too.
+     * Equal fingerprints imply identical predictions for identical
+     * inputs (the tests' model-equality oracle).
      */
-    uint64_t fingerprint() const override;
+    uint64_t fingerprint() const;
 
   private:
     /** One column's term of a row key. */

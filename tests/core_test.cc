@@ -21,7 +21,6 @@
 #include "core/memo_table.h"
 #include "core/model_codec.h"
 #include "core/output_diff.h"
-#include "core/overlay_table.h"
 #include "core/scheme.h"
 #include "core/simulation.h"
 #include "core/snip.h"
@@ -789,7 +788,7 @@ sameLookup(const FrozenTable &table, const ReferenceScan &ref,
 /** The overlay lookup of @p ev, as SnipScheme makes it when the
  *  frozen table is inactive, agrees with the reference scan. */
 ::testing::AssertionResult
-sameOverlayLookup(const FrozenTable &frozen, const OverlayTable &overlay,
+sameOverlayLookup(const FrozenTable &frozen, const MemoTable &overlay,
                   const ReferenceScan &ref,
                   const events::EventObject &ev, const games::Game &game,
                   LookupScratch &scratch)
@@ -833,7 +832,7 @@ TEST(FrozenTableTest, IndexedProbeMatchesReferenceScan)
         const FrozenTable &frozen = *model.frozen;
         ReferenceScan ref(frozen);
         ref.addAll(frozen);
-        OverlayTable overlay(frozen);
+        MemoTable overlay(frozen);
         ReferenceScan ref_overlay(frozen);
         MemoTable memo(frozen.schema());
         for (int t = 0; t < events::kNumEventTypes; ++t) {
@@ -862,7 +861,7 @@ TEST(FrozenTableTest, IndexedProbeMatchesReferenceScan)
             overlay_hits += ref_overlay.lookup(ev, *game).hit;
             game->process(ev, ex);
             game->applyOutputs(ex.outputs);
-            if (rng.next() % 2 == 0 && frozen.project(ex, key)) {
+            if (rng.next() % 2 == 0 && overlay.project(ex, key)) {
                 ASSERT_EQ(overlay.insert(key, ex.outputs),
                           ref_overlay.add(ex, true))
                     << "event " << i;
@@ -980,6 +979,339 @@ TEST(FrozenTableTest, IndexedProbeMatchesReferenceScan)
                                    schema);
     ASSERT_TRUE(dup.ok()) << dup.status().message();
     checkCrafted(*dup.value(), {1, 2, 4, 4, 4});
+}
+
+// Pins the bytes of freeze()'s arena, the one thing that leaves the
+// build-side store: every catalog model built from a 30 s profile, a
+// merged aggregate whose destination keeps a strict subset of the
+// sources' fields (so distinct source keys collapse, and same keys
+// carry different outputs), and the table unpackModel rebuilds.
+TEST_F(MemoTableTest, FreezeGoldenDigest)
+{
+    auto crcOf = [](const MemoTable &table) {
+        auto frozen = table.freeze();
+        return util::crc32(frozen->arenaData(), frozen->arenaSize());
+    };
+    const std::vector<std::pair<std::string, uint32_t>> catalog = {
+        {"colorphun", 0xb8872dd1u},    {"memory_game", 0xf185e7e6u},
+        {"candy_crush", 0x01e74768u},  {"greenwall", 0xbd323a3fu},
+        {"ab_evolution", 0x8012d48eu}, {"chase_whisply", 0xdeeadfefu},
+        {"race_kings", 0x45f17e7fu}};
+    ASSERT_EQ(catalog.size(), games::allGameNames().size());
+    for (const auto &[name, want] : catalog) {
+        SnipModel model = goldenModel(name);
+        ASSERT_NE(model.table, nullptr) << name;
+        EXPECT_EQ(crcOf(*model.table), want) << name;
+        if (name != "ab_evolution")
+            continue;
+        util::ByteBuffer pkg;
+        packModel(model, pkg);
+        auto unpacked = unpackModel(pkg);
+        ASSERT_TRUE(unpacked.ok()) << unpacked.status().message();
+        EXPECT_EQ(crcOf(*unpacked.value().table), 0x8012d48eu);
+    }
+
+    ASSERT_GE(selected_.size(), 2u);
+    const events::EventType touch = events::EventType::Touch;
+    MemoTable a(game_->schema()), b(game_->schema());
+    a.setSelected(touch, selected_);
+    b.setSelected(touch, selected_);
+    util::Rng rng(0x3e76e);
+    for (int i = 0; i < 400; ++i) {
+        games::HandlerExecution ex = nextExecution(rng);
+        game_->applyOutputs(ex.outputs);
+        (i % 2 ? a : b).insert(ex);
+        if (i % 5 == 0 && !ex.outputs.empty()) {
+            ex.outputs[0].value ^= 0x5a;
+            (i % 2 ? b : a).insert(ex);
+        }
+    }
+    MemoTable dest(game_->schema());
+    dest.setSelected(touch, std::vector<events::FieldId>(
+                                selected_.begin(), selected_.end() - 1));
+    dest.mergeFrom(a);
+    dest.mergeFrom(b);
+    EXPECT_LT(dest.entryCount(), a.entryCount() + b.entryCount());
+    EXPECT_EQ(crcOf(dest), 0xfac6531fu);
+}
+
+/**
+ * The build-side store as it was before the flat columns: per type an
+ * unordered_map from event subkey to the bucket's entries, each with
+ * its own key, slot and output vectors, deduplicated by a linear scan
+ * of the bucket. The oracle MemoTable's flat store must reproduce.
+ */
+class MapStore
+{
+  public:
+    struct Entry {
+        std::vector<events::FieldValue> key_fields;
+        std::vector<uint32_t> key_slots;
+        std::vector<events::FieldValue> outputs;
+        uint32_t entry_bytes = 0;
+    };
+
+    explicit MapStore(const events::FieldSchema &schema) : schema_(schema) {}
+
+    void setSelected(events::EventType type,
+                     std::vector<events::FieldId> selected)
+    {
+        Type &ty = types_[static_cast<int>(type)];
+        std::sort(selected.begin(), selected.end());
+        ty.selected = std::move(selected);
+        for (events::FieldId fid : ty.selected)
+            if (schema_.def(fid).in_cat == events::InputCategory::Event)
+                ty.selected_event.push_back(fid);
+    }
+
+    /** The subkey over the selected event fields of @p fields. */
+    uint64_t subkey(events::EventType type,
+                    const std::vector<events::FieldValue> &fields) const
+    {
+        uint64_t h = 0xe4e27000ULL;
+        for (events::FieldId fid :
+             types_[static_cast<int>(type)].selected_event) {
+            const events::FieldValue *fv = events::findField(fields, fid);
+            h = util::mixCombine(
+                h, util::mixCombine(
+                       fid, util::mixCombine(fv ? 1 : 0, fv ? fv->value : 0)));
+        }
+        return h;
+    }
+
+    void insert(const games::HandlerExecution &rec)
+    {
+        Type &ty = types_[static_cast<int>(rec.type)];
+        if (ty.selected.empty())
+            return;
+        std::vector<events::FieldValue> inputs = rec.inputs;
+        events::canonicalize(inputs);
+        Entry e;
+        size_t si = 0;
+        for (const auto &fv : inputs) {
+            while (si < ty.selected.size() && ty.selected[si] < fv.id)
+                ++si;
+            if (si < ty.selected.size() && ty.selected[si] == fv.id) {
+                e.key_fields.push_back(fv);
+                e.key_slots.push_back(static_cast<uint32_t>(si));
+                e.entry_bytes += schema_.def(fv.id).size_bytes;
+            }
+        }
+        auto &bucket = ty.buckets[subkey(rec.type, inputs)];
+        for (const Entry &o : bucket)
+            if (o.key_fields == e.key_fields)
+                return;
+        e.outputs = rec.outputs;
+        for (const auto &fv : e.outputs)
+            e.entry_bytes += schema_.def(fv.id).size_bytes;
+        bytes_ += e.entry_bytes + MemoTable::kEntryHeaderBytes;
+        ++entries_;
+        bucket.push_back(std::move(e));
+    }
+
+    /** Entries of @p type, buckets by ascending subkey. */
+    std::vector<std::pair<uint64_t, const Entry *>>
+    canonical(events::EventType type) const
+    {
+        std::vector<std::pair<uint64_t, const Entry *>> out;
+        const Type &ty = types_[static_cast<int>(type)];
+        std::vector<uint64_t> subkeys;
+        for (const auto &kv : ty.buckets)
+            subkeys.push_back(kv.first);
+        std::sort(subkeys.begin(), subkeys.end());
+        for (uint64_t sk : subkeys)
+            for (const Entry &e : ty.buckets.at(sk))
+                out.push_back({sk, &e});
+        return out;
+    }
+
+    /** The linear scan of @p subkey's bucket; the match, or null. */
+    const Entry *match(events::EventType type, uint64_t subkey,
+                       const LookupScratch &in, BucketMatch &m) const
+    {
+        m = {};
+        const Type &ty = types_[static_cast<int>(type)];
+        auto it = ty.buckets.find(subkey);
+        if (it == ty.buckets.end())
+            return nullptr;
+        for (const Entry &e : it->second) {
+            ++m.candidates;
+            m.bytes += e.entry_bytes + MemoTable::kEntryHeaderBytes;
+            bool hit = true;
+            for (size_t k = 0; k < e.key_slots.size() && hit; ++k)
+                hit = in.present[e.key_slots[k]] &&
+                      in.values[e.key_slots[k]] == e.key_fields[k].value;
+            if (hit)
+                return &e;
+        }
+        return nullptr;
+    }
+
+    void clear()
+    {
+        for (Type &ty : types_)
+            ty.buckets.clear();
+        entries_ = 0;
+        bytes_ = 0;
+    }
+
+    size_t entryCount() const { return entries_; }
+    uint64_t totalBytes() const { return bytes_; }
+
+  private:
+    struct Type {
+        std::vector<events::FieldId> selected;
+        std::vector<events::FieldId> selected_event;
+        std::unordered_map<uint64_t, std::vector<Entry>> buckets;
+    };
+    events::FieldSchema schema_;
+    std::array<Type, events::kNumEventTypes> types_;
+    size_t entries_ = 0;
+    uint64_t bytes_ = 0;
+};
+
+// MemoTable's flat append store against the map store it replaced:
+// random records with unsorted inputs, absent selected fields,
+// UINT64_MAX values, same keys with different outputs and several key
+// shapes per type, over three fills separated by clear() (each refill
+// re-inserts the previous fill's records first). Canonical visits,
+// counts, bytes and every probe's charge and outputs must agree.
+TEST_F(MemoTableTest, FlatStoreMatchesMapReference)
+{
+    events::FieldSchema schema;
+    std::vector<events::FieldId> inputs;
+    for (int i = 0; i < 4; ++i)
+        inputs.push_back(schema.addInput("e" + std::to_string(i),
+                                         events::InputCategory::Event,
+                                         2 + i));
+    for (int i = 0; i < 4; ++i)
+        inputs.push_back(schema.addInput("h" + std::to_string(i),
+                                         events::InputCategory::History,
+                                         4 + i));
+    std::vector<events::FieldId> outs;
+    for (int i = 0; i < 3; ++i)
+        outs.push_back(schema.addOutput("o" + std::to_string(i),
+                                        events::OutputCategory::History,
+                                        8 * (i + 1)));
+    const std::array<events::EventType, 3> types = {
+        events::EventType::Touch, events::EventType::Drag,
+        events::EventType::Swipe};
+    // Touch and Drag select different subsets (unsorted on purpose);
+    // Swipe stays unconfigured, so its records must be dropped.
+    const std::array<std::vector<events::FieldId>, 2> selections = {
+        std::vector<events::FieldId>{inputs[5], inputs[0], inputs[1],
+                                     inputs[4], inputs[6]},
+        std::vector<events::FieldId>{inputs[2], inputs[7]}};
+
+    MemoTable flat(schema);
+    MapStore ref(schema);
+    for (size_t t = 0; t < selections.size(); ++t) {
+        flat.setSelected(types[t], selections[t]);
+        ref.setSelected(types[t], selections[t]);
+    }
+
+    util::Rng rng(0xf1a7);
+    const uint64_t domain[] = {0, 1, 2, UINT64_MAX};
+    auto value = [&] { return domain[rng.uniformInt(0, 3)]; };
+    auto randomRecord = [&] {
+        games::HandlerExecution rec;
+        rec.type = types[rng.uniformInt(0, types.size() - 1)];
+        for (events::FieldId fid : inputs)
+            if (rng.next() % 4 != 0)  // absent a quarter of the time
+                rec.inputs.push_back({fid, value()});
+        if (rng.next() % 2)
+            std::reverse(rec.inputs.begin(), rec.inputs.end());
+        for (events::FieldId fid : outs)
+            if (rng.next() % 2)
+                rec.outputs.push_back({fid, rng.next() % 8});
+        return rec;
+    };
+
+    // A probe gathered from a random record: present slots carry its
+    // values (sometimes perturbed), and the subkey is the map store's.
+    LookupScratch in;
+    std::vector<events::FieldValue> outputs;
+    uint64_t hits = 0, probes = 0;
+    auto probe = [&](const games::HandlerExecution &rec) {
+        const std::vector<events::FieldId> &sel = flat.selected(rec.type);
+        if (sel.empty())
+            return;
+        in.values.assign(sel.size(), 0);
+        in.present.assign(sel.size(), 0);
+        std::vector<events::FieldValue> event_fields;
+        for (size_t i = 0; i < sel.size(); ++i) {
+            for (const auto &fv : rec.inputs)
+                if (fv.id == sel[i]) {
+                    in.present[i] = 1;
+                    in.values[i] = rng.next() % 8 ? fv.value : value();
+                }
+            if (in.present[i] && schema.def(sel[i]).in_cat ==
+                                     events::InputCategory::Event)
+                event_fields.push_back({sel[i], in.values[i]});
+        }
+        const uint64_t subkey = ref.subkey(rec.type, event_fields);
+        BucketMatch want;
+        const MapStore::Entry *e = ref.match(rec.type, subkey, in, want);
+        BucketMatch got = flat.match(rec.type, subkey, in);
+        ASSERT_EQ(got.hit(), e != nullptr);
+        ASSERT_EQ(got.candidates, want.candidates);
+        ASSERT_EQ(got.bytes, want.bytes);
+        ++probes;
+        if (!e)
+            return;
+        ++hits;
+        flat.outputs(rec.type, got.entry, outputs);
+        ASSERT_EQ(outputs, e->outputs);
+    };
+    auto sameVisits = [&] {
+        for (events::EventType type : types) {
+            auto want = ref.canonical(type);
+            size_t i = 0;
+            flat.visitEntries(type, [&](const EntryView &v) {
+                ASSERT_LT(i, want.size());
+                const auto &[subkey, e] = want[i++];
+                EXPECT_EQ(v.subkey, subkey);
+                EXPECT_EQ(std::vector<uint32_t>(v.slots.begin(),
+                                                v.slots.end()),
+                          e->key_slots);
+                ASSERT_EQ(v.values.size(), e->key_fields.size());
+                for (size_t k = 0; k < v.values.size(); ++k)
+                    EXPECT_EQ(v.values[k], e->key_fields[k].value);
+                ASSERT_EQ(v.out_ids.size(), e->outputs.size());
+                for (size_t k = 0; k < v.out_ids.size(); ++k) {
+                    EXPECT_EQ(v.out_ids[k], e->outputs[k].id);
+                    EXPECT_EQ(v.out_values[k], e->outputs[k].value);
+                }
+                EXPECT_EQ(v.bytes, e->entry_bytes);
+            });
+            EXPECT_EQ(i, want.size());
+            EXPECT_EQ(flat.entryCount(type), want.size());
+        }
+        EXPECT_EQ(flat.entryCount(), ref.entryCount());
+        EXPECT_EQ(flat.totalBytes(), ref.totalBytes());
+    };
+
+    std::vector<games::HandlerExecution> previous;
+    for (int fill = 0; fill < 3; ++fill) {
+        SCOPED_TRACE(fill);
+        std::vector<games::HandlerExecution> records = previous;
+        for (int i = 0; i < 1500; ++i)
+            records.push_back(randomRecord());
+        for (const auto &rec : records) {
+            flat.insert(rec);
+            ref.insert(rec);
+            ASSERT_EQ(flat.entryCount(), ref.entryCount());
+            probe(records[rng.uniformInt(0, records.size() - 1)]);
+            probe(randomRecord());
+        }
+        sameVisits();
+        flat.clear();
+        ref.clear();
+        sameVisits();
+        previous.assign(records.end() - 200, records.end());
+    }
+    EXPECT_GT(hits, probes / 4);
+    EXPECT_LT(hits, probes);
 }
 
 // ------------------------------------------------------ lookup tables
@@ -1767,60 +2099,9 @@ TEST(SnipPipelineTest, ChunkedBuildMatchesInMemory)
     EXPECT_FALSE(none.ok());
 }
 
-// The incremental-Shrink acceptance contract: rebuilding from an
-// unchanged profile must skip selection wholesale (types served
-// from ShrinkCaches, zero columns re-scored) and still produce the
-// identical package; a changed profile must invalidate.
-TEST(SnipPipelineTest, ShrinkCachesReplayUnchangedEpochs)
-{
-    trace::Profile profile = recordedProfile(30.0);
-    auto game = games::makeGame("ab_evolution");
-    obs::Registry reg;
-    ShrinkCaches caches;
-    SnipConfig scfg;
-    scfg.min_records_per_type = 8;
-    scfg.obs = &reg;
-    scfg.caches = &caches;
-
-    SnipModel first = buildSnipModel(profile, *game, scfg);
-    ASSERT_FALSE(first.types.empty());
-    uint64_t rescored0 =
-        reg.counter("shrink.pfi.cols_rescored").value();
-    EXPECT_GT(rescored0, 0u);
-    EXPECT_EQ(reg.counter("shrink.types_cached").value(), 0u);
-
-    SnipModel second = buildSnipModel(profile, *game, scfg);
-    EXPECT_EQ(reg.counter("shrink.types_cached").value(),
-              first.types.size());
-    EXPECT_EQ(reg.counter("shrink.pfi.cols_rescored").value(),
-              rescored0);  // nothing re-scored
-    util::ByteBuffer p1, p2;
-    packModel(first, p1);
-    packModel(second, p2);
-    EXPECT_EQ(p1.data(), p2.data());
-
-    // Grow the profile: the changed types must re-run.
-    trace::Profile more = recordedProfile(10.0, 123);
-    profile.append(more);
-    SnipModel third = buildSnipModel(profile, *game, scfg);
-    EXPECT_GT(reg.counter("shrink.pfi.cols_rescored").value(),
-              rescored0);
-
-    // Caches must never leak across configs: a different error
-    // budget is a different key.
-    SnipConfig other = scfg;
-    other.max_error = 0.05;
-    (void)buildSnipModel(profile, *game, other);
-    EXPECT_GT(reg.counter("shrink.types_deployed").value(), 0u);
-}
-
-// Incremental mode in the learner: the persistent caches and the
-// stable (un-remixed) seed must never alter an epoch's produced
-// model — two identical incremental runs agree bitwise, epoch for
-// epoch. (The unchanged-epoch skip itself is pinned down above in
-// ShrinkCachesReplayUnchangedEpochs, where the profile can be held
-// truly constant between builds.)
-TEST(ContinuousLearnerTest, IncrementalShrinkDeterministic)
+// The learner is a pure function of its config: two runs agree
+// bitwise, epoch for epoch, with the per-epoch seed remixing on.
+TEST(ContinuousLearnerTest, DeterministicAcrossRuns)
 {
     auto runOnce = [] {
         auto game = games::makeGame("ab_evolution");
@@ -1830,7 +2111,6 @@ TEST(ContinuousLearnerTest, IncrementalShrinkDeterministic)
         cfg.session_s = 6.0;
         cfg.initial_profile_records = 30;
         cfg.snip.min_records_per_type = 8;
-        cfg.incremental_shrink = true;
         ContinuousLearner learner(*game, *replica, cfg);
         return learner.run();
     };

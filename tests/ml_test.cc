@@ -825,10 +825,17 @@ TEST(PfiTest, DeterministicForSeed)
     std::vector<size_t> cols = {0, 1, 2};
     TablePredictor tp;
     tp.train(ds, cols);
+    obs::Registry reg;
     PfiConfig cfg;
     cfg.seed = 99;
+    cfg.obs = &reg;
     PfiResult a = computePfi(tp, ds, cols, cfg);
+    // One task per (feature, repeat): what loopbench's ml.pfi_tasks
+    // reads.
+    const uint64_t tasks = cols.size() * static_cast<uint64_t>(cfg.repeats);
+    EXPECT_EQ(reg.counterValue("shrink.pfi.tasks"), tasks);
     PfiResult b = computePfi(tp, ds, cols, cfg);
+    EXPECT_EQ(reg.counterValue("shrink.pfi.tasks"), 2 * tasks);
     EXPECT_EQ(a.importance, b.importance);
 }
 
@@ -1314,80 +1321,6 @@ TEST(ChunkedDatasetTest, RejectsForeignSchema)
     auto none = ChunkedDataset::attach(log, events::EventType::Gps,
                                        syn.schema);
     EXPECT_FALSE(none.ok());
-}
-
-// ----------------------------------------------------------- PfiCache
-
-// A cache hit must be byte-exact and observable: the second run
-// re-scores nothing (shrink.pfi.cols_rescored and shrink.pfi.tasks
-// unchanged) yet returns the identical result; changing the seed
-// misses.
-TEST(PfiTest, CacheServesExactHits)
-{
-    Synthetic syn(300);
-    Dataset ds(syn.ptrs(), syn.schema);
-    std::vector<size_t> cols(ds.numFeatures());
-    for (size_t i = 0; i < cols.size(); ++i)
-        cols[i] = i;
-    TablePredictor tp;
-    tp.train(ds, cols);
-
-    PfiCache cache;
-    obs::Registry reg;
-    PfiConfig pc;
-    pc.cache = &cache;
-    pc.obs = &reg;
-
-    PfiResult a = computePfi(tp, ds, cols, pc);
-    uint64_t rescored =
-        reg.counter("shrink.pfi.cols_rescored").value();
-    EXPECT_EQ(rescored, cols.size());
-    EXPECT_EQ(reg.counter("shrink.pfi.cols_cached").value(), 0u);
-    // One task per (feature, repeat).
-    uint64_t tasks = cols.size() * static_cast<uint64_t>(pc.repeats);
-    EXPECT_EQ(reg.counterValue("shrink.pfi.tasks"), tasks);
-
-    PfiResult b = computePfi(tp, ds, cols, pc);
-    EXPECT_EQ(reg.counter("shrink.pfi.cols_rescored").value(),
-              rescored);  // nothing re-scored
-    EXPECT_EQ(reg.counterValue("shrink.pfi.tasks"), tasks);
-    EXPECT_EQ(reg.counter("shrink.pfi.cols_cached").value(),
-              cols.size());
-    EXPECT_EQ(a.importance, b.importance);
-    EXPECT_EQ(a.base_error, b.base_error);
-
-    // A different seed is a different key: must re-score.
-    PfiConfig other = pc;
-    other.seed = pc.seed + 1;
-    (void)computePfi(tp, ds, cols, other);
-    EXPECT_GT(reg.counter("shrink.pfi.cols_rescored").value(),
-              rescored);
-}
-
-// The key must cover the dataset content: perturbing one value in a
-// scored column forces a re-score.
-TEST(PfiTest, CacheKeyTracksColumnContent)
-{
-    Synthetic syn(200);
-    Dataset ds(syn.ptrs(), syn.schema);
-    std::vector<size_t> cols(ds.numFeatures());
-    for (size_t i = 0; i < cols.size(); ++i)
-        cols[i] = i;
-    TablePredictor tp;
-    tp.train(ds, cols);
-
-    PfiConfig pc;
-    uint64_t k1 = pfiCacheKey(tp, ds, cols, pc);
-    ASSERT_NE(k1, 0u);
-    EXPECT_EQ(pfiCacheKey(tp, ds, cols, pc), k1);
-
-    syn.records[7].inputs[0].value ^= 1;
-    Dataset ds2(syn.ptrs(), syn.schema);
-    EXPECT_NE(pfiCacheKey(tp, ds2, cols, pc), k1);
-
-    // Dropping a column from the scored set changes the key too.
-    std::vector<size_t> fewer(cols.begin(), cols.end() - 1);
-    EXPECT_NE(pfiCacheKey(tp, ds, fewer, pc), k1);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #    the binary exits non-zero on a broken determinism contract;
 #  - out-of-core micro_train: the production Shrink (buildSnipModel over
 #    the mmap'd SNCT view) on 2M synthetic rows at two block
-#    geometries; the packed models must be byte-identical, and the
+#    geometries; both packed models must carry the pinned CRC, and the
 #    stage reports each run's wall time and peak RSS;
 #  - fig11 --obs-json: the export parses and carries the hit-rate,
 #    erroneous-field-rate and per-Shrink-phase timing signals;
@@ -30,9 +30,10 @@
 #    epochs;
 #  - corruption fuzz under asan: the OTA model codec, the frozen SNPF
 #    arena, SNCT training files, and SNPD patches must
-#    reject corrupt bytes cleanly (no crash, no sanitizer report), and
-#    the indexed probe must match the reference scan on crafted
-#    arenas;
+#    reject corrupt bytes cleanly (no crash, no sanitizer report), the
+#    indexed probe must match the reference scan on crafted arenas,
+#    and MemoTable's flat store must match the map-store oracle and
+#    its pinned freeze() digests;
 #  - the loop benchmark's own self-test.
 #
 # Every --gtest_filter stage goes through run_filtered, which also
@@ -101,9 +102,10 @@ EOF
 
 echo "==> out-of-core micro_train (production Shrink, block-size invariance)"
 # 2M synthetic rows through buildSnipModel on the mmap'd SNCT view at
-# two block geometries: the packed models must be byte-identical.
-# Wall time and peak RSS are reported, not capped (see ROADMAP: the
-# production out-of-core Shrink holds O(rows) heap).
+# two block geometries: both packed models must carry the pinned CRC
+# (so a rewrite of the prefill or the table store cannot drift
+# unnoticed). Wall time and peak RSS are reported, not capped (see
+# ROADMAP: the production out-of-core Shrink holds O(rows) heap).
 ./build/bench/micro_train --quick --rows 2000000 --block-rows 4096 \
     --rss-budget-mb 64 --out build/micro_train_oo_a.json >/dev/null
 ./build/bench/micro_train --quick --rows 2000000 --block-rows 512 \
@@ -122,9 +124,12 @@ for geom in ('a', 'b'):
           f"peak_rss_mb={d['peak_rss_bytes'] / 2**20:.0f} "
           f"package_bytes={oo['package_bytes']} "
           f"entries={oo['entries']} crc={oo['package_crc']}")
-if runs['a'] in (None, '', '00000000') or runs['a'] != runs['b']:
+if runs['a'] != runs['b']:
     sys.exit(f"micro_train: out-of-core packages differ across block "
              f"sizes: {runs!r}")
+if runs['a'] != '564943e9':
+    sys.exit(f"micro_train: out-of-core package crc {runs['a']!r}, "
+             f"pinned '564943e9'")
 EOF
 
 echo "==> obs telemetry export smoke (fig11 --obs-json)"
@@ -264,7 +269,7 @@ SNIP_FUZZ_ITERS=512 run_filtered \
     --gtest_filter='ModelCodec*Fuzz*'
 SNIP_FUZZ_ITERS=512 run_filtered \
     ./build-asan/tests/core_test \
-    --gtest_filter='*FrozenArenaCorruptionFuzz*:FrozenTableTest.IndexedProbeMatchesReferenceScan'
+    --gtest_filter='*FrozenArenaCorruptionFuzz*:FrozenTableTest.IndexedProbeMatchesReferenceScan:MemoTableTest.FlatStoreMatchesMapReference:MemoTableTest.FreezeGoldenDigest'
 run_filtered ./build-asan/tests/trace_test \
     --gtest_filter='ColumnarLogTest.MmapCorruptionRejectedCleanly:ColumnarLogTest.CorruptionRejectedOrSafe:ColumnarLogTest.OtherVersionsRejected'
 SNIP_FUZZ_ITERS=256 run_filtered \
