@@ -25,8 +25,7 @@ buildUntrimmedModel(const bench::ProfiledGame &pg)
 {
     core::SnipModel model;
     model.game = pg.game->name();
-    model.table =
-        std::make_unique<core::MemoTable>(pg.game->schema());
+    core::MemoTable table(pg.game->schema());
 
     std::vector<events::FieldId> all_inputs;
     for (const auto &d : pg.game->schema().defs())
@@ -34,7 +33,7 @@ buildUntrimmedModel(const bench::ProfiledGame &pg)
             all_inputs.push_back(d.id);
 
     for (events::EventType t : pg.profile.typesPresent()) {
-        model.table->setSelected(t, all_inputs);
+        table.setSelected(t, all_inputs);
         core::TypeModel tm;
         tm.type = t;
         tm.records = pg.profile.ofType(t).size();
@@ -45,7 +44,8 @@ buildUntrimmedModel(const bench::ProfiledGame &pg)
         model.types.push_back(std::move(tm));
     }
     for (const auto &rec : pg.profile.records)
-        model.table->insert(rec);
+        table.insert(rec);
+    model.table = table.freeze();
     return model;
 }
 

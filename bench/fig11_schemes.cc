@@ -81,7 +81,6 @@ main(int argc, char **argv)
         obs::Registry *reg =
             !opts.obs_json.empty() ? &build_regs[g] : nullptr;
         models[g] = bench::buildModel(pgs[g], opts, reg);
-        models[g].freeze();
     });
 
     struct SchemeRun {

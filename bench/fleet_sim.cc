@@ -18,8 +18,8 @@
  *
  * Exits non-zero when the delta-beats-full or aggregate-equivalence
  * contract is violated, which is what lets tools/ci.sh run it as a
- * fleet smoke. Emits single-line JSON (default
- * BENCH_fleet_sim.json, also printed to stdout).
+ * fleet smoke. Prints single-line JSON to stdout, and also writes it
+ * to --out <path> when given.
  *
  * Flags: --quick (shorter sessions, smaller lineage), --seed <n>,
  * --threads <n>, --devices <n>, --uploads <n>,
@@ -127,7 +127,8 @@ struct Args {
     size_t uploads = 24;
     int epochs = 5;
     std::string game = "candy_crush";
-    std::string out = "BENCH_fleet_sim.json";
+    /** JSON copy destination; empty = stdout only. */
+    std::string out;
 };
 
 Args
@@ -169,16 +170,6 @@ parseArgs(int argc, char **argv)
     return a;
 }
 
-/** Deep copies of the upload payloads (cursor-fresh). */
-std::vector<util::ByteBuffer>
-copyUploads(const std::vector<util::ByteBuffer> &uploads)
-{
-    std::vector<util::ByteBuffer> out(uploads.size());
-    for (size_t i = 0; i < uploads.size(); ++i)
-        out[i].putBytes(uploads[i].data().data(), uploads[i].size());
-    return out;
-}
-
 /** Fresh aggregate destination with @p agreed's selections. */
 core::MemoTable
 makeDest(const games::Game &game, const core::SnipModel &agreed)
@@ -192,7 +183,7 @@ makeDest(const games::Game &game, const core::SnipModel &agreed)
 /** The serial reference: the core federated merge chain. */
 void
 serialAggregate(core::MemoTable &dest,
-                std::vector<util::ByteBuffer> &uploads)
+                const std::vector<util::ByteBuffer> &uploads)
 {
     for (size_t u = 0; u < uploads.size(); ++u) {
         util::Result<core::SnipModel> decoded =
@@ -277,11 +268,8 @@ main(int argc, char **argv)
         if (!head.ok())
             util::fatal("fleet_sim: head fetch failed: %s",
                         head.status().message().c_str());
-        util::ByteBuffer pkg;
-        pkg.putBytes(head.value()->data().data(),
-                     head.value()->size());
         util::Result<core::SnipModel> decoded =
-            core::unpackModel(pkg);
+            core::unpackModel(*head.value());
         if (!decoded.ok())
             util::fatal("fleet_sim: head decode failed: %s",
                         decoded.status().message().c_str());
@@ -298,18 +286,15 @@ main(int argc, char **argv)
                   : 0;
 
     core::MemoTable serial_dest = makeDest(*game, agreed);
-    double serial_s = wallSeconds([&] {
-        auto ups = copyUploads(uploads);
-        serialAggregate(serial_dest, ups);
-    });
+    double serial_s =
+        wallSeconds([&] { serialAggregate(serial_dest, uploads); });
 
     core::MemoTable parallel_dest = makeDest(*game, agreed);
     fleet::AggregateConfig acfg;
     acfg.threads = a.threads;
     acfg.obs = &obs;
     double parallel_s = wallSeconds([&] {
-        auto ups = copyUploads(uploads);
-        fleet::aggregateUploads(parallel_dest, ups, acfg);
+        fleet::aggregateUploads(parallel_dest, uploads, acfg);
     });
     bool aggregate_identical = sameArena(serial_dest, parallel_dest);
     if (!aggregate_identical)
@@ -363,11 +348,12 @@ main(int argc, char **argv)
         serial_s, parallel_s,
         aggregate_identical ? "true" : "false", cohorts_json.c_str());
     std::printf("%s\n", json);
-    if (FILE *f = std::fopen(a.out.c_str(), "w")) {
+    if (!a.out.empty()) {
+        FILE *f = std::fopen(a.out.c_str(), "w");
+        if (!f)
+            util::fatal("fleet_sim: cannot write %s", a.out.c_str());
         std::fprintf(f, "%s\n", json);
         std::fclose(f);
-    } else {
-        util::fatal("fleet_sim: cannot write %s", a.out.c_str());
     }
 
     return delta_beats_full && aggregate_identical ? 0 : 1;

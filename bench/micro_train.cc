@@ -22,9 +22,10 @@
  * --rss-cap-mb. tools/ci.sh runs it at two block geometries and
  * requires the same package CRC.
  *
- * Emits JSON (default BENCH_micro_train.json, also printed to
- * stdout) so BENCH_* files carry a training-side perf trajectory,
- * and exits non-zero when any contract above is violated — which is
+ * Prints JSON to stdout, and also writes it to --out <path> when
+ * given (BENCH_* files carry a training-side perf trajectory); its
+ * scratch SNCT files are mkstemp files under $TMPDIR (default /tmp).
+ * Exits non-zero when any contract above is violated — which is
  * what lets tools/ci.sh use it as a determinism smoke.
  *
  * Flags: --quick (shorter profile), --seed <n>,
@@ -39,9 +40,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench/bench_common.h"
 #include "core/model_codec.h"
@@ -112,10 +116,26 @@ peakRssBytes()
     return static_cast<uint64_t>(kb) * 1024;
 }
 
+/** A fresh empty file under $TMPDIR (default /tmp) for a scratch
+ *  SNCT trace; the caller removes it. */
+std::string
+scratchPath(const char *tag)
+{
+    const char *dir = std::getenv("TMPDIR");
+    std::string path = std::string(dir && *dir ? dir : "/tmp") +
+                       "/snip_micro_train_" + tag + ".XXXXXX";
+    int fd = mkstemp(path.data());
+    if (fd < 0)
+        util::fatal("micro_train: cannot create %s", path.c_str());
+    close(fd);
+    return path;
+}
+
 struct Args {
     bench::BenchOptions opts;
     double profile_s = 60.0;
-    std::string out = "BENCH_micro_train.json";
+    /** JSON copy destination; empty = stdout only. */
+    std::string out;
     /** Synthetic out-of-core rows; 0 = skip that stage. */
     uint64_t rows = 0;
     size_t block_rows = 4096;
@@ -272,7 +292,7 @@ main(int argc, char **argv)
     bool chunked_sel_identical = false;
     bool chunked_blocks_identical = false;
     bool chunked_model_identical = false;
-    std::string tpath = args.out + ".profile.snct";
+    std::string tpath = scratchPath("profile");
     {
         std::vector<uint8_t> tbytes;
         util::Status enc =
@@ -332,7 +352,7 @@ main(int argc, char **argv)
     size_t oo_bytes = 0;
     size_t oo_entries = 0;
     uint32_t oo_crc = 0;
-    std::string spath = args.out + ".synth.snct";
+    std::string spath = scratchPath("synth");
     if (args.rows > 0) {
         // Borrow real Drag field ids so the synthetic section
         // validates against the game schema.
@@ -469,12 +489,14 @@ main(int argc, char **argv)
         ok ? "true" : "false");
     json = buf;
     std::fputs(json.c_str(), stdout);
-    if (FILE *f = std::fopen(args.out.c_str(), "w")) {
-        std::fputs(json.c_str(), f);
-        std::fclose(f);
-        std::printf("wrote %s\n", args.out.c_str());
-    } else {
-        util::warn("could not write %s", args.out.c_str());
+    if (!args.out.empty()) {
+        if (FILE *f = std::fopen(args.out.c_str(), "w")) {
+            std::fputs(json.c_str(), f);
+            std::fclose(f);
+            std::printf("wrote %s\n", args.out.c_str());
+        } else {
+            util::warn("could not write %s", args.out.c_str());
+        }
     }
 
     if (!ok) {

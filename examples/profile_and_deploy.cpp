@@ -7,10 +7,10 @@
  *   cloud:  PFI selection -> necessary inputs + lookup table
  *   phone:  deploy table (OTA), play with SNIP
  *
- * Artifacts are written to a temp directory so you can inspect the
- * actual bytes that would cross the network.
+ * Artifacts are written to an output directory (default /tmp) so you
+ * can inspect the actual bytes that would cross the network.
  *
- * Build & run:  ./build/examples/profile_and_deploy [game]
+ * Build & run:  ./build/examples/profile_and_deploy [game] [out_dir]
  */
 
 #include <cstdio>
@@ -32,7 +32,7 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "candy_crush";
-    std::string dir = "/tmp";
+    std::string dir = argc > 2 ? argv[2] : "/tmp";
     std::string events_path = dir + "/snip_" + name + "_events.bin";
     std::string profile_path = dir + "/snip_" + name + "_profile.snct";
     std::string model_path = dir + "/snip_" + name + "_model.snpm";

@@ -476,15 +476,12 @@ cmdInspect(const Args &args)
                     util::formatSize(static_cast<double>(
                                          m.table->totalBytes()))
                         .c_str());
-        // Both layouts: the mutable build table above and the flat
-        // arena the runtime actually probes.
-        auto fz = m.table->freeze();
         std::printf("frozen: %s arena, index load %.2f "
                     "(%zu entries, one probe + linear scan)\n",
                     util::formatSize(
-                        static_cast<double>(fz->arenaSize()))
+                        static_cast<double>(m.table->arenaSize()))
                         .c_str(),
-                    fz->indexLoadFactor(), fz->entryCount());
+                    m.table->indexLoadFactor(), m.table->entryCount());
     } else {
         std::printf("table: (none)\n");
     }
@@ -594,9 +591,7 @@ cmdFleetPublish(const Args &args)
     // The game line is read from the package itself unless pinned.
     std::string game = args.get("game");
     if (game.empty()) {
-        util::ByteBuffer probe;
-        probe.putBytes(pkg->data().data(), pkg->size());
-        util::Result<core::SnipModel> m = core::unpackModel(probe);
+        util::Result<core::SnipModel> m = core::unpackModel(*pkg);
         if (!m.ok())
             util::fatal("fleet publish: %s is not a deployable "
                         "package: %s", in.c_str(),

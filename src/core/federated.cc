@@ -127,7 +127,6 @@ buildCentralized(const std::string &game_name,
     for (const auto &t : out.model.types)
         out.deployed_types.emplace_back(
             t.type, t.selection.selected.size());
-    out.model.freeze();  // deployable form for the runtime
     return out;
 }
 
@@ -161,7 +160,7 @@ buildFederated(const std::string &game_name,
         federatedVotesNeeded(cfg.vote_fraction, cfg.num_users);
 
     out.model.game = game_name;
-    out.model.table = std::make_unique<MemoTable>(game->schema());
+    MemoTable agreed(game->schema());
     std::map<events::EventType, std::map<events::FieldId, size_t>>
         votes;
     for (const auto &local : locals)
@@ -183,7 +182,7 @@ buildFederated(const std::string &game_name,
                 selected.push_back(fv.first);
         if (selected.empty())
             continue;
-        out.model.table->setSelected(tv.first, selected);
+        agreed.setSelected(tv.first, selected);
         TypeModel tm;
         tm.type = tv.first;
         tm.records = type_records[static_cast<int>(tv.first)];
@@ -201,13 +200,14 @@ buildFederated(const std::string &game_name,
     // model. A payload that fails integrity checks is dropped, not
     // fatal — that user just contributes nothing this round.
     for (int u = 0; u < cfg.num_users; ++u) {
+        MemoTable local(game->schema());
+        for (const auto &t : out.model.types)
+            local.setSelected(t.type, t.selection.selected);
+        for (const auto &rec : users[u].profile.records)
+            local.insert(rec);
         SnipModel device;
         device.game = game_name;
-        device.table = std::make_unique<MemoTable>(game->schema());
-        for (const auto &t : out.model.types)
-            device.table->setSelected(t.type, t.selection.selected);
-        for (const auto &rec : users[u].profile.records)
-            device.table->insert(rec);
+        device.table = local.freeze();
 
         util::ByteBuffer payload;
         packModel(device, payload);
@@ -219,11 +219,10 @@ buildFederated(const std::string &game_name,
                        decoded.status().message().c_str());
             continue;
         }
-        out.model.table->mergeFrom(*decoded.value().table);
+        agreed.mergeFrom(*decoded.value().table);
     }
-    // The merge operates on the mutable table; freeze the aggregate
-    // into its deployable form once all uploads are unioned.
-    out.model.freeze();
+    // Freeze the aggregate once all uploads are unioned.
+    out.model.table = agreed.freeze();
     return out;
 }
 

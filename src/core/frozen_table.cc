@@ -58,10 +58,8 @@ align8(size_t off)
 }  // namespace
 
 std::shared_ptr<const FrozenTable>
-FrozenTable::freeze(const MemoTable &table)
+MemoTable::freeze() const
 {
-    const events::FieldSchema &schema = table.schema();
-
     // Pass 1: layout, from the column sizes alone. Every u64 array
     // lands on an 8-aligned offset (the arena base itself is always
     // 8-aligned in memory).
@@ -72,11 +70,11 @@ FrozenTable::freeze(const MemoTable &table)
     };
     std::vector<TypeOffsets> offsets;
     size_t ntypes = 0;
-    for (const auto &tt : table.types_)
+    for (const auto &tt : types_)
         ntypes += !tt.selected.empty();
     size_t off = kHeaderBytes + ntypes * kTypeRecBytes;
     for (int t = 0; t < events::kNumEventTypes; ++t) {
-        const MemoTable::TypeTable &tt = table.types_[t];
+        const TypeTable &tt = types_[t];
         if (tt.selected.empty())
             continue;
         TypeOffsets o;
@@ -85,7 +83,7 @@ FrozenTable::freeze(const MemoTable &table)
         // max(4, 2 x buckets). Deterministic, so the arena is a pure
         // function of the canonical entry order.
         o.capacity = 4;
-        while (o.capacity < 2 * static_cast<uint32_t>(tt.buckets.size()))
+        while (o.capacity < 2 * tt.index.bucketCount())
             o.capacity <<= 1;
         size_t nsel = tt.selected.size();
         size_t ne = tt.index.size();
@@ -122,12 +120,12 @@ FrozenTable::freeze(const MemoTable &table)
     writeU32(base + 4, kFrozenVersion);
     writeU32(base + 8, static_cast<uint32_t>(total_size));
     writeU32(base + 12, static_cast<uint32_t>(ntypes));
-    writeU64(base + 16, table.entryCount());
-    writeU64(base + 24, table.totalBytes());
+    writeU64(base + 16, entryCount());
+    writeU64(base + 24, totalBytes());
 
     for (size_t i = 0; i < offsets.size(); ++i) {
         const TypeOffsets &o = offsets[i];
-        const MemoTable::TypeTable &tt = table.types_[o.type];
+        const TypeTable &tt = types_[o.type];
         for (size_t k = 0; k < tt.selected.size(); ++k) {
             writeU32(base + o.selected + k * 4, tt.selected[k]);
             base[o.flags + k] = tt.is_event[k];
@@ -139,7 +137,7 @@ FrozenTable::freeze(const MemoTable &table)
         uint8_t *slot = nullptr;
         uint32_t e = 0, nkeys = 0, nouts = 0;
         uint64_t type_bytes = 0;
-        table.visitEntries(
+        visitEntries(
             static_cast<events::EventType>(o.type), [&](const EntryView &v) {
                 if (e == 0 || readU64(slot) != v.subkey) {
                     uint32_t s = static_cast<uint32_t>(v.subkey) & mask;
@@ -160,7 +158,7 @@ FrozenTable::freeze(const MemoTable &table)
                              v.out_values[k]);
                 }
                 writeU32(base + o.entry_bytes + e * 4, v.bytes);
-                type_bytes += v.bytes + MemoTable::kEntryHeaderBytes;
+                type_bytes += v.bytes + kEntryHeaderBytes;
                 ++e;
                 writeU32(base + o.key_off + e * 4, nkeys);
                 writeU32(base + o.out_off + e * 4, nouts);
@@ -187,10 +185,10 @@ FrozenTable::freeze(const MemoTable &table)
 
     ft->data_ = base;
     ft->size_ = total_size;
-    ft->schema_ = schema;
-    util::Status st = ft->decode(schema);
+    ft->schema_ = schema_;
+    util::Status st = ft->decode(schema_);
     if (!st.ok())
-        util::panic("FrozenTable::freeze produced an invalid arena: "
+        util::panic("MemoTable::freeze produced an invalid arena: "
                     "%s", st.message().c_str());
     return ft;
 }
@@ -306,7 +304,7 @@ FrozenTable::decode(const events::FieldSchema &schema)
         tv.selected = reinterpret_cast<const events::FieldId *>(
             base + o_selected);
         tv.is_event = base + o_flags;
-        tv.index = base + o_index;
+        const uint8_t *index = base + o_index;
         tv.key_off =
             reinterpret_cast<const uint32_t *>(base + o_key_off);
         tv.out_off =
@@ -390,15 +388,13 @@ FrozenTable::decode(const events::FieldSchema &schema)
         struct Run {
             uint32_t begin, count;
             uint64_t subkey;
-            uint32_t slot;
         };
         std::vector<Run> runs;
         for (uint32_t s = 0; s < tv.capacity; ++s) {
-            const uint8_t *slot = tv.index + s * kSlotBytes;
+            const uint8_t *slot = index + s * kSlotBytes;
             uint32_t count = readU32(slot + 12);
             if (count != 0)
-                runs.push_back(
-                    {readU32(slot + 8), count, readU64(slot), s});
+                runs.push_back({readU32(slot + 8), count, readU64(slot)});
         }
         tv.buckets = static_cast<uint32_t>(runs.size());
         if (2ull * tv.buckets > tv.capacity)
@@ -442,27 +438,19 @@ FrozenTable::decode(const events::FieldSchema &schema)
             max_outputs_ = std::max(max_outputs_,
                                     tv.out_off[e + 1] - tv.out_off[e]);
 
-        // The off-wire full-key index.
+        // The off-wire full-key index, entry ids = arena indexes (the
+        // runs tile the entries in order).
         KeyIndex &ix = index_[type];
-        ix.reserve(tv.nentries);
-        slot_bytes_[type].assign(tv.capacity, 0);
-        for (const Run &r : runs) {
-            KeyIndex::Entry entry;
-            entry.subkey = r.subkey;
-            for (uint32_t e = r.begin; e < r.begin + r.count; ++e) {
-                entry.cum_bytes +=
-                    tv.entry_bytes[e] + MemoTable::kEntryHeaderBytes;
-                entry.pos = e - r.begin;
-                entry.key_begin = tv.key_off[e];
-                entry.out_begin = tv.out_off[e];
-                entry.nout = tv.out_off[e + 1] - tv.out_off[e];
-                ix.append(tv.key_values, entry,
+        ix.reserve(tv.nentries, tv.buckets);
+        for (const Run &r : runs)
+            for (uint32_t e = r.begin; e < r.begin + r.count; ++e)
+                ix.append(tv.key_values, r.subkey,
                           tv.key_slots + tv.key_off[e],
                           tv.key_values + tv.key_off[e],
-                          tv.key_off[e + 1] - tv.key_off[e], true);
-            }
-            slot_bytes_[type][r.slot] = entry.cum_bytes;
-        }
+                          tv.key_off[e + 1] - tv.key_off[e],
+                          tv.out_off[e + 1] - tv.out_off[e],
+                          tv.entry_bytes[e] + MemoTable::kEntryHeaderBytes,
+                          true);
 
         sum_entries += tv.nentries;
         sum_bytes += tv.type_bytes;
@@ -477,26 +465,6 @@ FrozenTable::decode(const events::FieldSchema &schema)
     total_entries_ = total_entries;
     total_bytes_ = total_bytes;
     return util::Status::Ok();
-}
-
-Bucket
-FrozenTable::bucket(events::EventType type, uint64_t subkey) const
-{
-    const TypeView &tv = types_[static_cast<int>(type)];
-    if (tv.nselected == 0)
-        return {};
-    uint32_t mask = tv.capacity - 1;
-    uint32_t i = static_cast<uint32_t>(subkey) & mask;
-    for (uint32_t step = 0; step < tv.capacity; ++step) {
-        const uint8_t *slot = tv.index + i * kSlotBytes;
-        uint32_t count = readU32(slot + 12);
-        if (count == 0)
-            return {};
-        if (readU64(slot) == subkey)
-            return {count, slot_bytes_[static_cast<int>(type)][i]};
-        i = (i + 1) & mask;
-    }
-    return {};  // crafted full index: bounded, clean miss
 }
 
 uint64_t
@@ -531,18 +499,8 @@ BucketMatch
 FrozenTable::match(events::EventType type, uint64_t subkey,
                    const LookupScratch &in) const
 {
-    const TypeView &tv = types_[static_cast<int>(type)];
-    if (tv.nselected == 0)
-        return {};
-    // Only a miss needs the bucket (its whole scan is charged); start
-    // loading its index slot so a miss does not wait for it.
-    const uint32_t home = static_cast<uint32_t>(subkey) & (tv.capacity - 1);
-    __builtin_prefetch(tv.index + home * kSlotBytes);
-    __builtin_prefetch(&slot_bytes_[static_cast<int>(type)][home]);
-    const KeyIndex &ix = index_[static_cast<int>(type)];
-    uint32_t hit = ix.match(tv.key_values, subkey, in);
-    return ix.charge(hit, hit == KeyIndex::kNone ? bucket(type, subkey)
-                                                 : Bucket{});
+    const int t = static_cast<int>(type);
+    return index_[t].match(types_[t].key_values, subkey, in);
 }
 
 void
@@ -596,28 +554,23 @@ FrozenTable::contains(const RecordKey &key) const
 }
 
 void
-FrozenTable::visitRecords(
-    const std::function<void(const games::HandlerExecution &)> &fn)
+FrozenTable::visitEntries(events::EventType type,
+                          util::FunctionRef<void(const EntryView &)> fn)
     const
 {
-    for (int t = 0; t < events::kNumEventTypes; ++t) {
-        const TypeView &tv = types_[t];
-        if (tv.nselected == 0)
-            continue;
-        for (uint32_t e = 0; e < tv.nentries; ++e) {
-            games::HandlerExecution rec;
-            rec.type = static_cast<events::EventType>(t);
-            for (uint32_t k = tv.key_off[e]; k < tv.key_off[e + 1];
-                 ++k)
-                rec.inputs.push_back(
-                    {tv.selected[tv.key_slots[k]],
-                     tv.key_values[k]});
-            for (uint32_t k = tv.out_off[e]; k < tv.out_off[e + 1];
-                 ++k)
-                rec.outputs.push_back(
-                    {tv.out_ids[k], tv.out_values[k]});
-            fn(rec);
-        }
+    const int t = static_cast<int>(type);
+    const TypeView &tv = types_[t];
+    EntryView v;
+    for (uint32_t e = 0; e < tv.nentries; ++e) {
+        const KeyIndex::Entry &ie = index_[t].entry(e);
+        v.subkey = ie.subkey;
+        v.slots = {tv.key_slots + tv.key_off[e],
+                   tv.key_off[e + 1] - tv.key_off[e]};
+        v.values = {tv.key_values + tv.key_off[e], v.slots.size()};
+        v.out_ids = {tv.out_ids + ie.out_begin, ie.nout};
+        v.out_values = {tv.out_values + ie.out_begin, ie.nout};
+        v.bytes = tv.entry_bytes[e];
+        fn(v);
     }
 }
 
@@ -639,18 +592,6 @@ FrozenTable::selectedVector(events::EventType type) const
     const TypeView &tv = types_[static_cast<int>(type)];
     return std::vector<events::FieldId>(
         tv.selected, tv.selected + tv.nselected);
-}
-
-uint32_t
-FrozenTable::indexCapacity(events::EventType type) const
-{
-    return types_[static_cast<int>(type)].capacity;
-}
-
-uint32_t
-FrozenTable::bucketCount(events::EventType type) const
-{
-    return types_[static_cast<int>(type)].buckets;
 }
 
 double

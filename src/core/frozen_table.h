@@ -6,26 +6,29 @@
  * linear probing) per event type whose slots point at ranges of
  * structure-of-arrays entry storage — key slots, key values, output
  * ids/values and entry sizes each in one flat array, the entries of
- * a bucket adjacent. At freeze()/attach() the table derives, outside
- * the wire format, a full-key index over each type (key_index.h): a
- * lookup is one subkey probe plus O(key shapes) full-key probes, and
- * is charged exactly the bytes and candidates the paper's linear
- * bucket scan walks. Zero allocations per lookup.
+ * a bucket adjacent. Every SnipModel carries its table in this form,
+ * whether Shrink froze it (MemoTable::freeze) or a package was
+ * decoded. At freeze()/attach() the table derives, outside the wire
+ * format, a full-key index over each type (key_index.h) that also
+ * keeps each bucket's scan charge: a lookup is O(key shapes)
+ * full-key probes, charged exactly the bytes and candidates the
+ * paper's linear bucket scan walks, and never reads the arena's
+ * subkey index, which decode() validates. Zero allocations per
+ * lookup.
  *
  * The arena's in-memory layout *is* its on-wire layout (the "SNPF"
  * section of a v2 model package), so OTA deploy can construct a
  * FrozenTable as a bounds-checked zero-copy view over the package
  * bytes. Ownership contract: a view never outlives its backing
- * buffer — attach() takes a shared_ptr keep-alive, and freeze()
- * produces a self-owning arena. See DESIGN.md "Frozen deployed
- * table".
+ * buffer — attach() takes a shared_ptr keep-alive, and
+ * MemoTable::freeze() produces a self-owning arena. See DESIGN.md
+ * "Frozen deployed table".
  */
 
 #ifndef SNIP_CORE_FROZEN_TABLE_H
 #define SNIP_CORE_FROZEN_TABLE_H
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -53,7 +56,7 @@ struct FrozenLookup {
     /**
      * Ordinal of the matched entry across the whole table (types in
      * ascending order, entries in canonical order within a type).
-     * Valid when hit; indexes a caller-owned hit-count array.
+     * Valid when hit: the entry's identity within the table.
      */
     uint32_t entry_ordinal = 0;
     /** Matched entry's memoized outputs (views into the arena). */
@@ -67,22 +70,12 @@ struct FrozenLookup {
  *
  * Thread safety: every method is const and touches only immutable
  * state, so any number of threads may look up concurrently on a
- * shared FrozenTable (each with its own scratch). Hit accounting is
- * the caller's job, via FrozenLookup::entry_ordinal into an array
- * the caller owns — there is nothing to race on by construction.
+ * shared FrozenTable (each with its own scratch); there is nothing
+ * to race on by construction.
  */
 class FrozenTable
 {
   public:
-    /**
-     * Build a frozen arena from a mutable build-side table. Pure and
-     * deterministic: the arena bytes are a function of the table's
-     * canonical entry order alone, so freeze(unpack(pack(m))) is
-     * byte-identical to freeze(m).
-     */
-    static std::shared_ptr<const FrozenTable>
-    freeze(const MemoTable &table);
-
     /**
      * Attach a validated view over arena bytes (the deploy path).
      * Every offset, count and field id is bounds-checked against
@@ -127,12 +120,6 @@ class FrozenTable
      *  charged as the bucket scan (not counting the gather). */
     BucketMatch match(events::EventType type, uint64_t subkey,
                       const LookupScratch &in) const;
-    /** Global ordinal of @p type's entry @p entry (types ascending,
-     *  entries in canonical order). */
-    uint32_t entryOrdinal(events::EventType type, uint32_t entry) const
-    {
-        return types_[static_cast<int>(type)].entry_base + entry;
-    }
     /** Copy entry @p entry's memoized outputs into @p out. */
     void outputs(events::EventType type, uint32_t entry,
                  std::vector<events::FieldValue> &out) const;
@@ -142,14 +129,14 @@ class FrozenTable
     bool contains(const RecordKey &key) const;
 
     /**
-     * Visit every entry as a HandlerExecution (inputs = key fields,
-     * canonical id order) in global ordinal order. Re-inserting the
-     * records into MemoTable(*this) rebuilds the exact source table
-     * (unpackModel's server-side path).
+     * Visit every entry of @p type in arena order, which is the
+     * canonical order of the table it was frozen from (buckets by
+     * ascending subkey, insertion order within a bucket), so
+     * MemoTable::mergeFrom of it followed by freeze() reproduces the
+     * arena byte for byte.
      */
-    void visitRecords(
-        const std::function<void(const games::HandlerExecution &)>
-            &fn) const;
+    void visitEntries(events::EventType type,
+                      util::FunctionRef<void(const EntryView &)> fn) const;
 
     /** The schema snapshot the table was built/deployed against. */
     const events::FieldSchema &schema() const { return schema_; }
@@ -169,10 +156,6 @@ class FrozenTable
     /** Selected fields of a type (empty when undeployed). */
     std::vector<events::FieldId>
     selectedVector(events::EventType type) const;
-    /** Open-addressing capacity of a type's index (0 = undeployed). */
-    uint32_t indexCapacity(events::EventType type) const;
-    /** Used slots (buckets) of a type's index. */
-    uint32_t bucketCount(events::EventType type) const;
     /** Used / capacity across all type indexes (<= 0.5 by build). */
     double indexLoadFactor() const;
 
@@ -191,6 +174,8 @@ class FrozenTable
     void recordStats(obs::Registry &reg) const;
 
   private:
+    friend class MemoTable;  // freeze() writes the arena
+
     FrozenTable() = default;
 
     /** Decoded view of one type's arena block. */
@@ -205,8 +190,6 @@ class FrozenTable
         uint32_t entry_base = 0;
         const events::FieldId *selected = nullptr;
         const uint8_t *is_event = nullptr;
-        /** Index slots: {u64 subkey, u32 begin, u32 count}[cap]. */
-        const uint8_t *index = nullptr;
         const uint32_t *key_off = nullptr;  // [nentries + 1]
         const uint32_t *out_off = nullptr;  // [nentries + 1]
         const uint32_t *key_slots = nullptr;
@@ -216,8 +199,6 @@ class FrozenTable
         const uint32_t *entry_bytes = nullptr;
     };
 
-    /** The arena bucket of @p subkey (count 0 when there is none). */
-    Bucket bucket(events::EventType type, uint64_t subkey) const;
     /** Decode directory + validate everything, then derive the
      *  full-key indexes; data_/size_ set. */
     util::Status decode(const events::FieldSchema &schema);
@@ -226,16 +207,15 @@ class FrozenTable
     size_t size_ = 0;
     /** Keep-alive for a zero-copy view (null when self-owned). */
     std::shared_ptr<const void> owner_;
-    /** Owned storage (freeze() or misaligned-attach fallback);
-     *  u64-backed so the arena base is always 8-aligned. */
+    /** Owned storage (MemoTable::freeze() or misaligned-attach
+     *  fallback); u64-backed so the arena base is always 8-aligned. */
     std::vector<uint64_t> owned_;
 
     events::FieldSchema schema_;
     std::array<TypeView, events::kNumEventTypes> types_{};
-    /** Off-wire full-key index per type, and per index slot the
-     *  modelled bytes of scanning its whole bucket. */
+    /** Off-wire full-key index and scan charge per type; its entry
+     *  ids are arena entry indexes. */
     std::array<KeyIndex, events::kNumEventTypes> index_;
-    std::array<std::vector<uint64_t>, events::kNumEventTypes> slot_bytes_;
     size_t total_entries_ = 0;
     uint64_t total_bytes_ = 0;
     uint32_t max_selected_ = 0;

@@ -109,12 +109,35 @@ KeyIndex::lookup(const uint64_t *key_values, uint64_t subkey,
     });
 }
 
+size_t
+KeyIndex::bucketSlot(uint64_t subkey) const
+{
+    const size_t mask = buckets_.size() - 1;
+    size_t i = subkey & mask;
+    while (buckets_[i].count != 0 && buckets_[i].subkey != subkey)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+KeyIndex::rehashBuckets(size_t cap)
+{
+    std::vector<BucketSlot> old(cap);
+    old.swap(buckets_);
+    for (const BucketSlot &b : old)
+        if (b.count != 0)
+            buckets_[bucketSlot(b.subkey)] = b;
+}
+
 bool
-KeyIndex::append(const uint64_t *key_values, Entry e,
+KeyIndex::append(const uint64_t *key_values, uint64_t subkey,
                  const uint32_t *slots, const uint64_t *values,
-                 uint32_t nk, bool keep_duplicate)
+                 uint32_t nk, uint32_t nout, uint64_t bytes,
+                 bool keep_duplicate)
 {
     const uint32_t id = size();
+    Entry e;
+    e.subkey = subkey;
     e.shape = shapeOf(slots, nk);
     const bool known_shape = e.shape != kNone;
     if (!known_shape) {
@@ -123,12 +146,27 @@ KeyIndex::append(const uint64_t *key_values, Entry e,
         shape_off_.push_back(
             static_cast<uint32_t>(shape_slots_.size()));
     }
-    const uint32_t tag = tagOf(e.subkey, e.shape, values, nk);
+    const uint32_t tag = tagOf(subkey, e.shape, values, nk);
     const bool duplicate =
-        known_shape && lookup(key_values, e.subkey, e.shape, values, nk,
-                              tag) != kNone;
+        known_shape &&
+        lookup(key_values, subkey, e.shape, values, nk, tag) != kNone;
     if (duplicate && !keep_duplicate)
         return false;
+
+    if (2 * (static_cast<size_t>(nbuckets_) + 1) > buckets_.size())
+        rehashBuckets(buckets_.empty() ? 16 : 2 * buckets_.size());
+    BucketSlot &b = buckets_[bucketSlot(subkey)];
+    if (b.count == 0) {
+        b.subkey = subkey;
+        ++nbuckets_;
+    }
+    e.pos = b.count++;
+    e.cum_bytes = b.bytes += bytes;
+    e.key_begin = keys_;
+    e.out_begin = outs_;
+    e.nout = nout;
+    keys_ += nk;
+    outs_ += nout;
     entries_.push_back(e);
     if (!duplicate)
         table_.insert(tag, id, e.key_begin);
@@ -147,10 +185,14 @@ KeyIndex::find(const uint64_t *key_values, uint64_t subkey,
                   tagOf(subkey, shape, values, nk));
 }
 
-uint32_t
+BucketMatch
 KeyIndex::match(const uint64_t *key_values, uint64_t subkey,
                 const LookupScratch &in) const
 {
+    // Only a miss reads the bucket (its whole scan is charged); start
+    // loading its slot so a miss does not wait for it.
+    if (!buckets_.empty())
+        __builtin_prefetch(&buckets_[subkey & (buckets_.size() - 1)]);
     // Shapes go in batches: hash each, start loading its slot, then
     // probe, so the batch's cache misses overlap.
     constexpr uint32_t kBatch = 4;
@@ -197,29 +239,35 @@ KeyIndex::match(const uint64_t *key_values, uint64_t subkey,
         if (best != kNone && entries_[best].pos == 0)
             break;  // nothing can precede the bucket's first entry
     }
-    return best;
-}
-
-BucketMatch
-KeyIndex::charge(uint32_t hit, const Bucket &b) const
-{
-    BucketMatch m;
-    if (hit != kNone) {
-        m.entry = hit;
-        m.candidates = entries_[hit].pos + 1;
-        m.bytes = entries_[hit].cum_bytes;
-    } else {
-        m.candidates = b.count;
-        m.bytes = b.bytes;
-    }
-    return m;
+    if (best != kNone)
+        return {best, entries_[best].pos + 1, entries_[best].cum_bytes};
+    if (buckets_.empty())
+        return {};
+    const BucketSlot &b = buckets_[bucketSlot(subkey)];
+    return {BucketMatch::kMiss, b.count, b.bytes};
 }
 
 void
 KeyIndex::clear()
 {
     entries_.clear();
+    keys_ = 0;
+    outs_ = 0;
     table_.clear();
+    std::fill(buckets_.begin(), buckets_.end(), BucketSlot{});
+    nbuckets_ = 0;
+}
+
+void
+KeyIndex::reserve(uint32_t entries, uint32_t buckets)
+{
+    entries_.reserve(entries);
+    table_.reserve(entries);
+    size_t cap = 16;
+    while (cap < 2 * static_cast<size_t>(buckets))
+        cap <<= 1;
+    if (nbuckets_ == 0 && cap > buckets_.size())
+        buckets_.assign(cap, BucketSlot{});
 }
 
 }  // namespace core

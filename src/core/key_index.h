@@ -1,7 +1,7 @@
 /**
  * @file
  * The one probe routine behind every device-side table lookup, frozen
- * and online-fill alike.
+ * and online-fill alike, and the one place its charge is kept.
  *
  * The paper's runtime (§V-B) hashes the event-object part of the
  * necessary inputs to pick a bucket, then compares every candidate
@@ -17,9 +17,11 @@
  * an entry exactly when every slot of the entry's shape was gathered
  * with the stored value, so the earliest match of the bucket is the
  * minimum bucket position over the shapes whose slots are all
- * present. Per-entry bucket positions and cumulative bucket bytes,
- * and per-bucket totals for a miss, then give the scan's charge
- * without walking the bucket.
+ * present. append() assigns each entry its bucket position and
+ * cumulative bucket bytes, and keeps each bucket's {count, bytes} in
+ * one open-addressing array probed by subkey, so match() returns the
+ * scan's charge without walking the bucket: a hit reads its entry
+ * record, a miss one prefetched bucket slot.
  */
 
 #ifndef SNIP_CORE_KEY_INDEX_H
@@ -44,14 +46,6 @@ struct LookupScratch {
     std::vector<uint64_t> values;
     /** Whether the slot's field was present/readable. */
     std::vector<uint8_t> present;
-};
-
-/** The candidates a linear scan of one event-subkey bucket walks. */
-struct Bucket {
-    /** Entries in the bucket (0 = no bucket). */
-    uint32_t count = 0;
-    /** Modelled bytes of scanning all of them. */
-    uint64_t bytes = 0;
 };
 
 /**
@@ -160,16 +154,21 @@ class KeyIndex
     static constexpr uint32_t kNone = UINT32_MAX;
 
     /**
-     * Index the next entry (index size()), described by @p e, whose
-     * key is @p nk (slot, value) pairs @p slots / @p values. When an
-     * entry under e.subkey already has that key, a @p keep_duplicate
-     * entry is recorded but never matched (the earliest wins), and
-     * otherwise nothing changes and the result is false.
-     * @p key_values must hold every earlier entry's key.
+     * Index the next entry (index size()) under @p subkey: its key is
+     * @p nk (slot, value) pairs @p slots / @p values, it memoizes
+     * @p nout outputs, and the scan charges @p bytes for it (payload
+     * plus header). Its key values and outputs follow the earlier
+     * entries' in the caller's columns; its bucket position and
+     * cumulative bytes are assigned here. When an entry under
+     * @p subkey already has that key, a @p keep_duplicate entry is
+     * recorded but never matched (the earliest wins), and otherwise
+     * nothing changes and the result is false. @p key_values must
+     * hold every earlier entry's key.
      */
-    bool append(const uint64_t *key_values, Entry e,
+    bool append(const uint64_t *key_values, uint64_t subkey,
                 const uint32_t *slots, const uint64_t *values,
-                uint32_t nk, bool keep_duplicate);
+                uint32_t nk, uint32_t nout, uint64_t bytes,
+                bool keep_duplicate);
 
     /** The entry under @p subkey whose key is exactly @p slots /
      *  @p values (the dedup probe), else kNone. */
@@ -177,14 +176,14 @@ class KeyIndex
                   const uint32_t *slots, const uint64_t *values,
                   uint32_t nk) const;
 
-    /** The earliest entry under @p subkey whose every key slot is
-     *  present in @p in with the stored value, else kNone. */
-    uint32_t match(const uint64_t *key_values, uint64_t subkey,
-                   const LookupScratch &in) const;
-
-    /** The linear scan's charge for the outcome of match(): entries
-     *  0..pos of a hit's bucket, or all of @p b on a miss. */
-    BucketMatch charge(uint32_t hit, const Bucket &b) const;
+    /**
+     * Probe @p subkey's bucket with the inputs gathered in @p in: the
+     * earliest entry whose every key slot is present with the stored
+     * value, charged as the linear scan (entries 0..pos of a hit's
+     * bucket, or the whole bucket on a miss).
+     */
+    BucketMatch match(const uint64_t *key_values, uint64_t subkey,
+                      const LookupScratch &in) const;
 
     const Entry &entry(uint32_t e) const { return entries_[e]; }
 
@@ -202,18 +201,24 @@ class KeyIndex
         return static_cast<uint32_t>(entries_.size());
     }
 
+    /** Distinct subkeys (buckets) indexed. */
+    uint32_t bucketCount() const { return nbuckets_; }
+
     /** Forget every entry; capacity and shapes are kept, so
      *  refilling up to the old size allocates nothing. */
     void clear();
 
-    /** Size for @p n entries up front. */
-    void reserve(uint32_t n)
-    {
-        entries_.reserve(n);
-        table_.reserve(n);
-    }
+    /** Size for @p entries entries in @p buckets buckets up front. */
+    void reserve(uint32_t entries, uint32_t buckets);
 
   private:
+    /** One bucket's scan: its entries and their modelled bytes. */
+    struct BucketSlot {
+        uint64_t subkey = 0;
+        uint64_t bytes = 0;
+        uint32_t count = 0;  // 0 = empty slot
+    };
+
     /** Shape id of a slot sequence, kNone when unseen. */
     uint32_t shapeOf(const uint32_t *slots, uint32_t nk) const;
     /** Hash tag of a full key. */
@@ -223,6 +228,11 @@ class KeyIndex
     uint32_t lookup(const uint64_t *key_values, uint64_t subkey,
                     uint32_t shape, const uint64_t *values, uint32_t nk,
                     uint32_t tag) const;
+    /** The bucket slot holding @p subkey, else the empty slot where it
+     *  goes; buckets_ must not be empty. */
+    size_t bucketSlot(uint64_t subkey) const;
+    /** Resize buckets_ to @p cap slots (a power of two). */
+    void rehashBuckets(size_t cap);
     uint32_t shapeCount() const
     {
         return static_cast<uint32_t>(shape_off_.size() - 1);
@@ -233,9 +243,16 @@ class KeyIndex
     std::vector<uint32_t> shape_off_ = {0};
     std::vector<uint32_t> shape_slots_;
     std::vector<Entry> entries_;
+    /** Key values and outputs of the entries so far: where the next
+     *  entry's start in the caller's columns. */
+    uint32_t keys_ = 0;
+    uint32_t outs_ = 0;
     /** Earliest entry per full key under the key's hash tag, hinted
      *  with the entry's key_begin. */
     TagTable table_;
+    /** Per subkey its bucket's scan, linear probing at load <= 1/2. */
+    std::vector<BucketSlot> buckets_;
+    uint32_t nbuckets_ = 0;
 };
 
 }  // namespace core

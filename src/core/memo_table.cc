@@ -10,16 +10,6 @@
 namespace snip {
 namespace core {
 
-namespace {
-
-uint32_t
-subkeyTag(uint64_t subkey)
-{
-    return static_cast<uint32_t>(subkey ^ (subkey >> 32));
-}
-
-}  // namespace
-
 MemoTable::MemoTable(const events::FieldSchema &schema)
     : schema_(schema)
 {
@@ -117,38 +107,20 @@ MemoTable::project(const games::HandlerExecution &rec,
     return true;
 }
 
-uint32_t
-MemoTable::bucketId(const TypeTable &tt, uint64_t subkey)
-{
-    return tt.bucket_ids.find(subkeyTag(subkey),
-                              [&](uint32_t b, uint32_t) {
-                                  return tt.buckets[b].subkey == subkey;
-                              });
-}
-
 bool
 MemoTable::insert(const RecordKey &key,
                   const std::vector<events::FieldValue> &outputs)
 {
     TypeTable &tt = types_[static_cast<int>(key.type)];
-    const uint32_t id = bucketId(tt, key.subkey);
-    const bool new_bucket = id == TagTable::kNone;
     uint64_t bytes = kEntryHeaderBytes;
     for (uint32_t slot : key.slots)
         bytes += tt.slot_bytes[slot];
     for (const auto &fv : outputs)
         bytes += schema_.def(fv.id).size_bytes;
-
-    const Bucket scan = new_bucket ? Bucket{} : tt.buckets[id].scan;
-    KeyIndex::Entry e;
-    e.subkey = key.subkey;
-    e.pos = scan.count;
-    e.cum_bytes = scan.bytes + bytes;
-    e.key_begin = static_cast<uint32_t>(tt.key_values.size());
-    e.out_begin = static_cast<uint32_t>(tt.out_ids.size());
-    e.nout = static_cast<uint32_t>(outputs.size());
-    if (!tt.index.append(tt.key_values.data(), e, key.slots.data(),
-                         key.values.data(), key.size(), false))
+    if (!tt.index.append(tt.key_values.data(), key.subkey,
+                         key.slots.data(), key.values.data(), key.size(),
+                         static_cast<uint32_t>(outputs.size()), bytes,
+                         false))
         return false;  // already memoized (append-only semantics)
 
     tt.key_values.insert(tt.key_values.end(), key.values.begin(),
@@ -156,13 +128,6 @@ MemoTable::insert(const RecordKey &key,
     for (const auto &fv : outputs) {
         tt.out_ids.push_back(fv.id);
         tt.out_values.push_back(fv.value);
-    }
-    if (new_bucket) {
-        tt.bucket_ids.insert(subkeyTag(key.subkey),
-                             static_cast<uint32_t>(tt.buckets.size()));
-        tt.buckets.push_back({key.subkey, {1, e.cum_bytes}});
-    } else {
-        tt.buckets[id].scan = {e.pos + 1, e.cum_bytes};
     }
     bytes_ += bytes;
     ++entries_;
@@ -180,15 +145,7 @@ MemoTable::match(events::EventType type, uint64_t subkey,
                  const LookupScratch &in) const
 {
     const TypeTable &tt = types_[static_cast<int>(type)];
-    // Only a miss needs the bucket (its whole scan is charged); start
-    // loading its slot so a miss does not wait for it.
-    tt.bucket_ids.prefetch(subkeyTag(subkey));
-    uint32_t hit = tt.index.match(tt.key_values.data(), subkey, in);
-    if (hit != KeyIndex::kNone)
-        return tt.index.charge(hit, {});
-    uint32_t id = bucketId(tt, subkey);
-    return tt.index.charge(
-        hit, id == TagTable::kNone ? Bucket{} : tt.buckets[id].scan);
+    return tt.index.match(tt.key_values.data(), subkey, in);
 }
 
 void
@@ -201,12 +158,6 @@ MemoTable::outputs(events::EventType type, uint32_t entry,
     for (uint32_t i = 0; i < e.nout; ++i)
         out[i] = {tt.out_ids[e.out_begin + i],
                   tt.out_values[e.out_begin + i]};
-}
-
-std::shared_ptr<const FrozenTable>
-MemoTable::freeze() const
-{
-    return FrozenTable::freeze(*this);
 }
 
 void
@@ -240,14 +191,15 @@ MemoTable::visitEntries(events::EventType type,
 }
 
 void
-MemoTable::mergeFrom(const MemoTable &other)
+MemoTable::mergeFrom(const FrozenTable &other)
 {
     games::HandlerExecution rec;
     for (int t = 0; t < events::kNumEventTypes; ++t) {
         rec.type = static_cast<events::EventType>(t);
         if (types_[t].selected.empty())
             continue;  // nothing of this type can be inserted
-        const std::vector<events::FieldId> &sel = other.types_[t].selected;
+        const std::vector<events::FieldId> sel =
+            other.selectedVector(rec.type);
         other.visitEntries(rec.type, [&](const EntryView &v) {
             rec.inputs.clear();
             for (size_t k = 0; k < v.slots.size(); ++k)
@@ -288,8 +240,6 @@ MemoTable::clear()
         tt.out_ids.clear();
         tt.out_values.clear();
         tt.index.clear();
-        tt.buckets.clear();
-        tt.bucket_ids.clear();
     }
     entries_ = 0;
     bytes_ = 0;

@@ -5,9 +5,11 @@
  * append-only set of entries mapping observed necessary-input values
  * to memoized outputs, bucketed by a hash of the *event-object*
  * portion of the necessary inputs (the event subkey). Shrink pre-fills
- * it from the profile, the federated merge unions into it, freeze()
- * turns it into the deployed arena (frozen_table.h), and a device's
- * online fill appends to one until the next re-learn replaces it.
+ * it from the profile, the federated merge unions deployed tables
+ * into it, freeze() turns it into the deployed arena (frozen_table.h)
+ * that every SnipModel carries, and a device's online fill appends to
+ * one until the next re-learn replaces it. It never ends up in a
+ * model.
  *
  * Entries live in flat per-type columns (key values, output ids and
  * values) behind the full-key index every device lookup uses
@@ -94,8 +96,8 @@ struct EntryView {
 
 /**
  * Per-game append-only lookup table. It is the build side of a model
- * (Shrink's prefill, unpackModel's rebuild, the fleet aggregate) and
- * a device's online-fill overlay alike.
+ * (Shrink's prefill, the fleet aggregate) and a device's online-fill
+ * overlay alike.
  *
  * Thread safety: const methods touch only immutable state.
  */
@@ -110,7 +112,7 @@ class MemoTable
     explicit MemoTable(const events::FieldSchema &schema);
 
     /** An empty table with @p frozen's schema and selections: a
-     *  device's online-fill overlay, or the start of a rebuild. */
+     *  device's online-fill overlay. */
     explicit MemoTable(const FrozenTable &frozen);
 
     /**
@@ -160,9 +162,11 @@ class MemoTable
 
     /**
      * Freeze this table into its immutable deploy-side form (a
-     * self-owning contiguous arena; see frozen_table.h). Pure and
-     * deterministic over the canonical entry order; the table is
-     * unchanged.
+     * self-owning contiguous arena; see frozen_table.h, where it is
+     * defined next to the arena layout). Pure and deterministic: the
+     * arena bytes are a function of the canonical entry order alone,
+     * so freezing a table merged from a frozen one reproduces its
+     * bytes. The table is unchanged.
      */
     std::shared_ptr<const FrozenTable> freeze() const;
 
@@ -180,12 +184,13 @@ class MemoTable
                       util::FunctionRef<void(const EntryView &)> fn) const;
 
     /**
-     * Union another table's entries into this one (the server-side
-     * federated merge), in @p other's canonical order. Entries are
-     * re-projected onto *this* table's selected sets; duplicate keys
-     * keep the first-seen outputs, as insert() does.
+     * Union a deployed table's entries into this one (the server-side
+     * federated merge), in @p other's arena order, which is its
+     * canonical order. Entries are re-projected onto *this* table's
+     * selected sets; duplicate keys keep the first-seen outputs, as
+     * insert() does.
      */
-    void mergeFrom(const MemoTable &other);
+    void mergeFrom(const FrozenTable &other);
 
     /**
      * Export table shape as `table.*` gauges (entries, payload
@@ -212,8 +217,6 @@ class MemoTable
     void clear();
 
   private:
-    friend class FrozenTable;  // freeze() sizes the arena from columns
-
     struct TypeTable {
         std::vector<events::FieldId> selected;  // sorted
         /** Per selected slot: an In.Event field, and its size. */
@@ -226,17 +229,7 @@ class MemoTable
         std::vector<events::FieldId> out_ids;
         std::vector<uint64_t> out_values;
         KeyIndex index;
-        /** Buckets by id, found through their subkey's tag. */
-        struct BucketRec {
-            uint64_t subkey = 0;
-            Bucket scan;
-        };
-        std::vector<BucketRec> buckets;
-        TagTable bucket_ids;
     };
-
-    /** The id of @p subkey's bucket, TagTable::kNone if none. */
-    static uint32_t bucketId(const TypeTable &tt, uint64_t subkey);
 
     events::FieldSchema schema_;
     std::array<TypeTable, events::kNumEventTypes> types_;

@@ -107,12 +107,8 @@ encodePayload(const SnipModel &model, util::ByteBuffer &buf)
 {
     buf.putString(model.game);
 
-    const events::FieldSchema empty;
-    const events::FieldSchema &schema =
-        model.table    ? model.table->schema()
-        : model.frozen ? model.frozen->schema()
-                       : empty;
-    encodeSchema(schema, buf);
+    static const events::FieldSchema kNoSchema;
+    encodeSchema(model.table ? model.table->schema() : kNoSchema, buf);
 
     buf.putU32(static_cast<uint32_t>(model.types.size()));
     for (const auto &t : model.types) {
@@ -130,9 +126,8 @@ encodePayload(const SnipModel &model, util::ByteBuffer &buf)
             std::bit_cast<uint64_t>(t.selection.selected_hit_rate));
     }
 
-    bool has_table = model.table != nullptr || model.frozen != nullptr;
-    buf.putU8(has_table ? 1 : 0);
-    if (!has_table)
+    buf.putU8(model.table ? 1 : 0);
+    if (!model.table)
         return;
 
     // The "SNPF" section: the frozen arena verbatim, preceded by
@@ -140,8 +135,6 @@ encodePayload(const SnipModel &model, util::ByteBuffer &buf)
     // 8-aligned *within the package* (payload begins at package
     // offset 12). The pad is a pure function of the cursor, so
     // re-serialization stays byte-identical.
-    std::shared_ptr<const FrozenTable> frozen =
-        model.frozen ? model.frozen : model.table->freeze();
     size_t arena_pkg_off =
         kPayloadPackageOffset + buf.size() + 4;  // after pad length
     uint32_t pad =
@@ -149,7 +142,7 @@ encodePayload(const SnipModel &model, util::ByteBuffer &buf)
     buf.putU32(pad);
     for (uint32_t i = 0; i < pad; ++i)
         buf.putU8(0);
-    buf.putBytes(frozen->arenaData(), frozen->arenaSize());
+    buf.putBytes(model.table->arenaData(), model.table->arenaSize());
 }
 
 /**
@@ -209,8 +202,7 @@ decodeMeta(util::ByteReader &r, SnipModel *model,
 /**
  * Decode the "SNPF" section: pad length + zero pad + the frozen
  * arena, which must fill the payload exactly. The returned view
- * borrows the package bytes; @p owner (may be null for a transient
- * server-side read) keeps them alive.
+ * borrows the package bytes, which @p owner keeps alive.
  */
 util::Status
 decodeArena(util::ByteBuffer &buf, util::ByteReader &r,
@@ -244,21 +236,6 @@ decodeArena(util::ByteBuffer &buf, util::ByteReader &r,
     r.skip(len);
     *out = std::move(view.value());
     return util::Status::Ok();
-}
-
-/**
- * Rebuild a mutable MemoTable from a validated arena view: same
- * selections, entries re-inserted in canonical order (visitRecords
- * yields them so), so freeze() of the rebuild reproduces the arena
- * byte for byte.
- */
-void
-rebuildTable(const FrozenTable &view, SnipModel *model)
-{
-    model->table = std::make_unique<MemoTable>(view);
-    view.visitRecords([&](const games::HandlerExecution &rec) {
-        model->table->insert(rec);
-    });
 }
 
 }  // namespace
@@ -307,8 +284,7 @@ namespace {
 /**
  * Validate the envelope and decode the payload. A table section is
  * attached as a FrozenTable view over @p buf's bytes into
- * `model->frozen`; @p owner (null for a transient server-side read)
- * keeps them alive.
+ * `model->table`; @p owner keeps them alive.
  */
 util::Status
 decodePackage(util::ByteBuffer &buf, std::shared_ptr<const void> owner,
@@ -336,7 +312,7 @@ decodePackage(util::ByteBuffer &buf, std::shared_ptr<const void> owner,
         return st;
     if (has_table) {
         st = decodeArena(buf, r, payload_end, *schema, std::move(owner),
-                         &model->frozen);
+                         &model->table);
         if (!st.ok())
             return st;
     }
@@ -349,20 +325,9 @@ decodePackage(util::ByteBuffer &buf, std::shared_ptr<const void> owner,
 }  // namespace
 
 util::Result<SnipModel>
-unpackModel(util::ByteBuffer &buf)
+unpackModel(const util::ByteBuffer &buf)
 {
-    SnipModel model;
-    events::FieldSchema schema;
-    util::Status st = decodePackage(buf, nullptr, &model, &schema);
-    if (!st.ok())
-        return st;
-    // Server-side read: rebuild the mutable table from the transient
-    // borrowed view, which must not outlive this call.
-    if (model.frozen) {
-        rebuildTable(*model.frozen, &model);
-        model.frozen.reset();
-    }
-    return model;
+    return deployModel(std::make_shared<util::ByteBuffer>(buf));
 }
 
 util::Result<SnipModel>
@@ -372,7 +337,7 @@ deployModel(std::shared_ptr<util::ByteBuffer> pkg)
         return util::Status::Error("model: null package");
     // Zero-copy deploy: the FrozenTable is a validated view over the
     // package bytes, kept alive by sharing ownership of the buffer
-    // itself. No per-entry work, no table rebuild.
+    // itself. No per-entry copy of the arena.
     SnipModel model;
     events::FieldSchema schema;
     util::Status st = decodePackage(*pkg, pkg, &model, &schema);

@@ -16,10 +16,11 @@
  * deployModel() attaches a bounds-checked zero-copy FrozenTable view
  * over the package bytes, so OTA deploy costs CRC + header
  * validation instead of a per-entry rebuild. unpackModel() is the
- * server-side reader: it rebuilds a mutable MemoTable from the arena
- * (for federated merging and re-learning); freeze() of that rebuild
- * reproduces the arena byte for byte, so pack→unpack→pack is still
- * byte-identical. Any other version is rejected.
+ * same deploy over an owned copy of the caller's bytes, for readers
+ * whose buffer does not outlive the model (the CLI, federated
+ * merging, re-learning). Either way packModel() writes the arena
+ * back verbatim, so pack→unpack→pack is byte-identical. Any other
+ * version is rejected.
  *
  * Unpacking is corruption-safe: a truncated, bit-flipped, or
  * version-mismatched package — including a malformed arena behind a
@@ -50,21 +51,21 @@ constexpr uint32_t kModelVersion = 2;
 void packModel(const SnipModel &model, util::ByteBuffer &out);
 
 /**
- * Validate (magic, version, length, CRC) and decode a package into
- * its *mutable* form: the server-side reader. Reads the whole buffer
- * from the start and rebuilds the arena into a MemoTable. On any
- * malformed input — truncation, bit corruption, bad counts or field
- * ids, unsupported version — returns an error Status and no model.
+ * Validate (magic, version, length, CRC) and decode a package read
+ * from the start of @p buf: deployModel() over an owned copy of its
+ * bytes, so the model does not borrow @p buf. On any malformed input
+ * — truncation, bit corruption, bad counts or field ids, unsupported
+ * version — returns an error Status and no model.
  */
-util::Result<SnipModel> unpackModel(util::ByteBuffer &buf);
+util::Result<SnipModel> unpackModel(const util::ByteBuffer &buf);
 
 /**
  * Device-side deploy: validate the envelope and attach the model's
  * table as a zero-copy FrozenTable view over the package bytes
- * (the package buffer is kept alive by the returned model's view,
- * and `model.table` stays null). Malformed input — wrong
- * CRC, or an arena whose offsets/ids/geometry fail validation even
- * behind a correct CRC — is rejected with an error Status.
+ * (the package buffer is kept alive by the returned model's view).
+ * Malformed input — wrong CRC, or an arena whose offsets/ids/geometry
+ * fail validation even behind a correct CRC — is rejected with an
+ * error Status.
  */
 util::Result<SnipModel>
 deployModel(std::shared_ptr<util::ByteBuffer> pkg);

@@ -70,48 +70,22 @@ MaxIpScheme::observe(const games::HandlerExecution &)
 
 namespace {
 
-/** Freeze the model (idempotent) and hand back the shared arena. */
+/** The model's table; a model without one cannot be deployed. */
 std::shared_ptr<const FrozenTable>
-frozenOf(SnipModel &model)
+tableOf(const SnipModel &model)
 {
-    if (!model.table && !model.frozen)
+    if (!model.table)
         util::fatal("SnipScheme: model has no table");
-    model.freeze();
-    return model.frozen;
-}
-
-/** Const models must already be deployable (frozen set). */
-std::shared_ptr<const FrozenTable>
-frozenOf(const SnipModel &model)
-{
-    if (!model.frozen)
-        util::fatal("SnipScheme: const model is not frozen "
-                    "(call freeze() before constructing)");
-    return model.frozen;
+    return model.table;
 }
 
 }  // namespace
 
-SnipScheme::SnipScheme(SnipModel &model, SnipRuntimeConfig cfg,
-                       bool charge_overheads)
-    : model_(model), cfg_(cfg), chargeOverheads_(charge_overheads),
-      frozen_(frozenOf(model)), overlay_(*frozen_)
-{
-    initRuntime();
-}
-
 SnipScheme::SnipScheme(const SnipModel &model, SnipRuntimeConfig cfg,
                        bool charge_overheads)
-    : model_(model), cfg_(cfg), chargeOverheads_(charge_overheads),
-      frozen_(frozenOf(model)), overlay_(*frozen_)
+    : cfg_(cfg), chargeOverheads_(charge_overheads),
+      frozen_(tableOf(model)), overlay_(*frozen_)
 {
-    initRuntime();
-}
-
-void
-SnipScheme::initRuntime()
-{
-    hitCounts_.assign(frozen_->entryCount(), 0);
     scratch_.values.reserve(frozen_->maxSelected());
     scratch_.present.reserve(frozen_->maxSelected());
     key_.slots.reserve(frozen_->maxSelected());
@@ -155,7 +129,6 @@ SnipScheme::decide(const games::Game &game, const events::EventObject &ev,
         d.lookup_candidates += m.candidates;
         if (m.hit()) {
             hit = true;
-            ++hitCounts_[ft.entryOrdinal(type, m.entry)];
             ft.outputs(type, m.entry, outputs_);
         }
     }
@@ -262,7 +235,7 @@ SnipScheme::recordTableStats(obs::Registry &reg) const
 }
 
 std::unique_ptr<Scheme>
-makeScheme(SchemeKind kind, SnipModel *model)
+makeScheme(SchemeKind kind, const SnipModel *model)
 {
     switch (kind) {
       case SchemeKind::Baseline:

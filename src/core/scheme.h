@@ -182,37 +182,24 @@ struct SnipRuntimeConfig {
 /**
  * SNIP: end-to-end short-circuiting via the deployed table.
  *
- * The scheme serves lookups from the model's immutable FrozenTable
- * (freezing the mutable table on construction if the model was not
- * already frozen). Online fill goes into a per-scheme append-only
- * MemoTable with the same selections, consulted only on a frozen
- * miss — the frozen arena itself is never mutated, so it can be
- * shared across sessions and threads. Each event's subkey and
- * necessary inputs are computed once and serve both probes, and the
- * charge is the scan of the frozen bucket followed by the overlay
- * bucket. Hit accounting lives in a scheme-owned dense counter array
- * indexed by frozen entry ordinal (race-free by construction; the
- * arena has no mutable hit field). The watchdog's "clear the table"
- * action deactivates the frozen layout and falls back to the
- * (cleared) overlay until re-learn.
+ * The scheme serves lookups from the model's immutable FrozenTable.
+ * Online fill goes into a per-scheme append-only MemoTable with the
+ * same selections, consulted only on a frozen miss — the frozen
+ * arena itself is never mutated, so it can be shared across sessions
+ * and threads. Each event's subkey and necessary inputs are computed
+ * once and serve both probes, and the charge is the scan of the
+ * frozen bucket followed by the overlay bucket. The watchdog's
+ * "clear the table" action deactivates the frozen layout and falls
+ * back to the (cleared) overlay until re-learn.
  */
 class SnipScheme : public Scheme
 {
   public:
     /**
-     * @param model Deployed model (borrowed; must outlive this).
-     *        Must have a table in at least one layout; freeze() is
-     *        called on it, so `model.frozen` is set on return.
+     * @param model Deployed model; the scheme shares its table, so
+     *        the model may go away first. A model without a table is
+     *        a fatal() usage error.
      * @param charge_overheads False builds the No-Overheads bound.
-     */
-    SnipScheme(SnipModel &model, SnipRuntimeConfig cfg = {},
-               bool charge_overheads = true);
-
-    /**
-     * Const overload for models already in deployable form: @p model
-     * must have `frozen` set (freeze() it first, or deployModel()
-     * did) — a scheme never mutates a const model, so an unfrozen
-     * one is a fatal() usage error, not a silent freeze.
      */
     SnipScheme(const SnipModel &model, SnipRuntimeConfig cfg = {},
                bool charge_overheads = true);
@@ -231,11 +218,6 @@ class SnipScheme : public Scheme
     const FrozenTable &frozen() const { return *frozen_; }
     /** False after a watchdog clear (overlay-only fallback). */
     bool frozenActive() const { return frozenActive_; }
-    /** Per-frozen-entry hit counts, indexed by entry ordinal. */
-    const std::vector<uint64_t> &hitCounts() const
-    {
-        return hitCounts_;
-    }
     /** Entries accumulated by online fill (overlay layout). */
     size_t overlayEntries() const { return overlay_.entryCount(); }
     /** Bytes of the deployed layout(s) serving lookups now. */
@@ -252,7 +234,6 @@ class SnipScheme : public Scheme
     uint64_t tableClears() const { return tableClears_; }
 
   private:
-    const SnipModel &model_;
     SnipRuntimeConfig cfg_;
     bool chargeOverheads_;
 
@@ -262,8 +243,6 @@ class SnipScheme : public Scheme
     MemoTable overlay_;
     /** Cleared by the watchdog: lookups become overlay-only. */
     bool frozenActive_ = true;
-    /** Dense per-entry hit counters (frozen entry ordinals). */
-    std::vector<uint64_t> hitCounts_;
 
     /** Watchdog state. */
     uint64_t hitCounter_ = 0;
@@ -286,15 +265,11 @@ class SnipScheme : public Scheme
     LookupScratch scratch_;
     std::vector<events::FieldValue> outputs_;
     RecordKey key_;
-
-    /** Shared ctor tail: hit counters, obs. */
-    void initRuntime();
-
 };
 
 /** Construct a scheme by kind (Snip/NoOverheads need a model). */
 std::unique_ptr<Scheme> makeScheme(SchemeKind kind,
-                                   SnipModel *model = nullptr);
+                                   const SnipModel *model = nullptr);
 
 }  // namespace core
 }  // namespace snip

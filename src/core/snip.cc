@@ -65,40 +65,13 @@ SnipModel::selectedBytes() const
     return total;
 }
 
-void
-SnipModel::freeze()
-{
-    if (frozen)
-        return;
-    if (!table)
-        util::panic("SnipModel::freeze: model has no table");
-    frozen = table->freeze();
-}
-
-uint64_t
-SnipModel::tableBytes() const
-{
-    if (frozen)
-        return frozen->totalBytes();
-    return table ? table->totalBytes() : 0;
-}
-
-void
-SnipModel::recordTableStats(obs::Registry &reg) const
-{
-    if (frozen)
-        frozen->recordStats(reg);
-    else if (table)
-        table->recordStats(reg);
-}
-
 SnipModel
 buildSnipModel(const trace::Profile &profile, const games::Game &game,
                const SnipConfig &cfg)
 {
     SnipModel model;
     model.game = profile.game;
-    model.table = std::make_unique<MemoTable>(game.schema());
+    MemoTable table(game.schema());
     obs::Span shrink_span(cfg.obs, "shrink");
 
     std::vector<events::FieldId> forced = resolveForced(game, cfg);
@@ -122,7 +95,7 @@ buildSnipModel(const trace::Profile &profile, const games::Game &game,
             return ml::Dataset(records, game.schema());
         }();
         TypeModel tm = selectForType(ds, t, cfg, forced);
-        model.table->setSelected(t, tm.selection.selected);
+        table.setSelected(t, tm.selection.selected);
         model.types.push_back(std::move(tm));
         if (cfg.obs)
             cfg.obs->counter("shrink.types_deployed").add(1);
@@ -132,10 +105,11 @@ buildSnipModel(const trace::Profile &profile, const games::Game &game,
     {
         obs::Span s(cfg.obs, "prefill");
         for (const auto &rec : profile.records)
-            model.table->insert(rec);
+            table.insert(rec);
     }
     if (cfg.obs)
-        model.table->recordStats(*cfg.obs);
+        table.recordStats(*cfg.obs);
+    model.table = table.freeze();
     return model;
 }
 
@@ -154,7 +128,7 @@ buildSnipModel(std::shared_ptr<const trace::ColumnarLog> tlog,
 
     SnipModel model;
     model.game = tlog->game();
-    model.table = std::make_unique<MemoTable>(game.schema());
+    MemoTable table(game.schema());
     obs::Span shrink_span(cfg.obs, "shrink");
 
     std::vector<events::FieldId> forced = resolveForced(game, cfg);
@@ -182,7 +156,7 @@ buildSnipModel(std::shared_ptr<const trace::ColumnarLog> tlog,
             continue;
         }
         TypeModel tm = selectForType(ds, t, cfg, forced);
-        model.table->setSelected(t, tm.selection.selected);
+        table.setSelected(t, tm.selection.selected);
         model.types.push_back(std::move(tm));
         if (cfg.obs)
             cfg.obs->counter("shrink.types_deployed").add(1);
@@ -199,14 +173,15 @@ buildSnipModel(std::shared_ptr<const trace::ColumnarLog> tlog,
             size_t row_bytes = (view->numFeatures() + 2) * 8;
             for (size_t row = 0; row < view->numRows(); ++row) {
                 view->materializeRecord(row, &rec);
-                model.table->insert(rec);
+                table.insert(rec);
                 if ((row + 1) % blk == 0)
                     view->noteStreamed(blk * row_bytes);
             }
         }
     }
     if (cfg.obs)
-        model.table->recordStats(*cfg.obs);
+        table.recordStats(*cfg.obs);
+    model.table = table.freeze();
     return util::Result<SnipModel>(std::move(model));
 }
 

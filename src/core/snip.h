@@ -2,8 +2,8 @@
  * @file
  * The SNIP pipeline facade (paper Fig. 10): from a recorded profile
  * to a deployable model — per-event-type PFI feature selection plus
- * the initial memoization table — with optional developer overrides
- * (Option 1 of §V-B).
+ * the initial memoization table, frozen into the one form a model
+ * holds — with optional developer overrides (Option 1 of §V-B).
  */
 
 #ifndef SNIP_CORE_SNIP_H
@@ -71,43 +71,32 @@ struct TypeModel {
 struct SnipModel {
     std::string game;
     std::vector<TypeModel> types;
-    /** Mutable build-side table pre-filled from the profile (null on
-     *  a device that deployed a zero-copy v2 package). */
-    std::unique_ptr<MemoTable> table;
     /**
-     * Immutable deploy-side form (frozen_table.h). Set by freeze(),
-     * or directly by deployModel() when a v2 package is attached
-     * zero-copy. The runtime (SnipScheme) looks up against this.
+     * The deployed table (frozen_table.h): frozen by buildSnipModel,
+     * or decoded from a package by deployModel()/unpackModel(). The
+     * runtime (SnipScheme) looks up against it. Null when the model
+     * carries no table.
      */
-    std::shared_ptr<const FrozenTable> frozen;
+    std::shared_ptr<const FrozenTable> table;
 
     /** Sum of selected necessary-input bytes across types. */
     uint64_t selectedBytes() const;
 
-    /**
-     * Ensure `frozen` is populated (idempotent): freezes `table`
-     * when a frozen form is not already attached. Panics if the
-     * model has neither.
-     */
-    void freeze();
+    /** A no-op: every model's table is already frozen. */
+    void freeze() {}
 
-    /** Whether a lookup table is deployed in either layout. */
-    bool deployed() const { return table != nullptr || frozen != nullptr; }
+    /** Whether a lookup table is deployed. */
+    bool deployed() const { return table != nullptr; }
 
-    /** Deployed-table payload bytes (frozen arena preferred). */
-    uint64_t tableBytes() const;
-
-    /**
-     * Export `table.*` gauges for whichever layout the runtime
-     * would serve lookups from (frozen when present).
-     */
-    void recordTableStats(obs::Registry &reg) const;
+    /** Deployed-table payload bytes (0 without a table). */
+    uint64_t tableBytes() const { return table ? table->totalBytes() : 0; }
 };
 
 /**
- * Run PFI selection per event type on @p profile and build the
- * deployable table. @p game supplies the schema and (for override
- * name resolution) the field registry.
+ * Run PFI selection per event type on @p profile, pre-fill a
+ * MemoTable from it and freeze that into the deployable table.
+ * @p game supplies the schema and (for override name resolution)
+ * the field registry.
  */
 SnipModel buildSnipModel(const trace::Profile &profile,
                          const games::Game &game,

@@ -13,7 +13,7 @@ namespace fleet {
 
 AggregateStats
 aggregateUploads(core::MemoTable &dest,
-                 std::span<util::ByteBuffer> uploads,
+                 std::span<const util::ByteBuffer> uploads,
                  const AggregateConfig &cfg)
 {
     AggregateStats stats;
@@ -25,7 +25,7 @@ aggregateUploads(core::MemoTable &dest,
     // A payload that fails integrity checks is dropped, exactly as
     // the serial chain drops it — that device just contributes
     // nothing this round.
-    std::vector<std::unique_ptr<core::MemoTable>> decoded(
+    std::vector<std::shared_ptr<const core::FrozenTable>> decoded(
         uploads.size());
     util::parallelFor(
         uploads.size(),

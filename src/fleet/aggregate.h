@@ -3,7 +3,8 @@
  * Federated aggregation of per-device uploads. The core federated
  * backend folds N upload payloads into the agreed table through one
  * serial MemoTable::mergeFrom chain. aggregateUploads decodes the
- * payloads in parallel (util::parallelFor, one task per upload) and
+ * payloads in parallel (util::parallelFor, one task per upload; a
+ * decode attaches the frozen table, it does not rebuild it) and
  * then runs that same chain, in upload order, over the decoded
  * tables — so the aggregate is *bitwise identical* (frozen arena
  * bytes) to the serial chain at any thread count, which
@@ -52,11 +53,10 @@ struct AggregateStats {
  * Decode the serialized per-device upload payloads (SNPM packages,
  * as produced by the federated device loop) and union their tables
  * into @p dest. @p dest's selected sets drive the re-projection,
- * exactly as in the serial chain; @p uploads are read with a cursor,
- * hence the mutable span. Returns what was consumed/dropped.
+ * exactly as in the serial chain. Returns what was consumed/dropped.
  */
 AggregateStats aggregateUploads(core::MemoTable &dest,
-                                std::span<util::ByteBuffer> uploads,
+                                std::span<const util::ByteBuffer> uploads,
                                 const AggregateConfig &cfg = {});
 
 }  // namespace fleet

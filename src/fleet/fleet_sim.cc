@@ -203,15 +203,14 @@ recordUploadPayloads(const std::string &game_name,
             trace::Profile profile =
                 trace::Replayer::replay(res.trace, *replica);
 
+            core::MemoTable local(game->schema());
+            for (const core::TypeModel &t : agreed.types)
+                local.setSelected(t.type, t.selection.selected);
+            for (const auto &rec : profile.records)
+                local.insert(rec);
             core::SnipModel device;
             device.game = game_name;
-            device.table =
-                std::make_unique<core::MemoTable>(game->schema());
-            for (const core::TypeModel &t : agreed.types)
-                device.table->setSelected(t.type,
-                                          t.selection.selected);
-            for (const auto &rec : profile.records)
-                device.table->insert(rec);
+            device.table = local.freeze();
             core::packModel(device, payloads[u]);
         },
         threads);

@@ -158,7 +158,6 @@ deployedModel(const std::string &name,
     auto replica = makeGame(name);
     trace::Profile profile = trace::Replayer::replay(res.trace, *replica);
     core::SnipModel model = core::buildSnipModel(profile, *game);
-    model.freeze();
     if (events)
         *events = std::move(res.trace.events);
     return model;
@@ -176,7 +175,7 @@ TEST_P(LookupAllocTest, LookupsAllocateNothing)
 {
     std::vector<events::EventObject> trace;
     core::SnipModel model = deployedModel(GetParam(), &trace);
-    const core::FrozenTable &frozen = *model.frozen;
+    const core::FrozenTable &frozen = *model.table;
 
     size_t widest = 0;
     for (const auto &t : model.types)

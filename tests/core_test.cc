@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <unordered_map>
 
@@ -427,14 +428,14 @@ TEST_F(MemoTableTest, MergeFromUnionsEntries)
     }
     ASSERT_EQ(other_only, 1u);
 
-    table_->mergeFrom(other);
+    table_->mergeFrom(*other.freeze());
     EXPECT_EQ(table_->entryCount(), before + 1);
     Probe hit = probe(*table_, last_event_);
     ASSERT_TRUE(hit.hit);
     EXPECT_EQ(hit.outputs, fresh.outputs);
     // Merging again is idempotent, and the shared entry kept the
     // first-inserted outputs.
-    table_->mergeFrom(other);
+    table_->mergeFrom(*other.freeze());
     EXPECT_EQ(table_->entryCount(), before + 1);
     Probe dup = probe(*table_, shared_event);
     ASSERT_TRUE(dup.hit);
@@ -545,7 +546,7 @@ TEST_F(MemoTableTest, FrozenArenaCorruptionFuzz)
     // tiling and distinct-subkey checks can reject it.
     SnipModel model;
     model.game = game_->name();
-    model.table = std::make_unique<MemoTable>(*table_);
+    model.table = table_->freeze();
     util::ByteBuffer pkg;
     packModel(model, pkg);
     const std::vector<uint8_t> &bytes = pkg.data();
@@ -640,8 +641,21 @@ class ReferenceScan
     /** Every entry of @p table in ordinal order, duplicates kept. */
     void addAll(const FrozenTable &table)
     {
-        table.visitRecords(
-            [&](const games::HandlerExecution &rec) { add(rec, false); });
+        games::HandlerExecution rec;
+        for (int t = 0; t < events::kNumEventTypes; ++t) {
+            rec.type = static_cast<events::EventType>(t);
+            const std::vector<events::FieldId> sel =
+                table.selectedVector(rec.type);
+            table.visitEntries(rec.type, [&](const EntryView &v) {
+                rec.inputs.clear();
+                for (size_t k = 0; k < v.slots.size(); ++k)
+                    rec.inputs.push_back({sel[v.slots[k]], v.values[k]});
+                rec.outputs.clear();
+                for (size_t k = 0; k < v.out_ids.size(); ++k)
+                    rec.outputs.push_back({v.out_ids[k], v.out_values[k]});
+                add(rec, false);
+            });
+        }
     }
 
     /** Append @p rec's entry; with @p dedup an entry whose key is
@@ -828,8 +842,7 @@ TEST(FrozenTableTest, IndexedProbeMatchesReferenceScan)
     for (const std::string &name : games::allGameNames()) {
         SCOPED_TRACE(name);
         SnipModel model = goldenModel(name);
-        model.freeze();
-        const FrozenTable &frozen = *model.frozen;
+        const FrozenTable &frozen = *model.table;
         ReferenceScan ref(frozen);
         ref.addAll(frozen);
         MemoTable overlay(frozen);
@@ -985,12 +998,12 @@ TEST(FrozenTableTest, IndexedProbeMatchesReferenceScan)
 // build-side store: every catalog model built from a 30 s profile, a
 // merged aggregate whose destination keeps a strict subset of the
 // sources' fields (so distinct source keys collapse, and same keys
-// carry different outputs), and the table unpackModel rebuilds.
+// carry different outputs), the table unpackModel decodes, and that
+// table merged into an empty store and frozen again.
 TEST_F(MemoTableTest, FreezeGoldenDigest)
 {
-    auto crcOf = [](const MemoTable &table) {
-        auto frozen = table.freeze();
-        return util::crc32(frozen->arenaData(), frozen->arenaSize());
+    auto crcOf = [](const FrozenTable &table) {
+        return util::crc32(table.arenaData(), table.arenaSize());
     };
     const std::vector<std::pair<std::string, uint32_t>> catalog = {
         {"colorphun", 0xb8872dd1u},    {"memory_game", 0xf185e7e6u},
@@ -1008,7 +1021,11 @@ TEST_F(MemoTableTest, FreezeGoldenDigest)
         packModel(model, pkg);
         auto unpacked = unpackModel(pkg);
         ASSERT_TRUE(unpacked.ok()) << unpacked.status().message();
-        EXPECT_EQ(crcOf(*unpacked.value().table), 0x8012d48eu);
+        const FrozenTable &decoded = *unpacked.value().table;
+        EXPECT_EQ(crcOf(decoded), 0x8012d48eu);
+        MemoTable remerged(decoded);
+        remerged.mergeFrom(decoded);
+        EXPECT_EQ(crcOf(*remerged.freeze()), 0x8012d48eu);
     }
 
     ASSERT_GE(selected_.size(), 2u);
@@ -1029,10 +1046,10 @@ TEST_F(MemoTableTest, FreezeGoldenDigest)
     MemoTable dest(game_->schema());
     dest.setSelected(touch, std::vector<events::FieldId>(
                                 selected_.begin(), selected_.end() - 1));
-    dest.mergeFrom(a);
-    dest.mergeFrom(b);
+    dest.mergeFrom(*a.freeze());
+    dest.mergeFrom(*b.freeze());
     EXPECT_LT(dest.entryCount(), a.entryCount() + b.entryCount());
-    EXPECT_EQ(crcOf(dest), 0xfac6531fu);
+    EXPECT_EQ(crcOf(*dest.freeze()), 0xfac6531fu);
 }
 
 /**
@@ -1492,16 +1509,24 @@ TEST(Schemes, MaxIpDecideAloneDoesNotLearn)
     EXPECT_TRUE(s.decide(*game, ev, truth).skip_ips);
 }
 
+/** An empty-profile model with @p game's ground-truth Touch
+ *  selection. */
+SnipModel
+emptyTouchModel(const games::Game &game)
+{
+    MemoTable table(game.schema());
+    table.setSelected(events::EventType::Touch,
+                      game.necessaryInputIds(events::EventType::Touch));
+    SnipModel model;
+    model.game = game.name();
+    model.table = table.freeze();
+    return model;
+}
+
 TEST(Schemes, SnipHitsAfterObserve)
 {
     auto game = games::makeGame("colorphun");
-    // Empty-profile model with ground-truth selection.
-    SnipModel model;
-    model.game = game->name();
-    model.table = std::make_unique<MemoTable>(game->schema());
-    model.table->setSelected(
-        events::EventType::Touch,
-        game->necessaryInputIds(events::EventType::Touch));
+    SnipModel model = emptyTouchModel(*game);
 
     SnipScheme s(model);
     util::Rng rng(4);
@@ -1521,12 +1546,7 @@ TEST(Schemes, SnipHitsAfterObserve)
 TEST(Schemes, NoOverheadsVariant)
 {
     auto game = games::makeGame("colorphun");
-    SnipModel model;
-    model.game = game->name();
-    model.table = std::make_unique<MemoTable>(game->schema());
-    model.table->setSelected(
-        events::EventType::Touch,
-        game->necessaryInputIds(events::EventType::Touch));
+    SnipModel model = emptyTouchModel(*game);
     auto s = makeScheme(SchemeKind::NoOverheads, &model);
     EXPECT_EQ(s->kind(), SchemeKind::NoOverheads);
     util::Rng rng(5);
@@ -1560,12 +1580,7 @@ TEST(Schemes, Names)
 TEST(Schemes, OverlayFallbackLookupBytesNoUnderflow)
 {
     auto game = games::makeGame("colorphun");
-    SnipModel model;
-    model.game = game->name();
-    model.table = std::make_unique<MemoTable>(game->schema());
-    model.table->setSelected(
-        events::EventType::Touch,
-        game->necessaryInputIds(events::EventType::Touch));
+    SnipModel model = emptyTouchModel(*game);
 
     SnipScheme s(model);
     util::Rng rng(21);

@@ -69,21 +69,29 @@ TEST(Qoe, InvalidSessionLengthFatal)
 
 // ------------------------------------------------------- Watchdog
 
+/** A model whose empty table selects @p selected for Touch. */
+SnipModel
+touchModel(const games::Game &game, std::vector<events::FieldId> selected)
+{
+    MemoTable table(game.schema());
+    table.setSelected(events::EventType::Touch, std::move(selected));
+    SnipModel model;
+    model.game = game.name();
+    model.table = table.freeze();
+    return model;
+}
+
 /** Model with a deliberately broken selection: the necessary
  *  history fields are omitted, so hits go wrong. */
 SnipModel
 brokenModel(games::Game &game)
 {
-    SnipModel model;
-    model.game = game.name();
-    model.table = std::make_unique<MemoTable>(game.schema());
     std::vector<events::FieldId> only_zone;
     const auto &spec = game.handler(events::EventType::Touch);
     for (const auto &efs : spec.event_fields)
         if (efs.necessary)
             only_zone.push_back(efs.fid);
-    model.table->setSelected(events::EventType::Touch, only_zone);
-    return model;
+    return touchModel(game, only_zone);
 }
 
 TEST(Watchdog, AuditsCatchBrokenTable)
@@ -108,12 +116,8 @@ TEST(Watchdog, AuditsCatchBrokenTable)
 TEST(Watchdog, HealthyTableNeverCleared)
 {
     auto game = games::makeGame("colorphun");
-    SnipModel model;
-    model.game = game->name();
-    model.table = std::make_unique<MemoTable>(game->schema());
-    model.table->setSelected(
-        events::EventType::Touch,
-        game->necessaryInputIds(events::EventType::Touch));
+    SnipModel model = touchModel(
+        *game, game->necessaryInputIds(events::EventType::Touch));
     SnipRuntimeConfig rcfg;
     rcfg.audit_every = 4;
     rcfg.audit_window = 8;
@@ -131,12 +135,8 @@ TEST(Watchdog, HealthyTableNeverCleared)
 TEST(Watchdog, AuditedEventsAreNotShortcircuited)
 {
     auto game = games::makeGame("colorphun");
-    SnipModel model;
-    model.game = game->name();
-    model.table = std::make_unique<MemoTable>(game->schema());
-    model.table->setSelected(
-        events::EventType::Touch,
-        game->necessaryInputIds(events::EventType::Touch));
+    SnipModel model = touchModel(
+        *game, game->necessaryInputIds(events::EventType::Touch));
     SnipRuntimeConfig audit_on, audit_off;
     audit_on.audit_every = 2;  // every other hit audited
     SnipScheme with(model, audit_on);
@@ -144,13 +144,7 @@ TEST(Watchdog, AuditedEventsAreNotShortcircuited)
     cfg.duration_s = 60.0;
     SessionResult r_with = runSession(*game, with, cfg);
 
-    SnipModel model2;
-    model2.game = game->name();
-    model2.table = std::make_unique<MemoTable>(game->schema());
-    model2.table->setSelected(
-        events::EventType::Touch,
-        game->necessaryInputIds(events::EventType::Touch));
-    SnipScheme without(model2, audit_off);
+    SnipScheme without(model, audit_off);
     SessionResult r_without = runSession(*game, without, cfg);
 
     // Auditing halves the effective short-circuits (same stream).

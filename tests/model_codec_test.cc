@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 
 #include "core/model_codec.h"
@@ -406,9 +407,8 @@ TEST(ModelCodecTest, DeployModelZeroCopyRunsBitwiseIdentical)
 
     util::Result<SnipModel> dep = deployModel(pkg);
     ASSERT_TRUE(dep.ok()) << dep.status().message();
-    ASSERT_TRUE(dep.value().frozen != nullptr);
-    EXPECT_TRUE(dep.value().frozen->zeroCopy());
-    EXPECT_TRUE(dep.value().table == nullptr);
+    ASSERT_TRUE(dep.value().table != nullptr);
+    EXPECT_TRUE(dep.value().table->zeroCopy());
 
     SimulationConfig cfg;
     cfg.duration_s = 20.0;
@@ -431,6 +431,46 @@ TEST(ModelCodecTest, DeployModelZeroCopyRunsBitwiseIdentical)
     EXPECT_EQ(a.stats.output_fields_wrong,
               b.stats.output_fields_wrong);
     EXPECT_EQ(a.report.total(), b.report.total());
+}
+
+TEST(ModelCodecTest, UnpackedModelOwnsItsBytes)
+{
+    // unpackModel deploys over its own copy of the bytes: the model
+    // outlives the caller's buffer, even one overwritten first, and
+    // plays bit for bit like deployModel over the same package.
+    SnipModel original = buildModelFor("colorphun", 20.0, 2468);
+    auto pkg = std::make_shared<util::ByteBuffer>();
+    packModel(original, *pkg);
+
+    util::Result<SnipModel> unpacked = [&] {
+        auto source = std::make_unique<util::ByteBuffer>(copyOf(*pkg));
+        util::Result<SnipModel> r = unpackModel(*source);
+        auto &bytes =
+            const_cast<std::vector<uint8_t> &>(source->data());
+        std::fill(bytes.begin(), bytes.end(), uint8_t{0xa5});
+        return r;
+    }();
+    ASSERT_TRUE(unpacked.ok()) << unpacked.status().message();
+    ASSERT_TRUE(unpacked.value().table != nullptr);
+    util::Result<SnipModel> deployed = deployModel(pkg);
+    ASSERT_TRUE(deployed.ok()) << deployed.status().message();
+
+    SimulationConfig cfg;
+    cfg.duration_s = 20.0;
+    cfg.seed = 999;
+    auto game_a = games::makeGame("colorphun");
+    SnipScheme scheme_a(unpacked.value());
+    SessionResult a = runSession(*game_a, scheme_a, cfg);
+    auto game_b = games::makeGame("colorphun");
+    SnipScheme scheme_b(deployed.value());
+    SessionResult b = runSession(*game_b, scheme_b, cfg);
+
+    EXPECT_GT(a.stats.shortcircuits, 0u);
+    // SessionStats is all 8-byte fields: memcmp is a bitwise compare.
+    static_assert(sizeof(SessionStats) % 8 == 0);
+    EXPECT_EQ(std::memcmp(&a.stats, &b.stats, sizeof(a.stats)), 0);
+    const double ea = a.report.total(), eb = b.report.total();
+    EXPECT_EQ(std::memcmp(&ea, &eb, sizeof(ea)), 0);
 }
 
 TEST(ModelCodecTest, DeployModelCorruptionFuzz)
@@ -467,7 +507,7 @@ TEST(ModelCodecTest, DeployModelCorruptionFuzz)
         util::Result<SnipModel> r = deployModel(mutant);
         EXPECT_EQ(r.ok(), !changed) << "iteration " << i;
         if (r.ok())
-            EXPECT_TRUE(r.value().frozen != nullptr);
+            EXPECT_TRUE(r.value().table != nullptr);
     }
 }
 

@@ -232,19 +232,18 @@ TEST(Sinks, NullSinkDiscards)
 TEST(SchemeTelemetry, OnlineInsertsCountOverlayGrowthOnly)
 {
     auto game = games::makeGame("colorphun");
-    core::SnipModel model;
-    model.game = game->name();
-    model.table =
-        std::make_unique<core::MemoTable>(game->schema());
-    model.table->setSelected(
-        events::EventType::Touch,
-        game->necessaryInputIds(events::EventType::Touch));
+    core::MemoTable table(game->schema());
+    table.setSelected(events::EventType::Touch,
+                      game->necessaryInputIds(events::EventType::Touch));
     // One record memoized by the deployed (frozen) table.
     util::Rng rng(8);
     events::EventObject frozen_ev =
         game->makeEvent(events::EventType::Touch, 0.0, rng);
     games::HandlerExecution frozen_truth = game->process(frozen_ev);
-    model.table->insert(frozen_truth);
+    table.insert(frozen_truth);
+    core::SnipModel model;
+    model.game = game->name();
+    model.table = table.freeze();
 
     Registry reg;
     core::SnipRuntimeConfig rcfg;

@@ -513,23 +513,24 @@ TEST(ParallelRunnerTest, ConcurrentLookupsOnSharedConstTable)
     packModel(built, *pkg);
     util::Result<SnipModel> deployed = deployModel(pkg);
     ASSERT_TRUE(deployed.ok()) << deployed.status().message();
-    ASSERT_TRUE(deployed.value().frozen->zeroCopy());
+    ASSERT_TRUE(deployed.value().table->zeroCopy());
 
     auto game = games::makeGame("colorphun");
-    expectConcurrentLookupsMatchSerial(*deployed.value().frozen, *game,
+    expectConcurrentLookupsMatchSerial(*deployed.value().table, *game,
                                        res.trace.events);
 }
 
-// The build-side path: a self-owning arena from freeze().
+// The build-side path: the self-owning arena Shrink froze.
 TEST(ParallelRunnerTest, ConcurrentLookupsOnSharedConstFrozenTable)
 {
     SessionResult res;
     SnipModel model = colorphunModel(&res);
     ASSERT_GT(model.table->entryCount(), 0u);
-    std::shared_ptr<const FrozenTable> frozen = model.table->freeze();
+    ASSERT_FALSE(model.table->zeroCopy());
 
     auto game = games::makeGame("colorphun");
-    expectConcurrentLookupsMatchSerial(*frozen, *game, res.trace.events);
+    expectConcurrentLookupsMatchSerial(*model.table, *game,
+                                       res.trace.events);
 }
 
 // -------------------------------------------- Shrink-phase parallelism

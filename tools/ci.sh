@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Continuous-integration checks. Stages, in order:
 #  - default build + ctest;
+#  - the four examples end to end (profile_and_deploy writes its
+#    artifacts into a temporary directory removed on exit);
 #  - bench goldens: the stdout and --csv series of the 14 paper
 #    benches at --quick (fig11 also at --threads 4) are diffed byte
 #    for byte against tests/golden/ (tools/bench_goldens.sh);
@@ -30,7 +32,8 @@
 #    epochs;
 #  - corruption fuzz under asan: the OTA model codec, the frozen SNPF
 #    arena, SNCT training files, and SNPD patches must
-#    reject corrupt bytes cleanly (no crash, no sanitizer report), the
+#    reject corrupt bytes cleanly (no crash, no sanitizer report), an
+#    unpacked model must outlive the caller's package buffer, the
 #    indexed probe must match the reference scan on crafted arenas,
 #    and MemoTable's flat store must match the map-store oracle and
 #    its pinned freeze() digests;
@@ -69,6 +72,14 @@ echo "==> default build + ctest"
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$JOBS"
 ctest --preset default -j "$JOBS"
+
+echo "==> examples (all four, end to end)"
+EXAMPLES_OUT=$(mktemp -d)
+trap 'rm -rf "$EXAMPLES_OUT"' EXIT
+./build/examples/quickstart >/dev/null
+./build/examples/ar_game_session >/dev/null
+./build/examples/continuous_learning_demo >/dev/null
+./build/examples/profile_and_deploy candy_crush "$EXAMPLES_OUT" >/dev/null
 
 echo "==> bench goldens (paper benches at --quick, byte for byte)"
 tools/bench_goldens.sh build
@@ -266,7 +277,7 @@ EOF
 echo "==> corruption fuzz smoke (OTA model codec + SNPF arena, asan)"
 SNIP_FUZZ_ITERS=512 run_filtered \
     ./build-asan/tests/model_codec_test \
-    --gtest_filter='ModelCodec*Fuzz*'
+    --gtest_filter='ModelCodec*Fuzz*:ModelCodecTest.UnpackedModelOwnsItsBytes'
 SNIP_FUZZ_ITERS=512 run_filtered \
     ./build-asan/tests/core_test \
     --gtest_filter='*FrozenArenaCorruptionFuzz*:FrozenTableTest.IndexedProbeMatchesReferenceScan:MemoTableTest.FlatStoreMatchesMapReference:MemoTableTest.FreezeGoldenDigest'
