@@ -18,6 +18,7 @@
 #include "ml/feature_selection.h"
 #include "ml/random_forest.h"
 #include "util/bytes.h"
+#include "util/parallel.h"
 #include "util/table_printer.h"
 
 using namespace snip;
@@ -106,7 +107,7 @@ main(int argc, char **argv)
     constexpr size_t kNumBudgets =
         sizeof(abs_budgets) / sizeof(abs_budgets[0]);
     ml::SelectionResult bud_results[kNumBudgets];
-    opts.runner().forEach(kNumBudgets, [&](size_t i) {
+    util::parallelFor(kNumBudgets, [&](size_t i) {
         ml::SelectionConfig c;
         c.max_error = abs_budgets[i];
         c.max_conditional_error = abs_budgets[i] * 6;
@@ -114,7 +115,7 @@ main(int argc, char **argv)
         // serial rather than oversubscribing (output is identical).
         c.pfi.threads = 1;
         bud_results[i] = ml::selectNecessaryInputs(ds, c);
-    });
+    }, opts.threads);
     for (size_t i = 0; i < kNumBudgets; ++i) {
         const ml::SelectionResult &r = bud_results[i];
         bud.addRow({util::TablePrinter::pct(abs_budgets[i], 2),
@@ -139,7 +140,7 @@ main(int argc, char **argv)
         ml::SelectionResult r;
     };
     LenRow len_results[kNumFractions];
-    opts.runner().forEach(kNumFractions, [&](size_t i) {
+    util::parallelFor(kNumFractions, [&](size_t i) {
         auto recs = pg.profile.ofType(events::EventType::Drag);
         if (fractions[i] != SIZE_MAX && recs.size() > fractions[i])
             recs.resize(fractions[i]);
@@ -148,7 +149,7 @@ main(int argc, char **argv)
         ml::Dataset d2(std::move(recs), schema);
         len_results[i].rows = d2.numRows();
         len_results[i].r = ml::selectNecessaryInputs(d2, scfg);
-    });
+    }, opts.threads);
     for (const LenRow &lr : len_results) {
         if (lr.rows == 0)
             continue;

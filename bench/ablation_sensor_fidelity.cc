@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
+#include "util/parallel.h"
 #include "util/table_printer.h"
 
 using namespace snip;
@@ -35,7 +36,7 @@ main(int argc, char **argv)
         double e_base = 0.0, e_lofi = 0.0, e_snip = 0.0;
     };
     std::vector<Row> rows(names.size());
-    opts.runner().forEach(names.size(), [&](size_t i) {
+    util::parallelFor(names.size(), [&](size_t i) {
         bench::ProfiledGame pg = bench::profileGame(names[i], opts);
         core::SimulationConfig ecfg = bench::evalConfig(opts);
         Row &row = rows[i];
@@ -59,7 +60,7 @@ main(int argc, char **argv)
         core::SnipScheme snip(model);
         row.e_snip = core::runSession(*pg.game, snip, ecfg)
                          .report.total();
-    });
+    }, opts.threads);
 
     for (const Row &row : rows) {
         table.addRow({row.display,

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace snip {
 namespace bench {
@@ -70,9 +71,9 @@ profileAllGames(const BenchOptions &opts, double profile_s)
 {
     const auto &names = games::allGameNames();
     std::vector<ProfiledGame> pgs(names.size());
-    opts.runner().forEach(names.size(), [&](size_t i) {
+    util::parallelFor(names.size(), [&](size_t i) {
         pgs[i] = profileGame(names[i], opts, profile_s);
-    });
+    }, opts.threads);
     return pgs;
 }
 

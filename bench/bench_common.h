@@ -25,7 +25,6 @@
 #include <memory>
 #include <string>
 
-#include "core/parallel_runner.h"
 #include "core/simulation.h"
 #include "core/snip.h"
 #include "games/registry.h"
@@ -56,12 +55,6 @@ struct BenchOptions {
     double profileSeconds() const { return quick ? 90.0 : 300.0; }
     /** Evaluation session length (s). */
     double evalSeconds() const { return quick ? 30.0 : 60.0; }
-
-    /** Session-parallel runner configured by --threads. */
-    core::ParallelRunner runner() const
-    {
-        return core::ParallelRunner(threads);
-    }
 };
 
 /** Parse the common options; fatal() on unknown arguments. */

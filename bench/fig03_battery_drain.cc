@@ -12,6 +12,7 @@
 #include "bench/bench_common.h"
 #include "soc/battery.h"
 #include "util/csv_writer.h"
+#include "util/parallel.h"
 #include "util/table_printer.h"
 
 using namespace snip;
@@ -52,12 +53,12 @@ main(int argc, char **argv)
     core::SimulationConfig cfg = bench::evalConfig(opts);
     cfg.duration_s = opts.profileSeconds() / 2;
     std::vector<util::Power> power(names.size());
-    opts.runner().forEach(names.size(), [&](size_t i) {
+    util::parallelFor(names.size(), [&](size_t i) {
         auto game = games::makeGame(names[i]);
         core::BaselineScheme baseline;
         power[i] = core::runSession(*game, baseline, cfg)
                        .report.averagePower();
-    });
+    }, opts.threads);
 
     for (size_t i = 0; i < names.size(); ++i) {
         auto game = games::makeGame(names[i]);

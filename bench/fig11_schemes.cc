@@ -19,6 +19,7 @@
 #include "soc/battery.h"
 #include "util/bytes.h"
 #include "util/csv_writer.h"
+#include "util/parallel.h"
 #include "util/table_printer.h"
 
 using namespace snip;
@@ -69,7 +70,6 @@ main(int argc, char **argv)
     // Max IP need none. Phase 3: every (game, scheme) evaluation
     // session is an independent task on its own game clone, so
     // per-session stats are bitwise identical for any --threads value.
-    core::ParallelRunner runner = opts.runner();
     std::vector<bench::ProfiledGame> pgs = bench::profileAllGames(opts);
     const auto &names = games::allGameNames();
 
@@ -77,11 +77,11 @@ main(int argc, char **argv)
     // the sole writer of its registry until the join.
     std::vector<obs::Registry> build_regs(names.size());
     std::vector<core::SnipModel> models(names.size());
-    runner.forEach(names.size(), [&](size_t g) {
+    util::parallelFor(names.size(), [&](size_t g) {
         obs::Registry *reg =
             !opts.obs_json.empty() ? &build_regs[g] : nullptr;
         models[g] = bench::buildModel(pgs[g], opts, reg);
-    });
+    }, opts.threads);
 
     struct SchemeRun {
         core::SessionResult res;
@@ -91,7 +91,7 @@ main(int argc, char **argv)
         obs::Registry reg;
     };
     std::vector<SchemeRun> evals(names.size() * kNumKinds);
-    runner.forEach(evals.size(), [&](size_t i) {
+    util::parallelFor(evals.size(), [&](size_t i) {
         const bench::ProfiledGame &pg = pgs[i / kNumKinds];
         const core::SnipModel &model = models[i / kNumKinds];
         core::SchemeKind kind = kinds[i % kNumKinds];
@@ -120,7 +120,7 @@ main(int argc, char **argv)
                                     : model.tableBytes();
         if (reg && snip)
             snip->recordTableStats(*reg);
-    });
+    }, opts.threads);
 
     for (size_t g = 0; g < names.size(); ++g) {
         const std::string &name = names[g];

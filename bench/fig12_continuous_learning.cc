@@ -17,6 +17,7 @@
 #include "core/continuous_learning.h"
 #include "util/bytes.h"
 #include "util/csv_writer.h"
+#include "util/parallel.h"
 #include "util/table_printer.h"
 
 using namespace snip;
@@ -53,14 +54,14 @@ main(int argc, char **argv)
     // single-writer), merged after the join for --obs-json.
     obs::Registry regs[2];
     std::vector<core::EpochResult> trajectories[2];
-    opts.runner().forEach(2, [&](size_t i) {
+    util::parallelFor(2, [&](size_t i) {
         if (!opts.obs_json.empty())
             cfgs[i]->obs = &regs[i];
         auto game = games::makeGame("ab_evolution");
         auto replica = games::makeGame("ab_evolution");
         core::ContinuousLearner learner(*game, *replica, *cfgs[i]);
         trajectories[i] = learner.run();
-    });
+    }, opts.threads);
     const std::vector<core::EpochResult> &epochs = trajectories[0];
     const std::vector<core::EpochResult> &gated = trajectories[1];
 

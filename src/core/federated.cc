@@ -7,12 +7,12 @@
 #include <map>
 
 #include "core/model_codec.h"
-#include "core/parallel_runner.h"
 #include "core/simulation.h"
 #include "games/registry.h"
 #include "trace/recorder.h"
 #include "trace/trace_log.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace snip {
@@ -33,8 +33,7 @@ recordUsers(const std::string &game_name, const FederatedConfig &cfg)
     // so the fleet records in parallel (one game + replica clone per
     // user) with results identical to the serial loop.
     std::vector<UserData> users(cfg.num_users);
-    ParallelRunner runner;
-    runner.forEach(static_cast<size_t>(cfg.num_users), [&](size_t u) {
+    util::parallelFor(static_cast<size_t>(cfg.num_users), [&](size_t u) {
         auto game = games::makeGame(game_name);
         BaselineScheme baseline;
         SimulationConfig scfg;

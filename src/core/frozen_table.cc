@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "obs/metrics.h"
+#include "util/bytes.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -21,39 +22,12 @@ constexpr size_t kTypeRecBytes = 72;
 /** Index slot: u64 subkey + u32 begin + u32 count. */
 constexpr size_t kSlotBytes = 16;
 
-uint32_t
-readU32(const uint8_t *p)
-{
-    uint32_t v;
-    std::memcpy(&v, p, 4);
-    return v;
-}
-
-uint64_t
-readU64(const uint8_t *p)
-{
-    uint64_t v;
-    std::memcpy(&v, p, 8);
-    return v;
-}
-
-void
-writeU32(uint8_t *p, uint32_t v)
-{
-    std::memcpy(p, &v, 4);
-}
-
-void
-writeU64(uint8_t *p, uint64_t v)
-{
-    std::memcpy(p, &v, 8);
-}
-
-size_t
-align8(size_t off)
-{
-    return (off + 7) & ~size_t{7};
-}
+using util::align8;
+using util::readU32;
+using util::readU64;
+using util::spanFits;
+using util::writeU32;
+using util::writeU64;
 
 }  // namespace
 
@@ -246,15 +220,6 @@ FrozenTable::decode(const events::FieldSchema &schema)
     uint64_t total_entries = readU64(base + 16);
     uint64_t total_bytes = readU64(base + 24);
 
-    // A span check: count elements of elem bytes at off, all inside
-    // the arena and aligned for the typed view over them (the view
-    // reinterprets the bytes directly, so misalignment would be UB).
-    auto span = [&](uint64_t off, uint64_t count, uint64_t elem,
-                    uint64_t align) {
-        return off <= size && count <= (size - off) / elem &&
-               off % align == 0;
-    };
-
     uint64_t sum_entries = 0, sum_bytes = 0;
     int prev_type = -1;
     uint32_t entry_base = 0;
@@ -293,12 +258,12 @@ FrozenTable::decode(const events::FieldSchema &schema)
             return util::Status::Errorf(
                 "frozen: type %u index capacity %u not a power of "
                 "two", type, tv.capacity);
-        if (!span(o_selected, tv.nselected, 4, 4) ||
-            !span(o_flags, tv.nselected, 1, 1) ||
-            !span(o_index, tv.capacity, kSlotBytes, 8) ||
-            !span(o_key_off, tv.nentries + 1ull, 4, 4) ||
-            !span(o_out_off, tv.nentries + 1ull, 4, 4) ||
-            !span(o_entry_bytes, tv.nentries, 4, 4))
+        if (!spanFits(size, o_selected, tv.nselected, 4, 4) ||
+            !spanFits(size, o_flags, tv.nselected, 1, 1) ||
+            !spanFits(size, o_index, tv.capacity, kSlotBytes, 8) ||
+            !spanFits(size, o_key_off, tv.nentries + 1ull, 4, 4) ||
+            !spanFits(size, o_out_off, tv.nentries + 1ull, 4, 4) ||
+            !spanFits(size, o_entry_bytes, tv.nentries, 4, 4))
             return util::Status::Errorf(
                 "frozen: type %u arrays out of bounds", type);
         tv.selected = reinterpret_cast<const events::FieldId *>(
@@ -355,10 +320,10 @@ FrozenTable::decode(const events::FieldSchema &schema)
         }
         uint32_t nkeys = tv.key_off[tv.nentries];
         uint32_t nouts = tv.out_off[tv.nentries];
-        if (!span(o_key_slots, nkeys, 4, 4) ||
-            !span(o_key_values, nkeys, 8, 8) ||
-            !span(o_out_ids, nouts, 4, 4) ||
-            !span(o_out_values, nouts, 8, 8))
+        if (!spanFits(size, o_key_slots, nkeys, 4, 4) ||
+            !spanFits(size, o_key_values, nkeys, 8, 8) ||
+            !spanFits(size, o_out_ids, nouts, 4, 4) ||
+            !spanFits(size, o_out_values, nouts, 8, 8))
             return util::Status::Errorf(
                 "frozen: type %u entry storage out of bounds", type);
         tv.key_slots =

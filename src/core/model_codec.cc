@@ -4,7 +4,6 @@
 #include <set>
 
 #include "trace/trace_log.h"
-#include "util/crc32.h"
 
 namespace snip {
 namespace core {
@@ -99,9 +98,6 @@ decodeFieldIds(util::ByteReader &r,
     return util::Status::Ok();
 }
 
-/** Package offset where the payload starts (after the header). */
-constexpr size_t kPayloadPackageOffset = 12;
-
 void
 encodePayload(const SnipModel &model, util::ByteBuffer &buf)
 {
@@ -132,11 +128,11 @@ encodePayload(const SnipModel &model, util::ByteBuffer &buf)
 
     // The "SNPF" section: the frozen arena verbatim, preceded by
     // a u32 pad length + zero pad bytes chosen so the arena starts
-    // 8-aligned *within the package* (payload begins at package
-    // offset 12). The pad is a pure function of the cursor, so
+    // 8-aligned *within the package* (the payload follows the
+    // envelope header). The pad is a pure function of the offset, so
     // re-serialization stays byte-identical.
     size_t arena_pkg_off =
-        kPayloadPackageOffset + buf.size() + 4;  // after pad length
+        util::kEnvelopeHeaderBytes + buf.size() + 4;  // after pad length
     uint32_t pad =
         static_cast<uint32_t>((8 - arena_pkg_off % 8) % 8);
     buf.putU32(pad);
@@ -201,12 +197,12 @@ decodeMeta(util::ByteReader &r, SnipModel *model,
 
 /**
  * Decode the "SNPF" section: pad length + zero pad + the frozen
- * arena, which must fill the payload exactly. The returned view
+ * arena, which must fill the rest of the payload. The returned view
  * borrows the package bytes, which @p owner keeps alive.
  */
 util::Status
-decodeArena(util::ByteBuffer &buf, util::ByteReader &r,
-            size_t payload_end, const events::FieldSchema &schema,
+decodeArena(util::ByteReader &r, size_t payload_size,
+            const events::FieldSchema &schema,
             std::shared_ptr<const void> owner,
             std::shared_ptr<const FrozenTable> *out)
 {
@@ -223,17 +219,13 @@ decodeArena(util::ByteBuffer &buf, util::ByteReader &r,
             return util::Status::Error(
                 "model: nonzero arena pad byte");
     }
-    if (buf.cursor() % 8 != 0)
+    if ((util::kEnvelopeHeaderBytes + r.pos()) % 8 != 0)
         return util::Status::Error("model: arena not 8-aligned");
-    if (buf.cursor() > payload_end)
-        return util::Status::Error("model: truncated arena");
-    size_t len = payload_end - buf.cursor();
-    auto view = FrozenTable::attach(
-        buf.data().data() + buf.cursor(), len, std::move(owner),
-        schema);
+    std::span<const uint8_t> arena = r.bytes(payload_size - r.pos());
+    auto view = FrozenTable::attach(arena.data(), arena.size(),
+                                    std::move(owner), schema);
     if (!view.ok())
         return view.status();
-    r.skip(len);
     *out = std::move(view.value());
     return util::Status::Ok();
 }
@@ -245,37 +237,21 @@ packModel(const SnipModel &model, util::ByteBuffer &out)
 {
     util::ByteBuffer payload;
     encodePayload(model, payload);
-    out.putU32(kModelMagic);
-    out.putU32(kModelVersion);
-    out.putU32(static_cast<uint32_t>(payload.size()));
-    out.putBytes(payload.data().data(), payload.size());
-    out.putU32(util::crc32(payload.data().data(), payload.size()));
+    util::sealEnvelope(kModelMagic, kModelVersion, payload.data(), out);
 }
 
 util::Status
-inspectPackage(util::ByteBuffer &buf, PackageInfo *info)
+inspectPackage(const util::ByteBuffer &buf, PackageInfo *info)
 {
-    buf.rewind();
-    util::ByteReader r(buf);
-    uint32_t magic = r.u32();
-    info->version = r.u32();
-    info->payload_bytes = r.u32();
-    if (!r.ok())
-        return util::Status::Error("model: truncated header");
-    if (magic != kModelMagic)
-        return util::Status::Errorf("model: bad magic 0x%08x", magic);
-    if (buf.remaining() != info->payload_bytes + 4ull)
-        return util::Status::Errorf(
-            "model: payload length %u does not match package size",
-            info->payload_bytes);
-    const uint8_t *payload = buf.data().data() + buf.cursor();
-    uint32_t computed = util::crc32(payload, info->payload_bytes);
-    const uint8_t *footer = payload + info->payload_bytes;
-    info->crc = static_cast<uint32_t>(footer[0]) |
-                static_cast<uint32_t>(footer[1]) << 8 |
-                static_cast<uint32_t>(footer[2]) << 16 |
-                static_cast<uint32_t>(footer[3]) << 24;
-    info->crc_ok = computed == info->crc;
+    util::Result<util::Envelope> env =
+        util::openEnvelope(buf.data(), kModelMagic, "model");
+    if (!env.ok())
+        return env.status();
+    info->version = env.value().version;
+    info->payload_bytes =
+        static_cast<uint32_t>(env.value().payload.size());
+    info->crc = env.value().crc;
+    info->crc_ok = env.value().crc_ok;
     return util::Status::Ok();
 }
 
@@ -283,40 +259,40 @@ namespace {
 
 /**
  * Validate the envelope and decode the payload. A table section is
- * attached as a FrozenTable view over @p buf's bytes into
- * `model->table`; @p owner keeps them alive.
+ * attached as a FrozenTable view over @p bytes into `model->table`;
+ * @p owner keeps them alive.
  */
 util::Status
-decodePackage(util::ByteBuffer &buf, std::shared_ptr<const void> owner,
-              SnipModel *model, events::FieldSchema *schema)
+decodePackage(std::span<const uint8_t> bytes,
+              std::shared_ptr<const void> owner, SnipModel *model,
+              events::FieldSchema *schema)
 {
-    PackageInfo info;
-    util::Status st = inspectPackage(buf, &info);
-    if (!st.ok())
-        return st;
-    if (info.version != kModelVersion)
+    util::Result<util::Envelope> env =
+        util::openEnvelope(bytes, kModelMagic, "model");
+    if (!env.ok())
+        return env.status();
+    if (env.value().version != kModelVersion)
         return util::Status::Errorf(
             "model: unsupported version %u (expected %u)",
-            info.version, kModelVersion);
-    if (!info.crc_ok)
+            env.value().version, kModelVersion);
+    if (!env.value().crc_ok)
         return util::Status::Errorf(
             "model: CRC mismatch (stored 0x%08x): corrupt payload",
-            info.crc);
+            env.value().crc);
 
-    // inspectPackage left the cursor at the payload start.
-    size_t payload_end = buf.cursor() + info.payload_bytes;
-    util::ByteReader r(buf);
+    std::span<const uint8_t> payload = env.value().payload;
+    util::ByteReader r(payload);
     bool has_table = false;
-    st = decodeMeta(r, model, schema, &has_table);
+    util::Status st = decodeMeta(r, model, schema, &has_table);
     if (!st.ok())
         return st;
     if (has_table) {
-        st = decodeArena(buf, r, payload_end, *schema, std::move(owner),
+        st = decodeArena(r, payload.size(), *schema, std::move(owner),
                          &model->table);
         if (!st.ok())
             return st;
     }
-    if (buf.cursor() != payload_end)
+    if (r.pos() != payload.size())
         return util::Status::Error(
             "model: trailing bytes in payload");
     return util::Status::Ok();
@@ -331,7 +307,7 @@ unpackModel(const util::ByteBuffer &buf)
 }
 
 util::Result<SnipModel>
-deployModel(std::shared_ptr<util::ByteBuffer> pkg)
+deployModel(std::shared_ptr<const util::ByteBuffer> pkg)
 {
     if (!pkg)
         return util::Status::Error("model: null package");
@@ -340,7 +316,7 @@ deployModel(std::shared_ptr<util::ByteBuffer> pkg)
     // itself. No per-entry copy of the arena.
     SnipModel model;
     events::FieldSchema schema;
-    util::Status st = decodePackage(*pkg, pkg, &model, &schema);
+    util::Status st = decodePackage(pkg->data(), pkg, &model, &schema);
     if (!st.ok())
         return st;
     return model;

@@ -2,14 +2,11 @@
  * @file
  * OTA packaging of the deployable SnipModel (paper Fig. 10 steps
  * 4–5: ship the PFI-trimmed table to the phone, then keep pushing
- * updated tables as re-profiling runs). A package is the versioned
- * little-endian envelope
- *
- *   u32 magic "SNPM" | u32 version | u32 payload_len |
- *   payload bytes    | u32 crc32(payload)
- *
- * whose payload carries the game name, a snapshot of the field
- * schema, the per-type PFI selections, and the lookup table.
+ * updated tables as re-profiling runs). A package is the sealed
+ * envelope of util/bytes.h (magic "SNPM", version, payload length,
+ * payload, CRC-32 of the payload) whose payload carries the game
+ * name, a snapshot of the field schema, the per-type PFI
+ * selections, and the lookup table.
  *
  * Version 2 carries the table as a "SNPF" frozen arena
  * (frozen_table.h) whose on-wire bytes *are* the runtime layout:
@@ -68,7 +65,7 @@ util::Result<SnipModel> unpackModel(const util::ByteBuffer &buf);
  * error Status.
  */
 util::Result<SnipModel>
-deployModel(std::shared_ptr<util::ByteBuffer> pkg);
+deployModel(std::shared_ptr<const util::ByteBuffer> pkg);
 
 /** Shallow header/integrity summary of a package. */
 struct PackageInfo {
@@ -86,7 +83,8 @@ struct PackageInfo {
  * malformed header or truncated payload; CRC mismatch is reported
  * via info->crc_ok so inspect tooling can still show the header.
  */
-util::Status inspectPackage(util::ByteBuffer &buf, PackageInfo *info);
+util::Status inspectPackage(const util::ByteBuffer &buf,
+                           PackageInfo *info);
 
 /** Pack and write to a file. */
 util::Status saveModel(const SnipModel &model,

@@ -46,7 +46,7 @@ struct SimulationConfig {
      * `session.*` — see DESIGN.md). Counters are resolved once at
      * session start, so the disabled hot path costs one branch per
      * record point and allocates nothing. A Registry is single-
-     * writer: concurrent sessions (core::ParallelRunner) must use
+     * writer: concurrent sessions (util::parallelFor) must use
      * one Registry each and merge after the join.
      */
     obs::Registry *obs = nullptr;

@@ -58,7 +58,9 @@ struct Op {
     uint8_t kind;
     uint64_t src_off;  // copy only
     uint64_t len;      // copy: source run; insert: literal length
-    uint64_t tgt_off;  // insert only: literal start in tgt
+    /** Insert only: literal start, in tgt when encoding and in the
+     *  patch payload when decoding. */
+    uint64_t lit_off;
 };
 
 void
@@ -68,7 +70,7 @@ emitInsert(std::vector<Op> &ops, uint64_t tgt_off, uint64_t len)
         return;
     // Coalesce with a directly preceding literal.
     if (!ops.empty() && ops.back().kind == kOpInsert &&
-        ops.back().tgt_off + ops.back().len == tgt_off) {
+        ops.back().lit_off + ops.back().len == tgt_off) {
         ops.back().len += len;
         return;
     }
@@ -161,111 +163,92 @@ diffBytes(std::span<const uint8_t> src, std::span<const uint8_t> tgt,
             payload.putU64(op.len);
         } else {
             payload.putU64(op.len);
-            payload.putBytes(tgt.data() + op.tgt_off, op.len);
+            payload.putBytes(tgt.data() + op.lit_off, op.len);
         }
     }
 
-    out.putU32(kPatchMagic);
-    out.putU32(kPatchVersion);
-    out.putU32(static_cast<uint32_t>(payload.size()));
-    out.putBytes(payload.data().data(), payload.size());
-    out.putU32(util::crc32(payload.data().data(), payload.size()));
+    util::sealEnvelope(kPatchMagic, kPatchVersion, payload.data(), out);
 }
 
 namespace {
 
 /**
- * Validate the envelope and decode the fixed payload head. Leaves
- * the reader positioned at the op stream and returns the payload end
- * offset via @p payload_end.
+ * Open the envelope and decode the whole payload: the pinned
+ * endpoints and the op counts into @p info, the ops into @p ops
+ * (insert literals as offsets into @p payload). Rejects a bad
+ * envelope, a truncated or unknown op and trailing bytes; the ops'
+ * bounds against a source are applyPatch's to check.
  */
 util::Status
-openPatch(util::ByteBuffer &patch, util::ByteReader &r,
-          PatchInfo *info, size_t *payload_end, uint32_t *nops)
+decodePatch(const util::ByteBuffer &patch, PatchInfo *info,
+            std::span<const uint8_t> *payload, std::vector<Op> *ops)
 {
-    patch.rewind();
-    uint32_t magic = r.u32();
-    uint32_t version = r.u32();
-    uint32_t payload_len = r.u32();
-    if (!r.ok())
-        return util::Status::Error("patch: truncated header");
-    if (magic != kPatchMagic)
-        return util::Status::Errorf("patch: bad magic 0x%08x", magic);
-    if (version != kPatchVersion)
+    util::Result<util::Envelope> env =
+        util::openEnvelope(patch.data(), kPatchMagic, "patch");
+    if (!env.ok())
+        return env.status();
+    if (env.value().version != kPatchVersion)
         return util::Status::Errorf(
-            "patch: unsupported version %u (expected %u)", version,
-            kPatchVersion);
-    if (patch.remaining() != payload_len + 4ull)
-        return util::Status::Errorf(
-            "patch: payload length %u does not match patch size",
-            payload_len);
-    const uint8_t *payload = patch.data().data() + patch.cursor();
-    const uint8_t *footer = payload + payload_len;
-    uint32_t stored = static_cast<uint32_t>(footer[0]) |
-                      static_cast<uint32_t>(footer[1]) << 8 |
-                      static_cast<uint32_t>(footer[2]) << 16 |
-                      static_cast<uint32_t>(footer[3]) << 24;
-    if (util::crc32(payload, payload_len) != stored)
+            "patch: unsupported version %u (expected %u)",
+            env.value().version, kPatchVersion);
+    if (!env.value().crc_ok)
         return util::Status::Errorf(
             "patch: CRC mismatch (stored 0x%08x): corrupt patch",
-            stored);
-    *payload_end = patch.cursor() + payload_len;
+            env.value().crc);
+    *payload = env.value().payload;
 
+    util::ByteReader r(*payload);
     info->src_bytes = r.u64();
     info->src_crc = r.u32();
     info->tgt_bytes = r.u64();
     info->tgt_crc = r.u32();
-    *nops = r.u32();
-    if (!r.ok() || !r.fits(*nops, kMinOpBytes))
+    uint32_t nops = r.u32();
+    if (!r.fits(nops, kMinOpBytes))
         return util::Status::Error("patch: truncated payload head");
+    ops->reserve(nops);
+    for (uint32_t i = 0; i < nops; ++i) {
+        Op op{r.u8(), 0, 0, 0};
+        if (op.kind == kOpCopy) {
+            op.src_off = r.u64();
+            op.len = r.u64();
+            ++info->copy_ops;
+            info->copied_bytes += op.len;
+        } else if (op.kind == kOpInsert) {
+            op.len = r.u64();
+            op.lit_off = r.pos();
+            r.skip(op.len);
+            ++info->insert_ops;
+            info->inserted_bytes += op.len;
+        } else {
+            return util::Status::Errorf("patch: bad op kind %u",
+                                        op.kind);
+        }
+        if (!r.ok())
+            return util::Status::Error("patch: truncated op");
+        ops->push_back(op);
+    }
+    if (r.pos() != payload->size())
+        return util::Status::Error("patch: trailing payload bytes");
     return util::Status::Ok();
 }
 
 }  // namespace
 
 util::Status
-inspectPatch(util::ByteBuffer &patch, PatchInfo *info)
+inspectPatch(const util::ByteBuffer &patch, PatchInfo *info)
 {
-    util::ByteReader r(patch);
-    size_t payload_end = 0;
-    uint32_t nops = 0;
-    util::Status st = openPatch(patch, r, info, &payload_end, &nops);
-    if (!st.ok())
-        return st;
-    for (uint32_t i = 0; i < nops; ++i) {
-        uint8_t kind = r.u8();
-        if (kind == kOpCopy) {
-            r.u64();
-            uint64_t len = r.u64();
-            if (!r.ok())
-                return util::Status::Error("patch: truncated op");
-            ++info->copy_ops;
-            info->copied_bytes += len;
-        } else if (kind == kOpInsert) {
-            uint64_t len = r.u64();
-            r.skip(len);
-            if (!r.ok())
-                return util::Status::Error("patch: truncated op");
-            ++info->insert_ops;
-            info->inserted_bytes += len;
-        } else {
-            return util::Status::Errorf("patch: bad op kind %u",
-                                        kind);
-        }
-    }
-    if (patch.cursor() != payload_end)
-        return util::Status::Error("patch: trailing payload bytes");
-    return util::Status::Ok();
+    std::span<const uint8_t> payload;
+    std::vector<Op> ops;
+    return decodePatch(patch, info, &payload, &ops);
 }
 
 util::Result<util::ByteBuffer>
-applyPatch(std::span<const uint8_t> src, util::ByteBuffer &patch)
+applyPatch(std::span<const uint8_t> src, const util::ByteBuffer &patch)
 {
-    util::ByteReader r(patch);
     PatchInfo info;
-    size_t payload_end = 0;
-    uint32_t nops = 0;
-    util::Status st = openPatch(patch, r, &info, &payload_end, &nops);
+    std::span<const uint8_t> payload;
+    std::vector<Op> ops;
+    util::Status st = decodePatch(patch, &info, &payload, &ops);
     if (!st.ok())
         return st;
 
@@ -276,38 +259,20 @@ applyPatch(std::span<const uint8_t> src, util::ByteBuffer &patch)
             "(stale or corrupt device copy)");
 
     util::ByteBuffer out;
-    for (uint32_t i = 0; i < nops; ++i) {
-        uint8_t kind = r.u8();
-        if (kind == kOpCopy) {
-            uint64_t off = r.u64();
-            uint64_t len = r.u64();
-            if (!r.ok())
-                return util::Status::Error("patch: truncated op");
-            if (off > src.size() || len > src.size() - off)
-                return util::Status::Error(
-                    "patch: copy op out of source bounds");
-            if (out.size() + len > info.tgt_bytes)
-                return util::Status::Error(
-                    "patch: ops overrun the pinned target length");
-            out.putBytes(src.data() + off, len);
-        } else if (kind == kOpInsert) {
-            uint64_t len = r.u64();
-            if (!r.ok() || len > patch.remaining())
-                return util::Status::Error("patch: truncated op");
-            if (out.size() + len > info.tgt_bytes)
-                return util::Status::Error(
-                    "patch: ops overrun the pinned target length");
-            out.putBytes(patch.data().data() + patch.cursor(), len);
-            r.skip(len);
-        } else {
-            return util::Status::Errorf("patch: bad op kind %u",
-                                        kind);
-        }
+    for (const Op &op : ops) {
+        if (op.kind == kOpCopy &&
+            (op.src_off > src.size() ||
+             op.len > src.size() - op.src_off))
+            return util::Status::Error(
+                "patch: copy op out of source bounds");
+        // out never exceeds the pinned length, so this cannot wrap.
+        if (op.len > info.tgt_bytes - out.size())
+            return util::Status::Error(
+                "patch: ops overrun the pinned target length");
+        out.putBytes(op.kind == kOpCopy ? src.data() + op.src_off
+                                        : payload.data() + op.lit_off,
+                     op.len);
     }
-    if (!r.ok())
-        return util::Status::Error("patch: truncated op stream");
-    if (patch.cursor() != payload_end)
-        return util::Status::Error("patch: trailing payload bytes");
     if (out.size() != info.tgt_bytes)
         return util::Status::Errorf(
             "patch: reconstruction is %zu bytes, pinned target is "
@@ -321,7 +286,8 @@ applyPatch(std::span<const uint8_t> src, util::ByteBuffer &patch)
 }
 
 util::ByteBuffer
-fetchWithDelta(std::span<const uint8_t> base, util::ByteBuffer &patch,
+fetchWithDelta(std::span<const uint8_t> base,
+               const util::ByteBuffer &patch,
                const util::ByteBuffer &full, bool *used_delta)
 {
     util::Result<util::ByteBuffer> res = applyPatch(base, patch);

@@ -3,12 +3,9 @@
  * Delta OTA patches ("SNPD"): a byte-level patch between two model
  * packages (or any two byte strings — the frozen "SNPF" arena is the
  * canonical wire format, so diffing consecutive epochs' packages is
- * well-defined). A patch is the versioned little-endian envelope
- *
- *   u32 magic "SNPD" | u32 version | u32 payload_len |
- *   payload bytes    | u32 crc32(payload)
- *
- * whose payload pins both endpoints —
+ * well-defined). A patch is the sealed envelope of util/bytes.h
+ * (magic "SNPD"), the same one an SNPM package uses, whose payload
+ * pins both endpoints —
  *
  *   u64 src_len | u32 crc32(src) | u64 tgt_len | u32 crc32(tgt) |
  *   u32 nops | ops
@@ -77,13 +74,14 @@ void diffBytes(std::span<const uint8_t> src,
  * length + CRC. Any mismatch is an error Status, never UB.
  */
 util::Result<util::ByteBuffer> applyPatch(std::span<const uint8_t> src,
-                                          util::ByteBuffer &patch);
+                                          const util::ByteBuffer &patch);
 
 /**
  * Decode header + op accounting without reconstructing the target.
  * Errors on a malformed envelope or op stream.
  */
-util::Status inspectPatch(util::ByteBuffer &patch, PatchInfo *info);
+util::Status inspectPatch(const util::ByteBuffer &patch,
+                          PatchInfo *info);
 
 /**
  * The device-side OTA receive path: try the delta, fall back to the
@@ -92,7 +90,7 @@ util::Status inspectPatch(util::ByteBuffer &patch, PatchInfo *info);
  * reports via @p used_delta whether the cheap path worked.
  */
 util::ByteBuffer fetchWithDelta(std::span<const uint8_t> base,
-                                util::ByteBuffer &patch,
+                                const util::ByteBuffer &patch,
                                 const util::ByteBuffer &full,
                                 bool *used_delta = nullptr);
 

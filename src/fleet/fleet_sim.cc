@@ -124,13 +124,10 @@ pushEpoch(ModelRegistry &reg, const FleetSimConfig &cfg)
                 cr.patch_bytes = patch.value()->size();
                 // Receive exactly as a device would: apply, fall
                 // back to the full package on any rejection.
-                util::ByteBuffer wire;
-                wire.putBytes(patch.value()->data().data(),
-                              patch.value()->size());
                 bool used = false;
                 util::ByteBuffer got = fetchWithDelta(
                     std::span<const uint8_t>(base->package->data()),
-                    wire, *head->package, &used);
+                    *patch.value(), *head->package, &used);
                 if (got.data() != head->package->data())
                     return util::Status::Error(
                         "fleet: OTA receive path produced bytes "
@@ -222,10 +219,8 @@ bindLearner(core::LearningConfig &cfg, ModelRegistry &reg,
             const std::string &game)
 {
     cfg.on_publish = [&reg, game](const util::ByteBuffer &pkg) {
-        auto copy = std::make_shared<util::ByteBuffer>();
-        copy->putBytes(pkg.data().data(), pkg.size());
-        util::Result<VersionId> pub =
-            reg.publish(game, std::move(copy));
+        util::Result<VersionId> pub = reg.publish(
+            game, std::make_shared<const util::ByteBuffer>(pkg));
         if (!pub.ok())
             util::warn("fleet: epoch publish refused: %s",
                        pub.status().message().c_str());

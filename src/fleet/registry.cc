@@ -43,7 +43,7 @@ hex16(VersionId id)
 
 util::Result<VersionId>
 ModelRegistry::publish(const std::string &game,
-                       std::shared_ptr<util::ByteBuffer> pkg,
+                       std::shared_ptr<const util::ByteBuffer> pkg,
                        VersionId parent)
 {
     if (!pkg)
@@ -169,10 +169,8 @@ ModelRegistry::fetch(const std::string &game, VersionId id) const
             hex16(id).c_str(), game.c_str());
     // Re-verify before serving: the envelope payload CRC must still
     // hold over the stored bytes.
-    util::ByteBuffer probe;
-    probe.putBytes(v->package->data().data(), v->package->size());
     core::PackageInfo info;
-    util::Status st = core::inspectPackage(probe, &info);
+    util::Status st = core::inspectPackage(*v->package, &info);
     if (!st.ok() || !info.crc_ok || info.crc != v->crc) {
         if (obs_)
             obs_->counter("fleet.registry.fetch_failures").add(1);

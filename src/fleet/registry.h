@@ -75,7 +75,7 @@ class ModelRegistry
      */
     util::Result<VersionId>
     publish(const std::string &game,
-            std::shared_ptr<util::ByteBuffer> pkg,
+            std::shared_ptr<const util::ByteBuffer> pkg,
             VersionId parent = 0);
 
     /** Look up one version (nullptr when unknown). */

@@ -47,7 +47,7 @@ class EnergyReport
     /**
      * Empty placeholder report (no components, zero elapsed time)
      * so result slots can be pre-allocated and assigned later —
-     * e.g. by ParallelRunner workers filling a result vector.
+     * e.g. by util::parallelFor workers filling a result vector.
      */
     EnergyReport() = default;
 

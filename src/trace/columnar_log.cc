@@ -28,39 +28,12 @@ constexpr size_t kRecCrcOffset = 12;
 /** Bytes scanned per step of the streaming CRC verify. */
 constexpr uint64_t kVerifyBlockBytes = uint64_t{16} << 20;
 
-uint32_t
-readU32(const uint8_t *p)
-{
-    uint32_t v;
-    std::memcpy(&v, p, 4);
-    return v;
-}
-
-uint64_t
-readU64(const uint8_t *p)
-{
-    uint64_t v;
-    std::memcpy(&v, p, 8);
-    return v;
-}
-
-void
-writeU32(uint8_t *p, uint32_t v)
-{
-    std::memcpy(p, &v, 4);
-}
-
-void
-writeU64(uint8_t *p, uint64_t v)
-{
-    std::memcpy(p, &v, 8);
-}
-
-size_t
-align8(size_t off)
-{
-    return (off + 7) & ~size_t{7};
-}
+using util::align8;
+using util::readU32;
+using util::readU64;
+using util::spanFits;
+using util::writeU32;
+using util::writeU64;
 
 /**
  * Advise the kernel to drop the (clean, read-only, MAP_PRIVATE)
@@ -354,15 +327,7 @@ ColumnarLog::decode()
     if (game_len > size - kHeaderBytes)
         return util::Status::Error("columnar: game name out of bounds");
 
-    // Same span discipline as the frozen arena decoder: count
-    // elements of elem bytes at off, inside the buffer and aligned
-    // for the typed view over them.
-    auto span = [&](uint64_t off, uint64_t count, uint64_t elem,
-                    uint64_t align) {
-        return off <= size && count <= (size - off) / elem &&
-               off % align == 0;
-    };
-    if (!span(train_dir_off, ntrain, kTrainRecBytes, 8))
+    if (!spanFits(size, train_dir_off, ntrain, kTrainRecBytes, 8))
         return util::Status::Error(
             "columnar: training directory out of bounds");
     game_.assign(reinterpret_cast<const char *>(base + kHeaderBytes),
@@ -398,12 +363,12 @@ ColumnarLog::decode()
             (tc.nout != 0 && tc.nrows > UINT64_MAX / tc.nout))
             return util::Status::Error(
                 "columnar: training column count overflow");
-        if (!span(feat_ids_off, tc.nfeat, 4, 4) ||
-            !span(feat_cols_off, tc.nrows * tc.nfeat, 8, 8) ||
-            !span(labels_off, tc.nrows, 8, 8) ||
-            !span(weights_off, tc.nrows, 8, 8) ||
-            !span(out_ids_off, tc.nout, 4, 4) ||
-            !span(out_cols_off, tc.nrows * tc.nout, 8, 8))
+        if (!spanFits(size, feat_ids_off, tc.nfeat, 4, 4) ||
+            !spanFits(size, feat_cols_off, tc.nrows * tc.nfeat, 8, 8) ||
+            !spanFits(size, labels_off, tc.nrows, 8, 8) ||
+            !spanFits(size, weights_off, tc.nrows, 8, 8) ||
+            !spanFits(size, out_ids_off, tc.nout, 4, 4) ||
+            !spanFits(size, out_cols_off, tc.nrows * tc.nout, 8, 8))
             return util::Status::Errorf(
                 "columnar: training type %u arrays out of bounds",
                 type);

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "util/logging.h"
 
 namespace snip {
 namespace trace {
@@ -80,9 +79,9 @@ encodeEventTrace(const EventTrace &trace, util::ByteBuffer &buf)
 }
 
 util::Status
-decodeEventTrace(util::ByteBuffer &buf, EventTrace *out)
+decodeEventTrace(const util::ByteBuffer &buf, EventTrace *out)
 {
-    util::ByteReader r(buf);
+    util::ByteReader r(buf.data());
     util::Status st =
         checkHeader(r, kEventTraceMagic, "decodeEventTrace");
     if (!st.ok())
@@ -136,8 +135,7 @@ loadBuffer(const std::string &path, util::ByteBuffer *out)
     uint8_t chunk[4096];
     size_t got;
     while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-        for (size_t i = 0; i < got; ++i)
-            buf.putU8(chunk[i]);
+        buf.putBytes(chunk, got);
     bool read_err = std::ferror(f) != 0;
     std::fclose(f);
     if (read_err)

@@ -29,7 +29,8 @@ namespace trace {
 /** Serialize an event trace. */
 void encodeEventTrace(const EventTrace &trace, util::ByteBuffer &buf);
 /** Deserialize an event trace; error Status on malformed input. */
-util::Status decodeEventTrace(util::ByteBuffer &buf, EventTrace *out);
+util::Status decodeEventTrace(const util::ByteBuffer &buf,
+                              EventTrace *out);
 
 /** Write a buffer to a file; error Status on I/O errors. */
 util::Status saveBuffer(const util::ByteBuffer &buf,

@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "util/logging.h"
+#include "util/crc32.h"
 
 namespace snip {
 namespace util {
@@ -133,93 +133,38 @@ ByteBuffer::putBytes(const void *data, size_t len)
 }
 
 void
-ByteBuffer::need(size_t n) const
+sealEnvelope(uint32_t magic, uint32_t version,
+             std::span<const uint8_t> payload, ByteBuffer &out)
 {
-    if (cursor_ + n > data_.size())
-        panic("ByteBuffer underrun: need %zu bytes, have %zu",
-              n, data_.size() - cursor_);
+    out.putU32(magic);
+    out.putU32(version);
+    out.putU32(static_cast<uint32_t>(payload.size()));
+    out.putBytes(payload.data(), payload.size());
+    out.putU32(crc32(payload.data(), payload.size()));
 }
 
-uint8_t
-ByteBuffer::getU8()
+Result<Envelope>
+openEnvelope(std::span<const uint8_t> bytes, uint32_t magic,
+             const char *what)
 {
-    need(1);
-    return data_[cursor_++];
-}
-
-uint32_t
-ByteBuffer::getU32()
-{
-    need(4);
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(data_[cursor_++]) << (8 * i);
-    return v;
-}
-
-uint64_t
-ByteBuffer::getU64()
-{
-    need(8);
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(data_[cursor_++]) << (8 * i);
-    return v;
-}
-
-std::string
-ByteBuffer::getString()
-{
-    uint32_t len = getU32();
-    need(len);
-    std::string s(data_.begin() + static_cast<long>(cursor_),
-                  data_.begin() + static_cast<long>(cursor_ + len));
-    cursor_ += len;
-    return s;
-}
-
-bool
-ByteBuffer::tryGetU8(uint8_t *v)
-{
-    if (remaining() < 1)
-        return false;
-    *v = data_[cursor_++];
-    return true;
-}
-
-bool
-ByteBuffer::tryGetU32(uint32_t *v)
-{
-    if (remaining() < 4)
-        return false;
-    *v = getU32();
-    return true;
-}
-
-bool
-ByteBuffer::tryGetU64(uint64_t *v)
-{
-    if (remaining() < 8)
-        return false;
-    *v = getU64();
-    return true;
-}
-
-bool
-ByteBuffer::tryGetString(std::string *s)
-{
-    size_t start = cursor_;
-    uint32_t len = 0;
-    if (!tryGetU32(&len))
-        return false;
-    if (remaining() < len) {
-        cursor_ = start;
-        return false;
-    }
-    s->assign(data_.begin() + static_cast<long>(cursor_),
-              data_.begin() + static_cast<long>(cursor_ + len));
-    cursor_ += len;
-    return true;
+    ByteReader r(bytes);
+    uint32_t got_magic = r.u32();
+    Envelope env;
+    env.version = r.u32();
+    uint32_t payload_len = r.u32();
+    if (!r.ok())
+        return Status::Errorf("%s: truncated header", what);
+    if (got_magic != magic)
+        return Status::Errorf("%s: bad magic 0x%08x", what, got_magic);
+    if (bytes.size() - r.pos() !=
+        uint64_t{payload_len} + kEnvelopeFooterBytes)
+        return Status::Errorf(
+            "%s: payload length %u does not match the envelope size",
+            what, payload_len);
+    env.payload = r.bytes(payload_len);
+    env.crc = r.u32();
+    env.crc_ok = crc32(env.payload.data(), env.payload.size()) == env.crc;
+    return env;
 }
 
 }  // namespace util

@@ -1,15 +1,19 @@
 /**
  * @file
- * Byte-level helpers: a growable byte buffer with primitive
- * serialization, hex formatting, and the FNV-1a hash used to key
- * memoization tables.
+ * Byte-level helpers: the append-only byte buffer every encoder
+ * writes, the one reader, bounds check and sealed envelope every
+ * decoder of untrusted bytes uses (DESIGN.md "Untrusted bytes"), hex
+ * formatting, and the FNV-1a hash used to key memoization tables.
  */
 
 #ifndef SNIP_UTIL_BYTES_H
 #define SNIP_UTIL_BYTES_H
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,8 +50,9 @@ std::string toHex(const void *data, size_t len);
 std::string formatSize(double bytes);
 
 /**
- * Append-only byte buffer with little-endian primitive writers and a
- * cursor-based reader, used by the trace log serialization.
+ * Append-only byte buffer with little-endian primitive writers: the
+ * encoder side of every wire format. Decoding goes through a
+ * ByteReader over data(), so reading never changes a buffer.
  */
 class ByteBuffer
 {
@@ -65,41 +70,12 @@ class ByteBuffer
     /** Append a raw byte range (no length prefix). */
     void putBytes(const void *data, size_t len);
 
-    /** Read back (cursor-based); panics on underrun. */
-    uint8_t getU8();
-    uint32_t getU32();
-    uint64_t getU64();
-    std::string getString();
-
-    /**
-     * Non-panicking reads for untrusted input (OTA payloads, files):
-     * on underrun they return false and leave the cursor unchanged.
-     */
-    bool tryGetU8(uint8_t *v);
-    bool tryGetU32(uint32_t *v);
-    bool tryGetU64(uint64_t *v);
-    bool tryGetString(std::string *s);
-
-    /** Advance the read cursor past @p n bytes without copying;
-     *  false (cursor unchanged) on underrun. */
-    bool trySkip(size_t n)
-    {
-        if (n > remaining())
-            return false;
-        cursor_ += n;
-        return true;
-    }
-
-    /** Reset the read cursor to the beginning. */
-    void rewind() { cursor_ = 0; }
-
-    /** Current read-cursor position. */
-    size_t cursor() const { return cursor_; }
+    /** A no-op: a buffer has no read position (decoders read
+     *  through a ByteReader). Kept for the loop benchmark's calls. */
+    void rewind() {}
 
     /** Number of bytes stored. */
     size_t size() const { return data_.size(); }
-    /** Bytes remaining after the read cursor. */
-    size_t remaining() const { return data_.size() - cursor_; }
     /** Raw storage access. */
     const std::vector<uint8_t> &data() const { return data_; }
 
@@ -107,49 +83,121 @@ class ByteBuffer
     uint64_t hash() const { return fnv1a(data_.data(), data_.size()); }
 
   private:
-    void need(size_t n) const;
-
     std::vector<uint8_t> data_;
-    size_t cursor_ = 0;
 };
 
+/*
+ * Untrusted bytes. Every wire format is little-endian and the
+ * zero-copy views (the SNPF arena, SNCT sections) reinterpret their
+ * bytes in place, so the host must be little-endian too.
+ */
+static_assert(std::endian::native == std::endian::little,
+              "wire formats are read in place as little-endian");
+
+/** Unaligned loads and stores at a raw byte pointer. */
+inline uint32_t
+readU32(const uint8_t *p)
+{
+    uint32_t v;
+    std::memcpy(&v, p, 4);
+    return v;
+}
+
+inline uint64_t
+readU64(const uint8_t *p)
+{
+    uint64_t v;
+    std::memcpy(&v, p, 8);
+    return v;
+}
+
+inline void
+writeU32(uint8_t *p, uint32_t v)
+{
+    std::memcpy(p, &v, 4);
+}
+
+inline void
+writeU64(uint8_t *p, uint64_t v)
+{
+    std::memcpy(p, &v, 8);
+}
+
+/** Round @p off up to a multiple of 8. */
+constexpr size_t
+align8(size_t off)
+{
+    return (off + 7) & ~size_t{7};
+}
+
 /**
- * Failure-latching reader over a ByteBuffer for decoding untrusted
- * input. Reads return zero values after the first underrun and ok()
- * turns false; decoders check ok() before trusting a value that
- * controls allocation or iteration, then once more at the end.
+ * The bounds check of a zero-copy view: @p count elements of
+ * @p elem bytes starting at @p off lie inside a @p size-byte region,
+ * and @p off is a multiple of @p align (the typed view reads the
+ * bytes directly, so misalignment would be UB). Overflow-safe for
+ * any decoded count.
+ */
+constexpr bool
+spanFits(uint64_t size, uint64_t off, uint64_t count, uint64_t elem,
+         uint64_t align)
+{
+    return off <= size && count <= (size - off) / elem &&
+           off % align == 0;
+}
+
+/**
+ * Failure-latching reader over an immutable byte span, with its own
+ * position. After the first underrun every read returns a zero value
+ * (an empty string or span) and ok() turns false, so a decoder reads
+ * a whole record and checks ok() once. Decoders check fits() before
+ * trusting a decoded count that controls allocation or iteration,
+ * and compare pos() with the size at the end to reject trailing
+ * bytes. Reading the same bytes twice gives the same result.
  */
 class ByteReader
 {
   public:
-    explicit ByteReader(ByteBuffer &buf) : buf_(buf) {}
+    explicit ByteReader(std::span<const uint8_t> bytes) : bytes_(bytes)
+    {
+    }
 
-    uint8_t u8()
+    uint8_t
+    u8()
     {
-        uint8_t v = 0;
-        ok_ = ok_ && buf_.tryGetU8(&v);
-        return v;
+        const uint8_t *p = take(1);
+        return p ? *p : 0;
     }
-    uint32_t u32()
+    uint32_t
+    u32()
     {
-        uint32_t v = 0;
-        ok_ = ok_ && buf_.tryGetU32(&v);
-        return v;
+        const uint8_t *p = take(4);
+        return p ? readU32(p) : 0;
     }
-    uint64_t u64()
+    uint64_t
+    u64()
     {
-        uint64_t v = 0;
-        ok_ = ok_ && buf_.tryGetU64(&v);
-        return v;
+        const uint8_t *p = take(8);
+        return p ? readU64(p) : 0;
     }
-    std::string str()
+    /** A u32 length-prefixed string. */
+    std::string
+    str()
     {
-        std::string s;
-        ok_ = ok_ && buf_.tryGetString(&s);
-        return s;
+        uint32_t n = u32();
+        const uint8_t *p = take(n);
+        return p ? std::string(reinterpret_cast<const char *>(p), n)
+                 : std::string();
+    }
+    /** The next @p n bytes as a zero-copy sub-span. */
+    std::span<const uint8_t>
+    bytes(size_t n)
+    {
+        const uint8_t *p = take(n);
+        return p ? std::span<const uint8_t>(p, n)
+                 : std::span<const uint8_t>();
     }
     /** Skip @p n bytes (latching, like a read). */
-    void skip(size_t n) { ok_ = ok_ && buf_.trySkip(n); }
+    void skip(size_t n) { take(n); }
 
     /**
      * Sanity-bound a decoded element count before reserving memory
@@ -157,21 +205,73 @@ class ByteReader
      * @p min_bytes_each could still fit in the remaining bytes.
      * Latches the failure like a read would.
      */
-    bool fits(uint64_t count, uint64_t min_bytes_each)
+    bool
+    fits(uint64_t count, uint64_t min_bytes_each)
     {
         if (ok_ && min_bytes_each > 0 &&
-            count > buf_.remaining() / min_bytes_each)
+            count > (bytes_.size() - pos_) / min_bytes_each)
             ok_ = false;
         return ok_;
     }
 
     /** No read so far has underrun (and every fits() held). */
     bool ok() const { return ok_; }
+    /** Bytes consumed so far. */
+    size_t pos() const { return pos_; }
 
   private:
-    ByteBuffer &buf_;
+    /** Consume @p n bytes; nullptr (and latch) on underrun. */
+    const uint8_t *
+    take(size_t n)
+    {
+        if (!ok_ || n > bytes_.size() - pos_) {
+            ok_ = false;
+            return nullptr;
+        }
+        const uint8_t *p = bytes_.data() + pos_;
+        pos_ += n;
+        return p;
+    }
+
+    std::span<const uint8_t> bytes_;
+    size_t pos_ = 0;
     bool ok_ = true;
 };
+
+/**
+ * The one sealed envelope of the OTA formats (SNPM packages, SNPD
+ * patches):
+ *
+ *   u32 magic | u32 version | u32 payload_len |
+ *   payload bytes | u32 crc32(payload)
+ */
+constexpr size_t kEnvelopeHeaderBytes = 12;
+constexpr size_t kEnvelopeFooterBytes = 4;
+
+/** Append @p payload to @p out sealed in the envelope. */
+void sealEnvelope(uint32_t magic, uint32_t version,
+                  std::span<const uint8_t> payload, ByteBuffer &out);
+
+/** An opened envelope; the payload borrows the opened bytes. */
+struct Envelope {
+    uint32_t version = 0;
+    std::span<const uint8_t> payload;
+    /** CRC stored in the footer. */
+    uint32_t crc = 0;
+    /** The footer CRC matches the payload. */
+    bool crc_ok = false;
+};
+
+/**
+ * Open the envelope that fills @p bytes exactly. Errors (prefixed
+ * with @p what) on a truncated header, a magic other than @p magic,
+ * or a payload length that does not account for every byte. The
+ * version and the CRC are reported, not checked: each format decides
+ * which versions it reads, and inspect tooling shows a mismatching
+ * CRC instead of refusing the header.
+ */
+Result<Envelope> openEnvelope(std::span<const uint8_t> bytes,
+                              uint32_t magic, const char *what);
 
 }  // namespace util
 }  // namespace snip

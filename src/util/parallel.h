@@ -1,16 +1,16 @@
 /**
  * @file
  * Generic deterministic data-parallel loop, usable from any layer
- * (it lives in util so that snip_ml's Shrink-phase training/PFI and
- * snip_core's session harness share one engine without a dependency
- * cycle — core::ParallelRunner delegates here).
+ * (it lives in util so that snip_ml's Shrink-phase training/PFI,
+ * the session-parallel benches and the fleet share one engine
+ * without a dependency cycle).
  *
- * The contract is the same one DESIGN.md's threading model states
- * for ParallelRunner::forEach: fn(i) must only write state owned by
- * index i (or otherwise disjoint per index). Indices are pulled from
- * an atomic cursor, so *which worker* runs an index varies run to
- * run, but under the write-disjointness contract the aggregate
- * result is schedule-independent and identical to a serial loop.
+ * The contract is the one DESIGN.md's threading model states:
+ * fn(i) must only write state owned by index i (or otherwise
+ * disjoint per index). Indices are pulled from an atomic cursor, so
+ * *which worker* runs an index varies run to run, but under the
+ * write-disjointness contract the aggregate result is
+ * schedule-independent and identical to a serial loop.
  *
  * Execution is backed by one small process-lifetime pool: workers
  * are spawned once (lazily, up to the largest thread count ever

@@ -582,10 +582,13 @@ TEST_F(MemoTableTest, FrozenArenaCorruptionFuzz)
                           &mutate) {
         std::vector<uint8_t> b = bytes;
         mutate(b);
-        uint32_t crc = util::crc32(b.data() + 12, b.size() - 16);
-        std::memcpy(b.data() + b.size() - 4, &crc, 4);
         auto out = std::make_shared<util::ByteBuffer>();
-        out->putBytes(b.data(), b.size());
+        util::sealEnvelope(kModelMagic, kModelVersion,
+                           std::span<const uint8_t>(b).subspan(
+                               util::kEnvelopeHeaderBytes,
+                               b.size() - util::kEnvelopeHeaderBytes -
+                                   util::kEnvelopeFooterBytes),
+                           *out);
         return deployModel(out).ok();
     };
     auto put32 = [](std::vector<uint8_t> &b, size_t off, uint32_t v) {
@@ -2039,8 +2042,9 @@ TEST(ContinuousLearnerTest, ConfidenceGateWithholdsEarlyEpochs)
         EXPECT_NE(er.deployed, er.gate_withheld);
         EXPECT_EQ(er.rejected_packages, 0u);
         any_deployed |= er.deployed;
-        if (er.profile_records >= cfg.gate_min_records)
+        if (er.profile_records >= cfg.gate_min_records) {
             EXPECT_TRUE(er.deployed);
+        }
     }
     EXPECT_TRUE(any_deployed);
 }

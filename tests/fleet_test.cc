@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "core/model_codec.h"
 #include "core/scheme.h"
 #include "core/simulation.h"
+#include "envelope_fuzz.h"
 #include "fleet/aggregate.h"
 #include "fleet/delta.h"
 #include "fleet/fleet_sim.h"
@@ -87,13 +89,34 @@ packageOf(const core::SnipModel &model)
     return pkg;
 }
 
-size_t
-fuzzIters(size_t dflt)
+/**
+ * A fresh mkdtemp directory under the test temp dir, removed with
+ * its contents when the test ends (pass or fail).
+ */
+class ScratchDir
 {
-    if (const char *env = std::getenv("SNIP_FUZZ_ITERS"))
-        return static_cast<size_t>(std::strtoull(env, nullptr, 10));
-    return dflt;
-}
+  public:
+    explicit ScratchDir(const std::string &tag)
+    {
+        std::string tmpl = ::testing::TempDir() + tag + ".XXXXXX";
+        if (::mkdtemp(tmpl.data()))
+            path_ = tmpl;
+    }
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        if (!path_.empty())
+            std::filesystem::remove_all(path_, ec);
+    }
+    ScratchDir(const ScratchDir &) = delete;
+    ScratchDir &operator=(const ScratchDir &) = delete;
+
+    /** Empty when mkdtemp failed. */
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
 
 // ------------------------------------------------------ delta (SNPD)
 
@@ -147,8 +170,7 @@ TEST(FleetDeltaTest, RoundTripRandomBuffers)
         EXPECT_EQ(got.value().data(), b.data()) << "case " << i;
 
         PatchInfo info;
-        util::ByteBuffer probe = copyOf(patch);
-        ASSERT_TRUE(inspectPatch(probe, &info).ok()) << "case " << i;
+        ASSERT_TRUE(inspectPatch(patch, &info).ok()) << "case " << i;
         EXPECT_EQ(info.src_bytes, a.size());
         EXPECT_EQ(info.tgt_bytes, b.size());
         EXPECT_EQ(info.copied_bytes + info.inserted_bytes, b.size());
@@ -191,21 +213,23 @@ TEST(FleetDeltaTest, RejectsWrongBase)
     util::ByteBuffer a = randomBuffer(rng, 2000);
     util::ByteBuffer b = randomBuffer(rng, 2000);
     util::ByteBuffer c = randomBuffer(rng, 2000);
+    util::ByteBuffer d = randomBuffer(rng, 1000);
     util::ByteBuffer patch;
     diffBytes(spanOf(a), spanOf(b), patch);
-    EXPECT_FALSE(applyPatch(spanOf(c), patch).ok());
+    // Another length: the pinned source length catches it.
+    EXPECT_FALSE(applyPatch(spanOf(d), patch).ok());
     // Same length, different bytes: the source CRC catches it.
-    util::ByteBuffer patch2 = copyOf(patch);
-    EXPECT_FALSE(applyPatch(spanOf(c), patch2).ok());
+    EXPECT_FALSE(applyPatch(spanOf(c), patch).ok());
 }
 
 TEST(FleetDeltaTest, CorruptionFuzzFallback)
 {
-    // Truncations and bit flips over the patch: every mutant is
-    // cleanly rejected (never a crash, never a wrong
-    // reconstruction), and the device receive path always comes
-    // back with the exact target via the full-package fallback.
-    size_t iters = fuzzIters(64);
+    // Truncations, bit flips and resealed payload flips over the
+    // patch: every mutant is cleanly rejected or (resealed only)
+    // rebuilds exactly the pinned target, never a crash or a wrong
+    // reconstruction, and the device receive path always comes back
+    // with the exact target via the full-package fallback.
+    size_t iters = fuzz::iterations(64);
     util::Rng rng(0xfa11bacULL);
     util::ByteBuffer base = randomBuffer(rng, 4000);
     util::ByteBuffer tgt;
@@ -217,35 +241,31 @@ TEST(FleetDeltaTest, CorruptionFuzzFallback)
     diffBytes(spanOf(base), spanOf(tgt), patch);
     ASSERT_GT(patch.size(), 16u);
 
+    size_t behind_crc = 0;
     for (size_t i = 0; i < iters; ++i) {
-        util::ByteBuffer mutant;
-        if (rng.next() % 2 == 0) {
-            size_t len = rng.next() % patch.size();
-            mutant.putBytes(patch.data().data(), len);
-        } else {
-            mutant = copyOf(patch);
-            auto &bytes =
-                const_cast<std::vector<uint8_t> &>(mutant.data());
-            size_t flips = 1 + rng.next() % 8;
-            for (size_t f = 0; f < flips; ++f)
-                bytes[rng.next() % bytes.size()] ^=
-                    static_cast<uint8_t>(1u + rng.next() % 255);
-        }
-        // Flips can cancel; only a real mutation must be rejected.
-        bool changed = mutant.data() != patch.data();
-        util::ByteBuffer probe = copyOf(mutant);
+        fuzz::Mutant m = fuzz::mutateEnvelope(patch, kPatchMagic, rng);
         util::Result<util::ByteBuffer> direct =
-            applyPatch(spanOf(base), probe);
-        EXPECT_EQ(direct.ok(), !changed) << "iteration " << i;
-        if (direct.ok())
-            EXPECT_EQ(direct.value().data(), tgt.data());
+            applyPatch(spanOf(base), m.bytes);
+        if (m.kind != fuzz::Mutation::Reseal) {
+            EXPECT_EQ(direct.ok(), !m.changed) << "iteration " << i;
+        } else if (!direct.ok()) {
+            EXPECT_EQ(direct.status().message().find("CRC mismatch"),
+                      std::string::npos)
+                << "iteration " << i;
+            ++behind_crc;
+        }
+        if (direct.ok()) {
+            EXPECT_EQ(direct.value().data(), tgt.data())
+                << "iteration " << i;
+        }
 
         bool used_delta = false;
-        util::ByteBuffer got = fetchWithDelta(spanOf(base), mutant,
-                                              tgt, &used_delta);
-        EXPECT_EQ(used_delta, !changed) << "iteration " << i;
+        util::ByteBuffer got =
+            fetchWithDelta(spanOf(base), m.bytes, tgt, &used_delta);
+        EXPECT_EQ(used_delta, direct.ok()) << "iteration " << i;
         EXPECT_EQ(got.data(), tgt.data()) << "iteration " << i;
     }
+    EXPECT_GT(behind_crc, 0u);
 }
 
 // --------------------------------------------------------- aggregation
@@ -273,10 +293,8 @@ TEST(FleetAggregateTest, MatchesSerialChainBitwise)
 
     // Serial reference: the buildFederated chain.
     core::MemoTable serial = make_dest();
-    for (auto &up : uploads) {
-        util::ByteBuffer probe = copyOf(up);
-        util::Result<core::SnipModel> decoded =
-            core::unpackModel(probe);
+    for (const auto &up : uploads) {
+        util::Result<core::SnipModel> decoded = core::unpackModel(up);
         ASSERT_TRUE(decoded.ok()) << decoded.status().message();
         serial.mergeFrom(*decoded.value().table);
     }
@@ -285,12 +303,9 @@ TEST(FleetAggregateTest, MatchesSerialChainBitwise)
 
     for (unsigned threads : {1u, 2u, 8u}) {
         core::MemoTable dest = make_dest();
-        std::vector<util::ByteBuffer> ups;
-        for (const auto &u : uploads)
-            ups.push_back(copyOf(u));
         AggregateConfig cfg;
         cfg.threads = threads;
-        AggregateStats stats = aggregateUploads(dest, ups, cfg);
+        AggregateStats stats = aggregateUploads(dest, uploads, cfg);
         EXPECT_EQ(stats.uploads, kUploads);
         EXPECT_EQ(stats.dropped, 0u);
 
@@ -323,10 +338,8 @@ TEST(FleetAggregateTest, DropsCorruptUploadsLikeSerial)
     core::MemoTable serial(game->schema());
     for (const core::TypeModel &t : agreed.types)
         serial.setSelected(t.type, t.selection.selected);
-    for (auto &up : uploads) {
-        util::ByteBuffer probe = copyOf(up);
-        util::Result<core::SnipModel> decoded =
-            core::unpackModel(probe);
+    for (const auto &up : uploads) {
+        util::Result<core::SnipModel> decoded = core::unpackModel(up);
         if (decoded.ok())
             serial.mergeFrom(*decoded.value().table);
     }
@@ -428,16 +441,17 @@ TEST(FleetRegistryTest, DeltaMemoizedAndSaveLoadRoundTrip)
     EXPECT_EQ(d1.value().get(), d2.value().get());  // memoized
 
     // The patch upgrades v1's bytes to exactly v2's.
-    util::ByteBuffer wire = copyOf(*d1.value());
     auto got = applyPatch(
         std::span<const uint8_t>(
             reg.find("colorphun", v1.value())->package->data()),
-        wire);
+        *d1.value());
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value().data(), packageOf(m2)->data());
 
     // Persist and reload: identical catalog, lineage intact.
-    std::string dir = ::testing::TempDir() + "fleet_reg_rt";
+    ScratchDir scratch("fleet_reg_rt");
+    ASSERT_FALSE(scratch.path().empty());
+    const std::string dir = scratch.path() + "/reg";
     ASSERT_TRUE(reg.saveDir(dir).ok());
     auto loaded = ModelRegistry::loadDir(dir);
     ASSERT_TRUE(loaded.ok()) << loaded.status().message();
@@ -461,7 +475,9 @@ TEST(FleetRegistryTest, TornSaveKeepsOldStateAndNextSaveReplacesIt)
     ModelRegistry reg;
     auto v1 = reg.publish("colorphun", packageOf(m1));
     ASSERT_TRUE(v1.ok());
-    std::string dir = ::testing::TempDir() + "fleet_reg_torn";
+    ScratchDir scratch("fleet_reg_torn");
+    ASSERT_FALSE(scratch.path().empty());
+    const std::string dir = scratch.path() + "/reg";
     ASSERT_TRUE(reg.saveDir(dir).ok());
 
     auto v2 = reg.publish("colorphun", packageOf(m2));
@@ -549,7 +565,9 @@ TEST(FleetSimTest, PushEpochCohortReport)
     EXPECT_EQ(r.cohorts[2].hit_rate, 0.0);
     EXPECT_GE(r.staleness_skew, 0.0);
 
-    EXPECT_FALSE(pushEpoch(reg, FleetSimConfig{.game = "nope"}).ok());
+    FleetSimConfig unknown;
+    unknown.game = "nope";
+    EXPECT_FALSE(pushEpoch(reg, unknown).ok());
 }
 
 }  // namespace

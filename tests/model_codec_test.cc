@@ -20,9 +20,9 @@
 #include "core/scheme.h"
 #include "core/simulation.h"
 #include "core/snip.h"
+#include "envelope_fuzz.h"
 #include "games/registry.h"
 #include "trace/recorder.h"
-#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace snip {
@@ -63,12 +63,24 @@ envelope(const util::ByteBuffer &payload,
          uint32_t version = kModelVersion)
 {
     util::ByteBuffer pkg;
-    pkg.putU32(kModelMagic);
-    pkg.putU32(version);
-    pkg.putU32(static_cast<uint32_t>(payload.size()));
-    pkg.putBytes(payload.data().data(), payload.size());
-    pkg.putU32(util::crc32(payload.data().data(), payload.size()));
+    util::sealEnvelope(kModelMagic, version, payload.data(), pkg);
     return pkg;
+}
+
+/**
+ * A resealed mutant that got past the decoder must still be safe to
+ * run: one short SNIP session of the package's game on it.
+ */
+void
+playShortSession(const SnipModel &model)
+{
+    auto game = games::makeGame("ab_evolution");
+    SnipScheme scheme(model);
+    SimulationConfig cfg;
+    cfg.duration_s = 2.0;
+    cfg.seed = 5;
+    SessionResult res = runSession(*game, scheme, cfg);
+    EXPECT_GT(res.stats.events, 0u);
 }
 
 TEST(ModelCodecTest, RoundTripIsByteIdentical)
@@ -477,11 +489,10 @@ TEST(ModelCodecTest, DeployModelCorruptionFuzz)
 {
     // The zero-copy deploy path has no rebuild step to trip over
     // garbage, so the arena validation must catch everything the
-    // CRC does not: every mutated package comes back as a clean
-    // error, never a crash, and clean packages still deploy.
-    size_t iters = 64;
-    if (const char *env = std::getenv("SNIP_FUZZ_ITERS"))
-        iters = static_cast<size_t>(std::strtoull(env, nullptr, 10));
+    // CRC does not: truncations and flips come back as clean errors,
+    // resealed payload mutants are rejected by the decoder or deploy
+    // a table that runs, and clean packages still deploy.
+    size_t iters = fuzz::iterations(64);
 
     SnipModel model = buildModelFor("ab_evolution", 15.0, 22);
     util::ByteBuffer pkg;
@@ -489,37 +500,35 @@ TEST(ModelCodecTest, DeployModelCorruptionFuzz)
     ASSERT_GT(pkg.size(), 32u);
 
     util::Rng rng(0xdeb70cafeULL);
+    size_t behind_crc = 0;
     for (size_t i = 0; i < iters; ++i) {
-        auto mutant = std::make_shared<util::ByteBuffer>();
-        if (rng.next() % 2 == 0) {
-            size_t len = rng.next() % pkg.size();
-            mutant->putBytes(pkg.data().data(), len);
-        } else {
-            *mutant = copyOf(pkg);
-            auto &bytes =
-                const_cast<std::vector<uint8_t> &>(mutant->data());
-            size_t flips = 1 + rng.next() % 8;
-            for (size_t f = 0; f < flips; ++f)
-                bytes[rng.next() % bytes.size()] ^=
-                    static_cast<uint8_t>(1u + rng.next() % 255);
+        fuzz::Mutant m = fuzz::mutateEnvelope(pkg, kModelMagic, rng);
+        util::Result<SnipModel> r = deployModel(
+            std::make_shared<util::ByteBuffer>(std::move(m.bytes)));
+        if (m.kind != fuzz::Mutation::Reseal) {
+            EXPECT_EQ(r.ok(), !m.changed) << "iteration " << i;
+        } else if (!r.ok()) {
+            EXPECT_EQ(r.status().message().find("CRC mismatch"),
+                      std::string::npos)
+                << "iteration " << i;
+            ++behind_crc;
         }
-        bool changed = mutant->data() != pkg.data();
-        util::Result<SnipModel> r = deployModel(mutant);
-        EXPECT_EQ(r.ok(), !changed) << "iteration " << i;
-        if (r.ok())
+        if (r.ok()) {
             EXPECT_TRUE(r.value().table != nullptr);
+            playShortSession(r.value());
+        }
     }
+    EXPECT_GT(behind_crc, 0u);
 }
 
 TEST(ModelCodecTest, CorruptionFuzzSmoke)
 {
-    // Random truncations and 1-8 byte corruptions, SNIP_FUZZ_ITERS
-    // iterations (default 64; tools/ci.sh cranks it up under asan).
-    // Every mutation must come back as a clean accept/reject — no
-    // aborts, no sanitizer reports.
-    size_t iters = 64;
-    if (const char *env = std::getenv("SNIP_FUZZ_ITERS"))
-        iters = static_cast<size_t>(std::strtoull(env, nullptr, 10));
+    // Random truncations, 1-8 byte corruptions and resealed payload
+    // corruptions, SNIP_FUZZ_ITERS iterations (default 64;
+    // tools/ci.sh cranks it up under asan). Every mutation must come
+    // back as a clean accept/reject — no aborts, no sanitizer
+    // reports — and an accepted resealed mutant must still play.
+    size_t iters = fuzz::iterations(64);
 
     SnipModel model = buildModelFor("ab_evolution", 15.0, 21);
     util::ByteBuffer pkg;
@@ -527,26 +536,25 @@ TEST(ModelCodecTest, CorruptionFuzzSmoke)
     ASSERT_GT(pkg.size(), 32u);
 
     util::Rng rng(0xf022f022ULL);
+    size_t behind_crc = 0;
     for (size_t i = 0; i < iters; ++i) {
-        util::ByteBuffer mutant;
-        if (rng.next() % 2 == 0) {
-            size_t len = rng.next() % pkg.size();
-            mutant.putBytes(pkg.data().data(), len);
+        fuzz::Mutant m = fuzz::mutateEnvelope(pkg, kModelMagic, rng);
+        util::Result<SnipModel> r = unpackModel(m.bytes);
+        if (m.kind != fuzz::Mutation::Reseal) {
+            // Multiple flips can land on the same byte and cancel
+            // out; only a mutant that actually differs must be
+            // rejected.
+            EXPECT_EQ(r.ok(), !m.changed) << "iteration " << i;
+        } else if (!r.ok()) {
+            EXPECT_EQ(r.status().message().find("CRC mismatch"),
+                      std::string::npos)
+                << "iteration " << i;
+            ++behind_crc;
         } else {
-            mutant = copyOf(pkg);
-            auto &bytes =
-                const_cast<std::vector<uint8_t> &>(mutant.data());
-            size_t flips = 1 + rng.next() % 8;
-            for (size_t f = 0; f < flips; ++f)
-                bytes[rng.next() % bytes.size()] ^=
-                    static_cast<uint8_t>(1u + rng.next() % 255);
+            playShortSession(r.value());
         }
-        // Multiple flips can land on the same byte and cancel out;
-        // only a mutant that actually differs must be rejected.
-        bool changed = mutant.data() != pkg.data();
-        util::Result<SnipModel> r = unpackModel(mutant);
-        EXPECT_EQ(r.ok(), !changed) << "iteration " << i;
     }
+    EXPECT_GT(behind_crc, 0u);
 }
 
 }  // namespace

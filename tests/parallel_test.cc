@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests of the multi-session parallel harness (core::ParallelRunner)
- * and of the concurrency contracts it depends on: const FrozenTable
+ * Tests of the multi-session parallel harness (util::parallelFor
+ * over independent sessions) and of the concurrency contracts it
+ * depends on: const FrozenTable
  * lookups from many threads, const-Game reads, and bitwise-identical
  * session results regardless of worker count.
  *
@@ -24,7 +25,6 @@
 
 #include "core/frozen_table.h"
 #include "core/model_codec.h"
-#include "core/parallel_runner.h"
 #include "core/scheme.h"
 #include "core/simulation.h"
 #include "core/snip.h"
@@ -46,11 +46,11 @@ namespace {
 TEST(ParallelRunnerTest, DefaultThreadCountRespectsEnv)
 {
     ::setenv("SNIP_THREADS", "3", 1);
-    EXPECT_EQ(defaultThreadCount(), 3u);
+    EXPECT_EQ(util::defaultThreadCount(), 3u);
     ::setenv("SNIP_THREADS", "bogus", 1);
-    EXPECT_GE(defaultThreadCount(), 1u);  // falls back, never 0
+    EXPECT_GE(util::defaultThreadCount(), 1u);  // falls back, never 0
     ::unsetenv("SNIP_THREADS");
-    EXPECT_GE(defaultThreadCount(), 1u);
+    EXPECT_GE(util::defaultThreadCount(), 1u);
 }
 
 TEST(ParallelRunnerTest, DefaultThreadCountRejectsPartialParses)
@@ -60,59 +60,41 @@ TEST(ParallelRunnerTest, DefaultThreadCountRejectsPartialParses)
     unsigned fallback;
     {
         ::unsetenv("SNIP_THREADS");
-        fallback = defaultThreadCount();
+        fallback = util::defaultThreadCount();
     }
     ::setenv("SNIP_THREADS", "4abc", 1);
-    EXPECT_EQ(defaultThreadCount(), fallback);
+    EXPECT_EQ(util::defaultThreadCount(), fallback);
     ::setenv("SNIP_THREADS", "4 8", 1);
-    EXPECT_EQ(defaultThreadCount(), fallback);
+    EXPECT_EQ(util::defaultThreadCount(), fallback);
     ::setenv("SNIP_THREADS", "", 1);
-    EXPECT_EQ(defaultThreadCount(), fallback);
+    EXPECT_EQ(util::defaultThreadCount(), fallback);
     ::setenv("SNIP_THREADS", "0", 1);
-    EXPECT_EQ(defaultThreadCount(), fallback);
+    EXPECT_EQ(util::defaultThreadCount(), fallback);
     ::setenv("SNIP_THREADS", "-2", 1);
-    EXPECT_EQ(defaultThreadCount(), fallback);
+    EXPECT_EQ(util::defaultThreadCount(), fallback);
     // Complete parses still work, including the 0x base prefix.
     ::setenv("SNIP_THREADS", "0x10", 1);
-    EXPECT_EQ(defaultThreadCount(), 16u);
+    EXPECT_EQ(util::defaultThreadCount(), 16u);
     ::unsetenv("SNIP_THREADS");
-}
-
-TEST(ParallelRunnerTest, SessionSeedsAreDistinct)
-{
-    const uint64_t base = 0x5e551011ULL;
-    std::vector<uint64_t> seeds;
-    for (uint64_t i = 0; i < 64; ++i)
-        seeds.push_back(ParallelRunner::sessionSeed(base, i));
-    for (size_t i = 0; i < seeds.size(); ++i) {
-        EXPECT_NE(seeds[i], base);  // never the undecorated base
-        for (size_t j = i + 1; j < seeds.size(); ++j)
-            EXPECT_NE(seeds[i], seeds[j]);
-    }
-    // Derivation is a pure function of (base, index).
-    EXPECT_EQ(ParallelRunner::sessionSeed(base, 5),
-              ParallelRunner::sessionSeed(base, 5));
 }
 
 TEST(ParallelRunnerTest, ForEachCoversEveryIndexExactlyOnce)
 {
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        ParallelRunner runner(threads);
-        EXPECT_EQ(runner.threads(), threads);
         constexpr size_t kN = 100;
         std::vector<std::atomic<int>> counts(kN);
-        runner.forEach(kN, [&](size_t i) {
+        util::parallelFor(kN, [&](size_t i) {
             counts[i].fetch_add(1, std::memory_order_relaxed);
-        });
+        }, threads);
         for (size_t i = 0; i < kN; ++i)
             EXPECT_EQ(counts[i].load(), 1) << "index " << i;
     }
     // n smaller than the pool, and n == 0, must both work.
-    ParallelRunner wide(8);
     std::atomic<int> total{0};
-    wide.forEach(3, [&](size_t) { total.fetch_add(1); });
+    util::parallelFor(3, [&](size_t) { total.fetch_add(1); }, 8);
     EXPECT_EQ(total.load(), 3);
-    wide.forEach(0, [&](size_t) { ADD_FAILURE() << "fn called"; });
+    util::parallelFor(0, [&](size_t) { ADD_FAILURE() << "fn called"; },
+                      8);
 }
 
 // ------------------------------------------------------- task pool
@@ -366,7 +348,7 @@ expectStatsEqual(const SessionStats &a, const SessionStats &b)
 
 /**
  * The determinism guarantee every session-parallel bench relies on:
- * sessions run through ParallelRunner::forEach on a 4-worker pool,
+ * sessions run through util::parallelFor on a 4-worker pool,
  * each building its own game and scheme inside the body, produce
  * results bitwise identical to a plain serial loop (scheduling order
  * must not leak into results).
@@ -380,13 +362,12 @@ TEST(ParallelRunnerTest, ForEachSessionsMatchSerialBitwise)
         BaselineScheme baseline;
         SimulationConfig cfg;
         cfg.duration_s = 10.0;
-        cfg.seed = ParallelRunner::sessionSeed(base, i);
+        cfg.seed = util::mixCombine(base, i);
         return runSession(*game, baseline, cfg);
     };
 
-    ParallelRunner pool(4);
     std::vector<SessionResult> par(kSessions);
-    pool.forEach(kSessions, [&](size_t i) { par[i] = run(i); });
+    util::parallelFor(kSessions, [&](size_t i) { par[i] = run(i); }, 4);
 
     for (size_t i = 0; i < kSessions; ++i) {
         SessionResult ser = run(i);

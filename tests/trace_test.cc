@@ -12,7 +12,10 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "core/model_codec.h"
 #include "core/simulation.h"
+#include "core/snip.h"
+#include "fleet/delta.h"
 #include "games/registry.h"
 #include "trace/columnar_log.h"
 #include "trace/field_stats.h"
@@ -111,7 +114,6 @@ TEST(TraceLogTest, EventTraceRoundTrip)
 
     util::ByteBuffer buf;
     encodeEventTrace(res.trace, buf);
-    buf.rewind();
     EventTrace back;
     ASSERT_TRUE(decodeEventTrace(buf, &back).ok());
     EXPECT_EQ(back.game, res.trace.game);
@@ -123,12 +125,72 @@ TEST(TraceLogTest, EventTraceRoundTrip)
     }
 }
 
+TEST(TraceLogTest, DecodeIsStateless)
+{
+    // Decoders read const bytes through their own ByteReader, so one
+    // buffer decodes the same way every time, and one package or
+    // patch serves any number of readers in turn.
+    auto game = games::makeGame("greenwall");
+    core::SessionResult res = record("greenwall", *game, 10.0);
+    util::ByteBuffer events;
+    encodeEventTrace(res.trace, events);
+    const util::ByteBuffer &upload = events;
+
+    EventTrace first, second;
+    ASSERT_TRUE(decodeEventTrace(upload, &first).ok());
+    util::Status st = decodeEventTrace(upload, &second);
+    ASSERT_TRUE(st.ok()) << st.message();
+    EXPECT_EQ(first.game, second.game);
+    ASSERT_EQ(first.events.size(), res.trace.events.size());
+    ASSERT_EQ(second.events.size(), first.events.size());
+    for (size_t i = 0; i < first.events.size(); ++i) {
+        EXPECT_EQ(first.events[i].type, second.events[i].type);
+        EXPECT_EQ(first.events[i].seq, second.events[i].seq);
+        EXPECT_EQ(first.events[i].timestamp,
+                  second.events[i].timestamp);
+        EXPECT_EQ(first.events[i].fields, second.events[i].fields);
+    }
+
+    // SNPM: inspect, then unpack the same buffer.
+    auto replica = games::makeGame("greenwall");
+    Profile profile = Replayer::replay(res.trace, *replica);
+    core::SnipConfig scfg;
+    scfg.overrides.force_keep = game->params().recommended_overrides;
+    util::ByteBuffer packed;
+    core::packModel(core::buildSnipModel(profile, *game, scfg), packed);
+    const util::ByteBuffer &pkg = packed;
+    core::PackageInfo info;
+    ASSERT_TRUE(core::inspectPackage(pkg, &info).ok());
+    EXPECT_TRUE(info.crc_ok);
+    util::Result<core::SnipModel> unpacked = core::unpackModel(pkg);
+    ASSERT_TRUE(unpacked.ok()) << unpacked.status().message();
+    util::ByteBuffer repacked;
+    core::packModel(unpacked.value(), repacked);
+    EXPECT_EQ(repacked.data(), pkg.data());
+
+    // SNPD: apply one const patch twice.
+    util::ByteBuffer grown;
+    grown.putBytes(pkg.data().data(), pkg.size() / 2);
+    grown.putString("epoch n+1");
+    grown.putBytes(pkg.data().data() + pkg.size() / 2,
+                   pkg.size() - pkg.size() / 2);
+    util::ByteBuffer diffed;
+    fleet::diffBytes(pkg.data(), grown.data(), diffed);
+    const util::ByteBuffer &patch = diffed;
+    for (int pass = 0; pass < 2; ++pass) {
+        util::Result<util::ByteBuffer> got =
+            fleet::applyPatch(pkg.data(), patch);
+        ASSERT_TRUE(got.ok()) << "pass " << pass << ": "
+                              << got.status().message();
+        EXPECT_EQ(got.value().data(), grown.data()) << "pass " << pass;
+    }
+}
+
 TEST(TraceLogTest, BadMagicReturnsError)
 {
     util::ByteBuffer buf;
     buf.putU32(0xdeadbeef);
     buf.putU32(1);
-    buf.rewind();
     EventTrace trace;
     util::Status st = decodeEventTrace(buf, &trace);
     EXPECT_FALSE(st.ok());
@@ -649,10 +711,11 @@ TEST(TrainingSectionTest, LabelColumnBitFlipRejected)
         auto log = ColumnarLog::attach(mut.data(), mut.size(),
                                        nullptr);
         EXPECT_FALSE(log.ok()) << "label flip at row " << r;
-        if (!log.ok())
+        if (!log.ok()) {
             EXPECT_NE(log.status().message().find("crc"),
                       std::string::npos)
                 << log.status().message();
+        }
     }
 }
 

@@ -114,8 +114,9 @@ TEST(Rng, UniformIntMatchesTwoDivisionFormula)
             ASSERT_EQ(rng.uniformInt(5, 5 + bound - 1), 5 + r % bound)
                 << "bound " << bound << " draw " << i;
         }
-        if (bound == (1ULL << 63) + 1)
+        if (bound == (1ULL << 63) + 1) {
             EXPECT_GT(rejected, 50000u);
+        }
         EXPECT_EQ(rng.next(), raw.next()) << "bound " << bound;
     }
 }
@@ -319,29 +320,13 @@ TEST(ByteBuffer, RoundTripPrimitives)
     buf.putU32(0xdeadbeef);
     buf.putU64(0x0123456789abcdefULL);
     buf.putString("snip");
-    EXPECT_EQ(buf.getU8(), 0xab);
-    EXPECT_EQ(buf.getU32(), 0xdeadbeefu);
-    EXPECT_EQ(buf.getU64(), 0x0123456789abcdefULL);
-    EXPECT_EQ(buf.getString(), "snip");
-    EXPECT_EQ(buf.remaining(), 0u);
-}
-
-TEST(ByteBuffer, RewindRereads)
-{
-    ByteBuffer buf;
-    buf.putU32(7);
-    EXPECT_EQ(buf.getU32(), 7u);
-    buf.rewind();
-    EXPECT_EQ(buf.getU32(), 7u);
-}
-
-TEST(ByteBuffer, UnderrunPanics)
-{
-    ThrowOnErrorGuard guard;
-    ByteBuffer buf;
-    buf.putU8(1);
-    buf.getU8();
-    EXPECT_THROW(buf.getU8(), std::runtime_error);
+    ByteReader r(buf.data());
+    EXPECT_EQ(r.u8(), 0xab);
+    EXPECT_EQ(r.u32(), 0xdeadbeefu);
+    EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
+    EXPECT_EQ(r.str(), "snip");
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.pos(), buf.size());
 }
 
 TEST(ByteBuffer, HashChangesWithContent)
@@ -358,29 +343,27 @@ TEST(ByteBuffer, TryGettersFailWithoutPanicking)
     buf.putU32(0xfeedf00d);
     buf.putString("ok");
 
-    uint32_t u = 0;
-    EXPECT_TRUE(buf.tryGetU32(&u));
-    EXPECT_EQ(u, 0xfeedf00du);
-    std::string s;
-    EXPECT_TRUE(buf.tryGetString(&s));
-    EXPECT_EQ(s, "ok");
+    ByteReader r(buf.data());
+    EXPECT_EQ(r.u32(), 0xfeedf00du);
+    EXPECT_EQ(r.str(), "ok");
+    EXPECT_TRUE(r.ok());
 
-    // Underruns return false and leave the cursor where it was.
-    size_t at = buf.cursor();
-    uint64_t big = 0;
-    uint8_t byte = 0;
-    EXPECT_FALSE(buf.tryGetU64(&big));
-    EXPECT_FALSE(buf.tryGetU8(&byte));
-    EXPECT_EQ(buf.cursor(), at);
+    // Underruns return zero values and leave the position where it
+    // was.
+    size_t at = r.pos();
+    EXPECT_EQ(r.u64(), 0u);
+    EXPECT_EQ(r.u8(), 0u);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.pos(), at);
 
-    // A string whose length prefix overruns the data must also fail
-    // without consuming the prefix.
+    // A string whose length prefix overruns the data must also fail,
+    // with an empty result.
     ByteBuffer lying;
     lying.putU32(1000);
     lying.putU8('x');
-    at = lying.cursor();
-    EXPECT_FALSE(lying.tryGetString(&s));
-    EXPECT_EQ(lying.cursor(), at);
+    ByteReader lr(lying.data());
+    EXPECT_EQ(lr.str(), "");
+    EXPECT_FALSE(lr.ok());
 }
 
 TEST(ByteBuffer, PutBytesAppendsRaw)
@@ -391,15 +374,16 @@ TEST(ByteBuffer, PutBytesAppendsRaw)
     dst.putU8(0xff);
     dst.putBytes(src.data().data(), src.size());
     EXPECT_EQ(dst.size(), 5u);
-    EXPECT_EQ(dst.getU8(), 0xff);
-    EXPECT_EQ(dst.getU32(), 0x01020304u);
+    ByteReader r(dst.data());
+    EXPECT_EQ(r.u8(), 0xff);
+    EXPECT_EQ(r.u32(), 0x01020304u);
 }
 
 TEST(ByteReader, LatchesFailure)
 {
     ByteBuffer buf;
     buf.putU32(42);
-    ByteReader r(buf);
+    ByteReader r(buf.data());
     EXPECT_EQ(r.u32(), 42u);
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r.u64(), 0u);  // underrun
@@ -415,11 +399,63 @@ TEST(ByteReader, FitsBoundsCounts)
     ByteBuffer buf;
     for (int i = 0; i < 16; ++i)
         buf.putU8(0);
-    ByteReader r(buf);
+    ByteReader r(buf.data());
     EXPECT_TRUE(r.fits(4, 4));
     EXPECT_TRUE(r.fits(0, 1000));
     EXPECT_FALSE(r.fits(5, 4));
     EXPECT_FALSE(r.fits(0xffffffffu, 4));  // would overflow naive mul
+}
+
+TEST(ByteReader, BytesBorrowsTheInput)
+{
+    ByteBuffer buf;
+    buf.putU32(7);
+    buf.putBytes("abcdef", 6);
+    ByteReader r(buf.data());
+    r.skip(4);
+    std::span<const uint8_t> s = r.bytes(6);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(s.data(), buf.data().data() + 4);  // zero-copy
+    EXPECT_EQ(s.size(), 6u);
+    EXPECT_EQ(r.pos(), buf.size());
+    EXPECT_TRUE(r.bytes(1).empty());  // underrun: empty, latched
+    EXPECT_FALSE(r.ok());
+}
+
+TEST(Envelope, SealThenOpen)
+{
+    const uint8_t payload[] = {1, 2, 3, 4, 5};
+    ByteBuffer sealed;
+    sealEnvelope(0x534e5054, 3, payload, sealed);
+    ASSERT_EQ(sealed.size(), kEnvelopeHeaderBytes + sizeof payload +
+                                 kEnvelopeFooterBytes);
+
+    Result<Envelope> env = openEnvelope(sealed.data(), 0x534e5054, "t");
+    ASSERT_TRUE(env.ok()) << env.status().message();
+    EXPECT_EQ(env.value().version, 3u);
+    EXPECT_TRUE(env.value().crc_ok);
+    EXPECT_EQ(env.value().crc, crc32(payload, sizeof payload));
+    EXPECT_EQ(env.value().payload.data(),
+              sealed.data().data() + kEnvelopeHeaderBytes);
+    EXPECT_EQ(env.value().payload.size(), sizeof payload);
+
+    // Wrong magic, a truncated header and a length that does not
+    // account for every byte are errors, named by the caller's tag.
+    Result<Envelope> bad = openEnvelope(sealed.data(), 0x534e504d, "t");
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().message().rfind("t: bad magic", 0), 0u);
+    std::span<const uint8_t> all(sealed.data());
+    EXPECT_FALSE(openEnvelope(all.first(11), 0x534e5054, "t").ok());
+    EXPECT_FALSE(
+        openEnvelope(all.first(all.size() - 1), 0x534e5054, "t").ok());
+
+    // A flipped payload byte opens, with the CRC reported as wrong.
+    ByteBuffer flipped;
+    flipped.putBytes(sealed.data().data(), sealed.size());
+    const_cast<std::vector<uint8_t> &>(flipped.data())[13] ^= 0x40;
+    env = openEnvelope(flipped.data(), 0x534e5054, "t");
+    ASSERT_TRUE(env.ok());
+    EXPECT_FALSE(env.value().crc_ok);
 }
 
 TEST(Crc32, KnownAnswers)
