@@ -30,8 +30,12 @@ aggregateUploads(core::MemoTable &dest,
     util::parallelFor(
         uploads.size(),
         [&](size_t u) {
-            util::Result<core::SnipModel> res =
-                core::unpackModel(uploads[u]);
+            // Deployed over the caller's bytes (a non-owning
+            // aliasing pointer): the uploads outlive the call, and
+            // each decoded table is merged and dropped inside it.
+            util::Result<core::SnipModel> res = core::deployModel(
+                std::shared_ptr<const util::ByteBuffer>(
+                    std::shared_ptr<void>(), &uploads[u]));
             if (!res.ok() || !res.value().table) {
                 util::warn("fleet: dropping upload %zu: %s", u,
                            res.ok() ? "no table in payload"

@@ -4,7 +4,8 @@
  * backend folds N upload payloads into the agreed table through one
  * serial MemoTable::mergeFrom chain. aggregateUploads decodes the
  * payloads in parallel (util::parallelFor, one task per upload; a
- * decode attaches the frozen table, it does not rebuild it) and
+ * decode attaches the frozen table over the caller's bytes, it
+ * neither copies the upload nor rebuilds the table) and
  * then runs that same chain, in upload order, over the decoded
  * tables — so the aggregate is *bitwise identical* (frozen arena
  * bytes) to the serial chain at any thread count, which
@@ -54,6 +55,8 @@ struct AggregateStats {
  * as produced by the federated device loop) and union their tables
  * into @p dest. @p dest's selected sets drive the re-projection,
  * exactly as in the serial chain. Returns what was consumed/dropped.
+ * The decoded tables borrow @p uploads and are dropped before the
+ * call returns.
  */
 AggregateStats aggregateUploads(core::MemoTable &dest,
                                 std::span<const util::ByteBuffer> uploads,

@@ -56,24 +56,26 @@ Dataset::Dataset(
     if (rows_ == 0)
         util::fatal("Dataset: no records");
 
-    // Field-id union without a node-based set: one counting pass to
-    // reserve, one gather pass, then sort + unique — a fixed number
-    // of allocations however many rows/fields there are.
-    size_t total_inputs = 0;
+    // Field-id union from a presence array indexed by id: one pass
+    // over every input, then the ids in ascending order, a fixed
+    // number of allocations however many rows/fields there are.
+    std::vector<char> present(schema.size(), 0);
     for (const auto *r : records) {
         if (r->type != records[0]->type)
             util::fatal("Dataset: mixed event types");
-        total_inputs += r->inputs.size();
+        for (const auto &fv : r->inputs) {
+            if (fv.id >= present.size())
+                util::panic("Dataset: input field %u outside the "
+                            "%zu-field schema",
+                            fv.id, present.size());
+            present[fv.id] = 1;
+        }
     }
-    featureFields_.reserve(total_inputs);
-    for (const auto *r : records)
-        for (const auto &fv : r->inputs)
-            featureFields_.push_back(fv.id);
-    std::sort(featureFields_.begin(), featureFields_.end());
-    featureFields_.erase(
-        std::unique(featureFields_.begin(), featureFields_.end()),
-        featureFields_.end());
-    featureFields_.shrink_to_fit();
+    featureFields_.reserve(static_cast<size_t>(
+        std::count(present.begin(), present.end(), 1)));
+    for (size_t id = 0; id < present.size(); ++id)
+        if (present[id])
+            featureFields_.push_back(static_cast<events::FieldId>(id));
 
     ownedValues_.assign(featureFields_.size() * rows_, kAbsent);
     ownedLabels_.resize(rows_);

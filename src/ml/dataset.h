@@ -150,8 +150,8 @@ class Dataset : public DatasetView
      *
      * Construction does a fixed number of allocations (the column /
      * label / weight arrays), never O(rows): the field-id union is
-     * gathered into a reserved vector + sort + unique instead of a
-     * node-based set, and the column-major fill writes into
+     * marked in a presence array indexed by field id (an id outside
+     * @p schema panics), and the column-major fill writes into
      * pre-sized storage.
      */
     Dataset(std::span<const games::HandlerExecution *const> records,

@@ -144,14 +144,18 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
     // with cache_pfi the refresh recomputes just those and keeps
     // cached values for locked columns — identical output, because
     // per-column PFI permutation streams are column-keyed (pfi.h).
+    // For the same reason each refresh reads the permuted columns'
+    // key deltas from one store instead of rebuilding them; a
+    // column's slots are freed once it is dropped.
     std::vector<double> imp_by_col(ds.numFeatures(), 0.0);
+    PfiStore store(ds, pfi_cfg);
     auto refresh_pfi = [&]() {
         std::vector<size_t> want;
         want.reserve(cols.size());
         for (size_t c : cols)
             if (!cfg.cache_pfi || !locked[c])
                 want.push_back(c);
-        PfiResult pfi = computePfi(model, ds, want, pfi_cfg);
+        PfiResult pfi = computePfi(model, ds, want, pfi_cfg, &store);
         for (size_t i = 0; i < want.size(); ++i)
             imp_by_col[want[i]] = pfi.importance[i];
         if (cfg.obs)
@@ -194,6 +198,7 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
                 ev.conditionalError() <= cfg.max_conditional_error) {
                 cols = std::move(trial);
                 keys.swap(trial_keys);
+                store.release(col);
                 cur = ev;
                 record_step(col, ev);
                 committed = true;
@@ -227,9 +232,12 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
     // --- Phase B: exploratory tail past the knee. Keep dropping the
     // least-important remaining feature regardless of the budget so
     // the Fig. 9 curve shows the error ramp; does not affect the
-    // selected set.
+    // selected set. Its one PFI pass scores the remaining (locked)
+    // columns once more from the store, which is then freed.
     train_model(cols, keys);
-    PfiResult pfi = computePfi(model, ds, cols, pfi_cfg);
+    PfiResult pfi = computePfi(model, ds, cols, pfi_cfg, &store);
+    for (size_t c : cols)
+        store.release(c);
     while (cols.size() > 1) {
         size_t pick = 0;
         auto per_byte = [&](size_t i) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/span.h"
+#include "util/logging.h"
 #include "util/parallel.h"
 
 namespace snip {
@@ -11,92 +12,128 @@ namespace ml {
 namespace {
 
 /**
- * Per-worker scratch for one permutation pass, reused across tasks
- * on the same worker thread (thread_local: tasks never share).
+ * Per-worker deltas of a task with no store slot, reused across
+ * tasks on the same worker thread (thread_local: tasks never share).
  */
-struct PfiScratch {
-    std::vector<size_t> perm;       // row permutation
-    std::vector<uint64_t> permuted; // permuted column values, by row
-    std::vector<uint64_t> pred;     // predicted labels, block-sized
-};
-
-thread_local PfiScratch t_scratch;
-
-/** Rows per batched prediction block. */
-constexpr size_t kPredBlock = 512;
+thread_local std::vector<uint64_t> t_deltas;
 
 /**
- * Weighted error of @p predictor with column @p col permuted by the
- * stream (seed, col, rep). Allocation-free after scratch warm-up.
+ * Fill @p out with the key deltas of column @p col permuted by the
+ * stream (seed, col, rep): out[r] = term(col, v[perm[r]]) -
+ * term(col, v[r]). The Fisher-Yates swaps (the algorithm of
+ * util::Rng::permutation) run on the column's terms themselves, so
+ * row r ends up holding the term of row perm[r] without a
+ * permutation array or a gather.
  */
-double
-permutedError(const Predictor &predictor, const DatasetView &ds,
-              size_t col, uint64_t seed, int rep)
+void
+permutedDeltas(const DatasetView &ds, size_t col, uint64_t seed, int rep,
+               uint64_t *out)
 {
     size_t n = ds.numRows();
-    PfiScratch &s = t_scratch;
-
-    // Fisher-Yates permutation of row indices into reusable scratch
-    // (same algorithm as util::Rng::permutation, minus its per-call
-    // allocation): row r reads the value of row perm[r].
+    const uint64_t *v = ds.columnData(col);
+    for (size_t r = 0; r < n; ++r)
+        out[r] = TablePredictor::term(col, v[r]);
     util::Rng rng(util::mixCombine(
         seed, util::mixCombine(col, static_cast<uint64_t>(rep))));
-    s.perm.resize(n);
-    for (size_t i = 0; i < n; ++i)
-        s.perm[i] = i;
     for (size_t i = n; i > 1; --i) {
         size_t j = static_cast<size_t>(rng.uniformInt(0, i - 1));
-        std::swap(s.perm[i - 1], s.perm[j]);
+        std::swap(out[i - 1], out[j]);
     }
-
-    // Materialize the permuted column once (cache-linear gather from
-    // the dataset's contiguous column store) so prediction can run
-    // batched with a per-row override array.
-    const uint64_t *colv = ds.columnData(col);
-    s.permuted.resize(n);
     for (size_t r = 0; r < n; ++r)
-        s.permuted[r] = colv[s.perm[r]];
-
-    s.pred.resize(std::min(n, kPredBlock));
-    uint64_t wrong = 0;
-    for (size_t begin = 0; begin < n; begin += kPredBlock) {
-        size_t end = std::min(n, begin + kPredBlock);
-        predictor.predictRows(ds, begin, end, s.pred.data(), col,
-                              s.permuted.data());
-        for (size_t r = begin; r < end; ++r) {
-            if (s.pred[r - begin] != ds.label(r))
-                wrong += ds.weight(r);
-        }
-    }
-    return static_cast<double>(wrong) /
-           static_cast<double>(ds.totalWeight());
+        out[r] -= TablePredictor::term(col, v[r]);
 }
 
 }  // namespace
 
+PfiStore::PfiStore(const DatasetView &ds, const PfiConfig &cfg)
+    : view_(ds.id()), seed_(cfg.seed),
+      repeats_(static_cast<size_t>(std::max(cfg.repeats, 0))),
+      rows_(ds.numRows()),
+      budget_(ds.streamBlockRows() == SIZE_MAX
+                  ? ds.numRows() * ds.numFeatures() * sizeof(uint64_t)
+                  : 0),
+      slots_(ds.numFeatures() * repeats_)
+{
+}
+
+void
+PfiStore::release(size_t col)
+{
+    for (size_t rep = 0; rep < repeats_; ++rep) {
+        Slot &s = slots_.at(col * repeats_ + rep);
+        if (s.deltas)
+            held_ -= rows_ * sizeof(uint64_t);
+        s = Slot{};
+    }
+}
+
 PfiResult
-computePfi(const Predictor &predictor, const DatasetView &ds,
-           const std::vector<size_t> &cols, const PfiConfig &cfg)
+computePfi(const TablePredictor &model, const DatasetView &ds,
+           const std::vector<size_t> &cols, const PfiConfig &cfg,
+           PfiStore *store)
 {
     PfiResult result;
-    result.base_error = weightedErrorRate(predictor, ds);
+    result.base_error = weightedErrorRate(model, ds);
     result.importance.assign(cols.size(), 0.0);
     if (cols.empty() || cfg.repeats <= 0)
         return result;
-
-    // One task per (feature, repeat); every task writes only its
-    // own slot of the error matrix, and the reduction below runs
-    // serially in task order, so the result is bitwise identical
-    // for any worker count.
-    obs::Span span(cfg.obs, "pfi");
+    size_t n = ds.numRows();
     size_t repeats = static_cast<size_t>(cfg.repeats);
-    std::vector<double> err(cols.size() * repeats, 0.0);
-    util::parallelFor(err.size(), [&](size_t k) {
-        err[k] = permutedError(predictor, ds, cols[k / repeats],
-                               cfg.seed, static_cast<int>(k % repeats));
+    if (store && (store->view_ != ds.id() || store->seed_ != cfg.seed ||
+                  store->repeats_ != repeats || store->rows_ != n))
+        util::panic("computePfi: store bound to another view or config");
+
+    // One task per (feature, repeat). Its deltas come from a filled
+    // store slot, a slot claimed for it here (serially, in task
+    // order, within the store's budget) or per-worker scratch.
+    obs::Span span(cfg.obs, "pfi");
+    size_t ntasks = cols.size() * repeats;
+    std::vector<PfiStore::Slot *> slot(ntasks, nullptr);
+    uint64_t reused = 0;
+    if (store) {
+        for (size_t k = 0; k < ntasks; ++k) {
+            PfiStore::Slot &s =
+                store->slots_.at(cols[k / repeats] * repeats + k % repeats);
+            if (s.filled) {
+                slot[k] = &s;
+                ++reused;
+            } else if (!s.deltas &&
+                       store->held_ + n * sizeof(uint64_t) <=
+                           store->budget_) {
+                s.deltas = std::make_unique_for_overwrite<uint64_t[]>(n);
+                store->held_ += n * sizeof(uint64_t);
+                slot[k] = &s;
+            }
+        }
+    }
+
+    // Every task writes only its own slot of the error matrix, and
+    // the reduction below runs serially in task order, so the result
+    // is bitwise identical for any worker count.
+    std::vector<double> err(ntasks, 0.0);
+    util::parallelFor(ntasks, [&](size_t k) {
+        size_t col = cols[k / repeats];
+        PfiStore::Slot *s = slot[k];
+        uint64_t *deltas;
+        if (s) {
+            deltas = s->deltas.get();
+        } else {
+            t_deltas.resize(n);
+            deltas = t_deltas.data();
+        }
+        if (!s || !s->filled)
+            permutedDeltas(ds, col, cfg.seed,
+                           static_cast<int>(k % repeats), deltas);
+        err[k] = static_cast<double>(model.permutedWrong(ds, col, deltas)) /
+                 static_cast<double>(ds.totalWeight());
     }, cfg.threads);
-    if (cfg.obs)
-        cfg.obs->counter("shrink.pfi.tasks").add(err.size());
+    for (PfiStore::Slot *s : slot)
+        if (s)
+            s->filled = true;
+    if (cfg.obs) {
+        cfg.obs->counter("shrink.pfi.tasks").add(ntasks);
+        cfg.obs->counter("shrink.pfi.reused").add(reused);
+    }
 
     for (size_t ci = 0; ci < cols.size(); ++ci) {
         double err_sum = 0.0;

@@ -37,7 +37,8 @@ class Predictor
      * Predict the label for row @p row of @p ds, with the values of
      * selected columns optionally overridden: when @p override_col
      * != SIZE_MAX, the value of that column is @p override_value
-     * (how PFI permutes a column without copying the matrix).
+     * (a permuted column without copying the matrix: the semantics
+     * TablePredictor::permutedWrong() scores PFI with).
      */
     virtual uint64_t predict(const DatasetView &ds, size_t row,
                              size_t override_col = SIZE_MAX,
@@ -57,9 +58,9 @@ class Predictor
      * out_labels[r - row_begin] receives the prediction for row r.
      * When @p override_col != SIZE_MAX, @p override_values must be
      * non-null and override_values[r] replaces the value of that
-     * column for row r — how PFI feeds a whole permuted column in
-     * one call. Label-for-label identical to calling predict() per
-     * row; implementations override it to amortize per-call work
+     * column for row r — a whole permuted column in one call.
+     * Label-for-label identical to calling predict() per row;
+     * implementations override it to amortize per-call work
      * (TablePredictor swaps one key term per row instead of
      * rehashing the row).
      */

@@ -289,13 +289,14 @@ TablePredictor::rebuildIndex()
     size_t cap = 4;
     while (cap < 2 * n)
         cap <<= 1;
-    fslots_.assign(cap, 0);
+    fslots_.assign(cap, Slot{0, fallbackLabel_, 0});
     size_t mask = cap - 1;
     for (size_t i = 0; i < n; ++i) {
         size_t idx = static_cast<size_t>(fkeys_[i]) & mask;
-        while (fslots_[idx] != 0)
+        while (fslots_[idx].entry != 0)
             idx = (idx + 1) & mask;
-        fslots_[idx] = static_cast<uint32_t>(i + 1);
+        fslots_[idx] = {fkeys_[i], flabels_[i],
+                        static_cast<uint32_t>(i + 1)};
     }
 }
 
@@ -327,8 +328,8 @@ TablePredictor::predictRows(const DatasetView &ds, size_t row_begin,
         }
         return;
     }
-    // The PFI inner loop: on the trained view, the stored key with
-    // the permuted column's term swapped, O(1) per row.
+    // On the trained view, the stored key with the overridden
+    // column's term swapped, O(1) per row.
     const uint64_t *keys = keys_.data();
     if (override_col == SIZE_MAX) {
         for (size_t r = row_begin; r < row_end; ++r)
@@ -339,6 +340,34 @@ TablePredictor::predictRows(const DatasetView &ds, size_t row_begin,
     for (size_t r = row_begin; r < row_end; ++r)
         *out++ = labelOf(keys[r] + term(override_col, override_values[r]) -
                          term(override_col, cur[r]));
+}
+
+uint64_t
+TablePredictor::permutedWrong(const DatasetView &ds, size_t col,
+                              const uint64_t *delta) const
+{
+    size_t n = ds.numRows();
+    const uint64_t *labels = ds.labelData();
+    const uint64_t *weights = ds.weightData();
+    bool moves = selectedOrNone(col) != SIZE_MAX;
+    uint64_t wrong = 0;
+    if (moves && ds.id() == keysView_) {
+        // The PFI inner loop: stored key plus delta, one probe. The
+        // miss mask keeps the per-row outcome, random under a
+        // permutation, off the branch predictor.
+        const uint64_t *keys = keys_.data();
+        for (size_t r = 0; r < n; ++r) {
+            uint64_t miss = labelOf(keys[r] + delta[r]) != labels[r];
+            wrong += weights[r] & (0 - miss);
+        }
+        return wrong;
+    }
+    for (size_t r = 0; r < n; ++r) {
+        uint64_t k = keyAt(ds, r, SIZE_MAX, 0) + (moves ? delta[r] : 0);
+        if (labelOf(k) != labels[r])
+            wrong += weights[r];
+    }
+    return wrong;
 }
 
 size_t
@@ -355,10 +384,10 @@ bool
 TablePredictor::lookupLabel(const DatasetView &ds, size_t row,
                             uint64_t &label) const
 {
-    size_t e = find(keyAt(ds, row, SIZE_MAX, 0));
-    if (e == SIZE_MAX)
+    const Slot &s = fslots_[slotOf(keyAt(ds, row, SIZE_MAX, 0))];
+    if (s.entry == 0)
         return false;
-    label = flabels_[e];
+    label = s.label;
     return true;
 }
 
@@ -369,7 +398,7 @@ TablePredictor::insertRow(const DatasetView &ds, size_t row)
     // inserted, keeps its entry.
     uint64_t key = keyAt(ds, row, SIZE_MAX, 0);
     size_t slot = slotOf(key);
-    if (fslots_[slot] != 0)
+    if (fslots_[slot].entry != 0)
         return;
     fkeys_.push_back(key);
     flabels_.push_back(ds.label(row));
@@ -378,7 +407,8 @@ TablePredictor::insertRow(const DatasetView &ds, size_t row)
     if (2 * fkeys_.size() > fslots_.size())
         rebuildIndex();
     else
-        fslots_[slot] = static_cast<uint32_t>(fkeys_.size());
+        fslots_[slot] = {key, flabels_.back(),
+                         static_cast<uint32_t>(fkeys_.size())};
 }
 
 uint64_t

@@ -10,6 +10,8 @@
 #ifndef SNIP_ML_TABLE_PREDICTOR_H
 #define SNIP_ML_TABLE_PREDICTOR_H
 
+#include <algorithm>
+
 #include "ml/predictor.h"
 #include "util/rng.h"
 
@@ -32,6 +34,12 @@ class TablePredictor : public Predictor
   public:
     /** Key of a row over no columns. */
     static constexpr uint64_t kKeySeed = 0x5eedf00d5eedULL;
+
+    /** One column's term of a row key. */
+    static uint64_t term(size_t col, uint64_t value)
+    {
+        return util::mixCombine(col, value);
+    }
 
     /**
      * Keys of every row of @p ds over @p cols, swept one column at a
@@ -85,6 +93,18 @@ class TablePredictor : public Predictor
                          nullptr) const override;
 
     /**
+     * Weight of the rows of @p ds mispredicted when each row's key
+     * moves by @p delta[r] (wrapping): the PFI score of a permuted
+     * column @p col, whose deltas are term(col, v[perm[r]]) -
+     * term(col, v[r]). One pass over the stored keys with one probe
+     * per row on the view trained on; a column outside the key
+     * moves nothing. Label-for-label what predictRows() with the
+     * permuted column as override predicts.
+     */
+    uint64_t permutedWrong(const DatasetView &ds, size_t col,
+                           const uint64_t *delta) const;
+
+    /**
      * Strict lookup: true (and the majority label) only when the
      * row's key exists in the trained table — a deployment "hit".
      * Misses fall back to full processing and are therefore not
@@ -126,11 +146,18 @@ class TablePredictor : public Predictor
     uint64_t fingerprint() const;
 
   private:
-    /** One column's term of a row key. */
-    static uint64_t term(size_t col, uint64_t value)
-    {
-        return util::mixCombine(col, value);
-    }
+    /**
+     * One slot of the open-addressing index: its entry's key and
+     * majority label inline, so a probe reads one slot instead of
+     * slot -> key -> label, and the entry index + 1 (0 = empty). An
+     * empty slot's label is the fallback label, so the slot a probe
+     * ends on is its prediction, hit or miss.
+     */
+    struct Slot {
+        uint64_t key = 0;
+        uint64_t label = kNoLabel;
+        uint32_t entry = 0;
+    };
 
     /**
      * @p col when it is a selected column, else SIZE_MAX: an override
@@ -158,9 +185,14 @@ class TablePredictor : public Predictor
      */
     size_t slotOf(uint64_t key) const
     {
+        // One branch per step, taken only past another key's slot:
+        // min(key difference, entry) is 0 on a hit and on an empty
+        // slot alike, so which of the two ends the probe is not a
+        // branch (a permuted column mixes them at random).
         size_t mask = fslots_.size() - 1;
         size_t i = static_cast<size_t>(key) & mask;
-        while (fslots_[i] != 0 && fkeys_[fslots_[i] - 1] != key)
+        while (std::min<uint64_t>(fslots_[i].key ^ key,
+                                  fslots_[i].entry) != 0)
             i = (i + 1) & mask;
         return i;
     }
@@ -168,15 +200,14 @@ class TablePredictor : public Predictor
     /** Entry index of @p key, or SIZE_MAX. */
     size_t find(uint64_t key) const
     {
-        uint32_t v = fslots_[slotOf(key)];
+        uint32_t v = fslots_[slotOf(key)].entry;
         return v ? static_cast<size_t>(v - 1) : SIZE_MAX;
     }
 
     /** Majority label of @p key's entry, else the fallback label. */
     uint64_t labelOf(uint64_t key) const
     {
-        uint32_t v = fslots_[slotOf(key)];
-        return v ? flabels_[v - 1] : fallbackLabel_;
+        return fslots_[slotOf(key)].label;
     }
 
     /** Re-index every entry in fslots_ at load <= 0.5. */
@@ -194,13 +225,14 @@ class TablePredictor : public Predictor
      * and zero allocation. The first ntrained_ entries are the
      * trained ones, keys ascending; insertRow() appends after them
      * and indexes into the same slots, so every key exists once.
+     * Each slot repeats its entry's key and label (rebuildIndex()
+     * and insertRow() keep them in sync).
      */
     std::vector<uint64_t> fkeys_;        // entry keys
     std::vector<uint64_t> flabels_;      // majority label per entry
     std::vector<size_t> freprs_;         // representative row
     std::vector<uint32_t> fdistinct_;    // distinct labels per key
-    std::vector<uint32_t> fslots_ =      // entry index + 1; 0 = empty
-        std::vector<uint32_t>(4, 0);
+    std::vector<Slot> fslots_ = std::vector<Slot>(4);
     size_t ntrained_ = 0;
     uint64_t fallbackLabel_ = kNoLabel;
     size_t fallbackRow_ = SIZE_MAX;

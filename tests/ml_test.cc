@@ -120,6 +120,14 @@ TEST(DatasetTest, LabelIsOutputSignature)
     }
 }
 
+TEST(DatasetDeathTest, InputOutsideSchemaPanics)
+{
+    Synthetic syn(4);
+    syn.records[2].inputs.push_back({syn.out + 7, 1});
+    EXPECT_DEATH(Dataset(syn.ptrs(), syn.schema),
+                 "outside the 5-field schema");
+}
+
 TEST(DatasetTest, FeatureBytes)
 {
     Synthetic syn(5);
@@ -879,6 +887,208 @@ TEST(PfiTest, ColumnImportanceIndependentOfSubset)
     EXPECT_EQ(solo.importance[0], full.importance[1]);  // bitwise
 }
 
+/**
+ * Reference PFI, the semantics the key-delta path must reproduce
+ * bitwise: a Fisher-Yates row permutation drawn from
+ * (seed, col, rep), the permuted column gathered and fed through
+ * predictRows' override path, errors averaged per column in repeat
+ * order.
+ */
+PfiResult
+referencePfi(const Predictor &p, const DatasetView &ds,
+             const std::vector<size_t> &cols, const PfiConfig &cfg)
+{
+    PfiResult res;
+    res.base_error = weightedErrorRate(p, ds);
+    size_t n = ds.numRows();
+    std::vector<uint64_t> permuted(n), pred(n);
+    for (size_t col : cols) {
+        double err_sum = 0.0;
+        for (int rep = 0; rep < cfg.repeats; ++rep) {
+            util::Rng rng(util::mixCombine(
+                cfg.seed,
+                util::mixCombine(col, static_cast<uint64_t>(rep))));
+            std::vector<size_t> perm = rng.permutation(n);
+            for (size_t r = 0; r < n; ++r)
+                permuted[r] = ds.value(perm[r], col);
+            p.predictRows(ds, 0, n, pred.data(), col, permuted.data());
+            uint64_t wrong = 0;
+            for (size_t r = 0; r < n; ++r)
+                if (pred[r] != ds.label(r))
+                    wrong += ds.weight(r);
+            err_sum += static_cast<double>(wrong) /
+                       static_cast<double>(ds.totalWeight());
+        }
+        double imp = err_sum / static_cast<double>(cfg.repeats) -
+                     res.base_error;
+        res.importance.push_back(imp > 0.0 ? imp : 0.0);
+    }
+    return res;
+}
+
+/**
+ * Synthetic world widened for the PFI reference checks: row weights
+ * vary, the noise column is absent from a fifth of the rows, and two
+ * more columns (one near-constant, one copy of `a`) join the key.
+ */
+Synthetic
+widePfiWorld(size_t n, uint64_t seed)
+{
+    Synthetic syn(n, seed);
+    events::FieldId fc = syn.schema.addInput(
+        "c", events::InputCategory::Event, 1);
+    events::FieldId fd = syn.schema.addInput(
+        "d", events::InputCategory::History, 2);
+    util::Rng rng(seed + 1);
+    for (auto &r : syn.records) {
+        uint64_t a = r.inputs[0].value;
+        r.cpu_instructions = 1 + rng.uniformInt(0, 5000);
+        if (rng.uniformInt(0, 4) == 0)
+            r.inputs.erase(r.inputs.begin() + 2);  // noise absent
+        r.inputs.push_back({fc, rng.uniformInt(0, 9) == 0 ? 1u : 0u});
+        r.inputs.push_back({fd, a});
+    }
+    return syn;
+}
+
+/** Train on the first 70% of rows, then insert the rest (holdout). */
+void
+trainLikeSelection(TablePredictor &tp, const Dataset &ds,
+                   const std::vector<size_t> &cols)
+{
+    std::vector<size_t> train_rows;
+    size_t train_n = ds.numRows() * 7 / 10;
+    for (size_t r = 0; r < train_n; ++r)
+        train_rows.push_back(r);
+    tp.trainOnRows(ds, cols, train_rows);
+    for (size_t r = train_n; r < ds.numRows(); ++r)
+        tp.insertRow(ds, r);
+}
+
+void
+expectSamePfi(const PfiResult &got, const PfiResult &want)
+{
+    EXPECT_EQ(got.base_error, want.base_error);
+    EXPECT_EQ(got.importance, want.importance);  // bitwise
+}
+
+/**
+ * The key-delta PFI equals the reference bitwise: at 1 and 4
+ * threads, on column subsets, with a permuted column outside the
+ * model's key (importance 0), and on a model holding inserted rows.
+ */
+TEST(PfiTest, KeyedPfiMatchesReference)
+{
+    Synthetic syn = widePfiWorld(700, 21);
+    Dataset ds(syn.ptrs(), syn.schema);
+    ASSERT_EQ(ds.numFeatures(), 6u);
+    std::vector<size_t> all = {0, 1, 2, 3, 4, 5};
+    std::vector<std::vector<size_t>> model_cols = {
+        all, {0, 1, 2, 4, 5}, {0, 1}, {2}};
+    std::vector<std::vector<size_t>> subsets = {
+        all, {1, 3}, {5, 0}, {2}};
+    for (const auto &mc : model_cols) {
+        TablePredictor tp;
+        trainLikeSelection(tp, ds, mc);
+        for (const auto &cols : subsets) {
+            PfiConfig cfg;
+            cfg.seed = 0x51ce;
+            PfiResult want = referencePfi(tp, ds, cols, cfg);
+            for (unsigned threads : {1u, 4u}) {
+                cfg.threads = threads;
+                SCOPED_TRACE(::testing::Message()
+                             << "model " << mc.size() << " cols, subset "
+                             << cols.size() << ", threads " << threads);
+                expectSamePfi(computePfi(tp, ds, cols, cfg), want);
+            }
+        }
+        // A view the model did not train on recomputes each key.
+        Dataset twin(syn.ptrs(), syn.schema);
+        PfiConfig cfg;
+        expectSamePfi(computePfi(tp, twin, all, cfg),
+                      referencePfi(tp, twin, all, cfg));
+    }
+}
+
+/**
+ * Two refreshes of one selection through one PfiStore: the second
+ * reads the deltas the first stored, for a retrained model without
+ * the dropped column, and both equal the reference bitwise. The
+ * store holds at most the view's value store, and the same bytes at
+ * 1 and 4 threads.
+ */
+TEST(PfiTest, StoreReuseAcrossRefreshesMatchesReference)
+{
+    Synthetic syn = widePfiWorld(500, 8);
+    Dataset ds(syn.ptrs(), syn.schema);
+    const size_t bound = ds.numRows() * ds.numFeatures() * 8;
+    std::vector<size_t> first = {0, 1, 2, 3, 4, 5};
+    std::vector<size_t> second = {0, 2, 3, 4, 5};  // 1 dropped
+    size_t held[2] = {0, 0};
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "threads " << threads);
+        obs::Registry reg;
+        PfiConfig cfg;
+        cfg.seed = 0xbeef;
+        cfg.threads = threads;
+        cfg.obs = &reg;
+        PfiStore store(ds, cfg);
+
+        TablePredictor tp;
+        trainLikeSelection(tp, ds, first);
+        expectSamePfi(computePfi(tp, ds, first, cfg, &store),
+                      referencePfi(tp, ds, first, cfg));
+        EXPECT_EQ(reg.counterValue("shrink.pfi.reused"), 0u);
+        // 12 (column, repeat) slots, room for half of them.
+        EXPECT_EQ(store.bytes(), bound);
+        held[threads == 1 ? 0 : 1] = store.bytes();
+
+        store.release(1);
+        EXPECT_LT(store.bytes(), bound);
+        trainLikeSelection(tp, ds, second);
+        expectSamePfi(computePfi(tp, ds, second, cfg, &store),
+                      referencePfi(tp, ds, second, cfg));
+        EXPECT_GT(reg.counterValue("shrink.pfi.reused"), 0u);
+        EXPECT_LE(store.bytes(), bound);
+        EXPECT_EQ(reg.counterValue("shrink.pfi.tasks"),
+                  (first.size() + second.size()) * 2);
+
+        // A third pass reads every slot the second one filled.
+        uint64_t before = reg.counterValue("shrink.pfi.reused");
+        expectSamePfi(computePfi(tp, ds, second, cfg, &store),
+                      referencePfi(tp, ds, second, cfg));
+        EXPECT_EQ(reg.counterValue("shrink.pfi.reused") - before,
+                  store.bytes() / (ds.numRows() * 8));
+
+        // The released column's deltas are gone: scoring it again
+        // rebuilds them.
+        before = reg.counterValue("shrink.pfi.reused");
+        expectSamePfi(computePfi(tp, ds, {1}, cfg, &store),
+                      referencePfi(tp, ds, {1}, cfg));
+        EXPECT_EQ(reg.counterValue("shrink.pfi.reused"), before);
+    }
+    EXPECT_EQ(held[0], held[1]);
+}
+
+TEST(PfiDeathTest, StoreBoundToAnotherViewOrConfigPanics)
+{
+    Synthetic syn(200, 4);
+    Dataset ds(syn.ptrs(), syn.schema);
+    Dataset other(syn.ptrs(), syn.schema);
+    std::vector<size_t> cols = {0, 1};
+    TablePredictor tp;
+    tp.train(ds, cols);
+    PfiConfig cfg;
+    PfiStore store(other, cfg);
+    EXPECT_DEATH(computePfi(tp, ds, cols, cfg, &store),
+                 "store bound to another view");
+    PfiStore mine(ds, cfg);
+    PfiConfig reseeded = cfg;
+    reseeded.seed += 1;
+    EXPECT_DEATH(computePfi(tp, ds, cols, reseeded, &mine),
+                 "store bound to another view");
+}
+
 // ------------------------------------------------- FeatureSelection
 
 TEST(SelectionTest, RecoversPlantedNecessarySet)
@@ -1210,6 +1420,32 @@ TEST(ChunkedDatasetTest, ThreadInvarianceOnSharedView)
     PfiResult r8 = computePfi(tp, ds, cols, p8);
     EXPECT_EQ(r1.importance, r8.importance);
     EXPECT_EQ(r1.base_error, r8.base_error);
+}
+
+// An out-of-core view keeps no PFI deltas (its heap stays within the
+// chunked design), and scoring through its store changes nothing.
+TEST(ChunkedDatasetTest, PfiStoreKeepsNothingOutOfCore)
+{
+    Synthetic syn(300, 6);
+    auto log = trainingLog(syn);
+    ChunkedConfig cfg;
+    cfg.block_rows = 64;
+    auto cds = ChunkedDataset::attach(log, events::EventType::Touch,
+                                      syn.schema, cfg);
+    ASSERT_TRUE(cds.ok()) << cds.status().message();
+    const ChunkedDataset &ds = *cds.value();
+    std::vector<size_t> cols(ds.numFeatures());
+    for (size_t i = 0; i < cols.size(); ++i)
+        cols[i] = i;
+    TablePredictor tp;
+    tp.train(ds, cols);
+    PfiConfig pc;
+    PfiStore store(ds, pc);
+    PfiResult a = computePfi(tp, ds, cols, pc, &store);
+    PfiResult b = computePfi(tp, ds, cols, pc, &store);
+    EXPECT_EQ(store.bytes(), 0u);
+    expectSamePfi(a, referencePfi(tp, ds, cols, pc));
+    expectSamePfi(b, a);
 }
 
 /**

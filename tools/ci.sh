@@ -24,9 +24,10 @@
 #  - tsan smokes of the shared-const concurrency contracts: concurrent
 #    lookups through the full-key index of one const FrozenTable (a
 #    deployed zero-copy view and a freeze()d arena), parallel sessions
-#    vs serial, parallel PFI on one const TablePredictor, EmpiricalCdf
-#    reads, micro_train itself and the parallel-decode fleet
-#    aggregation;
+#    vs serial, parallel PFI on one const TablePredictor (also with
+#    its tasks filling and re-reading one selection's PfiStore),
+#    EmpiricalCdf reads, micro_train itself and the parallel-decode
+#    fleet aggregation;
 #  - task pool: the whole parallel suite on an 8-way pool under tsan,
 #    and at most threads - 1 workers ever spawned across fig12
 #    epochs;
@@ -230,7 +231,7 @@ cmake --build --preset tsan -j "$JOBS" --target parallel_test \
     --target ml_test --target micro_train --target fleet_test
 TSAN_OPTIONS="halt_on_error=1" run_filtered \
     ./build-tsan/tests/ml_test \
-    --gtest_filter='ChunkedDatasetTest.ThreadInvarianceOnSharedView'
+    --gtest_filter='ChunkedDatasetTest.ThreadInvarianceOnSharedView:PfiTest.KeyedPfiMatchesReference:PfiTest.StoreReuseAcrossRefreshesMatchesReference'
 TSAN_OPTIONS="halt_on_error=1" run_filtered \
     ./build-tsan/tests/parallel_test \
     --gtest_filter='ParallelRunnerTest.ConcurrentLookupsOnSharedConstTable:ParallelRunnerTest.ConcurrentLookupsOnSharedConstFrozenTable:ParallelRunnerTest.ForEachSessionsMatchSerialBitwise:ShrinkParallelTest.*'
