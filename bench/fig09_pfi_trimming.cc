@@ -59,6 +59,7 @@ main(int argc, char **argv)
         cfg.pfi.seed = opts.seed;
         cfg.pfi.threads = opts.threads;
         ml::SelectionResult sel = ml::selectNecessaryInputs(ds, cfg);
+        ml::chartTail(ds, sel, cfg);
 
         std::cout << "--- " << events::eventTypeName(t) << " events ("
                   << ds.numRows() << " records, " << ds.numFeatures()

@@ -5,10 +5,9 @@
  * necessary-input selection wall time at 1 vs N threads, plus the
  * determinism contracts the parallel pipeline promises:
  *
- *   - PFI importances / SelectionResult / packed OTA model bytes are
- *     byte-identical at every thread count;
- *   - cached-PFI selection (SelectionConfig::cache_pfi) matches the
- *     full-recompute selection exactly;
+ *   - PFI importances / SelectionResult (its Fig. 9 tail charted,
+ *     ml::chartTail) / packed OTA model bytes are byte-identical at
+ *     every thread count;
  *   - training through a memory-mapped ml::ChunkedDataset — any
  *     block size — reproduces the in-memory selection and packed
  *     model byte for byte (the out-of-core digest contract).
@@ -90,6 +89,15 @@ selectionDigest(const ml::SelectionResult &r)
         b.putU64(static_cast<uint64_t>(s.error * 1e12));
     }
     return util::crc32(b.data().data(), b.size());
+}
+
+/** Selection over @p ds with its Fig. 9 tail charted, as digested. */
+ml::SelectionResult
+chartedSelection(const ml::DatasetView &ds, const ml::SelectionConfig &c)
+{
+    ml::SelectionResult r = ml::selectNecessaryInputs(ds, c);
+    ml::chartTail(ds, r, c);
+    return r;
 }
 
 bool
@@ -241,26 +249,18 @@ main(int argc, char **argv)
     // ---- 2. selection wall time, 1 vs N threads -----------------
     ml::SelectionConfig sc;
     sc.pfi.seed = util::mixCombine(args.opts.seed, 0x5e1ULL);
-    ml::SelectionResult sel_1, sel_n, sel_full;
+    ml::SelectionResult sel_1, sel_n;
     double sel_1t = wallSeconds([&] {
         ml::SelectionConfig c = sc;
         c.pfi.threads = 1;
-        sel_1 = ml::selectNecessaryInputs(ds, c);
+        sel_1 = chartedSelection(ds, c);
     });
     double sel_nt = wallSeconds([&] {
         ml::SelectionConfig c = sc;
         c.pfi.threads = nthreads;
-        sel_n = ml::selectNecessaryInputs(ds, c);
+        sel_n = chartedSelection(ds, c);
     });
-    // Cached PFI (the default) vs full recompute: must be exact.
-    double sel_full_t = wallSeconds([&] {
-        ml::SelectionConfig c = sc;
-        c.pfi.threads = nthreads;
-        c.cache_pfi = false;
-        sel_full = ml::selectNecessaryInputs(ds, c);
-    });
-    bool sel_identical =
-        sameSelection(sel_1, sel_n) && sameSelection(sel_n, sel_full);
+    bool sel_identical = sameSelection(sel_1, sel_n);
     ok = ok && sel_identical;
     uint32_t digest = selectionDigest(sel_1);
 
@@ -314,8 +314,7 @@ main(int argc, char **argv)
                         cds.status().message().c_str());
         ml::SelectionConfig c = sc;
         c.pfi.threads = 1;
-        ml::SelectionResult sel_c =
-            ml::selectNecessaryInputs(*cds.value(), c);
+        ml::SelectionResult sel_c = chartedSelection(*cds.value(), c);
         chunked_sel_identical = sameSelection(sel_1, sel_c);
 
         ml::ChunkedConfig ccfg_b = ccfg;
@@ -326,8 +325,7 @@ main(int argc, char **argv)
         if (!cds_b.ok())
             util::fatal("chunked attach: %s",
                         cds_b.status().message().c_str());
-        ml::SelectionResult sel_cb =
-            ml::selectNecessaryInputs(*cds_b.value(), c);
+        ml::SelectionResult sel_cb = chartedSelection(*cds_b.value(), c);
         chunked_blocks_identical = sameSelection(sel_c, sel_cb);
 
         core::SnipConfig s1 = scfg;
@@ -447,8 +445,7 @@ main(int argc, char **argv)
         "\"cols_per_sec_1t\": %.2f, \"cols_per_sec_nt\": %.2f, "
         "\"speedup\": %.3f, \"identical\": %s},\n"
         "  \"selection\": {\"wall_s_1t\": %.6f, \"wall_s_nt\": %.6f, "
-        "\"speedup\": %.3f, \"wall_s_full_recompute\": %.6f, "
-        "\"cache_speedup\": %.3f, \"identical\": %s, "
+        "\"speedup\": %.3f, \"identical\": %s, "
         "\"digest\": \"%08x\"},\n"
         "  \"model_codec\": {\"bytes\": %zu, "
         "\"identical_across_threads\": %s, \"digest\": \"%08x\"},\n"
@@ -472,8 +469,6 @@ main(int argc, char **argv)
         pfi_1t / (pfi_nt > 0 ? pfi_nt : 1e-9),
         pfi_identical ? "true" : "false",
         sel_1t, sel_nt, sel_1t / (sel_nt > 0 ? sel_nt : 1e-9),
-        sel_full_t,
-        sel_full_t / (sel_nt > 0 ? sel_nt : 1e-9),
         sel_identical ? "true" : "false", digest,
         pkg1.size(),
         model_identical ? "true" : "false", model_digest,

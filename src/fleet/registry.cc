@@ -39,6 +39,28 @@ hex16(VersionId id)
     return buf;
 }
 
+/**
+ * Parse @p s as hex16() writes it, exactly 16 lowercase hex digits,
+ * into @p id; false for anything else.
+ */
+bool
+parseHex16(const std::string &s, VersionId *id)
+{
+    if (s.size() != 16)
+        return false;
+    VersionId v = 0;
+    for (char c : s) {
+        int d = c >= '0' && c <= '9'   ? c - '0'
+                : c >= 'a' && c <= 'f' ? c - 'a' + 10
+                                       : -1;
+        if (d < 0)
+            return false;
+        v = v << 4 | static_cast<VersionId>(d);
+    }
+    *id = v;
+    return true;
+}
+
 }  // namespace
 
 util::Result<VersionId>
@@ -288,12 +310,17 @@ ModelRegistry::loadDir(const std::string &dir, obs::Registry *obs)
         if (!(ls >> game >> id_hex >> parent_hex >> epoch >> bytes))
             return util::Status::Errorf(
                 "registry: malformed index line %zu", lineno);
-        VersionId id = std::strtoull(id_hex.c_str(), nullptr, 16);
-        VersionId parent =
-            std::strtoull(parent_hex.c_str(), nullptr, 16);
+        // The package path is built from the parsed id, never from
+        // the raw token, so no index line names a file outside dir.
+        VersionId id = 0, parent = 0;
+        if (!parseHex16(id_hex, &id) || !parseHex16(parent_hex, &parent))
+            return util::Status::Errorf(
+                "registry: index line %zu: version id is not 16 "
+                "lowercase hex digits",
+                lineno);
         auto pkg = std::make_shared<util::ByteBuffer>();
         util::Status st = trace::loadBuffer(
-            dir + "/" + id_hex + ".snpm", pkg.get());
+            dir + "/" + hex16(id) + ".snpm", pkg.get());
         if (!st.ok())
             return st;
         if (digestOf(*pkg) != id || pkg->size() != bytes)

@@ -79,7 +79,6 @@ DecisionTree::trainOnRows(const DatasetView &ds,
     tally_.assign(labels_.size(), 0);
     lt_.assign(labels_.size(), 0);
     rt_.assign(labels_.size(), 0);
-    repr_.assign(labels_.size(), SIZE_MAX);
 
     // One frontier array for the whole build; build() partitions it
     // in place and recurses on [lo, hi) ranges.
@@ -95,7 +94,6 @@ DecisionTree::trainOnRows(const DatasetView &ds,
                     &histW_})
         std::vector<uint64_t>().swap(*v);
     std::vector<uint32_t>().swap(row_label_idx_);
-    std::vector<size_t>().swap(repr_);
     std::vector<size_t>().swap(frontier_);
     std::vector<size_t>().swap(partScratch_);
 }
@@ -105,13 +103,9 @@ DecisionTree::makeLeaf(const DatasetView &ds, size_t lo, size_t hi)
 {
     Node n;
     std::fill(tally_.begin(), tally_.end(), 0);
-    std::fill(repr_.begin(), repr_.end(), SIZE_MAX);
     for (size_t i = lo; i < hi; ++i) {
         size_t r = frontier_[i];
-        uint32_t li = row_label_idx_[r];
-        tally_[li] += ds.weight(r);
-        if (repr_[li] == SIZE_MAX)
-            repr_[li] = r;  // first row seen, as before
+        tally_[row_label_idx_[r]] += ds.weight(r);
     }
     // Strict > over ascending labels keeps the smallest-label
     // tie-break of the ordered-map scan.
@@ -120,7 +114,6 @@ DecisionTree::makeLeaf(const DatasetView &ds, size_t lo, size_t hi)
         if (tally_[i] > best) {
             best = tally_[i];
             n.label = labels_[i];
-            n.representative = repr_[i];
         }
     }
     nodes_.push_back(n);
@@ -305,8 +298,7 @@ DecisionTree::build(const DatasetView &ds,
 }
 
 int
-DecisionTree::walk(const DatasetView &ds, size_t row,
-                   size_t override_col, uint64_t override_value) const
+DecisionTree::walk(const DatasetView &ds, size_t row) const
 {
     if (nodes_.empty())
         util::panic("DecisionTree::walk before train()");
@@ -315,30 +307,14 @@ DecisionTree::walk(const DatasetView &ds, size_t row,
         const Node &n = nodes_[static_cast<size_t>(idx)];
         if (n.leaf)
             return idx;
-        uint64_t v = (n.col == override_col) ? override_value
-                                             : ds.value(row, n.col);
-        idx = (v <= n.threshold) ? n.left : n.right;
+        idx = ds.value(row, n.col) <= n.threshold ? n.left : n.right;
     }
 }
 
 uint64_t
-DecisionTree::predict(const DatasetView &ds, size_t row,
-                      size_t override_col,
-                      uint64_t override_value) const
+DecisionTree::predict(const DatasetView &ds, size_t row) const
 {
-    return nodes_[static_cast<size_t>(
-                      walk(ds, row, override_col, override_value))]
-        .label;
-}
-
-size_t
-DecisionTree::predictRow(const DatasetView &ds, size_t row,
-                         size_t override_col,
-                         uint64_t override_value) const
-{
-    return nodes_[static_cast<size_t>(
-                      walk(ds, row, override_col, override_value))]
-        .representative;
+    return nodes_[static_cast<size_t>(walk(ds, row))].label;
 }
 
 }  // namespace ml

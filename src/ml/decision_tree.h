@@ -52,39 +52,24 @@ class DecisionTree : public Predictor
                      const std::vector<size_t> &feature_cols,
                      const std::vector<size_t> &rows);
 
-    uint64_t predict(const DatasetView &ds, size_t row,
-                     size_t override_col = SIZE_MAX,
-                     uint64_t override_value = 0) const override;
-
-    size_t predictRow(const DatasetView &ds, size_t row,
-                      size_t override_col = SIZE_MAX,
-                      uint64_t override_value = 0) const override;
+    uint64_t predict(const DatasetView &ds, size_t row) const override;
 
     /** Node count (tests / complexity reporting). */
     size_t nodeCount() const { return nodes_.size(); }
 
     /**
      * Leaf node index reached by @p row — the forest descends once
-     * and reads label/representative by node id.
+     * and reads the label by node id.
      */
-    size_t leafIndex(const DatasetView &ds, size_t row,
-                     size_t override_col = SIZE_MAX,
-                     uint64_t override_value = 0) const
+    size_t leafIndex(const DatasetView &ds, size_t row) const
     {
-        return static_cast<size_t>(
-            walk(ds, row, override_col, override_value));
+        return static_cast<size_t>(walk(ds, row));
     }
 
     /** Majority label stored at node @p node (leaves only). */
     uint64_t nodeLabel(size_t node) const
     {
         return nodes_[node].label;
-    }
-
-    /** Representative training row of node @p node (leaves only). */
-    size_t nodeRepresentative(size_t node) const
-    {
-        return nodes_[node].representative;
     }
 
   private:
@@ -95,14 +80,12 @@ class DecisionTree : public Predictor
         int left = -1;
         int right = -1;
         uint64_t label = kNoLabel;    // leaf majority label
-        size_t representative = SIZE_MAX;
     };
 
     int build(const DatasetView &ds, const std::vector<size_t> &cols,
               size_t lo, size_t hi, int depth, util::Rng &rng);
     int makeLeaf(const DatasetView &ds, size_t lo, size_t hi);
-    int walk(const DatasetView &ds, size_t row, size_t override_col,
-             uint64_t override_value) const;
+    int walk(const DatasetView &ds, size_t row) const;
 
     TreeConfig cfg_;
     std::vector<Node> nodes_;
@@ -111,7 +94,7 @@ class DecisionTree : public Predictor
      * Training-time dense label dictionary (the forest-voting
      * pattern): labels_ lists the distinct training labels
      * ascending, row_label_idx_ maps a dataset row to its dense
-     * index, and the flat tally/representative vectors below replace
+     * index, and the flat tally vectors below replace
      * per-split std::map tallies — same ascending-label iteration
      * order, so impurities and tie-breaks are bitwise identical.
      */
@@ -119,8 +102,6 @@ class DecisionTree : public Predictor
     std::vector<uint32_t> row_label_idx_;
     /** Reusable split scratch (total / left / right tallies). */
     std::vector<uint64_t> tally_, lt_, rt_;
-    /** First training row seen per label (leaf representatives). */
-    std::vector<size_t> repr_;
 
     /**
      * The row-index frontier: one array holding every training row,

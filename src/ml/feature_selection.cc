@@ -10,7 +10,7 @@ namespace ml {
 
 namespace {
 
-/** How far past the knee the exploratory tail charts (Fig. 9). */
+/** How far past the knee chartTail() charts (Fig. 9). */
 constexpr double kCurveStopError = 0.40;
 /** Importances are recomputed every this many committed drops. */
 constexpr int kPfiRefreshEvery = 6;
@@ -59,6 +59,75 @@ evaluateHoldout(TablePredictor &model, const DatasetView &ds,
     return ev;
 }
 
+/**
+ * The table predictor one selection retrains, on the time-ordered
+ * split of its view: train on the earlier 70%, evaluate deployment
+ * behaviour (wrong hits) on the later 30%. This is what catches
+ * row-id-like features (e.g. context-block hashes) that memorize the
+ * training profile but never match again. Each train and holdout
+ * walk runs under its own span; with a null registry the spans are
+ * inert and these are plain calls.
+ */
+struct Trainer {
+    const DatasetView &ds;
+    obs::Registry *obs;
+    std::vector<size_t> train_rows, holdout_rows;
+    TablePredictor model;
+
+    Trainer(const DatasetView &view, obs::Registry *reg)
+        : ds(view), obs(reg)
+    {
+        size_t n = ds.numRows();
+        size_t train_n = std::max<size_t>(
+            1, static_cast<size_t>(n * kTrainFraction));
+        if (train_n >= n)
+            train_n = n - (n > 1 ? 1 : 0);
+        for (size_t i = 0; i < n; ++i)
+            (i < train_n ? train_rows : holdout_rows).push_back(i);
+        if (holdout_rows.empty())
+            holdout_rows.push_back(n - 1);
+    }
+
+    /** Train on @p cols, whose row keys are @p keys. */
+    void train(const std::vector<size_t> &cols,
+               const std::vector<uint64_t> &keys)
+    {
+        obs::Span s(obs, "train");
+        model.trainOnKeys(ds, cols, keys, train_rows);
+    }
+
+    HoldoutEval holdout()
+    {
+        obs::Span s(obs, "holdout");
+        return evaluateHoldout(model, ds, holdout_rows);
+    }
+
+    /** The curve step of dropping @p col, leaving @p cols. */
+    TrimStep step(size_t col, const std::vector<size_t> &cols,
+                  const HoldoutEval &ev) const
+    {
+        TrimStep st;
+        st.dropped = ds.featureField(col);
+        st.dropped_cat = ds.schema().def(st.dropped).in_cat;
+        st.dropped_bytes = ds.featureBytes(col);
+        st.remaining_bytes = ds.bytesOfColumns(cols);
+        st.error = ev.wrong_hit;
+        st.hit_rate = ev.hit_rate;
+        return st;
+    }
+};
+
+/** @p cfg's PFI knobs; the nested PFI runs inherit the selector's
+ *  registry unless the caller wired one explicitly. */
+PfiConfig
+pfiConfigOf(const SelectionConfig &cfg)
+{
+    PfiConfig pfi = cfg.pfi;
+    if (!pfi.obs)
+        pfi.obs = cfg.obs;
+    return pfi;
+}
+
 }  // namespace
 
 SelectionResult
@@ -66,31 +135,11 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
 {
     SelectionResult out;
     obs::Span sel_span(cfg.obs, "select");
-
-    // The nested PFI runs inherit the selector's registry unless the
-    // caller wired one explicitly.
-    PfiConfig pfi_cfg = cfg.pfi;
-    if (!pfi_cfg.obs)
-        pfi_cfg.obs = cfg.obs;
+    PfiConfig pfi_cfg = pfiConfigOf(cfg);
 
     std::vector<size_t> cols(ds.numFeatures());
     for (size_t i = 0; i < cols.size(); ++i)
         cols[i] = i;
-
-    // Time-ordered split: train on the earlier 70%, evaluate
-    // deployment behaviour (wrong hits) on the later 30%. This is
-    // what catches row-id-like features (e.g. context-block hashes)
-    // that memorize the training profile but never match again.
-    size_t n = ds.numRows();
-    size_t train_n = std::max<size_t>(1, static_cast<size_t>(
-                                             n * kTrainFraction));
-    if (train_n >= n)
-        train_n = n - (n > 1 ? 1 : 0);
-    std::vector<size_t> train_rows, holdout_rows;
-    for (size_t i = 0; i < n; ++i)
-        (i < train_n ? train_rows : holdout_rows).push_back(i);
-    if (holdout_rows.empty())
-        holdout_rows.push_back(n - 1);
 
     std::vector<char> locked(ds.numFeatures(), 0);
     for (events::FieldId fid : cfg.forced_keep) {
@@ -99,37 +148,16 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
             locked[c] = 1;
     }
 
-    TablePredictor model;
-    // Span-wrapped phase helpers; with a null registry the spans are
-    // inert and these are plain calls. `keys` are the row keys of the
-    // committed set `cols`; a trial drop derives its own from them in
-    // O(rows) instead of rehashing every column.
+    // `keys` are the row keys of the committed set `cols`; a trial
+    // drop derives its own from them in O(rows) instead of rehashing
+    // every column.
+    Trainer tr(ds, cfg.obs);
     std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
     std::vector<uint64_t> trial_keys;
-    auto train_model = [&](const std::vector<size_t> &use_cols,
-                           const std::vector<uint64_t> &use_keys) {
-        obs::Span s(cfg.obs, "train");
-        model.trainOnKeys(ds, use_cols, use_keys, train_rows);
-    };
-    auto eval_holdout = [&]() {
-        obs::Span s(cfg.obs, "holdout");
-        return evaluateHoldout(model, ds, holdout_rows);
-    };
-    train_model(cols, keys);
-    HoldoutEval cur = eval_holdout();
+    tr.train(cols, keys);
+    HoldoutEval cur = tr.holdout();
     out.full_error = cur.wrong_hit;
     out.full_bytes = ds.bytesOfColumns(cols);
-
-    auto record_step = [&](size_t col, const HoldoutEval &ev) {
-        TrimStep step;
-        step.dropped = ds.featureField(col);
-        step.dropped_cat = ds.schema().def(step.dropped).in_cat;
-        step.dropped_bytes = ds.featureBytes(col);
-        step.remaining_bytes = ds.bytesOfColumns(cols);
-        step.error = ev.wrong_hit;
-        step.hit_rate = ev.hit_rate;
-        out.curve.push_back(step);
-    };
 
     // PFI (on a model trained over the training split, evaluated
     // with the miss-is-error metric) only *orders* drop candidates;
@@ -141,21 +169,21 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
     // Importances live in a direct per-column array (no per-compare
     // list scan), refreshed every kPfiRefreshEvery committed drops.
     // Only unlocked columns are ever ordered as drop candidates, so
-    // with cache_pfi the refresh recomputes just those and keeps
-    // cached values for locked columns — identical output, because
-    // per-column PFI permutation streams are column-keyed (pfi.h).
-    // For the same reason each refresh reads the permuted columns'
-    // key deltas from one store instead of rebuilding them; a
-    // column's slots are freed once it is dropped.
+    // a refresh scores just those; per-column PFI permutation
+    // streams are column-keyed (pfi.h), so a column's importance
+    // does not depend on the others scored with it. For the same
+    // reason each refresh reads the permuted columns' key deltas
+    // from one store instead of rebuilding them; a column's slots
+    // are freed once it is dropped.
     std::vector<double> imp_by_col(ds.numFeatures(), 0.0);
     PfiStore store(ds, pfi_cfg);
     auto refresh_pfi = [&]() {
         std::vector<size_t> want;
         want.reserve(cols.size());
         for (size_t c : cols)
-            if (!cfg.cache_pfi || !locked[c])
+            if (!locked[c])
                 want.push_back(c);
-        PfiResult pfi = computePfi(model, ds, want, pfi_cfg, &store);
+        PfiResult pfi = computePfi(tr.model, ds, want, pfi_cfg, &store);
         for (size_t i = 0; i < want.size(); ++i)
             imp_by_col[want[i]] = pfi.importance[i];
         if (cfg.obs)
@@ -172,7 +200,7 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
         return ds.featureBytes(a) > ds.featureBytes(b);
     };
 
-    // --- Phase A: backward elimination with restore-and-lock.
+    // Backward elimination with restore-and-lock.
     int commits_since_refresh = 0;
     for (;;) {
         std::vector<size_t> order;
@@ -192,22 +220,22 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
                     trial.push_back(c);
             trial_keys = keys;
             TablePredictor::dropColumn(ds, col, trial_keys);
-            train_model(trial, trial_keys);
-            HoldoutEval ev = eval_holdout();
+            tr.train(trial, trial_keys);
+            HoldoutEval ev = tr.holdout();
             if (ev.wrong_hit <= cfg.max_error &&
                 ev.conditionalError() <= cfg.max_conditional_error) {
                 cols = std::move(trial);
                 keys.swap(trial_keys);
                 store.release(col);
                 cur = ev;
-                record_step(col, ev);
+                out.curve.push_back(tr.step(col, cols, ev));
                 committed = true;
                 if (cfg.obs) {
                     cfg.obs->counter("shrink.select.drops_committed")
                         .add(1);
                 }
                 if (++commits_since_refresh >= kPfiRefreshEvery) {
-                    train_model(cols, keys);
+                    tr.train(cols, keys);
                     refresh_pfi();
                     commits_since_refresh = 0;
                 }
@@ -228,16 +256,40 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
     out.selected_bytes = ds.bytesOfColumns(cols);
     out.selected_error = cur.wrong_hit;
     out.selected_hit_rate = cur.hit_rate;
+    return out;
+}
 
-    // --- Phase B: exploratory tail past the knee. Keep dropping the
-    // least-important remaining feature regardless of the budget so
-    // the Fig. 9 curve shows the error ramp; does not affect the
-    // selected set. Its one PFI pass scores the remaining (locked)
-    // columns once more from the store, which is then freed.
-    train_model(cols, keys);
-    PfiResult pfi = computePfi(model, ds, cols, pfi_cfg, &store);
-    for (size_t c : cols)
-        store.release(c);
+void
+chartTail(const DatasetView &ds, SelectionResult &result,
+          const SelectionConfig &cfg)
+{
+    obs::Span tail_span(cfg.obs, "tail");
+
+    // Columns ascend with field ids, so the sorted selection names
+    // the knee set in the column order selection left it in (the
+    // order that breaks the ties below). A row key is a wrapping sum
+    // of column terms, so rowKeys() gives exactly the keys selection
+    // derived by subtraction.
+    std::vector<size_t> cols;
+    for (events::FieldId fid : result.selected) {
+        size_t c = ds.columnOf(fid);
+        if (c == SIZE_MAX)
+            util::panic("chartTail: selected field %u is not a column "
+                        "of the view", fid);
+        cols.push_back(c);
+    }
+    if (cols.size() <= 1)
+        return;
+    std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
+    Trainer tr(ds, cfg.obs);
+    tr.train(cols, keys);
+    // Column-keyed PFI streams: the scores selection's store would
+    // have served, recomputed.
+    PfiResult pfi = computePfi(tr.model, ds, cols, pfiConfigOf(cfg));
+
+    // Drop the least important remaining feature per byte (largest
+    // first on a tie), whatever the error, so the curve shows the
+    // ramp past the knee.
     while (cols.size() > 1) {
         size_t pick = 0;
         auto per_byte = [&](size_t i) {
@@ -255,13 +307,12 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
         pfi.importance.erase(pfi.importance.begin() +
                              static_cast<long>(pick));
         TablePredictor::dropColumn(ds, col, keys);
-        train_model(cols, keys);
-        HoldoutEval ev = eval_holdout();
-        record_step(col, ev);
+        tr.train(cols, keys);
+        HoldoutEval ev = tr.holdout();
+        result.curve.push_back(tr.step(col, cols, ev));
         if (ev.wrong_hit > kCurveStopError)
             break;
     }
-    return out;
 }
 
 }  // namespace ml

@@ -3,13 +3,16 @@
  * Iterative PFI-driven input trimming (the heart of SNIP, §V-A and
  * Fig. 9): starting from the complete union-of-locations feature
  * set, repeatedly retrain the table predictor, compute PFI, and
- * drop the least-important feature (largest location first among
- * near-zero importances, which is what sweeps out the megabytes of
- * context payloads early). Each step logs the remaining input
- * bytes and the resulting output-prediction error — the Fig. 9
- * curve — and the selector returns the last feature set whose
- * error stays within the configured budget (the "necessary
- * inputs").
+ * try to drop the least-important feature (largest location first
+ * among near-zero importances, which is what sweeps out the
+ * megabytes of context payloads early), restoring and locking any
+ * feature whose drop breaks the error budget. Each committed drop
+ * logs the remaining input bytes and the resulting error, and the
+ * selector returns the last feature set within the budget (the
+ * "necessary inputs", the knee set Shrink deploys).
+ *
+ * The Fig. 9 ramp past the knee is for the figure, not the phone:
+ * chartTail() appends it to a selection's curve on request.
  */
 
 #ifndef SNIP_ML_FEATURE_SELECTION_H
@@ -47,7 +50,10 @@ struct SelectionResult {
     double full_error = 0.0;
     /** Total bytes of the full feature set. */
     uint64_t full_bytes = 0;
-    /** The trimming trajectory, in drop order. */
+    /**
+     * The trimming trajectory, in drop order: the committed drops up
+     * to the knee, then the steps chartTail() appends past it.
+     */
     std::vector<TrimStep> curve;
     /** Necessary input fields (the knee set), sorted by id. */
     std::vector<events::FieldId> selected;
@@ -69,23 +75,7 @@ struct SelectionConfig {
      * mispredict) at runtime.
      */
     double max_conditional_error = 0.04;
-    /**
-     * Fast path: drop all features whose PFI importance is below
-     * this threshold in one batch before fine-grained trimming.
-     */
-    double batch_drop_importance = 1e-9;
     PfiConfig pfi;
-    /**
-     * Cache importances between the periodic PFI refreshes: locked
-     * (known-necessary / forced-keep) columns are never ordered as
-     * drop candidates, so refreshes recompute only the still-
-     * droppable columns and keep cached values for the rest. Exact,
-     * not approximate — per-column PFI streams are keyed by column
-     * id (see pfi.h), so a subset compute returns the same
-     * importances a full-matrix recompute would. `false` restores
-     * the full-recompute behaviour (A/B hook for tests/benches).
-     */
-    bool cache_pfi = true;
     /**
      * Fields the developer marked as must-keep (Option 1 overrides,
      * §V-B); never dropped regardless of importance.
@@ -93,17 +83,34 @@ struct SelectionConfig {
     std::vector<events::FieldId> forced_keep;
     /**
      * Optional metrics sink (nullptr = observability off): per-phase
-     * spans (`span.*.select` with nested `train` / `holdout` /
-     * `pfi`) and drop/restore/refresh counters. Also handed to the
+     * spans (`span.*.select`, or `span.*.tail` for chartTail(),
+     * with nested `train` / `holdout` / `pfi`) and
+     * drop/restore/refresh counters. Also handed to the
      * nested PFI runs unless cfg.pfi.obs is already set. Never
      * alters results.
      */
     obs::Registry *obs = nullptr;
 };
 
-/** Run the iterative trimming on one event type's dataset. */
+/**
+ * Run the iterative trimming on one event type's dataset. Its curve
+ * ends at the knee: every step is within the budget, and the last
+ * one leaves the selected set.
+ */
 SelectionResult selectNecessaryInputs(const DatasetView &ds,
                                       const SelectionConfig &cfg = {});
+
+/**
+ * Append the Fig. 9 tail to @p result, a selectNecessaryInputs()
+ * result over @p ds with @p cfg: from the selected set, keep
+ * dropping the remaining feature of least per-byte PFI importance,
+ * regardless of the budget, until the held-out wrong-hit rate
+ * passes 40% or one feature is left. Only appends to
+ * `result.curve`; the selected and full-set fields are unchanged.
+ * Bitwise the same for any thread count.
+ */
+void chartTail(const DatasetView &ds, SelectionResult &result,
+               const SelectionConfig &cfg = {});
 
 }  // namespace ml
 }  // namespace snip

@@ -13,8 +13,9 @@
  * (cfg.seed, column id, repeat) — not from the task's position in
  * the column list — so a column's importance is a pure function of
  * the seed and the column: identical for any thread count AND for
- * any subset of columns it is computed alongside (what lets the
- * feature selector cache importances of untouched columns exactly).
+ * any subset of columns it is computed alongside, with or without a
+ * PfiStore (what lets a selection refresh score only the columns it
+ * may still drop, and chartTail() re-score the knee set, exactly).
  *
  * The scored model is a TablePredictor, whose row key is a wrapping
  * sum of per-column terms: permuting column c moves row r's key by

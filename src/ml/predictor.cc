@@ -2,25 +2,15 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace snip {
 namespace ml {
 
 void
 Predictor::predictRows(const DatasetView &ds, size_t row_begin,
-                       size_t row_end, uint64_t *out_labels,
-                       size_t override_col,
-                       const uint64_t *override_values) const
+                       size_t row_end, uint64_t *out_labels) const
 {
-    if (override_col != SIZE_MAX && override_values == nullptr)
-        util::panic("Predictor::predictRows: override_col without "
-                    "override_values");
-    for (size_t r = row_begin; r < row_end; ++r) {
-        out_labels[r - row_begin] =
-            predict(ds, r, override_col,
-                    override_col != SIZE_MAX ? override_values[r] : 0);
-    }
+    for (size_t r = row_begin; r < row_end; ++r)
+        out_labels[r - row_begin] = predict(ds, r);
 }
 
 double

@@ -1,9 +1,9 @@
 /**
  * @file
- * Predictor interface for the PFI machinery: given a row's feature
- * values (restricted to a feature subset), predict the output
- * signature. Implementations: TablePredictor (exact-match majority
- * table — what the deployed lookup table is), DecisionTree and
+ * Predictor interface: given a row's feature values (restricted to a
+ * feature subset), predict the output signature. Implementations:
+ * TablePredictor (exact-match majority table — what the deployed
+ * lookup table is, and what PFI scores), DecisionTree and
  * RandomForest (reference learners for the predictor ablation).
  */
 
@@ -33,42 +33,19 @@ class Predictor
     virtual void train(const DatasetView &ds,
                        const std::vector<size_t> &feature_cols) = 0;
 
-    /**
-     * Predict the label for row @p row of @p ds, with the values of
-     * selected columns optionally overridden: when @p override_col
-     * != SIZE_MAX, the value of that column is @p override_value
-     * (a permuted column without copying the matrix: the semantics
-     * TablePredictor::permutedWrong() scores PFI with).
-     */
-    virtual uint64_t predict(const DatasetView &ds, size_t row,
-                             size_t override_col = SIZE_MAX,
-                             uint64_t override_value = 0) const = 0;
-
-    /**
-     * Row index of a *representative* training row carrying the
-     * predicted label, or SIZE_MAX when unavailable. Lets callers
-     * recover concrete output field values behind a prediction.
-     */
-    virtual size_t predictRow(const DatasetView &ds, size_t row,
-                              size_t override_col = SIZE_MAX,
-                              uint64_t override_value = 0) const = 0;
+    /** Predict the label for row @p row of @p ds. */
+    virtual uint64_t predict(const DatasetView &ds, size_t row) const = 0;
 
     /**
      * Batched prediction over the row range [row_begin, row_end):
      * out_labels[r - row_begin] receives the prediction for row r.
-     * When @p override_col != SIZE_MAX, @p override_values must be
-     * non-null and override_values[r] replaces the value of that
-     * column for row r — a whole permuted column in one call.
      * Label-for-label identical to calling predict() per row;
      * implementations override it to amortize per-call work
-     * (TablePredictor swaps one key term per row instead of
-     * rehashing the row).
+     * (TablePredictor reads its stored row keys instead of rehashing
+     * each row).
      */
     virtual void predictRows(const DatasetView &ds, size_t row_begin,
-                             size_t row_end, uint64_t *out_labels,
-                             size_t override_col = SIZE_MAX,
-                             const uint64_t *override_values =
-                                 nullptr) const;
+                             size_t row_end, uint64_t *out_labels) const;
 };
 
 /**

@@ -85,20 +85,14 @@ RandomForest::train(const DatasetView &ds,
     }
 }
 
-size_t
-RandomForest::vote(const DatasetView &ds, size_t row, size_t override_col,
-                   uint64_t override_value,
-                   std::vector<size_t> &leaves) const
+uint64_t
+RandomForest::predict(const DatasetView &ds, size_t row) const
 {
     if (trees_.empty())
         util::panic("RandomForest: predict before train()");
     std::vector<uint32_t> votes(labels_.size(), 0);
-    leaves.resize(trees_.size());
-    for (size_t t = 0; t < trees_.size(); ++t) {
-        leaves[t] = trees_[t]->leafIndex(ds, row, override_col,
-                                         override_value);
-        ++votes[leaf_label_idx_[t][leaves[t]]];
-    }
+    for (size_t t = 0; t < trees_.size(); ++t)
+        ++votes[leaf_label_idx_[t][trees_[t]->leafIndex(ds, row)]];
     // labels_ is sorted ascending and the scan takes the first
     // strict maximum, so ties break toward the smallest label.
     size_t best = 0;
@@ -106,32 +100,7 @@ RandomForest::vote(const DatasetView &ds, size_t row, size_t override_col,
         if (votes[i] > votes[best])
             best = i;
     }
-    return best;
-}
-
-uint64_t
-RandomForest::predict(const DatasetView &ds, size_t row,
-                      size_t override_col,
-                      uint64_t override_value) const
-{
-    std::vector<size_t> leaves;
-    return labels_[vote(ds, row, override_col, override_value, leaves)];
-}
-
-size_t
-RandomForest::predictRow(const DatasetView &ds, size_t row,
-                         size_t override_col,
-                         uint64_t override_value) const
-{
-    // The first tree whose leaf carries the winning label supplies
-    // the representative row.
-    std::vector<size_t> leaves;
-    size_t best = vote(ds, row, override_col, override_value, leaves);
-    for (size_t t = 0; t < trees_.size(); ++t) {
-        if (leaf_label_idx_[t][leaves[t]] == best)
-            return trees_[t]->nodeRepresentative(leaves[t]);
-    }
-    return SIZE_MAX;
+    return labels_[best];
 }
 
 }  // namespace ml

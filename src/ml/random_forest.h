@@ -37,26 +37,13 @@ class RandomForest : public Predictor
     void train(const DatasetView &ds,
                const std::vector<size_t> &feature_cols) override;
 
-    uint64_t predict(const DatasetView &ds, size_t row,
-                     size_t override_col = SIZE_MAX,
-                     uint64_t override_value = 0) const override;
-
-    size_t predictRow(const DatasetView &ds, size_t row,
-                      size_t override_col = SIZE_MAX,
-                      uint64_t override_value = 0) const override;
+    /** The majority vote of the trees, ties to the smallest label. */
+    uint64_t predict(const DatasetView &ds, size_t row) const override;
 
     /** Number of trained trees. */
     size_t treeCount() const { return trees_.size(); }
 
   private:
-    /**
-     * Leaf reached in every tree (@p leaves) and the index of the
-     * majority label, ties to the smallest label.
-     */
-    size_t vote(const DatasetView &ds, size_t row, size_t override_col,
-                uint64_t override_value,
-                std::vector<size_t> &leaves) const;
-
     ForestConfig cfg_;
     std::vector<std::unique_ptr<DecisionTree>> trees_;
     /** Sorted distinct leaf labels; votes are tallied by index. */

@@ -142,35 +142,12 @@ TablePredictor::dropColumn(const DatasetView &ds, size_t col,
                 [col](uint64_t &k, uint64_t v) { k -= term(col, v); });
 }
 
-size_t
-TablePredictor::selectedOrNone(size_t col) const
-{
-    return std::find(cols_.begin(), cols_.end(), col) != cols_.end()
-               ? col
-               : SIZE_MAX;
-}
-
 uint64_t
-TablePredictor::keyOf(const DatasetView &ds, size_t row, size_t override_col,
-                      uint64_t override_value) const
+TablePredictor::keyOf(const DatasetView &ds, size_t row) const
 {
     uint64_t k = kKeySeed;
     for (size_t c : cols_)
-        k += term(c, c == override_col ? override_value
-                                        : ds.value(row, c));
-    return k;
-}
-
-uint64_t
-TablePredictor::keyAt(const DatasetView &ds, size_t row, size_t override_col,
-                      uint64_t override_value) const
-{
-    if (ds.id() != keysView_)
-        return keyOf(ds, row, override_col, override_value);
-    uint64_t k = keys_[row];
-    if (override_col != SIZE_MAX)
-        k += term(override_col, override_value) -
-             term(override_col, ds.value(row, override_col));
+        k += term(c, ds.value(row, c));
     return k;
 }
 
@@ -206,34 +183,25 @@ TablePredictor::trainOnKeys(const DatasetView &ds,
     keysView_ = ds.id();
     fkeys_.clear();
     flabels_.clear();
-    freprs_.clear();
     fdistinct_.clear();
     fallbackLabel_ = kNoLabel;
-    fallbackRow_ = SIZE_MAX;
     ambiguousWeightFraction_ = 0.0;
 
-    // Rows grouped by key, then by label, then by position in `rows`:
-    // the first row of a label run is its earliest row. Entries come
-    // out in ascending-key order. Within a key, labels ascend, so a
+    // Rows grouped by key, then by label. Entries come out in
+    // ascending-key order. Within a key, labels ascend, so a
     // strictly-greater test keeps the smallest label of the greatest
     // weight.
     std::vector<TallyItem> items = sortedTally(ds, keys_, rows);
-    // Weight and earliest position per label, for the fallback.
-    struct LabelTotal {
-        uint64_t weight = 0;
-        size_t pos = SIZE_MAX;
-    };
-    std::unordered_map<uint64_t, LabelTotal> by_label;
+    // Weight per label, for the fallback.
+    std::unordered_map<uint64_t, uint64_t> by_label;
     uint64_t trained_weight = 0, ambiguous_weight = 0;
     for (size_t i = 0; i < items.size();) {
         uint64_t key = items[i].key;
         uint64_t key_weight = 0, best_w = 0;
         uint64_t majority = kNoLabel;
-        size_t repr = SIZE_MAX;
         uint32_t distinct = 0;
         while (i < items.size() && items[i].key == key) {
             uint64_t label = items[i].label, w = 0;
-            size_t pos = items[i].pos;
             for (; i < items.size() && items[i].key == key &&
                    items[i].label == label;
                  ++i)
@@ -241,20 +209,16 @@ TablePredictor::trainOnKeys(const DatasetView &ds,
             if (w > best_w) {
                 best_w = w;
                 majority = label;
-                repr = rows[pos];
             }
             key_weight += w;
             ++distinct;
-            LabelTotal &t = by_label[label];
-            t.weight += w;
-            t.pos = std::min(t.pos, pos);
+            by_label[label] += w;
         }
         if (distinct > 1)
             ambiguous_weight += key_weight;
         trained_weight += key_weight;
         fkeys_.push_back(key);
         flabels_.push_back(majority);
-        freprs_.push_back(repr);
         fdistinct_.push_back(distinct);
     }
     ntrained_ = fkeys_.size();
@@ -266,12 +230,11 @@ TablePredictor::trainOnKeys(const DatasetView &ds,
     // Fallback: the same rule over all rows. The totals are in hash
     // order, so the smallest label breaks a weight tie explicitly.
     uint64_t best_w = 0;
-    for (const auto &[label, t] : by_label) {
-        if (t.weight > best_w ||
-            (t.weight == best_w && best_w > 0 && label < fallbackLabel_)) {
-            best_w = t.weight;
+    for (const auto &[label, w] : by_label) {
+        if (w > best_w || (w == best_w && best_w > 0 &&
+                           label < fallbackLabel_)) {
+            best_w = w;
             fallbackLabel_ = label;
-            fallbackRow_ = rows[t.pos];
         }
     }
 
@@ -301,45 +264,25 @@ TablePredictor::rebuildIndex()
 }
 
 uint64_t
-TablePredictor::predict(const DatasetView &ds, size_t row,
-                        size_t override_col,
-                        uint64_t override_value) const
+TablePredictor::predict(const DatasetView &ds, size_t row) const
 {
-    return labelOf(keyAt(ds, row, selectedOrNone(override_col),
-                         override_value));
+    return labelOf(keyAt(ds, row));
 }
 
 void
 TablePredictor::predictRows(const DatasetView &ds, size_t row_begin,
-                            size_t row_end, uint64_t *out_labels,
-                            size_t override_col,
-                            const uint64_t *override_values) const
+                            size_t row_end, uint64_t *out_labels) const
 {
-    if (override_col != SIZE_MAX && override_values == nullptr)
-        util::panic("TablePredictor::predictRows: override_col without "
-                    "override_values");
-    override_col = selectedOrNone(override_col);
     uint64_t *out = out_labels;  // row r lands at out[r - row_begin]
     if (ds.id() != keysView_) {
-        for (size_t r = row_begin; r < row_end; ++r) {
-            uint64_t ov =
-                override_col != SIZE_MAX ? override_values[r] : 0;
-            *out++ = labelOf(keyOf(ds, r, override_col, ov));
-        }
-        return;
-    }
-    // On the trained view, the stored key with the overridden
-    // column's term swapped, O(1) per row.
-    const uint64_t *keys = keys_.data();
-    if (override_col == SIZE_MAX) {
         for (size_t r = row_begin; r < row_end; ++r)
-            *out++ = labelOf(keys[r]);
+            *out++ = labelOf(keyOf(ds, r));
         return;
     }
-    const uint64_t *cur = ds.columnData(override_col);
+    // On the trained view, one stored key and one probe per row.
+    const uint64_t *keys = keys_.data();
     for (size_t r = row_begin; r < row_end; ++r)
-        *out++ = labelOf(keys[r] + term(override_col, override_values[r]) -
-                         term(override_col, cur[r]));
+        *out++ = labelOf(keys[r]);
 }
 
 uint64_t
@@ -349,7 +292,7 @@ TablePredictor::permutedWrong(const DatasetView &ds, size_t col,
     size_t n = ds.numRows();
     const uint64_t *labels = ds.labelData();
     const uint64_t *weights = ds.weightData();
-    bool moves = selectedOrNone(col) != SIZE_MAX;
+    bool moves = std::find(cols_.begin(), cols_.end(), col) != cols_.end();
     uint64_t wrong = 0;
     if (moves && ds.id() == keysView_) {
         // The PFI inner loop: stored key plus delta, one probe. The
@@ -363,28 +306,18 @@ TablePredictor::permutedWrong(const DatasetView &ds, size_t col,
         return wrong;
     }
     for (size_t r = 0; r < n; ++r) {
-        uint64_t k = keyAt(ds, r, SIZE_MAX, 0) + (moves ? delta[r] : 0);
+        uint64_t k = keyAt(ds, r) + (moves ? delta[r] : 0);
         if (labelOf(k) != labels[r])
             wrong += weights[r];
     }
     return wrong;
 }
 
-size_t
-TablePredictor::predictRow(const DatasetView &ds, size_t row,
-                           size_t override_col,
-                           uint64_t override_value) const
-{
-    size_t e = find(keyAt(ds, row, selectedOrNone(override_col),
-                          override_value));
-    return e != SIZE_MAX ? freprs_[e] : fallbackRow_;
-}
-
 bool
 TablePredictor::lookupLabel(const DatasetView &ds, size_t row,
                             uint64_t &label) const
 {
-    const Slot &s = fslots_[slotOf(keyAt(ds, row, SIZE_MAX, 0))];
+    const Slot &s = fslots_[slotOf(keyAt(ds, row))];
     if (s.entry == 0)
         return false;
     label = s.label;
@@ -396,13 +329,12 @@ TablePredictor::insertRow(const DatasetView &ds, size_t row)
 {
     // Append-only and first-wins: a key already present, trained or
     // inserted, keeps its entry.
-    uint64_t key = keyAt(ds, row, SIZE_MAX, 0);
+    uint64_t key = keyAt(ds, row);
     size_t slot = slotOf(key);
     if (fslots_[slot].entry != 0)
         return;
     fkeys_.push_back(key);
     flabels_.push_back(ds.label(row));
-    freprs_.push_back(row);
     fdistinct_.push_back(1);
     if (2 * fkeys_.size() > fslots_.size())
         rebuildIndex();
@@ -420,12 +352,10 @@ TablePredictor::fingerprint() const
     auto mix_entry = [&](size_t i) {
         h = util::mixCombine(h, fkeys_[i]);
         h = util::mixCombine(h, flabels_[i]);
-        h = util::mixCombine(h, static_cast<uint64_t>(freprs_[i]));
     };
     for (size_t i = 0; i < ntrained_; ++i)
         mix_entry(i);
     h = util::mixCombine(h, fallbackLabel_);
-    h = util::mixCombine(h, static_cast<uint64_t>(fallbackRow_));
     std::vector<size_t> inserted;
     inserted.reserve(fkeys_.size() - ntrained_);
     for (size_t i = ntrained_; i < fkeys_.size(); ++i)

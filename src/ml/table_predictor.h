@@ -24,10 +24,11 @@ namespace ml {
  * A row's key is a commutative wrapping sum,
  * kKeySeed + sum over selected columns c of mixCombine(c, value), so
  * keys are derived rather than recomputed: a dropped column subtracts
- * its term and a permuted column swaps one term, each in O(1) per
- * row. Training keeps the keys of every row of the view it trained
- * on, bound to that view's id(); calls on the same view read them,
- * calls on any other view recompute the sum (keyOf).
+ * its term and a permuted column moves each key by one term's
+ * difference, each in O(1) per row. Training keeps the keys of every
+ * row of the view it trained on, bound to that view's id(); calls on
+ * the same view read them, calls on any other view recompute the sum
+ * (keyOf).
  */
 class TablePredictor : public Predictor
 {
@@ -78,19 +79,11 @@ class TablePredictor : public Predictor
                      std::vector<uint64_t> keys,
                      const std::vector<size_t> &rows);
 
-    uint64_t predict(const DatasetView &ds, size_t row,
-                     size_t override_col = SIZE_MAX,
-                     uint64_t override_value = 0) const override;
-
-    size_t predictRow(const DatasetView &ds, size_t row,
-                      size_t override_col = SIZE_MAX,
-                      uint64_t override_value = 0) const override;
+    uint64_t predict(const DatasetView &ds, size_t row) const override;
 
     void predictRows(const DatasetView &ds, size_t row_begin,
-                     size_t row_end, uint64_t *out_labels,
-                     size_t override_col = SIZE_MAX,
-                     const uint64_t *override_values =
-                         nullptr) const override;
+                     size_t row_end,
+                     uint64_t *out_labels) const override;
 
     /**
      * Weight of the rows of @p ds mispredicted when each row's key
@@ -98,8 +91,8 @@ class TablePredictor : public Predictor
      * column @p col, whose deltas are term(col, v[perm[r]]) -
      * term(col, v[r]). One pass over the stored keys with one probe
      * per row on the view trained on; a column outside the key
-     * moves nothing. Label-for-label what predictRows() with the
-     * permuted column as override predicts.
+     * moves nothing. Label-for-label what predictRows() predicts on
+     * a copy of the view with that column permuted.
      */
     uint64_t permutedWrong(const DatasetView &ds, size_t col,
                            const uint64_t *delta) const;
@@ -138,7 +131,7 @@ class TablePredictor : public Predictor
 
     /**
      * Content hash over the full table state: covers the trained
-     * entries in order, the fallback, AND the inserted entries
+     * entries in order, the fallback label, AND the inserted entries
      * (sorted by key), since insertRow() changes predictions too.
      * Equal fingerprints imply identical predictions for identical
      * inputs (the tests' model-equality oracle).
@@ -159,25 +152,15 @@ class TablePredictor : public Predictor
         uint32_t entry = 0;
     };
 
-    /**
-     * @p col when it is a selected column, else SIZE_MAX: an override
-     * of an unselected column changes no key.
-     */
-    size_t selectedOrNone(size_t col) const;
+    /** Key of @p row, summed over cols_. */
+    uint64_t keyOf(const DatasetView &ds, size_t row) const;
 
-    /**
-     * Key of @p row, summed over cols_, with @p override_col reading
-     * @p override_value.
-     */
-    uint64_t keyOf(const DatasetView &ds, size_t row, size_t override_col,
-                   uint64_t override_value) const;
-
-    /**
-     * keyOf(), derived from the stored key in O(1) when @p ds is the
-     * view trained on. @p override_col is selected or SIZE_MAX.
-     */
-    uint64_t keyAt(const DatasetView &ds, size_t row, size_t override_col,
-                   uint64_t override_value) const;
+    /** keyOf(), read from the stored keys when @p ds is the view
+     *  trained on. */
+    uint64_t keyAt(const DatasetView &ds, size_t row) const
+    {
+        return ds.id() == keysView_ ? keys_[row] : keyOf(ds, row);
+    }
 
     /**
      * Slot of @p key in fslots_: the slot holding its entry, or the
@@ -195,13 +178,6 @@ class TablePredictor : public Predictor
                                   fslots_[i].entry) != 0)
             i = (i + 1) & mask;
         return i;
-    }
-
-    /** Entry index of @p key, or SIZE_MAX. */
-    size_t find(uint64_t key) const
-    {
-        uint32_t v = fslots_[slotOf(key)].entry;
-        return v ? static_cast<size_t>(v - 1) : SIZE_MAX;
     }
 
     /** Majority label of @p key's entry, else the fallback label. */
@@ -230,12 +206,10 @@ class TablePredictor : public Predictor
      */
     std::vector<uint64_t> fkeys_;        // entry keys
     std::vector<uint64_t> flabels_;      // majority label per entry
-    std::vector<size_t> freprs_;         // representative row
     std::vector<uint32_t> fdistinct_;    // distinct labels per key
     std::vector<Slot> fslots_ = std::vector<Slot>(4);
     size_t ntrained_ = 0;
     uint64_t fallbackLabel_ = kNoLabel;
-    size_t fallbackRow_ = SIZE_MAX;
     double ambiguousWeightFraction_ = 0.0;
 };
 

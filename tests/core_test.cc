@@ -26,11 +26,13 @@
 #include "core/simulation.h"
 #include "core/snip.h"
 #include "games/registry.h"
+#include "ml/dataset.h"
 #include "obs/metrics.h"
 #include "trace/columnar_log.h"
 #include "trace/recorder.h"
 #include "util/crc32.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace snip {
 namespace core {
@@ -1443,6 +1445,84 @@ TEST_F(AnalysisTest, SparseTypesLeftUndeployed)
     SnipModel model = buildSnipModel(profile_, *game_, cfg);
     EXPECT_TRUE(model.types.empty());
     EXPECT_EQ(model.table->entryCount(), 0u);
+}
+
+// Shrink deploys the knee set, so the selection buildSnipModel keeps
+// ends at the knee. The Fig. 9 tail is charted only on request, and
+// charting it only appends to the curve.
+class SelectionTest : public AnalysisTest
+{
+};
+
+TEST_F(SelectionTest, DeployedSelectionChartsNoTail)
+{
+    SnipConfig cfg;
+    SnipModel model = buildSnipModel(profile_, *game_, cfg);
+    ASSERT_FALSE(model.types.empty());
+    size_t trimmed = 0;
+    for (const TypeModel &t : model.types) {
+        const ml::SelectionResult &sel = t.selection;
+        for (const ml::TrimStep &s : sel.curve)
+            EXPECT_LE(s.error, cfg.max_error);
+        if (!sel.curve.empty()) {
+            EXPECT_EQ(sel.curve.back().remaining_bytes,
+                      sel.selected_bytes);
+            ++trimmed;
+        }
+    }
+    EXPECT_GT(trimmed, 0u);
+
+    // A synthetic set: the label is a function of a and b; n is noise
+    // and h a row-unique 4 kB blob.
+    events::FieldSchema schema;
+    events::FieldId fa =
+        schema.addInput("a", events::InputCategory::Event, 2);
+    events::FieldId fb =
+        schema.addInput("b", events::InputCategory::History, 4);
+    events::FieldId fn =
+        schema.addInput("n", events::InputCategory::Event, 8);
+    events::FieldId fh =
+        schema.addInput("h", events::InputCategory::History, 4096);
+    events::FieldId fo =
+        schema.addOutput("o", events::OutputCategory::History, 8);
+    util::Rng rng(3);
+    std::vector<games::HandlerExecution> recs(800);
+    std::vector<const games::HandlerExecution *> ptrs;
+    for (size_t i = 0; i < recs.size(); ++i) {
+        uint64_t a = rng.uniformInt(0, 3), b = rng.uniformInt(0, 2);
+        recs[i].type = events::EventType::Touch;
+        recs[i].inputs = {{fa, a},
+                          {fb, b},
+                          {fn, rng.uniformInt(0, 15)},
+                          {fh, util::mix64(i)}};
+        recs[i].outputs = {{fo, util::mixCombine(a * 31 + b, 7)}};
+        recs[i].cpu_instructions = 1000;
+        ptrs.push_back(&recs[i]);
+    }
+    ml::Dataset ds(ptrs, schema);
+    ml::SelectionConfig sc;
+    sc.max_error = 0.002;
+    sc.max_conditional_error = 0.012;
+    ml::SelectionResult knee = ml::selectNecessaryInputs(ds, sc);
+    ml::SelectionResult charted = knee;
+    ml::chartTail(ds, charted, sc);
+    EXPECT_EQ(charted.selected, knee.selected);
+    EXPECT_EQ(charted.selected_bytes, knee.selected_bytes);
+    EXPECT_EQ(charted.selected_error, knee.selected_error);
+    EXPECT_EQ(charted.selected_hit_rate, knee.selected_hit_rate);
+    EXPECT_EQ(charted.full_error, knee.full_error);
+    EXPECT_EQ(charted.full_bytes, knee.full_bytes);
+    ASSERT_GT(charted.curve.size(), knee.curve.size());
+    for (size_t i = 0; i < knee.curve.size(); ++i) {
+        const ml::TrimStep &a = knee.curve[i], &b = charted.curve[i];
+        EXPECT_EQ(a.dropped, b.dropped) << "step " << i;
+        EXPECT_EQ(a.dropped_cat, b.dropped_cat);
+        EXPECT_EQ(a.dropped_bytes, b.dropped_bytes);
+        EXPECT_EQ(a.remaining_bytes, b.remaining_bytes);
+        EXPECT_EQ(a.error, b.error);
+        EXPECT_EQ(a.hit_rate, b.hit_rate);
+    }
+    EXPECT_GT(charted.curve.back().error, sc.max_error);
 }
 
 // ------------------------------------------------------------ Schemes

@@ -31,6 +31,7 @@
 #include "fleet/registry.h"
 #include "games/registry.h"
 #include "trace/recorder.h"
+#include "trace/trace_log.h"
 #include "util/rng.h"
 
 namespace snip {
@@ -513,6 +514,61 @@ TEST(FleetRegistryTest, TornSaveKeepsOldStateAndNextSaveReplacesIt)
     auto fetched = now.value().fetch("colorphun", v2.value());
     ASSERT_TRUE(fetched.ok());
     EXPECT_EQ(fetched.value()->data(), packageOf(m2)->data());
+}
+
+// Index ids must read exactly as saveDir writes them (16 lowercase
+// hex digits), and a package path is built from the parsed id: a line
+// naming "../x", a short or long id or trailing garbage is refused
+// before any package file is opened, even when a file of that name
+// holds a valid package.
+TEST(FleetRegistryTest, IndexIdsMustBeSixteenLowercaseHexDigits)
+{
+    core::SnipModel m = buildModelFor("colorphun", 10.0, 91);
+    auto pkg = packageOf(m);
+    ModelRegistry reg;
+    auto v = reg.publish("colorphun", pkg);
+    ASSERT_TRUE(v.ok());
+    ScratchDir scratch("fleet_reg_ids");
+    ASSERT_FALSE(scratch.path().empty());
+    const std::string dir = scratch.path() + "/reg";
+    ASSERT_TRUE(reg.saveDir(dir).ok());
+
+    char id[17];
+    std::snprintf(id, sizeof id, "%016llx",
+                  static_cast<unsigned long long>(v.value()));
+    const std::string root(16, '0');
+    auto write_index = [&](const std::string &id_tok,
+                           const std::string &parent_tok) {
+        std::FILE *f = std::fopen((dir + "/index.txt").c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fprintf(f, "colorphun\t%s\t%s\t0\t%zu\n", id_tok.c_str(),
+                     parent_tok.c_str(), pkg->size());
+        std::fclose(f);
+    };
+    const std::string bad[] = {"../x", std::string(id).substr(1),
+                               std::string(id) + "0",
+                               "0123456789abcdefzz", "0123456789ABCDEF"};
+    for (const std::string &tok : bad) {
+        SCOPED_TRACE(tok);
+        // The file the raw token names holds the valid package.
+        ASSERT_TRUE(
+            trace::saveBuffer(*pkg, dir + "/" + tok + ".snpm").ok());
+        for (bool as_parent : {false, true}) {
+            write_index(as_parent ? id : tok, as_parent ? tok : root);
+            auto loaded = ModelRegistry::loadDir(dir);
+            ASSERT_FALSE(loaded.ok());
+            EXPECT_NE(loaded.status().message().find(
+                          "not 16 lowercase hex digits"),
+                      std::string::npos)
+                << loaded.status().message();
+        }
+    }
+
+    write_index(id, root);
+    auto loaded = ModelRegistry::loadDir(dir);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    ASSERT_NE(loaded.value().head("colorphun"), nullptr);
+    EXPECT_EQ(loaded.value().head("colorphun")->id, v.value());
 }
 
 // ------------------------------------------------------- epoch push

@@ -78,6 +78,36 @@ struct Synthetic {
     }
 };
 
+/**
+ * A copy of @p src with column @p col's values replaced by @p values
+ * (one per row), sharing its labels and weights: an overridden or
+ * permuted column as a view of its own. A model trained on @p src
+ * keys its rows through keyOf(), the per-row path.
+ */
+class OverrideView : public DatasetView
+{
+  public:
+    OverrideView(const DatasetView &src, size_t col,
+                 const std::vector<uint64_t> &values)
+    {
+        for (size_t c = 0; c < src.numFeatures(); ++c) {
+            const uint64_t *v =
+                c == col ? values.data() : src.columnData(c);
+            owned_.insert(owned_.end(), v, v + src.numRows());
+            featureFields_.push_back(src.featureField(c));
+        }
+        values_ = owned_.data();
+        labels_ = src.labelData();
+        weights_ = src.weightData();
+        schema_ = &src.schema();
+        rows_ = src.numRows();
+        totalWeight_ = src.totalWeight();
+    }
+
+  private:
+    std::vector<uint64_t> owned_;
+};
+
 // ------------------------------------------------------------ Dataset
 
 TEST(DatasetTest, ColumnsAndValues)
@@ -207,19 +237,6 @@ TEST(TablePredictorTest, InsertRowFirstWins)
     EXPECT_EQ(tp.tableRows(), rows_before);
 }
 
-TEST(TablePredictorTest, PredictRowReturnsRepresentative)
-{
-    Synthetic syn(100);
-    Dataset ds(syn.ptrs(), syn.schema);
-    std::vector<size_t> cols = {ds.columnOf(syn.fa),
-                                ds.columnOf(syn.fb)};
-    TablePredictor tp;
-    tp.train(ds, cols);
-    size_t repr = tp.predictRow(ds, 7);
-    ASSERT_NE(repr, SIZE_MAX);
-    EXPECT_EQ(ds.label(repr), ds.label(7));
-}
-
 TEST(TablePredictorTest, PredictRowsMatchesPerRowPredict)
 {
     Synthetic syn(300);
@@ -239,17 +256,6 @@ TEST(TablePredictorTest, PredictRowsMatchesPerRowPredict)
     tp.predictRows(ds, 50, 70, window.data());
     for (size_t r = 50; r < 70; ++r)
         EXPECT_EQ(window[r - 50], tp.predict(ds, r));
-
-    // Override path: per-row override values, indexed by absolute
-    // row (the PFI permuted-column calling convention).
-    size_t col_a = ds.columnOf(syn.fa);
-    std::vector<uint64_t> shifted(ds.numRows());
-    for (size_t r = 0; r < ds.numRows(); ++r)
-        shifted[r] = ds.value((r + 1) % ds.numRows(), col_a);
-    tp.predictRows(ds, 0, ds.numRows(), batched.data(), col_a,
-                   shifted.data());
-    for (size_t r = 0; r < ds.numRows(); ++r)
-        EXPECT_EQ(batched[r], tp.predict(ds, r, col_a, shifted[r]));
 }
 
 TEST(DatasetTest, ViewIdsAreDistinct)
@@ -292,8 +298,6 @@ TEST(TablePredictorTest, DroppedColumnKeysMatchRetrain)
         for (size_t r = 0; r < ds.numRows(); ++r) {
             ASSERT_EQ(derived.predict(ds, r), fresh.predict(other, r))
                 << "drop " << drop << " row " << r;
-            ASSERT_EQ(derived.predictRow(ds, r),
-                      fresh.predictRow(other, r));
             uint64_t la = 0, lb = 0;
             ASSERT_EQ(derived.lookupLabel(ds, r, la),
                       fresh.lookupLabel(other, r, lb));
@@ -302,9 +306,11 @@ TEST(TablePredictorTest, DroppedColumnKeysMatchRetrain)
     }
 }
 
-// The stored-key override path (one term swapped per row) must match
-// the per-row recomputed key of a different view, for a selected and
-// an unselected override column.
+// The stored-key delta path (permutedWrong: the stored key moved by
+// one column's term difference per row) must score the weight that
+// per-row recomputed keys mispredict on a copy of the view with that
+// column replaced, for a selected and an unselected column, scored on
+// the trained view and on another.
 TEST(TablePredictorTest, OverrideKeyPathMatchesPerRowPredict)
 {
     Synthetic syn(300);
@@ -315,26 +321,33 @@ TEST(TablePredictorTest, OverrideKeyPathMatchesPerRowPredict)
     TablePredictor tp;
     tp.train(ds, cols);
 
-    std::vector<uint64_t> plain(ds.numRows());
-    tp.predictRows(ds, 0, ds.numRows(), plain.data());
+    size_t n = ds.numRows();
+    std::vector<uint64_t> plain(n);
+    tp.predictRows(ds, 0, n, plain.data());
     for (size_t col : {ds.columnOf(syn.fa), ds.columnOf(syn.fn)}) {
-        std::vector<uint64_t> shifted(ds.numRows());
-        for (size_t r = 0; r < ds.numRows(); ++r)
-            shifted[r] = ds.value((r + 7) % ds.numRows(), col);
-        std::vector<uint64_t> bound(ds.numRows()), unbound(ds.numRows());
-        tp.predictRows(ds, 0, ds.numRows(), bound.data(), col,
-                       shifted.data());
-        tp.predictRows(other, 0, ds.numRows(), unbound.data(), col,
-                       shifted.data());
-        EXPECT_EQ(bound, unbound) << "col " << col;
-        for (size_t r = 0; r < ds.numRows(); ++r) {
-            EXPECT_EQ(bound[r], tp.predict(ds, r, col, shifted[r]));
-            EXPECT_EQ(bound[r], tp.predict(other, r, col, shifted[r]));
+        std::vector<uint64_t> shifted(n), delta(n);
+        for (size_t r = 0; r < n; ++r) {
+            shifted[r] = ds.value((r + 7) % n, col);
+            delta[r] = TablePredictor::term(col, shifted[r]) -
+                       TablePredictor::term(col, ds.value(r, col));
         }
+        OverrideView view(ds, col, shifted);
+        std::vector<uint64_t> pred(n);
+        tp.predictRows(view, 0, n, pred.data());
+        uint64_t wrong = 0;
+        for (size_t r = 0; r < n; ++r) {
+            EXPECT_EQ(pred[r], tp.predict(view, r));
+            if (pred[r] != ds.label(r))
+                wrong += ds.weight(r);
+        }
+        EXPECT_EQ(tp.permutedWrong(ds, col, delta.data()), wrong)
+            << "col " << col;
+        EXPECT_EQ(tp.permutedWrong(other, col, delta.data()), wrong)
+            << "col " << col;
         if (col == ds.columnOf(syn.fn))
-            EXPECT_EQ(bound, plain) << "unselected override";
+            EXPECT_EQ(pred, plain) << "unselected column";
         else
-            EXPECT_NE(bound, plain) << "selected override";
+            EXPECT_NE(pred, plain) << "selected column";
     }
 }
 
@@ -358,21 +371,9 @@ TEST(TablePredictorTest, OtherViewRecomputesKeys)
     }
 }
 
-TEST(TablePredictorDeathTest, OverrideWithoutValuesPanics)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    Synthetic syn(20);
-    Dataset ds(syn.ptrs(), syn.schema);
-    TablePredictor tp;
-    tp.train(ds, {0, 1});
-    uint64_t out[4];
-    EXPECT_DEATH(tp.predictRows(ds, 0, 4, out, 0, nullptr),
-                 "override_col without override_values");
-}
-
 // Equal-weight labels under one key, rows passed out of order: the
-// majority is the smaller label, the representative its first row in
-// `rows` order, and the fallback follows the same rules.
+// majority is the smaller label, and the fallback follows the same
+// rule.
 TEST(TablePredictorTest, TieBreaksSmallestLabelFirstRow)
 {
     events::FieldSchema schema;
@@ -396,17 +397,13 @@ TEST(TablePredictorTest, TieBreaksSmallestLabelFirstRow)
     Dataset ds(ptrs, schema);
     uint64_t small = std::min(ds.label(0), ds.label(1));
     std::vector<size_t> rows = {3, 2, 1, 0};
-    // First row of the smaller label in `rows` order.
-    size_t first = ds.label(3) == small ? 3 : 2;
 
     TablePredictor tp;
     tp.trainOnRows(ds, {0}, rows);
     EXPECT_EQ(tp.tableRows(), 1u);
     EXPECT_EQ(tp.predict(ds, 0), small);
-    EXPECT_EQ(tp.predictRow(ds, 0), first);
     EXPECT_DOUBLE_EQ(tp.ambiguousWeightFraction(), 1.0);
-    EXPECT_EQ(tp.predict(ds, 4), small);       // fallback label
-    EXPECT_EQ(tp.predictRow(ds, 4), first);    // fallback row
+    EXPECT_EQ(tp.predict(ds, 4), small);  // fallback label
 }
 
 // Training on no rows must not inherit the previous training's
@@ -424,7 +421,6 @@ TEST(TablePredictorTest, EmptyTrainingResetsFallback)
     tp.trainOnRows(ds, cols, {});
     EXPECT_EQ(tp.tableRows(), 0u);
     EXPECT_EQ(tp.predict(ds, 0), kNoLabel);
-    EXPECT_EQ(tp.predictRow(ds, 0), SIZE_MAX);
     EXPECT_DOUBLE_EQ(tp.ambiguousWeightFraction(), 0.0);
 }
 
@@ -466,69 +462,56 @@ struct RandomTable {
     }
 };
 
-/** One table entry: key, majority label, representative row. */
+/** One table entry: key and majority label. */
 struct RefEntry {
     uint64_t key, label;
-    size_t repr;
 };
 
 /**
  * Brute-force tally with per-key std::maps: per key, the smallest
- * label of strictly the greatest weight, represented by that label's
- * first row in `rows` order; the fallback by the same rule over all
- * rows.
+ * label of strictly the greatest weight; the fallback by the same
+ * rule over all rows.
  */
 struct RefTally {
     std::vector<RefEntry> entries;  // ascending key
     uint64_t fallback_label = kNoLabel;
-    size_t fallback_row = SIZE_MAX;
     double ambiguous = 0.0;
     double mean_labels = 0.0;
 
     RefTally(const DatasetView &ds, const std::vector<size_t> &cols,
              const std::vector<size_t> &rows)
     {
-        struct Acc {
-            uint64_t weight = 0;
-            size_t pos = SIZE_MAX;
-        };
         std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
-        std::map<uint64_t, std::map<uint64_t, Acc>> per_key;
-        std::map<uint64_t, Acc> overall;
-        for (size_t i = 0; i < rows.size(); ++i) {
-            size_t r = rows[i];
-            for (Acc *a : {&per_key[keys[r]][ds.label(r)],
-                           &overall[ds.label(r)]}) {
-                a->weight += ds.weight(r);
-                a->pos = std::min(a->pos, i);
-            }
+        std::map<uint64_t, std::map<uint64_t, uint64_t>> per_key;
+        std::map<uint64_t, uint64_t> overall;
+        for (size_t r : rows) {
+            per_key[keys[r]][ds.label(r)] += ds.weight(r);
+            overall[ds.label(r)] += ds.weight(r);
         }
-        auto majority = [&](const std::map<uint64_t, Acc> &labels,
-                            uint64_t &label, size_t &row) {
-            uint64_t best = 0;
-            for (const auto &[l, a] : labels) {
-                if (a.weight > best) {
-                    best = a.weight;
+        auto majority = [](const std::map<uint64_t, uint64_t> &labels) {
+            uint64_t best = 0, label = kNoLabel;
+            for (const auto &[l, w] : labels) {
+                if (w > best) {
+                    best = w;
                     label = l;
-                    row = rows[a.pos];
                 }
             }
+            return label;
         };
         uint64_t total = 0, ambiguous_w = 0;
         size_t distinct = 0;
         for (const auto &[key, labels] : per_key) {
-            RefEntry e{key, kNoLabel, SIZE_MAX};
-            majority(labels, e.label, e.repr);
+            RefEntry e{key, majority(labels)};
             uint64_t w = 0;
             for (const auto &la : labels)
-                w += la.second.weight;
+                w += la.second;
             total += w;
             if (labels.size() > 1)
                 ambiguous_w += w;
             distinct += labels.size();
             entries.push_back(e);
         }
-        majority(overall, fallback_label, fallback_row);
+        fallback_label = majority(overall);
         ambiguous = total ? static_cast<double>(ambiguous_w) /
                                 static_cast<double>(total)
                           : 0.0;
@@ -549,13 +532,13 @@ struct RefTally {
 
 /**
  * TablePredictor::fingerprint() recomputed from its definition: the
- * trained entries in ascending-key order, the fallback, then the
- * inserted entries sorted by key.
+ * trained entries in ascending-key order, the fallback label, then
+ * the inserted entries sorted by key.
  */
 uint64_t
 refFingerprint(const std::vector<size_t> &cols,
                const std::vector<RefEntry> &trained, uint64_t fb_label,
-               size_t fb_row, std::vector<RefEntry> inserted)
+               std::vector<RefEntry> inserted)
 {
     std::sort(inserted.begin(), inserted.end(),
               [](const RefEntry &a, const RefEntry &b) {
@@ -567,20 +550,18 @@ refFingerprint(const std::vector<size_t> &cols,
     auto mix = [&h](const RefEntry &e) {
         h = util::mixCombine(h, e.key);
         h = util::mixCombine(h, e.label);
-        h = util::mixCombine(h, static_cast<uint64_t>(e.repr));
     };
     for (const RefEntry &e : trained)
         mix(e);
     h = util::mixCombine(h, fb_label);
-    h = util::mixCombine(h, static_cast<uint64_t>(fb_row));
     for (const RefEntry &e : inserted)
         mix(e);
     return h ? h : 1;
 }
 
 // The bucketed tally must reproduce the brute-force per-key tally:
-// entries, majority labels, representatives, ambiguity, mean labels
-// per key and the fallback. Rows are passed shuffled, and rows whose
+// entries, majority labels, ambiguity, mean labels per key and the
+// fallback. Rows are passed shuffled, and rows whose
 // first column is 0 are left out so their keys hit the fallback.
 TEST(TablePredictorTest, TallyMatchesBruteForceReference)
 {
@@ -614,7 +595,7 @@ TEST(TablePredictorTest, TallyMatchesBruteForceReference)
         EXPECT_DOUBLE_EQ(tp.ambiguousWeightFraction(), ref.ambiguous);
         EXPECT_EQ(tp.fingerprint(),
                   refFingerprint(cols, ref.entries, ref.fallback_label,
-                                 ref.fallback_row, {}));
+                                 {}));
         std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
         for (size_t r = 0; r < n; ++r) {
             const RefEntry *e = ref.find(keys[r]);
@@ -622,8 +603,6 @@ TEST(TablePredictorTest, TallyMatchesBruteForceReference)
             ASSERT_EQ(tp.lookupLabel(ds, r, label), e != nullptr) << r;
             EXPECT_EQ(tp.predict(ds, r),
                       e ? e->label : ref.fallback_label) << r;
-            EXPECT_EQ(tp.predictRow(ds, r),
-                      e ? e->repr : ref.fallback_row) << r;
         }
     }
 }
@@ -668,7 +647,6 @@ TEST(TablePredictorTest, InsertsPastHalfLoadKeepEveryKey)
             ASSERT_TRUE(tp.lookupLabel(ds, q, label))
                 << "after insert " << r << ", row " << q;
             ASSERT_EQ(label, ds.label(q % 150));
-            ASSERT_EQ(tp.predictRow(ds, q), q % 150);
         }
     }
     EXPECT_EQ(tp.tableRows(), 150u);
@@ -677,15 +655,15 @@ TEST(TablePredictorTest, InsertsPastHalfLoadKeepEveryKey)
     std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
     std::vector<RefEntry> inserted;
     for (size_t r = 10; r < 150; ++r)
-        inserted.push_back({keys[r], ds.label(r), r});
+        inserted.push_back({keys[r], ds.label(r)});
     EXPECT_EQ(tp.fingerprint(),
               refFingerprint(cols, ref.entries, ref.fallback_label,
-                             ref.fallback_row, inserted));
+                             inserted));
 }
 
-// predictRows' trained-view loop (stored keys, one term swapped) and
-// its keyOf loop for any other view must both match per-row
-// predict(), with trained and inserted entries in the table.
+// predictRows' trained-view loop (stored keys) and its keyOf loop for
+// any other view must both match per-row predict(), with trained and
+// inserted entries in the table.
 TEST(TablePredictorTest, PredictRowsBothPathsMatchPredict)
 {
     Synthetic syn(400, 5);
@@ -702,24 +680,16 @@ TEST(TablePredictorTest, PredictRowsBothPathsMatchPredict)
         tp.insertRow(ds, r);
 
     size_t n = ds.numRows();
-    for (size_t col : {SIZE_MAX, ds.columnOf(syn.fn), ds.columnOf(syn.fb)}) {
-        std::vector<uint64_t> shifted(n, 0);
-        if (col != SIZE_MAX)
-            for (size_t r = 0; r < n; ++r)
-                shifted[r] = ds.value((r + 11) % n, col);
-        const uint64_t *ov = col != SIZE_MAX ? shifted.data() : nullptr;
-        for (const DatasetView *view : {static_cast<DatasetView *>(&ds),
-                                        static_cast<DatasetView *>(&twin)}) {
-            std::vector<uint64_t> out(n), window(37);
-            tp.predictRows(*view, 0, n, out.data(), col, ov);
-            tp.predictRows(*view, 200, 237, window.data(), col, ov);
-            for (size_t r = 0; r < n; ++r)
-                ASSERT_EQ(out[r], tp.predict(*view, r, col, shifted[r]))
-                    << "col " << col << " view " << view->id() << " row "
-                    << r;
-            for (size_t r = 200; r < 237; ++r)
-                EXPECT_EQ(window[r - 200], out[r]);
-        }
+    for (const DatasetView *view : {static_cast<DatasetView *>(&ds),
+                                    static_cast<DatasetView *>(&twin)}) {
+        std::vector<uint64_t> out(n), window(37);
+        tp.predictRows(*view, 0, n, out.data());
+        tp.predictRows(*view, 200, 237, window.data());
+        for (size_t r = 0; r < n; ++r)
+            ASSERT_EQ(out[r], tp.predict(*view, r))
+                << "view " << view->id() << " row " << r;
+        for (size_t r = 200; r < 237; ++r)
+            EXPECT_EQ(window[r - 200], out[r]);
     }
 }
 
@@ -761,8 +731,11 @@ TEST(DecisionTreeTest, OverrideValueChangesPath)
     // Overriding the necessary column with varying values must
     // produce at least two distinct predictions.
     std::set<uint64_t> preds;
-    for (uint64_t v = 0; v < 4; ++v)
-        preds.insert(tree.predict(ds, 0, ds.columnOf(syn.fa), v));
+    for (uint64_t v = 0; v < 4; ++v) {
+        OverrideView view(ds, ds.columnOf(syn.fa),
+                          std::vector<uint64_t>(ds.numRows(), v));
+        preds.insert(tree.predict(view, 0));
+    }
     EXPECT_GE(preds.size(), 2u);
 }
 
@@ -779,29 +752,6 @@ TEST(RandomForestTest, LearnsSeparableFunction)
     forest.train(ds, cols);
     EXPECT_EQ(forest.treeCount(), 12u);
     EXPECT_LT(weightedErrorRate(forest, ds), 0.1);
-}
-
-/**
- * predictRow must return a representative of the *majority-vote*
- * label, not re-derive a possibly different answer (the old
- * implementation re-descended every tree after predict() had
- * already tallied the votes).
- */
-TEST(RandomForestTest, PredictRowRepresentativeCarriesVotedLabel)
-{
-    Synthetic syn(400);
-    Dataset ds(syn.ptrs(), syn.schema);
-    std::vector<size_t> cols = {0, 1, 2, 3};
-    ForestConfig cfg;
-    cfg.num_trees = 7;
-    RandomForest forest(cfg);
-    forest.train(ds, cols);
-    for (size_t r = 0; r < ds.numRows(); ++r) {
-        size_t repr = forest.predictRow(ds, r);
-        ASSERT_NE(repr, SIZE_MAX) << "row " << r;
-        EXPECT_EQ(ds.label(repr), forest.predict(ds, r))
-            << "row " << r;
-    }
 }
 
 // ---------------------------------------------------------------- PFI
@@ -890,9 +840,9 @@ TEST(PfiTest, ColumnImportanceIndependentOfSubset)
 /**
  * Reference PFI, the semantics the key-delta path must reproduce
  * bitwise: a Fisher-Yates row permutation drawn from
- * (seed, col, rep), the permuted column gathered and fed through
- * predictRows' override path, errors averaged per column in repeat
- * order.
+ * (seed, col, rep), the permuted column gathered into a copy of the
+ * view and predicted there row by row, errors averaged per column in
+ * repeat order.
  */
 PfiResult
 referencePfi(const Predictor &p, const DatasetView &ds,
@@ -911,7 +861,8 @@ referencePfi(const Predictor &p, const DatasetView &ds,
             std::vector<size_t> perm = rng.permutation(n);
             for (size_t r = 0; r < n; ++r)
                 permuted[r] = ds.value(perm[r], col);
-            p.predictRows(ds, 0, n, pred.data(), col, permuted.data());
+            p.predictRows(OverrideView(ds, col, permuted), 0, n,
+                          pred.data());
             uint64_t wrong = 0;
             for (size_t r = 0; r < n; ++r)
                 if (pred[r] != ds.label(r))
@@ -1116,6 +1067,7 @@ TEST(SelectionTest, CurveBytesMonotonicallyDecrease)
     Synthetic syn(400);
     Dataset ds(syn.ptrs(), syn.schema);
     SelectionResult r = selectNecessaryInputs(ds);
+    chartTail(ds, r);
     uint64_t prev = ~0ull;
     for (const auto &step : r.curve) {
         EXPECT_LT(step.remaining_bytes, prev);
@@ -1143,8 +1095,9 @@ TEST(SelectionTest, TailExploresPastTheKnee)
     cfg.max_error = 0.002;
     cfg.max_conditional_error = 0.012;
     SelectionResult r = selectNecessaryInputs(ds, cfg);
-    // The exploratory tail must record at least one step whose
-    // error exceeds the budget (the Fig. 9 ramp).
+    chartTail(ds, r, cfg);
+    // The charted tail must record at least one step whose error
+    // exceeds the budget (the Fig. 9 ramp).
     bool past_knee = false;
     for (const auto &s : r.curve)
         past_knee |= (s.error > cfg.max_error);
@@ -1157,42 +1110,6 @@ TEST(SelectionTest, TinyProfileStillTerminates)
     Dataset ds(syn.ptrs(), syn.schema);
     SelectionResult r = selectNecessaryInputs(ds);
     EXPECT_FALSE(r.selected.empty());
-}
-
-/**
- * The cached-PFI fast path must be invisible in the output: because
- * per-column PFI streams are keyed by column id, recomputing only
- * the still-droppable columns at each refresh yields the same
- * SelectionResult as recomputing the full matrix every time.
- */
-TEST(SelectionTest, CachedPfiMatchesFullRecompute)
-{
-    Synthetic syn(900);
-    Dataset ds(syn.ptrs(), syn.schema);
-    SelectionConfig cached;
-    cached.max_error = 0.002;
-    cached.max_conditional_error = 0.012;
-    cached.cache_pfi = true;
-    SelectionConfig full = cached;
-    full.cache_pfi = false;
-
-    SelectionResult a = selectNecessaryInputs(ds, cached);
-    SelectionResult b = selectNecessaryInputs(ds, full);
-
-    EXPECT_EQ(a.selected, b.selected);
-    EXPECT_EQ(a.selected_bytes, b.selected_bytes);
-    EXPECT_EQ(a.selected_error, b.selected_error);
-    EXPECT_EQ(a.selected_hit_rate, b.selected_hit_rate);
-    EXPECT_EQ(a.full_error, b.full_error);
-    EXPECT_EQ(a.full_bytes, b.full_bytes);
-    ASSERT_EQ(a.curve.size(), b.curve.size());
-    for (size_t i = 0; i < a.curve.size(); ++i) {
-        EXPECT_EQ(a.curve[i].dropped, b.curve[i].dropped);
-        EXPECT_EQ(a.curve[i].remaining_bytes,
-                  b.curve[i].remaining_bytes);
-        EXPECT_EQ(a.curve[i].error, b.curve[i].error);
-        EXPECT_EQ(a.curve[i].hit_rate, b.curve[i].hit_rate);
-    }
 }
 
 // Parameterized: selection quality vs dataset size.
@@ -1231,6 +1148,15 @@ trainingLog(const Synthetic &syn)
                                           bytes->size(), bytes);
     EXPECT_TRUE(log.ok()) << log.status().message();
     return log.value();
+}
+
+/** Selection over @p ds with its Fig. 9 tail charted. */
+SelectionResult
+chartedSelection(const DatasetView &ds, const SelectionConfig &cfg = {})
+{
+    SelectionResult r = selectNecessaryInputs(ds, cfg);
+    chartTail(ds, r, cfg);
+    return r;
 }
 
 void
@@ -1287,8 +1213,8 @@ TEST(ChunkedDatasetTest, MatchesInMemoryDataset)
     EXPECT_EQ(tm.fingerprint(), tch.fingerprint());
 
     SelectionConfig sc;
-    expectSameSelection(selectNecessaryInputs(mem, sc),
-                        selectNecessaryInputs(ch, sc));
+    expectSameSelection(chartedSelection(mem, sc),
+                        chartedSelection(ch, sc));
 }
 
 // Row keys are a function of cell values only, so a table trained
@@ -1368,8 +1294,7 @@ TEST(ChunkedDatasetTest, BlockSizeInvarianceFuzz)
         TablePredictor tp;
         tp.train(*cds.value(), cols);
         PfiResult pfi = computePfi(tp, *cds.value(), cols);
-        SelectionResult sel =
-            selectNecessaryInputs(*cds.value(), {});
+        SelectionResult sel = chartedSelection(*cds.value());
         if (bi == 0) {
             want_fp = tp.fingerprint();
             want_pfi = pfi;

@@ -550,12 +550,19 @@ TEST(ShrinkParallelTest, ModelBytesInvariantAcrossThreadCounts)
     ASSERT_EQ(m1.types.size(), m8.types.size());
     ASSERT_FALSE(m1.types.empty());
     for (size_t i = 0; i < m1.types.size(); ++i) {
-        const auto &a = m1.types[i].selection;
-        const auto &b = m8.types[i].selection;
+        ml::SelectionResult a = m1.types[i].selection;
+        ml::SelectionResult b = m8.types[i].selection;
         EXPECT_EQ(a.selected, b.selected);
         EXPECT_EQ(a.selected_bytes, b.selected_bytes);
         EXPECT_EQ(a.selected_error, b.selected_error);
         EXPECT_EQ(a.selected_hit_rate, b.selected_hit_rate);
+        // The Fig. 9 tail each selection charts, at the same widths.
+        ml::Dataset ds(profile.ofType(m1.types[i].type), game->schema());
+        ml::SelectionConfig sc;
+        sc.pfi.threads = 1;
+        ml::chartTail(ds, a, sc);
+        sc.pfi.threads = 8;
+        ml::chartTail(ds, b, sc);
         EXPECT_EQ(a.curve.size(), b.curve.size());
     }
 

@@ -3,9 +3,9 @@
 #
 # Runs each fig/table/ablation bench at --quick and compares its
 # stdout (<bench>.txt) and, where the bench writes one, its --csv
-# series (<bench>.csv) against tests/golden/. fig11 is also run at
-# --threads 4 against the same files: its output must not depend on
-# the thread count.
+# series (<bench>.csv) against tests/golden/. fig09 and fig11 are
+# also run at --threads 4 against the same files: their output must
+# not depend on the thread count.
 #
 # Usage: tools/bench_goldens.sh [--update] [build-dir]
 #   --update   rewrite tests/golden/ from this build instead of
@@ -51,7 +51,10 @@ if [ "$UPDATE" = 1 ]; then
     exit 0
 fi
 
-run fig11_schemes_t4 fig11_schemes --threads 4
+THREADED="fig09_pfi_trimming fig11_schemes"
+for b in $THREADED; do
+    run "${b}_t4" "$b" --threads 4
+done
 
 fail=0
 for b in $BENCHES; do
@@ -61,9 +64,10 @@ for b in $BENCHES; do
         fi
     done
 done
-for ext in txt csv; do
-    diff -u "$GOLDEN/fig11_schemes.$ext" "$OUT/fig11_schemes_t4.$ext" ||
-        fail=1
+for b in $THREADED; do
+    for ext in txt csv; do
+        diff -u "$GOLDEN/$b.$ext" "$OUT/${b}_t4.$ext" || fail=1
+    done
 done
 if [ "$fail" != 0 ]; then
     echo "bench goldens: output differs from $GOLDEN" >&2

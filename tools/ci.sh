@@ -4,8 +4,9 @@
 #  - the four examples end to end (profile_and_deploy writes its
 #    artifacts into a temporary directory removed on exit);
 #  - bench goldens: the stdout and --csv series of the 14 paper
-#    benches at --quick (fig11 also at --threads 4) are diffed byte
-#    for byte against tests/golden/ (tools/bench_goldens.sh);
+#    benches at --quick (fig09 and fig11 also at --threads 4) are
+#    diffed byte for byte against tests/golden/
+#    (tools/bench_goldens.sh);
 #  - micro_train Shrink smoke, run twice: the selection and packed-model
 #    digests must agree across runs and with their pinned values, and
 #    the binary exits non-zero on a broken determinism contract;
