@@ -476,12 +476,10 @@ cmdInspect(const Args &args)
                     util::formatSize(static_cast<double>(
                                          m.table->totalBytes()))
                         .c_str());
-        std::printf("frozen: %s arena, index load %.2f "
-                    "(%zu entries, one probe + linear scan)\n",
+        std::printf("frozen: %s arena\n",
                     util::formatSize(
                         static_cast<double>(m.table->arenaSize()))
-                        .c_str(),
-                    m.table->indexLoadFactor(), m.table->entryCount());
+                        .c_str());
     } else {
         std::printf("table: (none)\n");
     }

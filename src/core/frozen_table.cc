@@ -6,25 +6,20 @@
 #include "obs/metrics.h"
 #include "util/bytes.h"
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace snip {
 namespace core {
 
 namespace {
 
-/** Fixed arena header: magic, version, total_size, ntypes,
- *  total_entries, total_bytes. */
-constexpr size_t kHeaderBytes = 32;
-/** Per-type directory record: 4 u32 + 2 u64 scalars + 10 u32
- *  offsets (see writeArena for the field order). */
-constexpr size_t kTypeRecBytes = 72;
-/** Index slot: u64 subkey + u32 begin + u32 count. */
-constexpr size_t kSlotBytes = 16;
+/** Fixed arena header: magic, version, total_size, ntypes. */
+constexpr size_t kHeaderBytes = 16;
+/** Per-type directory record: 3 u32 scalars + 8 u32 offsets (see
+ *  freeze() for the field order). */
+constexpr size_t kTypeRecBytes = 44;
 
 using util::align8;
 using util::readU32;
-using util::readU64;
 using util::spanFits;
 using util::writeU32;
 using util::writeU64;
@@ -39,8 +34,8 @@ MemoTable::freeze() const
     // 8-aligned in memory).
     struct TypeOffsets {
         int type;
-        uint32_t capacity, selected, flags, index, key_off, out_off,
-            key_slots, key_values, out_ids, out_values, entry_bytes;
+        uint32_t selected, flags, key_off, out_off, key_slots,
+            key_values, out_ids, out_values;
     };
     std::vector<TypeOffsets> offsets;
     size_t ntypes = 0;
@@ -53,20 +48,12 @@ MemoTable::freeze() const
             continue;
         TypeOffsets o;
         o.type = t;
-        // Load factor <= 0.5: capacity = smallest power of two >=
-        // max(4, 2 x buckets). Deterministic, so the arena is a pure
-        // function of the canonical entry order.
-        o.capacity = 4;
-        while (o.capacity < 2 * tt.index.bucketCount())
-            o.capacity <<= 1;
         size_t nsel = tt.selected.size();
         size_t ne = tt.index.size();
         o.selected = static_cast<uint32_t>(off);
         off += nsel * 4;
         o.flags = static_cast<uint32_t>(off);
         off = align8(off + nsel);
-        o.index = static_cast<uint32_t>(off);
-        off += static_cast<size_t>(o.capacity) * kSlotBytes;
         o.key_off = static_cast<uint32_t>(off);
         off += (ne + 1) * 4;
         o.out_off = static_cast<uint32_t>(off);
@@ -78,9 +65,7 @@ MemoTable::freeze() const
         o.key_slots = static_cast<uint32_t>(off);
         off += tt.key_values.size() * 4;
         o.out_ids = static_cast<uint32_t>(off);
-        off += tt.out_ids.size() * 4;
-        o.entry_bytes = static_cast<uint32_t>(off);
-        off = align8(off + ne * 4);
+        off = align8(off + tt.out_ids.size() * 4);
         offsets.push_back(o);
     }
     size_t total_size = off;
@@ -94,8 +79,6 @@ MemoTable::freeze() const
     writeU32(base + 4, kFrozenVersion);
     writeU32(base + 8, static_cast<uint32_t>(total_size));
     writeU32(base + 12, static_cast<uint32_t>(ntypes));
-    writeU64(base + 16, entryCount());
-    writeU64(base + 24, totalBytes());
 
     for (size_t i = 0; i < offsets.size(); ++i) {
         const TypeOffsets &o = offsets[i];
@@ -104,24 +87,11 @@ MemoTable::freeze() const
             writeU32(base + o.selected + k * 4, tt.selected[k]);
             base[o.flags + k] = tt.is_event[k];
         }
-        // Entries in canonical order; buckets are runs of equal
-        // subkeys, placed in ascending-subkey order with linear
-        // probing: a deterministic function of the bucket set.
-        const uint32_t mask = o.capacity - 1;
-        uint8_t *slot = nullptr;
+        // Entries in canonical order; each one's bucket is folded
+        // back from its key at attach.
         uint32_t e = 0, nkeys = 0, nouts = 0;
-        uint64_t type_bytes = 0;
         visitEntries(
             static_cast<events::EventType>(o.type), [&](const EntryView &v) {
-                if (e == 0 || readU64(slot) != v.subkey) {
-                    uint32_t s = static_cast<uint32_t>(v.subkey) & mask;
-                    while (readU32(base + o.index + s * kSlotBytes + 12))
-                        s = (s + 1) & mask;
-                    slot = base + o.index + s * kSlotBytes;
-                    writeU64(slot, v.subkey);
-                    writeU32(slot + 8, e);
-                }
-                writeU32(slot + 12, readU32(slot + 12) + 1);
                 for (size_t k = 0; k < v.slots.size(); ++k, ++nkeys) {
                     writeU32(base + o.key_slots + nkeys * 4, v.slots[k]);
                     writeU64(base + o.key_values + nkeys * 8, v.values[k]);
@@ -131,8 +101,6 @@ MemoTable::freeze() const
                     writeU64(base + o.out_values + nouts * 8,
                              v.out_values[k]);
                 }
-                writeU32(base + o.entry_bytes + e * 4, v.bytes);
-                type_bytes += v.bytes + kEntryHeaderBytes;
                 ++e;
                 writeU32(base + o.key_off + e * 4, nkeys);
                 writeU32(base + o.out_off + e * 4, nouts);
@@ -141,20 +109,15 @@ MemoTable::freeze() const
         uint8_t *rec = base + kHeaderBytes + i * kTypeRecBytes;
         writeU32(rec + 0, static_cast<uint32_t>(o.type));
         writeU32(rec + 4, static_cast<uint32_t>(tt.selected.size()));
-        writeU32(rec + 8, o.capacity);
-        writeU32(rec + 12, e);
-        writeU64(rec + 16, tt.selected_bytes);
-        writeU64(rec + 24, type_bytes);
-        writeU32(rec + 32, o.selected);
-        writeU32(rec + 36, o.flags);
-        writeU32(rec + 40, o.index);
-        writeU32(rec + 44, o.key_off);
-        writeU32(rec + 48, o.out_off);
-        writeU32(rec + 52, o.key_slots);
-        writeU32(rec + 56, o.key_values);
-        writeU32(rec + 60, o.out_ids);
-        writeU32(rec + 64, o.out_values);
-        writeU32(rec + 68, o.entry_bytes);
+        writeU32(rec + 8, e);
+        writeU32(rec + 12, o.selected);
+        writeU32(rec + 16, o.flags);
+        writeU32(rec + 20, o.key_off);
+        writeU32(rec + 24, o.out_off);
+        writeU32(rec + 28, o.key_slots);
+        writeU32(rec + 32, o.key_values);
+        writeU32(rec + 36, o.out_ids);
+        writeU32(rec + 40, o.out_values);
     }
 
     ft->data_ = base;
@@ -217,12 +180,9 @@ FrozenTable::decode(const events::FieldSchema &schema)
     if (kHeaderBytes + static_cast<size_t>(ntypes) * kTypeRecBytes >
         size)
         return util::Status::Error("frozen: truncated directory");
-    uint64_t total_entries = readU64(base + 16);
-    uint64_t total_bytes = readU64(base + 24);
 
-    uint64_t sum_entries = 0, sum_bytes = 0;
     int prev_type = -1;
-    uint32_t entry_base = 0;
+    std::vector<uint64_t> subkeys;
     for (uint32_t i = 0; i < ntypes; ++i) {
         const uint8_t *rec = base + kHeaderBytes + i * kTypeRecBytes;
         uint32_t type = readU32(rec + 0);
@@ -234,53 +194,37 @@ FrozenTable::decode(const events::FieldSchema &schema)
 
         TypeView tv;
         tv.nselected = readU32(rec + 4);
-        tv.capacity = readU32(rec + 8);
-        tv.nentries = readU32(rec + 12);
-        tv.selected_bytes = readU64(rec + 16);
-        tv.type_bytes = readU64(rec + 24);
-        tv.entry_base = entry_base;
-        uint32_t o_selected = readU32(rec + 32);
-        uint32_t o_flags = readU32(rec + 36);
-        uint32_t o_index = readU32(rec + 40);
-        uint32_t o_key_off = readU32(rec + 44);
-        uint32_t o_out_off = readU32(rec + 48);
-        uint32_t o_key_slots = readU32(rec + 52);
-        uint32_t o_key_values = readU32(rec + 56);
-        uint32_t o_out_ids = readU32(rec + 60);
-        uint32_t o_out_values = readU32(rec + 64);
-        uint32_t o_entry_bytes = readU32(rec + 68);
+        tv.nentries = readU32(rec + 8);
+        tv.entry_base = static_cast<uint32_t>(total_entries_);
+        uint32_t o_selected = readU32(rec + 12);
+        uint32_t o_flags = readU32(rec + 16);
+        uint32_t o_key_off = readU32(rec + 20);
+        uint32_t o_out_off = readU32(rec + 24);
+        uint32_t o_key_slots = readU32(rec + 28);
+        uint32_t o_key_values = readU32(rec + 32);
+        uint32_t o_out_ids = readU32(rec + 36);
+        uint32_t o_out_values = readU32(rec + 40);
 
         if (tv.nselected == 0)
             return util::Status::Errorf(
                 "frozen: type %u with empty selection", type);
-        if (tv.capacity == 0 ||
-            (tv.capacity & (tv.capacity - 1)) != 0)
-            return util::Status::Errorf(
-                "frozen: type %u index capacity %u not a power of "
-                "two", type, tv.capacity);
         if (!spanFits(size, o_selected, tv.nselected, 4, 4) ||
             !spanFits(size, o_flags, tv.nselected, 1, 1) ||
-            !spanFits(size, o_index, tv.capacity, kSlotBytes, 8) ||
             !spanFits(size, o_key_off, tv.nentries + 1ull, 4, 4) ||
-            !spanFits(size, o_out_off, tv.nentries + 1ull, 4, 4) ||
-            !spanFits(size, o_entry_bytes, tv.nentries, 4, 4))
+            !spanFits(size, o_out_off, tv.nentries + 1ull, 4, 4))
             return util::Status::Errorf(
                 "frozen: type %u arrays out of bounds", type);
         tv.selected = reinterpret_cast<const events::FieldId *>(
             base + o_selected);
         tv.is_event = base + o_flags;
-        const uint8_t *index = base + o_index;
         tv.key_off =
             reinterpret_cast<const uint32_t *>(base + o_key_off);
         tv.out_off =
             reinterpret_cast<const uint32_t *>(base + o_out_off);
-        tv.entry_bytes = reinterpret_cast<const uint32_t *>(
-            base + o_entry_bytes);
 
-        // Selected set: ascending input-side ids whose sizes sum to
-        // selected_bytes, flags matching the schema's categories.
+        // Selected set: ascending input-side ids, flags matching the
+        // schema's categories.
         events::FieldId prev = events::kInvalidField;
-        uint64_t sel_bytes = 0;
         for (uint32_t k = 0; k < tv.nselected; ++k) {
             events::FieldId fid = tv.selected[k];
             if (fid >= schema.size())
@@ -295,7 +239,7 @@ FrozenTable::decode(const events::FieldSchema &schema)
                 return util::Status::Error(
                     "frozen: selected ids not strictly ascending");
             prev = fid;
-            sel_bytes += d.size_bytes;
+            tv.selected_bytes += d.size_bytes;
             bool is_event =
                 d.in_cat == events::InputCategory::Event;
             if ((tv.is_event[k] != 0) != is_event)
@@ -303,9 +247,6 @@ FrozenTable::decode(const events::FieldSchema &schema)
                     "frozen: selected id %u category flag mismatch",
                     fid);
         }
-        if (sel_bytes != tv.selected_bytes)
-            return util::Status::Errorf(
-                "frozen: type %u selected_bytes mismatch", type);
 
         // Prefix-offset arrays: start at 0, nondecreasing; their
         // totals size the key/output arrays.
@@ -335,10 +276,6 @@ FrozenTable::decode(const events::FieldSchema &schema)
         tv.out_values =
             reinterpret_cast<const uint64_t *>(base + o_out_values);
 
-        for (uint32_t k = 0; k < nkeys; ++k)
-            if (tv.key_slots[k] >= tv.nselected)
-                return util::Status::Error(
-                    "frozen: key slot out of selected range");
         for (uint32_t k = 0; k < nouts; ++k) {
             events::FieldId fid = tv.out_ids[k];
             if (fid >= schema.size() ||
@@ -347,88 +284,57 @@ FrozenTable::decode(const events::FieldSchema &schema)
                     "frozen: bad output field id %u", fid);
         }
 
-        // Index slots: occupied slots (count > 0) hold distinct
-        // subkeys and point at entry runs that tile [0, nentries)
-        // exactly, so every entry is in exactly one bucket.
-        struct Run {
-            uint32_t begin, count;
-            uint64_t subkey;
-        };
-        std::vector<Run> runs;
-        for (uint32_t s = 0; s < tv.capacity; ++s) {
-            const uint8_t *slot = index + s * kSlotBytes;
-            uint32_t count = readU32(slot + 12);
-            if (count != 0)
-                runs.push_back({readU32(slot + 8), count, readU64(slot)});
-        }
-        tv.buckets = static_cast<uint32_t>(runs.size());
-        if (2ull * tv.buckets > tv.capacity)
-            return util::Status::Errorf(
-                "frozen: type %u index overloaded", type);
-        std::sort(runs.begin(), runs.end(),
-                  [](const Run &a, const Run &b) {
-                      return a.subkey < b.subkey;
-                  });
-        for (size_t r = 1; r < runs.size(); ++r)
-            if (runs[r].subkey == runs[r - 1].subkey)
+        // Each entry's bucket is the subkey folded from its key, whose
+        // slots must ascend within the selection; the entries must be
+        // in canonical order, so a bucket's entries are adjacent.
+        subkeys.resize(tv.nentries);
+        uint32_t buckets = 0;
+        for (uint32_t e = 0; e < tv.nentries; ++e) {
+            const uint32_t *slots = tv.key_slots + tv.key_off[e];
+            const uint32_t nk = tv.key_off[e + 1] - tv.key_off[e];
+            for (uint32_t k = 0; k < nk; ++k)
+                if (slots[k] >= tv.nselected ||
+                    (k != 0 && slots[k] <= slots[k - 1]))
+                    return util::Status::Errorf(
+                        "frozen: type %u entry %u key slots not "
+                        "ascending in its selection", type, e);
+            subkeys[e] = foldSubkey(tv.selected, tv.is_event,
+                                    tv.nselected, slots,
+                                    tv.key_values + tv.key_off[e], nk);
+            if (e != 0 && subkeys[e] < subkeys[e - 1])
                 return util::Status::Errorf(
-                    "frozen: type %u index repeats a subkey", type);
-        std::sort(runs.begin(), runs.end(),
-                  [](const Run &a, const Run &b) {
-                      return a.begin < b.begin;
-                  });
-        uint32_t next = 0;
-        for (const Run &r : runs) {
-            if (r.begin != next || r.count > tv.nentries - next)
-                return util::Status::Errorf(
-                    "frozen: type %u index runs do not tile its "
-                    "entries", type);
-            next += r.count;
+                    "frozen: type %u entries not in canonical order",
+                    type);
+            buckets += e == 0 || subkeys[e] != subkeys[e - 1];
         }
-        if (next != tv.nentries)
-            return util::Status::Errorf(
-                "frozen: type %u index covers %u of %u entries", type,
-                next, tv.nentries);
 
-        uint64_t modeled = 0;
-        for (uint32_t e = 0; e < tv.nentries; ++e)
-            modeled +=
-                tv.entry_bytes[e] + MemoTable::kEntryHeaderBytes;
-        if (modeled != tv.type_bytes)
-            return util::Status::Errorf(
-                "frozen: type %u byte accounting mismatch", type);
-
+        // The off-wire full-key index, entry ids = arena indexes, each
+        // entry charged as MemoTable::insert charges it (every id below
+        // is checked against the schema above).
         max_selected_ = std::max(max_selected_, tv.nselected);
-        for (uint32_t e = 0; e < tv.nentries; ++e)
-            max_outputs_ = std::max(max_outputs_,
-                                    tv.out_off[e + 1] - tv.out_off[e]);
-
-        // The off-wire full-key index, entry ids = arena indexes (the
-        // runs tile the entries in order).
         KeyIndex &ix = index_[type];
-        ix.reserve(tv.nentries, tv.buckets);
-        for (const Run &r : runs)
-            for (uint32_t e = r.begin; e < r.begin + r.count; ++e)
-                ix.append(tv.key_values, r.subkey,
-                          tv.key_slots + tv.key_off[e],
-                          tv.key_values + tv.key_off[e],
-                          tv.key_off[e + 1] - tv.key_off[e],
-                          tv.out_off[e + 1] - tv.out_off[e],
-                          tv.entry_bytes[e] + MemoTable::kEntryHeaderBytes,
-                          true);
+        ix.reserve(tv.nentries, buckets);
+        const std::vector<events::FieldDef> &defs = schema.defs();
+        for (uint32_t e = 0; e < tv.nentries; ++e) {
+            const uint32_t nout = tv.out_off[e + 1] - tv.out_off[e];
+            uint64_t bytes = MemoTable::kEntryHeaderBytes;
+            for (uint32_t k = tv.key_off[e]; k < tv.key_off[e + 1]; ++k)
+                bytes += defs[tv.selected[tv.key_slots[k]]].size_bytes;
+            for (uint32_t k = tv.out_off[e]; k < tv.out_off[e + 1]; ++k)
+                bytes += defs[tv.out_ids[k]].size_bytes;
+            ix.append(tv.key_values, subkeys[e],
+                      tv.key_slots + tv.key_off[e],
+                      tv.key_values + tv.key_off[e],
+                      tv.key_off[e + 1] - tv.key_off[e], nout, bytes, true);
+            max_outputs_ = std::max(max_outputs_, nout);
+            total_bytes_ += bytes;
+        }
 
-        sum_entries += tv.nentries;
-        sum_bytes += tv.type_bytes;
-        if (sum_entries > UINT32_MAX)
+        if (total_entries_ + tv.nentries > UINT32_MAX)
             return util::Status::Error("frozen: entry count overflow");
-        entry_base += tv.nentries;
+        total_entries_ += tv.nentries;
         types_[type] = tv;
     }
-    if (sum_entries != total_entries || sum_bytes != total_bytes)
-        return util::Status::Error(
-            "frozen: header totals mismatch");
-    total_entries_ = total_entries;
-    total_bytes_ = total_bytes;
     return util::Status::Ok();
 }
 
@@ -534,7 +440,6 @@ FrozenTable::visitEntries(events::EventType type,
         v.values = {tv.key_values + tv.key_off[e], v.slots.size()};
         v.out_ids = {tv.out_ids + ie.out_begin, ie.nout};
         v.out_values = {tv.out_values + ie.out_begin, ie.nout};
-        v.bytes = tv.entry_bytes[e];
         fn(v);
     }
 }
@@ -559,21 +464,6 @@ FrozenTable::selectedVector(events::EventType type) const
         tv.selected, tv.selected + tv.nselected);
 }
 
-double
-FrozenTable::indexLoadFactor() const
-{
-    uint64_t used = 0, cap = 0;
-    for (const auto &tv : types_) {
-        if (tv.nselected == 0)
-            continue;
-        used += tv.buckets;
-        cap += tv.capacity;
-    }
-    return cap ? static_cast<double>(used) /
-                     static_cast<double>(cap)
-               : 0.0;
-}
-
 void
 FrozenTable::recordStats(obs::Registry &reg) const
 {
@@ -593,7 +483,6 @@ FrozenTable::recordStats(obs::Registry &reg) const
     reg.gauge("table.types_configured")
         .set(static_cast<double>(configured));
     reg.gauge("table.layout").set(1.0);
-    reg.gauge("table.index_load_factor").set(indexLoadFactor());
 }
 
 }  // namespace core

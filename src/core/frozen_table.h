@@ -1,20 +1,19 @@
 /**
  * @file
  * The immutable, deploy-side form of the SNIP lookup table. A
- * FrozenTable is one contiguous little-endian arena per model: an
- * open-addressing event-subkey index (flat power-of-two array,
- * linear probing) per event type whose slots point at ranges of
- * structure-of-arrays entry storage — key slots, key values, output
- * ids/values and entry sizes each in one flat array, the entries of
- * a bucket adjacent. Every SnipModel carries its table in this form,
- * whether Shrink froze it (MemoTable::freeze) or a package was
- * decoded. At freeze()/attach() the table derives, outside the wire
- * format, a full-key index over each type (key_index.h) that also
- * keeps each bucket's scan charge: a lookup is O(key shapes)
- * full-key probes, charged exactly the bytes and candidates the
- * paper's linear bucket scan walks, and never reads the arena's
- * subkey index, which decode() validates. Zero allocations per
- * lookup.
+ * FrozenTable is one contiguous little-endian arena per model that
+ * ships only what deploy cannot derive: per event type its selected
+ * fields and structure-of-arrays entry storage (key/output offsets,
+ * key slots, key values, output ids and values, each in one flat
+ * array) in canonical order, the entries of a bucket adjacent. Every
+ * SnipModel carries its table in this form, whether Shrink froze it
+ * (MemoTable::freeze) or a package was decoded. At freeze()/attach()
+ * the table derives, outside the wire format, each entry's bucket
+ * (the subkey folded from its stored key, foldSubkey) and scan
+ * charge, and from them a full-key index over each type
+ * (key_index.h) that keeps each bucket's charge: a lookup is O(key
+ * shapes) full-key probes, charged exactly the bytes and candidates
+ * the paper's linear bucket scan walks. Zero allocations per lookup.
  *
  * The arena's in-memory layout *is* its on-wire layout (the "SNPF"
  * section of a v2 model package), so OTA deploy can construct a
@@ -22,7 +21,7 @@
  * bytes. Ownership contract: a view never outlives its backing
  * buffer — attach() takes a shared_ptr keep-alive, and
  * MemoTable::freeze() produces a self-owning arena. See DESIGN.md
- * "Frozen deployed table".
+ * "The frozen arena (SNPF) and zero-copy deploy".
  */
 
 #ifndef SNIP_CORE_FROZEN_TABLE_H
@@ -43,7 +42,7 @@ namespace core {
 /** Arena magic ("SNPF"), first word of the frozen layout. */
 constexpr uint32_t kFrozenMagic = 0x534e5046;
 /** Frozen arena format version. */
-constexpr uint32_t kFrozenVersion = 1;
+constexpr uint32_t kFrozenVersion = 2;
 
 /** Result of one frozen-table lookup. */
 struct FrozenLookup {
@@ -156,9 +155,6 @@ class FrozenTable
     /** Selected fields of a type (empty when undeployed). */
     std::vector<events::FieldId>
     selectedVector(events::EventType type) const;
-    /** Used / capacity across all type indexes (<= 0.5 by build). */
-    double indexLoadFactor() const;
-
     /** Whether this view borrows its bytes (no owned copy). */
     bool zeroCopy() const { return owned_.empty(); }
 
@@ -168,8 +164,7 @@ class FrozenTable
 
     /**
      * Export table shape as `table.*` gauges, like
-     * MemoTable::recordStats, plus `table.layout` = 1 (frozen) and
-     * `table.index_load_factor`.
+     * MemoTable::recordStats, plus `table.layout` = 1 (frozen).
      */
     void recordStats(obs::Registry &reg) const;
 
@@ -181,11 +176,9 @@ class FrozenTable
     /** Decoded view of one type's arena block. */
     struct TypeView {
         uint32_t nselected = 0;  // 0 = type undeployed
-        uint32_t capacity = 0;   // index slots (power of two)
         uint32_t nentries = 0;
-        uint32_t buckets = 0;    // used index slots
+        /** Derived from the schema. */
         uint64_t selected_bytes = 0;
-        uint64_t type_bytes = 0;
         /** First global entry ordinal of this type. */
         uint32_t entry_base = 0;
         const events::FieldId *selected = nullptr;
@@ -196,11 +189,11 @@ class FrozenTable
         const uint64_t *key_values = nullptr;
         const events::FieldId *out_ids = nullptr;
         const uint64_t *out_values = nullptr;
-        const uint32_t *entry_bytes = nullptr;
     };
 
-    /** Decode directory + validate everything, then derive the
-     *  full-key indexes; data_/size_ set. */
+    /** Decode directory + validate everything, then derive each
+     *  entry's bucket and charge and the full-key indexes; data_/size_
+     *  set. */
     util::Status decode(const events::FieldSchema &schema);
 
     const uint8_t *data_ = nullptr;
@@ -213,8 +206,8 @@ class FrozenTable
 
     events::FieldSchema schema_;
     std::array<TypeView, events::kNumEventTypes> types_{};
-    /** Off-wire full-key index and scan charge per type; its entry
-     *  ids are arena entry indexes. */
+    /** Off-wire full-key index, buckets and scan charge per type; its
+     *  entry ids are arena entry indexes. */
     std::array<KeyIndex, events::kNumEventTypes> index_;
     size_t total_entries_ = 0;
     uint64_t total_bytes_ = 0;

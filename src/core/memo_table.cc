@@ -92,19 +92,28 @@ MemoTable::project(const games::HandlerExecution &rec,
             key.values.push_back(fv.value);
         }
     }
-    // The subkey over the projection: a selected event field is
-    // present in the inputs exactly when its slot is in the key.
-    key.subkey = kSubkeySeed;
-    for (uint32_t i = 0, k = 0; i < nsel; ++i) {
-        while (k < key.size() && key.slots[k] < i)
-            ++k;
-        if (!tt.is_event[i])
-            continue;
-        bool present = k < key.size() && key.slots[k] == i;
-        key.subkey = subkeyStep(key.subkey, tt.selected[i], present,
-                                present ? key.values[k] : 0);
-    }
+    key.subkey = foldSubkey(tt.selected.data(), tt.is_event.data(), nsel,
+                            key.slots.data(), key.values.data(),
+                            key.size());
     return true;
+}
+
+uint64_t
+foldSubkey(const events::FieldId *selected, const uint8_t *is_event,
+           uint32_t nsel, const uint32_t *slots, const uint64_t *values,
+           uint32_t nk)
+{
+    uint64_t subkey = kSubkeySeed;
+    for (uint32_t i = 0, k = 0; i < nsel; ++i) {
+        while (k < nk && slots[k] < i)
+            ++k;
+        if (!is_event[i])
+            continue;
+        bool present = k < nk && slots[k] == i;
+        subkey = subkeyStep(subkey, selected[i], present,
+                            present ? values[k] : 0);
+    }
+    return subkey;
 }
 
 bool
@@ -173,19 +182,13 @@ MemoTable::visitEntries(events::EventType type,
     std::sort(order.begin(), order.end());
 
     EntryView v;
-    uint64_t prev_cum = 0;
     for (const auto &[subkey, id] : order) {
         const KeyIndex::Entry &e = tt.index.entry(id);
-        if (e.pos == 0)
-            prev_cum = 0;
         v.subkey = subkey;
         v.slots = tt.index.slots(id);
         v.values = {tt.key_values.data() + e.key_begin, v.slots.size()};
         v.out_ids = {tt.out_ids.data() + e.out_begin, e.nout};
         v.out_values = {tt.out_values.data() + e.out_begin, e.nout};
-        v.bytes = static_cast<uint32_t>(e.cum_bytes - prev_cum -
-                                        kEntryHeaderBytes);
-        prev_cum = e.cum_bytes;
         fn(v);
     }
 }

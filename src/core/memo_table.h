@@ -62,6 +62,18 @@ subkeyStep(uint64_t h, events::FieldId fid, bool present, uint64_t v)
 }
 
 /**
+ * The event subkey of a key projected onto a selection: the fold over
+ * the @p nsel selected fields' event-side slots (@p is_event), a slot
+ * present exactly when it is one of the key's @p nk strictly ascending
+ * @p slots, with the matching value. MemoTable::project folds a
+ * record's key through here, and FrozenTable derives each stored
+ * entry's bucket with it.
+ */
+uint64_t foldSubkey(const events::FieldId *selected, const uint8_t *is_event,
+                    uint32_t nsel, const uint32_t *slots,
+                    const uint64_t *values, uint32_t nk);
+
+/**
  * A handler execution's key projected onto its type's selected
  * fields: what an entry built from it stores. Caller-owned and reused,
  * so projecting allocates nothing once it has held the widest key.
@@ -90,8 +102,6 @@ struct EntryView {
     /** Memoized output writes. */
     std::span<const events::FieldId> out_ids;
     std::span<const uint64_t> out_values;
-    /** Entry payload bytes (keys + outputs, no header). */
-    uint32_t bytes = 0;
 };
 
 /**

@@ -9,10 +9,11 @@
  * selections, and the lookup table.
  *
  * Version 2 carries the table as a "SNPF" frozen arena
- * (frozen_table.h) whose on-wire bytes *are* the runtime layout:
- * deployModel() attaches a bounds-checked zero-copy FrozenTable view
- * over the package bytes, so OTA deploy costs CRC + header
- * validation instead of a per-entry rebuild. unpackModel() is the
+ * (frozen_table.h) whose on-wire bytes *are* the runtime's entry
+ * storage: deployModel() attaches a bounds-checked zero-copy
+ * FrozenTable view over the package bytes, and derives each entry's
+ * bucket and scan charge from its stored key and the schema, so the
+ * package carries no index or byte tallies. unpackModel() is the
  * same deploy over an owned copy of the caller's bytes, for readers
  * whose buffer does not outlive the model (the CLI, federated
  * merging, re-learning). Either way packModel() writes the arena

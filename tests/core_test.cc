@@ -490,124 +490,6 @@ TEST_F(MemoTableTest, FrozenArenaAttachRoundTrip)
     }
 }
 
-// Corrupted "SNPF" arenas must never crash attach(): truncations are
-// always rejected (the header's total_size can't match), and bit
-// flips either fail validation or land in stored values, in which
-// case the view must still be safely probeable (asan/ubsan verify
-// the bounds). SNIP_FUZZ_ITERS cranks the iteration count in CI.
-TEST_F(MemoTableTest, FrozenArenaCorruptionFuzz)
-{
-    size_t iters = 64;
-    if (const char *env = std::getenv("SNIP_FUZZ_ITERS"))
-        iters = static_cast<size_t>(std::strtoull(env, nullptr, 10));
-
-    util::Rng rng(0xc0441457ULL);
-    std::vector<events::EventObject> seen;
-    for (int i = 0; i < 48; ++i) {
-        table_->insert(nextExecution(rng));
-        seen.push_back(last_event_);
-    }
-    auto frozen = table_->freeze();
-    size_t n = frozen->arenaSize();
-    ASSERT_GT(n, 32u);
-
-    for (size_t i = 0; i < iters; ++i) {
-        auto bytes = std::make_shared<std::vector<uint64_t>>(
-            (n + 7) / 8);
-        std::memcpy(bytes->data(), frozen->arenaData(), n);
-        auto *raw = reinterpret_cast<uint8_t *>(bytes->data());
-        size_t len = n;
-        if (rng.next() % 2 == 0) {
-            len = rng.next() % n;  // truncate
-        } else {
-            size_t flips = 1 + rng.next() % 8;
-            for (size_t f = 0; f < flips; ++f)
-                raw[rng.next() % n] ^=
-                    static_cast<uint8_t>(1u + rng.next() % 255);
-        }
-        auto res = FrozenTable::attach(raw, len, bytes,
-                                       game_->schema());
-        if (len < n) {
-            EXPECT_FALSE(res.ok()) << "truncation accepted, " << len;
-            continue;
-        }
-        if (!res.ok())
-            continue;  // structural validation caught the flip
-        // Flip landed in stored data: still a valid, bounded view.
-        LookupScratch scratch;
-        for (size_t e = 0; e < 8 && e < seen.size(); ++e) {
-            FrozenLookup r =
-                res.value()->lookup(seen[e], *game_, scratch);
-            (void)r;
-        }
-    }
-
-    // CRC-resealed structural mutations of the index inside a package:
-    // overlapping runs, a gap, a repeated subkey. Each keeps every
-    // count in range and the run total at nentries, so only the
-    // tiling and distinct-subkey checks can reject it.
-    SnipModel model;
-    model.game = game_->name();
-    model.table = table_->freeze();
-    util::ByteBuffer pkg;
-    packModel(model, pkg);
-    const std::vector<uint8_t> &bytes = pkg.data();
-    const uint8_t magic[4] = {0x46, 0x50, 0x4e, 0x53};  // "SNPF", LE
-    size_t arena = std::search(bytes.begin(), bytes.end(), magic,
-                               magic + 4) -
-                   bytes.begin();
-    ASSERT_LT(arena, bytes.size());
-    auto rd32 = [](const std::vector<uint8_t> &b, size_t off) {
-        uint32_t v;
-        std::memcpy(&v, b.data() + off, 4);
-        return v;
-    };
-    // The one deployed type's directory record: +8 index capacity,
-    // +12 entry count, +40 index offset. Index slots are
-    // {u64 subkey, u32 begin, u32 count}.
-    const size_t rec = arena + 32;
-    const uint32_t nentries = rd32(bytes, rec + 12);
-    size_t at0 = 0, next = 0;  // the run at entry 0, and another
-    for (uint32_t s = 0; s < rd32(bytes, rec + 8); ++s) {
-        size_t slot = arena + rd32(bytes, rec + 40) + s * 16;
-        if (rd32(bytes, slot + 12) == 0)
-            continue;
-        if (rd32(bytes, slot + 8) == 0)
-            at0 = slot;
-        else
-            next = slot;
-    }
-    ASSERT_NE(at0, 0u);
-    ASSERT_NE(next, 0u);
-    ASSERT_LT(rd32(bytes, at0 + 12), nentries);
-    auto deploy = [&](const std::function<void(std::vector<uint8_t> &)>
-                          &mutate) {
-        std::vector<uint8_t> b = bytes;
-        mutate(b);
-        auto out = std::make_shared<util::ByteBuffer>();
-        util::sealEnvelope(kModelMagic, kModelVersion,
-                           std::span<const uint8_t>(b).subspan(
-                               util::kEnvelopeHeaderBytes,
-                               b.size() - util::kEnvelopeHeaderBytes -
-                                   util::kEnvelopeFooterBytes),
-                           *out);
-        return deployModel(out).ok();
-    };
-    auto put32 = [](std::vector<uint8_t> &b, size_t off, uint32_t v) {
-        std::memcpy(b.data() + off, &v, 4);
-    };
-    EXPECT_TRUE(deploy([](std::vector<uint8_t> &) {}));
-    EXPECT_FALSE(deploy([&](std::vector<uint8_t> &b) {
-        put32(b, next + 8, 0);  // overlaps the run at 0
-    })) << "overlapping index runs accepted";
-    EXPECT_FALSE(deploy([&](std::vector<uint8_t> &b) {
-        put32(b, at0 + 8, 1);  // entry 0 in no bucket
-    })) << "gapped index runs accepted";
-    EXPECT_FALSE(deploy([&](std::vector<uint8_t> &b) {
-        std::memcpy(b.data() + next, b.data() + at0, 8);
-    })) << "repeated index subkey accepted";
-}
-
 /**
  * The device lookup as it ran before the full-key index: gather the
  * selected inputs, hash the event-side ones into a subkey, then walk
@@ -833,6 +715,190 @@ sameOverlayLookup(const FrozenTable &frozen, const MemoTable &overlay,
     return ::testing::AssertionSuccess();
 }
 
+// Corrupted "SNPF" arenas must never crash attach(): truncations are
+// always rejected (the directory's total_size can't match), and bit
+// flips either fail validation or land in stored values, in which
+// case the view must still probe exactly like the reference scan over
+// what it holds (asan/ubsan verify the bounds). SNIP_FUZZ_ITERS
+// cranks the iteration count in CI.
+TEST_F(MemoTableTest, FrozenArenaCorruptionFuzz)
+{
+    size_t iters = 64;
+    if (const char *env = std::getenv("SNIP_FUZZ_ITERS"))
+        iters = static_cast<size_t>(std::strtoull(env, nullptr, 10));
+
+    util::Rng rng(0xc0441457ULL);
+    std::vector<events::EventObject> seen;
+    for (int i = 0; i < 48; ++i) {
+        table_->insert(nextExecution(rng));
+        seen.push_back(last_event_);
+    }
+    auto frozen = table_->freeze();
+    size_t n = frozen->arenaSize();
+    ASSERT_GT(n, 16u);
+
+    // Probe @p table like the reference scan over its own entries.
+    auto probesLikeScan = [&](const FrozenTable &table) {
+        ReferenceScan ref(table);
+        ref.addAll(table);
+        LookupScratch scratch;
+        for (size_t e = 0; e < 8 && e < seen.size(); ++e)
+            ASSERT_TRUE(sameLookup(table, ref, seen[e], *game_, scratch))
+                << "event " << e;
+    };
+    for (size_t i = 0; i < iters; ++i) {
+        auto bytes = std::make_shared<std::vector<uint64_t>>(
+            (n + 7) / 8);
+        std::memcpy(bytes->data(), frozen->arenaData(), n);
+        auto *raw = reinterpret_cast<uint8_t *>(bytes->data());
+        size_t len = n;
+        if (rng.next() % 2 == 0) {
+            len = rng.next() % n;  // truncate
+        } else {
+            size_t flips = 1 + rng.next() % 8;
+            for (size_t f = 0; f < flips; ++f)
+                raw[rng.next() % n] ^=
+                    static_cast<uint8_t>(1u + rng.next() % 255);
+        }
+        auto res = FrozenTable::attach(raw, len, bytes,
+                                       game_->schema());
+        if (len < n) {
+            EXPECT_FALSE(res.ok()) << "truncation accepted, " << len;
+            continue;
+        }
+        if (!res.ok())
+            continue;  // structural validation caught the flip
+        // Flip landed in stored data: still a valid, bounded view.
+        probesLikeScan(*res.value());
+    }
+
+    // CRC-resealed structural mutations of the entries inside a
+    // package, each keeping every count and offset in range, so only
+    // the key-slot and canonical-order checks (or the version) can
+    // reject it.
+    SnipModel model;
+    model.game = game_->name();
+    model.table = table_->freeze();
+    util::ByteBuffer pkg;
+    packModel(model, pkg);
+    const std::vector<uint8_t> &bytes = pkg.data();
+    const uint8_t magic[4] = {0x46, 0x50, 0x4e, 0x53};  // "SNPF", LE
+    size_t arena = std::search(bytes.begin(), bytes.end(), magic,
+                               magic + 4) -
+                   bytes.begin();
+    ASSERT_LT(arena, bytes.size());
+    auto rd32 = [&](size_t off) {
+        uint32_t v;
+        std::memcpy(&v, bytes.data() + off, 4);
+        return v;
+    };
+    // The one deployed type's directory record follows the 16-byte
+    // arena header: +8 entry count, +20 key offsets, +28 key slots,
+    // +32 key values.
+    const size_t rec = arena + 16;
+    const size_t key_off = arena + rd32(rec + 20);
+    const size_t key_slots = arena + rd32(rec + 28);
+    const size_t key_values = arena + rd32(rec + 32);
+    auto keyAt = [&](size_t e) { return rd32(key_off + 4 * e); };
+    std::vector<uint64_t> subkeys;
+    std::vector<uint32_t> widths;
+    table_->visitEntries(events::EventType::Touch, [&](const EntryView &v) {
+        subkeys.push_back(v.subkey);
+        widths.push_back(static_cast<uint32_t>(v.slots.size()));
+    });
+    ASSERT_EQ(subkeys.size(), rd32(rec + 8));
+    ASSERT_GE(widths[0], 2u);
+    // The last entry as wide as entry 0, in another bucket.
+    size_t last = subkeys.size() - 1;
+    while (last > 0 &&
+           (widths[last] != widths[0] || subkeys[last] == subkeys[0]))
+        --last;
+    ASSERT_GT(last, 0u);
+    // A stored history-side key value: its flip changes a key, never
+    // a bucket.
+    const std::vector<events::FieldId> &sel =
+        table_->selected(events::EventType::Touch);
+    size_t hist_key = SIZE_MAX;
+    for (uint32_t k = 0; k < keyAt(subkeys.size()) && hist_key == SIZE_MAX;
+         ++k)
+        if (game_->schema().def(sel[rd32(key_slots + 4 * k)]).in_cat !=
+            events::InputCategory::Event)
+            hist_key = k;
+    ASSERT_NE(hist_key, SIZE_MAX);
+
+    auto deploy = [&](const std::function<void(std::vector<uint8_t> &)>
+                          &mutate) {
+        std::vector<uint8_t> b = bytes;
+        mutate(b);
+        auto out = std::make_shared<util::ByteBuffer>();
+        util::sealEnvelope(kModelMagic, kModelVersion,
+                           std::span<const uint8_t>(b).subspan(
+                               util::kEnvelopeHeaderBytes,
+                               b.size() - util::kEnvelopeHeaderBytes -
+                                   util::kEnvelopeFooterBytes),
+                           *out);
+        return deployModel(out);
+    };
+    auto rejected = [&](const util::Result<SnipModel> &r,
+                        const std::string &why) {
+        if (r.ok())
+            return ::testing::AssertionFailure() << "accepted";
+        if (r.status().message().find(why) == std::string::npos)
+            return ::testing::AssertionFailure()
+                   << "rejected with: " << r.status().message();
+        return ::testing::AssertionSuccess();
+    };
+    auto put32 = [](std::vector<uint8_t> &b, size_t off, uint32_t v) {
+        std::memcpy(b.data() + off, &v, 4);
+    };
+    auto swapBytes = [](std::vector<uint8_t> &b, size_t x, size_t y,
+                        size_t len) {
+        std::swap_ranges(b.begin() + x, b.begin() + x + len,
+                         b.begin() + y);
+    };
+
+    EXPECT_TRUE(deploy([](std::vector<uint8_t> &) {}).ok());
+    EXPECT_TRUE(rejected(deploy([&](std::vector<uint8_t> &b) {
+                             // Entry 0 and `last` trade keys: the
+                             // derived subkeys descend.
+                             swapBytes(b, key_slots + 4 * keyAt(0),
+                                       key_slots + 4 * keyAt(last),
+                                       4 * widths[0]);
+                             swapBytes(b, key_values + 8 * keyAt(0),
+                                       key_values + 8 * keyAt(last),
+                                       8 * widths[0]);
+                         }),
+                         "not in canonical order"));
+    EXPECT_TRUE(rejected(deploy([&](std::vector<uint8_t> &b) {
+                             put32(b, key_slots + 4 * (keyAt(0) + 1),
+                                   rd32(key_slots + 4 * keyAt(0)));
+                         }),
+                         "key slots not ascending"))
+        << "repeated slot";
+    EXPECT_TRUE(rejected(deploy([&](std::vector<uint8_t> &b) {
+                             swapBytes(b, key_slots + 4 * keyAt(0),
+                                       key_slots + 4 * (keyAt(0) + 1), 4);
+                         }),
+                         "key slots not ascending"))
+        << "descending slots";
+    EXPECT_TRUE(rejected(deploy([&](std::vector<uint8_t> &b) {
+                             put32(b, arena + 4, 1);
+                         }),
+                         "unsupported version 1"));
+
+    util::Result<SnipModel> flipped = deploy([&](std::vector<uint8_t> &b) {
+        b[key_values + 8 * hist_key] ^= 0x01;
+    });
+    ASSERT_TRUE(flipped.ok()) << flipped.status().message();
+    const FrozenTable &table = *flipped.value().table;
+    size_t i = 0;
+    table.visitEntries(events::EventType::Touch, [&](const EntryView &v) {
+        EXPECT_EQ(v.subkey, subkeys[i++]);
+    });
+    EXPECT_EQ(i, subkeys.size());
+    probesLikeScan(table);
+}
+
 SnipModel goldenModel(const std::string &name);
 
 // The full-key index must make exactly the decisions of the linear
@@ -977,21 +1043,21 @@ TEST(FrozenTableTest, IndexedProbeMatchesReferenceScan)
         std::memcpy(&v, raw + off, 4);
         return v;
     };
-    // One deployed type: its directory record follows the 32-byte
-    // header; +8 index capacity, +40 index, +44 key CSR, +56 values.
-    const size_t rec = 32;
-    uint32_t begin = UINT32_MAX;
-    for (uint32_t s = 0; s < rd32(rec + 8); ++s) {
-        size_t slot = rd32(rec + 40) + s * 16;
-        if (rd32(slot + 12) == 5)
-            begin = rd32(slot + 8);
-    }
-    ASSERT_NE(begin, UINT32_MAX);
-    const size_t key_off = rd32(rec + 44), key_values = rd32(rec + 56);
+    // One deployed type: its directory record follows the 16-byte
+    // header; +20 key offsets, +32 key values. The bucket of five
+    // starts at entry 0 unless the lone entry ({e1, mode}, two slots)
+    // precedes it.
+    const size_t rec = 16;
+    const size_t key_off = rd32(rec + 20), key_values = rd32(rec + 32);
+    const uint32_t begin = rd32(key_off + 4) - rd32(key_off) == 2 ? 1 : 0;
+    const uint32_t widths[] = {4, 3, 4, 2, 4};
+    for (uint32_t p = 0; p < 5; ++p)
+        ASSERT_EQ(rd32(key_off + 4 * (begin + p + 1)) -
+                      rd32(key_off + 4 * (begin + p)),
+                  widths[p])
+            << "pos " << p;
     const uint32_t k0 = rd32(key_off + 4 * begin);
     const uint32_t k2 = rd32(key_off + 4 * (begin + 2));
-    ASSERT_EQ(rd32(key_off + 4 * (begin + 1)) - k0, 4u);
-    ASSERT_EQ(rd32(key_off + 4 * (begin + 3)) - k2, 4u);
     std::memcpy(raw + key_values + 8 * k2, raw + key_values + 8 * k0, 32);
     auto dup = FrozenTable::attach(raw, frozen->arenaSize(), nullptr,
                                    schema);
@@ -1004,33 +1070,45 @@ TEST(FrozenTableTest, IndexedProbeMatchesReferenceScan)
 // merged aggregate whose destination keeps a strict subset of the
 // sources' fields (so distinct source keys collapse, and same keys
 // carry different outputs), the table unpackModel decodes, and that
-// table merged into an empty store and frozen again.
+// table merged into an empty store and frozen again. The decoded
+// table's buckets, folded from each stored key, are the ones the
+// build-side store's projections fold.
 TEST_F(MemoTableTest, FreezeGoldenDigest)
 {
     auto crcOf = [](const FrozenTable &table) {
         return util::crc32(table.arenaData(), table.arenaSize());
     };
     const std::vector<std::pair<std::string, uint32_t>> catalog = {
-        {"colorphun", 0xb8872dd1u},    {"memory_game", 0xf185e7e6u},
-        {"candy_crush", 0x01e74768u},  {"greenwall", 0xbd323a3fu},
-        {"ab_evolution", 0x8012d48eu}, {"chase_whisply", 0xdeeadfefu},
-        {"race_kings", 0x45f17e7fu}};
+        {"colorphun", 0x9e2451cbu},    {"memory_game", 0x7f8a895cu},
+        {"candy_crush", 0x1a321f1du},  {"greenwall", 0xc40811c3u},
+        {"ab_evolution", 0xeac8f948u}, {"chase_whisply", 0x12f848e8u},
+        {"race_kings", 0xbec7ec71u}};
     ASSERT_EQ(catalog.size(), games::allGameNames().size());
     for (const auto &[name, want] : catalog) {
+        SCOPED_TRACE(name);
         SnipModel model = goldenModel(name);
-        ASSERT_NE(model.table, nullptr) << name;
-        EXPECT_EQ(crcOf(*model.table), want) << name;
-        if (name != "ab_evolution")
-            continue;
+        ASSERT_NE(model.table, nullptr);
+        EXPECT_EQ(crcOf(*model.table), want);
         util::ByteBuffer pkg;
         packModel(model, pkg);
         auto unpacked = unpackModel(pkg);
         ASSERT_TRUE(unpacked.ok()) << unpacked.status().message();
         const FrozenTable &decoded = *unpacked.value().table;
-        EXPECT_EQ(crcOf(decoded), 0x8012d48eu);
+        EXPECT_EQ(crcOf(decoded), want);
         MemoTable remerged(decoded);
         remerged.mergeFrom(decoded);
-        EXPECT_EQ(crcOf(*remerged.freeze()), 0x8012d48eu);
+        EXPECT_EQ(crcOf(*remerged.freeze()), want);
+        for (int t = 0; t < events::kNumEventTypes; ++t) {
+            auto type = static_cast<events::EventType>(t);
+            std::vector<uint64_t> built, derived;
+            remerged.visitEntries(type, [&](const EntryView &v) {
+                built.push_back(v.subkey);
+            });
+            decoded.visitEntries(type, [&](const EntryView &v) {
+                derived.push_back(v.subkey);
+            });
+            EXPECT_EQ(derived, built) << events::eventTypeName(type);
+        }
     }
 
     ASSERT_GE(selected_.size(), 2u);
@@ -1054,7 +1132,7 @@ TEST_F(MemoTableTest, FreezeGoldenDigest)
     dest.mergeFrom(*a.freeze());
     dest.mergeFrom(*b.freeze());
     EXPECT_LT(dest.entryCount(), a.entryCount() + b.entryCount());
-    EXPECT_EQ(crcOf(*dest.freeze()), 0xfac6531fu);
+    EXPECT_EQ(crcOf(*dest.freeze()), 0x821b7acfu);
 }
 
 /**
@@ -1304,7 +1382,6 @@ TEST_F(MemoTableTest, FlatStoreMatchesMapReference)
                     EXPECT_EQ(v.out_ids[k], e->outputs[k].id);
                     EXPECT_EQ(v.out_values[k], e->outputs[k].value);
                 }
-                EXPECT_EQ(v.bytes, e->entry_bytes);
             });
             EXPECT_EQ(i, want.size());
             EXPECT_EQ(flat.entryCount(type), want.size());

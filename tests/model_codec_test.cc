@@ -487,12 +487,15 @@ TEST(ModelCodecTest, UnpackedModelOwnsItsBytes)
 
 TEST(ModelCodecTest, DeployModelCorruptionFuzz)
 {
-    // The zero-copy deploy path has no rebuild step to trip over
-    // garbage, so the arena validation must catch everything the
-    // CRC does not: truncations and flips come back as clean errors,
-    // resealed payload mutants are rejected by the decoder or deploy
-    // a table that runs, and clean packages still deploy.
-    size_t iters = fuzz::iterations(64);
+    // unpackModel is deployModel over an owned copy of the bytes, so
+    // one loop feeds every mutant to both and they must agree on
+    // accept/reject and on the message. Random truncations and 1-8
+    // byte corruptions come back as clean errors; resealed payload
+    // mutants get past the CRC and are rejected by the decoder or
+    // deploy a table that plays. SNIP_FUZZ_ITERS iterations (default
+    // 128; tools/ci.sh cranks it up under asan): no aborts, no
+    // sanitizer reports.
+    size_t iters = fuzz::iterations(128);
 
     SnipModel model = buildModelFor("ab_evolution", 15.0, 22);
     util::ByteBuffer pkg;
@@ -503,43 +506,14 @@ TEST(ModelCodecTest, DeployModelCorruptionFuzz)
     size_t behind_crc = 0;
     for (size_t i = 0; i < iters; ++i) {
         fuzz::Mutant m = fuzz::mutateEnvelope(pkg, kModelMagic, rng);
+        util::Result<SnipModel> unpacked = unpackModel(m.bytes);
         util::Result<SnipModel> r = deployModel(
             std::make_shared<util::ByteBuffer>(std::move(m.bytes)));
-        if (m.kind != fuzz::Mutation::Reseal) {
-            EXPECT_EQ(r.ok(), !m.changed) << "iteration " << i;
-        } else if (!r.ok()) {
-            EXPECT_EQ(r.status().message().find("CRC mismatch"),
-                      std::string::npos)
+        ASSERT_EQ(unpacked.ok(), r.ok()) << "iteration " << i;
+        if (!r.ok()) {
+            EXPECT_EQ(unpacked.status().message(), r.status().message())
                 << "iteration " << i;
-            ++behind_crc;
         }
-        if (r.ok()) {
-            EXPECT_TRUE(r.value().table != nullptr);
-            playShortSession(r.value());
-        }
-    }
-    EXPECT_GT(behind_crc, 0u);
-}
-
-TEST(ModelCodecTest, CorruptionFuzzSmoke)
-{
-    // Random truncations, 1-8 byte corruptions and resealed payload
-    // corruptions, SNIP_FUZZ_ITERS iterations (default 64;
-    // tools/ci.sh cranks it up under asan). Every mutation must come
-    // back as a clean accept/reject — no aborts, no sanitizer
-    // reports — and an accepted resealed mutant must still play.
-    size_t iters = fuzz::iterations(64);
-
-    SnipModel model = buildModelFor("ab_evolution", 15.0, 21);
-    util::ByteBuffer pkg;
-    packModel(model, pkg);
-    ASSERT_GT(pkg.size(), 32u);
-
-    util::Rng rng(0xf022f022ULL);
-    size_t behind_crc = 0;
-    for (size_t i = 0; i < iters; ++i) {
-        fuzz::Mutant m = fuzz::mutateEnvelope(pkg, kModelMagic, rng);
-        util::Result<SnipModel> r = unpackModel(m.bytes);
         if (m.kind != fuzz::Mutation::Reseal) {
             // Multiple flips can land on the same byte and cancel
             // out; only a mutant that actually differs must be
@@ -550,8 +524,11 @@ TEST(ModelCodecTest, CorruptionFuzzSmoke)
                       std::string::npos)
                 << "iteration " << i;
             ++behind_crc;
-        } else {
+        }
+        if (r.ok()) {
+            ASSERT_TRUE(r.value().table != nullptr);
             playShortSession(r.value());
+            playShortSession(unpacked.value());
         }
     }
     EXPECT_GT(behind_crc, 0u);

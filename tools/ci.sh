@@ -106,7 +106,7 @@ import json, sys
 with open('build/micro_train_a.json') as f:
     d = json.load(f)
 for section, want in (('selection', 'e73ddc04'),
-                      ('model_codec', '7f698c15')):
+                      ('model_codec', '9ac679a2')):
     got = d.get(section, {}).get('digest')
     if got != want:
         sys.exit(f'micro_train: {section} digest {got!r}, pinned '
@@ -140,9 +140,9 @@ for geom in ('a', 'b'):
 if runs['a'] != runs['b']:
     sys.exit(f"micro_train: out-of-core packages differ across block "
              f"sizes: {runs!r}")
-if runs['a'] != '564943e9':
+if runs['a'] != 'a638e172':
     sys.exit(f"micro_train: out-of-core package crc {runs['a']!r}, "
-             f"pinned '564943e9'")
+             f"pinned 'a638e172'")
 EOF
 
 echo "==> obs telemetry export smoke (fig11 --obs-json)"
