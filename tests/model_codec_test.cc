@@ -485,24 +485,25 @@ TEST(ModelCodecTest, UnpackedModelOwnsItsBytes)
     EXPECT_EQ(std::memcmp(&ea, &eb, sizeof(ea)), 0);
 }
 
-TEST(ModelCodecTest, DeployModelCorruptionFuzz)
+/**
+ * unpackModel is deployModel over an owned copy of the bytes, so one
+ * loop feeds every mutant to both and they must agree on accept/reject
+ * and on the message. Random truncations and 1-8 byte corruptions come
+ * back as clean errors; resealed payload mutants get past the CRC and
+ * are rejected by the decoder or deploy a table that plays through
+ * both entry points. @p iters mutants of an ab_evolution model trained
+ * with @p model_seed, drawn from @p rng_seed: no aborts, no sanitizer
+ * reports.
+ */
+void
+fuzzBothEntryPoints(uint64_t model_seed, uint64_t rng_seed, size_t iters)
 {
-    // unpackModel is deployModel over an owned copy of the bytes, so
-    // one loop feeds every mutant to both and they must agree on
-    // accept/reject and on the message. Random truncations and 1-8
-    // byte corruptions come back as clean errors; resealed payload
-    // mutants get past the CRC and are rejected by the decoder or
-    // deploy a table that plays. SNIP_FUZZ_ITERS iterations (default
-    // 128; tools/ci.sh cranks it up under asan): no aborts, no
-    // sanitizer reports.
-    size_t iters = fuzz::iterations(128);
-
-    SnipModel model = buildModelFor("ab_evolution", 15.0, 22);
+    SnipModel model = buildModelFor("ab_evolution", 15.0, model_seed);
     util::ByteBuffer pkg;
     packModel(model, pkg);
     ASSERT_GT(pkg.size(), 32u);
 
-    util::Rng rng(0xdeb70cafeULL);
+    util::Rng rng(rng_seed);
     size_t behind_crc = 0;
     for (size_t i = 0; i < iters; ++i) {
         fuzz::Mutant m = fuzz::mutateEnvelope(pkg, kModelMagic, rng);
@@ -532,6 +533,18 @@ TEST(ModelCodecTest, DeployModelCorruptionFuzz)
         }
     }
     EXPECT_GT(behind_crc, 0u);
+}
+
+// Two seeds of the one loop above, SNIP_FUZZ_ITERS iterations each
+// (default 64; tools/ci.sh cranks it up under asan).
+TEST(ModelCodecTest, DeployModelCorruptionFuzz)
+{
+    fuzzBothEntryPoints(22, 0xdeb70cafeULL, fuzz::iterations(64));
+}
+
+TEST(ModelCodecTest, CorruptionFuzzSmoke)
+{
+    fuzzBothEntryPoints(21, 0xf022f022ULL, fuzz::iterations(64));
 }
 
 }  // namespace
