@@ -37,10 +37,6 @@ buildUntrimmedModel(const bench::ProfiledGame &pg)
         core::TypeModel tm;
         tm.type = t;
         tm.records = pg.profile.ofType(t).size();
-        tm.selection.selected = all_inputs;
-        for (events::FieldId fid : all_inputs)
-            tm.selection.selected_bytes +=
-                pg.game->schema().def(fid).size_bytes;
         model.types.push_back(std::move(tm));
     }
     for (const auto &rec : pg.profile.records)

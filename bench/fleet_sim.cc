@@ -170,16 +170,6 @@ parseArgs(int argc, char **argv)
     return a;
 }
 
-/** Fresh aggregate destination with @p agreed's selections. */
-core::MemoTable
-makeDest(const games::Game &game, const core::SnipModel &agreed)
-{
-    core::MemoTable dest(game.schema());
-    for (const core::TypeModel &t : agreed.types)
-        dest.setSelected(t.type, t.selection.selected);
-    return dest;
-}
-
 /** The serial reference: the core federated merge chain. */
 void
 serialAggregate(core::MemoTable &dest,
@@ -259,7 +249,6 @@ main(int argc, char **argv)
                          push.full_bytes));
 
     // ---- parallel-decode vs serial aggregation
-    auto game = games::makeGame(a.game);
     core::SnipModel agreed;
     {
         // The agreed fleet model whose selections devices project
@@ -285,11 +274,11 @@ main(int argc, char **argv)
         a.uploads ? (g_allocs.load() - allocs_before) / a.uploads
                   : 0;
 
-    core::MemoTable serial_dest = makeDest(*game, agreed);
+    core::MemoTable serial_dest(*agreed.table);
     double serial_s =
         wallSeconds([&] { serialAggregate(serial_dest, uploads); });
 
-    core::MemoTable parallel_dest = makeDest(*game, agreed);
+    core::MemoTable parallel_dest(*agreed.table);
     fleet::AggregateConfig acfg;
     acfg.threads = a.threads;
     acfg.obs = &obs;

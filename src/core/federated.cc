@@ -186,9 +186,6 @@ buildFederated(const std::string &game_name,
         tm.type = tv.first;
         tm.records = type_records[static_cast<int>(tv.first)];
         tm.selection.selected = selected;
-        for (events::FieldId fid : selected)
-            tm.selection.selected_bytes +=
-                game->schema().def(fid).size_bytes;
         out.model.types.push_back(std::move(tm));
         out.deployed_types.emplace_back(tv.first, selected.size());
     }

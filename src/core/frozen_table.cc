@@ -14,9 +14,9 @@ namespace {
 
 /** Fixed arena header: magic, version, total_size, ntypes. */
 constexpr size_t kHeaderBytes = 16;
-/** Per-type directory record: 3 u32 scalars + 8 u32 offsets (see
+/** Per-type directory record: 3 u32 scalars + 7 u32 offsets (see
  *  freeze() for the field order). */
-constexpr size_t kTypeRecBytes = 44;
+constexpr size_t kTypeRecBytes = 40;
 
 using util::align8;
 using util::readU32;
@@ -34,8 +34,8 @@ MemoTable::freeze() const
     // 8-aligned in memory).
     struct TypeOffsets {
         int type;
-        uint32_t selected, flags, key_off, out_off, key_slots,
-            key_values, out_ids, out_values;
+        uint32_t selected, key_off, out_off, key_slots, key_values,
+            out_ids, out_values;
     };
     std::vector<TypeOffsets> offsets;
     size_t ntypes = 0;
@@ -52,8 +52,6 @@ MemoTable::freeze() const
         size_t ne = tt.index.size();
         o.selected = static_cast<uint32_t>(off);
         off += nsel * 4;
-        o.flags = static_cast<uint32_t>(off);
-        off = align8(off + nsel);
         o.key_off = static_cast<uint32_t>(off);
         off += (ne + 1) * 4;
         o.out_off = static_cast<uint32_t>(off);
@@ -83,10 +81,8 @@ MemoTable::freeze() const
     for (size_t i = 0; i < offsets.size(); ++i) {
         const TypeOffsets &o = offsets[i];
         const TypeTable &tt = types_[o.type];
-        for (size_t k = 0; k < tt.selected.size(); ++k) {
+        for (size_t k = 0; k < tt.selected.size(); ++k)
             writeU32(base + o.selected + k * 4, tt.selected[k]);
-            base[o.flags + k] = tt.is_event[k];
-        }
         // Entries in canonical order; each one's bucket is folded
         // back from its key at attach.
         uint32_t e = 0, nkeys = 0, nouts = 0;
@@ -111,13 +107,12 @@ MemoTable::freeze() const
         writeU32(rec + 4, static_cast<uint32_t>(tt.selected.size()));
         writeU32(rec + 8, e);
         writeU32(rec + 12, o.selected);
-        writeU32(rec + 16, o.flags);
-        writeU32(rec + 20, o.key_off);
-        writeU32(rec + 24, o.out_off);
-        writeU32(rec + 28, o.key_slots);
-        writeU32(rec + 32, o.key_values);
-        writeU32(rec + 36, o.out_ids);
-        writeU32(rec + 40, o.out_values);
+        writeU32(rec + 16, o.key_off);
+        writeU32(rec + 20, o.out_off);
+        writeU32(rec + 24, o.key_slots);
+        writeU32(rec + 28, o.key_values);
+        writeU32(rec + 32, o.out_ids);
+        writeU32(rec + 36, o.out_values);
     }
 
     ft->data_ = base;
@@ -197,33 +192,33 @@ FrozenTable::decode(const events::FieldSchema &schema)
         tv.nentries = readU32(rec + 8);
         tv.entry_base = static_cast<uint32_t>(total_entries_);
         uint32_t o_selected = readU32(rec + 12);
-        uint32_t o_flags = readU32(rec + 16);
-        uint32_t o_key_off = readU32(rec + 20);
-        uint32_t o_out_off = readU32(rec + 24);
-        uint32_t o_key_slots = readU32(rec + 28);
-        uint32_t o_key_values = readU32(rec + 32);
-        uint32_t o_out_ids = readU32(rec + 36);
-        uint32_t o_out_values = readU32(rec + 40);
+        uint32_t o_key_off = readU32(rec + 16);
+        uint32_t o_out_off = readU32(rec + 20);
+        uint32_t o_key_slots = readU32(rec + 24);
+        uint32_t o_key_values = readU32(rec + 28);
+        uint32_t o_out_ids = readU32(rec + 32);
+        uint32_t o_out_values = readU32(rec + 36);
 
         if (tv.nselected == 0)
             return util::Status::Errorf(
                 "frozen: type %u with empty selection", type);
         if (!spanFits(size, o_selected, tv.nselected, 4, 4) ||
-            !spanFits(size, o_flags, tv.nselected, 1, 1) ||
             !spanFits(size, o_key_off, tv.nentries + 1ull, 4, 4) ||
             !spanFits(size, o_out_off, tv.nentries + 1ull, 4, 4))
             return util::Status::Errorf(
                 "frozen: type %u arrays out of bounds", type);
         tv.selected = reinterpret_cast<const events::FieldId *>(
             base + o_selected);
-        tv.is_event = base + o_flags;
         tv.key_off =
             reinterpret_cast<const uint32_t *>(base + o_key_off);
         tv.out_off =
             reinterpret_cast<const uint32_t *>(base + o_out_off);
 
-        // Selected set: ascending input-side ids, flags matching the
-        // schema's categories.
+        // Selected set: ascending input-side ids. Their event/history
+        // flags come from the schema, as MemoTable::setSelected
+        // derives them.
+        std::vector<uint8_t> &is_event = is_event_[type];
+        is_event.resize(tv.nselected);
         events::FieldId prev = events::kInvalidField;
         for (uint32_t k = 0; k < tv.nselected; ++k) {
             events::FieldId fid = tv.selected[k];
@@ -240,13 +235,9 @@ FrozenTable::decode(const events::FieldSchema &schema)
                     "frozen: selected ids not strictly ascending");
             prev = fid;
             tv.selected_bytes += d.size_bytes;
-            bool is_event =
-                d.in_cat == events::InputCategory::Event;
-            if ((tv.is_event[k] != 0) != is_event)
-                return util::Status::Errorf(
-                    "frozen: selected id %u category flag mismatch",
-                    fid);
+            is_event[k] = d.in_cat == events::InputCategory::Event;
         }
+        tv.is_event = is_event.data();
 
         // Prefix-offset arrays: start at 0, nondecreasing; their
         // totals size the key/output arrays.

@@ -7,16 +7,18 @@
  * key slots, key values, output ids and values, each in one flat
  * array) in canonical order, the entries of a bucket adjacent. Every
  * SnipModel carries its table in this form, whether Shrink froze it
- * (MemoTable::freeze) or a package was decoded. At freeze()/attach()
- * the table derives, outside the wire format, each entry's bucket
- * (the subkey folded from its stored key, foldSubkey) and scan
- * charge, and from them a full-key index over each type
- * (key_index.h) that keeps each bucket's charge: a lookup is O(key
- * shapes) full-key probes, charged exactly the bytes and candidates
- * the paper's linear bucket scan walks. Zero allocations per lookup.
+ * (MemoTable::freeze) or a package was decoded, and the arena is the
+ * one home of the model's selection. At freeze()/attach() the table
+ * derives, outside the wire format, each selected field's
+ * event/history flag (from the schema), each entry's bucket (the
+ * subkey folded from its stored key, foldSubkey) and scan charge,
+ * and from them a full-key index over each type (key_index.h) that
+ * keeps each bucket's charge: a lookup is O(key shapes) full-key
+ * probes, charged exactly the bytes and candidates the paper's
+ * linear bucket scan walks. Zero allocations per lookup.
  *
  * The arena's in-memory layout *is* its on-wire layout (the "SNPF"
- * section of a v2 model package), so OTA deploy can construct a
+ * section of a v3 model package), so OTA deploy can construct a
  * FrozenTable as a bounds-checked zero-copy view over the package
  * bytes. Ownership contract: a view never outlives its backing
  * buffer — attach() takes a shared_ptr keep-alive, and
@@ -42,7 +44,7 @@ namespace core {
 /** Arena magic ("SNPF"), first word of the frozen layout. */
 constexpr uint32_t kFrozenMagic = 0x534e5046;
 /** Frozen arena format version. */
-constexpr uint32_t kFrozenVersion = 2;
+constexpr uint32_t kFrozenVersion = 3;
 
 /** Result of one frozen-table lookup. */
 struct FrozenLookup {
@@ -158,7 +160,7 @@ class FrozenTable
     /** Whether this view borrows its bytes (no owned copy). */
     bool zeroCopy() const { return owned_.empty(); }
 
-    /** Raw arena bytes (the v2 "SNPF" wire section, verbatim). */
+    /** Raw arena bytes (the v3 "SNPF" wire section, verbatim). */
     const uint8_t *arenaData() const { return data_; }
     size_t arenaSize() const { return size_; }
 
@@ -172,6 +174,10 @@ class FrozenTable
     friend class MemoTable;  // freeze() writes the arena
 
     FrozenTable() = default;
+    // Held only through shared_ptr: data_ may point into owned_ and
+    // each TypeView::is_event into is_event_, so a copy would dangle.
+    FrozenTable(const FrozenTable &) = delete;
+    FrozenTable &operator=(const FrozenTable &) = delete;
 
     /** Decoded view of one type's arena block. */
     struct TypeView {
@@ -182,6 +188,7 @@ class FrozenTable
         /** First global entry ordinal of this type. */
         uint32_t entry_base = 0;
         const events::FieldId *selected = nullptr;
+        /** Event/history flag per selected field, into is_event_. */
         const uint8_t *is_event = nullptr;
         const uint32_t *key_off = nullptr;  // [nentries + 1]
         const uint32_t *out_off = nullptr;  // [nentries + 1]
@@ -206,6 +213,9 @@ class FrozenTable
 
     events::FieldSchema schema_;
     std::array<TypeView, events::kNumEventTypes> types_{};
+    /** Per type, whether each selected field is event-side: derived
+     *  from the schema at decode, not shipped. */
+    std::array<std::vector<uint8_t>, events::kNumEventTypes> is_event_;
     /** Off-wire full-key index, buckets and scan charge per type; its
      *  entry ids are arena entry indexes. */
     std::array<KeyIndex, events::kNumEventTypes> index_;

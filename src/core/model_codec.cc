@@ -12,8 +12,7 @@ namespace {
 
 /** Minimum encoded sizes, used to sanity-bound decoded counts. */
 constexpr uint64_t kMinFieldDefBytes = 10;  // len + side + cat + size
-constexpr uint64_t kMinTypeModelBytes = 49; // fixed TypeModel scalars
-constexpr uint64_t kMinFieldIdBytes = 4;
+constexpr uint64_t kMinTypeModelBytes = 17; // type + records + error
 
 void
 encodeSchema(const events::FieldSchema &schema, util::ByteBuffer &buf)
@@ -61,43 +60,6 @@ decodeSchema(util::ByteReader &r, events::FieldSchema *schema)
     return util::Status::Ok();
 }
 
-/** Validate a decoded field-id list: in-schema, on the right side,
- *  strictly ascending (the canonical order every encoder emits). */
-util::Status
-checkFieldIds(const std::vector<events::FieldId> &ids,
-              const events::FieldSchema &schema,
-              events::FieldSide side, const char *what)
-{
-    events::FieldId prev = events::kInvalidField;
-    for (events::FieldId id : ids) {
-        if (id >= schema.size())
-            return util::Status::Errorf("model: %s id %u out of "
-                                        "schema range", what, id);
-        if (schema.def(id).side != side)
-            return util::Status::Errorf("model: %s id %u on wrong "
-                                        "side", what, id);
-        if (prev != events::kInvalidField && id <= prev)
-            return util::Status::Errorf("model: %s ids not strictly "
-                                        "ascending", what);
-        prev = id;
-    }
-    return util::Status::Ok();
-}
-
-util::Status
-decodeFieldIds(util::ByteReader &r,
-               std::vector<events::FieldId> *ids, const char *what)
-{
-    uint32_t n = r.u32();
-    if (!r.fits(n, kMinFieldIdBytes))
-        return util::Status::Errorf("model: truncated %s list", what);
-    ids->clear();
-    ids->reserve(n);
-    for (uint32_t i = 0; i < n; ++i)
-        ids->push_back(r.u32());
-    return util::Status::Ok();
-}
-
 void
 encodePayload(const SnipModel &model, util::ByteBuffer &buf)
 {
@@ -107,19 +69,14 @@ encodePayload(const SnipModel &model, util::ByteBuffer &buf)
     encodeSchema(model.table ? model.table->schema() : kNoSchema, buf);
 
     buf.putU32(static_cast<uint32_t>(model.types.size()));
+    // A type record is what a decoded package is read for (the
+    // confidence gate, `snip inspect`); the selection itself ships
+    // once, in the arena.
     for (const auto &t : model.types) {
         buf.putU8(static_cast<uint8_t>(t.type));
         buf.putU64(t.records);
-        buf.putU32(static_cast<uint32_t>(t.selection.selected.size()));
-        for (events::FieldId fid : t.selection.selected)
-            buf.putU32(fid);
-        buf.putU64(t.selection.selected_bytes);
-        buf.putU64(std::bit_cast<uint64_t>(t.selection.full_error));
-        buf.putU64(t.selection.full_bytes);
         buf.putU64(
             std::bit_cast<uint64_t>(t.selection.selected_error));
-        buf.putU64(
-            std::bit_cast<uint64_t>(t.selection.selected_hit_rate));
     }
 
     buf.putU8(model.table ? 1 : 0);
@@ -143,7 +100,7 @@ encodePayload(const SnipModel &model, util::ByteBuffer &buf)
 
 /**
  * Decode the shared payload head: game name, schema snapshot,
- * per-type selection metadata and the has-table flag.
+ * per-type records and error, and the has-table flag.
  */
 util::Status
 decodeMeta(util::ByteReader &r, SnipModel *model,
@@ -168,21 +125,9 @@ decodeMeta(util::ByteReader &r, SnipModel *model,
                 "model: bad or duplicate event type %u", type);
         tm.type = static_cast<events::EventType>(type);
         tm.records = r.u64();
-        st = decodeFieldIds(r, &tm.selection.selected, "selection");
-        if (!st.ok())
-            return st;
-        tm.selection.selected_bytes = r.u64();
-        tm.selection.full_error = std::bit_cast<double>(r.u64());
-        tm.selection.full_bytes = r.u64();
         tm.selection.selected_error = std::bit_cast<double>(r.u64());
-        tm.selection.selected_hit_rate =
-            std::bit_cast<double>(r.u64());
         if (!r.ok())
             return util::Status::Error("model: truncated type entry");
-        st = checkFieldIds(tm.selection.selected, *schema,
-                           events::FieldSide::Input, "selection");
-        if (!st.ok())
-            return st;
         model->types.push_back(std::move(tm));
     }
 
@@ -295,6 +240,16 @@ decodePackage(std::span<const uint8_t> bytes,
     if (r.pos() != payload.size())
         return util::Status::Error(
             "model: trailing bytes in payload");
+    // Each selection is read from the arena, its one home; a type the
+    // arena does not deploy keeps an empty one.
+    if (model->table) {
+        for (TypeModel &tm : model->types) {
+            tm.selection.selected =
+                model->table->selectedVector(tm.type);
+            tm.selection.selected_bytes =
+                model->table->selectedBytes(tm.type);
+        }
+    }
     return util::Status::Ok();
 }
 

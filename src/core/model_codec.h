@@ -5,16 +5,21 @@
  * updated tables as re-profiling runs). A package is the sealed
  * envelope of util/bytes.h (magic "SNPM", version, payload length,
  * payload, CRC-32 of the payload) whose payload carries the game
- * name, a snapshot of the field schema, the per-type PFI
- * selections, and the lookup table.
+ * name, a snapshot of the field schema, one record per selected
+ * event type (its profiled record count and held-out error, what the
+ * confidence gate and `snip inspect` read), and the lookup table.
  *
- * Version 2 carries the table as a "SNPF" frozen arena
+ * Version 3 carries the table as a "SNPF" frozen arena
  * (frozen_table.h) whose on-wire bytes *are* the runtime's entry
- * storage: deployModel() attaches a bounds-checked zero-copy
- * FrozenTable view over the package bytes, and derives each entry's
- * bucket and scan charge from its stored key and the schema, so the
- * package carries no index or byte tallies. unpackModel() is the
- * same deploy over an owned copy of the caller's bytes, for readers
+ * storage, and which is the one home of each type's selected fields:
+ * decode fills every TypeModel's selection (ids and bytes) from the
+ * arena, empty for a type the arena does not deploy. deployModel()
+ * attaches a bounds-checked zero-copy FrozenTable view over the
+ * package bytes, and derives each field's event/history flag, each
+ * entry's bucket and scan charge from the stored keys and the schema,
+ * so the package carries no index, flags or byte tallies.
+ * unpackModel() is the same deploy over an owned copy of the
+ * caller's bytes, for readers
  * whose buffer does not outlive the model (the CLI, federated
  * merging, re-learning). Either way packModel() writes the arena
  * back verbatim, so pack→unpack→pack is byte-identical. Any other
@@ -42,8 +47,9 @@ namespace core {
 
 /** Package magic ("SNPM" in the trace_log magic style). */
 constexpr uint32_t kModelMagic = 0x534e504d;
-/** Current package format version (frozen-arena table section). */
-constexpr uint32_t kModelVersion = 2;
+/** Current package format version (the selection ships only in the
+ *  frozen-arena table section). */
+constexpr uint32_t kModelVersion = 3;
 
 /** Serialize @p model into the OTA envelope, appended to @p out. */
 void packModel(const SnipModel &model, util::ByteBuffer &out);

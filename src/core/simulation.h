@@ -30,15 +30,6 @@ struct SimulationConfig {
     soc::EnergyModel model = soc::EnergyModel::snapdragon821();
 
     /**
-     * Lookup-path cost model: big-core instructions per scanned
-     * byte plus a fixed dispatch cost per event. Calibrated so the
-     * measured SNIP overheads land on the paper's Fig. 11c range
-     * (~1-12% of energy, avg ~3%).
-     */
-    double lookup_instr_per_byte = 500.0;
-    uint64_t lookup_instr_base = 4000;
-
-    /**
      * Optional metrics sink (nullptr = observability off): lookup
      * hit/miss/byte counters, decide outcomes, erroneous-
      * shortcircuit classes, per-frame/event counts, and end-of-

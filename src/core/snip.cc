@@ -20,9 +20,9 @@ selectForType(const ml::DatasetView &ds, events::EventType t,
               const std::vector<events::FieldId> &forced)
 {
     ml::SelectionConfig sel;
-    sel.max_error = cfg.max_error;
-    sel.max_conditional_error = cfg.max_conditional_error;
-    sel.pfi.repeats = cfg.pfi_repeats;
+    sel.max_error = kShrinkMaxError;
+    sel.max_conditional_error = kShrinkMaxConditionalError;
+    sel.pfi.repeats = kShrinkPfiRepeats;
     sel.pfi.seed = util::mixCombine(cfg.seed,
                                     static_cast<uint64_t>(t));
     sel.pfi.threads = cfg.threads;
@@ -59,9 +59,12 @@ resolveForced(const games::Game &game, const SnipConfig &cfg)
 uint64_t
 SnipModel::selectedBytes() const
 {
+    if (!table)
+        return 0;
     uint64_t total = 0;
-    for (const auto &t : types)
-        total += t.selection.selected_bytes;
+    for (int t = 0; t < events::kNumEventTypes; ++t)
+        total +=
+            table->selectedBytes(static_cast<events::EventType>(t));
     return total;
 }
 

@@ -28,14 +28,15 @@ struct DeveloperOverrides {
     std::vector<std::string> force_keep;
 };
 
+/** Per-type wrong-hit error budget of Shrink's selection. */
+constexpr double kShrinkMaxError = 0.002;
+/** Conditional (wrong hits / hits) budget of Shrink's selection. */
+constexpr double kShrinkMaxConditionalError = 0.012;
+/** PFI permutation repeats of Shrink's selection. */
+constexpr int kShrinkPfiRepeats = 2;
+
 /** Pipeline knobs. */
 struct SnipConfig {
-    /** Per-type wrong-hit error budget for selection. */
-    double max_error = 0.002;
-    /** Conditional (wrong hits / hits) budget for selection. */
-    double max_conditional_error = 0.012;
-    /** PFI permutation repeats. */
-    int pfi_repeats = 2;
     uint64_t seed = 0x51139ULL;
     /**
      * Worker threads for the Shrink phase (PFI task fan-out inside
@@ -79,7 +80,8 @@ struct SnipModel {
      */
     std::shared_ptr<const FrozenTable> table;
 
-    /** Sum of selected necessary-input bytes across types. */
+    /** Sum of selected necessary-input bytes across the table's
+     *  deployed types (0 without a table). */
     uint64_t selectedBytes() const;
 
     /** A no-op: every model's table is already frozen. */

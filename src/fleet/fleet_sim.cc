@@ -200,9 +200,7 @@ recordUploadPayloads(const std::string &game_name,
             trace::Profile profile =
                 trace::Replayer::replay(res.trace, *replica);
 
-            core::MemoTable local(game->schema());
-            for (const core::TypeModel &t : agreed.types)
-                local.setSelected(t.type, t.selection.selected);
+            core::MemoTable local(*agreed.table);
             for (const auto &rec : profile.records)
                 local.insert(rec);
             core::SnipModel device;

@@ -792,13 +792,13 @@ TEST_F(MemoTableTest, FrozenArenaCorruptionFuzz)
         std::memcpy(&v, bytes.data() + off, 4);
         return v;
     };
-    // The one deployed type's directory record follows the 16-byte
-    // arena header: +8 entry count, +20 key offsets, +28 key slots,
-    // +32 key values.
+    // The one deployed type's 40-byte directory record follows the
+    // 16-byte arena header: +8 entry count, +16 key offsets, +24 key
+    // slots, +28 key values.
     const size_t rec = arena + 16;
-    const size_t key_off = arena + rd32(rec + 20);
-    const size_t key_slots = arena + rd32(rec + 28);
-    const size_t key_values = arena + rd32(rec + 32);
+    const size_t key_off = arena + rd32(rec + 16);
+    const size_t key_slots = arena + rd32(rec + 24);
+    const size_t key_values = arena + rd32(rec + 28);
     auto keyAt = [&](size_t e) { return rd32(key_off + 4 * e); };
     std::vector<uint64_t> subkeys;
     std::vector<uint32_t> widths;
@@ -881,10 +881,12 @@ TEST_F(MemoTableTest, FrozenArenaCorruptionFuzz)
                          }),
                          "key slots not ascending"))
         << "descending slots";
-    EXPECT_TRUE(rejected(deploy([&](std::vector<uint8_t> &b) {
-                             put32(b, arena + 4, 1);
-                         }),
-                         "unsupported version 1"));
+    for (uint32_t old_version : {1u, 2u})
+        EXPECT_TRUE(rejected(deploy([&](std::vector<uint8_t> &b) {
+                                 put32(b, arena + 4, old_version);
+                             }),
+                             "frozen: unsupported version " +
+                                 std::to_string(old_version)));
 
     util::Result<SnipModel> flipped = deploy([&](std::vector<uint8_t> &b) {
         b[key_values + 8 * hist_key] ^= 0x01;
@@ -1043,12 +1045,12 @@ TEST(FrozenTableTest, IndexedProbeMatchesReferenceScan)
         std::memcpy(&v, raw + off, 4);
         return v;
     };
-    // One deployed type: its directory record follows the 16-byte
-    // header; +20 key offsets, +32 key values. The bucket of five
-    // starts at entry 0 unless the lone entry ({e1, mode}, two slots)
-    // precedes it.
+    // One deployed type: its 40-byte directory record follows the
+    // 16-byte header; +16 key offsets, +28 key values. The bucket of
+    // five starts at entry 0 unless the lone entry ({e1, mode}, two
+    // slots) precedes it.
     const size_t rec = 16;
-    const size_t key_off = rd32(rec + 20), key_values = rd32(rec + 32);
+    const size_t key_off = rd32(rec + 16), key_values = rd32(rec + 28);
     const uint32_t begin = rd32(key_off + 4) - rd32(key_off) == 2 ? 1 : 0;
     const uint32_t widths[] = {4, 3, 4, 2, 4};
     for (uint32_t p = 0; p < 5; ++p)
@@ -1079,10 +1081,10 @@ TEST_F(MemoTableTest, FreezeGoldenDigest)
         return util::crc32(table.arenaData(), table.arenaSize());
     };
     const std::vector<std::pair<std::string, uint32_t>> catalog = {
-        {"colorphun", 0x9e2451cbu},    {"memory_game", 0x7f8a895cu},
-        {"candy_crush", 0x1a321f1du},  {"greenwall", 0xc40811c3u},
-        {"ab_evolution", 0xeac8f948u}, {"chase_whisply", 0x12f848e8u},
-        {"race_kings", 0xbec7ec71u}};
+        {"colorphun", 0xb5d4756cu},    {"memory_game", 0x290d5c73u},
+        {"candy_crush", 0x670823c5u},  {"greenwall", 0xe3b8b3f0u},
+        {"ab_evolution", 0xb8f716feu}, {"chase_whisply", 0x91895723u},
+        {"race_kings", 0xffe5a8deu}};
     ASSERT_EQ(catalog.size(), games::allGameNames().size());
     for (const auto &[name, want] : catalog) {
         SCOPED_TRACE(name);
@@ -1132,7 +1134,7 @@ TEST_F(MemoTableTest, FreezeGoldenDigest)
     dest.mergeFrom(*a.freeze());
     dest.mergeFrom(*b.freeze());
     EXPECT_LT(dest.entryCount(), a.entryCount() + b.entryCount());
-    EXPECT_EQ(crcOf(*dest.freeze()), 0x821b7acfu);
+    EXPECT_EQ(crcOf(*dest.freeze()), 0x3084a1a9u);
 }
 
 /**
@@ -1540,7 +1542,7 @@ TEST_F(SelectionTest, DeployedSelectionChartsNoTail)
     for (const TypeModel &t : model.types) {
         const ml::SelectionResult &sel = t.selection;
         for (const ml::TrimStep &s : sel.curve)
-            EXPECT_LE(s.error, cfg.max_error);
+            EXPECT_LE(s.error, kShrinkMaxError);
         if (!sel.curve.empty()) {
             EXPECT_EQ(sel.curve.back().remaining_bytes,
                       sel.selected_bytes);

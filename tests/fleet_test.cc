@@ -277,7 +277,6 @@ TEST(FleetAggregateTest, MatchesSerialChainBitwise)
     // the exact arena bytes of the core serial merge chain over the
     // same uploads.
     const std::string game_name = "memory_game";
-    auto game = games::makeGame(game_name);
     core::SnipModel agreed = buildModelFor(game_name, 15.0, 41);
 
     constexpr size_t kUploads = 10;
@@ -285,15 +284,8 @@ TEST(FleetAggregateTest, MatchesSerialChainBitwise)
         game_name, agreed, kUploads, 0x51a9d5ULL, 5.0);
     ASSERT_EQ(uploads.size(), kUploads);
 
-    auto make_dest = [&] {
-        core::MemoTable dest(game->schema());
-        for (const core::TypeModel &t : agreed.types)
-            dest.setSelected(t.type, t.selection.selected);
-        return dest;
-    };
-
     // Serial reference: the buildFederated chain.
-    core::MemoTable serial = make_dest();
+    core::MemoTable serial(*agreed.table);
     for (const auto &up : uploads) {
         util::Result<core::SnipModel> decoded = core::unpackModel(up);
         ASSERT_TRUE(decoded.ok()) << decoded.status().message();
@@ -303,7 +295,7 @@ TEST(FleetAggregateTest, MatchesSerialChainBitwise)
     ASSERT_GT(serial_frozen->arenaSize(), 0u);
 
     for (unsigned threads : {1u, 2u, 8u}) {
-        core::MemoTable dest = make_dest();
+        core::MemoTable dest(*agreed.table);
         AggregateConfig cfg;
         cfg.threads = threads;
         AggregateStats stats = aggregateUploads(dest, uploads, cfg);
@@ -324,7 +316,6 @@ TEST(FleetAggregateTest, MatchesSerialChainBitwise)
 TEST(FleetAggregateTest, DropsCorruptUploadsLikeSerial)
 {
     const std::string game_name = "memory_game";
-    auto game = games::makeGame(game_name);
     core::SnipModel agreed = buildModelFor(game_name, 12.0, 43);
     std::vector<util::ByteBuffer> uploads = recordUploadPayloads(
         game_name, agreed, 6, 0xc0bb1eULL, 4.0);
@@ -336,9 +327,7 @@ TEST(FleetAggregateTest, DropsCorruptUploadsLikeSerial)
         bytes[bytes.size() / 2] ^= 0x5a;
     }
 
-    core::MemoTable serial(game->schema());
-    for (const core::TypeModel &t : agreed.types)
-        serial.setSelected(t.type, t.selection.selected);
+    core::MemoTable serial(*agreed.table);
     for (const auto &up : uploads) {
         util::Result<core::SnipModel> decoded = core::unpackModel(up);
         if (decoded.ok())
@@ -346,9 +335,7 @@ TEST(FleetAggregateTest, DropsCorruptUploadsLikeSerial)
     }
     auto serial_frozen = serial.freeze();
 
-    core::MemoTable dest(game->schema());
-    for (const core::TypeModel &t : agreed.types)
-        dest.setSelected(t.type, t.selection.selected);
+    core::MemoTable dest(*agreed.table);
     AggregateStats stats = aggregateUploads(dest, uploads, {});
     EXPECT_EQ(stats.dropped, 2u);
     auto frozen = dest.freeze();

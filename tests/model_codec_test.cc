@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "core/model_codec.h"
 #include "core/scheme.h"
@@ -65,6 +66,23 @@ envelope(const util::ByteBuffer &payload,
     util::ByteBuffer pkg;
     util::sealEnvelope(kModelMagic, version, payload.data(), pkg);
     return pkg;
+}
+
+/**
+ * Every decoded type's selection is its arena's: the same ids and
+ * bytes, empty when the arena does not deploy the type.
+ */
+void
+expectSelectionsFromArena(const SnipModel &m)
+{
+    ASSERT_TRUE(m.table != nullptr);
+    for (const TypeModel &t : m.types) {
+        EXPECT_EQ(t.selection.selected, m.table->selectedVector(t.type))
+            << events::eventTypeName(t.type);
+        EXPECT_EQ(t.selection.selected_bytes,
+                  m.table->selectedBytes(t.type))
+            << events::eventTypeName(t.type);
+    }
 }
 
 /**
@@ -129,8 +147,6 @@ TEST(ModelCodecTest, RoundTripPreservesModelContents)
                   model.types[i].selection.selected_bytes);
         EXPECT_EQ(m.types[i].selection.selected_error,
                   model.types[i].selection.selected_error);
-        EXPECT_EQ(m.types[i].selection.full_error,
-                  model.types[i].selection.full_error);
     }
     ASSERT_TRUE(m.table != nullptr);
     EXPECT_EQ(m.table->entryCount(), model.table->entryCount());
@@ -257,6 +273,9 @@ TEST(ModelCodecTest, EveryBitFlipRejected)
 
 TEST(ModelCodecTest, VersionMismatchRejected)
 {
+    // Only the current version is read: the previous version and a
+    // future one behind a valid CRC are rejected by both entry points
+    // with a Status naming the version.
     util::ByteBuffer payload;  // empty model payload
     payload.putString("");
     payload.putU32(0);  // schema fields
@@ -266,11 +285,20 @@ TEST(ModelCodecTest, VersionMismatchRejected)
     util::ByteBuffer ok_pkg = envelope(payload);
     EXPECT_TRUE(unpackModel(ok_pkg).ok());
 
-    util::ByteBuffer future = envelope(payload, kModelVersion + 1);
-    util::Result<SnipModel> r = unpackModel(future);
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.status().message().find("version"),
-              std::string::npos);
+    for (uint32_t version : {2u, kModelVersion + 1}) {
+        SCOPED_TRACE(version);
+        util::ByteBuffer pkg = envelope(payload, version);
+        util::Result<SnipModel> r = unpackModel(pkg);
+        ASSERT_FALSE(r.ok());
+        EXPECT_NE(r.status().message().find(
+                      "unsupported version " + std::to_string(version)),
+                  std::string::npos)
+            << r.status().message();
+        util::Result<SnipModel> dep =
+            deployModel(std::make_shared<util::ByteBuffer>(copyOf(pkg)));
+        ASSERT_FALSE(dep.ok());
+        EXPECT_EQ(dep.status().message(), r.status().message());
+    }
 }
 
 TEST(ModelCodecTest, ValidCrcBadContentRejected)
@@ -408,9 +436,78 @@ TEST(ModelCodecTest, V1PackageRejected)
         << dep.status().message();
 }
 
+TEST(ModelCodecTest, TypeRecordOutsideArenaDecodesEmpty)
+{
+    // The arena is the one home of the selection: a resealed package
+    // whose first type record names a type the arena does not deploy
+    // decodes that record with an empty selection, keeps its records
+    // and error, and the model's selected bytes are the arena's.
+    SnipModel model = buildModelFor("colorphun", 10.0, 13);
+    ASSERT_FALSE(model.types.empty());
+    auto named = [&](events::EventType t) {
+        for (const TypeModel &tm : model.types)
+            if (tm.type == t)
+                return true;
+        return false;
+    };
+    int t = 0;
+    while (t < events::kNumEventTypes &&
+           (model.table->deployed(static_cast<events::EventType>(t)) ||
+            named(static_cast<events::EventType>(t))))
+        ++t;
+    ASSERT_LT(t, events::kNumEventTypes);
+    const auto absent = static_cast<events::EventType>(t);
+
+    // The first type record follows the game name, the schema and the
+    // type count.
+    util::ByteBuffer head;
+    head.putString(model.game);
+    const events::FieldSchema &schema = model.table->schema();
+    head.putU32(static_cast<uint32_t>(schema.size()));
+    for (const auto &d : schema.defs()) {
+        head.putString(d.name);
+        head.putU8(0);
+        head.putU8(0);
+        head.putU32(d.size_bytes);
+    }
+    head.putU32(static_cast<uint32_t>(model.types.size()));
+    util::ByteBuffer pkg;
+    packModel(model, pkg);
+    util::Result<util::Envelope> env =
+        util::openEnvelope(pkg.data(), kModelMagic, "model");
+    ASSERT_TRUE(env.ok()) << env.status().message();
+    std::vector<uint8_t> payload(env.value().payload.begin(),
+                                 env.value().payload.end());
+    ASSERT_EQ(payload[head.size()],
+              static_cast<uint8_t>(model.types[0].type));
+    payload[head.size()] = static_cast<uint8_t>(absent);
+    auto crafted = std::make_shared<util::ByteBuffer>();
+    util::sealEnvelope(kModelMagic, kModelVersion, payload, *crafted);
+
+    util::Result<SnipModel> r = deployModel(crafted);
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    const SnipModel &m = r.value();
+    ASSERT_EQ(m.types.size(), model.types.size());
+    EXPECT_EQ(m.types[0].type, absent);
+    EXPECT_TRUE(m.types[0].selection.selected.empty());
+    EXPECT_EQ(m.types[0].selection.selected_bytes, 0u);
+    EXPECT_EQ(m.types[0].records, model.types[0].records);
+    EXPECT_EQ(m.types[0].selection.selected_error,
+              model.types[0].selection.selected_error);
+    expectSelectionsFromArena(m);
+
+    uint64_t arena_bytes = 0;
+    for (int k = 0; k < events::kNumEventTypes; ++k)
+        arena_bytes +=
+            m.table->selectedBytes(static_cast<events::EventType>(k));
+    EXPECT_GT(arena_bytes, 0u);
+    EXPECT_EQ(m.selectedBytes(), arena_bytes);
+    EXPECT_EQ(m.selectedBytes(), model.selectedBytes());
+}
+
 TEST(ModelCodecTest, DeployModelZeroCopyRunsBitwiseIdentical)
 {
-    // Device-side deploy: the v2 arena is attached as a validated
+    // Device-side deploy: the frozen arena is attached as a validated
     // view over the package bytes — no per-entry rebuild — and runs
     // bit-for-bit like the in-memory original.
     SnipModel original = buildModelFor("colorphun", 20.0, 4321);
@@ -527,7 +624,8 @@ fuzzBothEntryPoints(uint64_t model_seed, uint64_t rng_seed, size_t iters)
             ++behind_crc;
         }
         if (r.ok()) {
-            ASSERT_TRUE(r.value().table != nullptr);
+            expectSelectionsFromArena(r.value());
+            expectSelectionsFromArena(unpacked.value());
             playShortSession(r.value());
             playShortSession(unpacked.value());
         }

@@ -106,7 +106,7 @@ import json, sys
 with open('build/micro_train_a.json') as f:
     d = json.load(f)
 for section, want in (('selection', 'e73ddc04'),
-                      ('model_codec', '9ac679a2')):
+                      ('model_codec', 'b44656e6')):
     got = d.get(section, {}).get('digest')
     if got != want:
         sys.exit(f'micro_train: {section} digest {got!r}, pinned '
@@ -140,9 +140,9 @@ for geom in ('a', 'b'):
 if runs['a'] != runs['b']:
     sys.exit(f"micro_train: out-of-core packages differ across block "
              f"sizes: {runs!r}")
-if runs['a'] != 'a638e172':
+if runs['a'] != '23095110':
     sys.exit(f"micro_train: out-of-core package crc {runs['a']!r}, "
-             f"pinned 'a638e172'")
+             f"pinned '23095110'")
 EOF
 
 echo "==> obs telemetry export smoke (fig11 --obs-json)"
