@@ -440,7 +440,7 @@ main(int argc, char **argv)
         "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
         "\"build_type\": \"%s\"},\n"
         "  \"rows\": %zu, \"features\": %zu, \"threads\": %u,\n"
-        "  \"pfi\": {\"columns\": %zu, \"repeats\": %d, "
+        "  \"pfi\": {\"columns\": %zu, \"repeats\": %zu, "
         "\"wall_s_1t\": %.6f, \"wall_s_nt\": %.6f, "
         "\"cols_per_sec_1t\": %.2f, \"cols_per_sec_nt\": %.2f, "
         "\"speedup\": %.3f, \"identical\": %s},\n"
@@ -463,7 +463,7 @@ main(int argc, char **argv)
         std::thread::hardware_concurrency(), __VERSION__,
         SNIP_BUILD_TYPE,
         ds.numRows(), ds.numFeatures(), nthreads,
-        cols.size(), pc.repeats, pfi_1t, pfi_nt,
+        cols.size(), ml::kPfiRepeats, pfi_1t, pfi_nt,
         cols.size() / (pfi_1t > 0 ? pfi_1t : 1e-9),
         cols.size() / (pfi_nt > 0 ? pfi_nt : 1e-9),
         pfi_1t / (pfi_nt > 0 ? pfi_nt : 1e-9),

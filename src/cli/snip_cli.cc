@@ -15,8 +15,9 @@
  *       --out saves the replayed profile as SNCT training sections
  *       (the feature/label/weight columns ml::ChunkedDataset maps
  *       for the out-of-core Shrink).
- *   snip eval --game G [--seconds S] [--scheme snip|baseline|
- *             maxcpu|maxip|nooverheads] [--audit N]
+ *   snip eval --game G [--seconds S] [--profile-seconds S]
+ *             [--scheme snip|baseline|maxcpu|maxip|nooverheads]
+ *             [--audit N]
  *       Profile + deploy + evaluate one scheme; prints savings,
  *       coverage, error rate, and QoE.
  *   snip learn --game G [--epochs E]
@@ -31,7 +32,8 @@
  *   snip verify --in model.bin
  *       Integrity-check a package; exit 0 when deployable, 1 when
  *       rejected (never aborts on corrupt input).
- *   snip stats --game G [--seconds S] [--audit N] [--json F]
+ *   snip stats --game G [--seconds S] [--profile-seconds S]
+ *             [--audit N] [--json F]
  *       Profile + deploy + evaluate with the snip::obs metrics
  *       registry enabled: lookup hit/miss/byte counters, decide
  *       outcomes, erroneous-shortcircuit classes, per-Shrink-phase
@@ -47,8 +49,12 @@
  *       Apply a patch the way a device does: corruption-safe, with
  *       an optional --full fallback package.
  *
- * Every command is deterministic under --seed (obs span timers
- * measure host wall time and are the one exception).
+ * eval, pack and stats build the same model for the same --game,
+ * --profile-seconds (default 300) and --seed (default 77): the
+ * profile session and Shrink both run under --seed, so `snip pack`
+ * ships the model `snip eval` scored. Every command is deterministic
+ * under --seed (obs span timers measure host wall time and are the
+ * one exception).
  */
 
 #include <cstdio>
@@ -137,6 +143,38 @@ parseArgs(int argc, char **argv)
         }
     }
     return args;
+}
+
+/** Defaults of the profile behind a deployed model. */
+constexpr double kProfileSeconds = 300.0;
+constexpr uint64_t kSeed = 77;
+
+/**
+ * The model `eval`, `pack` and `stats` deploy, so one set of
+ * arguments yields one model: a baseline profile of
+ * --profile-seconds under --seed, replayed offline and Shrunk with
+ * the same seed. @p obs, when set, receives the Shrink spans; the
+ * profile session is not instrumented.
+ */
+core::SnipModel
+profiledModel(const Args &args, games::Game &game,
+              obs::Registry *obs = nullptr)
+{
+    core::BaselineScheme baseline;
+    core::SimulationConfig pcfg;
+    pcfg.duration_s = args.getD("profile-seconds", kProfileSeconds);
+    pcfg.seed = args.getU("seed", kSeed);
+    pcfg.record_events = true;
+    core::SessionResult prof = core::runSession(game, baseline, pcfg);
+    auto replica = games::makeGame(game.name());
+    trace::Profile profile =
+        trace::Replayer::replay(prof.trace, *replica);
+
+    core::SnipConfig scfg;
+    scfg.seed = pcfg.seed;
+    scfg.overrides.force_keep = game.params().recommended_overrides;
+    scfg.obs = obs;
+    return core::buildSnipModel(profile, game, scfg);
 }
 
 int
@@ -277,25 +315,11 @@ cmdEval(const Args &args)
 {
     auto game = games::makeGame(args.get("game", "ab_evolution"));
     std::string scheme_name = args.get("scheme", "snip");
-
-    // Profile + model.
-    core::BaselineScheme baseline;
-    core::SimulationConfig pcfg;
-    pcfg.duration_s = args.getD("profile-seconds", 300.0);
-    pcfg.seed = args.getU("seed", 77);
-    pcfg.record_events = true;
-    core::SessionResult prof =
-        core::runSession(*game, baseline, pcfg);
-    auto replica = games::makeGame(game->name());
-    trace::Profile profile =
-        trace::Replayer::replay(prof.trace, *replica);
-    core::SnipConfig scfg;
-    scfg.overrides.force_keep = game->params().recommended_overrides;
-    core::SnipModel model = core::buildSnipModel(profile, *game, scfg);
+    core::SnipModel model = profiledModel(args, *game);
 
     core::SimulationConfig ecfg;
     ecfg.duration_s = args.getD("seconds", 60.0);
-    ecfg.seed = util::mixCombine(pcfg.seed, 0xe7a1);
+    ecfg.seed = util::mixCombine(args.getU("seed", kSeed), 0xe7a1);
 
     core::BaselineScheme base_eval;
     double e_base =
@@ -388,21 +412,7 @@ cmdPack(const Args &args)
     if (out.empty())
         util::fatal("pack: --out <model.bin> is required");
     auto game = games::makeGame(args.get("game", "ab_evolution"));
-
-    core::BaselineScheme baseline;
-    core::SimulationConfig pcfg;
-    pcfg.duration_s = args.getD("profile-seconds", 300.0);
-    pcfg.seed = args.getU("seed", 77);
-    pcfg.record_events = true;
-    core::SessionResult prof = core::runSession(*game, baseline, pcfg);
-    auto replica = games::makeGame(game->name());
-    trace::Profile profile =
-        trace::Replayer::replay(prof.trace, *replica);
-
-    core::SnipConfig scfg;
-    scfg.seed = args.getU("seed", 77);
-    scfg.overrides.force_keep = game->params().recommended_overrides;
-    core::SnipModel model = core::buildSnipModel(profile, *game, scfg);
+    core::SnipModel model = profiledModel(args, *game);
 
     util::Status st = core::saveModel(model, out);
     if (!st.ok())
@@ -516,28 +526,12 @@ cmdStats(const Args &args)
     // Profile (un-instrumented, so the runtime metrics below
     // reflect only the deployed session) and Shrink with the
     // per-phase spans enabled.
-    core::BaselineScheme baseline;
-    core::SimulationConfig pcfg;
-    pcfg.duration_s = args.getD("profile-seconds", 120.0);
-    pcfg.seed = args.getU("seed", 77);
-    pcfg.record_events = true;
-    core::SessionResult prof =
-        core::runSession(*game, baseline, pcfg);
-    auto replica = games::makeGame(game->name());
-    trace::Profile profile =
-        trace::Replayer::replay(prof.trace, *replica);
-
-    core::SnipConfig scfg;
-    scfg.seed = pcfg.seed;
-    scfg.overrides.force_keep = game->params().recommended_overrides;
-    scfg.obs = &reg;
-    core::SnipModel model =
-        core::buildSnipModel(profile, *game, scfg);
+    core::SnipModel model = profiledModel(args, *game, &reg);
 
     // Deploy + evaluate with the runtime counters on.
     core::SimulationConfig ecfg;
     ecfg.duration_s = args.getD("seconds", 60.0);
-    ecfg.seed = util::mixCombine(pcfg.seed, 0xe7a1);
+    ecfg.seed = util::mixCombine(args.getU("seed", kSeed), 0xe7a1);
     ecfg.obs = &reg;
     core::SnipRuntimeConfig rcfg;
     rcfg.audit_every = static_cast<uint32_t>(args.getU("audit", 0));
@@ -552,7 +546,8 @@ cmdStats(const Args &args)
 
     std::printf("obs metrics: %s, %.0f s profile + %.0f s deployed "
                 "session\n\n", game->displayName().c_str(),
-                pcfg.duration_s, ecfg.duration_s);
+                args.getD("profile-seconds", kProfileSeconds),
+                ecfg.duration_s);
     obs::TableSink sink(std::cout);
     sink.write(reg);
 
@@ -742,7 +737,10 @@ usage()
         "  fleet apply --base F --patch P --out F [--full F]\n"
         "                                       apply a patch (falls back\n"
         "                                       to --full when rejected)\n"
-        "common: --seed N\n");
+        "common: --seed N\n"
+        "eval, pack and stats take --profile-seconds S (default 300);\n"
+        "they profile and Shrink under --seed, so one set of arguments\n"
+        "builds one model\n");
 }
 
 }  // namespace

@@ -17,8 +17,6 @@ ContinuousLearner::ContinuousLearner(games::Game &game,
     if (game_.name() != replica_.name())
         util::fatal("ContinuousLearner: replica runs %s, game runs %s",
                     replica_.name().c_str(), game_.name().c_str());
-    if (cfg_.relearn_every < 1)
-        util::fatal("ContinuousLearner: relearn_every must be >= 1");
 }
 
 double
@@ -53,54 +51,43 @@ ContinuousLearner::run()
             .truncated(cfg_.initial_profile_records);
 
     std::vector<EpochResult> results;
-    SnipModel model;
-    // The device's runtime scheme persists between re-learns so its
-    // online-fill overlay keeps accumulating across epochs; each
-    // newly shipped model replaces it.
-    std::unique_ptr<SnipScheme> scheme;
-    uint64_t payload_bytes = 0;
     uint64_t rejected_packages = 0;
     for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
         obs::Span epoch_span(cfg_.obs, "epoch");
-        if (epoch % cfg_.relearn_every == 0) {
-            scheme.reset();  // borrows model; drop before replacing
-            SnipConfig sc = cfg_.snip;
-            // Per-epoch seed remixing deliberately decorrelates PFI
-            // noise across epochs.
-            sc.seed = util::mixCombine(cfg_.snip.seed,
-                                       static_cast<uint64_t>(epoch));
-            sc.obs = cfg_.obs;
-            SnipModel built = buildSnipModel(profile, game_, sc);
+        SnipConfig sc = cfg_.snip;
+        // Per-epoch seed remixing deliberately decorrelates PFI
+        // noise across epochs.
+        sc.seed = util::mixCombine(cfg_.snip.seed,
+                                   static_cast<uint64_t>(epoch));
+        sc.obs = cfg_.obs;
 
-            // Deploy through the OTA transport: the table the phone
-            // runs is the one that survived serialize->deserialize,
-            // never the in-memory pointer. deployModel attaches a
-            // zero-copy FrozenTable view over the package bytes (the
-            // model shares ownership of the buffer, so it outlives
-            // this scope). A package that fails integrity checks is
-            // rejected and the device keeps running at baseline
-            // until the next epoch's push.
-            auto pkg = std::make_shared<util::ByteBuffer>();
-            packModel(built, *pkg);
-            if (cfg_.on_publish)
-                cfg_.on_publish(*pkg);
-            if (cfg_.ota_tamper)
-                cfg_.ota_tamper(*pkg);
-            payload_bytes = pkg->size();
-            util::Result<SnipModel> shipped = deployModel(pkg);
-            if (shipped.ok()) {
-                model = std::move(shipped.value());
-            } else {
-                util::warn("continuous learning: rejected OTA "
-                           "package at epoch %d: %s", epoch,
-                           shipped.status().message().c_str());
-                model = SnipModel{};
-                // The rejected package never reached the device:
-                // the epoch deploys nothing, so it must not report
-                // the dead package's size.
-                payload_bytes = 0;
-                ++rejected_packages;
-            }
+        // Deploy through the OTA transport: the table the phone runs
+        // is the one that survived serialize->deserialize, never the
+        // in-memory pointer. deployModel attaches a zero-copy
+        // FrozenTable view over the package bytes (the model shares
+        // ownership of the buffer, so it outlives this scope). A
+        // package that fails integrity checks is rejected and the
+        // device runs at baseline until the next epoch's push.
+        auto pkg = std::make_shared<util::ByteBuffer>();
+        packModel(buildSnipModel(profile, game_, sc), *pkg);
+        if (cfg_.on_publish)
+            cfg_.on_publish(*pkg);
+        if (cfg_.ota_tamper)
+            cfg_.ota_tamper(*pkg);
+        uint64_t payload_bytes = pkg->size();
+        SnipModel model;
+        util::Result<SnipModel> shipped = deployModel(pkg);
+        if (shipped.ok()) {
+            model = std::move(shipped.value());
+        } else {
+            util::warn("continuous learning: rejected OTA package at "
+                       "epoch %d: %s", epoch,
+                       shipped.status().message().c_str());
+            // The rejected package never reached the device: the
+            // epoch deploys nothing, so it must not report the dead
+            // package's size.
+            payload_bytes = 0;
+            ++rejected_packages;
         }
 
         bool deployed = model.deployed();
@@ -125,9 +112,8 @@ ContinuousLearner::run()
 
         SessionResult res = [&] {
             if (deployed) {
-                if (!scheme)
-                    scheme = std::make_unique<SnipScheme>(model);
-                return runSession(game_, *scheme, scfg);
+                SnipScheme scheme(model);
+                return runSession(game_, scheme, scfg);
             }
             BaselineScheme b;
             return runSession(game_, b, scfg);

@@ -1,7 +1,10 @@
 /**
  * @file
  * Continuous learning (paper §V-B Option 2 and Fig. 12): loop
- * record -> replay -> PFI -> deploy across play sessions. The first
+ * record -> replay -> PFI -> deploy across play sessions. Every
+ * epoch re-learns from the whole accumulated profile and ships a
+ * fresh model, which runs that epoch's session under a new SnipScheme
+ * (so the online-fill overlay starts empty each epoch). The first
  * deployment is built from an artificially insufficient profile, so
  * early sessions short-circuit erroneously; as every session's
  * events are shipped to the "cloud" and replayed into the growing
@@ -37,8 +40,6 @@ struct LearningConfig {
     size_t initial_profile_records = 30;
     /** Cap on the accumulated profile (drop-oldest beyond it). */
     size_t max_profile_records = 200000;
-    /** Re-run PFI selection every this many epochs (>= 1). */
-    int relearn_every = 1;
     /** Withhold short-circuiting until tested error <= gate AND
      *  enough profile evidence has accumulated. */
     bool confidence_gate = false;

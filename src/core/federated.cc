@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <limits>
 #include <map>
 
 #include "core/model_codec.h"
@@ -72,36 +70,9 @@ traceBytes(const trace::EventTrace &t)
 }  // namespace
 
 size_t
-federatedVotesNeeded(double vote_fraction, int num_users)
+federatedVotesNeeded(int num_users)
 {
-    if (num_users <= 0)
-        return 0;
-    if (!(vote_fraction > 0.0))
-        return 1;  // a kept field needs at least one voter
-
-    // Exact ceiling of the rational number the double represents:
-    // decompose vote_fraction into mant * 2^(exp-53) with mant an
-    // integer (m * 2^53 is exact for every finite double), so
-    //   vote_fraction * num_users = (mant * num_users) / 2^shift
-    // and the ceiling is pure integer arithmetic — no epsilon fudge
-    // that silently undercounts when the true product sits within
-    // the fudge of an integer boundary.
-    int exp = 0;
-    double m = std::frexp(vote_fraction, &exp);
-    auto mant = static_cast<unsigned __int128>(std::ldexp(m, 53));
-    int shift = 53 - exp;
-    if (shift <= 0)  // fraction >= 2^53: unsatisfiable by any fleet
-        return std::numeric_limits<size_t>::max();
-    unsigned __int128 num =
-        mant * static_cast<unsigned __int128>(num_users);
-    if (shift >= 127)  // denominator dwarfs any product: ceil to 1
-        return 1;
-    unsigned __int128 ceilv =
-        (num + ((static_cast<unsigned __int128>(1) << shift) - 1)) >>
-        shift;
-    return ceilv > std::numeric_limits<size_t>::max()
-               ? std::numeric_limits<size_t>::max()
-               : static_cast<size_t>(ceilv);
+    return num_users <= 0 ? 0 : static_cast<size_t>(num_users + 1) / 2;
 }
 
 FederatedResult
@@ -155,8 +126,7 @@ buildFederated(const std::string &game_name,
     // Majority vote per type over the selected field sets.
     FederatedResult out;
     out.cost.selection_records = max_user_records;
-    size_t votes_needed =
-        federatedVotesNeeded(cfg.vote_fraction, cfg.num_users);
+    size_t votes_needed = federatedVotesNeeded(cfg.num_users);
 
     out.model.game = game_name;
     MemoTable agreed(game->schema());

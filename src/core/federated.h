@@ -34,8 +34,6 @@ struct FederatedConfig {
     /** Play time recorded per user (s). */
     double session_s = 150.0;
     uint64_t seed = 0xfede7a7eULL;
-    /** Fraction of users that must select a field to keep it. */
-    double vote_fraction = 0.5;
     /** Per-user selection config. */
     SnipConfig snip;
 };
@@ -58,15 +56,11 @@ struct FederatedResult {
 };
 
 /**
- * Votes a field needs to clear `vote_fraction` of `num_users`:
- * ceil(vote_fraction * num_users), computed with exact integer
- * arithmetic on the double's mantissa — no epsilon fudge — so e.g.
- * 0.5 of 2 users is exactly 1 vote and 1.0 of 10 users is exactly
- * 10, regardless of how the product rounds in floating point.
- * Non-positive fractions need 1 vote (a kept field must be selected
- * by someone); num_users <= 0 needs 0.
+ * Votes a field needs to be kept: a majority of at least half the
+ * users, (num_users + 1) / 2 — 1 of 1 or 2, 2 of 3 or 4, and so on.
+ * num_users <= 0 needs 0.
  */
-size_t federatedVotesNeeded(double vote_fraction, int num_users);
+size_t federatedVotesNeeded(int num_users);
 
 /**
  * Build a model the centralized way: merge all users' replayed

@@ -201,9 +201,6 @@ class KeyIndex
         return static_cast<uint32_t>(entries_.size());
     }
 
-    /** Distinct subkeys (buckets) indexed. */
-    uint32_t bucketCount() const { return nbuckets_; }
-
     /** Forget every entry; capacity and shapes are kept, so
      *  refilling up to the old size allocates nothing. */
     void clear();

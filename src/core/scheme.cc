@@ -177,7 +177,7 @@ SnipScheme::observe(const games::HandlerExecution &truth)
         if (windowAudits_ >= cfg_.audit_window) {
             double rate = static_cast<double>(windowFailures_) /
                           static_cast<double>(windowAudits_);
-            if (rate > cfg_.audit_clear_threshold) {
+            if (rate > kAuditClearThreshold) {
                 // Deactivate the immutable frozen layout and drop
                 // the overlay's entries (its selections survive, so
                 // online fill keeps working until the next
@@ -191,7 +191,7 @@ SnipScheme::observe(const games::HandlerExecution &truth)
                 util::warn("snip watchdog: audited error rate %.1f%% "
                            "exceeded %.1f%%; table cleared",
                            rate * 100.0,
-                           cfg_.audit_clear_threshold * 100.0);
+                           kAuditClearThreshold * 100.0);
             }
             windowAudits_ = 0;
             windowFailures_ = 0;
@@ -201,7 +201,7 @@ SnipScheme::observe(const games::HandlerExecution &truth)
     // would deduplicate them), so the overlay holds only genuinely
     // new observations. The counter tracks actual overlay growth,
     // not attempts.
-    if (!cfg_.online_fill || !overlay_.project(truth, key_) ||
+    if (!overlay_.project(truth, key_) ||
         (frozenActive_ && frozen_->contains(key_)) ||
         !overlay_.insert(key_, truth.outputs))
         return;

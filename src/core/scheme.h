@@ -146,28 +146,25 @@ class MaxIpScheme : public Scheme
     bool hasPending_ = false;
 };
 
+/** The watchdog clears the table when audited error exceeds this
+ *  rate over one audit window. */
+constexpr double kAuditClearThreshold = 0.05;
+
 /** SNIP runtime knobs. */
 struct SnipRuntimeConfig {
-    /**
-     * Whether fully processed events are inserted into the table at
-     * runtime (device-side table growth between cloud re-learns).
-     */
-    bool online_fill = true;
-
     /**
      * Audit watchdog (paper §VII-B future extension: "clear the PFI
      * lookup table if it detects the error rate to worsen"). Every
      * N-th would-be short-circuit is processed fully anyway and the
      * table's outputs are checked against ground truth; when the
-     * audited error rate over a sliding window exceeds the
-     * threshold, the table is cleared (falling back to online fill
-     * until the next cloud re-learn). 0 disables auditing.
+     * audited error rate over a sliding window exceeds
+     * kAuditClearThreshold, the table is cleared (falling back to
+     * online fill until the next cloud re-learn). 0 disables
+     * auditing.
      */
     uint32_t audit_every = 0;
     /** Audits per error-rate window. */
     uint32_t audit_window = 64;
-    /** Clear the table when audited error exceeds this rate. */
-    double audit_clear_threshold = 0.05;
     /**
      * Optional metrics sink (nullptr = observability off) for the
      * scheme's own events: watchdog audits/failures/clears and

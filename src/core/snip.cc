@@ -22,7 +22,6 @@ selectForType(const ml::DatasetView &ds, events::EventType t,
     ml::SelectionConfig sel;
     sel.max_error = kShrinkMaxError;
     sel.max_conditional_error = kShrinkMaxConditionalError;
-    sel.pfi.repeats = kShrinkPfiRepeats;
     sel.pfi.seed = util::mixCombine(cfg.seed,
                                     static_cast<uint64_t>(t));
     sel.pfi.threads = cfg.threads;

@@ -32,8 +32,6 @@ struct DeveloperOverrides {
 constexpr double kShrinkMaxError = 0.002;
 /** Conditional (wrong hits / hits) budget of Shrink's selection. */
 constexpr double kShrinkMaxConditionalError = 0.012;
-/** PFI permutation repeats of Shrink's selection. */
-constexpr int kShrinkPfiRepeats = 2;
 
 /** Pipeline knobs. */
 struct SnipConfig {

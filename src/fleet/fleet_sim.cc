@@ -75,13 +75,10 @@ pushEpoch(ModelRegistry &reg, const FleetSimConfig &cfg)
         return util::Status::Errorf(
             "fleet: no published head for '%s'", cfg.game.c_str());
 
-    std::vector<CohortSpec> cohorts =
-        cfg.cohorts.empty() ? defaultCohorts() : cfg.cohorts;
+    const std::vector<CohortSpec> cohorts = defaultCohorts();
     double share_sum = 0.0;
     for (const CohortSpec &c : cohorts)
         share_sum += c.share;
-    if (share_sum <= 0.0)
-        return util::Status::Error("fleet: cohort shares sum to 0");
 
     EpochPushReport report;
     report.head = head->id;

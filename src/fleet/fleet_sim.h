@@ -49,8 +49,6 @@ struct FleetSimConfig {
     std::string game = "candy_crush";
     /** Fleet size the per-cohort byte accounting scales to. */
     uint64_t devices = 1000000;
-    /** Staleness rings; empty uses defaultCohorts(). */
-    std::vector<CohortSpec> cohorts;
     unsigned threads = 0;
     uint64_t seed = 0xf1ee7ULL;
     /** Stale-version evaluation session length (s). */
@@ -59,7 +57,8 @@ struct FleetSimConfig {
     obs::Registry *obs = nullptr;
 };
 
-/** The canonical ring layout (stable/slow/lagging/fresh installs). */
+/** The fleet's staleness rings (stable/slow/lagging/fresh
+ *  installs); pushEpoch() serves every one of them. */
 std::vector<CohortSpec> defaultCohorts();
 
 /** What one cohort saw during an epoch push. */

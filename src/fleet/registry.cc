@@ -241,16 +241,6 @@ ModelRegistry::versionCount(const std::string &game) const
     return gl ? gl->versions.size() : 0;
 }
 
-std::vector<std::string>
-ModelRegistry::gameNames() const
-{
-    std::vector<std::string> names;
-    for (const auto &[name, gl] : games_)
-        if (!gl.versions.empty())
-            names.push_back(name);
-    return names;
-}
-
 const std::vector<ModelVersion> &
 ModelRegistry::versions(const std::string &game) const
 {

@@ -119,9 +119,6 @@ class ModelRegistry
     /** Published versions of a game (0 when unknown). */
     size_t versionCount(const std::string &game) const;
 
-    /** Games with at least one version, in name order. */
-    std::vector<std::string> gameNames() const;
-
     /** Versions of a game in publish order (empty when unknown). */
     const std::vector<ModelVersion> &
     versions(const std::string &game) const;

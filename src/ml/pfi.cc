@@ -1,6 +1,6 @@
 #include "ml/pfi.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "obs/span.h"
 #include "util/logging.h"
@@ -26,15 +26,14 @@ thread_local std::vector<uint64_t> t_deltas;
  * permutation array or a gather.
  */
 void
-permutedDeltas(const DatasetView &ds, size_t col, uint64_t seed, int rep,
-               uint64_t *out)
+permutedDeltas(const DatasetView &ds, size_t col, uint64_t seed,
+               size_t rep, uint64_t *out)
 {
     size_t n = ds.numRows();
     const uint64_t *v = ds.columnData(col);
     for (size_t r = 0; r < n; ++r)
         out[r] = TablePredictor::term(col, v[r]);
-    util::Rng rng(util::mixCombine(
-        seed, util::mixCombine(col, static_cast<uint64_t>(rep))));
+    util::Rng rng(util::mixCombine(seed, util::mixCombine(col, rep)));
     for (size_t i = n; i > 1; --i) {
         size_t j = static_cast<size_t>(rng.uniformInt(0, i - 1));
         std::swap(out[i - 1], out[j]);
@@ -46,21 +45,19 @@ permutedDeltas(const DatasetView &ds, size_t col, uint64_t seed, int rep,
 }  // namespace
 
 PfiStore::PfiStore(const DatasetView &ds, const PfiConfig &cfg)
-    : view_(ds.id()), seed_(cfg.seed),
-      repeats_(static_cast<size_t>(std::max(cfg.repeats, 0))),
-      rows_(ds.numRows()),
+    : view_(ds.id()), seed_(cfg.seed), rows_(ds.numRows()),
       budget_(ds.streamBlockRows() == SIZE_MAX
                   ? ds.numRows() * ds.numFeatures() * sizeof(uint64_t)
                   : 0),
-      slots_(ds.numFeatures() * repeats_)
+      slots_(ds.numFeatures() * kPfiRepeats)
 {
 }
 
 void
 PfiStore::release(size_t col)
 {
-    for (size_t rep = 0; rep < repeats_; ++rep) {
-        Slot &s = slots_.at(col * repeats_ + rep);
+    for (size_t rep = 0; rep < kPfiRepeats; ++rep) {
+        Slot &s = slots_.at(col * kPfiRepeats + rep);
         if (s.deltas)
             held_ -= rows_ * sizeof(uint64_t);
         s = Slot{};
@@ -75,25 +72,24 @@ computePfi(const TablePredictor &model, const DatasetView &ds,
     PfiResult result;
     result.base_error = weightedErrorRate(model, ds);
     result.importance.assign(cols.size(), 0.0);
-    if (cols.empty() || cfg.repeats <= 0)
+    if (cols.empty())
         return result;
     size_t n = ds.numRows();
-    size_t repeats = static_cast<size_t>(cfg.repeats);
     if (store && (store->view_ != ds.id() || store->seed_ != cfg.seed ||
-                  store->repeats_ != repeats || store->rows_ != n))
+                  store->rows_ != n))
         util::panic("computePfi: store bound to another view or config");
 
     // One task per (feature, repeat). Its deltas come from a filled
     // store slot, a slot claimed for it here (serially, in task
     // order, within the store's budget) or per-worker scratch.
     obs::Span span(cfg.obs, "pfi");
-    size_t ntasks = cols.size() * repeats;
+    size_t ntasks = cols.size() * kPfiRepeats;
     std::vector<PfiStore::Slot *> slot(ntasks, nullptr);
     uint64_t reused = 0;
     if (store) {
         for (size_t k = 0; k < ntasks; ++k) {
-            PfiStore::Slot &s =
-                store->slots_.at(cols[k / repeats] * repeats + k % repeats);
+            PfiStore::Slot &s = store->slots_.at(
+                cols[k / kPfiRepeats] * kPfiRepeats + k % kPfiRepeats);
             if (s.filled) {
                 slot[k] = &s;
                 ++reused;
@@ -112,7 +108,7 @@ computePfi(const TablePredictor &model, const DatasetView &ds,
     // is bitwise identical for any worker count.
     std::vector<double> err(ntasks, 0.0);
     util::parallelFor(ntasks, [&](size_t k) {
-        size_t col = cols[k / repeats];
+        size_t col = cols[k / kPfiRepeats];
         PfiStore::Slot *s = slot[k];
         uint64_t *deltas;
         if (s) {
@@ -122,8 +118,7 @@ computePfi(const TablePredictor &model, const DatasetView &ds,
             deltas = t_deltas.data();
         }
         if (!s || !s->filled)
-            permutedDeltas(ds, col, cfg.seed,
-                           static_cast<int>(k % repeats), deltas);
+            permutedDeltas(ds, col, cfg.seed, k % kPfiRepeats, deltas);
         err[k] = static_cast<double>(model.permutedWrong(ds, col, deltas)) /
                  static_cast<double>(ds.totalWeight());
     }, cfg.threads);
@@ -137,9 +132,9 @@ computePfi(const TablePredictor &model, const DatasetView &ds,
 
     for (size_t ci = 0; ci < cols.size(); ++ci) {
         double err_sum = 0.0;
-        for (size_t rep = 0; rep < repeats; ++rep)
-            err_sum += err[ci * repeats + rep];
-        double imp = err_sum / static_cast<double>(repeats) -
+        for (size_t rep = 0; rep < kPfiRepeats; ++rep)
+            err_sum += err[ci * kPfiRepeats + rep];
+        double imp = err_sum / static_cast<double>(kPfiRepeats) -
                      result.base_error;
         result.importance[ci] = imp > 0.0 ? imp : 0.0;
     }

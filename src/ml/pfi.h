@@ -6,16 +6,18 @@
  * across rows, breaking its relationship with the label while
  * preserving its marginal distribution.
  *
- * Evaluation is task-parallel (one util::parallelFor task per
- * feature x repeat; each worker reuses thread_local scratch, which
- * is safe because a waiting caller never runs another loop's
- * indices). Each task's permutation stream is seeded from
- * (cfg.seed, column id, repeat) — not from the task's position in
- * the column list — so a column's importance is a pure function of
- * the seed and the column: identical for any thread count AND for
- * any subset of columns it is computed alongside, with or without a
- * PfiStore (what lets a selection refresh score only the columns it
- * may still drop, and chartTail() re-score the knee set, exactly).
+ * Each feature is permuted kPfiRepeats times and its importance is
+ * the mean over the repeats. Evaluation is task-parallel (one
+ * util::parallelFor task per feature x repeat; each worker reuses
+ * thread_local scratch, which is safe because a waiting caller never
+ * runs another loop's indices). Each task's permutation stream is
+ * seeded from (cfg.seed, column id, repeat) — not from the task's
+ * position in the column list — so a column's importance is a pure
+ * function of the seed and the column: identical for any thread
+ * count AND for any subset of columns it is computed alongside, with
+ * or without a PfiStore (what lets a selection refresh score only
+ * the columns it may still drop, and chartTail() re-score the knee
+ * set, exactly).
  *
  * The scored model is a TablePredictor, whose row key is a wrapping
  * sum of per-column terms: permuting column c moves row r's key by
@@ -39,10 +41,11 @@
 namespace snip {
 namespace ml {
 
+/** Permutation repeats per feature (importances averaged). */
+constexpr size_t kPfiRepeats = 2;
+
 /** PFI knobs. */
 struct PfiConfig {
-    /** Permutation repeats per feature (importances averaged). */
-    int repeats = 2;
     uint64_t seed = 0x9f1bea7ULL;
     /**
      * Worker threads for the feature x repeat task fan-out
@@ -78,7 +81,8 @@ class PfiStore;
  * Only columns in @p cols are permuted. With @p store, each task
  * reads its stored deltas, or fills its claimed slot, instead of
  * rebuilding them in scratch; results are bitwise the same either
- * way. Panics when @p store is bound to another view or config.
+ * way. Panics when @p store is bound to another view, seed or row
+ * count.
  */
 PfiResult computePfi(const TablePredictor &model, const DatasetView &ds,
                      const std::vector<size_t> &cols,
@@ -89,7 +93,7 @@ PfiResult computePfi(const TablePredictor &model, const DatasetView &ds,
  * One selection's PFI key deltas, one slot per (column, repeat), so
  * the refreshes of one selection build each permuted column once.
  *
- *   - Bound to (view id, seed, repeats, rows) at construction;
+ *   - Bound to (view id, seed, rows) at construction;
  *     computePfi() panics on a mismatch.
  *   - computePfi() claims slots serially, in task order, before its
  *     tasks run, and each task fills only its own slot: the bytes
@@ -127,11 +131,10 @@ class PfiStore
 
     uint64_t view_;
     uint64_t seed_;
-    size_t repeats_;
     size_t rows_;
     size_t budget_;
     size_t held_ = 0;
-    std::vector<Slot> slots_;  // [col * repeats_ + rep]
+    std::vector<Slot> slots_;  // [col * kPfiRepeats + rep]
 };
 
 }  // namespace ml

@@ -183,9 +183,7 @@ TablePredictor::trainOnKeys(const DatasetView &ds,
     keysView_ = ds.id();
     fkeys_.clear();
     flabels_.clear();
-    fdistinct_.clear();
     fallbackLabel_ = kNoLabel;
-    ambiguousWeightFraction_ = 0.0;
 
     // Rows grouped by key, then by label. Entries come out in
     // ascending-key order. Within a key, labels ascend, so a
@@ -194,12 +192,10 @@ TablePredictor::trainOnKeys(const DatasetView &ds,
     std::vector<TallyItem> items = sortedTally(ds, keys_, rows);
     // Weight per label, for the fallback.
     std::unordered_map<uint64_t, uint64_t> by_label;
-    uint64_t trained_weight = 0, ambiguous_weight = 0;
     for (size_t i = 0; i < items.size();) {
         uint64_t key = items[i].key;
-        uint64_t key_weight = 0, best_w = 0;
+        uint64_t best_w = 0;
         uint64_t majority = kNoLabel;
-        uint32_t distinct = 0;
         while (i < items.size() && items[i].key == key) {
             uint64_t label = items[i].label, w = 0;
             for (; i < items.size() && items[i].key == key &&
@@ -210,22 +206,12 @@ TablePredictor::trainOnKeys(const DatasetView &ds,
                 best_w = w;
                 majority = label;
             }
-            key_weight += w;
-            ++distinct;
             by_label[label] += w;
         }
-        if (distinct > 1)
-            ambiguous_weight += key_weight;
-        trained_weight += key_weight;
         fkeys_.push_back(key);
         flabels_.push_back(majority);
-        fdistinct_.push_back(distinct);
     }
     ntrained_ = fkeys_.size();
-    ambiguousWeightFraction_ =
-        trained_weight ? static_cast<double>(ambiguous_weight) /
-                             static_cast<double>(trained_weight)
-                       : 0.0;
 
     // Fallback: the same rule over all rows. The totals are in hash
     // order, so the smallest label breaks a weight tie explicitly.
@@ -335,7 +321,6 @@ TablePredictor::insertRow(const DatasetView &ds, size_t row)
         return;
     fkeys_.push_back(key);
     flabels_.push_back(ds.label(row));
-    fdistinct_.push_back(1);
     if (2 * fkeys_.size() > fslots_.size())
         rebuildIndex();
     else
@@ -365,17 +350,6 @@ TablePredictor::fingerprint() const
     for (size_t i : inserted)
         mix_entry(i);
     return h ? h : 1;
-}
-
-double
-TablePredictor::meanLabelsPerKey() const
-{
-    if (fdistinct_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (uint32_t d : fdistinct_)
-        sum += d;
-    return sum / static_cast<double>(fdistinct_.size());
 }
 
 }  // namespace ml

@@ -117,19 +117,6 @@ class TablePredictor : public Predictor
     size_t tableRows() const { return fkeys_.size(); }
 
     /**
-     * Number of distinct labels observed under a key averaged over
-     * keys — > 1 means the selected features are ambiguous (the
-     * Fig. 8a "more than one possible output" situation).
-     */
-    double meanLabelsPerKey() const;
-
-    /** Fraction of training weight under keys with > 1 label. */
-    double ambiguousWeightFraction() const
-    {
-        return ambiguousWeightFraction_;
-    }
-
-    /**
      * Content hash over the full table state: covers the trained
      * entries in order, the fallback label, AND the inserted entries
      * (sorted by key), since insertRow() changes predictions too.
@@ -206,11 +193,9 @@ class TablePredictor : public Predictor
      */
     std::vector<uint64_t> fkeys_;        // entry keys
     std::vector<uint64_t> flabels_;      // majority label per entry
-    std::vector<uint32_t> fdistinct_;    // distinct labels per key
     std::vector<Slot> fslots_ = std::vector<Slot>(4);
     size_t ntrained_ = 0;
     uint64_t fallbackLabel_ = kNoLabel;
-    double ambiguousWeightFraction_ = 0.0;
 };
 
 }  // namespace ml

@@ -1,13 +1,11 @@
 /**
  * @file
- * Pluggable export sinks for an obs::Registry snapshot: a JSON
- * exporter (machine-readable, consumed by tools/ci.sh and the bench
- * `--obs-json` flag), a human-readable table via util::TablePrinter
- * (`snip stats`), and a NullSink for callers that must hand a sink
- * somewhere but want observability off. Note the cheaper and more
- * common way to disable observability is a null `Registry *` at the
- * instrumentation site — see obs/metrics.h for the overhead
- * contract.
+ * Export sinks for an obs::Registry snapshot: a JSON exporter
+ * (machine-readable, consumed by tools/ci.sh and the bench
+ * `--obs-json` flag) and a human-readable table via
+ * util::TablePrinter (`snip stats`). Observability is switched off
+ * with a null `Registry *` at the instrumentation site — see
+ * obs/metrics.h for the overhead contract.
  */
 
 #ifndef SNIP_OBS_SINK_H
@@ -22,23 +20,6 @@
 namespace snip {
 namespace obs {
 
-/** Consumes a registry snapshot. */
-class Sink
-{
-  public:
-    virtual ~Sink() = default;
-
-    /** Export the registry's current contents. */
-    virtual void write(const Registry &reg) = 0;
-};
-
-/** Discards everything. */
-class NullSink final : public Sink
-{
-  public:
-    void write(const Registry &) override {}
-};
-
 /**
  * Writes one JSON object:
  * `{"counters": {...}, "gauges": {...}, "timers": {name:
@@ -47,24 +28,26 @@ class NullSink final : public Sink
  * Non-finite gauge values serialize as 0 so the output always
  * parses.
  */
-class JsonSink final : public Sink
+class JsonSink
 {
   public:
     explicit JsonSink(std::ostream &os) : os_(os) {}
 
-    void write(const Registry &reg) override;
+    /** Export the registry's current contents. */
+    void write(const Registry &reg);
 
   private:
     std::ostream &os_;
 };
 
 /** Renders per-kind tables through util::TablePrinter. */
-class TableSink final : public Sink
+class TableSink
 {
   public:
     explicit TableSink(std::ostream &os) : os_(os) {}
 
-    void write(const Registry &reg) override;
+    /** Export the registry's current contents. */
+    void write(const Registry &reg);
 
   private:
     std::ostream &os_;

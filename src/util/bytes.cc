@@ -68,20 +68,6 @@ writeFileAtomic(const std::string &path, const void *data, size_t len)
 }
 
 std::string
-toHex(const void *data, size_t len)
-{
-    static const char digits[] = "0123456789abcdef";
-    const uint8_t *p = static_cast<const uint8_t *>(data);
-    std::string out;
-    out.reserve(len * 2);
-    for (size_t i = 0; i < len; ++i) {
-        out.push_back(digits[p[i] >> 4]);
-        out.push_back(digits[p[i] & 0xf]);
-    }
-    return out;
-}
-
-std::string
 formatSize(double bytes)
 {
     static const char *suffixes[] = {"B", "kB", "MB", "GB", "TB"};

@@ -43,9 +43,6 @@ uint64_t fnv1a(const std::string &s);
 Status writeFileAtomic(const std::string &path, const void *data,
                        size_t len);
 
-/** Format bytes as lowercase hex. */
-std::string toHex(const void *data, size_t len);
-
 /** Human-readable size string, e.g. "1.5 GB", "640 B". */
 std::string formatSize(double bytes);
 

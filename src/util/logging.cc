@@ -13,7 +13,6 @@ namespace util {
 
 namespace {
 
-LogLevel g_level = LogLevel::Inform;
 bool g_throw_on_error = false;
 
 /** Format a va_list into a std::string. */
@@ -55,60 +54,16 @@ emitLine(std::string line)
     }
 }
 
-void
-emit(const char *prefix, const char *fmt, va_list args)
-{
-    std::string line(prefix);
-    line += ": ";
-    line += vformat(fmt, args);
-    emitLine(std::move(line));
-}
-
 }  // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (g_level < LogLevel::Inform)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    emit("info", fmt, args);
-    va_end(args);
-}
 
 void
 warn(const char *fmt, ...)
 {
-    if (g_level < LogLevel::Warn)
-        return;
     va_list args;
     va_start(args, fmt);
-    emit("warn", fmt, args);
+    std::string msg = vformat(fmt, args);
     va_end(args);
-}
-
-void
-debugLog(const char *fmt, ...)
-{
-    if (g_level < LogLevel::Debug)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    emit("debug", fmt, args);
-    va_end(args);
+    emitLine("warn: " + msg);
 }
 
 void

@@ -1,7 +1,7 @@
 /**
  * @file
  * Simulation status and error reporting, modeled after gem5's
- * logging discipline: inform()/warn() for status, fatal() for user
+ * logging discipline: warn() for status, fatal() for user
  * errors (bad configuration), panic() for internal invariant
  * violations (bugs in this library).
  */
@@ -15,34 +15,11 @@
 namespace snip {
 namespace util {
 
-/** Verbosity levels for the global logger. */
-enum class LogLevel {
-    Silent = 0,  ///< Only fatal/panic output.
-    Warn = 1,    ///< warn() and above.
-    Inform = 2,  ///< inform() and above (default).
-    Debug = 3,   ///< debugLog() and above.
-};
-
-/** Set the global log level. Thread-compatible (set before spawning). */
-void setLogLevel(LogLevel level);
-
-/** Get the current global log level. */
-LogLevel logLevel();
-
-/**
- * Print an informational status message (printf-style) to stderr.
- * Never terminates the process.
- */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
 /**
  * Print a warning about suspicious-but-tolerable conditions
  * (printf-style) to stderr. Never terminates the process.
  */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print a debug message, shown only at LogLevel::Debug. */
-void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Report an unrecoverable *user* error (bad configuration, invalid

@@ -1,7 +1,5 @@
 #include "util/rng.h"
 
-#include <cmath>
-
 #include "util/logging.h"
 
 namespace snip {
@@ -20,12 +18,6 @@ rotl(uint64_t x, int k)
 
 Rng::Rng(uint64_t seed_value)
 {
-    seed(seed_value);
-}
-
-void
-Rng::seed(uint64_t seed_value)
-{
     // Expand the seed into the four xoshiro words via SplitMix64,
     // per the reference implementation's recommendation.
     uint64_t sm = seed_value;
@@ -33,7 +25,6 @@ Rng::seed(uint64_t seed_value)
         sm += 0x9e3779b97f4a7c15ULL;
         word = mix64(sm);
     }
-    hasCachedGaussian_ = false;
 }
 
 uint64_t
@@ -94,75 +85,6 @@ Rng::chance(double p)
     return uniformReal() < p;
 }
 
-double
-Rng::gaussian()
-{
-    if (hasCachedGaussian_) {
-        hasCachedGaussian_ = false;
-        return cachedGaussian_;
-    }
-    // Box-Muller.
-    double u1, u2;
-    do {
-        u1 = uniformReal();
-    } while (u1 <= 1e-300);
-    u2 = uniformReal();
-    double r = std::sqrt(-2.0 * std::log(u1));
-    double theta = 2.0 * M_PI * u2;
-    cachedGaussian_ = r * std::sin(theta);
-    hasCachedGaussian_ = true;
-    return r * std::cos(theta);
-}
-
-double
-Rng::gaussian(double mean, double stddev)
-{
-    return mean + stddev * gaussian();
-}
-
-double
-Rng::logNormal(double median, double sigma)
-{
-    if (median <= 0.0)
-        panic("Rng::logNormal: median must be positive (%f)", median);
-    return median * std::exp(sigma * gaussian());
-}
-
-uint64_t
-Rng::burstLength(double m, uint64_t cap)
-{
-    if (cap == 0)
-        panic("Rng::burstLength: cap must be >= 1");
-    if (m <= 1.0)
-        return 1;
-    double p = 1.0 / m;
-    uint64_t len = 1;
-    while (len < cap && !chance(p))
-        ++len;
-    return len;
-}
-
-size_t
-Rng::weightedIndex(const std::vector<double> &weights)
-{
-    double total = 0.0;
-    for (double w : weights) {
-        if (w < 0.0)
-            panic("Rng::weightedIndex: negative weight %f", w);
-        total += w;
-    }
-    if (total <= 0.0)
-        panic("Rng::weightedIndex: no positive weights");
-    double target = uniformReal() * total;
-    double acc = 0.0;
-    for (size_t i = 0; i < weights.size(); ++i) {
-        acc += weights[i];
-        if (target < acc)
-            return i;
-    }
-    return weights.size() - 1;
-}
-
 std::vector<size_t>
 Rng::permutation(size_t n)
 {
@@ -174,12 +96,6 @@ Rng::permutation(size_t n)
         std::swap(idx[i - 1], idx[j]);
     }
     return idx;
-}
-
-Rng
-Rng::fork(uint64_t stream_id)
-{
-    return Rng(mixCombine(next(), stream_id));
 }
 
 }  // namespace util

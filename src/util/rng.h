@@ -50,7 +50,7 @@ mixCombine(uint64_t a, uint64_t b)
  *
  * Satisfies the UniformRandomBitGenerator requirements so it can be
  * used with <random> distributions, but also provides the handful of
- * distributions the simulator needs directly (avoiding libstdc++
+ * uniform draws the simulator needs directly (avoiding libstdc++
  * implementation differences that would hurt reproducibility).
  */
 class Rng
@@ -60,9 +60,6 @@ class Rng
 
     /** Construct from a 64-bit seed (expanded via SplitMix64). */
     explicit Rng(uint64_t seed = 0x5eed5eed5eedULL);
-
-    /** Re-seed the generator. */
-    void seed(uint64_t seed);
 
     /** Next raw 64-bit value. */
     uint64_t next();
@@ -84,37 +81,11 @@ class Rng
     /** Bernoulli trial with probability p of returning true. */
     bool chance(double p);
 
-    /** Standard normal via Box-Muller (deterministic, cached pair). */
-    double gaussian();
-
-    /** Normal with given mean and standard deviation. */
-    double gaussian(double mean, double stddev);
-
-    /**
-     * Log-normal sample parameterized by the *target* median and a
-     * dimensionless spread sigma (stddev of the underlying normal).
-     */
-    double logNormal(double median, double sigma);
-
-    /** Geometric-ish burst length in [1, cap] with mean roughly m. */
-    uint64_t burstLength(double m, uint64_t cap);
-
-    /**
-     * Sample an index from a discrete distribution given by
-     * non-negative weights. Requires at least one positive weight.
-     */
-    size_t weightedIndex(const std::vector<double> &weights);
-
     /** Fisher-Yates shuffle of indices [0, n). */
     std::vector<size_t> permutation(size_t n);
 
-    /** Fork a child generator with a decorrelated seed. */
-    Rng fork(uint64_t stream_id);
-
   private:
     uint64_t s_[4];
-    bool hasCachedGaussian_ = false;
-    double cachedGaussian_ = 0.0;
 };
 
 }  // namespace util

@@ -192,18 +192,5 @@ Log2Histogram::merge(const Log2Histogram &other)
     total_ += other.total_;
 }
 
-void
-CounterSet::inc(const std::string &name, uint64_t by)
-{
-    counters_[name] += by;
-}
-
-uint64_t
-CounterSet::get(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
 }  // namespace util
 }  // namespace snip

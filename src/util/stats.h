@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <string>
 #include <vector>
 
 namespace snip {
@@ -138,21 +137,6 @@ class Log2Histogram
   private:
     std::map<uint64_t, uint64_t> bins_;
     uint64_t total_ = 0;
-};
-
-/** Named counter registry for a simulation run. */
-class CounterSet
-{
-  public:
-    /** Increment a named counter. */
-    void inc(const std::string &name, uint64_t by = 1);
-    /** Read a counter (0 when absent). */
-    uint64_t get(const std::string &name) const;
-    /** All counters, sorted by name. */
-    const std::map<std::string, uint64_t> &all() const { return counters_; }
-
-  private:
-    std::map<std::string, uint64_t> counters_;
 };
 
 }  // namespace util

@@ -208,67 +208,58 @@ class SnipSchemeAllocTest : public ::testing::TestWithParam<std::string>
 
 // The SNIP decision path driven as runSession drives it: decide, then
 // either the short-circuit outputs or the handler's own outputs and
-// observe(). Hits, misses and watchdog audits all run. Without online
-// fill nothing allocates; with it, only events that grow the overlay
-// may, and its arrays grow geometrically.
+// observe(). Hits, misses and watchdog audits all run. Only events
+// that grow the online-fill overlay may allocate, and its arrays grow
+// geometrically.
 TEST_P(SnipSchemeAllocTest, DecideObserveAllocateOnlyOnOverlayGrowth)
 {
     core::SnipModel model = deployedModel(GetParam());
     size_t deployed = model.types.size();
-    for (bool fill : {false, true}) {
-        SCOPED_TRACE(fill ? "online fill" : "frozen only");
-        core::SnipRuntimeConfig rcfg;
-        rcfg.online_fill = fill;
-        rcfg.audit_every = 16;
-        core::SnipScheme scheme(model, rcfg);
-        auto live = makeGame(GetParam());
-        const auto &mix = live->params().mix;
-        util::Rng rng(43);
-        events::EventObject ev;
-        HandlerExecution truth;
-        double now = 0.0;
-        uint64_t allocs = 0, stray = 0, hits = 0, misses = 0;
-        auto step = [&](bool count) {
-            live->makeEvent(mix[rng.uniformInt(0, mix.size() - 1)].type,
-                            now, rng, ev);
-            live->process(ev, truth);
-            now += 0.01;
-            const uint64_t before = t_allocs;
-            const size_t entries = scheme.overlayEntries();
-            const uint64_t clears = scheme.tableClears();
-            core::Decision d = scheme.decide(*live, ev, truth);
-            if (!d.shortcircuit)
-                scheme.observe(truth);
-            const uint64_t n = t_allocs - before;
-            live->applyOutputs(d.shortcircuit ? *d.outputs
-                                              : truth.outputs);
-            // A watchdog clear logs a formatted warning line.
-            if (!count || scheme.tableClears() != clears)
-                return;
-            (d.lookup_hit ? hits : misses) += 1;
-            allocs += n;
-            if (scheme.overlayEntries() <= entries)
-                stray += n;
-        };
-        for (int i = 0; i < 2000; ++i)  // warm-up
-            step(false);
-        const uint64_t audits = scheme.auditsRun();
-        for (int i = 0; i < 20000; ++i)
-            step(true);
-        EXPECT_GT(hits, 0u);
-        EXPECT_GT(misses, 0u);
-        EXPECT_GT(scheme.auditsRun(), audits);
-        EXPECT_EQ(stray, 0u);
-        if (!fill) {
-            EXPECT_EQ(allocs, 0u);
-            continue;
-        }
-        // Each deployed type's overlay keeps ~20 growable arrays.
-        const uint64_t growths = static_cast<uint64_t>(
-            std::bit_width(scheme.overlayEntries()) + 1);
-        EXPECT_LE(allocs, 20 * deployed * growths)
-            << scheme.overlayEntries() << " overlay entries";
-    }
+    core::SnipRuntimeConfig rcfg;
+    rcfg.audit_every = 16;
+    core::SnipScheme scheme(model, rcfg);
+    auto live = makeGame(GetParam());
+    const auto &mix = live->params().mix;
+    util::Rng rng(43);
+    events::EventObject ev;
+    HandlerExecution truth;
+    double now = 0.0;
+    uint64_t allocs = 0, stray = 0, hits = 0, misses = 0;
+    auto step = [&](bool count) {
+        live->makeEvent(mix[rng.uniformInt(0, mix.size() - 1)].type,
+                        now, rng, ev);
+        live->process(ev, truth);
+        now += 0.01;
+        const uint64_t before = t_allocs;
+        const size_t entries = scheme.overlayEntries();
+        const uint64_t clears = scheme.tableClears();
+        core::Decision d = scheme.decide(*live, ev, truth);
+        if (!d.shortcircuit)
+            scheme.observe(truth);
+        const uint64_t n = t_allocs - before;
+        live->applyOutputs(d.shortcircuit ? *d.outputs : truth.outputs);
+        // A watchdog clear logs a formatted warning line.
+        if (!count || scheme.tableClears() != clears)
+            return;
+        (d.lookup_hit ? hits : misses) += 1;
+        allocs += n;
+        if (scheme.overlayEntries() <= entries)
+            stray += n;
+    };
+    for (int i = 0; i < 2000; ++i)  // warm-up
+        step(false);
+    const uint64_t audits = scheme.auditsRun();
+    for (int i = 0; i < 20000; ++i)
+        step(true);
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(misses, 0u);
+    EXPECT_GT(scheme.auditsRun(), audits);
+    EXPECT_EQ(stray, 0u);
+    // Each deployed type's overlay keeps ~20 growable arrays.
+    const uint64_t growths = static_cast<uint64_t>(
+        std::bit_width(scheme.overlayEntries()) + 1);
+    EXPECT_LE(allocs, 20 * deployed * growths)
+        << scheme.overlayEntries() << " overlay entries";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGames, SnipSchemeAllocTest,

@@ -1888,7 +1888,6 @@ TEST(Simulation, SessionGoldenDigest)
     ASSERT_NE(cmodel.table, nullptr);
     SnipRuntimeConfig rcfg;
     rcfg.audit_every = 8;
-    rcfg.online_fill = true;
     SnipScheme snip(cmodel, rcfg);
     SessionResult snipped = runSession(*colorphun, snip, ecfg);
     EXPECT_GT(snipped.stats.shortcircuits, 0u);

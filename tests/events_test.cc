@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the event framework: field schemas, event objects,
- * sensors, SensorManager accounting, and the Binder channel.
+ * SensorManager accounting, and the Binder channel.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "events/binder.h"
 #include "events/event.h"
 #include "events/field.h"
-#include "events/sensor.h"
 #include "events/sensor_manager.h"
 #include "soc/soc.h"
 #include "util/logging.h"
@@ -150,45 +149,6 @@ TEST(EventObject, NamesDistinct)
     for (int t = 0; t < kNumEventTypes; ++t)
         names.insert(eventTypeName(static_cast<EventType>(t)));
     EXPECT_EQ(names.size(), static_cast<size_t>(kNumEventTypes));
-}
-
-// ------------------------------------------------------------- Sensor
-
-TEST(Sensor, QuantizeEndpoints)
-{
-    Sensor s(SensorKind::Gyroscope, 200.0, 8);
-    EXPECT_EQ(s.quantize(0.0, 0.0, 360.0), 0u);
-    EXPECT_EQ(s.quantize(360.0, 0.0, 360.0), 255u);
-    EXPECT_EQ(s.quantize(-5.0, 0.0, 360.0), 0u);  // clamps
-}
-
-TEST(Sensor, LowFidelityHalvesResolution)
-{
-    Sensor s(SensorKind::Gyroscope, 200.0, 12);
-    EXPECT_EQ(s.effectiveBits(), 12);
-    s.setLowFidelity(true);
-    EXPECT_EQ(s.effectiveBits(), 6);
-    EXPECT_LE(s.quantize(180.0, 0.0, 360.0), 63u);
-}
-
-TEST(Sensor, SensorForEventMapping)
-{
-    EXPECT_EQ(sensorForEvent(EventType::Touch),
-              SensorKind::Touchscreen);
-    EXPECT_EQ(sensorForEvent(EventType::Swipe),
-              SensorKind::Touchscreen);
-    EXPECT_EQ(sensorForEvent(EventType::Gyro), SensorKind::Gyroscope);
-    EXPECT_EQ(sensorForEvent(EventType::CameraFrame),
-              SensorKind::Camera);
-    EXPECT_EQ(sensorForEvent(EventType::Gps), SensorKind::Gps);
-}
-
-TEST(Sensor, InvalidConfigFatal)
-{
-    bool prev = util::setThrowOnError(true);
-    EXPECT_THROW(Sensor(SensorKind::Gps, 0.0, 8), std::runtime_error);
-    EXPECT_THROW(Sensor(SensorKind::Gps, 1.0, 0), std::runtime_error);
-    util::setThrowOnError(prev);
 }
 
 // ------------------------------------------------------ SensorManager

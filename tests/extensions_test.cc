@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "core/federated.h"
 #include "core/qoe.h"
 #include "core/scheme.h"
@@ -101,7 +99,6 @@ TEST(Watchdog, AuditsCatchBrokenTable)
     SnipRuntimeConfig rcfg;
     rcfg.audit_every = 4;
     rcfg.audit_window = 8;
-    rcfg.audit_clear_threshold = 0.05;
     SnipScheme scheme(model, rcfg);
 
     SimulationConfig cfg;
@@ -180,52 +177,13 @@ TEST(Federated, MatchesCentralizedQualityAtLowerCost)
     EXPECT_LT(ef.error_field_rate, 0.02);
 }
 
-TEST(Federated, VoteThresholdFiltersMinorityFields)
+// A field is kept by a majority of at least half the users.
+TEST(FederatedTest, MajorityThreshold)
 {
-    FederatedConfig cfg;
-    cfg.num_users = 3;
-    cfg.session_s = 60.0;
-    cfg.vote_fraction = 1.01;  // impossible: nothing deployed
-    FederatedResult fed = buildFederated("colorphun", cfg);
-    EXPECT_TRUE(fed.model.types.empty());
-}
-
-TEST(Federated, VotesNeededExactCeiling)
-{
-    // The regression the epsilon fudge (f * N + 0.9999) got wrong:
-    // the threshold must be the exact ceiling of vote_fraction *
-    // num_users at every representable fraction.
-    struct Case {
-        double fraction;
-        int users;
-        size_t expected;
-    };
-    const Case cases[] = {
-        {0.5, 2, 1},  {0.5, 3, 2},  {0.5, 10, 5},
-        {1.0, 2, 2},  {1.0, 3, 3},  {1.0, 10, 10},
-        {0.25, 4, 1}, {0.75, 4, 3}, {2.0, 5, 10},
-    };
-    for (const Case &c : cases)
-        EXPECT_EQ(federatedVotesNeeded(c.fraction, c.users),
-                  c.expected)
-            << c.fraction << " x " << c.users;
-
-    // Adversarial boundaries: a fraction one ulp off an exact
-    // product must round to the mathematically exact ceiling of the
-    // value the double actually holds.
-    double below_half = std::nextafter(0.5, 0.0);
-    EXPECT_EQ(federatedVotesNeeded(below_half, 10), 5u);  // 4.9999...
-    double above_half = std::nextafter(0.5, 1.0);
-    EXPECT_EQ(federatedVotesNeeded(above_half, 10), 6u);  // 5.0000...1
-    double below_one = std::nextafter(1.0, 0.0);
-    EXPECT_EQ(federatedVotesNeeded(below_one, 3), 3u);
-
-    // Degenerate inputs.
-    EXPECT_EQ(federatedVotesNeeded(0.5, 0), 0u);
-    EXPECT_EQ(federatedVotesNeeded(0.0, 7), 1u);
-    EXPECT_EQ(federatedVotesNeeded(-1.0, 7), 1u);
-    // An impossible fraction needs more votes than users exist.
-    EXPECT_GT(federatedVotesNeeded(1.01, 5), 5u);
+    const size_t expected[] = {0, 1, 1, 2, 2, 3, 3, 4, 4, 5};
+    for (int n = 0; n < 10; ++n)
+        EXPECT_EQ(federatedVotesNeeded(n), expected[n]) << n << " users";
+    EXPECT_EQ(federatedVotesNeeded(-3), 0u);
 }
 
 TEST(Federated, EvaluateModelTakesConstModel)

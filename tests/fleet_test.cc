@@ -6,8 +6,9 @@
  * federated aggregation (bitwise equality with the serial merge
  * chain at decode thread counts {1, 2, 8} — FleetAggregate* is the
  * ci.sh tsan stage), the versioned model registry (lineage,
- * idempotent publish, integrity rejection, persistence), and the
- * cohort epoch-push simulation.
+ * idempotent publish, integrity rejection, persistence, and loads of
+ * a save truncated at every offset), and the cohort epoch-push
+ * simulation.
  */
 
 #include <gtest/gtest.h>
@@ -503,6 +504,71 @@ TEST(FleetRegistryTest, TornSaveKeepsOldStateAndNextSaveReplacesIt)
     EXPECT_EQ(fetched.value()->data(), packageOf(m2)->data());
 }
 
+// A crash that tears a saved file in place: the index and,
+// separately, the head's package are truncated at every offset.
+// loadDir must either fail cleanly or return a registry whose lineage
+// is a prefix of the saved one, every version of which still fetches
+// and unpacks. A cut package is always refused (its size and digest
+// no longer match the index); the index's cuts at line ends yield
+// every prefix from empty to whole.
+TEST(FleetRegistryTest, TruncatedAtEveryOffset)
+{
+    const std::string game = "colorphun";
+    ModelRegistry reg;
+    std::vector<VersionId> saved;
+    for (int e = 0; e < 3; ++e) {
+        auto v = reg.publish(
+            game, packageOf(buildModelFor(game, 10.0 + 2.0 * e, 91 + e)));
+        ASSERT_TRUE(v.ok()) << v.status().message();
+        saved.push_back(v.value());
+    }
+    ScratchDir scratch("fleet_reg_trunc");
+    ASSERT_FALSE(scratch.path().empty());
+    const std::string dir = scratch.path() + "/reg";
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(saved.back()));
+
+    const std::string index = dir + "/index.txt";
+    const std::string head_pkg = dir + "/" + hex + ".snpm";
+    for (const std::string &path : {index, head_pkg}) {
+        SCOPED_TRACE(path);
+        ASSERT_TRUE(reg.saveDir(dir).ok());  // every file whole again
+        std::error_code ec;
+        uintmax_t size = std::filesystem::file_size(path, ec);
+        ASSERT_FALSE(ec);
+        std::vector<bool> prefix_seen(saved.size() + 1, false);
+        for (uintmax_t off = size; off-- > 0;) {
+            std::filesystem::resize_file(path, off, ec);
+            ASSERT_FALSE(ec) << off;
+            auto loaded = ModelRegistry::loadDir(dir);
+            if (!loaded.ok())
+                continue;
+            const ModelRegistry &got = loaded.value();
+            const std::vector<ModelVersion> &vs = got.versions(game);
+            ASSERT_LE(vs.size(), saved.size()) << off;
+            prefix_seen[vs.size()] = true;
+            for (size_t i = 0; i < vs.size(); ++i) {
+                ASSERT_EQ(vs[i].id, saved[i]) << off;
+                auto fetched = got.fetch(game, vs[i].id);
+                ASSERT_TRUE(fetched.ok()) << off;
+                EXPECT_EQ(fetched.value()->data(),
+                          reg.find(game, saved[i])->package->data());
+                EXPECT_TRUE(core::unpackModel(*fetched.value()).ok())
+                    << off;
+            }
+            if (!vs.empty()) {
+                auto lineage = got.lineage(game, vs.back().id);
+                ASSERT_TRUE(lineage.ok()) << off;
+                EXPECT_EQ(lineage.value().size(), vs.size()) << off;
+            }
+        }
+        bool is_index = path == index;
+        for (size_t n = 0; n <= saved.size(); ++n)
+            EXPECT_EQ(prefix_seen[n], is_index) << n << " versions";
+    }
+}
+
 // Index ids must read exactly as saveDir writes them (16 lowercase
 // hex digits), and a package path is built from the parsed id: a line
 // naming "../x", a short or long id or trailing garbage is refused
@@ -563,8 +629,10 @@ TEST(FleetRegistryTest, IndexIdsMustBeSixteenLowercaseHexDigits)
 TEST(FleetSimTest, PushEpochCohortReport)
 {
     const std::string game_name = "memory_game";
+    // Four publishes, so the stable, slow and lagging rings (1, 2 and
+    // 3 versions behind the head) all hold a base.
     ModelRegistry reg;
-    for (int e = 0; e < 3; ++e) {
+    for (int e = 0; e < 4; ++e) {
         core::SnipModel m =
             buildModelFor(game_name, 8.0 + 4.0 * e, 70 + e);
         ASSERT_TRUE(reg.publish(game_name, packageOf(m)).ok());
@@ -574,38 +642,41 @@ TEST(FleetSimTest, PushEpochCohortReport)
     cfg.game = game_name;
     cfg.devices = 1000000;
     cfg.eval_seconds = 5.0;
-    cfg.cohorts = {
-        {"stable", 0.6, 1},
-        {"lagging", 0.3, 2},
-        {"fresh", 0.1, 1000},
-    };
     auto pushed = pushEpoch(reg, cfg);
     ASSERT_TRUE(pushed.ok()) << pushed.status().message();
     const EpochPushReport &r = pushed.value();
 
     EXPECT_EQ(r.head, reg.head(game_name)->id);
-    ASSERT_EQ(r.cohorts.size(), 3u);
+    const std::vector<CohortSpec> rings = defaultCohorts();
+    ASSERT_EQ(r.cohorts.size(), rings.size());
     uint64_t devices = 0;
-    for (const CohortReport &c : r.cohorts)
-        devices += c.devices;
+    for (size_t i = 0; i < rings.size(); ++i) {
+        EXPECT_EQ(r.cohorts[i].name, rings[i].name);
+        devices += r.cohorts[i].devices;
+    }
     EXPECT_EQ(devices, cfg.devices);
 
-    // Delta-updated cohorts ship patches; the fresh cohort
-    // full-fetches. Fleet-wide, delta OTA strictly beats full.
-    EXPECT_TRUE(r.cohorts[0].used_delta);
-    EXPECT_GT(r.cohorts[0].patch_bytes, 0u);
-    EXPECT_LT(r.cohorts[0].delta_bytes, r.cohorts[0].full_bytes);
-    EXPECT_FALSE(r.cohorts[2].used_delta);
-    EXPECT_EQ(r.cohorts[2].delta_bytes, r.cohorts[2].full_bytes);
+    // The delta rings ship patches; the fresh ring full-fetches.
+    // Fleet-wide, delta OTA strictly beats full.
+    for (size_t i = 0; i < 3; ++i) {
+        SCOPED_TRACE(r.cohorts[i].name);
+        EXPECT_TRUE(r.cohorts[i].used_delta);
+        EXPECT_GT(r.cohorts[i].patch_bytes, 0u);
+        EXPECT_LT(r.cohorts[i].delta_bytes, r.cohorts[i].full_bytes);
+    }
+    const CohortReport &fresh = r.cohorts.back();
+    EXPECT_EQ(fresh.name, "fresh");
+    EXPECT_FALSE(fresh.used_delta);
+    EXPECT_EQ(fresh.delta_bytes, fresh.full_bytes);
     EXPECT_LT(r.delta_bytes, r.full_bytes);
     EXPECT_EQ(r.fallbacks, 0u);
 
-    // Hit rates are rates; the no-model cohort misses everything.
+    // Hit rates are rates; the no-model ring misses everything.
     for (const CohortReport &c : r.cohorts) {
         EXPECT_GE(c.hit_rate, 0.0);
         EXPECT_LE(c.hit_rate, 1.0);
     }
-    EXPECT_EQ(r.cohorts[2].hit_rate, 0.0);
+    EXPECT_EQ(fresh.hit_rate, 0.0);
     EXPECT_GE(r.staleness_skew, 0.0);
 
     FleetSimConfig unknown;

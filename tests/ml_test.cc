@@ -202,8 +202,6 @@ TEST(TablePredictorTest, MissingNecessaryFeatureErrs)
     TablePredictor tp;
     tp.train(ds, cols);
     EXPECT_GT(weightedErrorRate(tp, ds), 0.3);
-    EXPECT_GT(tp.ambiguousWeightFraction(), 0.5);
-    EXPECT_GT(tp.meanLabelsPerKey(), 1.5);
 }
 
 TEST(TablePredictorTest, StrictLookupMissesUnseenKeys)
@@ -402,12 +400,11 @@ TEST(TablePredictorTest, TieBreaksSmallestLabelFirstRow)
     tp.trainOnRows(ds, {0}, rows);
     EXPECT_EQ(tp.tableRows(), 1u);
     EXPECT_EQ(tp.predict(ds, 0), small);
-    EXPECT_DOUBLE_EQ(tp.ambiguousWeightFraction(), 1.0);
     EXPECT_EQ(tp.predict(ds, 4), small);  // fallback label
 }
 
 // Training on no rows must not inherit the previous training's
-// fallback or ambiguity.
+// entries or fallback.
 TEST(TablePredictorTest, EmptyTrainingResetsFallback)
 {
     Synthetic syn(200);
@@ -415,13 +412,11 @@ TEST(TablePredictorTest, EmptyTrainingResetsFallback)
     std::vector<size_t> cols = {ds.columnOf(syn.fb)};
     TablePredictor tp;
     tp.train(ds, cols);
-    ASSERT_GT(tp.ambiguousWeightFraction(), 0.0);
     ASSERT_NE(tp.predict(ds, 0), kNoLabel);
 
     tp.trainOnRows(ds, cols, {});
     EXPECT_EQ(tp.tableRows(), 0u);
     EXPECT_EQ(tp.predict(ds, 0), kNoLabel);
-    EXPECT_DOUBLE_EQ(tp.ambiguousWeightFraction(), 0.0);
 }
 
 /**
@@ -475,8 +470,6 @@ struct RefEntry {
 struct RefTally {
     std::vector<RefEntry> entries;  // ascending key
     uint64_t fallback_label = kNoLabel;
-    double ambiguous = 0.0;
-    double mean_labels = 0.0;
 
     RefTally(const DatasetView &ds, const std::vector<size_t> &cols,
              const std::vector<size_t> &rows)
@@ -498,27 +491,9 @@ struct RefTally {
             }
             return label;
         };
-        uint64_t total = 0, ambiguous_w = 0;
-        size_t distinct = 0;
-        for (const auto &[key, labels] : per_key) {
-            RefEntry e{key, majority(labels)};
-            uint64_t w = 0;
-            for (const auto &la : labels)
-                w += la.second;
-            total += w;
-            if (labels.size() > 1)
-                ambiguous_w += w;
-            distinct += labels.size();
-            entries.push_back(e);
-        }
+        for (const auto &[key, labels] : per_key)
+            entries.push_back({key, majority(labels)});
         fallback_label = majority(overall);
-        ambiguous = total ? static_cast<double>(ambiguous_w) /
-                                static_cast<double>(total)
-                          : 0.0;
-        mean_labels = entries.empty()
-                          ? 0.0
-                          : static_cast<double>(distinct) /
-                                static_cast<double>(entries.size());
     }
 
     const RefEntry *find(uint64_t key) const
@@ -560,8 +535,7 @@ refFingerprint(const std::vector<size_t> &cols,
 }
 
 // The bucketed tally must reproduce the brute-force per-key tally:
-// entries, majority labels, ambiguity, mean labels per key and the
-// fallback. Rows are passed shuffled, and rows whose
+// entries, majority labels and the fallback. Rows are passed shuffled, and rows whose
 // first column is 0 are left out so their keys hit the fallback.
 TEST(TablePredictorTest, TallyMatchesBruteForceReference)
 {
@@ -591,8 +565,6 @@ TEST(TablePredictorTest, TallyMatchesBruteForceReference)
                      << ncols << " card " << card << " labels "
                      << nlabels);
         EXPECT_EQ(tp.tableRows(), ref.entries.size());
-        EXPECT_DOUBLE_EQ(tp.meanLabelsPerKey(), ref.mean_labels);
-        EXPECT_DOUBLE_EQ(tp.ambiguousWeightFraction(), ref.ambiguous);
         EXPECT_EQ(tp.fingerprint(),
                   refFingerprint(cols, ref.entries, ref.fallback_label,
                                  {}));
@@ -650,7 +622,6 @@ TEST(TablePredictorTest, InsertsPastHalfLoadKeepEveryKey)
         }
     }
     EXPECT_EQ(tp.tableRows(), 150u);
-    EXPECT_DOUBLE_EQ(tp.meanLabelsPerKey(), 1.0);
 
     std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
     std::vector<RefEntry> inserted;
@@ -790,7 +761,7 @@ TEST(PfiTest, DeterministicForSeed)
     PfiResult a = computePfi(tp, ds, cols, cfg);
     // One task per (feature, repeat): what loopbench's ml.pfi_tasks
     // reads.
-    const uint64_t tasks = cols.size() * static_cast<uint64_t>(cfg.repeats);
+    const uint64_t tasks = cols.size() * kPfiRepeats;
     EXPECT_EQ(reg.counterValue("shrink.pfi.tasks"), tasks);
     PfiResult b = computePfi(tp, ds, cols, cfg);
     EXPECT_EQ(reg.counterValue("shrink.pfi.tasks"), 2 * tasks);
@@ -854,10 +825,9 @@ referencePfi(const Predictor &p, const DatasetView &ds,
     std::vector<uint64_t> permuted(n), pred(n);
     for (size_t col : cols) {
         double err_sum = 0.0;
-        for (int rep = 0; rep < cfg.repeats; ++rep) {
-            util::Rng rng(util::mixCombine(
-                cfg.seed,
-                util::mixCombine(col, static_cast<uint64_t>(rep))));
+        for (size_t rep = 0; rep < kPfiRepeats; ++rep) {
+            util::Rng rng(
+                util::mixCombine(cfg.seed, util::mixCombine(col, rep)));
             std::vector<size_t> perm = rng.permutation(n);
             for (size_t r = 0; r < n; ++r)
                 permuted[r] = ds.value(perm[r], col);
@@ -870,7 +840,7 @@ referencePfi(const Predictor &p, const DatasetView &ds,
             err_sum += static_cast<double>(wrong) /
                        static_cast<double>(ds.totalWeight());
         }
-        double imp = err_sum / static_cast<double>(cfg.repeats) -
+        double imp = err_sum / static_cast<double>(kPfiRepeats) -
                      res.base_error;
         res.importance.push_back(imp > 0.0 ? imp : 0.0);
     }

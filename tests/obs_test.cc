@@ -214,15 +214,6 @@ TEST(Sinks, TableListsMetrics)
     EXPECT_NE(out.find("session.energy_j"), std::string::npos);
 }
 
-TEST(Sinks, NullSinkDiscards)
-{
-    Registry reg;
-    reg.counter("c").add(1);
-    NullSink sink;
-    sink.write(reg);  // Must not crash or print.
-    EXPECT_EQ(reg.counterValue("c"), 1u);
-}
-
 // ------------------------------------------------- scheme telemetry
 
 // Regression: decide.online_inserts must count actual overlay

@@ -3,6 +3,10 @@
 #  - default build + ctest;
 #  - the four examples end to end (profile_and_deploy writes its
 #    artifacts into a temporary directory removed on exit);
+#  - the snip CLI end to end in a temporary directory: record,
+#    select --out, pack, verify, inspect, and a fleet publish / diff /
+#    apply round trip whose applied package must equal the packed one
+#    byte for byte; verify must reject a truncated package (exit 1);
 #  - bench goldens: the stdout and --csv series of the 14 paper
 #    benches at --quick (fig09 and fig11 also at --threads 4) are
 #    diffed byte for byte against tests/golden/
@@ -82,6 +86,36 @@ trap 'rm -rf "$EXAMPLES_OUT"' EXIT
 ./build/examples/ar_game_session >/dev/null
 ./build/examples/continuous_learning_demo >/dev/null
 ./build/examples/profile_and_deploy candy_crush "$EXAMPLES_OUT" >/dev/null
+
+echo "==> snip CLI (record -> select -> pack -> verify -> fleet round trip)"
+CLI_OUT=$(mktemp -d)
+trap 'rm -rf "$EXAMPLES_OUT" "$CLI_OUT"' EXIT
+SNIP=./build/src/cli/snip
+$SNIP record --game colorphun --seconds 20 --out "$CLI_OUT/ev.bin" \
+    >/dev/null
+$SNIP select --in "$CLI_OUT/ev.bin" --out "$CLI_OUT/tr.snct" >/dev/null
+$SNIP pack --game colorphun --profile-seconds 10 \
+    --out "$CLI_OUT/base.snpm" >/dev/null
+$SNIP pack --game colorphun --profile-seconds 20 \
+    --out "$CLI_OUT/m.snpm" >/dev/null
+$SNIP verify --in "$CLI_OUT/m.snpm" >/dev/null
+$SNIP inspect --in "$CLI_OUT/m.snpm" --verbose >/dev/null
+$SNIP fleet publish --registry "$CLI_OUT/reg" --in "$CLI_OUT/base.snpm" \
+    >/dev/null
+$SNIP fleet publish --registry "$CLI_OUT/reg" --in "$CLI_OUT/m.snpm" \
+    >/dev/null
+$SNIP fleet diff --from "$CLI_OUT/base.snpm" --to "$CLI_OUT/m.snpm" \
+    --out "$CLI_OUT/p.snpd" >/dev/null
+$SNIP fleet apply --base "$CLI_OUT/base.snpm" --patch "$CLI_OUT/p.snpd" \
+    --out "$CLI_OUT/got.snpm" >/dev/null
+cmp "$CLI_OUT/got.snpm" "$CLI_OUT/m.snpm"
+head -c 100 "$CLI_OUT/m.snpm" >"$CLI_OUT/trunc.snpm"
+status=0
+$SNIP verify --in "$CLI_OUT/trunc.snpm" >/dev/null || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "snip verify: truncated package exited $status, want 1" >&2
+    exit 1
+fi
 
 echo "==> bench goldens (paper benches at --quick, byte for byte)"
 tools/bench_goldens.sh build
