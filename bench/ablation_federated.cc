@@ -13,7 +13,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/federated.h"
+#include "fleet/federated.h"
 #include "util/bytes.h"
 #include "util/table_printer.h"
 
@@ -28,20 +28,20 @@ main(int argc, char **argv)
                        "cost reduction");
 
     const char *game = "chase_whisply";
-    core::FederatedConfig cfg;
+    fleet::FederatedConfig cfg;
     cfg.num_users = opts.quick ? 3 : 6;
     cfg.session_s = opts.quick ? 60.0 : 150.0;
     cfg.seed = opts.seed;
     cfg.snip.threads = opts.threads;
 
-    core::FederatedResult central = core::buildCentralized(game, cfg);
-    core::FederatedResult fed = core::buildFederated(game, cfg);
+    fleet::FederatedResult central = fleet::buildCentralized(game, cfg);
+    fleet::FederatedResult fed = fleet::buildFederated(game, cfg);
 
     uint64_t eval_seed = util::mixCombine(opts.seed, 0x4e1dULL);
-    core::FederatedEval ec =
-        core::evaluateModel(game, central.model, eval_seed);
-    core::FederatedEval ef =
-        core::evaluateModel(game, fed.model, eval_seed);
+    fleet::FederatedEval ec =
+        fleet::evaluateModel(game, central.model, eval_seed);
+    fleet::FederatedEval ef =
+        fleet::evaluateModel(game, fed.model, eval_seed);
 
     util::TablePrinter table({"metric", "centralized", "federated"});
     table.addRow({"raw bytes uploaded",

@@ -8,9 +8,9 @@
  *      cohorts, receives the head epoch — reporting full-package vs
  *      delta OTA bytes (the fig06_ota_payload baseline vs SNPD
  *      patches) and asserting delta is strictly below full;
- *   2. a batch of per-device upload payloads is aggregated serially
- *      (the core federated merge chain) and by
- *      fleet::aggregateUploads (parallel decode, then the same
+ *   2. a batch of per-device upload payloads is aggregated by a
+ *      serial decode-and-merge reference and by
+ *      fleet::aggregateUploads (parallel decode, then one merge
  *      chain), asserting the frozen arenas are byte-identical and
  *      reporting both wall times;
  *   3. each cohort's stale-version lookup hit rate is reported
@@ -170,7 +170,7 @@ parseArgs(int argc, char **argv)
     return a;
 }
 
-/** The serial reference: the core federated merge chain. */
+/** The serial reference: decode each upload, merge in upload order. */
 void
 serialAggregate(core::MemoTable &dest,
                 const std::vector<util::ByteBuffer> &uploads)

@@ -280,7 +280,7 @@ cmdSelect(const Args &args)
     }
 
     core::SnipConfig cfg;
-    cfg.seed = args.getU("seed", 0x51139);
+    cfg.seed = args.getU("seed", kSeed);
     cfg.overrides.force_keep = game->params().recommended_overrides;
     core::SnipModel model = core::buildSnipModel(profile, *game, cfg);
 
@@ -288,16 +288,19 @@ cmdSelect(const Args &args)
                 tr.game.c_str(), profile.records.size(),
                 model.types.size());
     for (const auto &t : model.types) {
+        // The deployed selection is the table's, as `inspect` reads
+        // it from a package.
+        const std::vector<events::FieldId> selected =
+            model.table->selectedVector(t.type);
         std::printf("  %-12s %2zu necessary fields (%llu B), "
                     "holdout wrong hits %.2f%%, hit rate %.0f%%\n",
-                    events::eventTypeName(t.type),
-                    t.selection.selected.size(),
+                    events::eventTypeName(t.type), selected.size(),
                     static_cast<unsigned long long>(
-                        t.selection.selected_bytes),
+                        model.table->selectedBytes(t.type)),
                     100.0 * t.selection.selected_error,
                     100.0 * t.selection.selected_hit_rate);
         if (!args.get("verbose").empty()) {
-            for (events::FieldId fid : t.selection.selected)
+            for (events::FieldId fid : selected)
                 std::printf("      %s\n",
                             game->schema().def(fid).name.c_str());
         }

@@ -190,7 +190,6 @@ FrozenTable::decode(const events::FieldSchema &schema)
         TypeView tv;
         tv.nselected = readU32(rec + 4);
         tv.nentries = readU32(rec + 8);
-        tv.entry_base = static_cast<uint32_t>(total_entries_);
         uint32_t o_selected = readU32(rec + 12);
         uint32_t o_key_off = readU32(rec + 16);
         uint32_t o_out_off = readU32(rec + 20);
@@ -376,34 +375,6 @@ FrozenTable::outputs(events::EventType type, uint32_t entry,
     for (uint32_t i = 0; i < e.nout; ++i)
         out[i] = {tv.out_ids[e.out_begin + i],
                   tv.out_values[e.out_begin + i]};
-}
-
-FrozenLookup
-FrozenTable::lookup(const events::EventObject &ev,
-                    const games::Game &game,
-                    LookupScratch &scratch) const
-{
-    const TypeView &tv = types_[static_cast<int>(ev.type)];
-    FrozenLookup res;
-    if (tv.nselected == 0)
-        return res;
-
-    // Gathering the selected inputs costs their size even when no
-    // candidates exist (they must be loaded to compare).
-    res.bytes_scanned = tv.selected_bytes;
-    BucketMatch m = match(ev.type, gather(ev, game, scratch), scratch);
-    res.candidates = m.candidates;
-    res.bytes_scanned += m.bytes;
-    if (m.hit()) {
-        const KeyIndex::Entry &e =
-            index_[static_cast<int>(ev.type)].entry(m.entry);
-        res.hit = true;
-        res.entry_ordinal = tv.entry_base + m.entry;
-        res.nout = e.nout;
-        res.out_ids = tv.out_ids + e.out_begin;
-        res.out_values = tv.out_values + e.out_begin;
-    }
-    return res;
 }
 
 bool

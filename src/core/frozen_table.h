@@ -46,26 +46,6 @@ constexpr uint32_t kFrozenMagic = 0x534e5046;
 /** Frozen arena format version. */
 constexpr uint32_t kFrozenVersion = 3;
 
-/** Result of one frozen-table lookup. */
-struct FrozenLookup {
-    bool hit = false;
-    /** Candidate entries the modelled bucket scan compares. */
-    uint32_t candidates = 0;
-    /** Modelled bytes gathered + compared: the type's selected
-     *  bytes, plus entry bytes and kEntryHeaderBytes per candidate. */
-    uint64_t bytes_scanned = 0;
-    /**
-     * Ordinal of the matched entry across the whole table (types in
-     * ascending order, entries in canonical order within a type).
-     * Valid when hit: the entry's identity within the table.
-     */
-    uint32_t entry_ordinal = 0;
-    /** Matched entry's memoized outputs (views into the arena). */
-    uint32_t nout = 0;
-    const events::FieldId *out_ids = nullptr;
-    const uint64_t *out_values = nullptr;
-};
-
 /**
  * Immutable deployed lookup table over a frozen arena.
  *
@@ -91,19 +71,12 @@ class FrozenTable
            std::shared_ptr<const void> owner,
            const events::FieldSchema &schema);
 
-    /**
-     * Look up an event: the earliest entry of its subkey bucket whose
-     * stored key slots all hold the gathered values. The charge is
-     * the paper's linear scan: the type's selected bytes (even when
-     * there is no bucket), then every candidate up to the match, or
-     * the whole bucket on a miss.
-     */
-    FrozenLookup lookup(const events::EventObject &ev,
-                        const games::Game &game,
-                        LookupScratch &scratch) const;
-
-    // The steps of lookup(), for callers that probe an online-fill
-    // overlay with the same subkey and gathered inputs.
+    // A lookup is gather(), match() of the subkey's bucket, then
+    // outputs() of the matched entry: the earliest entry of the
+    // bucket whose stored key slots all hold the gathered values.
+    // The paper's linear scan charges the type's selectedBytes(), even
+    // without a bucket, plus what match() reports. SnipScheme::decide
+    // probes its online-fill overlay with the same subkey and inputs.
 
     /** Whether @p type has a selection (undeployed types never
      *  look up). */
@@ -185,8 +158,6 @@ class FrozenTable
         uint32_t nentries = 0;
         /** Derived from the schema. */
         uint64_t selected_bytes = 0;
-        /** First global entry ordinal of this type. */
-        uint32_t entry_base = 0;
         const events::FieldId *selected = nullptr;
         /** Event/history flag per selected field, into is_event_. */
         const uint8_t *is_event = nullptr;

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/output_diff.h"
 #include "events/binder.h"
 #include "events/sensor_manager.h"
-#include "trace/recorder.h"
 #include "util/bytes.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -113,6 +113,9 @@ struct SessionState {
      *  session reuses both buffers. */
     events::EventObject ev;
     games::HandlerExecution truth;
+    /** Whether each event is appended to trace as it is delivered. */
+    bool record_events = false;
+    trace::EventTrace trace;
 };
 
 /**
@@ -139,6 +142,8 @@ processEvent(games::Game &game, Scheme &scheme, SessionState &s)
     double at = ev.timestamp;
     s.sensorMgr.deliver(ev);
     s.binder.transfer(ev);
+    if (s.record_events)
+        s.trace.events.push_back(ev);
 
     game.process(ev, s.truth);
     Decision d = scheme.decide(game, ev, truth);
@@ -252,12 +257,8 @@ runSession(games::Game &game, Scheme &scheme,
     game.reset();
     SessionState s(cfg.model);
     s.soc.setInUse(true);
-    trace::EventRecorder recorder(game.name());
-    if (cfg.record_events) {
-        s.binder.setTap([&recorder](const events::EventObject &ev) {
-            recorder.onEvent(ev);
-        });
-    }
+    s.record_events = cfg.record_events;
+    s.trace.game = game.name();
     s.oc = resolveObs(cfg.obs);
 
     // Jittered periodic arrivals per mix entry.
@@ -327,7 +328,7 @@ runSession(games::Game &game, Scheme &scheme,
     }
 
     const SessionStats &st = s.stats;
-    SessionResult result{s.soc.report(), st, recorder.trace()};
+    SessionResult result{s.soc.report(), st, std::move(s.trace)};
     if (cfg.obs) {
         // End-of-session totals and derived rates. When registries
         // of several sessions are merged, counters stay additive;

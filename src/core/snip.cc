@@ -10,15 +10,28 @@ namespace core {
 namespace {
 
 /**
- * Selection for one event type over any DatasetView storage — the
- * single path both the in-memory and the out-of-core builds go
- * through.
+ * The per-type step of both builds, over any DatasetView storage. A
+ * type with fewer than cfg.min_records_per_type rows stays undeployed
+ * (warned and counted); otherwise its fields are selected over the
+ * dataset @p make_dataset returns, built only then, deployed in
+ * @p table and recorded in @p model.
  */
-TypeModel
-selectForType(const ml::DatasetView &ds, events::EventType t,
-              const SnipConfig &cfg,
-              const std::vector<events::FieldId> &forced)
+template <class MakeDataset>
+void
+shrinkType(events::EventType t, size_t rows, MakeDataset &&make_dataset,
+           const SnipConfig &cfg,
+           const std::vector<events::FieldId> &forced, MemoTable &table,
+           SnipModel &model)
 {
+    if (rows < cfg.min_records_per_type) {
+        util::warn("snip: %s has only %zu records of %s; leaving "
+                   "type undeployed", model.game.c_str(), rows,
+                   events::eventTypeName(t));
+        if (cfg.obs)
+            cfg.obs->counter("shrink.types_skipped").add(1);
+        return;
+    }
+    const auto &ds = make_dataset();
     ml::SelectionConfig sel;
     sel.max_error = kShrinkMaxError;
     sel.max_conditional_error = kShrinkMaxConditionalError;
@@ -35,7 +48,21 @@ selectForType(const ml::DatasetView &ds, events::EventType t,
     tm.type = t;
     tm.records = ds.numRows();
     tm.selection = ml::selectNecessaryInputs(ds, sel);
-    return tm;
+    table.setSelected(t, tm.selection.selected);
+    model.types.push_back(std::move(tm));
+    if (cfg.obs)
+        cfg.obs->counter("shrink.types_deployed").add(1);
+}
+
+/** The tail of both builds, after prefill: export the table's
+ *  stats, then freeze it into @p model. */
+void
+finishModel(const MemoTable &table, const SnipConfig &cfg,
+            SnipModel &model)
+{
+    if (cfg.obs)
+        table.recordStats(*cfg.obs);
+    model.table = table.freeze();
 }
 
 /** Resolve force-keep override names; fatal on unknown names. */
@@ -84,23 +111,13 @@ buildSnipModel(const trace::Profile &profile, const games::Game &game,
             obs::Span s(cfg.obs, "dataset");
             records = profile.ofType(t);
         }
-        if (records.size() < cfg.min_records_per_type) {
-            util::warn("snip: %s has only %zu records of %s; leaving "
-                       "type undeployed", profile.game.c_str(),
-                       records.size(), events::eventTypeName(t));
-            if (cfg.obs)
-                cfg.obs->counter("shrink.types_skipped").add(1);
-            continue;
-        }
-        ml::Dataset ds = [&] {
-            obs::Span s(cfg.obs, "dataset");
-            return ml::Dataset(records, game.schema());
-        }();
-        TypeModel tm = selectForType(ds, t, cfg, forced);
-        table.setSelected(t, tm.selection.selected);
-        model.types.push_back(std::move(tm));
-        if (cfg.obs)
-            cfg.obs->counter("shrink.types_deployed").add(1);
+        shrinkType(
+            t, records.size(),
+            [&] {
+                obs::Span s(cfg.obs, "dataset");
+                return ml::Dataset(records, game.schema());
+            },
+            cfg, forced, table, model);
     }
 
     // Pre-fill the table from the profile (the OTA payload).
@@ -109,9 +126,7 @@ buildSnipModel(const trace::Profile &profile, const games::Game &game,
         for (const auto &rec : profile.records)
             table.insert(rec);
     }
-    if (cfg.obs)
-        table.recordStats(*cfg.obs);
-    model.table = table.freeze();
+    finishModel(table, cfg, model);
     return model;
 }
 
@@ -147,21 +162,12 @@ buildSnipModel(std::shared_ptr<const trace::ColumnarLog> tlog,
         }();
         if (!dsr.ok())
             return dsr.status();
-        const auto &ds = *dsr.value();
+        const ml::ChunkedDataset &ds = *dsr.value();
         views.push_back(dsr.value());
-        if (ds.numRows() < cfg.min_records_per_type) {
-            util::warn("snip: %s has only %zu records of %s; leaving "
-                       "type undeployed", model.game.c_str(),
-                       ds.numRows(), events::eventTypeName(t));
-            if (cfg.obs)
-                cfg.obs->counter("shrink.types_skipped").add(1);
-            continue;
-        }
-        TypeModel tm = selectForType(ds, t, cfg, forced);
-        table.setSelected(t, tm.selection.selected);
-        model.types.push_back(std::move(tm));
-        if (cfg.obs)
-            cfg.obs->counter("shrink.types_deployed").add(1);
+        shrinkType(
+            t, ds.numRows(),
+            [&]() -> const ml::ChunkedDataset & { return ds; }, cfg,
+            forced, table, model);
     }
 
     // Pre-fill grouped by type: MemoTable buckets per type and keeps
@@ -181,9 +187,7 @@ buildSnipModel(std::shared_ptr<const trace::ColumnarLog> tlog,
             }
         }
     }
-    if (cfg.obs)
-        table.recordStats(*cfg.obs);
-    model.table = table.freeze();
+    finishModel(table, cfg, model);
     return util::Result<SnipModel>(std::move(model));
 }
 

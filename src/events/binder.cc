@@ -3,21 +3,20 @@
 namespace snip {
 namespace events {
 
-BinderChannel::BinderChannel(soc::Soc &soc, const BinderCosts &costs)
-    : soc_(soc), costs_(costs)
-{
-}
+namespace {
+
+/** Efficiency-core instructions per transaction (syscall path). */
+constexpr uint64_t kInstrPerTxn = 9000;
+/** Copies of the event object per transaction (in + out). */
+constexpr uint64_t kCopies = 2;
+
+}  // namespace
 
 void
 BinderChannel::transfer(const EventObject &ev)
 {
-    uint32_t bytes = ev.sizeBytes();
-    soc_.executeCpu(costs_.instr_per_txn, soc::CpuCluster::Little);
-    soc_.accessMemory(static_cast<uint64_t>(bytes) * costs_.copies);
-    ++txns_;
-    payloadBytes_ += bytes;
-    if (tap_)
-        tap_(ev);
+    soc_.executeCpu(kInstrPerTxn, soc::CpuCluster::Little);
+    soc_.accessMemory(static_cast<uint64_t>(ev.sizeBytes()) * kCopies);
 }
 
 }  // namespace events

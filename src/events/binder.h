@@ -5,16 +5,14 @@
  * shared memory between the sensor hub's runtime and the game
  * workload execution ... accomplished using the Binder framework").
  * Charges a marshal/unmarshal copy plus kernel-crossing cycles per
- * transaction, and can log every transaction to a tap — the hook the
- * paper proposes for recording event data ("future android versions
- * can instrument the Binder instances ... to dump all the events").
+ * transaction. The paper proposes recording event data at this
+ * point ("future android versions can instrument the Binder
+ * instances ... to dump all the events"); core::runSession records
+ * each event right after its transfer.
  */
 
 #ifndef SNIP_EVENTS_BINDER_H
 #define SNIP_EVENTS_BINDER_H
-
-#include <cstdint>
-#include <functional>
 
 #include "events/event.h"
 #include "soc/soc.h"
@@ -22,47 +20,18 @@
 namespace snip {
 namespace events {
 
-/** Binder transaction cost constants. */
-struct BinderCosts {
-    /** Efficiency-core instructions per transaction (syscall path). */
-    uint64_t instr_per_txn = 9000;
-    /** Copies of the event object per transaction (in + out). */
-    uint32_t copies = 2;
-};
-
-/**
- * One-way event channel: framework -> app. Counts transactions and
- * bytes, charges the SoC, and invokes an optional tap for tracing.
- */
+/** One-way event channel: framework -> app; charges the SoC. */
 class BinderChannel
 {
   public:
-    /** Tap invoked for every transferred event (may be empty). */
-    using Tap = std::function<void(const EventObject &)>;
-
-    /**
-     * @param soc SoC to charge.
-     * @param costs Transaction cost constants.
-     */
-    BinderChannel(soc::Soc &soc, const BinderCosts &costs = {});
-
-    /** Install (or clear) the trace tap. */
-    void setTap(Tap tap) { tap_ = std::move(tap); }
+    /** @param soc SoC to charge. */
+    explicit BinderChannel(soc::Soc &soc) : soc_(soc) {}
 
     /** Transfer one event object across the channel. */
     void transfer(const EventObject &ev);
 
-    /** Transactions completed. */
-    uint64_t transactions() const { return txns_; }
-    /** Payload bytes moved (before copy multiplication). */
-    uint64_t payloadBytes() const { return payloadBytes_; }
-
   private:
     soc::Soc &soc_;
-    BinderCosts costs_;
-    Tap tap_;
-    uint64_t txns_ = 0;
-    uint64_t payloadBytes_ = 0;
 };
 
 }  // namespace events

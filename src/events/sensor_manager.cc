@@ -3,10 +3,16 @@
 namespace snip {
 namespace events {
 
-SensorManager::SensorManager(soc::Soc &soc, const FrameworkCosts &costs)
-    : soc_(soc), costs_(costs)
-{
-}
+namespace {
+
+/** Efficiency-core instructions to filter one raw sample. */
+constexpr uint64_t kInstrPerRawSample = 900;
+/** Efficiency-core instructions to assemble one event object. */
+constexpr uint64_t kInstrPerEvent = 14000;
+/** Memory bytes touched per raw sample (hub FIFO drain). */
+constexpr uint64_t kBytesPerRawSample = 16;
+
+}  // namespace
 
 void
 SensorManager::deliver(const EventObject &ev)
@@ -16,11 +22,9 @@ SensorManager::deliver(const EventObject &ev)
         soc_.captureCameraFrame();
     else
         soc_.sampleSensors(raw);
-    soc_.executeCpu(costs_.instr_per_raw_sample * raw +
-                        costs_.instr_per_event,
+    soc_.executeCpu(kInstrPerRawSample * raw + kInstrPerEvent,
                     soc::CpuCluster::Little);
-    soc_.accessMemory(costs_.bytes_per_raw_sample * raw);
-    ++delivered_;
+    soc_.accessMemory(kBytesPerRawSample * raw);
 }
 
 }  // namespace events

@@ -11,36 +11,18 @@
 #ifndef SNIP_EVENTS_SENSOR_MANAGER_H
 #define SNIP_EVENTS_SENSOR_MANAGER_H
 
-#include <cstdint>
-
 #include "events/event.h"
 #include "soc/soc.h"
 
 namespace snip {
 namespace events {
 
-/** Framework plumbing cost constants. */
-struct FrameworkCosts {
-    /** Efficiency-core instructions to filter one raw sample. */
-    uint64_t instr_per_raw_sample = 900;
-    /** Efficiency-core instructions to assemble one event object. */
-    uint64_t instr_per_event = 14000;
-    /** Memory bytes touched per raw sample (hub FIFO drain). */
-    uint64_t bytes_per_raw_sample = 16;
-};
-
-/**
- * SensorManager: accounts the sensor-to-event path on the SoC and
- * counts delivered events.
- */
+/** SensorManager: accounts the sensor-to-event path on the SoC. */
 class SensorManager
 {
   public:
-    /**
-     * @param soc SoC to charge.
-     * @param costs Plumbing cost constants.
-     */
-    SensorManager(soc::Soc &soc, const FrameworkCosts &costs = {});
+    /** @param soc SoC to charge. */
+    explicit SensorManager(soc::Soc &soc) : soc_(soc) {}
 
     /**
      * Deliver one event: charge raw sampling (or a camera capture),
@@ -48,13 +30,8 @@ class SensorManager
      */
     void deliver(const EventObject &ev);
 
-    /** Events delivered so far. */
-    uint64_t eventsDelivered() const { return delivered_; }
-
   private:
     soc::Soc &soc_;
-    FrameworkCosts costs_;
-    uint64_t delivered_ = 0;
 };
 
 }  // namespace events

@@ -22,9 +22,8 @@ aggregateUploads(core::MemoTable &dest,
         return stats;
 
     // Decode every payload independently (one task per upload).
-    // A payload that fails integrity checks is dropped, exactly as
-    // the serial chain drops it — that device just contributes
-    // nothing this round.
+    // A payload that fails integrity checks is dropped — that device
+    // just contributes nothing this round.
     std::vector<std::shared_ptr<const core::FrozenTable>> decoded(
         uploads.size());
     util::parallelFor(
@@ -45,8 +44,8 @@ aggregateUploads(core::MemoTable &dest,
             decoded[u] = std::move(res.value().table);
         },
         cfg.threads);
-    // One serial chain in upload order: the same mergeFrom sequence
-    // as the core federated backend, so the result is bitwise equal.
+    // One serial chain in upload order, so the aggregate does not
+    // depend on the decode thread count.
     for (const auto &t : decoded) {
         if (t)
             dest.mergeFrom(*t);

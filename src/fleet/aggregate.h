@@ -1,22 +1,22 @@
 /**
  * @file
- * Federated aggregation of per-device uploads. The core federated
- * backend folds N upload payloads into the agreed table through one
- * serial MemoTable::mergeFrom chain. aggregateUploads decodes the
- * payloads in parallel (util::parallelFor, one task per upload; a
- * decode attaches the frozen table over the caller's bytes, it
- * neither copies the upload nor rebuilds the table) and
- * then runs that same chain, in upload order, over the decoded
- * tables — so the aggregate is *bitwise identical* (frozen arena
- * bytes) to the serial chain at any thread count, which
- * tests/fleet_test.cc enforces at threads {1, 2, 8}.
+ * Federated aggregation of per-device uploads: the one merge the
+ * federated backend (buildFederated) and the fleet benches run.
+ * aggregateUploads decodes the payloads in parallel
+ * (util::parallelFor, one task per upload; a decode attaches the
+ * frozen table over the caller's bytes, it neither copies the upload
+ * nor rebuilds the table) and then folds the decoded tables into the
+ * agreed table through one serial MemoTable::mergeFrom chain in
+ * upload order — so the aggregate (frozen arena bytes) is the same
+ * at any thread count, which tests/fleet_test.cc checks at threads
+ * {1, 2, 8} against a serial decode-and-merge reference.
  *
  * Only decoding runs in parallel: it is independent per upload,
  * while parallel shard unions plus a tree merge measured slower
  * than the one chain (DESIGN.md §9).
  *
- * Corrupt uploads are dropped exactly as the serial chain drops
- * them: that device contributes nothing this round, nothing fails.
+ * A corrupt upload is dropped: that device contributes nothing this
+ * round, nothing fails.
  */
 
 #ifndef SNIP_FLEET_AGGREGATE_H
@@ -52,11 +52,11 @@ struct AggregateStats {
 
 /**
  * Decode the serialized per-device upload payloads (SNPM packages,
- * as produced by the federated device loop) and union their tables
- * into @p dest. @p dest's selected sets drive the re-projection,
- * exactly as in the serial chain. Returns what was consumed/dropped.
- * The decoded tables borrow @p uploads and are dropped before the
- * call returns.
+ * as buildFederated and recordUploadPayloads pack them) and union
+ * their tables into @p dest in upload order; @p dest's selected sets
+ * drive the re-projection. Returns what was consumed/dropped. The
+ * decoded tables borrow @p uploads and are dropped before the call
+ * returns.
  */
 AggregateStats aggregateUploads(core::MemoTable &dest,
                                 std::span<const util::ByteBuffer> uploads,

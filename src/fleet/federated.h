@@ -11,13 +11,18 @@
  * Federated backend: each user runs PFI selection on their *own*
  * profile locally; only the per-type selected-field votes and the
  * locally-projected table entries leave the device. The server
- * majority-votes the necessary-input sets and unions the tables.
- * Raw traces never leave the device and the per-device selection
- * work is a fraction of the centralized job.
+ * majority-votes the necessary-input sets and unions the uploads
+ * with aggregateUploads (aggregate.h). Raw traces never leave the
+ * device and the per-device selection work is a fraction of the
+ * centralized job.
+ *
+ * Both backends record a device the way recordUploadPayloads
+ * (fleet_sim.h) does, and the federated one packs each upload with
+ * the same step, so an upload has one shape wherever it is built.
  */
 
-#ifndef SNIP_CORE_FEDERATED_H
-#define SNIP_CORE_FEDERATED_H
+#ifndef SNIP_FLEET_FEDERATED_H
+#define SNIP_FLEET_FEDERATED_H
 
 #include <string>
 #include <vector>
@@ -25,7 +30,7 @@
 #include "core/snip.h"
 
 namespace snip {
-namespace core {
+namespace fleet {
 
 /** Federation knobs. */
 struct FederatedConfig {
@@ -35,7 +40,7 @@ struct FederatedConfig {
     double session_s = 150.0;
     uint64_t seed = 0xfede7a7eULL;
     /** Per-user selection config. */
-    SnipConfig snip;
+    core::SnipConfig snip;
 };
 
 /** What the backend consumed/transferred. */
@@ -49,7 +54,7 @@ struct BackendCost {
 
 /** Outcome of building a deployable model via either backend. */
 struct FederatedResult {
-    SnipModel model;
+    core::SnipModel model;
     BackendCost cost;
     /** Per event type: how many users voted for each kept field. */
     std::vector<std::pair<events::EventType, size_t>> deployed_types;
@@ -73,7 +78,9 @@ FederatedResult buildCentralized(const std::string &game_name,
 
 /**
  * Build a model the federated way: per-user selection, majority
- * vote on fields, union of locally projected tables.
+ * vote on fields, then each user's profile projected onto the agreed
+ * fields and packed, and the uploads folded in user order by
+ * aggregateUploads.
  */
 FederatedResult buildFederated(const std::string &game_name,
                                const FederatedConfig &cfg = {});
@@ -88,10 +95,10 @@ struct FederatedEval {
     double energy_savings = 0.0;
 };
 FederatedEval evaluateModel(const std::string &game_name,
-                            const SnipModel &model, uint64_t seed,
+                            const core::SnipModel &model, uint64_t seed,
                             double session_s = 45.0);
 
-}  // namespace core
+}  // namespace fleet
 }  // namespace snip
 
-#endif  // SNIP_CORE_FEDERATED_H
+#endif  // SNIP_FLEET_FEDERATED_H

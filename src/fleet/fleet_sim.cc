@@ -1,14 +1,12 @@
 #include "fleet/fleet_sim.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/model_codec.h"
 #include "core/simulation.h"
 #include "fleet/delta.h"
 #include "games/registry.h"
 #include "obs/metrics.h"
-#include "trace/recorder.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -40,11 +38,8 @@ staleHitRate(const FleetSimConfig &cfg,
 {
     if (!base)
         return 0.0;
-    auto pkg = std::make_shared<util::ByteBuffer>();
-    pkg->putBytes(base->package->data().data(),
-                  base->package->size());
     util::Result<core::SnipModel> deployed =
-        core::deployModel(std::move(pkg));
+        core::deployModel(base->package);
     if (!deployed.ok()) {
         util::warn("fleet: stale version fails deploy: %s",
                    deployed.status().message().c_str());
@@ -173,40 +168,6 @@ pushEpoch(ModelRegistry &reg, const FleetSimConfig &cfg)
             .set(report.staleness_skew);
     }
     return report;
-}
-
-std::vector<util::ByteBuffer>
-recordUploadPayloads(const std::string &game_name,
-                     const core::SnipModel &agreed, size_t count,
-                     uint64_t seed, double session_s,
-                     unsigned threads)
-{
-    std::vector<util::ByteBuffer> payloads(count);
-    util::parallelFor(
-        count,
-        [&](size_t u) {
-            auto game = games::makeGame(game_name);
-            core::BaselineScheme baseline;
-            core::SimulationConfig scfg;
-            scfg.duration_s = session_s;
-            scfg.record_events = true;
-            scfg.seed = util::mixCombine(seed, 0xd01ceULL + u);
-            core::SessionResult res =
-                core::runSession(*game, baseline, scfg);
-            auto replica = games::makeGame(game_name);
-            trace::Profile profile =
-                trace::Replayer::replay(res.trace, *replica);
-
-            core::MemoTable local(*agreed.table);
-            for (const auto &rec : profile.records)
-                local.insert(rec);
-            core::SnipModel device;
-            device.game = game_name;
-            device.table = local.freeze();
-            core::packModel(device, payloads[u]);
-        },
-        threads);
-    return payloads;
 }
 
 void

@@ -9,8 +9,9 @@
  * the full package when the device has no usable base), and each
  * cohort's stale-version lookup hit rate is measured by replaying an
  * evaluation session against the model those devices were running
- * *before* the push — the skew across cohorts is the operational
- * signal for how much a lagging ring loses.
+ * *before* the push, deployed zero-copy over the registry's stored
+ * package — the skew across cohorts is the operational signal for
+ * how much a lagging ring loses.
  *
  * Devices inside a cohort are identical by construction (same base
  * version, same patch), so a million-device epoch costs one patch
@@ -110,9 +111,10 @@ util::Result<EpochPushReport> pushEpoch(ModelRegistry &reg,
  * half of an epoch: each simulated device plays a short seeded
  * session, replays it locally, projects the profile onto the
  * selections of @p agreed's table (which must be set), and packs its
- * table as an SNPM payload — the exact payload shape
- * core::buildFederated's device loop uploads. Devices are
- * independent, so they record in parallel.
+ * table as an SNPM payload. Defined in federated.cc: a device here
+ * records and packs its upload with the same steps as the devices of
+ * buildFederated. Devices are independent, so they record in
+ * parallel.
  */
 std::vector<util::ByteBuffer>
 recordUploadPayloads(const std::string &game_name,

@@ -326,6 +326,12 @@ ModelRegistry::loadDir(const std::string &dir, obs::Registry *obs)
             return util::Status::Errorf(
                 "registry: digest drift loading %s",
                 id_hex.c_str());
+        const uint32_t assigned = reg.find(game, id)->epoch;
+        if (epoch != assigned)
+            return util::Status::Errorf(
+                "registry: index line %zu: epoch %u, but its lineage "
+                "makes it epoch %u",
+                lineno, epoch, assigned);
     }
     return reg;
 }

@@ -132,7 +132,9 @@ class ModelRegistry
 
     /**
      * Load a registry persisted by saveDir(), re-validating every
-     * package (digest must match its index entry, CRC must hold).
+     * package (digest must match its index entry, CRC must hold) and
+     * every index line's epoch (it must be the one republishing the
+     * lines in order assigns).
      */
     static util::Result<ModelRegistry>
     loadDir(const std::string &dir, obs::Registry *obs = nullptr);

@@ -3,17 +3,6 @@
 namespace snip {
 namespace trace {
 
-EventRecorder::EventRecorder(std::string game_name)
-{
-    trace_.game = std::move(game_name);
-}
-
-void
-EventRecorder::onEvent(const events::EventObject &ev)
-{
-    trace_.events.push_back(ev);
-}
-
 Profile
 Replayer::replay(const EventTrace &trace, games::Game &game)
 {

@@ -1,11 +1,11 @@
 /**
  * @file
- * On-device event recording and offline replay.
- *
- * EventRecorder is the lightweight tap installed on the Binder
- * channel (paper: "future android versions can instrument the
- * Binder instances ... to dump all the events"); it accumulates the
- * EventTrace that the device uploads.
+ * Offline replay of a recorded session. The device side records
+ * itself: core::runSession with record_events appends each event to
+ * its result's EventTrace as it crosses the Binder channel (paper:
+ * "future android versions can instrument the Binder instances ...
+ * to dump all the events"), and that trace is what the device
+ * uploads.
  *
  * Replayer is the cloud side: it feeds a recorded event stream
  * through a *fresh* instance of the game "as if the user is playing
@@ -22,29 +22,6 @@
 
 namespace snip {
 namespace trace {
-
-/** Accumulates the on-device event stream. */
-class EventRecorder
-{
-  public:
-    /** @param game_name Name stamped into the trace. */
-    explicit EventRecorder(std::string game_name);
-
-    /** Record one delivered event (Binder tap). */
-    void onEvent(const events::EventObject &ev);
-
-    /** The trace collected so far. */
-    const EventTrace &trace() const { return trace_; }
-
-    /** Number of recorded events. */
-    size_t size() const { return trace_.events.size(); }
-
-    /** Drop everything recorded so far. */
-    void clear() { trace_.events.clear(); }
-
-  private:
-    EventTrace trace_;
-};
 
 /** Offline replay: event stream -> full I/O profile. */
 class Replayer

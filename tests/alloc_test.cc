@@ -7,8 +7,9 @@
  *    have held one event of each type, makeEvent + process +
  *    applyOutputs allocate nothing (runSession drives every event of
  *    a session through the same two buffers);
- *  - the table lookup: FrozenTable::lookup with a pre-sized
- *    LookupScratch allocates nothing, hit or miss;
+ *  - the table lookup: FrozenTable gather + match + outputs with a
+ *    pre-sized LookupScratch and output buffer allocates nothing,
+ *    hit or miss;
  *  - the SNIP decision: SnipScheme::decide + observe allocate nothing
  *    without online fill, and with it only when the overlay's arrays
  *    grow (O(log entries) times), audits included;
@@ -169,29 +170,32 @@ class LookupAllocTest : public ::testing::TestWithParam<std::string>
 
 // Driven by a recorded session replayed through a fresh game (so
 // history-side reads see the recorded state and the lookups hit as
-// they do at runtime), with the scratch pre-sized to the widest
-// selection as the runtime sizes it.
+// they do at runtime), with the scratch and the output buffer
+// pre-sized to the widest selection and output as SnipScheme sizes
+// them.
 TEST_P(LookupAllocTest, LookupsAllocateNothing)
 {
     std::vector<events::EventObject> trace;
     core::SnipModel model = deployedModel(GetParam(), &trace);
     const core::FrozenTable &frozen = *model.table;
 
-    size_t widest = 0;
-    for (const auto &t : model.types)
-        widest = std::max(widest, t.selection.selected.size());
     core::LookupScratch scratch;
-    scratch.values.reserve(widest);
-    scratch.present.reserve(widest);
+    scratch.values.reserve(frozen.maxSelected());
+    scratch.present.reserve(frozen.maxSelected());
+    std::vector<events::FieldValue> outputs;
+    outputs.reserve(frozen.maxOutputs());
 
     auto live = makeGame(GetParam());
     HandlerExecution ex;
     uint64_t allocs = 0, hits = 0;
     for (const auto &ev : trace) {
         const uint64_t before = t_allocs;
-        core::FrozenLookup f = frozen.lookup(ev, *live, scratch);
+        core::BucketMatch m = frozen.match(
+            ev.type, frozen.gather(ev, *live, scratch), scratch);
+        if (m.hit())
+            frozen.outputs(ev.type, m.entry, outputs);
         allocs += t_allocs - before;
-        hits += f.hit;
+        hits += m.hit();
         live->process(ev, ex);
         live->applyOutputs(ex.outputs);
     }

@@ -105,6 +105,39 @@ TEST_F(OutputDiffTest, ExternDamage)
 
 // ---------------------------------------------------------- MemoTable
 
+/** One frozen-table lookup, outputs copied out of the arena. */
+struct Probe {
+    bool hit = false;
+    uint32_t candidates = 0;
+    uint64_t bytes = 0;
+    /** Matched entry's index within its type (kMiss on a miss). */
+    uint32_t entry = BucketMatch::kMiss;
+    std::vector<events::FieldValue> outputs;
+};
+
+/**
+ * Look @p ev up in @p table as SnipScheme::decide does: the type's
+ * selected bytes, gather, match of the subkey's bucket, then the
+ * matched entry's outputs.
+ */
+Probe
+probeFrozen(const FrozenTable &table, const events::EventObject &ev,
+            const games::Game &game, LookupScratch &scratch)
+{
+    Probe p;
+    if (!table.deployed(ev.type))
+        return p;
+    BucketMatch m =
+        table.match(ev.type, table.gather(ev, game, scratch), scratch);
+    p.hit = m.hit();
+    p.candidates = m.candidates;
+    p.bytes = table.selectedBytes(ev.type) + m.bytes;
+    p.entry = m.entry;
+    if (p.hit)
+        table.outputs(ev.type, m.entry, p.outputs);
+    return p;
+}
+
 class MemoTableTest : public ::testing::Test
 {
   protected:
@@ -127,26 +160,12 @@ class MemoTableTest : public ::testing::Test
         return game_->process(ev);
     }
 
-    /**
-     * Freeze @p table and look @p ev up against the live game; the
-     * outputs are copied out before the arena goes away.
-     */
-    struct Probe {
-        bool hit = false;
-        uint32_t candidates = 0;
-        uint64_t bytes = 0;
-        std::vector<events::FieldValue> outputs;
-    };
+    /** Freeze @p table and look @p ev up against the live game. */
     Probe
     probe(const MemoTable &table, const events::EventObject &ev,
           LookupScratch &scratch)
     {
-        auto frozen = table.freeze();
-        FrozenLookup r = frozen->lookup(ev, *game_, scratch);
-        Probe p{r.hit, r.candidates, r.bytes_scanned, {}};
-        for (uint32_t o = 0; o < r.nout; ++o)
-            p.outputs.push_back({r.out_ids[o], r.out_values[o]});
-        return p;
+        return probeFrozen(*table.freeze(), ev, *game_, scratch);
     }
     Probe
     probe(const MemoTable &table, const events::EventObject &ev)
@@ -256,7 +275,7 @@ TEST_F(MemoTableTest, SetSelectedAfterInsertFatal)
 // Regression: lookups run through a const table (the shape
 // concurrent readers use) and carry no mutable hit state at all; hit
 // accounting lives in the caller's dense counter array indexed by
-// the FrozenTable entry ordinal.
+// the matched entry's index within its type.
 TEST_F(MemoTableTest, ConstLookupHitsFlowViaCallerOwnedOrdinals)
 {
     util::Rng rng(8);
@@ -265,17 +284,18 @@ TEST_F(MemoTableTest, ConstLookupHitsFlowViaCallerOwnedOrdinals)
     const MemoTable &ct = *table_;
     LookupScratch scratch;
     std::shared_ptr<const FrozenTable> frozen = ct.freeze();
-    std::vector<uint64_t> hit_counts(frozen->entryCount(), 0);
-    FrozenLookup fres = frozen->lookup(last_event_, *game_, scratch);
+    std::vector<uint64_t> hit_counts(
+        frozen->entryCount(events::EventType::Touch), 0);
+    Probe fres = probeFrozen(*frozen, last_event_, *game_, scratch);
     ASSERT_TRUE(fres.hit);
-    ASSERT_LT(fres.entry_ordinal, hit_counts.size());
-    EXPECT_EQ(hit_counts[fres.entry_ordinal], 0u);
-    ++hit_counts[fres.entry_ordinal];
+    ASSERT_LT(fres.entry, hit_counts.size());
+    EXPECT_EQ(hit_counts[fres.entry], 0u);
+    ++hit_counts[fres.entry];
 
-    FrozenLookup again = frozen->lookup(last_event_, *game_, scratch);
+    Probe again = probeFrozen(*frozen, last_event_, *game_, scratch);
     ASSERT_TRUE(again.hit);
-    EXPECT_EQ(again.entry_ordinal, fres.entry_ordinal);
-    EXPECT_EQ(hit_counts[again.entry_ordinal], 1u);
+    EXPECT_EQ(again.entry, fres.entry);
+    EXPECT_EQ(hit_counts[again.entry], 1u);
 }
 
 // Regression: an insert whose inputs are not sorted by FieldId must
@@ -476,17 +496,13 @@ TEST_F(MemoTableTest, FrozenArenaAttachRoundTrip)
 
     LookupScratch a, b;
     for (const auto &ev : seen) {
-        FrozenLookup x = frozen->lookup(ev, *game_, a);
-        FrozenLookup y = view.lookup(ev, *game_, b);
+        Probe x = probeFrozen(*frozen, ev, *game_, a);
+        Probe y = probeFrozen(view, ev, *game_, b);
         ASSERT_EQ(x.hit, y.hit);
         ASSERT_EQ(x.candidates, y.candidates);
-        ASSERT_EQ(x.bytes_scanned, y.bytes_scanned);
-        if (x.hit) {
-            ASSERT_EQ(x.entry_ordinal, y.entry_ordinal);
-            ASSERT_EQ(x.nout, y.nout);
-            for (uint32_t o = 0; o < x.nout; ++o)
-                ASSERT_EQ(x.out_values[o], y.out_values[o]);
-        }
+        ASSERT_EQ(x.bytes, y.bytes);
+        ASSERT_EQ(x.entry, y.entry);
+        ASSERT_EQ(x.outputs, y.outputs);
     }
 }
 
@@ -504,7 +520,8 @@ class ReferenceScan
         bool hit = false;
         uint32_t candidates = 0;
         uint64_t bytes = 0;
-        uint32_t ordinal = 0;
+        /** Matched entry's index within its type. */
+        uint32_t entry = 0;
         std::vector<events::FieldValue> outputs;
     };
 
@@ -525,7 +542,7 @@ class ReferenceScan
         }
     }
 
-    /** Every entry of @p table in ordinal order, duplicates kept. */
+    /** Every entry of @p table in arena order, duplicates kept. */
     void addAll(const FrozenTable &table)
     {
         games::HandlerExecution rec;
@@ -568,20 +585,22 @@ class ReferenceScan
         for (const auto &fv : rec.outputs)
             e.bytes += schema_.def(fv.id).size_bytes;
         e.outputs = rec.outputs;
-        e.ordinal = next_ordinal_++;
         auto &bucket = ty.buckets[subkey(ty, inputs)];
         if (dedup)
             for (const Entry &o : bucket)
                 if (o.slots == e.slots && o.values == e.values)
                     return false;
+        e.entry = ty.entries++;
         bucket.push_back(std::move(e));
         return true;
     }
 
     void clear()
     {
-        for (Type &ty : types_)
+        for (Type &ty : types_) {
             ty.buckets.clear();
+            ty.entries = 0;
+        }
     }
 
     Result lookup(const events::EventObject &ev,
@@ -618,7 +637,7 @@ class ReferenceScan
                         values[e.slots[k]] == e.values[k];
             if (match) {
                 r.hit = true;
-                r.ordinal = e.ordinal;
+                r.entry = e.entry;
                 r.outputs = e.outputs;
                 return r;
             }
@@ -632,12 +651,14 @@ class ReferenceScan
         std::vector<uint64_t> values;
         std::vector<events::FieldValue> outputs;
         uint32_t bytes = 0;
-        uint32_t ordinal = 0;
+        uint32_t entry = 0;
     };
     struct Type {
         std::vector<events::FieldId> selected;
         std::vector<uint8_t> is_event;
         uint64_t selected_bytes = 0;
+        /** Entries added (the next entry's index). */
+        uint32_t entries = 0;
         std::unordered_map<uint64_t, std::vector<Entry>> buckets;
     };
 
@@ -660,7 +681,6 @@ class ReferenceScan
 
     events::FieldSchema schema_;
     std::array<Type, events::kNumEventTypes> types_;
-    uint32_t next_ordinal_ = 0;
 };
 
 /** The frozen lookup of @p ev agrees with the reference scan. */
@@ -669,20 +689,17 @@ sameLookup(const FrozenTable &table, const ReferenceScan &ref,
            const events::EventObject &ev, const games::Game &game,
            LookupScratch &scratch)
 {
-    FrozenLookup f = table.lookup(ev, game, scratch);
+    Probe f = probeFrozen(table, ev, game, scratch);
     ReferenceScan::Result r = ref.lookup(ev, game);
-    std::vector<events::FieldValue> outputs;
-    for (uint32_t o = 0; o < f.nout; ++o)
-        outputs.push_back({f.out_ids[o], f.out_values[o]});
     if (f.hit != r.hit || f.candidates != r.candidates ||
-        f.bytes_scanned != r.bytes ||
-        (r.hit && (f.entry_ordinal != r.ordinal || outputs != r.outputs)))
+        f.bytes != r.bytes ||
+        (r.hit && (f.entry != r.entry || f.outputs != r.outputs)))
         return ::testing::AssertionFailure()
                << "indexed hit " << f.hit << " candidates "
-               << f.candidates << " bytes " << f.bytes_scanned
-               << " ordinal " << f.entry_ordinal << "; reference hit "
-               << r.hit << " candidates " << r.candidates << " bytes "
-               << r.bytes << " ordinal " << r.ordinal;
+               << f.candidates << " bytes " << f.bytes << " entry "
+               << f.entry << "; reference hit " << r.hit
+               << " candidates " << r.candidates << " bytes " << r.bytes
+               << " entry " << r.entry;
     return ::testing::AssertionSuccess();
 }
 
@@ -904,8 +921,8 @@ TEST_F(MemoTableTest, FrozenArenaCorruptionFuzz)
 SnipModel goldenModel(const std::string &name);
 
 // The full-key index must make exactly the decisions of the linear
-// bucket scan it replaced: hit or miss, matched entry ordinal and
-// outputs, candidates and bytes charged. Every catalog model over a
+// bucket scan it replaced: hit or miss, matched entry and outputs,
+// candidates and bytes charged. Every catalog model over a
 // randomized 10k-event session, the online-fill overlay over random
 // insert sequences with watchdog clears, and crafted tables with
 // subset-shape entries, absent fields and same-key duplicates in one
@@ -1021,12 +1038,12 @@ TEST(FrozenTableTest, IndexedProbeMatchesReferenceScan)
             setState(cases[c][0], cases[c][1]);
             ASSERT_TRUE(sameLookup(table, cref, both, *game, scratch))
                 << "case " << c;
-            FrozenLookup f = table.lookup(both, *game, scratch);
+            Probe f = probeFrozen(table, both, *game, scratch);
             EXPECT_TRUE(f.hit) << "case " << c;
             EXPECT_EQ(f.candidates, want[c]) << "case " << c;
             ASSERT_TRUE(sameLookup(table, cref, e1_only, *game, scratch))
                 << "case " << c;
-            EXPECT_EQ(table.lookup(e1_only, *game, scratch).hit,
+            EXPECT_EQ(probeFrozen(table, e1_only, *game, scratch).hit,
                       cases[c][0] == 1)
                 << "case " << c;
         }
@@ -1760,16 +1777,16 @@ TEST(Schemes, OverlayFallbackLookupBytesNoUnderflow)
         game->makeEvent(events::EventType::Touch, 1.0, rng);
     games::HandlerExecution truth2 = game->process(ev2);
     LookupScratch scratch;
-    FrozenLookup f = s.frozen().lookup(ev2, *game, scratch);
+    Probe f = probeFrozen(s.frozen(), ev2, *game, scratch);
     ASSERT_FALSE(f.hit);
     Decision d = s.decide(*game, ev2, truth2);
     EXPECT_FALSE(d.lookup_hit);
     // No underflow: the total can only be the frozen charge plus a
     // small non-negative overlay surplus, not a wrapped uint64.
-    EXPECT_GE(d.lookup_bytes, f.bytes_scanned);
-    EXPECT_LT(d.lookup_bytes, f.bytes_scanned + (1u << 20));
+    EXPECT_GE(d.lookup_bytes, f.bytes);
+    EXPECT_LT(d.lookup_bytes, f.bytes + (1u << 20));
     if (d.lookup_candidates == 0) {
-        EXPECT_EQ(d.lookup_bytes, f.bytes_scanned);
+        EXPECT_EQ(d.lookup_bytes, f.bytes);
     }
 }
 
@@ -1800,7 +1817,17 @@ TEST(Simulation, RecordingCapturesAllEvents)
     cfg.record_events = true;
     SessionResult res = runSession(*game, baseline, cfg);
     EXPECT_EQ(res.trace.events.size(), res.stats.events);
+    // Delivery order: every event is recorded once, as it crosses
+    // the Binder channel.
+    for (size_t i = 1; i < res.trace.events.size(); ++i)
+        ASSERT_LT(res.trace.events[i - 1].seq, res.trace.events[i].seq)
+            << "event " << i;
     EXPECT_EQ(res.trace.game, "colorphun");
+
+    cfg.record_events = false;
+    SessionResult unrecorded = runSession(*game, baseline, cfg);
+    EXPECT_TRUE(unrecorded.trace.events.empty());
+    EXPECT_EQ(unrecorded.trace.game, "colorphun");
 }
 
 TEST(Simulation, SameSeedSameEnergy)

@@ -160,7 +160,6 @@ TEST(SensorManager, ChargesSamplingAndAssembly)
     EventObject ev;
     ev.type = EventType::Swipe;
     mgr.deliver(ev);
-    EXPECT_EQ(mgr.eventsDelivered(), 1u);
     EXPECT_EQ(soc.sensorHub().samplesTaken(),
               rawSamplesPerEvent(EventType::Swipe));
     EXPECT_GT(soc.cpu().littleInstructions(), 0u);
@@ -188,31 +187,9 @@ TEST(Binder, ChargesTransactionAndCountsBytes)
     EventObject ev;
     ev.type = EventType::Touch;
     binder.transfer(ev);
-    EXPECT_EQ(binder.transactions(), 1u);
-    EXPECT_EQ(binder.payloadBytes(), eventObjectBytes(EventType::Touch));
-    // Two copies per transaction by default.
+    // Two copies per transaction (in + out).
     EXPECT_EQ(soc.memory().bytesMoved(),
               2ull * eventObjectBytes(EventType::Touch));
-}
-
-TEST(Binder, TapSeesEveryEvent)
-{
-    soc::Soc soc;
-    BinderChannel binder(soc);
-    int taps = 0;
-    uint64_t last_seq = 0;
-    binder.setTap([&](const EventObject &ev) {
-        ++taps;
-        last_seq = ev.seq;
-    });
-    EventObject ev;
-    ev.type = EventType::Gyro;
-    ev.seq = 41;
-    binder.transfer(ev);
-    ev.seq = 42;
-    binder.transfer(ev);
-    EXPECT_EQ(taps, 2);
-    EXPECT_EQ(last_seq, 42u);
 }
 
 }  // namespace

@@ -8,10 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/federated.h"
 #include "core/qoe.h"
 #include "core/scheme.h"
 #include "core/simulation.h"
+#include "fleet/federated.h"
 #include "games/registry.h"
 #include "trace/recorder.h"
 #include "util/logging.h"
@@ -155,11 +155,13 @@ TEST(Federated, MatchesCentralizedQualityAtLowerCost)
 {
     // Camera-driven game: raw uploads must include the recorded
     // feed, which is where federation pays off.
-    FederatedConfig cfg;
+    fleet::FederatedConfig cfg;
     cfg.num_users = 5;
     cfg.session_s = 150.0;
-    FederatedResult central = buildCentralized("chase_whisply", cfg);
-    FederatedResult fed = buildFederated("chase_whisply", cfg);
+    fleet::FederatedResult central =
+        fleet::buildCentralized("chase_whisply", cfg);
+    fleet::FederatedResult fed =
+        fleet::buildFederated("chase_whisply", cfg);
 
     // Costs: federated never uploads more raw data, and its serial
     // selection job is at most one user's profile.
@@ -169,9 +171,10 @@ TEST(Federated, MatchesCentralizedQualityAtLowerCost)
 
     // Deployed quality on a held-out user.
     uint64_t seed = 0xeeeeULL;
-    FederatedEval ec =
-        evaluateModel("chase_whisply", central.model, seed);
-    FederatedEval ef = evaluateModel("chase_whisply", fed.model, seed);
+    fleet::FederatedEval ec =
+        fleet::evaluateModel("chase_whisply", central.model, seed);
+    fleet::FederatedEval ef =
+        fleet::evaluateModel("chase_whisply", fed.model, seed);
     EXPECT_GT(ef.coverage, 0.2);
     EXPECT_GT(ef.coverage, ec.coverage * 0.6);
     EXPECT_LT(ef.error_field_rate, 0.02);
@@ -182,31 +185,32 @@ TEST(FederatedTest, MajorityThreshold)
 {
     const size_t expected[] = {0, 1, 1, 2, 2, 3, 3, 4, 4, 5};
     for (int n = 0; n < 10; ++n)
-        EXPECT_EQ(federatedVotesNeeded(n), expected[n]) << n << " users";
-    EXPECT_EQ(federatedVotesNeeded(-3), 0u);
+        EXPECT_EQ(fleet::federatedVotesNeeded(n), expected[n])
+            << n << " users";
+    EXPECT_EQ(fleet::federatedVotesNeeded(-3), 0u);
 }
 
 TEST(Federated, EvaluateModelTakesConstModel)
 {
     // evaluateModel must accept a const (already frozen) model; the
     // SnipScheme const overload serves lookups without freezing.
-    FederatedConfig cfg;
+    fleet::FederatedConfig cfg;
     cfg.num_users = 2;
     cfg.session_s = 45.0;
-    FederatedResult fed = buildFederated("colorphun", cfg);
+    fleet::FederatedResult fed = fleet::buildFederated("colorphun", cfg);
     const SnipModel &frozen_view = fed.model;
-    FederatedEval ev =
-        evaluateModel("colorphun", frozen_view, 909, 20.0);
+    fleet::FederatedEval ev =
+        fleet::evaluateModel("colorphun", frozen_view, 909, 20.0);
     EXPECT_GE(ev.coverage, 0.0);
     EXPECT_LE(ev.coverage, 1.0);
 }
 
 TEST(Federated, DeployedTypesReported)
 {
-    FederatedConfig cfg;
+    fleet::FederatedConfig cfg;
     cfg.num_users = 2;
     cfg.session_s = 60.0;
-    FederatedResult fed = buildFederated("colorphun", cfg);
+    fleet::FederatedResult fed = fleet::buildFederated("colorphun", cfg);
     ASSERT_FALSE(fed.deployed_types.empty());
     EXPECT_EQ(fed.deployed_types[0].first, events::EventType::Touch);
     EXPECT_GT(fed.deployed_types[0].second, 0u);

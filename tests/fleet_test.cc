@@ -6,9 +6,9 @@
  * federated aggregation (bitwise equality with the serial merge
  * chain at decode thread counts {1, 2, 8} — FleetAggregate* is the
  * ci.sh tsan stage), the versioned model registry (lineage,
- * idempotent publish, integrity rejection, persistence, and loads of
- * a save truncated at every offset), and the cohort epoch-push
- * simulation.
+ * idempotent publish, integrity rejection, persistence, loads of a
+ * save truncated at every offset or with an edited epoch column),
+ * and the cohort epoch-push simulation.
  */
 
 #include <gtest/gtest.h>
@@ -17,14 +17,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/federated.h"
 #include "core/model_codec.h"
 #include "core/scheme.h"
 #include "core/simulation.h"
+#include "core/snip.h"
 #include "envelope_fuzz.h"
 #include "fleet/aggregate.h"
 #include "fleet/delta.h"
@@ -275,8 +276,8 @@ TEST(FleetDeltaTest, CorruptionFuzzFallback)
 TEST(FleetAggregateTest, MatchesSerialChainBitwise)
 {
     // aggregateUploads at decode thread counts {1, 2, 8} freezes to
-    // the exact arena bytes of the core serial merge chain over the
-    // same uploads.
+    // the exact arena bytes of a serial decode-and-merge chain over
+    // the same uploads.
     const std::string game_name = "memory_game";
     core::SnipModel agreed = buildModelFor(game_name, 15.0, 41);
 
@@ -285,7 +286,7 @@ TEST(FleetAggregateTest, MatchesSerialChainBitwise)
         game_name, agreed, kUploads, 0x51a9d5ULL, 5.0);
     ASSERT_EQ(uploads.size(), kUploads);
 
-    // Serial reference: the buildFederated chain.
+    // Serial reference: decode each upload, merge in upload order.
     core::MemoTable serial(*agreed.table);
     for (const auto &up : uploads) {
         util::Result<core::SnipModel> decoded = core::unpackModel(up);
@@ -567,6 +568,52 @@ TEST(FleetRegistryTest, TruncatedAtEveryOffset)
         for (size_t n = 0; n <= saved.size(); ++n)
             EXPECT_EQ(prefix_seen[n], is_index) << n << " versions";
     }
+}
+
+// The epoch column must agree with the lineage: loadDir republishes
+// the lines in order, and an index line whose epoch differs from the
+// one that assigns (an edited or corrupt index) is refused, naming
+// the line.
+TEST(FleetRegistryTest, EpochColumnMustMatchLineage)
+{
+    const std::string game = "colorphun";
+    ModelRegistry reg;
+    for (int e = 0; e < 3; ++e)
+        ASSERT_TRUE(reg.publish(game, packageOf(buildModelFor(
+                                          game, 10.0 + 2.0 * e, 71 + e)))
+                        .ok());
+    ScratchDir scratch("fleet_reg_epoch");
+    ASSERT_FALSE(scratch.path().empty());
+    const std::string dir = scratch.path() + "/reg";
+    ASSERT_TRUE(reg.saveDir(dir).ok());
+    ASSERT_TRUE(ModelRegistry::loadDir(dir).ok());
+
+    // Line 2 holds epoch 1; rewrite its epoch column (the fourth
+    // tab-separated field) to 2.
+    const std::string index = dir + "/index.txt";
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(index);
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 3u);
+    size_t col = 0;
+    for (int tab = 0; tab < 3; ++tab)
+        col = lines[1].find('\t', col) + 1;
+    ASSERT_EQ(lines[1].substr(col, 2), "1\t");
+    lines[1][col] = '2';
+    {
+        std::ofstream out(index, std::ios::trunc);
+        for (const std::string &line : lines)
+            out << line << '\n';
+    }
+
+    auto loaded = ModelRegistry::loadDir(dir);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("line 2"),
+              std::string::npos)
+        << loaded.status().message();
 }
 
 // Index ids must read exactly as saveDir writes them (16 lowercase

@@ -441,21 +441,36 @@ expectConcurrentLookupsMatchSerial(const FrozenTable &table,
                                        &events)
 {
     ASSERT_FALSE(events.empty());
+    // Each lookup as SnipScheme::decide makes it: gather, match,
+    // then the matched entry's outputs.
     struct Totals {
-        uint64_t hits = 0, candidates = 0, bytes = 0, ordinals = 0;
-        void add(const FrozenLookup &r)
+        uint64_t hits = 0, candidates = 0, bytes = 0, entries = 0,
+                 outputs = 0;
+        void add(const FrozenTable &table, const games::Game &game,
+                 const events::EventObject &ev, LookupScratch &scratch,
+                 std::vector<events::FieldValue> &out)
         {
-            hits += r.hit;
-            candidates += r.candidates;
-            bytes += r.bytes_scanned;
-            ordinals += r.hit ? r.entry_ordinal : 0;
+            if (!table.deployed(ev.type))
+                return;
+            BucketMatch m = table.match(
+                ev.type, table.gather(ev, game, scratch), scratch);
+            candidates += m.candidates;
+            bytes += table.selectedBytes(ev.type) + m.bytes;
+            if (!m.hit())
+                return;
+            ++hits;
+            entries += m.entry;
+            table.outputs(ev.type, m.entry, out);
+            for (const events::FieldValue &fv : out)
+                outputs += util::mixCombine(fv.id, fv.value);
         }
     };
     Totals ref;
     {
         LookupScratch scratch;
+        std::vector<events::FieldValue> out;
         for (const auto &ev : events)
-            ref.add(table.lookup(ev, game, scratch));
+            ref.add(table, game, ev, scratch, out);
     }
 
     constexpr unsigned kThreads = 8;
@@ -465,9 +480,10 @@ expectConcurrentLookupsMatchSerial(const FrozenTable &table,
     for (unsigned t = 0; t < kThreads; ++t) {
         pool.emplace_back([&, t] {
             LookupScratch scratch;  // per-caller, reused
+            std::vector<events::FieldValue> out;
             for (int round = 0; round < kRounds; ++round)
                 for (const auto &ev : events)
-                    totals[t].add(table.lookup(ev, game, scratch));
+                    totals[t].add(table, game, ev, scratch, out);
         });
     }
     for (auto &th : pool)
@@ -478,7 +494,9 @@ expectConcurrentLookupsMatchSerial(const FrozenTable &table,
         EXPECT_EQ(totals[t].candidates, ref.candidates * kRounds)
             << "thread " << t;
         EXPECT_EQ(totals[t].bytes, ref.bytes * kRounds) << "thread " << t;
-        EXPECT_EQ(totals[t].ordinals, ref.ordinals * kRounds)
+        EXPECT_EQ(totals[t].entries, ref.entries * kRounds)
+            << "thread " << t;
+        EXPECT_EQ(totals[t].outputs, ref.outputs * kRounds)
             << "thread " << t;
     }
     EXPECT_GT(ref.hits, 0u);

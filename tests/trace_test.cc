@@ -42,21 +42,6 @@ record(const std::string &game_name, games::Game &game,
     return core::runSession(game, baseline, cfg);
 }
 
-TEST(EventRecorderTest, CapturesEventsInOrder)
-{
-    EventRecorder rec("g");
-    events::EventObject a, b;
-    a.seq = 1;
-    b.seq = 2;
-    rec.onEvent(a);
-    rec.onEvent(b);
-    ASSERT_EQ(rec.size(), 2u);
-    EXPECT_EQ(rec.trace().events[0].seq, 1u);
-    EXPECT_EQ(rec.trace().events[1].seq, 2u);
-    rec.clear();
-    EXPECT_EQ(rec.size(), 0u);
-}
-
 TEST(ReplayerTest, ReplayMatchesLiveExecution)
 {
     // The cloud replay must reproduce the on-device execution

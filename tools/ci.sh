@@ -6,7 +6,9 @@
 #  - the snip CLI end to end in a temporary directory: record,
 #    select --out, pack, verify, inspect, and a fleet publish / diff /
 #    apply round trip whose applied package must equal the packed one
-#    byte for byte; verify must reject a truncated package (exit 1);
+#    byte for byte; select and inspect must list the same selected
+#    fields for one profile; verify must reject a truncated package
+#    (exit 1);
 #  - bench goldens: the stdout and --csv series of the 14 paper
 #    benches at --quick (fig09 and fig11 also at --threads 4) are
 #    diffed byte for byte against tests/golden/
@@ -99,7 +101,14 @@ $SNIP pack --game colorphun --profile-seconds 10 \
 $SNIP pack --game colorphun --profile-seconds 20 \
     --out "$CLI_OUT/m.snpm" >/dev/null
 $SNIP verify --in "$CLI_OUT/m.snpm" >/dev/null
-$SNIP inspect --in "$CLI_OUT/m.snpm" --verbose >/dev/null
+$SNIP inspect --in "$CLI_OUT/m.snpm" --verbose >"$CLI_OUT/inspect.txt"
+# The 20 s recording and the --profile-seconds 20 package share the
+# default seed, so select's Shrink and the package's arena hold the
+# same selection: their indented field-name lines must agree.
+$SNIP select --in "$CLI_OUT/ev.bin" --verbose >"$CLI_OUT/select.txt"
+grep '^      ' "$CLI_OUT/select.txt" >"$CLI_OUT/select.fields"
+grep '^      ' "$CLI_OUT/inspect.txt" >"$CLI_OUT/inspect.fields"
+diff "$CLI_OUT/select.fields" "$CLI_OUT/inspect.fields"
 $SNIP fleet publish --registry "$CLI_OUT/reg" --in "$CLI_OUT/base.snpm" \
     >/dev/null
 $SNIP fleet publish --registry "$CLI_OUT/reg" --in "$CLI_OUT/m.snpm" \
