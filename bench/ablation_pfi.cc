@@ -2,9 +2,9 @@
  * @file
  * Ablation study of the design choices DESIGN.md calls out:
  *
- *  1. Predictor family behind PFI: exact-match table (deployed) vs
- *     decision tree vs random forest — held-out prediction error on
- *     the full and the PFI-selected feature sets.
+ *  1. The predictor behind PFI, the exact-match table the phone
+ *     deploys: size and held-out wrong-hit rate of the full and the
+ *     PFI-selected feature sets.
  *  2. Selection budgets: how the error budget trades necessary-set
  *     size against runtime coverage/error.
  *  3. Profile length: selection quality vs amount of profile data
@@ -16,35 +16,11 @@
 #include "bench/bench_common.h"
 #include "ml/dataset.h"
 #include "ml/feature_selection.h"
-#include "ml/random_forest.h"
 #include "util/bytes.h"
 #include "util/parallel.h"
 #include "util/table_printer.h"
 
 using namespace snip;
-
-namespace {
-
-/** Error of predictor @p p on the last 30% of rows, trained on the
- *  first 70% (tree/forest train on all — table supports rows). */
-double
-holdoutError(ml::Predictor &p, const ml::Dataset &ds,
-             const std::vector<size_t> &cols)
-{
-    p.train(ds, cols);
-    size_t start = ds.numRows() * 7 / 10;
-    uint64_t wrong = 0, total = 0;
-    for (size_t row = start; row < ds.numRows(); ++row) {
-        total += ds.weight(row);
-        if (p.predict(ds, row) != ds.label(row))
-            wrong += ds.weight(row);
-    }
-    return total ? static_cast<double>(wrong) /
-                       static_cast<double>(total)
-                 : 0.0;
-}
-
-}  // namespace
 
 int
 main(int argc, char **argv)
@@ -58,40 +34,22 @@ main(int argc, char **argv)
     const events::FieldSchema &schema = pg.game->schema();
     ml::Dataset ds(pg.profile.ofType(events::EventType::Drag), schema);
 
-    std::vector<size_t> all_cols(ds.numFeatures());
-    for (size_t i = 0; i < all_cols.size(); ++i)
-        all_cols[i] = i;
-
     ml::SelectionConfig scfg;
     scfg.max_error = 0.002;
     scfg.max_conditional_error = 0.012;
     scfg.pfi.threads = opts.threads;
     ml::SelectionResult sel = ml::selectNecessaryInputs(ds, scfg);
-    std::vector<size_t> sel_cols;
-    for (events::FieldId fid : sel.selected)
-        sel_cols.push_back(ds.columnOf(fid));
 
-    // --- 1. predictor family ---
-    std::cout << "(1) predictor family (drag events, "
+    // --- 1. the deployed predictor, full vs selected ---
+    std::cout << "(1) exact-match table behind PFI (drag events, "
               << ds.numRows() << " records)\n";
-    util::TablePrinter fam({"predictor", "features", "holdout error"});
-    {
-        ml::TablePredictor table;
-        ml::DecisionTree tree;
-        ml::RandomForest forest;
-        fam.addRow({"exact-match table", "all",
-                    util::TablePrinter::pct(
-                        holdoutError(table, ds, all_cols), 2)});
-        fam.addRow({"exact-match table", "PFI-selected",
-                    util::TablePrinter::pct(
-                        holdoutError(table, ds, sel_cols), 2)});
-        fam.addRow({"decision tree", "PFI-selected",
-                    util::TablePrinter::pct(
-                        holdoutError(tree, ds, sel_cols), 2)});
-        fam.addRow({"random forest (16 trees)", "PFI-selected",
-                    util::TablePrinter::pct(
-                        holdoutError(forest, ds, sel_cols), 2)});
-    }
+    util::TablePrinter fam({"features", "bytes", "holdout wrong hits"});
+    fam.addRow({"all",
+                util::formatSize(static_cast<double>(sel.full_bytes)),
+                util::TablePrinter::pct(sel.full_error, 3)});
+    fam.addRow({"PFI-selected",
+                util::formatSize(static_cast<double>(sel.selected_bytes)),
+                util::TablePrinter::pct(sel.selected_error, 3)});
     fam.print(std::cout);
     std::cout << "(the deployed mechanism must be the exact-match "
                  "table: only exact matches\n justify substituting "

@@ -40,8 +40,8 @@ constexpr uint64_t kAbsent = 0xab5e9700ab5e9700ULL;
 
 /**
  * Read-only feature matrix over one event type's records: the
- * interface every predictor / PFI / selection routine trains
- * against. Column-major value storage (column c occupies
+ * interface the table predictor, PFI and selection read.
+ * Column-major value storage (column c occupies
  * values_[c * rows .. (c + 1) * rows)), so per-column scans are
  * cache-linear regardless of the backing storage.
  */
@@ -66,8 +66,8 @@ class DatasetView
 
     /**
      * Contiguous column @p col (rows_ values). The value store is
-     * column-major, so the PFI permutation and tree-split loops over
-     * a column are cache-linear.
+     * column-major, so the PFI permutation and row-key sweeps over a
+     * column are cache-linear.
      */
     const uint64_t *columnData(size_t col) const
     {

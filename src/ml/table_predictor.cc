@@ -352,5 +352,26 @@ TablePredictor::fingerprint() const
     return h ? h : 1;
 }
 
+double
+weightedErrorRate(const TablePredictor &p, const DatasetView &ds)
+{
+    // Batched so the stored row keys are read in one pass per block,
+    // in blocks small enough to stay cache-resident.
+    constexpr size_t kBlock = 512;
+    uint64_t labels[kBlock];
+    uint64_t wrong = 0;
+    size_t n = ds.numRows();
+    for (size_t begin = 0; begin < n; begin += kBlock) {
+        size_t end = std::min(n, begin + kBlock);
+        p.predictRows(ds, begin, end, labels);
+        for (size_t r = begin; r < end; ++r) {
+            if (labels[r - begin] != ds.label(r))
+                wrong += ds.weight(r);
+        }
+    }
+    return static_cast<double>(wrong) /
+           static_cast<double>(ds.totalWeight());
+}
+
 }  // namespace ml
 }  // namespace snip

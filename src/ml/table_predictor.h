@@ -11,12 +11,17 @@
 #define SNIP_ML_TABLE_PREDICTOR_H
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
-#include "ml/predictor.h"
+#include "ml/dataset.h"
 #include "util/rng.h"
 
 namespace snip {
 namespace ml {
+
+/** Sentinel label meaning "no prediction available". */
+constexpr uint64_t kNoLabel = 0x90a6e100090a6e10ULL;
 
 /**
  * Majority-vote exact-match table over selected features.
@@ -30,7 +35,7 @@ namespace ml {
  * the same view read them, calls on any other view recompute the sum
  * (keyOf).
  */
-class TablePredictor : public Predictor
+class TablePredictor
 {
   public:
     /** Key of a row over no columns. */
@@ -58,8 +63,9 @@ class TablePredictor : public Predictor
     static void dropColumn(const DatasetView &ds, size_t col,
                            std::vector<uint64_t> &keys);
 
+    /** Fit on @p ds using only @p feature_cols (column indices). */
     void train(const DatasetView &ds,
-               const std::vector<size_t> &feature_cols) override;
+               const std::vector<size_t> &feature_cols);
 
     /** Train on a row subset (for held-out evaluation). */
     void trainOnRows(const DatasetView &ds,
@@ -79,11 +85,17 @@ class TablePredictor : public Predictor
                      std::vector<uint64_t> keys,
                      const std::vector<size_t> &rows);
 
-    uint64_t predict(const DatasetView &ds, size_t row) const override;
+    /** Majority label of row @p row's key, else the fallback label. */
+    uint64_t predict(const DatasetView &ds, size_t row) const;
 
+    /**
+     * predict() over the row range [row_begin, row_end):
+     * out_labels[r - row_begin] receives row r's label. On the view
+     * trained on it reads the stored row keys instead of rehashing
+     * each row.
+     */
     void predictRows(const DatasetView &ds, size_t row_begin,
-                     size_t row_end,
-                     uint64_t *out_labels) const override;
+                     size_t row_end, uint64_t *out_labels) const;
 
     /**
      * Weight of the rows of @p ds mispredicted when each row's key
@@ -197,6 +209,13 @@ class TablePredictor : public Predictor
     size_t ntrained_ = 0;
     uint64_t fallbackLabel_ = kNoLabel;
 };
+
+/**
+ * Weighted misclassification rate of @p p over all rows of @p ds
+ * (weights = dynamic instructions, matching the paper's
+ * "% execution" accounting).
+ */
+double weightedErrorRate(const TablePredictor &p, const DatasetView &ds);
 
 }  // namespace ml
 }  // namespace snip

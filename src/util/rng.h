@@ -81,7 +81,11 @@ class Rng
     /** Bernoulli trial with probability p of returning true. */
     bool chance(double p);
 
-    /** Fisher-Yates shuffle of indices [0, n). */
+    /**
+     * Fisher-Yates shuffle of indices [0, n): the draw order PFI's
+     * in-place shuffle of a column's terms must reproduce (the
+     * tests' reference permutation).
+     */
     std::vector<size_t> permutation(size_t n);
 
   private:

@@ -2,9 +2,8 @@
  * @file
  * Tests for the ML layer on synthetic data with known ground truth:
  * dataset construction, the table predictor's exact-match
- * semantics, decision tree / random forest learning, PFI importance
- * ranking, and the necessary-input selector recovering planted
- * necessary features.
+ * semantics, PFI importance ranking, and the necessary-input
+ * selector recovering planted necessary features.
  */
 
 #include <gtest/gtest.h>
@@ -16,15 +15,12 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "ml/chunked_dataset.h"
 #include "ml/dataset.h"
-#include "ml/decision_tree.h"
 #include "ml/feature_selection.h"
 #include "ml/pfi.h"
-#include "ml/random_forest.h"
 #include "ml/table_predictor.h"
 #include "obs/metrics.h"
 #include "util/parallel.h"
@@ -664,67 +660,6 @@ TEST(TablePredictorTest, PredictRowsBothPathsMatchPredict)
     }
 }
 
-// ------------------------------------------------------ DecisionTree
-
-TEST(DecisionTreeTest, LearnsSeparableFunction)
-{
-    Synthetic syn(600);
-    Dataset ds(syn.ptrs(), syn.schema);
-    std::vector<size_t> cols = {ds.columnOf(syn.fa),
-                                ds.columnOf(syn.fb)};
-    DecisionTree tree;
-    tree.train(ds, cols);
-    EXPECT_LT(weightedErrorRate(tree, ds), 0.02);
-    EXPECT_GT(tree.nodeCount(), 3u);
-}
-
-TEST(DecisionTreeTest, RespectsMaxDepth)
-{
-    Synthetic syn(600);
-    Dataset ds(syn.ptrs(), syn.schema);
-    TreeConfig cfg;
-    cfg.max_depth = 1;
-    DecisionTree stump(cfg);
-    std::vector<size_t> cols = {ds.columnOf(syn.fa),
-                                ds.columnOf(syn.fb)};
-    stump.train(ds, cols);
-    EXPECT_LE(stump.nodeCount(), 3u);
-}
-
-TEST(DecisionTreeTest, OverrideValueChangesPath)
-{
-    Synthetic syn(600);
-    Dataset ds(syn.ptrs(), syn.schema);
-    std::vector<size_t> cols = {ds.columnOf(syn.fa),
-                                ds.columnOf(syn.fb)};
-    DecisionTree tree;
-    tree.train(ds, cols);
-    // Overriding the necessary column with varying values must
-    // produce at least two distinct predictions.
-    std::set<uint64_t> preds;
-    for (uint64_t v = 0; v < 4; ++v) {
-        OverrideView view(ds, ds.columnOf(syn.fa),
-                          std::vector<uint64_t>(ds.numRows(), v));
-        preds.insert(tree.predict(view, 0));
-    }
-    EXPECT_GE(preds.size(), 2u);
-}
-
-// ------------------------------------------------------ RandomForest
-
-TEST(RandomForestTest, LearnsSeparableFunction)
-{
-    Synthetic syn(600);
-    Dataset ds(syn.ptrs(), syn.schema);
-    std::vector<size_t> cols = {0, 1, 2, 3};
-    ForestConfig cfg;
-    cfg.num_trees = 12;
-    RandomForest forest(cfg);
-    forest.train(ds, cols);
-    EXPECT_EQ(forest.treeCount(), 12u);
-    EXPECT_LT(weightedErrorRate(forest, ds), 0.1);
-}
-
 // ---------------------------------------------------------------- PFI
 
 TEST(PfiTest, NecessaryFeaturesRankAboveNoise)
@@ -816,7 +751,7 @@ TEST(PfiTest, ColumnImportanceIndependentOfSubset)
  * repeat order.
  */
 PfiResult
-referencePfi(const Predictor &p, const DatasetView &ds,
+referencePfi(const TablePredictor &p, const DatasetView &ds,
              const std::vector<size_t> &cols, const PfiConfig &cfg)
 {
     PfiResult res;
